@@ -1,0 +1,81 @@
+"""Arbitrary-precision reals carrying an explicit working precision and an
+absolute error bound.
+
+Thin wrapper over mpmath.  The bound is propagated through the few arithmetic
+operations the verification pipelines actually use; it is a guaranteed
+overestimate, not a tight interval.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import mpmath as mp
+
+
+def _mpf_at(value, prec: int):
+    with mp.workprec(prec):
+        return +mp.mpf(value)
+
+
+@dataclass(frozen=True)
+class BigReal:
+    value: mp.mpf
+    prec: int
+    error_bound: mp.mpf
+
+    @staticmethod
+    def exactly(value, prec: int = 53) -> "BigReal":
+        """Wrap a value regarded as exact apart from representation rounding."""
+        v = _mpf_at(value, prec)
+        return BigReal(v, prec, mp.mpf(2) ** (-prec) * (abs(v) + 1))
+
+    @staticmethod
+    def with_bound(value, error_bound, prec: int = 53) -> "BigReal":
+        return BigReal(_mpf_at(value, prec), prec, mp.mpf(error_bound))
+
+    def __float__(self) -> float:
+        return float(self.value)
+
+    def _round_err(self, v) -> mp.mpf:
+        return mp.mpf(2) ** (-self.prec) * (abs(v) + 1)
+
+    def __add__(self, other):
+        o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
+        prec = min(self.prec, o.prec)
+        with mp.workprec(prec):
+            v = self.value + o.value
+        return BigReal(v, prec, self.error_bound + o.error_bound + self._round_err(v))
+
+    def __sub__(self, other):
+        o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
+        return self + BigReal(-o.value, o.prec, o.error_bound)
+
+    def __mul__(self, other):
+        o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
+        prec = min(self.prec, o.prec)
+        with mp.workprec(prec):
+            v = self.value * o.value
+        err = (abs(self.value) * o.error_bound + abs(o.value) * self.error_bound
+               + self.error_bound * o.error_bound + self._round_err(v))
+        return BigReal(v, prec, err)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "BigReal":
+        """Multiply by a scalar treated as exact."""
+        with mp.workprec(self.prec):
+            v = self.value * mp.mpf(c)
+        return BigReal(v, self.prec,
+                       self.error_bound * abs(mp.mpf(c)) + self._round_err(v))
+
+    def abs_diff(self, other) -> mp.mpf:
+        o = other.value if isinstance(other, BigReal) else mp.mpf(other)
+        return abs(self.value - o)
+
+    def agrees_with(self, other, tol) -> bool:
+        return self.abs_diff(other) <= mp.mpf(tol)
+
+    def __repr__(self):
+        return f"BigReal({mp.nstr(self.value, 20)}, prec={self.prec}, err<={mp.nstr(mp.mpf(self.error_bound), 3)})"

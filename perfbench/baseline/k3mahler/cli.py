@@ -1,0 +1,417 @@
+"""Command-line interface: end-to-end identity verification and per-module
+subcommands (mahler | lvalue | ap | lattice | height | coeffs | verify).
+
+Every subcommand can emit a JSON document with the stable schema
+{"input": ..., "value": ..., "error_bound": ..., "provenance": ...}; `verify`
+emits a structured report with one entry per sub-check.  Exit codes: 0 pass,
+1 verification failure, 2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath as mp
+
+from . import lattices, lfunctions, mahler, pointcount
+from .bigreal import BigReal
+
+DEFAULT_TOLERANCES = {0: 1e-6, 3: 1e-5, 6: 1e-5, 18: 1e-4}
+VERIFY_KS = (0, 3, 6, 18)
+DISC_FOR_K = {3: -15, 6: -24, 18: -120}
+LEVEL_FOR_K = {3: 15, 6: 24, 18: 120}
+
+
+def load_config(path: str | None) -> dict:
+    """Plain-text key=value configuration (cache_dir, prec).
+
+    Resolution order: explicit --config, else ./k3mahler.cfg when present.
+    The K3MAHLER_CACHE_DIR environment variable overrides cache_dir.
+    """
+    cfg: dict = {}
+    candidate = Path(path) if path else Path("k3mahler.cfg")
+    if candidate.is_file():
+        for line in candidate.read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#") or "=" not in line:
+                continue
+            key, _, value = line.partition("=")
+            cfg[key.strip()] = value.strip()
+    if os.environ.get(pointcount.ENV_CACHE_DIR):
+        cfg["cache_dir"] = os.environ[pointcount.ENV_CACHE_DIR]
+    return cfg
+
+
+def _prefactor(k: int, prec: int) -> mp.mpf:
+    with mp.workprec(prec):
+        if k == 3:
+            return 15 * mp.sqrt(15) / (2 * mp.pi ** 3)
+        if k == 6:
+            return 24 * mp.sqrt(6) / mp.pi ** 3
+        if k == 18:
+            return 6 * mp.sqrt(120) / mp.pi ** 3
+    raise ValueError(f"no L-value prefactor for k={k}")
+
+
+def _emit(args, payload: dict, human: str) -> None:
+    if args.json:
+        print(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable))
+    else:
+        print(human)
+
+
+def _jsonable(v):
+    if isinstance(v, BigReal):
+        return {"value": float(v.value), "error_bound": float(v.error_bound),
+                "prec": v.prec}
+    if isinstance(v, (mp.mpf, mp.mpc)):
+        return float(mp.re(v)) if mp.im(v) == 0 else repr(v)
+    if isinstance(v, Fraction):
+        return {"num": v.numerator, "den": v.denominator}
+    raise TypeError(f"not jsonable: {type(v)!r}")
+
+
+# ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+def _subcheck(name: str, ok: bool, provenance: str, **extra) -> dict:
+    out = {"name": name, "pass": bool(ok), "provenance": provenance}
+    out.update(extra)
+    return out
+
+
+def _lattice_subchecks(k: int) -> list[dict]:
+    summary = lattices.transcendental_summary(k)
+    rec = summary["tau"]
+    expected_det, expected_rank, torsion = lattices.SURFACE_INVARIANTS[k]
+    out = [
+        _subcheck("tau-quadratic-relation", rec.residual() == (0, 0),
+                  "exact quadratic-irrational arithmetic",
+                  relation=f"-6*{rec.p}*tau^2+12*{rec.q}*tau+{rec.r}=0"),
+        _subcheck("orthocomplement-determinant",
+                  summary["orthocomplement"].det == expected_det,
+                  "integer kernel + restricted Gram form",
+                  det=summary["orthocomplement"].det),
+        _subcheck("shioda-rank", summary["rank"] == expected_rank,
+                  "rank from Picard number 20 and fiber components",
+                  rank=summary["rank"]),
+    ]
+    trivial = summary["trivial_det"]
+    if k == 6:
+        ns = lattices.ns_determinant(0, trivial, 1, torsion)
+        out.append(_subcheck("ns-determinant-chain", ns == 24,
+                             "864 / 6^2 = 24", value=str(ns)))
+    if k == 18:
+        ns = lattices.ns_determinant(1, trivial, 10, torsion)
+        out.append(_subcheck("ns-determinant-chain", abs(ns) == 120,
+                             "432 * h / 36 = 12h with h = 10", value=str(ns)))
+    return out
+
+
+def _ap_subcheck(k: int, pmax: int, cache_dir, workers: int) -> dict:
+    surf = pointcount.SURFACES[k]
+    nf = lfunctions.newform_table(surf.level)
+    aps = pointcount.ap_scan(k, pmax, cache_dir=cache_dir, workers=workers)
+    mism = {}
+    for p, ap in aps.items():
+        if p not in nf.ap:
+            continue
+        want = nf.ap[p] if surf.level == 15 else lfunctions.twist_coeff(nf.ap[p], -3, p)
+        if ap != want:
+            mism[p] = (ap, want)
+    return _subcheck(f"A_p-vs-newform-level-{surf.level}", not mism,
+                     "fiber point counts vs embedded twisted table",
+                     primes=sorted(aps), mismatches=mism,
+                     values={str(p): aps[p] for p in sorted(aps)})
+
+
+def _section_subchecks() -> list[dict]:
+    from . import fixtures, mwsections as mw
+    out = []
+    E = fixtures.y18_curve()
+    ps = fixtures.infinite_section_k18()
+    out.append(_subcheck("infinite-section-on-curve", mw.verify_on_curve(ps, E),
+                         "exact Weierstrass identity"))
+    pm3 = fixtures.twist_section()
+    out.append(_subcheck("twist-section-nontorsion",
+                         mw.verify_nontorsion(pm3, fixtures.y18_twist_curve()),
+                         "[n]P != O for n <= 6, exact"))
+    hd = fixtures.halving_data()
+    Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
+    Pb = mw.to_completed_square(ps, E)
+    c1 = mw.can_halve(Pb, Eb)
+    Q = mw.ec_add(Pb, mw.to_completed_square(fixtures.torsion_multiples_k18()[2], E), Eb)
+    c2 = mw.can_halve(Q, Eb)
+    out.append(_subcheck("halving-obstruction",
+                         (not c1.can_halve) and (not c1.x_is_square)
+                         and (not c2.can_halve) and c2.x_is_square
+                         and c2.qplus_is_square is False
+                         and c2.qminus_is_square is False,
+                         "two-descent square tests in Q(sqrt(-3))(sigma)"))
+    out.append(_subcheck("zero-section-intersection",
+                         mw.zero_intersection(ps) == 5, "pole-degree count",
+                         value=mw.zero_intersection(ps)))
+    h, fibers = mw.y18_height(ps)
+    comps = {f.place: f.component for f in fibers}
+    out.append(_subcheck("neron-components",
+                         comps == {"s=0": 6, "s=inf": 1, "s=1/18": 1,
+                                   "alpha1": 0, "beta1": 0, "alpha2": 0, "beta2": 0},
+                         "replayed coordinate changes with verified valuations",
+                         components=comps))
+    out.append(_subcheck("height", h == 10, "2*2 + 2*5 - 36/12 - 1/2 - 1/2",
+                         value=str(h)))
+    out.append(_subcheck("height-vs-lattice-det", 12 * h == 120,
+                         "12 * h(P) = |det T|", value=str(12 * h)))
+    return out
+
+
+def cmd_verify(args) -> int:
+    k = int(args.k)
+    if k not in VERIFY_KS:
+        print(f"verify supports k in {VERIFY_KS}", file=sys.stderr)
+        return 2
+    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[k]
+    t_start = time.monotonic()
+    report: dict = {"identity": f"m(P_{k})", "tolerance": tol, "k": k,
+                    "prec": args.prec, "subchecks": []}
+    quad = mahler.mahler_quadrature(k, tol=min(tol / 4, 1e-7))
+    report["lhs"] = {"value": float(quad.value), "method": "jensen-quadrature",
+                     "error_bound": float(quad.error_bound)}
+    if k == 0:
+        d3v = lfunctions.d3(args.prec)
+        report["rhs"] = {"value": float(d3v.value),
+                         "method": "(3*sqrt(3)/4pi) L(chi_-3, 2)",
+                         "error_bound": float(d3v.error_bound)}
+        diff = abs(float(quad.value) - float(d3v.value))
+    else:
+        series = lfunctions.FORM_SERIES[DISC_FOR_K[k]]
+        lval = lfunctions.hecke_lvalue(series, s=3, N=args.n_terms)
+        pref = _prefactor(k, args.prec)
+        rhs = float(pref) * float(lval.value)
+        rhs_err = float(pref) * float(lval.error_bound)
+        method = f"({mp.nstr(pref, 10)}) * L(phi_{DISC_FOR_K[k]}, 3)"
+        if k == 18:
+            d3v = lfunctions.d3(args.prec)
+            rhs += 2.8 * float(d3v.value)
+            rhs_err += 2.8 * float(d3v.error_bound)
+            method += " + (14/5) d3"
+        report["rhs"] = {"value": rhs, "method": method, "error_bound": rhs_err}
+        diff = abs(float(quad.value) - rhs)
+
+        report["subchecks"].extend(_lattice_subchecks(k))
+        bs = mahler.bertin_series_for_k(k, box=args.box)
+        report["subchecks"].append(_subcheck(
+            "eisenstein-kronecker-series",
+            abs(float(bs.value) - float(quad.value)) < 1e-4,
+            "weighted lattice sums at the CM point",
+            value=float(bs.value), diff=abs(float(bs.value) - float(quad.value))))
+        report["subchecks"].append(
+            _ap_subcheck(k, args.pmax, args.cache_dir, args.workers))
+        if k == 18:
+            report["subchecks"].extend(_section_subchecks())
+
+    report["abs_diff"] = diff
+    subs_ok = all(c["pass"] for c in report["subchecks"])
+    report["pass"] = bool(diff <= tol and subs_ok)
+    report["runtime_seconds"] = round(time.monotonic() - t_start, 3)
+
+    if args.json:
+        print(json.dumps(report, sort_keys=True, indent=2, default=_jsonable))
+    else:
+        print(f"identity m(P_{k}): lhs={report['lhs']['value']:.10f} "
+              f"rhs={report['rhs']['value']:.10f} |diff|={diff:.3e} "
+              f"tol={tol:g} -> {'PASS' if diff <= tol else 'FAIL'}")
+        for c in report["subchecks"]:
+            print(f"  [{'pass' if c['pass'] else 'FAIL'}] {c['name']}")
+        print(f"overall: {'PASS' if report['pass'] else 'FAIL'} "
+              f"({report['runtime_seconds']}s)")
+    return 0 if report["pass"] else 1
+
+
+# ---------------------------------------------------------------------------
+# single-module subcommands
+# ---------------------------------------------------------------------------
+
+def cmd_mahler(args) -> int:
+    k = int(args.k) if float(args.k).is_integer() else args.k
+    if args.method == "quadrature":
+        v = mahler.mahler_quadrature(k, tol=args.tol)
+        payload = {"input": {"k": k, "method": "quadrature", "tol": args.tol},
+                   "value": float(v.value), "error_bound": float(v.error_bound),
+                   "provenance": "jensen-reduced adaptive quadrature"}
+        _emit(args, payload, f"m(P_{k}) = {float(v.value):.12f} "
+                             f"(+- {float(v.error_bound):.2e}, quadrature)")
+    elif args.method == "bertin":
+        if k != int(k):
+            print("bertin method needs a tabulated integer k", file=sys.stderr)
+            return 2
+        v = mahler.bertin_series_for_k(int(k), box=args.box, prec=args.prec)
+        payload = {"input": {"k": int(k), "method": "bertin", "box": args.box},
+                   "value": float(v.value), "error_bound": float(v.error_bound),
+                   "provenance": "Eisenstein-Kronecker lattice sums"}
+        _emit(args, payload, f"m(P_{k}) = {float(v.value):.10f} "
+                             f"(+- {float(v.error_bound):.2e}, series)")
+    else:
+        est, se = mahler.mahler_mc(k, args.samples, args.seed)
+        payload = {"input": {"k": k, "method": "mc", "samples": args.samples,
+                             "seed": args.seed},
+                   "value": est, "error_bound": 4 * se,
+                   "provenance": f"Monte Carlo, stderr={se:.3e}"}
+        _emit(args, payload, f"m(P_{k}) ~ {est:.7f} +- {se:.2e} (MC)")
+    return 0
+
+
+def cmd_lvalue(args) -> int:
+    disc = DISC_FOR_K[args.k]
+    v = lfunctions.hecke_lvalue(lfunctions.FORM_SERIES[disc], s=3, N=args.n_terms)
+    payload = {"input": {"k": args.k, "disc": disc, "s": 3, "N": args.n_terms},
+               "value": float(v.value), "error_bound": float(v.error_bound),
+               "provenance": f"binary-quadratic-form series, disc {disc}"}
+    _emit(args, payload,
+          f"L(phi_{disc}, 3) = {float(v.value):.12f} (+- {float(v.error_bound):.2e})")
+    return 0
+
+
+def cmd_ap(args) -> int:
+    aps = pointcount.ap_scan(args.k, args.pmax, cache_dir=args.cache_dir,
+                             workers=args.workers)
+    payload = {"input": {"k": args.k, "pmax": args.pmax},
+               "value": {str(p): v for p, v in sorted(aps.items())},
+               "error_bound": 0,
+               "provenance": "Weierstrass fiber scan over P^1(F_p)"}
+    _emit(args, payload, "  ".join(f"A_{p}={v}" for p, v in sorted(aps.items())))
+    return 0
+
+
+def cmd_lattice(args) -> int:
+    summary = lattices.transcendental_summary(args.k)
+    comp = summary["orthocomplement"]
+    payload = {"input": {"k": args.k},
+               "value": {"det": comp.det, "rank": summary["rank"],
+                         "trivial_det": summary["trivial_det"],
+                         "basis": [list(b) for b in comp.basis],
+                         "gram": [list(r) for r in comp.sublattice.gram]},
+               "error_bound": 0, "provenance": "exact integer lattice arithmetic"}
+    _emit(args, payload,
+          f"k={args.k}: |det T| = {comp.det}, rank = {summary['rank']}, "
+          f"basis = {comp.sublattice.labels}")
+    return 0
+
+
+def cmd_height(args) -> int:
+    from . import fixtures, mwsections as mw
+    ps = fixtures.infinite_section_k18()
+    h, fibers = mw.y18_height(ps)
+    payload = {"input": {"k": 18, "section": "infinite section over Q(sqrt(-3))"},
+               "value": {"height": str(h),
+                         "components": {f.place: f.component for f in fibers},
+                         "zero_intersection": mw.zero_intersection(ps)},
+               "error_bound": 0, "provenance": "exact Neron component replay"}
+    _emit(args, payload, f"h(p_sigma) = {h} "
+                         f"(components {[(f.place, f.component) for f in fibers]})")
+    return 0
+
+
+def cmd_coeffs(args) -> int:
+    disc = DISC_FOR_K[args.k]
+    co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[disc], args.nmax)
+    payload = {"input": {"k": args.k, "disc": disc, "nmax": args.nmax},
+               "value": {str(n): int(co.values[n]) for n in range(1, args.nmax + 1)},
+               "error_bound": 0,
+               "provenance": "lattice-point enumeration of the form series"}
+    _emit(args, payload,
+          " ".join(f"A_{n}={int(co.values[n])}" for n in range(1, args.nmax + 1)))
+    return 0
+
+
+# ---------------------------------------------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="k3mahler",
+                                 description=__doc__.splitlines()[0])
+    ap.add_argument("--config", help="key=value config file")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    def common(p, k_choices=None):
+        p.add_argument("--k", type=int, required=True,
+                       choices=k_choices or [3, 6, 18])
+        p.add_argument("--prec", type=int, default=128, help="bits")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--cache-dir", default=None)
+
+    v = sub.add_parser("verify", help="full identity verification for one k")
+    common(v, k_choices=list(VERIFY_KS))
+    v.add_argument("--pmax", type=int, default=31)
+    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--n-terms", type=int, default=2_000_000)
+    v.add_argument("--box", type=int, default=256)
+    v.add_argument("--workers", type=int, default=1)
+    v.set_defaults(func=cmd_verify)
+
+    m = sub.add_parser("mahler", help="Mahler measure by one method")
+    m.add_argument("--k", type=float, required=True)
+    m.add_argument("--prec", type=int, default=128)
+    m.add_argument("--json", action="store_true")
+    m.add_argument("--cache-dir", default=None)
+    m.add_argument("--method", choices=["quadrature", "bertin", "mc"],
+                   default="quadrature")
+    m.add_argument("--tol", type=float, default=1e-5)
+    m.add_argument("--box", type=int, default=256)
+    m.add_argument("--samples", type=int, default=10 ** 6)
+    m.add_argument("--seed", type=int, default=0)
+    m.set_defaults(func=cmd_mahler)
+
+    lv = sub.add_parser("lvalue", help="Hecke L-value from the form series")
+    common(lv)
+    lv.add_argument("--n-terms", type=int, default=2_000_000)
+    lv.set_defaults(func=cmd_lvalue)
+
+    app = sub.add_parser("ap", help="transcendental coefficients A_p")
+    common(app)
+    app.add_argument("--pmax", type=int, default=31)
+    app.add_argument("--workers", type=int, default=1)
+    app.set_defaults(func=cmd_ap)
+
+    lat = sub.add_parser("lattice", help="transcendental-lattice invariants")
+    common(lat)
+    lat.set_defaults(func=cmd_lattice)
+
+    h = sub.add_parser("height", help="canonical height of the k=18 section")
+    h.add_argument("--json", action="store_true")
+    h.set_defaults(func=cmd_height)
+
+    c = sub.add_parser("coeffs", help="form-series Dirichlet coefficients")
+    common(c)
+    c.add_argument("--nmax", type=int, default=40)
+    c.set_defaults(func=cmd_coeffs)
+    return ap
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cfg = load_config(getattr(args, "config", None))
+    if getattr(args, "cache_dir", None) is None and "cache_dir" in cfg:
+        args.cache_dir = cfg["cache_dir"]
+    if "prec" in cfg and hasattr(args, "prec") and args.prec == 128:
+        try:
+            args.prec = int(cfg["prec"])
+        except ValueError:
+            pass
+    try:
+        return args.func(args)
+    except (ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,336 @@
+"""Integer-lattice bookkeeping for the singular members of the K3 family.
+
+Covers the rank-3 ambient pairing on transcendental periods, orthogonal
+complements with saturated integer bases, the Shioda rank count from fiber
+data, and the Neron-Severi determinant chain.  All arithmetic is exact.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+# Ambient pairing on the transcendental periods (gamma_1, gamma_2, gamma_3).
+AMBIENT_GRAM = ((0, 0, 1), (0, 12, 0), (1, 0, 0))
+
+
+@dataclass(frozen=True)
+class GramLattice:
+    """Integer symmetric bilinear form with labeled basis."""
+
+    gram: tuple
+    labels: tuple
+
+    def __post_init__(self):
+        n = len(self.gram)
+        for row in self.gram:
+            if len(row) != n:
+                raise ValueError("Gram matrix must be square")
+        for i in range(n):
+            for j in range(n):
+                if self.gram[i][j] != self.gram[j][i]:
+                    raise ValueError("Gram matrix must be symmetric")
+
+    @property
+    def n(self) -> int:
+        return len(self.gram)
+
+    def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
+        return sum(v[i] * self.gram[i][j] * w[j]
+                   for i in range(self.n) for j in range(self.n))
+
+    def det(self) -> int:
+        g = [list(map(Fraction, row)) for row in self.gram]
+        n, det = self.n, Fraction(1)
+        for col in range(n):
+            piv = next((r for r in range(col, n) if g[r][col] != 0), None)
+            if piv is None:
+                return 0
+            if piv != col:
+                g[col], g[piv] = g[piv], g[col]
+                det = -det
+            det *= g[col][col]
+            for r in range(col + 1, n):
+                f = g[r][col] / g[col][col]
+                for c in range(col, n):
+                    g[r][c] -= f * g[col][c]
+        assert det.denominator == 1
+        return int(det)
+
+
+def ambient_lattice() -> GramLattice:
+    return GramLattice(AMBIENT_GRAM, ("g1", "g2", "g3"))
+
+
+@dataclass(frozen=True)
+class TauRecord:
+    """CM point data: tau = (A + sqrt(B))/C with B < 0, and the primitive
+    (p, q, r) solving -6 p tau^2 + 12 q tau + r = 0."""
+
+    k: int
+    A: int
+    B: int
+    C: int
+    p: int
+    q: int
+    r: int
+
+    def residual(self) -> tuple[Fraction, Fraction]:
+        """(rational, sqrt(B)-coefficient) parts of -6p tau^2 + 12q tau + r."""
+        A, B, C = self.A, self.B, self.C
+        rat = Fraction(-6 * self.p * (A * A + B), C * C) \
+            + Fraction(12 * self.q * A, C) + self.r
+        irr = Fraction(-12 * self.p * A, C * C) + Fraction(12 * self.q, C)
+        return rat, irr
+
+    def period_relation_vector(self) -> tuple[int, int, int]:
+        """The class p*g1 + q*g2 + r*g3 that becomes algebraic."""
+        return (self.p, self.q, self.r)
+
+
+_TAU_TABLE = {
+    0: TauRecord(0, -3, -3, 6, 2, -1, -4),
+    2: TauRecord(2, -2, -2, 6, 3, -1, -3),
+    3: TauRecord(3, -3, -15, 12, 4, -1, -4),
+    6: TauRecord(6, 0, -6, 6, 1, 0, -1),
+    10: TauRecord(10, 0, -2, 2, 1, 0, -3),
+    18: TauRecord(18, 0, -30, 6, 1, 0, -5),
+}
+
+
+def tau_table(k: int) -> TauRecord:
+    """Exact CM point and quadratic-relation data for the tabulated k."""
+    try:
+        return _TAU_TABLE[k]
+    except KeyError:
+        raise ValueError(f"k={k} is not a tabulated singular value") from None
+
+
+# ---------------------------------------------------------------------------
+# Orthogonal complements over Z
+# ---------------------------------------------------------------------------
+
+def _kernel_basis(u: Sequence[int]) -> list[list[int]]:
+    """Saturated basis of {w in Z^3 : w . u = 0} for u != 0.
+
+    Built from gcd identities; the cross product of the two rows is +-u/gcd(u),
+    which certifies saturation (index 1 in the full orthogonal complement).
+    """
+    u1, u2, u3 = u
+    if u1 == 0 and u2 == 0:
+        if u3 == 0:
+            raise ValueError("kernel of the zero vector is everything")
+        return [[1, 0, 0], [0, 1, 0]]
+    g12 = math.gcd(u1, u2)
+    v1 = [u2 // g12, -u1 // g12, 0]
+    g = math.gcd(g12, u3)
+    # a*u1 + b*u2 = g12
+    if u2 == 0:
+        a, b = (1 if u1 > 0 else -1), 0
+    else:
+        a, b = _bezout(u1, u2)
+    v2 = [-a * (u3 // g), -b * (u3 // g), g12 // g]
+    return [v1, v2]
+
+
+def _bezout(x: int, y: int) -> tuple[int, int]:
+    """(a, b) with a*x + b*y = gcd(x, y)."""
+    old_r, r = x, y
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    return old_s, old_t
+
+
+def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of a full-row-rank integer matrix."""
+    m = [row[:] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row >= nrows:
+            break
+        # eliminate below by gcd steps
+        while True:
+            nz = [r for r in range(pivot_row, nrows) if m[r][col] != 0]
+            if not nz:
+                break
+            r0 = min(nz, key=lambda r: abs(m[r][col]))
+            m[pivot_row], m[r0] = m[r0], m[pivot_row]
+            done = True
+            for r in range(pivot_row + 1, nrows):
+                if m[r][col] != 0:
+                    q = m[r][col] // m[pivot_row][col]
+                    for c in range(ncols):
+                        m[r][c] -= q * m[pivot_row][c]
+                    if m[r][col] != 0:
+                        done = False
+            if done:
+                break
+        if m[pivot_row][col] != 0:
+            if m[pivot_row][col] < 0:
+                m[pivot_row] = [-x for x in m[pivot_row]]
+            for r in range(pivot_row):
+                q = m[r][col] // m[pivot_row][col]
+                if q:
+                    for c in range(ncols):
+                        m[r][c] -= q * m[pivot_row][c]
+            pivot_row += 1
+    return m
+
+
+@dataclass(frozen=True)
+class OrthoComplement:
+    basis: tuple
+    sublattice: GramLattice
+    det: int
+
+
+def orthocomplement(ambient: GramLattice, v: Sequence[int]) -> OrthoComplement:
+    """Saturated orthogonal complement of v inside Z^3 w.r.t. the ambient form.
+
+    Returns an HNF-canonical basis, the restricted Gram matrix and its
+    determinant.
+    """
+    if ambient.n != 3:
+        raise ValueError("ambient lattice must have rank 3")
+    if all(c == 0 for c in v):
+        raise ValueError("v must be nonzero")
+    u = [sum(ambient.gram[i][j] * v[j] for j in range(3)) for i in range(3)]
+    basis = _hnf_rows(_kernel_basis(u))
+    sub = tuple(tuple(ambient.pairing(b1, b2) for b2 in basis) for b1 in basis)
+    lab = tuple(_format_vector(b, ambient.labels) for b in basis)
+    sublattice = GramLattice(sub, lab)
+    return OrthoComplement(tuple(tuple(b) for b in basis), sublattice,
+                           sublattice.det())
+
+
+def _format_vector(b: Sequence[int], labels: Sequence[str]) -> str:
+    parts = []
+    for coef, lab in zip(b, labels):
+        if coef == 0:
+            continue
+        if coef == 1:
+            parts.append(f"+{lab}")
+        elif coef == -1:
+            parts.append(f"-{lab}")
+        else:
+            parts.append(f"{coef:+d}*{lab}")
+    out = "".join(parts) or "0"
+    return out[1:] if out.startswith("+") else out
+
+
+# ---------------------------------------------------------------------------
+# Fiber configurations and Shioda bookkeeping
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FiberEntry:
+    place: str
+    m: int            # component count of the I_m fiber
+    cover_note: str = ""
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("I_m fiber needs m >= 1")
+
+
+@dataclass(frozen=True)
+class FiberConfiguration:
+    entries: tuple
+
+    @staticmethod
+    def from_m_list(ms: Sequence[int]) -> "FiberConfiguration":
+        return FiberConfiguration(tuple(FiberEntry(f"v{i}", m)
+                                        for i, m in enumerate(ms)))
+
+    def m_list(self) -> list[int]:
+        return [e.m for e in self.entries]
+
+
+def shioda_rank(rho: int, fibers: FiberConfiguration) -> int:
+    """Mordell-Weil rank r from rho = r + 2 + sum(m_nu - 1)."""
+    if not 1 <= rho <= 20:
+        raise ValueError("Picard number out of range [1, 20]")
+    r = rho - 2 - sum(m - 1 for m in fibers.m_list())
+    if r < 0:
+        raise ValueError(f"inconsistent fiber data: rank would be {r}")
+    return r
+
+
+def trivial_lattice_det(fibers: FiberConfiguration) -> int:
+    """Determinant of the trivial lattice: product of m over the I_m fibers."""
+    out = 1
+    for m in fibers.m_list():
+        out *= m
+    return out
+
+
+def ns_determinant(rank: int, trivial_det: int, mwl_det, torsion_order: int):
+    """(-1)^rank * trivial_det * mwl_det / torsion_order^2, exact."""
+    if torsion_order < 1:
+        raise ValueError("torsion order must be >= 1")
+    sign = -1 if rank % 2 else 1
+    return Fraction(sign * trivial_det, torsion_order ** 2) * Fraction(mwl_det)
+
+
+# Singular fibers of the double cover for the three surfaces under study,
+# read off from the Beauville fibration (u = (s^2 - k s + 1)/s^2).
+SURFACE_FIBERS = {
+    6: FiberConfiguration((
+        FiberEntry("s=0", 12, "double over u=inf"),
+        FiberEntry("s=alpha", 3, "over u=0"),
+        FiberEntry("s=beta", 3, "over u=0"),
+        FiberEntry("s=1/6", 2, "over u=1"),
+        FiberEntry("s=inf", 2, "over u=1"),
+        FiberEntry("s=1/3", 2, "double over u=-8"),
+    )),
+    3: FiberConfiguration((
+        FiberEntry("s=0", 12, "double over u=inf"),
+        FiberEntry("s=alpha1", 3, "over u=0"),
+        FiberEntry("s=beta1", 3, "over u=0"),
+        FiberEntry("s=1/3", 2, "over u=1"),
+        FiberEntry("s=inf", 2, "over u=1"),
+        FiberEntry("s=alpha2", 1, "over u=-8"),
+        FiberEntry("s=beta2", 1, "over u=-8"),
+    )),
+    18: FiberConfiguration((
+        FiberEntry("s=0", 12, "double over u=inf"),
+        FiberEntry("s=alpha1", 3, "over u=0"),
+        FiberEntry("s=beta1", 3, "over u=0"),
+        FiberEntry("s=1/18", 2, "over u=1"),
+        FiberEntry("s=inf", 2, "over u=1"),
+        FiberEntry("s=alpha2", 1, "over u=-8"),
+        FiberEntry("s=beta2", 1, "over u=-8"),
+    )),
+}
+
+# Transcendental-lattice summary: (expected |det T|, MW rank, torsion order).
+SURFACE_INVARIANTS = {6: (24, 0, 6), 3: (15, 1, 6), 18: (120, 1, 6)}
+
+
+def transcendental_summary(k: int) -> dict:
+    """Full exact chain for one tabulated k: tau data, orthocomplement,
+    Shioda rank, trivial-lattice determinant."""
+    rec = tau_table(k)
+    if k not in SURFACE_FIBERS:
+        raise ValueError(f"no fiber table for k={k}")
+    comp = orthocomplement(ambient_lattice(), rec.period_relation_vector())
+    fibers = SURFACE_FIBERS[k]
+    rank = shioda_rank(20, fibers)
+    return {
+        "k": k,
+        "tau": rec,
+        "orthocomplement": comp,
+        "rank": rank,
+        "trivial_det": trivial_lattice_det(fibers),
+        "fibers": fibers,
+    }

@@ -1,0 +1,365 @@
+"""Hecke L-series from explicit binary-quadratic-form sums, Dirichlet L-values,
+the constant d3, the embedded CM-newform coefficient tables, and twisting.
+
+The three Hecke series are encoded exactly as signed lists of positive
+definite binary quadratic forms with degree-2 numerators; their Dirichlet
+coefficients come from direct lattice-point enumeration, so every value here
+is independent of the quadrature route.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from importlib import resources
+from typing import Optional
+
+import mpmath as mp
+import numpy as np
+
+from .bigreal import BigReal
+
+_NEWFORM_CSV_SHA256 = "c622b0f366b17c3d7c964b4e81cdafff6c35da227c0a97c05032b46860073642"
+
+
+def chi3(n: int) -> int:
+    """The quadratic character mod 3 (equals the Kronecker symbol (-3/n) on primes != 3)."""
+    r = n % 3
+    return 0 if r == 0 else (1 if r == 1 else -1)
+
+
+def kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d/n)."""
+    if n == 0:
+        return 1 if d in (1, -1) else 0
+    sign = 1
+    if n < 0:
+        n = -n
+        if d < 0:
+            sign = -sign
+    # factor out twos of n
+    while n % 2 == 0:
+        n //= 2
+        if d % 2 == 0:
+            return 0
+        if d % 8 in (3, 5):
+            sign = -sign
+    d %= n
+    # Jacobi symbol (d/n) for odd n > 0
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        d, n = n, d
+        if d % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        d %= n
+    return sign if n == 1 else 0
+
+
+# ---------------------------------------------------------------------------
+# Quadratic-form series
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QuadFormTerm:
+    form: tuple            # (a, b, c): a m^2 + b mk + c k^2, positive definite
+    numerator: tuple       # (p, q, r): p m^2 + q mk + r k^2
+    sign: int              # +1 or -1
+    numerator_bound: int   # sup |numerator| / form over the real plane
+
+    def __post_init__(self):
+        a, b, c = self.form
+        if a <= 0 or 4 * a * c - b * b <= 0:
+            raise ValueError("form is not positive definite")
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +-1")
+
+
+@dataclass(frozen=True)
+class QuadFormSeries:
+    disc: int
+    prefactor: Fraction
+    terms: tuple
+
+    def tail_scale(self) -> float:
+        """C with |sum_{n>N} A_n/n^3| <= 2C/N: each term contributes its
+        numerator bound times the exterior-ellipse integral pi/sqrt(det Q)."""
+        total = 0.0
+        for t in self.terms:
+            a, b, c = t.form
+            det = a * c - b * b / 4.0
+            total += t.numerator_bound * math.pi / math.sqrt(det)
+        return float(self.prefactor) * total
+
+
+# The three explicit lattice sums.  The degree-2 numerator printed for the
+# disc -15 series carries an obvious k^3/k^2 typo; the k^2 form below is the
+# one that reproduces the coefficient table (A_2 = -1).
+FORM_SERIES = {
+    -24: QuadFormSeries(-24, Fraction(1, 2), (
+        QuadFormTerm((1, 0, 6), (1, 0, -6), 1, 1),
+        QuadFormTerm((2, 0, 3), (-2, 0, 3), 1, 1),
+    )),
+    -15: QuadFormSeries(-15, Fraction(1, 4), (
+        QuadFormTerm((1, 1, 4), (2, 2, -7), 1, 2),
+        QuadFormTerm((2, 1, 2), (1, 8, 1), -1, 2),
+    )),
+    -120: QuadFormSeries(-120, Fraction(1, 2), (
+        QuadFormTerm((5, 0, 6), (5, 0, -6), 1, 1),
+        QuadFormTerm((10, 0, 3), (10, 0, -3), -1, 1),
+        QuadFormTerm((15, 0, 2), (15, 0, -2), 1, 1),
+        QuadFormTerm((30, 0, 1), (30, 0, -1), -1, 1),
+    )),
+}
+
+
+@dataclass(frozen=True)
+class DirichletCoeffs:
+    """A_n for 1 <= n <= N as exact integers (index 0 unused).
+
+    tail_scale, when known, gives |sum_{n>N} A_n/n^3| <= 2*tail_scale/N;
+    otherwise the generic divisor bound |A_n| <= n d(n) is used.
+    """
+
+    values: np.ndarray
+    source: str
+    tail_scale: Optional[float] = None
+
+    @property
+    def N(self) -> int:
+        return len(self.values) - 1
+
+    def __getitem__(self, n: int) -> int:
+        return int(self.values[n])
+
+
+def form_coefficients(series: QuadFormSeries, N: int) -> DirichletCoeffs:
+    """Dirichlet coefficients A_n of the form series by lattice enumeration.
+
+    A_n = prefactor * sum over terms of sign * sum_{Q(m,k)=n} N(m,k), with the
+    (m, k) range bounded from positive definiteness.  Exact integers.
+    """
+    if N < 2:
+        raise ValueError("N >= 2 required")
+    acc = np.zeros(N + 1, dtype=np.int64)
+    for term in series.terms:
+        a, b, c = term.form
+        p, q, r = term.numerator
+        disc4 = 4 * a * c - b * b
+        kmax = math.isqrt(4 * a * N // disc4) + 1
+        for k in range(-kmax, kmax + 1):
+            # a m^2 + b m k + c k^2 <= N: m in a window around -bk/2a
+            rad = N - disc4 * k * k / (4.0 * a)
+            if rad < 0:
+                continue
+            half = math.sqrt(rad / a)
+            mid = -b * k / (2.0 * a)
+            m = np.arange(int(math.floor(mid - half)) - 1,
+                          int(math.ceil(mid + half)) + 2, dtype=np.int64)
+            n = a * m * m + (b * k) * m + c * k * k
+            sel = (n >= 1) & (n <= N)
+            m, n = m[sel], n[sel]
+            w = p * m * m + (q * k) * m + r * k * k
+            np.add.at(acc, n, term.sign * w)
+    pref = series.prefactor
+    scaled = acc * pref.numerator
+    if np.any(scaled % pref.denominator):
+        raise ArithmeticError("form coefficients are not integral")
+    return DirichletCoeffs(scaled // pref.denominator,
+                           f"form-series disc {series.disc}",
+                           tail_scale=series.tail_scale())
+
+
+def divisor_tail_bound(N: int) -> float:
+    """Upper bound for sum_{n>N} d(n)/n^2 (used with |A_n| <= n d(n)):
+    splitting d(n) over factor pairs gives (2/N)(1 + ln N + zeta(2))."""
+    if N < 4:
+        return 3.0
+    return (2.0 / N) * (1.0 + math.log(N) + 1.6449340668482264)
+
+
+def lvalue_from_coeffs(coeffs: DirichletCoeffs, s: int = 3,
+                       N: int | None = None) -> BigReal:
+    """Partial Dirichlet sum sum_{n<=N} A_n / n^s with a proven tail bound."""
+    if s != 3:
+        raise ValueError("only s = 3 is supported (weight-2 numerators)")
+    if N is None:
+        N = coeffs.N
+    if N > coeffs.N:
+        raise ValueError(f"insufficient coefficients: have {coeffs.N}, need {N}")
+    n = np.arange(1, N + 1, dtype=np.float64)
+    a = coeffs.values[1:N + 1].astype(np.float64)
+    value = float(np.dot(a, n ** -3.0))
+    if coeffs.tail_scale is not None:
+        tail = 2.0 * coeffs.tail_scale / N
+    else:
+        tail = divisor_tail_bound(N)
+    rounding = 1e-15 * float(np.dot(np.abs(a), n ** -3.0)) + 1e-16
+    return BigReal.with_bound(value, tail + rounding)
+
+
+def hecke_lvalue(series: QuadFormSeries, s: int = 3, N: int = 2_000_000) -> BigReal:
+    """L(phi, s) for the explicit form series, by direct summation."""
+    if N < 10 ** 3:
+        raise ValueError("N >= 10^3 required")
+    return lvalue_from_coeffs(form_coefficients(series, N), s=s)
+
+
+# ---------------------------------------------------------------------------
+# Weight-0 Epstein combination
+# ---------------------------------------------------------------------------
+
+_EPSTEIN_FORMS = ((5, 6, -1.0), (10, 3, 1.0), (15, 2, -1.0), (30, 1, 1.0))
+
+
+def _epstein_box(M: int, forms=_EPSTEIN_FORMS) -> float:
+    rows = []
+    m = np.arange(1, M + 1, dtype=np.float64)
+    k = np.arange(1, M + 1, dtype=np.float64)
+    for a, c, sgn in forms:
+        q = a * m[:, None] ** 2 + c * k[None, :] ** 2
+        rows.append(sgn * 4.0 * float(np.sum(q ** -2.0)))
+        rows.append(sgn * 2.0 * float(np.sum((a * m * m) ** -2.0)))
+        rows.append(sgn * 2.0 * float(np.sum((c * k * k) ** -2.0)))
+    return math.fsum(rows)
+
+
+def epstein_combo(N: int = 2048) -> BigReal:
+    """(3 sqrt(30)/pi^3) * the signed sum of the four weight-0 Epstein series,
+    box-summed with two Richardson stages in the box size."""
+    if N < 10 ** 3:
+        raise ValueError("N >= 10^3 required")
+    s1, s2, s3 = _epstein_box(N // 4), _epstein_box(N // 2), _epstein_box(N)
+    r1 = (4.0 * s2 - s1) / 3.0
+    r2 = (4.0 * s3 - s2) / 3.0
+    rr = (16.0 * r2 - r1) / 15.0
+    scale = 3.0 * math.sqrt(30.0) / math.pi ** 3
+    return BigReal.with_bound(rr * scale, 4.0 * abs(rr - r2) * scale + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet L(chi_-3, 2) and d3
+# ---------------------------------------------------------------------------
+
+def dirichlet_lvalue(modulus: int = 3, s: int = 2, prec: int = 128) -> BigReal:
+    """L(chi_-3, 2) = sum chi(n)/n^2 by paired summation with an
+    Euler-Maclaurin tail on f(j) = (3j+1)^-2 - (3j+2)^-2."""
+    if (modulus, s) != (3, 2):
+        raise ValueError("only L(chi_-3, 2) is implemented")
+    with mp.workprec(prec + 24):
+        J = max(64, prec // 2)
+        head = mp.fsum(mp.mpf(3 * j + 1) ** -2 - mp.mpf(3 * j + 2) ** -2
+                       for j in range(J))
+        # tail: sum_{j>=J} f(j) = int_J^inf f + f(J)/2 - sum B_2k/(2k)! f^(2k-1)(J)
+        x1, x2 = mp.mpf(3 * J + 1), mp.mpf(3 * J + 2)
+        tail = (1 / x1 - 1 / x2) / 3
+        tail += (x1 ** -2 - x2 ** -2) / 2
+        target = mp.mpf(2) ** (-(prec + 16))
+        kterm = None
+        for kk in range(1, 200):
+            n = 2 * kk - 1
+            # f^(n)(x) = (-3)^n (n+1)! [x1^-(n+2) - x2^-(n+2)]
+            deriv = mp.mpf(-3) ** n * mp.factorial(n + 1) * (x1 ** -(n + 2) - x2 ** -(n + 2))
+            kterm = -mp.bernoulli(2 * kk) / mp.factorial(2 * kk) * deriv
+            tail += kterm
+            if abs(kterm) < target:
+                break
+        value = head + tail
+    with mp.workprec(prec):
+        return BigReal(+value, prec, mp.mpf(2) ** (-(prec - 2)) + 2 * abs(kterm))
+
+
+def d3(prec: int = 128) -> BigReal:
+    """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1)."""
+    L = dirichlet_lvalue(3, 2, prec=prec)
+    with mp.workprec(prec):
+        c = 3 * mp.sqrt(3) / (4 * mp.pi)
+        return BigReal(+(c * L.value), prec, c * L.error_bound + mp.mpf(2) ** (-(prec - 2)))
+
+
+# ---------------------------------------------------------------------------
+# Embedded newform tables and twisting
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NewformEntry:
+    level: int
+    weight: int
+    cm_disc: int
+    ap: dict  # p -> a_p for the tabled primes
+
+
+_CM_DISC = {15: -15, 24: -24, 120: -120}
+_TABLE_CACHE: dict[int, NewformEntry] = {}
+
+
+def _load_newform_csv() -> dict[int, dict[int, int]]:
+    data = resources.files("k3mahler").joinpath("data/newform_ap.csv").read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != _NEWFORM_CSV_SHA256:
+        raise RuntimeError(f"newform table checksum mismatch: {digest}")
+    out: dict[int, dict[int, int]] = {}
+    for row in csv.reader(data.decode().splitlines()):
+        if not row or row[0].startswith("#"):
+            continue
+        level, p, ap = (int(v) for v in row)
+        out.setdefault(level, {})[p] = ap
+    return out
+
+
+def newform_table(level: int) -> NewformEntry:
+    """Embedded a_p table (p <= 31) for the weight-3 newform of the level."""
+    if level not in _CM_DISC:
+        raise ValueError(f"no embedded newform of level {level}")
+    if level not in _TABLE_CACHE:
+        tables = _load_newform_csv()
+        _TABLE_CACHE.update({lv: NewformEntry(lv, 3, _CM_DISC[lv], tables[lv])
+                             for lv in tables})
+    return _TABLE_CACHE[level]
+
+
+def twist_coeff(a_p: int, d: int, p: int) -> int:
+    """Coefficient of the quadratic twist by d at a prime p not dividing d."""
+    if d % p == 0:
+        raise ValueError(f"p={p} divides the twisting discriminant {d}; "
+                         "the twisted coefficient is not (d/p) a_p there")
+    return kronecker(d, p) * a_p
+
+
+def newform_coefficients(level: int, N: int) -> DirichletCoeffs:
+    """a_n of the level-15/24/120 newform for n <= N.
+
+    Away from 3 the coefficients are the (-3/.)-twist of the corresponding
+    form-series coefficients (the identity twist for level 15); powers of 3
+    enter through the linear Euler factor a_{3^v} = a_3^v.  Nothing beyond the
+    embedded tables and the form sums is baked in.
+    """
+    entry = newform_table(level)
+    phi = form_coefficients(FORM_SERIES[entry.cm_disc], N)
+    out = np.zeros(N + 1, dtype=np.int64)
+    if level == 15:
+        out[:] = phi.values
+        return DirichletCoeffs(out, "form-series disc -15 (identity twist)",
+                               tail_scale=phi.tail_scale)
+    a3 = entry.ap[3]
+    n = np.arange(N + 1)
+    chi = np.zeros(N + 1, dtype=np.int64)
+    chi[n % 3 == 1] = 1
+    chi[n % 3 == 2] = -1
+    out = chi * phi.values
+    power = a3
+    block = 3
+    while block <= N:
+        idx = np.arange(block, N + 1, block)
+        coprime = idx[(idx // block) % 3 != 0]
+        out[coprime] = power * chi[coprime // block] * phi.values[coprime // block]
+        power *= a3
+        block *= 3
+    # the 3-power Euler factor inflates the tail by sum_v 3^-v = 3/2
+    return DirichletCoeffs(out, f"twisted-back form series disc {entry.cm_disc}",
+                           tail_scale=1.5 * phi.tail_scale)

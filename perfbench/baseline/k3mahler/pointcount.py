@@ -1,0 +1,390 @@
+"""Finite-field point counting on the fibers of the K3 pencil and assembly of
+the transcendental L-coefficients A_p.
+
+The fiber over s is the projective cubic
+
+    s^2 (x+y)(x+z)(y+z) + (s^2 - k s + 1) xyz = 0,
+
+counted over all s in P^1(F_p) including the singular fibers; the fiber over
+s = infinity is the u = 1 specialization (x+y)(x+z)(y+z) + xyz = 0.  The main
+counter solves a quadratic in y per (s, x) with a Legendre lookup (O(p) per
+fiber); a full O(p^2) projective enumeration is kept as a cross-check mode.
+
+A_p = -sum_s a_p(s) for rank 0, with an extra -(d/p) p for rank 1 when the
+infinite section lives over Q(sqrt(d)).
+"""
+
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Optional
+
+import numpy as np
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for anything this artifact will ever see."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes_up_to(n: int) -> list[int]:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return [int(p) for p in np.nonzero(sieve)[0]]
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p, via the Euler criterion."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("legendre requires an odd prime")
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """chi[t] = (t/p) for t in 0..p-1."""
+    chi = -np.ones(p, dtype=np.int64)
+    chi[0] = 0
+    sq = (np.arange(1, p, dtype=np.int64) ** 2) % p
+    chi[sq] = 1
+    return chi
+
+
+# ---------------------------------------------------------------------------
+# Fiber counting
+# ---------------------------------------------------------------------------
+
+def _fiber_params(k: int, s, p: int) -> tuple[int, int]:
+    """(s^2, s^2 - k s + 1) mod p; s None/"inf" means the fiber at infinity."""
+    if s is None or s == "inf":
+        return 1, 1
+    s = int(s) % p
+    return (s * s) % p, (s * s - k * s + 1) % p
+
+
+def count_fiber_points(k: int, s, p: int, method: str = "legendre") -> int:
+    """Number of points of the projective cubic fiber over s in P^2(F_p)."""
+    if p in (2, 3) or not is_prime(p):
+        raise ValueError("p must be a prime not dividing 6")
+    if method == "enumerate":
+        return _count_fiber_enumerate(k, s, p)
+    if method != "legendre":
+        raise ValueError(f"unknown method {method!r}")
+    s2, c = _fiber_params(k, s, p)
+    chi = _legendre_table(p)
+    return _count_one_fiber(s2, c, p, chi)
+
+
+def _count_one_fiber(s2: int, c: int, p: int, chi: np.ndarray) -> int:
+    x = np.arange(p, dtype=np.int64)
+    # affine chart z = 1: quadratic in y with
+    #   A = s^2 (x+1), B = s^2 (x+1)^2 + c x, C = s^2 x (x+1)
+    xp1 = (x + 1) % p
+    A = (s2 * xp1) % p
+    B = (s2 * xp1 * xp1 + c * x) % p
+    C = (s2 * x * xp1) % p
+    disc = (B * B - 4 * A * C) % p
+    roots = np.where(A != 0, 1 + chi[disc],
+                     np.where(B != 0, 1, np.where(C == 0, p, 0)))
+    total = int(np.sum(roots))
+    # line z = 0: s^2 x y (x+y) = 0
+    total += 3 if s2 % p else p + 1
+    return total
+
+
+def _count_fiber_enumerate(k: int, s, p: int) -> int:
+    """Full projective enumeration (oracle; O(p^2) points)."""
+    s2, c = _fiber_params(k, s, p)
+
+    def f(x, y, z):
+        return (s2 * (x + y) * (x + z) * (y + z) + c * x * y * z) % p
+
+    total = 0
+    for x in range(p):
+        for y in range(p):
+            if f(x, y, 1) == 0:
+                total += 1
+    for x in range(p):
+        if f(x, 1, 0) == 0:
+            total += 1
+    if f(1, 0, 0) == 0:
+        total += 1
+    return total
+
+
+def cubic_fiber_ap_values(k: int, p: int) -> np.ndarray:
+    """a_p(s) = p + 1 - #(plane cubic fiber) for every s in P^1(F_p)
+    (last entry is s = infinity).  Cross-check data for the plane model;
+    the A_p assembly uses the Weierstrass fiber counts instead."""
+    if p in (2, 3) or not is_prime(p):
+        raise ValueError("p must be a prime not dividing 6")
+    chi = _legendre_table(p)
+    s = np.arange(p, dtype=np.int64)
+    s2 = (s * s) % p
+    c = (s2 - k * s + 1) % p
+    x = np.arange(p, dtype=np.int64)
+    xp1 = (x + 1) % p
+    A = (s2[:, None] * xp1[None, :]) % p
+    B = (s2[:, None] * (xp1 * xp1)[None, :] + c[:, None] * x[None, :]) % p
+    C = (s2[:, None] * (x * xp1)[None, :]) % p
+    disc = (B * B - 4 * A * C) % p
+    roots = np.where(A != 0, 1 + chi[disc],
+                     np.where(B != 0, 1, np.where(C == 0, p, 0)))
+    counts = roots.sum(axis=1)
+    counts += np.where(s2 % p != 0, 3, p + 1)
+    counts = np.append(counts, _count_one_fiber(1, 1, p, chi))  # s = infinity
+    return (p + 1) - counts
+
+
+def weierstrass_fiber_ap_values(k: int, p: int) -> np.ndarray:
+    """a_p(s) = p + 1 - #(Weierstrass fiber) over every s in P^1(F_p).
+
+    Fibers of y^2 + (s^2-ks+1)xy = x(x-1)(x+s^2-ks) for s in F_p, plus the
+    s = infinity fiber read in the reciprocal chart.  Singular fibers are
+    counted on the (one-component) Weierstrass model; this is the convention
+    that reproduces the published A_p tables.
+    """
+    if p in (2, 3) or not is_prime(p):
+        raise ValueError("p must be a prime not dividing 6")
+    chi = _legendre_table(p)
+    s = np.arange(p, dtype=np.int64)
+    a1 = (s * s - k * s + 1) % p
+    a2 = (s * s - k * s - 1) % p
+    a4 = (k * s - s * s) % p
+    b2 = (a1 * a1 + 4 * a2) % p
+    b4 = (2 * a4) % p
+    x = np.arange(p, dtype=np.int64)
+    # completed square: (2y + a1 x)^2 = 4x^3 + b2 x^2 + 2 b4 x
+    f = (4 * x[None, :] ** 3 + b2[:, None] * (x * x)[None, :]
+         + (2 * b4)[:, None] * x[None, :]) % p
+    counts = (1 + chi[f]).sum(axis=1) + 1
+    # s = infinity: reciprocal chart gives y^2 + xy = x^3 at s' = 0
+    f_inf = (4 * x ** 3 + x * x) % p
+    count_inf = int(np.sum(1 + chi[f_inf])) + 1
+    counts = np.append(counts, count_inf)
+    return (p + 1) - counts
+
+
+# ---------------------------------------------------------------------------
+# Surface data and A_p
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FiberCount:
+    s: object          # element of F_p or "inf"
+    count: int
+    a_p_s: int         # always p + 1 - count
+
+
+def fiber_counts(k: int, p: int) -> list[FiberCount]:
+    """Per-fiber Weierstrass counts over P^1(F_p), as (s, count, a_p(s))."""
+    vals = weierstrass_fiber_ap_values(k, p)
+    labels = list(range(p)) + ["inf"]
+    return [FiberCount(s, p + 1 - int(a), int(a)) for s, a in zip(labels, vals)]
+
+
+@dataclass(frozen=True)
+class SurfaceArithmetic:
+    k: int
+    level: int
+    rank: int
+    section_disc: Optional[int]  # d with the infinite section over Q(sqrt(d))
+    bad_primes: frozenset
+
+
+SURFACES = {
+    6: SurfaceArithmetic(6, 24, 0, None, frozenset({2, 3})),
+    3: SurfaceArithmetic(3, 15, 1, 1, frozenset({2, 3, 5})),
+    18: SurfaceArithmetic(18, 120, 1, -3, frozenset({2, 3, 5})),
+}
+
+
+def A_p(k: int, p: int, rank: Optional[int] = None, d: Optional[int] = None,
+        cache_dir: Optional[str] = None) -> int:
+    """Transcendental L-coefficient A_p from fiber counts.
+
+    rank/d default to the tabulated surface data for k in {3, 6, 18}.  Raises
+    at bad primes (those dividing the matched newform level, plus 2 and 3).
+    """
+    surf = SURFACES.get(k)
+    if rank is None:
+        if surf is None:
+            raise ValueError(f"rank not given and k={k} not tabulated")
+        rank, d = surf.rank, surf.section_disc
+    if rank == 1 and d is None:
+        raise ValueError("rank 1 requires the section field discriminant d")
+    bad = surf.bad_primes if surf is not None else frozenset({2, 3})
+    if p in bad:
+        raise ValueError(f"p={p} is a bad prime for k={k}: excluded set {sorted(bad)}")
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    cached = _cache_read(k, p, cache_dir)
+    if cached is not None and cached[0] == rank and cached[1] == (d or 0):
+        return cached[2]
+    fiber_sum = int(np.sum(weierstrass_fiber_ap_values(k, p)))
+    value = -fiber_sum
+    if rank == 1:
+        value -= legendre(d, p) * p
+    _cache_write(k, p, rank, d or 0, value, fiber_sum, cache_dir)
+    return value
+
+
+def ap_scan(k: int, pmax: int, cache_dir: Optional[str] = None,
+            workers: int = 1) -> dict[int, int]:
+    """A_p for all good primes p <= pmax, in increasing order.
+
+    Work is farmed per prime to a thread pool when workers > 1; the result
+    dict is assembled in sorted prime order either way.
+    """
+    surf = SURFACES[k]
+    ps = [p for p in primes_up_to(pmax) if p not in surf.bad_primes]
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            vals = list(pool.map(lambda p: A_p(k, p, cache_dir=cache_dir), ps))
+        return dict(zip(ps, vals))
+    return {p: A_p(k, p, cache_dir=cache_dir) for p in ps}
+
+
+# ---------------------------------------------------------------------------
+# Weierstrass counting over F_p (used for the twisted-curve reductions)
+# ---------------------------------------------------------------------------
+
+def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
+    """#E(F_p) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p.
+
+    Completes the square and sums Legendre symbols; raises on singular
+    reduction.
+    """
+    if p == 2 or not is_prime(p):
+        raise ValueError("p must be an odd prime")
+    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
+    b2 = (a1 * a1 + 4 * a2) % p
+    b4 = (2 * a4 + a1 * a3) % p
+    b6 = (a3 * a3 + 4 * a6) % p
+    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
+    disc = (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
+    if disc == 0:
+        raise ValueError("singular curve mod p")
+    chi = _legendre_table(p)
+    x = np.arange(p, dtype=np.int64)
+    rhs = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+    return int(np.sum(1 + chi[rhs])) + 1
+
+
+def point_order(coeffs: Iterable[int], pt: tuple[int, int], p: int,
+                bound: int = 24) -> int:
+    """Order of an affine point on the reduced curve, up to bound."""
+    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
+
+    def add(P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2 and (y1 + y2 + a1 * x2 + a3) % p == 0:
+            return None
+        if P == Q:
+            num = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) % p
+            den = (2 * y1 + a1 * x1 + a3) % p
+        else:
+            num, den = (y2 - y1) % p, (x2 - x1) % p
+        lam = num * pow(den, -1, p) % p
+        nu = (y1 - lam * x1) % p
+        x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
+        y3 = (-(lam + a1) * x3 - nu - a3) % p
+        return (x3, y3)
+
+    x, y = pt
+    if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p != 0:
+        raise ValueError("point is not on the curve mod p")
+    acc, n = pt, 1  # acc = [n]P at the top of each iteration
+    while acc is not None:
+        if n > bound:
+            raise ValueError(f"order exceeds bound {bound}")
+        acc = add(acc, pt)
+        n += 1
+    return n
+
+
+# ---------------------------------------------------------------------------
+# Result cache (plain-text, one file per (k, p))
+# ---------------------------------------------------------------------------
+
+ENV_CACHE_DIR = "K3MAHLER_CACHE_DIR"
+DEFAULT_CACHE_DIR = "~/.cache/k3mahler"
+
+
+def resolve_cache_dir(cache_dir: Optional[str] = None) -> Optional[Path]:
+    """Explicit argument > K3MAHLER_CACHE_DIR > default under ~/.cache.
+
+    The empty string disables caching entirely.
+    """
+    if cache_dir == "":
+        return None
+    if cache_dir is None:
+        cache_dir = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
+    return Path(cache_dir).expanduser()
+
+
+def _cache_path(k: int, p: int, cache_dir: Optional[str]) -> Optional[Path]:
+    root = resolve_cache_dir(cache_dir)
+    if root is None:
+        return None
+    return root / f"ap_k{k}_p{p}.txt"
+
+
+def _cache_read(k: int, p: int, cache_dir: Optional[str]):
+    path = _cache_path(k, p, cache_dir)
+    if path is None or not path.is_file():
+        return None
+    try:
+        fields = path.read_text().strip().split(",")
+        kk, pp, rank, d, ap, fiber_sum = (int(v) for v in fields)
+        if (kk, pp) != (k, p):
+            return None
+        return rank, d, ap, fiber_sum
+    except (ValueError, OSError):
+        return None
+
+
+def _cache_write(k: int, p: int, rank: int, d: int, ap: int, fiber_sum: int,
+                 cache_dir: Optional[str]) -> None:
+    path = _cache_path(k, p, cache_dir)
+    if path is None:
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"{k},{p},{rank},{d},{ap},{fiber_sum}\n")
+    except OSError:
+        pass
