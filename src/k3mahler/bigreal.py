@@ -2,8 +2,10 @@
 absolute error bound.
 
 Thin wrapper over mpmath.  The bound is propagated through the few arithmetic
-operations the verification pipelines actually use; it is a guaranteed
-overestimate, not a tight interval.
+operations the verification pipelines actually use.  It is only as strong as
+the bounds it starts from: a proven tail bound gives a proven bound, but the
+QUADPACK error estimates and the Richardson spreads some routes carry are
+estimates, and so is anything computed from them.
 """
 
 from __future__ import annotations

@@ -11,53 +11,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath as mp
 
 from . import lattices, lfunctions, mahler, pointcount
 from .bigreal import BigReal
+from .lattices import SURFACES
 
-DEFAULT_TOLERANCES = {0: 1e-6, 3: 1e-5, 6: 1e-5, 18: 1e-4}
-VERIFY_KS = (0, 3, 6, 18)
-DISC_FOR_K = {3: -15, 6: -24, 18: -120}
-LEVEL_FOR_K = {3: 15, 6: 24, 18: 120}
-
-
-def load_config(path: str | None) -> dict:
-    """Plain-text key=value configuration (cache_dir, prec).
-
-    Resolution order: explicit --config, else ./k3mahler.cfg when present.
-    The K3MAHLER_CACHE_DIR environment variable overrides cache_dir.
-    """
-    cfg: dict = {}
-    candidate = Path(path) if path else Path("k3mahler.cfg")
-    if candidate.is_file():
-        for line in candidate.read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
-    if os.environ.get(pointcount.ENV_CACHE_DIR):
-        cfg["cache_dir"] = os.environ[pointcount.ENV_CACHE_DIR]
-    return cfg
+VERIFY_KS = tuple(SURFACES)
+# the k whose identity has an L-value term
+L_KS = [k for k, surf in SURFACES.items() if surf.disc is not None]
 
 
-def _prefactor(k: int, prec: int) -> mp.mpf:
+def _prefactor(surf: lattices.Surface, prec: int) -> mp.mpf:
+    """r sqrt(n) / pi^3 for surf.prefactor = (r, n)."""
+    r, n = surf.prefactor
     with mp.workprec(prec):
-        if k == 3:
-            return 15 * mp.sqrt(15) / (2 * mp.pi ** 3)
-        if k == 6:
-            return 24 * mp.sqrt(6) / mp.pi ** 3
-        if k == 18:
-            return 6 * mp.sqrt(120) / mp.pi ** 3
-    raise ValueError(f"no L-value prefactor for k={k}")
+        return r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -88,38 +61,36 @@ def _subcheck(name: str, ok: bool, provenance: str, **extra) -> dict:
     return out
 
 
-def _lattice_subchecks(k: int) -> list[dict]:
-    summary = lattices.transcendental_summary(k)
+def _lattice_subchecks(surf: lattices.Surface) -> list[dict]:
+    summary = lattices.transcendental_summary(surf.k)
     rec = summary["tau"]
-    expected_det, expected_rank, torsion = lattices.SURFACE_INVARIANTS[k]
     out = [
         _subcheck("tau-quadratic-relation", rec.residual() == (0, 0),
                   "exact quadratic-irrational arithmetic",
                   relation=f"-6*{rec.p}*tau^2+12*{rec.q}*tau+{rec.r}=0"),
         _subcheck("orthocomplement-determinant",
-                  summary["orthocomplement"].det == expected_det,
+                  summary["orthocomplement"].det == surf.level,
                   "integer kernel + restricted Gram form",
                   det=summary["orthocomplement"].det),
-        _subcheck("shioda-rank", summary["rank"] == expected_rank,
+        _subcheck("shioda-rank", summary["rank"] == surf.rank,
                   "rank from Picard number 20 and fiber components",
                   rank=summary["rank"]),
     ]
     trivial = summary["trivial_det"]
-    if k == 6:
-        ns = lattices.ns_determinant(0, trivial, 1, torsion)
-        out.append(_subcheck("ns-determinant-chain", ns == 24,
+    if surf.k == 6:
+        ns = lattices.ns_determinant(surf.rank, trivial, 1, surf.torsion)
+        out.append(_subcheck("ns-determinant-chain", ns == surf.level,
                              "864 / 6^2 = 24", value=str(ns)))
-    if k == 18:
-        ns = lattices.ns_determinant(1, trivial, 10, torsion)
-        out.append(_subcheck("ns-determinant-chain", abs(ns) == 120,
+    if surf.k == 18:
+        ns = lattices.ns_determinant(surf.rank, trivial, 10, surf.torsion)
+        out.append(_subcheck("ns-determinant-chain", abs(ns) == surf.level,
                              "432 * h / 36 = 12h with h = 10", value=str(ns)))
     return out
 
 
-def _ap_subcheck(k: int, pmax: int, cache_dir, workers: int) -> dict:
-    surf = pointcount.SURFACES[k]
+def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
     nf = lfunctions.newform_table(surf.level)
-    aps = pointcount.ap_scan(k, pmax, cache_dir=cache_dir, workers=workers)
+    aps = pointcount.ap_scan(surf.k, pmax)
     mism = {}
     for p, ap in aps.items():
         if p not in nf.ap:
@@ -127,7 +98,8 @@ def _ap_subcheck(k: int, pmax: int, cache_dir, workers: int) -> dict:
         want = nf.ap[p] if surf.level == 15 else lfunctions.twist_coeff(nf.ap[p], -3, p)
         if ap != want:
             mism[p] = (ap, want)
-    return _subcheck(f"A_p-vs-newform-level-{surf.level}", not mism,
+    # a scan that reached no prime has checked nothing
+    return _subcheck(f"A_p-vs-newform-level-{surf.level}", bool(aps) and not mism,
                      "fiber point counts vs embedded twisted table",
                      primes=sorted(aps), mismatches=mism,
                      values={str(p): aps[p] for p in sorted(aps)})
@@ -168,53 +140,47 @@ def _section_subchecks() -> list[dict]:
                          components=comps))
     out.append(_subcheck("height", h == 10, "2*2 + 2*5 - 36/12 - 1/2 - 1/2",
                          value=str(h)))
-    out.append(_subcheck("height-vs-lattice-det", 12 * h == 120,
+    out.append(_subcheck("height-vs-lattice-det", 12 * h == SURFACES[18].level,
                          "12 * h(P) = |det T|", value=str(12 * h)))
     return out
 
 
 def cmd_verify(args) -> int:
-    k = int(args.k)
-    if k not in VERIFY_KS:
-        print(f"verify supports k in {VERIFY_KS}", file=sys.stderr)
-        return 2
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES[k]
+    k = args.k
+    surf = SURFACES[k]
+    tol = args.tol if args.tol is not None else surf.tol
     t_start = time.monotonic()
     report: dict = {"identity": f"m(P_{k})", "tolerance": tol, "k": k,
                     "prec": args.prec, "subchecks": []}
     quad = mahler.mahler_quadrature(k, tol=min(tol / 4, 1e-7))
     report["lhs"] = {"value": float(quad.value), "method": "jensen-quadrature",
                      "error_bound": float(quad.error_bound)}
-    if k == 0:
-        d3v = lfunctions.d3(args.prec)
-        report["rhs"] = {"value": float(d3v.value),
-                         "method": "(3*sqrt(3)/4pi) L(chi_-3, 2)",
-                         "error_bound": float(d3v.error_bound)}
-        diff = abs(float(quad.value) - float(d3v.value))
-    else:
-        series = lfunctions.FORM_SERIES[DISC_FOR_K[k]]
+    rhs, rhs_err, terms = 0.0, 0.0, []
+    if surf.disc is not None:
+        series = lfunctions.FORM_SERIES[surf.disc]
         lval = lfunctions.hecke_lvalue(series, s=3, N=args.n_terms)
-        pref = _prefactor(k, args.prec)
+        pref = _prefactor(surf, args.prec)
         rhs = float(pref) * float(lval.value)
         rhs_err = float(pref) * float(lval.error_bound)
-        method = f"({mp.nstr(pref, 10)}) * L(phi_{DISC_FOR_K[k]}, 3)"
-        if k == 18:
-            d3v = lfunctions.d3(args.prec)
-            rhs += 2.8 * float(d3v.value)
-            rhs_err += 2.8 * float(d3v.error_bound)
-            method += " + (14/5) d3"
-        report["rhs"] = {"value": rhs, "method": method, "error_bound": rhs_err}
-        diff = abs(float(quad.value) - rhs)
+        terms.append(f"({mp.nstr(pref, 10)}) * L(phi_{surf.disc}, 3)")
+    if surf.d3_coeff:
+        d3v = lfunctions.d3(args.prec)
+        rhs += float(surf.d3_coeff) * float(d3v.value)
+        rhs_err += float(surf.d3_coeff) * float(d3v.error_bound)
+        terms.append(f"({surf.d3_coeff}) d3" if terms
+                     else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
+    report["rhs"] = {"value": rhs, "method": " + ".join(terms), "error_bound": rhs_err}
+    diff = abs(float(quad.value) - rhs)
 
-        report["subchecks"].extend(_lattice_subchecks(k))
+    if surf.disc is not None:
+        report["subchecks"].extend(_lattice_subchecks(surf))
         bs = mahler.bertin_series_for_k(k, box=args.box)
         report["subchecks"].append(_subcheck(
             "eisenstein-kronecker-series",
             abs(float(bs.value) - float(quad.value)) < 1e-4,
             "weighted lattice sums at the CM point",
             value=float(bs.value), diff=abs(float(bs.value) - float(quad.value))))
-        report["subchecks"].append(
-            _ap_subcheck(k, args.pmax, args.cache_dir, args.workers))
+        report["subchecks"].append(_ap_subcheck(surf, args.pmax))
         if k == 18:
             report["subchecks"].extend(_section_subchecks())
 
@@ -270,7 +236,7 @@ def cmd_mahler(args) -> int:
 
 
 def cmd_lvalue(args) -> int:
-    disc = DISC_FOR_K[args.k]
+    disc = SURFACES[args.k].disc
     v = lfunctions.hecke_lvalue(lfunctions.FORM_SERIES[disc], s=3, N=args.n_terms)
     payload = {"input": {"k": args.k, "disc": disc, "s": 3, "N": args.n_terms},
                "value": float(v.value), "error_bound": float(v.error_bound),
@@ -281,8 +247,7 @@ def cmd_lvalue(args) -> int:
 
 
 def cmd_ap(args) -> int:
-    aps = pointcount.ap_scan(args.k, args.pmax, cache_dir=args.cache_dir,
-                             workers=args.workers)
+    aps = pointcount.ap_scan(args.k, args.pmax)
     payload = {"input": {"k": args.k, "pmax": args.pmax},
                "value": {str(p): v for p, v in sorted(aps.items())},
                "error_bound": 0,
@@ -321,7 +286,7 @@ def cmd_height(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    disc = DISC_FOR_K[args.k]
+    disc = SURFACES[args.k].disc
     co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[disc], args.nmax)
     payload = {"input": {"k": args.k, "disc": disc, "nmax": args.nmax},
                "value": {str(n): int(co.values[n]) for n in range(1, args.nmax + 1)},
@@ -334,50 +299,62 @@ def cmd_coeffs(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _at_least(lo: int):
+    """argparse type: an int >= lo."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    return parse
+
+
+def _positive(text: str) -> float:
+    """argparse type: a float > 0."""
+    x = float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="k3mahler",
                                  description=__doc__.splitlines()[0])
-    ap.add_argument("--config", help="key=value config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, k_choices=None):
-        p.add_argument("--k", type=int, required=True,
-                       choices=k_choices or [3, 6, 18])
+    def common(p, k_choices=L_KS):
+        p.add_argument("--k", type=int, required=True, choices=k_choices)
         p.add_argument("--prec", type=int, default=128, help="bits")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--cache-dir", default=None)
 
     v = sub.add_parser("verify", help="full identity verification for one k")
-    common(v, k_choices=list(VERIFY_KS))
-    v.add_argument("--pmax", type=int, default=31)
-    v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--n-terms", type=int, default=2_000_000)
-    v.add_argument("--box", type=int, default=256)
-    v.add_argument("--workers", type=int, default=1)
+    common(v, k_choices=VERIFY_KS)
+    v.add_argument("--pmax", type=_at_least(0), default=31)
+    v.add_argument("--tol", type=_positive, default=None)
+    v.add_argument("--n-terms", type=_at_least(1000), default=2_000_000)
+    v.add_argument("--box", type=_at_least(16), default=256)
     v.set_defaults(func=cmd_verify)
 
     m = sub.add_parser("mahler", help="Mahler measure by one method")
     m.add_argument("--k", type=float, required=True)
     m.add_argument("--prec", type=int, default=128)
     m.add_argument("--json", action="store_true")
-    m.add_argument("--cache-dir", default=None)
     m.add_argument("--method", choices=["quadrature", "bertin", "mc"],
                    default="quadrature")
-    m.add_argument("--tol", type=float, default=1e-5)
-    m.add_argument("--box", type=int, default=256)
-    m.add_argument("--samples", type=int, default=10 ** 6)
+    m.add_argument("--tol", type=_positive, default=1e-5)
+    m.add_argument("--box", type=_at_least(16), default=256)
+    m.add_argument("--samples", type=_at_least(1000), default=10 ** 6)
     m.add_argument("--seed", type=int, default=0)
     m.set_defaults(func=cmd_mahler)
 
     lv = sub.add_parser("lvalue", help="Hecke L-value from the form series")
     common(lv)
-    lv.add_argument("--n-terms", type=int, default=2_000_000)
+    lv.add_argument("--n-terms", type=_at_least(1000), default=2_000_000)
     lv.set_defaults(func=cmd_lvalue)
 
     app = sub.add_parser("ap", help="transcendental coefficients A_p")
     common(app)
-    app.add_argument("--pmax", type=int, default=31)
-    app.add_argument("--workers", type=int, default=1)
+    app.add_argument("--pmax", type=_at_least(0), default=31)
     app.set_defaults(func=cmd_ap)
 
     lat = sub.add_parser("lattice", help="transcendental-lattice invariants")
@@ -390,22 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coeffs", help="form-series Dirichlet coefficients")
     common(c)
-    c.add_argument("--nmax", type=int, default=40)
+    c.add_argument("--nmax", type=_at_least(2), default=40)
     c.set_defaults(func=cmd_coeffs)
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = load_config(getattr(args, "config", None))
-    if getattr(args, "cache_dir", None) is None and "cache_dir" in cfg:
-        args.cache_dir = cfg["cache_dir"]
-    if "prec" in cfg and hasattr(args, "prec") and args.prec == 128:
-        try:
-            args.prec = int(cfg["prec"])
-        except ValueError:
-            pass
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from .pointcount import is_prime
+
 D = -3  # square-free discriminant tag of the coefficient field
 
 Rational = Union[int, Fraction]
@@ -173,26 +175,6 @@ class QuadElem:
 ZERO = QuadElem(0)
 ONE = QuadElem(1)
 SQRT_M3 = QuadElem(0, 1)  # sqrt(-3)
-
-
-def quad_arith(op: str, x: QuadElem, y: Optional[QuadElem] = None):
-    """Dispatch wrapper over the QuadElem field operations.
-
-    op in {add, mul, inv, conj, norm}; norm returns a Fraction, the rest
-    QuadElem.  inv raises ZeroDivisionError on 0.
-    """
-    x = QuadElem.coerce(x)
-    if op == "add":
-        return x + QuadElem.coerce(y)
-    if op == "mul":
-        return x * QuadElem.coerce(y)
-    if op == "inv":
-        return x.inv()
-    if op == "conj":
-        return x.conj()
-    if op == "norm":
-        return x.norm()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def is_square_quad(c) -> tuple[bool, Optional[QuadElem]]:
@@ -468,36 +450,13 @@ def _pseudo_rem(a: Poly, b: Poly) -> Poly:
     return r
 
 
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _find_modp_primes() -> list[tuple[int, int]]:
     """Primes p = 7 mod 12 (so -3 is a QR with an easy square root) paired
     with w = sqrt(-3) mod p, for the fast coprimality certificate."""
     out = []
     p = (1 << 30) + 7 - ((1 << 30) + 7) % 12 + 7
     while len(out) < 3:
-        if _is_prime_small(p):
+        if is_prime(p):
             w = pow(p - 3, (p + 1) // 4, p)
             if w * w % p == p - 3:
                 out.append((p, w))

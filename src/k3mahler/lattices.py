@@ -3,6 +3,9 @@
 Covers the rank-3 ambient pairing on transcendental periods, orthogonal
 complements with saturated integer bases, the Shioda rank count from fiber
 data, and the Neron-Severi determinant chain.  All arithmetic is exact.
+
+``SURFACES`` holds one ``Surface`` record per k = 0, 3, 6, 18: every per-k
+fact the other modules use, defined once.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 # Ambient pairing on the transcendental periods (gamma_1, gamma_2, gamma_3).
 AMBIENT_GRAM = ((0, 0, 1), (0, 12, 0), (1, 0, 0))
@@ -282,49 +285,78 @@ def ns_determinant(rank: int, trivial_det: int, mwl_det, torsion_order: int):
     return Fraction(sign * trivial_det, torsion_order ** 2) * Fraction(mwl_det)
 
 
-# Singular fibers of the double cover for the three surfaces under study,
-# read off from the Beauville fibration (u = (s^2 - k s + 1)/s^2).
-SURFACE_FIBERS = {
-    6: FiberConfiguration((
-        FiberEntry("s=0", 12, "double over u=inf"),
-        FiberEntry("s=alpha", 3, "over u=0"),
-        FiberEntry("s=beta", 3, "over u=0"),
-        FiberEntry("s=1/6", 2, "over u=1"),
-        FiberEntry("s=inf", 2, "over u=1"),
-        FiberEntry("s=1/3", 2, "double over u=-8"),
-    )),
-    3: FiberConfiguration((
-        FiberEntry("s=0", 12, "double over u=inf"),
-        FiberEntry("s=alpha1", 3, "over u=0"),
-        FiberEntry("s=beta1", 3, "over u=0"),
-        FiberEntry("s=1/3", 2, "over u=1"),
-        FiberEntry("s=inf", 2, "over u=1"),
-        FiberEntry("s=alpha2", 1, "over u=-8"),
-        FiberEntry("s=beta2", 1, "over u=-8"),
-    )),
-    18: FiberConfiguration((
-        FiberEntry("s=0", 12, "double over u=inf"),
-        FiberEntry("s=alpha1", 3, "over u=0"),
-        FiberEntry("s=beta1", 3, "over u=0"),
-        FiberEntry("s=1/18", 2, "over u=1"),
-        FiberEntry("s=inf", 2, "over u=1"),
-        FiberEntry("s=alpha2", 1, "over u=-8"),
-        FiberEntry("s=beta2", 1, "over u=-8"),
-    )),
-}
+@dataclass(frozen=True)
+class Surface:
+    """What the identity for one k rests on:
 
-# Transcendental-lattice summary: (expected |det T|, MW rank, torsion order).
-SURFACE_INVARIANTS = {6: (24, 0, 6), 3: (15, 1, 6), 18: (120, 1, 6)}
+        m(P_k) = (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3
+
+    with prefactor = (r, n).  k = 0 is the bare identity m(P_0) = d3; its
+    surface fields stay unset."""
+
+    k: int
+    tol: float                        # default identity tolerance of `verify`
+    d3_coeff: Fraction
+    disc: Optional[int] = None        # CM discriminant of the weight-3 form phi
+    level: Optional[int] = None       # newform level, equal to |det T|
+    prefactor: Optional[tuple] = None  # (r, n) as above
+    rank: Optional[int] = None        # Mordell-Weil rank
+    section_disc: Optional[int] = None  # d with the infinite section over Q(sqrt(d))
+    bad_primes: frozenset = frozenset({2, 3})  # excluded from the A_p count
+    fibers: Optional[FiberConfiguration] = None
+    torsion: Optional[int] = None     # Mordell-Weil torsion order
+
+
+# Singular fibers of the double cover are read off from the Beauville
+# fibration (u = (s^2 - k s + 1)/s^2).
+SURFACES = {
+    0: Surface(0, 1e-6, Fraction(1)),
+    3: Surface(3, 1e-5, Fraction(0), disc=-15, level=15,
+               prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1,
+               bad_primes=frozenset({2, 3, 5}), torsion=6,
+               fibers=FiberConfiguration((
+                   FiberEntry("s=0", 12, "double over u=inf"),
+                   FiberEntry("s=alpha1", 3, "over u=0"),
+                   FiberEntry("s=beta1", 3, "over u=0"),
+                   FiberEntry("s=1/3", 2, "over u=1"),
+                   FiberEntry("s=inf", 2, "over u=1"),
+                   FiberEntry("s=alpha2", 1, "over u=-8"),
+                   FiberEntry("s=beta2", 1, "over u=-8"),
+               ))),
+    6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24,
+               prefactor=(Fraction(24), 6), rank=0,
+               bad_primes=frozenset({2, 3}), torsion=6,
+               fibers=FiberConfiguration((
+                   FiberEntry("s=0", 12, "double over u=inf"),
+                   FiberEntry("s=alpha", 3, "over u=0"),
+                   FiberEntry("s=beta", 3, "over u=0"),
+                   FiberEntry("s=1/6", 2, "over u=1"),
+                   FiberEntry("s=inf", 2, "over u=1"),
+                   FiberEntry("s=1/3", 2, "double over u=-8"),
+               ))),
+    18: Surface(18, 1e-4, Fraction(14, 5), disc=-120, level=120,
+                prefactor=(Fraction(6), 120), rank=1, section_disc=-3,
+                bad_primes=frozenset({2, 3, 5}), torsion=6,
+                fibers=FiberConfiguration((
+                    FiberEntry("s=0", 12, "double over u=inf"),
+                    FiberEntry("s=alpha1", 3, "over u=0"),
+                    FiberEntry("s=beta1", 3, "over u=0"),
+                    FiberEntry("s=1/18", 2, "over u=1"),
+                    FiberEntry("s=inf", 2, "over u=1"),
+                    FiberEntry("s=alpha2", 1, "over u=-8"),
+                    FiberEntry("s=beta2", 1, "over u=-8"),
+                ))),
+}
 
 
 def transcendental_summary(k: int) -> dict:
     """Full exact chain for one tabulated k: tau data, orthocomplement,
     Shioda rank, trivial-lattice determinant."""
     rec = tau_table(k)
-    if k not in SURFACE_FIBERS:
+    fibers = SURFACES[k].fibers if k in SURFACES else None
+    if fibers is None:
         raise ValueError(f"no fiber table for k={k}")
     comp = orthocomplement(ambient_lattice(), rec.period_relation_vector())
-    fibers = SURFACE_FIBERS[k]
     rank = shioda_rank(20, fibers)
     return {
         "k": k,

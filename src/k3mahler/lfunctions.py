@@ -21,6 +21,7 @@ import mpmath as mp
 import numpy as np
 
 from .bigreal import BigReal
+from .lattices import SURFACES
 
 _NEWFORM_CSV_SHA256 = "c622b0f366b17c3d7c964b4e81cdafff6c35da227c0a97c05032b46860073642"
 
@@ -294,7 +295,6 @@ class NewformEntry:
     ap: dict  # p -> a_p for the tabled primes
 
 
-_CM_DISC = {15: -15, 24: -24, 120: -120}
 _TABLE_CACHE: dict[int, NewformEntry] = {}
 
 
@@ -314,12 +314,13 @@ def _load_newform_csv() -> dict[int, dict[int, int]]:
 
 def newform_table(level: int) -> NewformEntry:
     """Embedded a_p table (p <= 31) for the weight-3 newform of the level."""
-    if level not in _CM_DISC:
-        raise ValueError(f"no embedded newform of level {level}")
-    if level not in _TABLE_CACHE:
+    if not _TABLE_CACHE:
         tables = _load_newform_csv()
-        _TABLE_CACHE.update({lv: NewformEntry(lv, 3, _CM_DISC[lv], tables[lv])
-                             for lv in tables})
+        _TABLE_CACHE.update({
+            surf.level: NewformEntry(surf.level, 3, surf.disc, tables[surf.level])
+            for surf in SURFACES.values() if surf.level is not None})
+    if level not in _TABLE_CACHE:
+        raise ValueError(f"no embedded newform of level {level}")
     return _TABLE_CACHE[level]
 
 

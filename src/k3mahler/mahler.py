@@ -24,7 +24,6 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate
 
 from .bigreal import BigReal
 from .lattices import tau_table
@@ -68,6 +67,9 @@ def _inner_kinks(b: float) -> list[float]:
 
 
 def _quad_quiet(*args, **kwargs):
+    # imported here: scipy.integrate is slow to import and only the
+    # quadrature route needs it
+    from scipy import integrate
     # convergence is judged from the returned error estimate, so QUADPACK's
     # roundoff warnings only add noise here
     with warnings.catch_warnings():

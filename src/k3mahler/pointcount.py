@@ -16,12 +16,12 @@ infinite section lives over Q(sqrt(d)).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .lattices import SURFACES
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -194,7 +194,7 @@ def weierstrass_fiber_ap_values(k: int, p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Surface data and A_p
+# A_p
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -211,24 +211,7 @@ def fiber_counts(k: int, p: int) -> list[FiberCount]:
     return [FiberCount(s, p + 1 - int(a), int(a)) for s, a in zip(labels, vals)]
 
 
-@dataclass(frozen=True)
-class SurfaceArithmetic:
-    k: int
-    level: int
-    rank: int
-    section_disc: Optional[int]  # d with the infinite section over Q(sqrt(d))
-    bad_primes: frozenset
-
-
-SURFACES = {
-    6: SurfaceArithmetic(6, 24, 0, None, frozenset({2, 3})),
-    3: SurfaceArithmetic(3, 15, 1, 1, frozenset({2, 3, 5})),
-    18: SurfaceArithmetic(18, 120, 1, -3, frozenset({2, 3, 5})),
-}
-
-
-def A_p(k: int, p: int, rank: Optional[int] = None, d: Optional[int] = None,
-        cache_dir: Optional[str] = None) -> int:
+def A_p(k: int, p: int, rank: Optional[int] = None, d: Optional[int] = None) -> int:
     """Transcendental L-coefficient A_p from fiber counts.
 
     rank/d default to the tabulated surface data for k in {3, 6, 18}.  Raises
@@ -236,7 +219,7 @@ def A_p(k: int, p: int, rank: Optional[int] = None, d: Optional[int] = None,
     """
     surf = SURFACES.get(k)
     if rank is None:
-        if surf is None:
+        if surf is None or surf.rank is None:
             raise ValueError(f"rank not given and k={k} not tabulated")
         rank, d = surf.rank, surf.section_disc
     if rank == 1 and d is None:
@@ -246,32 +229,16 @@ def A_p(k: int, p: int, rank: Optional[int] = None, d: Optional[int] = None,
         raise ValueError(f"p={p} is a bad prime for k={k}: excluded set {sorted(bad)}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    cached = _cache_read(k, p, cache_dir)
-    if cached is not None and cached[0] == rank and cached[1] == (d or 0):
-        return cached[2]
-    fiber_sum = int(np.sum(weierstrass_fiber_ap_values(k, p)))
-    value = -fiber_sum
+    value = -int(np.sum(weierstrass_fiber_ap_values(k, p)))
     if rank == 1:
         value -= legendre(d, p) * p
-    _cache_write(k, p, rank, d or 0, value, fiber_sum, cache_dir)
     return value
 
 
-def ap_scan(k: int, pmax: int, cache_dir: Optional[str] = None,
-            workers: int = 1) -> dict[int, int]:
-    """A_p for all good primes p <= pmax, in increasing order.
-
-    Work is farmed per prime to a thread pool when workers > 1; the result
-    dict is assembled in sorted prime order either way.
-    """
-    surf = SURFACES[k]
-    ps = [p for p in primes_up_to(pmax) if p not in surf.bad_primes]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda p: A_p(k, p, cache_dir=cache_dir), ps))
-        return dict(zip(ps, vals))
-    return {p: A_p(k, p, cache_dir=cache_dir) for p in ps}
+def ap_scan(k: int, pmax: int) -> dict[int, int]:
+    """A_p for all good primes p <= pmax, in increasing order."""
+    bad = SURFACES[k].bad_primes
+    return {p: A_p(k, p) for p in primes_up_to(pmax) if p not in bad}
 
 
 # ---------------------------------------------------------------------------
@@ -335,56 +302,3 @@ def point_order(coeffs: Iterable[int], pt: tuple[int, int], p: int,
         acc = add(acc, pt)
         n += 1
     return n
-
-
-# ---------------------------------------------------------------------------
-# Result cache (plain-text, one file per (k, p))
-# ---------------------------------------------------------------------------
-
-ENV_CACHE_DIR = "K3MAHLER_CACHE_DIR"
-DEFAULT_CACHE_DIR = "~/.cache/k3mahler"
-
-
-def resolve_cache_dir(cache_dir: Optional[str] = None) -> Optional[Path]:
-    """Explicit argument > K3MAHLER_CACHE_DIR > default under ~/.cache.
-
-    The empty string disables caching entirely.
-    """
-    if cache_dir == "":
-        return None
-    if cache_dir is None:
-        cache_dir = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
-    return Path(cache_dir).expanduser()
-
-
-def _cache_path(k: int, p: int, cache_dir: Optional[str]) -> Optional[Path]:
-    root = resolve_cache_dir(cache_dir)
-    if root is None:
-        return None
-    return root / f"ap_k{k}_p{p}.txt"
-
-
-def _cache_read(k: int, p: int, cache_dir: Optional[str]):
-    path = _cache_path(k, p, cache_dir)
-    if path is None or not path.is_file():
-        return None
-    try:
-        fields = path.read_text().strip().split(",")
-        kk, pp, rank, d, ap, fiber_sum = (int(v) for v in fields)
-        if (kk, pp) != (k, p):
-            return None
-        return rank, d, ap, fiber_sum
-    except (ValueError, OSError):
-        return None
-
-
-def _cache_write(k: int, p: int, rank: int, d: int, ap: int, fiber_sum: int,
-                 cache_dir: Optional[str]) -> None:
-    path = _cache_path(k, p, cache_dir)
-    if path is None:
-        return
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(f"{k},{p},{rank},{d},{ap},{fiber_sum}\n")
-    except OSError:
-        pass

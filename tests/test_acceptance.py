@@ -44,6 +44,11 @@ def _identity_check(k, quad, hecke, d3_value, tol, runtime_cap):
         rhs = float(pref) * float(hecke(disc).value)
         if k == 18:
             rhs += 2.8 * float(d3_value.value)
+    # the literals above are the reference the surface record must match
+    surf = lattices.SURFACES[k]
+    assert (surf.disc, surf.level, surf.tol) == (disc, -disc, tol)
+    assert surf.prefactor == {3: (Fraction(15, 2), 15), 6: (24, 6), 18: (6, 120)}[k]
+    assert surf.d3_coeff == (Fraction(14, 5) if k == 18 else 0)
     elapsed = time.monotonic() - t0
     diff = abs(lhs - rhs)
     return diff, elapsed, lhs, rhs
@@ -71,6 +76,7 @@ def test_criterion_3_identity_k18(quad, hecke, d3_value):
 
 
 def test_criterion_4_regression_k0(quad, d3_value):
+    assert (lattices.SURFACES[0].tol, lattices.SURFACES[0].d3_coeff) == (1e-6, 1)
     diff = abs(float(quad(0).value) - float(d3_value.value))
     report(4, diff < 1e-6, f"|m(P_0) - d3| = {diff:.2e} < 1e-6")
 
@@ -108,25 +114,25 @@ def test_criterion_8_point_count_tables():
     t0 = time.monotonic()
     ok = True
     for k in (3, 6, 18):
-        surf = pc.SURFACES[k]
+        surf = lattices.SURFACES[k]
         nf = lf.newform_table(surf.level)
         for p in pc.primes_up_to(31):
             if p in surf.bad_primes:
                 continue
             want = nf.ap[p] if surf.level == 15 \
                 else lf.twist_coeff(nf.ap[p], -3, p)
-            if pc.A_p(k, p, cache_dir="") != want:
+            if pc.A_p(k, p) != want:
                 ok = False
-    row = [pc.A_p(6, p, cache_dir="") for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
+    row = [pc.A_p(6, p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
     ok = ok and row == [2, -10, -10, 0, 0, 0, 0, 50, 38]
     t_small = time.monotonic() - t0
     t0 = time.monotonic()
     for k, disc in ((3, -15), (6, -24), (18, -120)):
-        surf = pc.SURFACES[k]
+        surf = lattices.SURFACES[k]
         for p in pc.primes_up_to(200):
             if p in surf.bad_primes:
                 continue
-            ap = pc.A_p(k, p, cache_dir="")
+            ap = pc.A_p(k, p)
             if abs(ap) > 2 * p:
                 ok = False
             if lf.kronecker(disc, p) == -1 and ap != 0:

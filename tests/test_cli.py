@@ -1,5 +1,5 @@
-"""CLI surface: subcommand output schema, determinism, exit codes, caching
-and configuration handling."""
+"""CLI surface: subcommand output schema, determinism, exit codes, and no
+files read or written outside the package."""
 
 import json
 
@@ -19,8 +19,7 @@ def run(capsys, argv):
 class TestSchemas:
     def test_subcommand_schema(self, capsys):
         for argv in (["lattice", "--k", "18", "--json"],
-                     ["ap", "--k", "6", "--pmax", "13", "--json",
-                      "--cache-dir", ""],
+                     ["ap", "--k", "6", "--pmax", "13", "--json"],
                      ["coeffs", "--k", "6", "--nmax", "8", "--json"],
                      ["lvalue", "--k", "3", "--n-terms", "50000", "--json"],
                      ["mahler", "--k", "6", "--method", "mc",
@@ -41,8 +40,7 @@ class TestSchemas:
 
     def test_verify_subchecks_schema(self, capsys):
         code, out = run(capsys, ["verify", "--k", "6", "--json",
-                                 "--pmax", "13", "--n-terms", "200000",
-                                 "--cache-dir", ""])
+                                 "--pmax", "13", "--n-terms", "200000"])
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True
@@ -61,22 +59,25 @@ class TestDeterminism:
         _, out2 = run(capsys, argv)
         assert out1 == out2
 
-    def test_ap_deterministic_with_workers(self, capsys):
-        _, a = run(capsys, ["ap", "--k", "18", "--pmax", "31", "--json",
-                            "--cache-dir", "", "--workers", "1"])
-        _, b = run(capsys, ["ap", "--k", "18", "--pmax", "31", "--json",
-                            "--cache-dir", "", "--workers", "4"])
-        assert a == b
-
 
 class TestExitCodes:
-    def test_usage_error_is_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["mahler", "--method", "nosuch", "--k", "6"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["verify"])  # --k missing
-        assert exc.value.code == 2
+    def test_usage_error_is_2(self, capsys):
+        for argv in (["mahler", "--method", "nosuch", "--k", "6"],
+                     ["verify"],  # --k missing
+                     ["lvalue", "--k", "3", "--n-terms", "10"],
+                     ["mahler", "--k", "6", "--method", "mc", "--samples", "10"],
+                     ["verify", "--k", "6", "--box", "8"],
+                     ["verify", "--k", "6", "--tol", "0"],
+                     ["coeffs", "--k", "6", "--nmax", "1"],
+                     ["ap", "--k", "6", "--pmax", "-5"],
+                     # no cache, worker or config options
+                     ["ap", "--k", "6", "--cache-dir", ""],
+                     ["ap", "--k", "6", "--workers", "2"],
+                     ["--config", "k3mahler.cfg", "ap", "--k", "6"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        capsys.readouterr()
 
     def test_pass_is_zero(self, capsys):
         code, _ = run(capsys, ["verify", "--k", "0"])
@@ -88,36 +89,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 1
 
+    def test_no_primes_checked_is_failure(self, capsys):
+        code, out = run(capsys, ["verify", "--k", "3", "--pmax", "1",
+                                 "--n-terms", "200000", "--json"])
+        assert code == 1
+        sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
+        ap = sub["A_p-vs-newform-level-15"]
+        assert ap["primes"] == [] and ap["pass"] is False
 
-class TestCacheAndConfig:
-    def test_warm_cache_identical(self, capsys, tmp_path):
-        argv = ["ap", "--k", "6", "--pmax", "31", "--json",
-                "--cache-dir", str(tmp_path)]
-        _, cold = run(capsys, argv)
-        assert list(tmp_path.glob("ap_*.txt"))
-        _, warm = run(capsys, argv)
-        assert cold == warm
 
-    def test_config_file_sets_cache_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("K3MAHLER_CACHE_DIR", raising=False)
-        cfg = tmp_path / "my.cfg"
-        cache = tmp_path / "cachehere"
-        cfg.write_text(f"# comment\ncache_dir = {cache}\nprec = 96\n")
-        code, _ = run(capsys, ["--config", str(cfg), "ap", "--k", "6",
-                               "--pmax", "7"])
+class TestNoFiles:
+    def test_reads_and_writes_nothing_under_home_or_cwd(self, capsys, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        # ignored: the program reads no config file
+        (tmp_path / "k3mahler.cfg").write_text("cache_dir = cachehere\n")
+        code, out = run(capsys, ["ap", "--k", "6", "--pmax", "31", "--json"])
         assert code == 0
-        assert list(cache.glob("ap_*.txt"))
-
-    def test_env_overrides_config(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "my.cfg"
-        cfg.write_text(f"cache_dir = {tmp_path / 'fromcfg'}\n")
-        envdir = tmp_path / "fromenv"
-        monkeypatch.setenv("K3MAHLER_CACHE_DIR", str(envdir))
-        code, _ = run(capsys, ["--config", str(cfg), "ap", "--k", "6",
-                               "--pmax", "7"])
-        assert code == 0
-        assert list(envdir.glob("ap_*.txt"))
-        assert not (tmp_path / "fromcfg").exists()
+        assert json.loads(out)["value"]["29"] == 50
+        assert [f.name for f in tmp_path.iterdir()] == ["k3mahler.cfg"]
 
 
 class TestHumanOutput:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3mahler.lattices import (FiberConfiguration, SURFACE_FIBERS,
+from k3mahler.lattices import (FiberConfiguration, SURFACES,
                                ambient_lattice, ns_determinant,
                                orthocomplement, shioda_rank, tau_table,
                                transcendental_summary, trivial_lattice_det)
@@ -101,7 +101,7 @@ class TestShioda:
 
     def test_rank_reconstructs_rho(self):
         for k in (3, 6, 18):
-            fibers = SURFACE_FIBERS[k]
+            fibers = SURFACES[k].fibers
             r = shioda_rank(20, fibers)
             assert r + 2 + sum(m - 1 for m in fibers.m_list()) == 20
 

@@ -8,6 +8,7 @@ import pytest
 
 from k3mahler import lfunctions as lf
 from k3mahler import pointcount as pc
+from k3mahler.lattices import SURFACES
 
 AP_TABLE_K6 = {5: 2, 7: -10, 11: -10, 13: 0, 17: 0, 19: 0, 23: 0, 29: 50, 31: 38}
 
@@ -88,7 +89,7 @@ class TestWeierstrassFiberScan:
         assert len(recs) == 8 and recs[-1].s == "inf"
         for r in recs:
             assert r.a_p_s == 7 + 1 - r.count
-        assert -sum(r.a_p_s for r in recs) == pc.A_p(6, 7, cache_dir="")
+        assert -sum(r.a_p_s for r in recs) == pc.A_p(6, 7)
 
     def test_against_pointwise_weierstrass_counts(self):
         for p in (5, 7, 11, 13):
@@ -106,40 +107,40 @@ class TestWeierstrassFiberScan:
 class TestAp:
     def test_k6_table_row(self):
         for p, want in AP_TABLE_K6.items():
-            assert pc.A_p(6, p, cache_dir="") == want
+            assert pc.A_p(6, p) == want
 
     def test_k18_p31(self):
-        assert pc.A_p(18, 31, rank=1, d=-3, cache_dir="") == -58
+        assert pc.A_p(18, 31, rank=1, d=-3) == -58
         assert lf.twist_coeff(lf.newform_table(120).ap[31], -3, 31) == -58
 
     def test_matches_twisted_newform_all_k(self):
         for k in (3, 6, 18):
-            surf = pc.SURFACES[k]
+            surf = SURFACES[k]
             nf = lf.newform_table(surf.level)
             for p in pc.primes_up_to(31):
                 if p in surf.bad_primes:
                     continue
                 want = nf.ap[p] if surf.level == 15 \
                     else lf.twist_coeff(nf.ap[p], -3, p)
-                assert pc.A_p(k, p, cache_dir="") == want, (k, p)
+                assert pc.A_p(k, p) == want, (k, p)
 
     def test_bad_prime_error_lists_excluded_set(self):
         with pytest.raises(ValueError, match=r"excluded set \[2, 3, 5\]"):
-            pc.A_p(18, 5, cache_dir="")
+            pc.A_p(18, 5)
         with pytest.raises(ValueError, match="bad prime"):
-            pc.A_p(6, 2, cache_dir="")
+            pc.A_p(6, 2)
 
     def test_rank1_needs_discriminant(self):
         with pytest.raises(ValueError, match="discriminant"):
-            pc.A_p(18, 7, rank=1, cache_dir="")
+            pc.A_p(18, 7, rank=1)
 
     def test_inert_vanishing_and_weight_bound_up_to_200(self):
         for k, disc in ((3, -15), (6, -24), (18, -120)):
-            surf = pc.SURFACES[k]
+            surf = SURFACES[k]
             for p in pc.primes_up_to(200):
                 if p in surf.bad_primes:
                     continue
-                ap = pc.A_p(k, p, cache_dir="")
+                ap = pc.A_p(k, p)
                 assert abs(ap) <= 2 * p
                 if lf.kronecker(disc, p) == -1:
                     assert ap == 0, (k, p)
@@ -147,14 +148,9 @@ class TestAp:
     def test_multiplicativity_cross_check(self):
         co = lf.form_coefficients(lf.FORM_SERIES[-24], 500)
         for p, q in ((5, 7), (5, 11), (7, 11)):
-            ap = pc.A_p(6, p, cache_dir="")
-            aq = pc.A_p(6, q, cache_dir="")
+            ap = pc.A_p(6, p)
+            aq = pc.A_p(6, q)
             assert ap * aq == co[p * q]
-
-    def test_workers_agree(self):
-        a = pc.ap_scan(6, 31, cache_dir="", workers=1)
-        b = pc.ap_scan(6, 31, cache_dir="", workers=3)
-        assert a == b
 
 
 class TestWeierstrassCounts:
@@ -191,31 +187,6 @@ class TestWeierstrassCounts:
     def test_point_order_checks_membership(self):
         with pytest.raises(ValueError, match="not on the curve"):
             pc.point_order((0, 0, 0, 1, 0), (1, 1), 5)
-
-
-class TestCache:
-    def test_roundtrip_and_format(self, tmp_path):
-        cache = str(tmp_path)
-        cold = pc.A_p(6, 29, cache_dir=cache)
-        files = list(tmp_path.glob("ap_*.txt"))
-        assert len(files) == 1
-        fields = files[0].read_text().strip().split(",")
-        assert [int(v) for v in fields[:2]] == [6, 29]
-        assert int(fields[4]) == cold
-        warm = pc.A_p(6, 29, cache_dir=cache)
-        assert warm == cold
-
-    def test_env_var_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(pc.ENV_CACHE_DIR, str(tmp_path / "envcache"))
-        assert pc.resolve_cache_dir(None) == tmp_path / "envcache"
-        assert pc.resolve_cache_dir("") is None
-        assert pc.resolve_cache_dir(str(tmp_path)) == tmp_path
-
-    def test_mismatched_cache_entry_recomputed(self, tmp_path):
-        cache = str(tmp_path)
-        path = tmp_path / "ap_k6_p29.txt"
-        path.write_text("6,29,1,-3,999,0\n")  # wrong rank/d: must not be used
-        assert pc.A_p(6, 29, cache_dir=cache) == 50
 
 
 def _raw_weierstrass_count(coeffs, p):
