@@ -79,5 +79,9 @@ class BigReal:
     def agrees_with(self, other, tol) -> bool:
         return self.abs_diff(other) <= mp.mpf(tol)
 
+    def consistent_with(self, other: "BigReal") -> bool:
+        """True iff the two values are within the sum of their bounds."""
+        return self.abs_diff(other) <= self.error_bound + other.error_bound
+
     def __repr__(self):
         return f"BigReal({mp.nstr(self.value, 20)}, prec={self.prec}, err<={mp.nstr(mp.mpf(self.error_bound), 3)})"

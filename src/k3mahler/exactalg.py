@@ -474,16 +474,21 @@ def _modp_primes() -> list[tuple[int, int]]:
     return _MODP_PRIMES
 
 
+def reduce_mod_p(c: QuadElem, p: int, w: Optional[int]) -> Optional[int]:
+    """Image of c in F_p under sqrt(-3) -> w (w * w = -3 mod p; None when c
+    is rational); None if p divides a denominator of c."""
+    if c.a.denominator % p == 0 or c.b.denominator % p == 0:
+        return None
+    v = c.a.numerator * pow(c.a.denominator, -1, p)
+    if c.b:
+        v += c.b.numerator * pow(c.b.denominator, -1, p) * w
+    return v % p
+
+
 def _map_mod_p(f: Poly, p: int, w: int) -> Optional[list[int]]:
     """Image of f in F_p[x] under sqrt(-3) -> w; None if p hits a denominator."""
-    out = []
-    for c in f.coeffs:
-        if c.a.denominator % p == 0 or c.b.denominator % p == 0:
-            return None
-        a = c.a.numerator * pow(c.a.denominator, -1, p) % p
-        b = c.b.numerator * pow(c.b.denominator, -1, p) % p
-        out.append((a + b * w) % p)
-    return out
+    out = [reduce_mod_p(c, p, w) for c in f.coeffs]
+    return None if None in out else out
 
 
 def _gcd_degree_mod_p(fa: list[int], fb: list[int], p: int) -> int:

@@ -299,6 +299,7 @@ class Surface:
     d3_coeff: Fraction
     disc: Optional[int] = None        # CM discriminant of the weight-3 form phi
     level: Optional[int] = None       # newform level, equal to |det T|
+    ap_twist: Optional[int] = None    # d with A_p = (d/p) a_p of that newform
     prefactor: Optional[tuple] = None  # (r, n) as above
     rank: Optional[int] = None        # Mordell-Weil rank
     section_disc: Optional[int] = None  # d with the infinite section over Q(sqrt(d))
@@ -323,7 +324,7 @@ SURFACES = {
                    FiberEntry("s=alpha2", 1, "over u=-8"),
                    FiberEntry("s=beta2", 1, "over u=-8"),
                ))),
-    6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24,
+    6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24, ap_twist=-3,
                prefactor=(Fraction(24), 6), rank=0,
                bad_primes=frozenset({2, 3}), torsion=6,
                fibers=FiberConfiguration((
@@ -335,8 +336,8 @@ SURFACES = {
                    FiberEntry("s=1/3", 2, "double over u=-8"),
                ))),
     18: Surface(18, 1e-4, Fraction(14, 5), disc=-120, level=120,
-                prefactor=(Fraction(6), 120), rank=1, section_disc=-3,
-                bad_primes=frozenset({2, 3, 5}), torsion=6,
+                ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
+                section_disc=-3, bad_primes=frozenset({2, 3, 5}), torsion=6,
                 fibers=FiberConfiguration((
                     FiberEntry("s=0", 12, "double over u=inf"),
                     FiberEntry("s=alpha1", 3, "over u=0"),

@@ -293,6 +293,7 @@ class NewformEntry:
     weight: int
     cm_disc: int
     ap: dict  # p -> a_p for the tabled primes
+    twist: Optional[int]  # the surface's ap_twist: A_p = (twist/p) a_p
 
 
 _TABLE_CACHE: dict[int, NewformEntry] = {}
@@ -317,7 +318,8 @@ def newform_table(level: int) -> NewformEntry:
     if not _TABLE_CACHE:
         tables = _load_newform_csv()
         _TABLE_CACHE.update({
-            surf.level: NewformEntry(surf.level, 3, surf.disc, tables[surf.level])
+            surf.level: NewformEntry(surf.level, 3, surf.disc, tables[surf.level],
+                                     surf.ap_twist)
             for surf in SURFACES.values() if surf.level is not None})
     if level not in _TABLE_CACHE:
         raise ValueError(f"no embedded newform of level {level}")
@@ -336,17 +338,21 @@ def newform_coefficients(level: int, N: int) -> DirichletCoeffs:
     """a_n of the level-15/24/120 newform for n <= N.
 
     Away from 3 the coefficients are the (-3/.)-twist of the corresponding
-    form-series coefficients (the identity twist for level 15); powers of 3
-    enter through the linear Euler factor a_{3^v} = a_3^v.  Nothing beyond the
-    embedded tables and the form sums is baked in.
+    form-series coefficients (the identity twist when the surface record has
+    no ap_twist); powers of 3 enter through the linear Euler factor
+    a_{3^v} = a_3^v.  Nothing beyond the embedded tables and the form sums is
+    baked in.
     """
     entry = newform_table(level)
     phi = form_coefficients(FORM_SERIES[entry.cm_disc], N)
     out = np.zeros(N + 1, dtype=np.int64)
-    if level == 15:
+    if entry.twist is None:
         out[:] = phi.values
-        return DirichletCoeffs(out, "form-series disc -15 (identity twist)",
-                               tail_scale=phi.tail_scale)
+        return DirichletCoeffs(
+            out, f"form-series disc {entry.cm_disc} (identity twist)",
+            tail_scale=phi.tail_scale)
+    if entry.twist != -3:
+        raise ValueError(f"only the (-3/.) twist is implemented, not {entry.twist}")
     a3 = entry.ap[3]
     n = np.arange(N + 1)
     chi = np.zeros(N + 1, dtype=np.int64)

@@ -1,7 +1,8 @@
 """Elliptic curves over Q(sqrt(-3))(sigma) and the k=18 section suite.
 
 Provides the chord-tangent group law in long Weierstrass form with exact
-rational-function arithmetic, quadratic twisting with explicit coordinate
+rational-function arithmetic, a nontorsion certificate by specialization at a
+fiber and reduction mod p, quadratic twisting with explicit coordinate
 maps, the two-descent halving criterion on curves y^2 = x(x^2 + a x + b),
 section/zero-section intersection numbers, replay-with-verification of the
 Neron-model component identifications for the k=18 surface, and the canonical
@@ -13,13 +14,15 @@ mismatch raises VerificationError rather than returning a wrong index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
-                       is_square_ratfunc, odd_multiplicity_part, sqrt_ratfunc,
-                       valuation)
+                       is_square_ratfunc, odd_multiplicity_part, reduce_mod_p,
+                       sqrt_ratfunc, valuation)
+from .pointcount import discriminant_mod_p, point_order, primes_up_to
 
 
 class VerificationError(RuntimeError):
@@ -125,10 +128,6 @@ def ec_neg(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     return SectionPoint(P.x, -P.y - E.a1 * P.x - E.a3)
 
 
-def is_two_torsion(P: SectionPoint, E: FunctionFieldCurve) -> bool:
-    return (not P.is_zero) and (2 * P.y + E.a1 * P.x + E.a3).is_zero()
-
-
 def ec_add(P: SectionPoint, Q: SectionPoint, E: FunctionFieldCurve,
            check: bool = True) -> SectionPoint:
     """Chord-tangent addition in long Weierstrass form."""
@@ -169,31 +168,62 @@ def ec_mul(n: int, P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     return result
 
 
-def verify_nontorsion(P: SectionPoint, E: FunctionFieldCurve,
-                      bound: int = 6) -> bool:
-    """True iff [n]P != O for every n = 1..bound (bound 6 for this family).
+@dataclass(frozen=True)
+class NontorsionWitness:
+    """P reduces to a point of order `order` on the fiber sigma = t modulo p,
+    with sqrt(-3) -> w (None when every coordinate is rational)."""
+    t: int
+    p: int
+    w: Optional[int]
+    order: int
 
-    Only [2]P and [3]P are ever formed; the remaining multiples are tested
-    through two-torsion and negation identities, which keeps the rational
-    functions small.
+
+# the fixed, deterministic search order of the nontorsion certificate
+NONTORSION_SIGMAS = range(1, 13)
+NONTORSION_PRIMES = tuple(p for p in primes_up_to(300) if p >= 5)
+
+
+def verify_nontorsion(P: SectionPoint, E: FunctionFieldCurve,
+                      bound: int = 6) -> Optional[NontorsionWitness]:
+    """A witness that [n]P != O for every n = 1..bound (bound 6 for this
+    family), or None when the search certifies nothing.
+
+    Specializing at a smooth fiber sigma = t and reducing modulo a prime p of
+    good reduction at which P_t is integral are group homomorphisms, so an
+    image of order > bound shows that no [n]P with n <= bound vanishes.  The
+    search runs over t in NONTORSION_SIGMAS and then p in NONTORSION_PRIMES
+    (only p = 1 mod 3 when a coordinate involves sqrt(-3)).  A pair is skipped
+    at a pole of a coefficient or coordinate, at a denominator divisible by
+    p, and when disc(E)(t) = 0 mod p, which also covers disc(E)(t) = 0.
     """
     if bound != 6:
         raise ValueError("the torsion exponent bound for this family is 6")
+    if not verify_on_curve(P, E):
+        raise ValueError("point is not on the curve")
     if P.is_zero:
-        return False
-    if is_two_torsion(P, E):            # [2]P = O
-        return False
-    Q2 = ec_add(P, P, E)
-    Q3 = ec_add(Q2, P, E, check=False)
-    if Q3.is_zero:                      # [3]P = O
-        return False
-    if is_two_torsion(Q2, E):           # [4]P = O
-        return False
-    if Q2 == ec_neg(Q3, E):             # [5]P = O
-        return False
-    if is_two_torsion(Q3, E):           # [6]P = O
-        return False
-    return True
+        return None
+    fns = (E.a1, E.a2, E.a3, E.a4, E.a6, P.x, P.y)
+    if any(not c.is_rational() for f in fns for c in f.num.coeffs + f.den.coeffs):
+        # sqrt(-3) -> w needs -3 to be a square mod p
+        primes = [(p, next(r for r in range(1, p) if r * r % p == p - 3))
+                  for p in NONTORSION_PRIMES if p % 3 == 1]
+    else:
+        primes = [(p, None) for p in NONTORSION_PRIMES]
+    for t in NONTORSION_SIGMAS:
+        try:
+            vals = [f.eval(t) for f in fns]
+        except ZeroDivisionError:
+            continue
+        for p, w in primes:
+            red = [reduce_mod_p(v, p, w) for v in vals]
+            if None in red or discriminant_mod_p(red[:5], p) == 0:
+                continue
+            # Hasse: #E(F_p) <= p + 1 + 2 sqrt(p) bounds every point's order
+            order = point_order(red[:5], (red[5], red[6]), p,
+                                bound=p + 2 + 2 * math.isqrt(p))
+            if order > bound:
+                return NontorsionWitness(t, p, w, order)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,16 @@ def ap_scan(k: int, pmax: int) -> dict[int, int]:
 # Weierstrass counting over F_p (used for the twisted-curve reductions)
 # ---------------------------------------------------------------------------
 
+def discriminant_mod_p(coeffs: Iterable[int], p: int) -> int:
+    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 mod p."""
+    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
+    b2 = (a1 * a1 + 4 * a2) % p
+    b4 = (2 * a4 + a1 * a3) % p
+    b6 = (a3 * a3 + 4 * a6) % p
+    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
+    return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
+
+
 def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
     """#E(F_p) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p.
 
@@ -253,14 +263,13 @@ def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
+    coeffs = tuple(coeffs)
+    if discriminant_mod_p(coeffs, p) == 0:
+        raise ValueError("singular curve mod p")
     a1, a2, a3, a4, a6 = (v % p for v in coeffs)
     b2 = (a1 * a1 + 4 * a2) % p
     b4 = (2 * a4 + a1 * a3) % p
     b6 = (a3 * a3 + 4 * a6) % p
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
-    disc = (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
-    if disc == 0:
-        raise ValueError("singular curve mod p")
     chi = _legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     rhs = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
@@ -269,7 +278,13 @@ def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
 
 def point_order(coeffs: Iterable[int], pt: tuple[int, int], p: int,
                 bound: int = 24) -> int:
-    """Order of an affine point on the reduced curve, up to bound."""
+    """Order of an affine point on the reduced curve, up to bound.
+
+    Raises on singular reduction, where the chord-tangent law is not a group
+    law on all points."""
+    coeffs = tuple(coeffs)
+    if discriminant_mod_p(coeffs, p) == 0:
+        raise ValueError("singular curve mod p")
     a1, a2, a3, a4, a6 = (v % p for v in coeffs)
 
     def add(P, Q):

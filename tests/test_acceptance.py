@@ -49,6 +49,7 @@ def _identity_check(k, quad, hecke, d3_value, tol, runtime_cap):
     assert (surf.disc, surf.level, surf.tol) == (disc, -disc, tol)
     assert surf.prefactor == {3: (Fraction(15, 2), 15), 6: (24, 6), 18: (6, 120)}[k]
     assert surf.d3_coeff == (Fraction(14, 5) if k == 18 else 0)
+    assert surf.ap_twist == {3: None, 6: -3, 18: -3}[k]
     elapsed = time.monotonic() - t0
     diff = abs(lhs - rhs)
     return diff, elapsed, lhs, rhs
@@ -119,8 +120,8 @@ def test_criterion_8_point_count_tables():
         for p in pc.primes_up_to(31):
             if p in surf.bad_primes:
                 continue
-            want = nf.ap[p] if surf.level == 15 \
-                else lf.twist_coeff(nf.ap[p], -3, p)
+            want = nf.ap[p] if surf.ap_twist is None \
+                else lf.twist_coeff(nf.ap[p], surf.ap_twist, p)
             if pc.A_p(k, p) != want:
                 ok = False
     row = [pc.A_p(6, p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
@@ -161,7 +162,7 @@ def test_criterion_10_section_suite(k18, pm3_nontorsion):
     E, ps = k18["E"], k18["ps"]
     checks = {
         "on-curve": mw.verify_on_curve(ps, E),
-        "[6]p_-3 != O": pm3_nontorsion,
+        "[n]p_-3 != O, n <= 6": pm3_nontorsion is not None,
         "x not square": not is_square_ratfunc(ps.x),
         "x' square": is_square_ratfunc(k18["Q"].x),
         "q+ not square": not is_square_ratfunc(k18["halving"]["qplus"]),

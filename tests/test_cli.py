@@ -5,7 +5,13 @@ import json
 
 import pytest
 
+from k3mahler import fixtures as fx
+from k3mahler import mahler
+from k3mahler.bigreal import BigReal
 from k3mahler.cli import main
+from k3mahler.mwsections import NontorsionWitness
+
+from test_mwsections import replay_witness
 
 SUBCOMMAND_KEYS = {"input", "value", "error_bound", "provenance"}
 
@@ -39,8 +45,9 @@ class TestSchemas:
         assert doc["pass"] is True
 
     def test_verify_subchecks_schema(self, capsys):
-        code, out = run(capsys, ["verify", "--k", "6", "--json",
-                                 "--pmax", "13", "--n-terms", "200000"])
+        # the default 2e6 L-value terms: with 2e5 the L-value bound (2.4e-5)
+        # alone exceeds tol 1e-5 and the bound-aware gate fails the identity
+        code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13"])
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True
@@ -89,13 +96,49 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 1
 
+    def test_identity_gate_counts_the_bounds(self, capsys):
+        # |lhs - rhs| = 8.2e-6 is under tol 1e-5, but the 1000-term L-value
+        # carries a 4.9e-3 bound, so the identity is not established
+        code, out = run(capsys, ["verify", "--k", "6", "--n-terms", "1000",
+                                 "--pmax", "13"])
+        assert code == 1
+        assert out.splitlines()[0].endswith("-> FAIL")
+
+    def test_ek_gate_uses_its_bound(self, capsys, monkeypatch):
+        # a series value 5e-5 off with a claimed bound of 1e-9 must fail,
+        # although 5e-5 is far below the identity tolerance
+        def off_by_5e5(k, box):
+            m6 = 1.6733893038787548  # m(P_6), as the box-256 series gives it
+            return BigReal.with_bound(m6 + 5e-5, 1e-9)
+        monkeypatch.setattr(mahler, "bertin_series_for_k", off_by_5e5)
+        code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13"])
+        assert code == 1
+        ek = {c["name"]: c for c in json.loads(out)["subchecks"]}[
+            "eisenstein-kronecker-series"]
+        assert ek["pass"] is False
+        assert ek["diff"] > 4e-5 and ek["error_bound"] < 1e-7
+
     def test_no_primes_checked_is_failure(self, capsys):
-        code, out = run(capsys, ["verify", "--k", "3", "--pmax", "1",
-                                 "--n-terms", "200000", "--json"])
+        code, out = run(capsys, ["verify", "--k", "3", "--pmax", "1", "--json"])
         assert code == 1
         sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
         ap = sub["A_p-vs-newform-level-15"]
         assert ap["primes"] == [] and ap["pass"] is False
+
+
+class TestSectionReport:
+    def test_k18_nontorsion_witness_replays(self, capsys):
+        code, out = run(capsys, ["verify", "--k", "18", "--json"])
+        assert code == 0
+        sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
+        nt = sub["twist-section-nontorsion"]
+        assert nt["pass"] is True
+        assert nt["provenance"] == "specialization at sigma=t, reduction mod p"
+        w = nt["witness"]
+        wit = NontorsionWitness(w["sigma"], w["p"], w["sqrt_m3_mod_p"], w["order"])
+        assert wit.order > 6
+        order = replay_witness(fx.twist_section(), fx.y18_twist_curve(), wit)
+        assert order == wit.order
 
 
 class TestNoFiles:

@@ -8,6 +8,7 @@ import pytest
 
 from k3mahler import fixtures as fx
 from k3mahler import mwsections as mw
+from k3mahler import pointcount as pc
 from k3mahler.exactalg import Place, Poly, QuadElem, RatFunc, valuation
 
 
@@ -85,14 +86,57 @@ class TestGroupLaw:
         assert not two.is_zero
 
 
+def replay_witness(P, E, wit):
+    """Order of P at sigma = t mod p (sqrt(-3) -> w), recomputed from the
+    coordinates without the certificate's search or skip rules."""
+    p = wit.p
+    if wit.w is not None:
+        assert wit.w * wit.w % p == p - 3
+    vals = []
+    for f in (E.a1, E.a2, E.a3, E.a4, E.a6, P.x, P.y):
+        c = f.eval(wit.t)
+        a = c.a.numerator * pow(c.a.denominator, -1, p)
+        b = c.b.numerator * pow(c.b.denominator, -1, p)
+        vals.append((a + b * (wit.w or 0)) % p)
+    return pc.point_order(vals[:5], (vals[5], vals[6]), p, bound=2 * p + 2)
+
+
 class TestNontorsion:
-    def test_twist_section(self, pm3_nontorsion):
-        assert pm3_nontorsion is True
+    def test_twist_section(self, k18, pm3_nontorsion):
+        wit = pm3_nontorsion
+        assert wit is not None and wit.order > 6
+        assert replay_witness(k18["pm3"], k18["twist_curve"], wit) == wit.order
+
+    @pytest.mark.parametrize("section,curve", [
+        (fx.infinite_section_k3, fx.y3_curve),
+        (fx.infinite_section_k18, fx.y18_curve),  # coordinates need sqrt(-3)
+    ])
+    def test_infinite_sections_certified(self, section, curve):
+        P, E = section(), curve()
+        wit = mw.verify_nontorsion(P, E)
+        assert wit is not None and wit.order > 6
+        assert (wit.w is None) == (curve is fx.y3_curve)
+        assert replay_witness(P, E, wit) == wit.order
+
+    def test_exact_cross_check_k3(self):
+        # [n]P != O for n <= 6 from [2]P and [3]P alone: [n]P = O iff
+        # [a]P = -[b]P for some a + b = n with a, b in {1, 2, 3}
+        E, P = fx.y3_curve(), fx.infinite_section_k3()
+        assert not P.is_zero
+        P2, P3 = mw.ec_mul(2, P, E), mw.ec_mul(3, P, E)
+        for a, b in ((P, P), (P2, P), (P2, P2), (P2, P3), (P3, P3)):
+            assert a != mw.ec_neg(b, E)
 
     def test_torsion_points_flagged(self):
-        E = fx.y18_curve()
-        assert not mw.verify_nontorsion(fx.torsion_multiples_k18()[0], E)
-        assert not mw.verify_nontorsion(mw.O, E)
+        cases = [(T, fx.y3_curve()) for T in fx.torsion_multiples_k3()]
+        cases += [(T, fx.y18_curve()) for T in fx.torsion_multiples_k18()]
+        cases += [(fx.y6_torsion_point(), fx.y6_curve()), (mw.O, fx.y18_curve())]
+        for P, E in cases:
+            assert mw.verify_nontorsion(P, E) is None, P
+
+    def test_off_curve_rejected(self):
+        with pytest.raises(ValueError, match="not on the curve"):
+            mw.verify_nontorsion(mw.SectionPoint.affine(1, 1), fx.y18_curve())
 
     def test_bound_is_pinned(self):
         with pytest.raises(ValueError):

@@ -120,8 +120,8 @@ class TestAp:
             for p in pc.primes_up_to(31):
                 if p in surf.bad_primes:
                     continue
-                want = nf.ap[p] if surf.level == 15 \
-                    else lf.twist_coeff(nf.ap[p], -3, p)
+                want = nf.ap[p] if surf.ap_twist is None \
+                    else lf.twist_coeff(nf.ap[p], surf.ap_twist, p)
                 assert pc.A_p(k, p) == want, (k, p)
 
     def test_bad_prime_error_lists_excluded_set(self):
@@ -170,6 +170,12 @@ class TestWeierstrassCounts:
         # sigma = 0 reduces to a singular curve
         with pytest.raises(ValueError, match="singular"):
             pc.count_weierstrass(self._twist_coeffs(0), 5)
+
+    def test_point_order_rejects_singular_reduction(self):
+        # (0, 0) lies on the sigma = 0 curve y^2 + xy = x^3 + 2x^2 mod 5
+        assert pc.discriminant_mod_p(self._twist_coeffs(0), 5) == 0
+        with pytest.raises(ValueError, match="singular"):
+            pc.point_order(self._twist_coeffs(0), (0, 0), 5)
 
     def test_against_enumeration(self):
         cnt = pc.count_weierstrass((0, 0, 0, 1, 0), 5)  # y^2 = x^3 + x
