@@ -103,6 +103,36 @@ class TestWeierstrassFiberScan:
                 cnt_inf = _raw_weierstrass_count((1, 0, 0, 0, 0), p)
                 assert vals[p] == p + 1 - cnt_inf
 
+    def test_matches_quadratic_oracle(self):
+        cases = [(k, p) for p in pc.primes_up_to(400) if p >= 5
+                 for k in (0, 1, 2, 3, 6, 10, 18)]
+        cases += [(k, p) for p in (1009, 1499, 1999) for k in (3, 6, 18)]
+        for k, p in cases:
+            vals = pc.weierstrass_fiber_ap_values(k, p)
+            want = _weierstrass_fiber_ap_values_oracle(k, p)
+            assert vals.dtype == want.dtype and np.array_equal(vals, want), (k, p)
+
+    def test_zero_quadratic_coefficient_branch(self, monkeypatch):
+        # at p = 11, A = (u^2 + 6u - 3)/4 vanishes at u = 7 and u = 9;
+        # with k = 3, u = s^2 - 3s is 9 at s = 1, 2 and 7 at s = 6, 8
+        seen = []
+        direct = pc.count_weierstrass
+
+        def spy(coeffs, p):
+            seen.append(-coeffs[3] % p)
+            return direct(coeffs, p)
+
+        monkeypatch.setattr(pc, "count_weierstrass", spy)
+        vals = pc.weierstrass_fiber_ap_values(3, 11)
+        assert set(seen) == {7, 9}
+        assert np.array_equal(vals, _weierstrass_fiber_ap_values_oracle(3, 11))
+
+    def test_rounding_guard(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+        with pytest.raises(ArithmeticError):
+            pc.weierstrass_fiber_ap_values(6, 101)
+
 
 class TestAp:
     def test_k6_table_row(self):
@@ -144,6 +174,14 @@ class TestAp:
                 assert abs(ap) <= 2 * p
                 if lf.kronecker(disc, p) == -1:
                     assert ap == 0, (k, p)
+
+    def test_scan_matches_form_series_to_3000(self):
+        for k in (3, 6, 18):
+            co = lf.form_coefficients(lf.FORM_SERIES[SURFACES[k].disc], 3000)
+            aps = pc.ap_scan(k, 3000)
+            assert len(aps) > 400
+            for p, ap in aps.items():
+                assert ap == co[p], (k, p)
 
     def test_multiplicativity_cross_check(self):
         co = lf.form_coefficients(lf.FORM_SERIES[-24], 500)
@@ -204,3 +242,23 @@ def _raw_weierstrass_count(coeffs, p):
                     - (x ** 3 + a2 * x * x + a4 * x + a6)) % p == 0:
                 total += 1
     return total
+
+
+def _weierstrass_fiber_ap_values_oracle(k, p):
+    """The O(p^2) broadcasting scan: a_p(s) = -sum_x chi(f_s(x)) for the
+    completed square f_s of every fiber, then the s = infinity fiber."""
+    chi = pc._legendre_table(p)
+    s = np.arange(p, dtype=np.int64)
+    a1 = (s * s - k * s + 1) % p
+    a2 = (s * s - k * s - 1) % p
+    a4 = (k * s - s * s) % p
+    b2 = (a1 * a1 + 4 * a2) % p
+    b4 = (2 * a4) % p
+    x = np.arange(p, dtype=np.int64)
+    f = (4 * x[None, :] ** 3 + b2[:, None] * (x * x)[None, :]
+         + (2 * b4)[:, None] * x[None, :]) % p
+    counts = (1 + chi[f]).sum(axis=1) + 1
+    f_inf = (4 * x ** 3 + x * x) % p
+    count_inf = int(np.sum(1 + chi[f_inf])) + 1
+    counts = np.append(counts, count_inf)
+    return (p + 1) - counts
