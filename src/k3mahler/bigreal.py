@@ -3,9 +3,10 @@ absolute error bound.
 
 Thin wrapper over mpmath.  The bound is propagated through the few arithmetic
 operations the verification pipelines actually use.  It is only as strong as
-the bounds it starts from: a proven tail bound gives a proven bound, but the
-QUADPACK error estimates and the Richardson spreads some routes carry are
-estimates, and so is anything computed from them.
+the bounds it starts from, and `bound_kind` says which it is: a proven tail
+bound gives a "rigorous" bound, but the quadrature error estimates and the
+Richardson spreads some routes carry are "estimate"s, and so is anything
+computed from them.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class BigReal:
     value: mp.mpf
     prec: int
     error_bound: mp.mpf
+    bound_kind: str = "rigorous"   # or "estimate"
 
     @staticmethod
     def exactly(value, prec: int = 53) -> "BigReal":
@@ -33,8 +35,9 @@ class BigReal:
         return BigReal(v, prec, mp.mpf(2) ** (-prec) * (abs(v) + 1))
 
     @staticmethod
-    def with_bound(value, error_bound, prec: int = 53) -> "BigReal":
-        return BigReal(_mpf_at(value, prec), prec, mp.mpf(error_bound))
+    def with_bound(value, error_bound, prec: int = 53,
+                   kind: str = "rigorous") -> "BigReal":
+        return BigReal(_mpf_at(value, prec), prec, mp.mpf(error_bound), kind)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -42,16 +45,21 @@ class BigReal:
     def _round_err(self, v) -> mp.mpf:
         return mp.mpf(2) ** (-self.prec) * (abs(v) + 1)
 
+    def _kind(self, other: "BigReal") -> str:
+        return "rigorous" if self.bound_kind == other.bound_kind == "rigorous" \
+            else "estimate"
+
     def __add__(self, other):
         o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
         prec = min(self.prec, o.prec)
         with mp.workprec(prec):
             v = self.value + o.value
-        return BigReal(v, prec, self.error_bound + o.error_bound + self._round_err(v))
+        return BigReal(v, prec, self.error_bound + o.error_bound + self._round_err(v),
+                       self._kind(o))
 
     def __sub__(self, other):
         o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
-        return self + BigReal(-o.value, o.prec, o.error_bound)
+        return self + BigReal(-o.value, o.prec, o.error_bound, o.bound_kind)
 
     def __mul__(self, other):
         o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
@@ -60,7 +68,7 @@ class BigReal:
             v = self.value * o.value
         err = (abs(self.value) * o.error_bound + abs(o.value) * self.error_bound
                + self.error_bound * o.error_bound + self._round_err(v))
-        return BigReal(v, prec, err)
+        return BigReal(v, prec, err, self._kind(o))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -70,7 +78,8 @@ class BigReal:
         with mp.workprec(self.prec):
             v = self.value * mp.mpf(c)
         return BigReal(v, self.prec,
-                       self.error_bound * abs(mp.mpf(c)) + self._round_err(v))
+                       self.error_bound * abs(mp.mpf(c)) + self._round_err(v),
+                       self.bound_kind)
 
     def abs_diff(self, other) -> mp.mpf:
         o = other.value if isinstance(other, BigReal) else mp.mpf(other)
@@ -84,4 +93,5 @@ class BigReal:
         return self.abs_diff(other) <= self.error_bound + other.error_bound
 
     def __repr__(self):
-        return f"BigReal({mp.nstr(self.value, 20)}, prec={self.prec}, err<={mp.nstr(mp.mpf(self.error_bound), 3)})"
+        return (f"BigReal({mp.nstr(self.value, 20)}, prec={self.prec}, "
+                f"err<={mp.nstr(mp.mpf(self.error_bound), 3)} {self.bound_kind})")

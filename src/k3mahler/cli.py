@@ -26,11 +26,15 @@ VERIFY_KS = tuple(SURFACES)
 L_KS = [k for k, surf in SURFACES.items() if surf.disc is not None]
 
 
-def _prefactor(surf: lattices.Surface, prec: int) -> mp.mpf:
-    """r sqrt(n) / pi^3 for surf.prefactor = (r, n)."""
+def _prefactor(surf: lattices.Surface, prec: int) -> BigReal:
+    """r sqrt(n) / pi^3 for surf.prefactor = (r, n), rounded to prec bits.
+
+    Its few roundings at prec + 10 bits and the last one to prec stay within
+    the 2^-prec (|v| + 1) that BigReal.exactly allows."""
     r, n = surf.prefactor
-    with mp.workprec(prec):
-        return r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
+    with mp.workprec(prec + 10):
+        v = r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
+    return BigReal.exactly(v, prec)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -121,9 +125,13 @@ def _section_subchecks() -> list[dict]:
                           "order": wit.order}))
     hd = fixtures.halving_data()
     Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
+    # each of Pb, T2 and Q is checked on Eb once: Pb and Q inside can_halve
     Pb = mw.to_completed_square(ps, E)
     c1 = mw.can_halve(Pb, Eb)
-    Q = mw.ec_add(Pb, mw.to_completed_square(fixtures.torsion_multiples_k18()[2], E), Eb)
+    T2 = mw.to_completed_square(fixtures.torsion_multiples_k18()[2], E)
+    if not mw.verify_on_curve(T2, Eb):
+        raise ValueError("2-torsion point is not on the b-form curve")
+    Q = mw.ec_add(Pb, T2, Eb, check=False)
     c2 = mw.can_halve(Q, Eb)
     out.append(_subcheck("halving-obstruction",
                          (not c1.can_halve) and (not c1.x_is_square)
@@ -157,22 +165,27 @@ def cmd_verify(args) -> int:
                     "prec": args.prec, "subchecks": []}
     quad = mahler.mahler_quadrature(k, tol=min(tol / 4, 1e-7))
     report["lhs"] = {"value": float(quad.value), "method": "jensen-quadrature",
-                     "error_bound": float(quad.error_bound)}
-    rhs, rhs_err, terms = 0.0, 0.0, []
+                     "error_bound": float(quad.error_bound),
+                     "bound_kind": quad.bound_kind}
+    parts, terms = [], []
     if surf.disc is not None:
-        series = lfunctions.FORM_SERIES[surf.disc]
-        lval = lfunctions.hecke_lvalue(series, s=3, N=args.n_terms)
+        lval = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[surf.disc], args.prec)
         pref = _prefactor(surf, args.prec)
-        rhs = float(pref) * float(lval.value)
-        rhs_err = float(pref) * float(lval.error_bound)
-        terms.append(f"({mp.nstr(pref, 10)}) * L(phi_{surf.disc}, 3)")
+        parts.append(pref * lval)
+        terms.append(f"({mp.nstr(pref.value, 10)}) * L(phi_{surf.disc}, 3)")
     if surf.d3_coeff:
-        d3v = lfunctions.d3(args.prec)
-        rhs += float(surf.d3_coeff) * float(d3v.value)
-        rhs_err += float(surf.d3_coeff) * float(d3v.error_bound)
+        c = surf.d3_coeff
+        with mp.workprec(args.prec):
+            coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, args.prec)
+        parts.append(coeff * lfunctions.d3(args.prec))
         terms.append(f"({surf.d3_coeff}) d3" if terms
                      else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
-    report["rhs"] = {"value": rhs, "method": " + ".join(terms), "error_bound": rhs_err}
+    exact = sum(parts)
+    # rounded to float once; the rounding joins the bound
+    rhs = float(exact.value)
+    rhs_err = float(exact.error_bound + abs(exact.value - rhs))
+    report["rhs"] = {"value": rhs, "method": " + ".join(terms), "error_bound": rhs_err,
+                     "bound_kind": exact.bound_kind}
     diff = abs(float(quad.value) - rhs)
     # both bounds count against tol: agreement inside a wider bound proves nothing
     identity_ok = diff + float(quad.error_bound) + rhs_err <= tol
@@ -217,7 +230,7 @@ def cmd_mahler(args) -> int:
         v = mahler.mahler_quadrature(k, tol=args.tol)
         payload = {"input": {"k": k, "method": "quadrature", "tol": args.tol},
                    "value": float(v.value), "error_bound": float(v.error_bound),
-                   "provenance": "jensen-reduced adaptive quadrature"}
+                   "provenance": "jensen-reduced tanh-sinh quadrature"}
         _emit(args, payload, f"m(P_{k}) = {float(v.value):.12f} "
                              f"(+- {float(v.error_bound):.2e}, quadrature)")
     elif args.method == "bertin":
@@ -242,10 +255,10 @@ def cmd_mahler(args) -> int:
 
 def cmd_lvalue(args) -> int:
     disc = SURFACES[args.k].disc
-    v = lfunctions.hecke_lvalue(lfunctions.FORM_SERIES[disc], s=3, N=args.n_terms)
-    payload = {"input": {"k": args.k, "disc": disc, "s": 3, "N": args.n_terms},
+    v = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[disc], args.prec)
+    payload = {"input": {"k": args.k, "disc": disc, "s": 3, "prec": args.prec},
                "value": float(v.value), "error_bound": float(v.error_bound),
-               "provenance": f"binary-quadratic-form series, disc {disc}"}
+               "provenance": f"smoothed sum of the binary-quadratic-form series, disc {disc}"}
     _emit(args, payload,
           f"L(phi_{disc}, 3) = {float(v.value):.12f} (+- {float(v.error_bound):.2e})")
     return 0
@@ -329,20 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, k_choices=L_KS):
         p.add_argument("--k", type=int, required=True, choices=k_choices)
-        p.add_argument("--prec", type=int, default=128, help="bits")
+        p.add_argument("--prec", type=_at_least(53), default=128, help="bits")
         p.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify", help="full identity verification for one k")
     common(v, k_choices=VERIFY_KS)
     v.add_argument("--pmax", type=_at_least(0), default=31)
     v.add_argument("--tol", type=_positive, default=None)
-    v.add_argument("--n-terms", type=_at_least(1000), default=2_000_000)
     v.add_argument("--box", type=_at_least(16), default=256)
     v.set_defaults(func=cmd_verify)
 
     m = sub.add_parser("mahler", help="Mahler measure by one method")
     m.add_argument("--k", type=float, required=True)
-    m.add_argument("--prec", type=int, default=128)
+    m.add_argument("--prec", type=_at_least(53), default=128)
     m.add_argument("--json", action="store_true")
     m.add_argument("--method", choices=["quadrature", "bertin", "mc"],
                    default="quadrature")
@@ -354,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lv = sub.add_parser("lvalue", help="Hecke L-value from the form series")
     common(lv)
-    lv.add_argument("--n-terms", type=_at_least(1000), default=2_000_000)
     lv.set_defaults(func=cmd_lvalue)
 
     app = sub.add_parser("ap", help="transcendental coefficients A_p")

@@ -4,6 +4,15 @@ import pytest
 
 from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw
+from k3mahler.bigreal import BigReal
+
+
+def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
+    """L(phi, s) for the explicit form series by direct summation of N terms,
+    with a proven tail bound: the oracle for lfunctions.smoothed_lvalue."""
+    if N < 10 ** 3:
+        raise ValueError("N >= 10^3 required")
+    return lfunctions.lvalue_from_coeffs(lfunctions.form_coefficients(series, N), s=s)
 
 
 @pytest.fixture(scope="session")
@@ -26,8 +35,7 @@ def hecke():
 
     def get(disc, N=2_000_000):
         if (disc, N) not in cache:
-            cache[(disc, N)] = lfunctions.hecke_lvalue(
-                lfunctions.FORM_SERIES[disc], s=3, N=N)
+            cache[(disc, N)] = hecke_lvalue(lfunctions.FORM_SERIES[disc], s=3, N=N)
         return cache[(disc, N)]
 
     return get
@@ -45,8 +53,10 @@ def k18():
     ps = fx.infinite_section_k18()
     hd = fx.halving_data()
     Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
+    # each of Pb, T2 and Q is checked on Eb once: Pb and T2 by ec_add
     Pb = mw.to_completed_square(ps, E)
     Q = mw.ec_add(Pb, mw.to_completed_square(fx.torsion_multiples_k18()[2], E), Eb)
+    assert mw.verify_on_curve(Q, Eb)
     return {"E": E, "ps": ps, "halving": hd, "Eb": Eb, "Pb": Pb, "Q": Q,
             "twist_curve": fx.y18_twist_curve(), "pm3": fx.twist_section()}
 

@@ -38,3 +38,14 @@ def test_agreement_predicate():
     assert a.agrees_with(1.0 + 5e-9, 1e-8)
     assert not a.agrees_with(1.1, 1e-8)
     assert a.abs_diff(BigReal.exactly(1.0, 64)) == 0
+
+
+def test_bound_kind_propagates():
+    exact = BigReal.exactly(2.0, 64)
+    est = BigReal.with_bound(1.0, 1e-12, prec=64, kind="estimate")
+    assert exact.bound_kind == "rigorous"
+    assert (exact * exact + exact - exact).bound_kind == "rigorous"
+    assert (exact + est).bound_kind == "estimate"
+    assert (exact - est).bound_kind == "estimate"
+    assert (exact * est).bound_kind == "estimate"
+    assert est.scale(3).bound_kind == "estimate"

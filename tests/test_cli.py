@@ -2,11 +2,17 @@
 files read or written outside the package."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from k3mahler import fixtures as fx
-from k3mahler import mahler
+import k3mahler
+from k3mahler import cli, fixtures as fx
+from k3mahler import lfunctions, mahler, mwsections as mw
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import main
 from k3mahler.mwsections import NontorsionWitness
@@ -27,7 +33,7 @@ class TestSchemas:
         for argv in (["lattice", "--k", "18", "--json"],
                      ["ap", "--k", "6", "--pmax", "13", "--json"],
                      ["coeffs", "--k", "6", "--nmax", "8", "--json"],
-                     ["lvalue", "--k", "3", "--n-terms", "50000", "--json"],
+                     ["lvalue", "--k", "3", "--json"],
                      ["mahler", "--k", "6", "--method", "mc",
                       "--samples", "2000", "--seed", "1", "--json"]):
             code, out = run(capsys, argv)
@@ -41,12 +47,12 @@ class TestSchemas:
         doc = json.loads(out)
         assert {"identity", "lhs", "rhs", "abs_diff", "tolerance", "pass",
                 "subchecks", "k", "prec", "runtime_seconds"} <= set(doc)
-        assert {"value", "method", "error_bound"} <= set(doc["lhs"])
+        assert {"value", "method", "error_bound", "bound_kind"} <= set(doc["lhs"])
+        assert doc["lhs"]["bound_kind"] == "estimate"
+        assert doc["rhs"]["bound_kind"] == "rigorous"
         assert doc["pass"] is True
 
     def test_verify_subchecks_schema(self, capsys):
-        # the default 2e6 L-value terms: with 2e5 the L-value bound (2.4e-5)
-        # alone exceeds tol 1e-5 and the bound-aware gate fails the identity
         code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13"])
         assert code == 0
         doc = json.loads(out)
@@ -77,10 +83,15 @@ class TestExitCodes:
                      ["verify", "--k", "6", "--tol", "0"],
                      ["coeffs", "--k", "6", "--nmax", "1"],
                      ["ap", "--k", "6", "--pmax", "-5"],
+                     # the L-value and d3 run at --prec bits; below float64's
+                     # 53 they cannot give a float64 result
+                     ["lvalue", "--k", "3", "--prec", "0"],
                      # no cache, worker or config options
                      ["ap", "--k", "6", "--cache-dir", ""],
                      ["ap", "--k", "6", "--workers", "2"],
-                     ["--config", "k3mahler.cfg", "ap", "--k", "6"]):
+                     ["--config", "k3mahler.cfg", "ap", "--k", "6"],
+                     # the direct L-value sum and its term count are gone
+                     ["verify", "--k", "6", "--n-terms", "1000"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -96,11 +107,17 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 1
 
-    def test_identity_gate_counts_the_bounds(self, capsys):
-        # |lhs - rhs| = 8.2e-6 is under tol 1e-5, but the 1000-term L-value
-        # carries a 4.9e-3 bound, so the identity is not established
-        code, out = run(capsys, ["verify", "--k", "6", "--n-terms", "1000",
-                                 "--pmax", "13"])
+    def test_identity_gate_counts_the_bounds(self, capsys, monkeypatch):
+        # |lhs - rhs| ~ 1e-16 is far under tol 1e-5, but an L-value bound of
+        # 4.9e-3 (what a 1000-term direct sum carries) leaves the identity
+        # unestablished
+        smoothed = lfunctions.smoothed_lvalue
+
+        def wide(series, prec):
+            v = smoothed(series, prec)
+            return BigReal(v.value, v.prec, mp.mpf("4.9e-3"))
+        monkeypatch.setattr(lfunctions, "smoothed_lvalue", wide)
+        code, out = run(capsys, ["verify", "--k", "6", "--pmax", "13"])
         assert code == 1
         assert out.splitlines()[0].endswith("-> FAIL")
 
@@ -139,6 +156,44 @@ class TestSectionReport:
         assert wit.order > 6
         order = replay_witness(fx.twist_section(), fx.y18_twist_curve(), wit)
         assert order == wit.order
+
+
+    def test_k18_points_checked_on_bform_curve_once(self, monkeypatch, k18):
+        # the exact on-curve check is the costly step; no point goes unchecked
+        # and none is checked twice on E_b
+        checked = []
+        on_curve = mw.verify_on_curve
+
+        def spy(P, E):
+            if E == k18["Eb"]:
+                checked.append(P)
+            return on_curve(P, E)
+        monkeypatch.setattr(mw, "verify_on_curve", spy)
+        assert all(c["pass"] for c in cli._section_subchecks())
+        T2 = mw.to_completed_square(fx.torsion_multiples_k18()[2], k18["E"])
+        assert len(checked) == 3
+        for P in (k18["Pb"], T2, k18["Q"]):
+            assert sum(P == R for R in checked) == 1
+
+
+class TestWithoutScipy:
+    def test_verify_runs_without_scipy(self):
+        # a fresh interpreter in which `import scipy` fails
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from k3mahler.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
+        for k in (0, 3, 6, 18):
+            proc = subprocess.run([sys.executable, "-c", code, "verify", "--k", str(k),
+                                   "--json"], capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert proc.returncode == 0, (k, proc.stderr[-500:])
+            doc = json.loads(proc.stdout)
+            assert abs(doc["lhs"]["value"] - doc["rhs"]["value"]) <= 1e-14, k
+
+    def test_no_module_imports_scipy(self):
+        for path in Path(k3mahler.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert "import scipy" not in text and "from scipy" not in text, path.name
 
 
 class TestNoFiles:

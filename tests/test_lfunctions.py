@@ -92,8 +92,8 @@ class TestFormCoefficients:
 class TestLValues:
     def test_truncation_stability(self, hecke):
         for disc in PHI_ROWS:
-            a = lf.hecke_lvalue(lf.FORM_SERIES[disc], N=250_000)
-            b = lf.hecke_lvalue(lf.FORM_SERIES[disc], N=500_000)
+            a = hecke(disc, 250_000)
+            b = hecke(disc, 500_000)
             assert abs(float(a.value) - float(b.value)) < float(a.error_bound)
 
     def test_identity_k3(self, quad, hecke):
@@ -110,6 +110,36 @@ class TestLValues:
             lf.lvalue_from_coeffs(co, s=3, N=500)
         with pytest.raises(ValueError):
             lf.lvalue_from_coeffs(co, s=2)
+
+
+class TestSmoothedLValue:
+    def test_inside_direct_sum_bound(self, hecke):
+        for disc in PHI_ROWS:
+            v = lf.smoothed_lvalue(lf.FORM_SERIES[disc])
+            assert v.bound_kind == "rigorous"
+            assert v.abs_diff(hecke(disc)) <= hecke(disc).error_bound, disc
+
+    def test_prec_128_within_its_bound_of_256(self):
+        for disc in PHI_ROWS:
+            v128 = lf.smoothed_lvalue(lf.FORM_SERIES[disc], 128)
+            v256 = lf.smoothed_lvalue(lf.FORM_SERIES[disc], 256)
+            assert v128.error_bound < mp.mpf(2) ** -120
+            assert v128.abs_diff(v256) <= v128.error_bound, disc
+
+    def test_guard_rejects_wrong_functional_equation(self):
+        for disc in PHI_ROWS:
+            series = lf.FORM_SERIES[disc]
+            with pytest.raises(ArithmeticError):
+                lf.smoothed_lvalue(series, level=2 * abs(disc))
+            with pytest.raises(ArithmeticError):
+                lf.smoothed_lvalue(series, sign=-1)
+
+    def test_coefficient_bound(self):
+        n = np.arange(1, 10 ** 4 + 1)
+        for disc in PHI_ROWS:
+            series = lf.FORM_SERIES[disc]
+            co = lf.form_coefficients(series, 10 ** 4)
+            assert np.all(np.abs(co.values[1:]) <= series.coeff_bound() * n * n)
 
 
 class TestEpstein:

@@ -2,17 +2,87 @@
 eta-quotient parametrization and the Eisenstein-Kronecker series."""
 
 import math
+import warnings
 
 import mpmath as mp
 import pytest
 
+from k3mahler.lfunctions import d3
 from k3mahler.mahler import (ToleranceNotReached, bertin_series,
                              bertin_series_for_k, eta, exact_tau_value,
                              fit_w_expansion, k_of_tau, mahler_mc,
                              mahler_quadrature, tau_of_k, w_of_tau)
 
+# the kinks of the inner integrand move with k; 1.999 ... 6.0001 sit next to
+# the k where outer breakpoints appear, merge or leave [0, pi]
+K_GRID = (0, 2, 4, 6, 1.999, 4.001, 5.999, 6.0001, -7.5, -3, -1, 1, 2.5, 3,
+          3.5, 5, 7, 7.5, 9, 12, 18, 30, 100)
+
+
+def quadpack_quadrature(k, tol=1e-10):
+    """m(P_k) by nested adaptive Gauss-Kronrod (scipy's QUADPACK) over the
+    same Jensen-reduced integrand and breakpoints: the oracle for the
+    tanh-sinh route.  Returns (value, estimated error)."""
+    from scipy import integrate
+
+    def acosh_plus(c):
+        return math.acosh(abs(c) / 2.0) if abs(c) >= 2.0 else 0.0
+
+    def quad(*args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return integrate.quad(*args, epsrel=1e-14, limit=200, **kwargs)
+
+    inner_eps = max(tol * math.pi / 16.0, 1e-13)
+    outer_eps = max(tol * math.pi ** 2 / 4.0, 1e-12)
+    outer_pts = [math.acos(t) for t in (k / 2.0, (k + 4.0) / 2.0, (k - 4.0) / 2.0)
+                 if -1.0 < t < 1.0]
+
+    def outer_f(beta):
+        b = 2.0 * math.cos(beta) - k
+        kinks = sorted(math.acos(t) for t in ((2.0 - b) / 2.0, (-2.0 - b) / 2.0)
+                       if -1.0 < t < 1.0)
+        return quad(lambda a: acosh_plus(2.0 * math.cos(a) + b), 0.0, math.pi,
+                    points=kinks or None, epsabs=inner_eps)[0]
+
+    total, err = 0.0, 0.0
+    for lo, hi in ((0.0, math.pi / 2.0), (math.pi / 2.0, math.pi)):
+        pts = sorted(p for p in outer_pts if lo < p < hi)
+        v, e = quad(outer_f, lo, hi, points=pts or None, epsabs=outer_eps / 2.0)
+        total += v
+        err += e
+    return total / math.pi ** 2, (err + math.pi * inner_eps) / math.pi ** 2
+
+
+def constant_term_series(k, terms=120):
+    """m(P_k) = log k - sum_n c_2n / (2n k^2n) for |k| > 6, where
+    c_2n = C(2n,n) sum_j C(n,j)^2 C(2j,j) is the constant term of
+    (x+1/x+y+1/y+z+1/z)^2n (Rodriguez-Villegas); c_2n <= 36^n."""
+    with mp.workdps(60):
+        total = mp.log(k)
+        for n in range(1, terms + 1):
+            c = math.comb(2 * n, n) * sum(math.comb(n, j) ** 2 * math.comb(2 * j, j)
+                                          for j in range(n + 1))
+            total -= mp.mpf(c) / (2 * n * mp.mpf(k) ** (2 * n))
+        return total
+
 
 class TestQuadrature:
+    def test_matches_quadpack_oracle(self):
+        for k in K_GRID:
+            v = mahler_quadrature(k, tol=1e-10)
+            ref, ref_err = quadpack_quadrature(k, tol=1e-10)
+            assert ref_err <= 1e-10, k
+            assert abs(float(v.value) - ref) <= 1e-13, k
+            assert v.bound_kind == "estimate"
+            assert float(v.error_bound) <= 1e-14, k
+
+    def test_k0_is_d3(self):
+        assert mahler_quadrature(0).abs_diff(d3(250).value) <= 1e-16
+
+    def test_k18_constant_term_series(self):
+        assert mahler_quadrature(18).abs_diff(constant_term_series(18)) <= 1e-15
+
     def test_plus_minus_symmetry(self, quad):
         for k in (3.0, 7.5):
             a = mahler_quadrature(k, tol=1e-9)
@@ -26,7 +96,7 @@ class TestQuadrature:
 
     def test_tolerance_error_carries_estimate(self):
         with pytest.raises(ToleranceNotReached) as exc:
-            mahler_quadrature(3, tol=1e-15)
+            mahler_quadrature(3, tol=1e-18)
         err = exc.value
         assert 0.8 < err.estimate < 0.9      # best estimate is still sane
         assert err.achieved > err.requested
