@@ -8,8 +8,11 @@ immutable and exact; no floating point enters this module.
 
 Places of the function field are monic irreducible polynomials plus the place
 at infinity.  Irreducibility is decided for degrees <= 2 (via the square test
-on the discriminant); higher-degree polynomials must be flagged as
-``assume_irreducible`` by the caller.
+on the discriminant); higher-degree polynomials are rejected.
+
+Square tests take a candidate root and one exact squaring: a square root is
+unique up to sign, so ``poly_sqrt`` solves the only candidate from the top
+half of the coefficients and proves the answer by multiplying it out.
 """
 
 from __future__ import annotations
@@ -244,13 +247,6 @@ class Poly:
     @staticmethod
     def x(power: int = 1) -> "Poly":
         return Poly([0] * power + [1])
-
-    @staticmethod
-    def from_roots(roots) -> "Poly":
-        p = Poly([1])
-        for rt in roots:
-            p = p * Poly([-QuadElem.coerce(rt), 1])
-        return p
 
     # -- basic queries -------------------------------------------------------
     def degree(self) -> int:
@@ -561,71 +557,32 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         hh = hh * (gg / hh) ** delta if delta else hh
 
 
-def squarefree_part(f: Poly) -> Poly:
-    """Radical of f: the monic product of its distinct irreducible factors.
-
-    Computed as f / gcd(f, f'), no factorization needed (characteristic 0).
-    """
-    if f.is_zero():
-        raise ValueError("squarefree part of the zero polynomial")
-    if f.is_constant():
-        return Poly([1])
-    g = poly_gcd(f, f.derivative())
-    return (f // g).monic()
-
-
-def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun's square-free decomposition: f = lc * prod a_i^i with a_i monic,
-    square-free and pairwise coprime.  Returns [(a_i, i)] for nonconstant a_i.
-    """
-    if f.is_zero():
-        raise ValueError("decomposition of the zero polynomial")
-    f = f.monic()
-    out: list[tuple[Poly, int]] = []
-    if f.is_constant():
-        return out
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = f // a
-    c = df // a
-    i = 1
-    while b.degree() > 0:
-        d = c - b.derivative()
-        a_i = poly_gcd(b, d)
-        if a_i.degree() > 0:
-            out.append((a_i, i))
-        b = b // a_i
-        c = d // a_i
-        i += 1
-    return out
-
-
-def odd_multiplicity_part(f: Poly) -> Poly:
-    """Monic product of the irreducible factors of f with odd multiplicity.
-
-    f is a square times a constant iff this equals 1.
-    """
-    out = Poly([1])
-    for a_i, i in yun_decomposition(f):
-        if i % 2 == 1:
-            out = out * a_i
-    return out
-
-
 def poly_sqrt(f: Poly) -> Optional[Poly]:
-    """A polynomial g with g^2 = f, or None.  Uses the Yun decomposition for
-    the monic part and the field square test for the leading coefficient."""
+    """A polynomial g with g^2 = f, or None if f is not a square.
+
+    A square root is unique up to sign, so the top half of f fixes the only
+    candidate: g_n = sqrt(lc f), then for i = n-1, ..., 0 the coefficient of
+    sigma^(n+i) gives g_i = (f_(n+i) - sum_(i<j<n) g_j g_(n+i-j)) / (2 g_n).
+    The exact product g * g == f is the proof, for "square" and for "not a
+    square" alike.
+    """
     if f.is_zero():
         return Poly()
+    if f.degree() % 2:
+        return None
     ok, w = is_square_quad(f.lc())
     if not ok:
         return None
-    g = Poly([w])
-    for a_i, i in yun_decomposition(f):
-        if i % 2 == 1:
-            return None
-        g = g * a_i ** (i // 2)
-    return g
+    n = f.degree() // 2
+    g = [ZERO] * n + [w]
+    inv_2w = (2 * w).inv()
+    for i in range(n - 1, -1, -1):
+        s = f[n + i]
+        for j in range(i + 1, n):
+            s = s - g[j] * g[n + i - j]
+        g[i] = s * inv_2w
+    root = Poly(g)
+    return root if root * root == f else None
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +594,14 @@ class Place:
     """A place of Q(sqrt(-3))(sigma): a monic irreducible polynomial, or infinity."""
 
     poly: Optional[Poly]  # None encodes the place at infinity
-    irreducibility_checked: bool = True
 
     @staticmethod
-    def finite(poly, assume_irreducible: bool = False) -> "Place":
+    def finite(poly) -> "Place":
         p = Poly.coerce(poly).monic()
         if p.degree() < 1:
             raise ValueError("finite place needs a nonconstant polynomial")
         if p.degree() == 1:
-            return Place(p, True)
+            return Place(p)
         if p.degree() == 2:
             # reducible iff the discriminant is a square in Q(sqrt(-3))
             b, c = p[1], p[0]
@@ -653,11 +609,8 @@ class Place:
             ok, _ = is_square_quad(disc)
             if ok:
                 raise ValueError("degree-2 polynomial is reducible over Q(sqrt(-3))")
-            return Place(p, True)
-        if not assume_irreducible:
-            raise ValueError("irreducibility undecided for degree > 2; "
-                             "pass assume_irreducible=True to accept as given")
-        return Place(p, False)
+            return Place(p)
+        raise ValueError("irreducibility undecided for degree > 2")
 
     @staticmethod
     def at_root(r) -> "Place":
@@ -874,25 +827,12 @@ def valuation(f: RatFunc, place: Place) -> int:
     return -poly_valuation(f.den, pi)
 
 
-def is_square_ratfunc(f: RatFunc) -> bool:
-    """True iff f = c * g^2 with g in Q(sqrt(-3))(sigma) and c a field square.
-
-    Writing f = lc * (num_monic / den), f is a square exactly when the
-    odd-multiplicity part of num_monic * den is trivial and lc is a square
-    in Q(sqrt(-3)).
-    """
-    f = RatFunc.coerce(f)
-    if f.is_zero():
-        raise ValueError("squareness of the zero function is undefined")
-    h = f.num.monic() * f.den
-    if odd_multiplicity_part(h).degree() > 0:
-        return False
-    ok, _ = is_square_quad(f.num.lc())
-    return ok
-
-
 def sqrt_ratfunc(f: RatFunc) -> Optional[RatFunc]:
-    """A rational function r with r^2 = f, or None if f is not a square."""
+    """A rational function r with r^2 = f, or None if f is not a square.
+
+    num and den are coprime and den is monic, so f is a square exactly when
+    both are; their roots are coprime too, and the root of den is monic.
+    """
     f = RatFunc.coerce(f)
     if f.is_zero():
         return RatFunc(0)
@@ -900,4 +840,12 @@ def sqrt_ratfunc(f: RatFunc) -> Optional[RatFunc]:
     d = poly_sqrt(f.den)
     if n is None or d is None:
         return None
-    return RatFunc(n, d)
+    return RatFunc._raw(n, d)
+
+
+def is_square_ratfunc(f: RatFunc) -> bool:
+    """True iff f = g^2 for some g in Q(sqrt(-3))(sigma); raises on f = 0."""
+    f = RatFunc.coerce(f)
+    if f.is_zero():
+        raise ValueError("squareness of the zero function is undefined")
+    return sqrt_ratfunc(f) is not None

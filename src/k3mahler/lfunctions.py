@@ -29,12 +29,6 @@ from .lattices import SURFACES
 _NEWFORM_CSV_SHA256 = "c622b0f366b17c3d7c964b4e81cdafff6c35da227c0a97c05032b46860073642"
 
 
-def chi3(n: int) -> int:
-    """The quadratic character mod 3 (equals the Kronecker symbol (-3/n) on primes != 3)."""
-    r = n % 3
-    return 0 if r == 0 else (1 if r == 1 else -1)
-
-
 def kronecker(d: int, n: int) -> int:
     """Kronecker symbol (d/n)."""
     if n == 0:
@@ -139,13 +133,12 @@ FORM_SERIES = {
 class DirichletCoeffs:
     """A_n for 1 <= n <= N as exact integers (index 0 unused).
 
-    tail_scale, when known, gives |sum_{n>N} A_n/n^3| <= 2*tail_scale/N;
-    otherwise the generic divisor bound |A_n| <= n d(n) is used.
+    tail_scale gives |sum_{n>N} A_n/n^3| <= 2*tail_scale/N.
     """
 
     values: np.ndarray
     source: str
-    tail_scale: Optional[float] = None
+    tail_scale: float
 
     @property
     def N(self) -> int:
@@ -192,14 +185,6 @@ def form_coefficients(series: QuadFormSeries, N: int) -> DirichletCoeffs:
                            tail_scale=series.tail_scale())
 
 
-def divisor_tail_bound(N: int) -> float:
-    """Upper bound for sum_{n>N} d(n)/n^2 (used with |A_n| <= n d(n)):
-    splitting d(n) over factor pairs gives (2/N)(1 + ln N + zeta(2))."""
-    if N < 4:
-        return 3.0
-    return (2.0 / N) * (1.0 + math.log(N) + 1.6449340668482264)
-
-
 def lvalue_from_coeffs(coeffs: DirichletCoeffs, s: int = 3,
                        N: int | None = None) -> BigReal:
     """Partial Dirichlet sum sum_{n<=N} A_n / n^s with a proven tail bound."""
@@ -212,10 +197,7 @@ def lvalue_from_coeffs(coeffs: DirichletCoeffs, s: int = 3,
     n = np.arange(1, N + 1, dtype=np.float64)
     a = coeffs.values[1:N + 1].astype(np.float64)
     value = float(np.dot(a, n ** -3.0))
-    if coeffs.tail_scale is not None:
-        tail = 2.0 * coeffs.tail_scale / N
-    else:
-        tail = divisor_tail_bound(N)
+    tail = 2.0 * coeffs.tail_scale / N
     rounding = 1e-15 * float(np.dot(np.abs(a), n ** -3.0)) + 1e-16
     return BigReal.with_bound(value, tail + rounding)
 

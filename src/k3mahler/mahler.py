@@ -353,6 +353,6 @@ def bertin_series(tau, box: int = 256) -> BigReal:
     return BigReal.with_bound(rr * scale, est, kind="estimate")
 
 
-def bertin_series_for_k(k: int, box: int = 256, prec: int = 64) -> BigReal:
+def bertin_series_for_k(k: int, prec: int = 64) -> BigReal:
     """bertin_series at the tabulated CM point of k."""
-    return bertin_series(exact_tau_value(k, prec), box=box)
+    return bertin_series(exact_tau_value(k, prec))

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
-                       is_square_ratfunc, odd_multiplicity_part, reduce_mod_p,
-                       sqrt_ratfunc, valuation)
+                       is_square_ratfunc, poly_sqrt, reduce_mod_p, sqrt_ratfunc,
+                       valuation)
 from .pointcount import discriminant_mod_p, point_order, primes_up_to
 
 
@@ -66,9 +66,6 @@ class FunctionFieldCurve:
 
     def c4(self) -> RatFunc:
         return self.b2() * self.b2() - 24 * self.b4()
-
-    def j_invariant(self) -> RatFunc:
-        return self.c4() ** 3 / self.discriminant()
 
     def equation_residual(self, x: RatFunc, y: RatFunc) -> RatFunc:
         return (y * y + self.a1 * x * y + self.a3 * y
@@ -401,9 +398,9 @@ def can_halve(Q: SectionPoint, E: FunctionFieldCurve) -> HalvingCertificate:
         raise ValueError("theorem hypothesis violated: x-coordinate is zero")
     if not verify_on_curve(Q, E):
         raise ValueError("point is not on the curve")
-    if not is_square_ratfunc(Q.x):
-        return HalvingCertificate(False, False, None, None, None, None, None)
     r = sqrt_ratfunc(Q.x)
+    if r is None:
+        return HalvingCertificate(False, False, None, None, None, None, None)
     qplus = 2 * Q.x + a + 2 * Q.y / r
     qminus = 2 * Q.x + a - 2 * Q.y / r
     sp = is_square_ratfunc(qplus) if not qplus.is_zero() else False
@@ -426,7 +423,8 @@ def zero_intersection(P: SectionPoint) -> int:
     if P.is_zero:
         raise ValueError("(O.O) is not computed here")
     x = P.x
-    if odd_multiplicity_part(x.den).degree() > 0:
+    # den is monic: every finite pole has even order iff den is a square
+    if poly_sqrt(x.den) is None:
         raise VerificationError("odd pole order in x at a finite place")
     total = x.den.degree() // 2
     inf_order = x.num.degree() - x.den.degree() - 4

@@ -85,7 +85,7 @@ def test_criterion_4_regression_k0(quad, d3_value):
 def test_criterion_5_eisenstein_kronecker(quad):
     diffs = {}
     for k in (3, 6, 18):
-        b = mh.bertin_series_for_k(k, box=256)
+        b = mh.bertin_series_for_k(k)
         diffs[k] = abs(float(b.value) - float(quad(k).value))
     ok = all(d < 1e-4 for d in diffs.values())
     report(5, ok, "series vs quadrature: " +

@@ -1,6 +1,8 @@
 """CLI surface: subcommand output schema, determinism, exit codes, and no
 files read or written outside the package."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import mpmath as mp
 import pytest
 
 import k3mahler
-from k3mahler import cli, fixtures as fx
+from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import main
@@ -46,7 +48,8 @@ class TestSchemas:
         assert code == 0
         doc = json.loads(out)
         assert {"identity", "lhs", "rhs", "abs_diff", "tolerance", "pass",
-                "subchecks", "k", "prec", "runtime_seconds"} <= set(doc)
+                "subchecks", "k", "prec", "timings"} <= set(doc)
+        assert set(doc["timings"]) == {"total_s"}
         assert {"value", "method", "error_bound", "bound_kind"} <= set(doc["lhs"])
         assert doc["lhs"]["bound_kind"] == "estimate"
         assert doc["rhs"]["bound_kind"] == "rigorous"
@@ -72,6 +75,18 @@ class TestDeterminism:
         _, out2 = run(capsys, argv)
         assert out1 == out2
 
+    def test_verify_report_equal_outside_timings(self, capsys):
+        for argv in (["verify", "--k", "0", "--json"],
+                     ["verify", "--k", "6", "--pmax", "13", "--json"]):
+            docs = []
+            for _ in range(2):
+                code, out = run(capsys, argv)
+                assert code == 0, argv
+                doc = json.loads(out)
+                del doc["timings"]
+                docs.append(doc)
+            assert docs[0] == docs[1], argv
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -80,6 +95,9 @@ class TestExitCodes:
                      ["lvalue", "--k", "3", "--n-terms", "10"],
                      ["mahler", "--k", "6", "--method", "mc", "--samples", "10"],
                      ["verify", "--k", "6", "--box", "8"],
+                     # the box size of the EK series is fixed at 256
+                     ["verify", "--k", "6", "--box", "256"],
+                     ["mahler", "--k", "6", "--method", "bertin", "--box", "256"],
                      ["verify", "--k", "6", "--tol", "0"],
                      ["coeffs", "--k", "6", "--nmax", "1"],
                      ["ap", "--k", "6", "--pmax", "-5"],
@@ -124,7 +142,7 @@ class TestExitCodes:
     def test_ek_gate_uses_its_bound(self, capsys, monkeypatch):
         # a series value 5e-5 off with a claimed bound of 1e-9 must fail,
         # although 5e-5 is far below the identity tolerance
-        def off_by_5e5(k, box):
+        def off_by_5e5(k):
             m6 = 1.6733893038787548  # m(P_6), as the box-256 series gives it
             return BigReal.with_bound(m6 + 5e-5, 1e-9)
         monkeypatch.setattr(mahler, "bertin_series_for_k", off_by_5e5)
@@ -143,11 +161,29 @@ class TestExitCodes:
         assert ap["primes"] == [] and ap["pass"] is False
 
 
+@pytest.fixture(scope="module")
+def k18_report(k18):
+    """One `verify --k 18 --json` run: exit code, report, and every point the
+    exact on-curve check saw on E_b."""
+    checked = []
+    on_curve = mw.verify_on_curve
+
+    def spy(P, E):
+        if E == k18["Eb"]:
+            checked.append(P)
+        return on_curve(P, E)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(mw, "verify_on_curve", spy)
+        code = main(["verify", "--k", "18", "--json"])
+    return code, json.loads(out.getvalue()), checked
+
+
 class TestSectionReport:
-    def test_k18_nontorsion_witness_replays(self, capsys):
-        code, out = run(capsys, ["verify", "--k", "18", "--json"])
+    def test_k18_nontorsion_witness_replays(self, k18_report):
+        code, doc, _ = k18_report
         assert code == 0
-        sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
+        sub = {c["name"]: c for c in doc["subchecks"]}
         nt = sub["twist-section-nontorsion"]
         assert nt["pass"] is True
         assert nt["provenance"] == "specialization at sigma=t, reduction mod p"
@@ -157,19 +193,11 @@ class TestSectionReport:
         order = replay_witness(fx.twist_section(), fx.y18_twist_curve(), wit)
         assert order == wit.order
 
-
-    def test_k18_points_checked_on_bform_curve_once(self, monkeypatch, k18):
+    def test_k18_points_checked_on_bform_curve_once(self, k18_report, k18):
         # the exact on-curve check is the costly step; no point goes unchecked
         # and none is checked twice on E_b
-        checked = []
-        on_curve = mw.verify_on_curve
-
-        def spy(P, E):
-            if E == k18["Eb"]:
-                checked.append(P)
-            return on_curve(P, E)
-        monkeypatch.setattr(mw, "verify_on_curve", spy)
-        assert all(c["pass"] for c in cli._section_subchecks())
+        _, doc, checked = k18_report
+        assert all(c["pass"] for c in doc["subchecks"])
         T2 = mw.to_completed_square(fx.torsion_multiples_k18()[2], k18["E"])
         assert len(checked) == 3
         for P in (k18["Pb"], T2, k18["Q"]):
@@ -178,16 +206,26 @@ class TestSectionReport:
 
 class TestWithoutScipy:
     def test_verify_runs_without_scipy(self):
-        # a fresh interpreter in which `import scipy` fails
-        code = ("import sys; sys.modules['scipy'] = None; "
-                "from k3mahler.cli import main; sys.exit(main(sys.argv[1:]))")
+        # one fresh interpreter in which `import scipy` fails runs every k
+        code = ("import contextlib, io, json, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from k3mahler.cli import main\n"
+                "runs = {}\n"
+                "for k in sys.argv[1:]:\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                "        code = main(['verify', '--k', k, '--json'])\n"
+                "    runs[k] = [code, json.loads(out.getvalue())]\n"
+                "print(json.dumps(runs))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
-        for k in (0, 3, 6, 18):
-            proc = subprocess.run([sys.executable, "-c", code, "verify", "--k", str(k),
-                                   "--json"], capture_output=True, text=True, env=env,
-                                  timeout=120)
-            assert proc.returncode == 0, (k, proc.stderr[-500:])
-            doc = json.loads(proc.stdout)
+        ks = ["0", "3", "6", "18"]
+        proc = subprocess.run([sys.executable, "-c", code, *ks], capture_output=True,
+                              text=True, env=env, timeout=240)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        runs = json.loads(proc.stdout)
+        assert sorted(runs) == sorted(ks)
+        for k, (rc, doc) in runs.items():
+            assert rc == 0, k
             assert abs(doc["lhs"]["value"] - doc["rhs"]["value"]) <= 1e-14, k
 
     def test_no_module_imports_scipy(self):

@@ -8,10 +8,8 @@ import pytest
 
 from k3mahler import fixtures as fx
 from k3mahler.exactalg import (ONE, Place, Poly, QuadElem, RatFunc, SQRT_M3,
-                               is_square_quad, is_square_ratfunc,
-                               odd_multiplicity_part, poly_gcd,
-                               sqrt_ratfunc, squarefree_part, valuation,
-                               yun_decomposition)
+                               is_square_quad, is_square_ratfunc, poly_gcd,
+                               poly_sqrt, sqrt_ratfunc, valuation)
 
 
 def rand_quad(rng, span=9):
@@ -24,6 +22,60 @@ def rand_poly(rng, deg, span=6):
         p = Poly([rand_quad(rng, span) for _ in range(deg + 1)])
         if not p.is_zero():
             return p
+
+
+def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
+    """Yun's square-free decomposition: f = lc * prod a_i^i with a_i monic,
+    square-free and pairwise coprime.  Returns [(a_i, i)] for nonconstant a_i.
+
+    The oracle for poly_sqrt (Yun, SYMSAC 1976): a chain of gcds that finds
+    every multiplicity, where poly_sqrt only needs "is this a square?".
+    """
+    if f.is_zero():
+        raise ValueError("decomposition of the zero polynomial")
+    f = f.monic()
+    out: list[tuple[Poly, int]] = []
+    if f.is_constant():
+        return out
+    df = f.derivative()
+    a = poly_gcd(f, df)
+    b = f // a
+    c = df // a
+    i = 1
+    while b.degree() > 0:
+        d = c - b.derivative()
+        a_i = poly_gcd(b, d)
+        if a_i.degree() > 0:
+            out.append((a_i, i))
+        b = b // a_i
+        c = d // a_i
+        i += 1
+    return out
+
+
+def odd_multiplicity_part(f: Poly) -> Poly:
+    """Monic product of the irreducible factors of f with odd multiplicity.
+
+    f is a square times a constant iff this equals 1.
+    """
+    out = Poly([1])
+    for a_i, i in yun_decomposition(f):
+        if i % 2 == 1:
+            out = out * a_i
+    return out
+
+
+def yun_sqrt(f: Poly):
+    """The square root of f read off its Yun decomposition, or None."""
+    ok, w = is_square_quad(f.lc())
+    if not ok:
+        return None
+    g = Poly([w])
+    for a_i, i in yun_decomposition(f):
+        if i % 2 == 1:
+            return None
+        g = g * a_i ** (i // 2)
+    return g
 
 
 class TestQuadElem:
@@ -116,18 +168,6 @@ class TestPoly:
             d = poly_gcd(f, g)
             assert (d % h ** 2).is_zero() or poly_gcd(d, h ** 2) == h ** 2
 
-    def test_squarefree_part_examples(self):
-        lin9 = Poly([-9, 1])
-        assert squarefree_part(lin9 ** 2) == lin9
-        quad = Poly([72, -21, 1])
-        assert squarefree_part(quad) == quad
-        mixed = lin9 ** 2 * Poly([3, 1])
-        assert squarefree_part(mixed) == lin9 * Poly([3, 1])
-
-    def test_squarefree_zero_raises(self):
-        with pytest.raises(ValueError):
-            squarefree_part(Poly())
-
     def test_yun_reconstructs(self):
         rng = random.Random(9)
         for _ in range(20):
@@ -142,6 +182,53 @@ class TestPoly:
         a, b = Poly([1, 1]), Poly([2, 0, 1])
         assert odd_multiplicity_part(a ** 2 * b) == b.monic()
         assert odd_multiplicity_part(a ** 2 * b ** 4).is_constant()
+
+
+class TestPolySqrt:
+    def test_odd_degree(self):
+        sigma = Poly.x()
+        assert poly_sqrt(sigma ** 3) is None
+        assert poly_sqrt(sigma * (sigma + 1) ** 2) is None
+
+    def test_leading_coefficient(self):
+        sigma2 = Poly.x(2)
+        assert poly_sqrt(sigma2 * 2) is None
+        g = poly_sqrt(sigma2 * -3)   # -3 = sqrt(-3)^2 in the field
+        assert g == Poly.x() * SQRT_M3 and g * g == sigma2 * -3
+
+    def test_top_half_alone_is_no_proof(self):
+        # the top half is that of (sigma^2 + sigma + 1)^2, the constant is not
+        h = Poly([1, 1, 1])
+        f = h * h + 1
+        assert f.degree() == 4 and all(f[i] == (h * h)[i] for i in (2, 3, 4))
+        assert poly_sqrt(f) is None
+        assert poly_sqrt(h * h) == h
+
+    def test_agrees_with_yun_oracle(self):
+        rng = random.Random(31)
+        sigma = Poly.x()
+        squares = 0
+        for case in range(240):
+            g = rand_poly(rng, rng.randint(0, 3))
+            kind = case % 4
+            if kind == 0:
+                f = g * g
+            elif kind == 1:
+                f = g * g * sigma ** rng.randint(1, 3)
+            elif kind == 2:
+                f = g * g * 2
+            else:  # repeated factors, odd or even multiplicity
+                a, b = rand_poly(rng, 1), rand_poly(rng, rng.randint(1, 2))
+                c = rand_poly(rng, 0) ** rng.randint(1, 2)
+                f = a ** rng.randint(1, 4) * b ** rng.choice((2, 3)) * c
+            want = yun_sqrt(f)
+            got = poly_sqrt(f)
+            assert got == want, f
+            if got is not None:
+                squares += 1
+                assert got * got == f
+        # both answers are well represented
+        assert 70 < squares < 170, squares
 
 
 class TestRatFunc:
@@ -175,8 +262,6 @@ class TestPlacesAndValuation:
         cubic = Poly([1, 0, 0, 1])
         with pytest.raises(ValueError):
             Place.finite(cubic)
-        v = Place.finite(cubic, assume_irreducible=True)
-        assert not v.irreducibility_checked
 
     def test_printed_section_valuations(self):
         x = fx.infinite_section_k18().x

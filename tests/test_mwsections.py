@@ -280,9 +280,13 @@ class TestIntersections:
         assert mw.zero_intersection(P) == 0
 
     def test_odd_pole_rejected(self):
-        P = mw.SectionPoint.affine(RatFunc(1, Poly.x()), 0)
-        with pytest.raises(mw.VerificationError, match="odd pole"):
-            mw.zero_intersection(P)
+        sigma = Poly.x()
+        # a simple pole; a double pole next to a simple one; two simple poles
+        # under an even-degree monic denominator
+        for den in (sigma, sigma ** 2 * (sigma - 1), sigma * (sigma - 1)):
+            P = mw.SectionPoint.affine(RatFunc(1, den), 0)
+            with pytest.raises(mw.VerificationError, match="odd pole"):
+                mw.zero_intersection(P)
 
     def test_contribution(self):
         assert mw.contribution(12, 6) == 3
