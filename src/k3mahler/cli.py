@@ -10,6 +10,7 @@ emits a structured report with one entry per sub-check.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -58,6 +59,16 @@ def _jsonable(v):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _stage(timings: dict, name: str):
+    """Record the wall seconds the block takes as timings[name + "_s"]."""
+    t0 = time.monotonic()
+    try:
+        yield
+    finally:
+        timings[f"{name}_s"] = round(time.monotonic() - t0, 4)
+
 
 def _subcheck(name: str, ok: bool, provenance: str, **extra) -> dict:
     out = {"name": name, "pass": bool(ok), "provenance": provenance}
@@ -110,39 +121,46 @@ def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
                      values={str(p): aps[p] for p in sorted(aps)})
 
 
-def _section_subchecks() -> list[dict]:
+def _section_subchecks(timings: dict) -> list[dict]:
     from . import fixtures, mwsections as mw
     out = []
-    E = fixtures.y18_curve()
-    ps = fixtures.infinite_section_k18()
-    out.append(_subcheck("infinite-section-on-curve", mw.verify_on_curve(ps, E),
-                         "exact Weierstrass identity"))
-    wit = mw.verify_nontorsion(fixtures.twist_section(), fixtures.y18_twist_curve())
+    with _stage(timings, "on_curve"):
+        E = fixtures.y18_curve()
+        ps = fixtures.infinite_section_k18()
+        out.append(_subcheck("infinite-section-on-curve",
+                             mw.verify_on_curve(ps, E),
+                             "exact Weierstrass identity"))
+    with _stage(timings, "nontorsion"):
+        wit = mw.verify_nontorsion(fixtures.twist_section(),
+                                   fixtures.y18_twist_curve())
     out.append(_subcheck("twist-section-nontorsion", wit is not None,
                          "specialization at sigma=t, reduction mod p",
                          witness=None if wit is None else
                          {"sigma": wit.t, "p": wit.p, "sqrt_m3_mod_p": wit.w,
                           "order": wit.order}))
-    hd = fixtures.halving_data()
-    Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
-    # each of Pb, T2 and Q is checked on Eb once: Pb and Q inside can_halve
-    Pb = mw.to_completed_square(ps, E)
-    c1 = mw.can_halve(Pb, Eb)
-    T2 = mw.to_completed_square(fixtures.torsion_multiples_k18()[2], E)
-    if not mw.verify_on_curve(T2, Eb):
-        raise ValueError("2-torsion point is not on the b-form curve")
-    Q = mw.ec_add(Pb, T2, Eb, check=False)
-    c2 = mw.can_halve(Q, Eb)
+    with _stage(timings, "halving"):
+        hd = fixtures.halving_data()
+        Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
+        # each of Pb, T2 and Q is checked on Eb once: Pb and Q inside can_halve
+        Pb = mw.to_completed_square(ps, E)
+        c1 = mw.can_halve(Pb, Eb)
+        T2 = mw.to_completed_square(fixtures.torsion_multiples_k18()[2], E)
+        if not mw.verify_on_curve(T2, Eb):
+            raise ValueError("2-torsion point is not on the b-form curve")
+        Q = mw.ec_add(Pb, T2, Eb, check=False)
+        c2 = mw.can_halve(Q, Eb)
     out.append(_subcheck("halving-obstruction",
                          (not c1.can_halve) and (not c1.x_is_square)
                          and (not c2.can_halve) and c2.x_is_square
                          and c2.qplus_is_square is False
                          and c2.qminus_is_square is False,
                          "two-descent square tests in Q(sqrt(-3))(sigma)"))
-    out.append(_subcheck("zero-section-intersection",
-                         mw.zero_intersection(ps) == 5, "pole-degree count",
-                         value=mw.zero_intersection(ps)))
-    h, fibers = mw.y18_height(ps)
+    with _stage(timings, "zero_intersection"):
+        po = mw.zero_intersection(ps)
+    out.append(_subcheck("zero-section-intersection", po == 5,
+                         "pole-degree count", value=po))
+    with _stage(timings, "height"):
+        h, fibers = mw.y18_height(ps)
     comps = {f.place: f.component for f in fibers}
     out.append(_subcheck("neron-components",
                          comps == {"s=0": 6, "s=inf": 1, "s=1/18": 1,
@@ -161,26 +179,30 @@ def cmd_verify(args) -> int:
     surf = SURFACES[k]
     tol = args.tol if args.tol is not None else surf.tol
     t_start = time.monotonic()
+    timings: dict = {}
     report: dict = {"identity": f"m(P_{k})", "tolerance": tol, "k": k,
                     "prec": args.prec, "subchecks": []}
-    quad = mahler.mahler_quadrature(k, tol=min(tol / 4, 1e-7))
+    with _stage(timings, "lhs"):
+        quad = mahler.mahler_quadrature(k, tol=min(tol / 4, 1e-7))
     report["lhs"] = {"value": float(quad.value), "method": "jensen-quadrature",
                      "error_bound": float(quad.error_bound),
                      "bound_kind": quad.bound_kind}
     parts, terms = [], []
-    if surf.disc is not None:
-        lval = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[surf.disc], args.prec)
-        pref = _prefactor(surf, args.prec)
-        parts.append(pref * lval)
-        terms.append(f"({mp.nstr(pref.value, 10)}) * L(phi_{surf.disc}, 3)")
-    if surf.d3_coeff:
-        c = surf.d3_coeff
-        with mp.workprec(args.prec):
-            coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, args.prec)
-        parts.append(coeff * lfunctions.d3(args.prec))
-        terms.append(f"({surf.d3_coeff}) d3" if terms
-                     else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
-    exact = sum(parts)
+    with _stage(timings, "rhs"):
+        if surf.disc is not None:
+            lval = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[surf.disc],
+                                              args.prec)
+            pref = _prefactor(surf, args.prec)
+            parts.append(pref * lval)
+            terms.append(f"({mp.nstr(pref.value, 10)}) * L(phi_{surf.disc}, 3)")
+        if surf.d3_coeff:
+            c = surf.d3_coeff
+            with mp.workprec(args.prec):
+                coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, args.prec)
+            parts.append(coeff * lfunctions.d3(args.prec))
+            terms.append(f"({surf.d3_coeff}) d3" if terms
+                         else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
+        exact = sum(parts)
     # rounded to float once; the rounding joins the bound
     rhs = float(exact.value)
     rhs_err = float(exact.error_bound + abs(exact.value - rhs))
@@ -191,22 +213,27 @@ def cmd_verify(args) -> int:
     identity_ok = diff + float(quad.error_bound) + rhs_err <= tol
 
     if surf.disc is not None:
-        report["subchecks"].extend(_lattice_subchecks(surf))
-        bs = mahler.bertin_series_for_k(k)
+        with _stage(timings, "lattice"):
+            report["subchecks"].extend(_lattice_subchecks(surf))
+        with _stage(timings, "ek"):
+            bs = mahler.bertin_series_for_k(k)
         report["subchecks"].append(_subcheck(
             "eisenstein-kronecker-series", bs.consistent_with(quad),
             "weighted lattice sums at the CM point",
             value=float(bs.value), diff=abs(float(bs.value) - float(quad.value)),
             error_bound=float(bs.error_bound + quad.error_bound)))
-        report["subchecks"].append(_ap_subcheck(surf, args.pmax))
+        with _stage(timings, "ap"):
+            report["subchecks"].append(_ap_subcheck(surf, args.pmax))
         if k == 18:
-            report["subchecks"].extend(_section_subchecks())
+            report["subchecks"].extend(_section_subchecks(timings))
 
     report["abs_diff"] = diff
     subs_ok = all(c["pass"] for c in report["subchecks"])
     report["pass"] = bool(identity_ok and subs_ok)
-    # the only field that varies between runs of the same request
-    report["timings"] = {"total_s": round(time.monotonic() - t_start, 3)}
+    # the only field that varies between runs of the same request: the
+    # seconds of each stage that ran, and of the whole request
+    timings["total_s"] = round(time.monotonic() - t_start, 3)
+    report["timings"] = timings
 
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2, default=_jsonable))

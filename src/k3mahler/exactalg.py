@@ -1,10 +1,33 @@
 """Exact arithmetic over Q(sqrt(-3)) and the rational function field Q(sqrt(-3))(sigma).
 
 Elements of the quadratic field are ``QuadElem`` values a + b*sqrt(-3) with
-rational a, b.  Polynomials in one variable sigma are dense coefficient lists
-(lowest degree first), and ``RatFunc`` keeps a numerator/denominator pair in a
-canonical form: denominator monic, gcd(num, den) = 1.  Everything here is
+rational a, b.  ``RatFunc`` keeps a numerator/denominator pair of polynomials
+in canonical form: denominator monic, gcd(num, den) = 1.  Everything here is
 immutable and exact; no floating point enters this module.
+
+A ``Poly`` in sigma (lowest degree first) is stored as integers: the rational
+parts and the sqrt(-3) parts of its coefficients as two integer lists over
+one common denominator den > 0, with gcd(den, all numerators) = 1, so that
+equal polynomials are stored alike.  All polynomial arithmetic runs on those
+integers (w = sqrt(-3), w^2 = -3):
+
+* Products use Kronecker substitution: a coefficient list c becomes the
+  integer sum c_i 2^(s i), one big-integer product multiplies two such
+  integers, and the slots of the result are the coefficients of the product.
+  Every coefficient of (a + b w)(c + d w) is a sum of at most
+  n = min(len a, len c) terms, so it is at most 4 n M1 M2 in size (M1, M2 the
+  largest |coefficient| of the factors); a slot of bitlen(4 n M1 M2) + 1 bits,
+  the extra bit for the sign, holds it.  The slots are signed: read in two's
+  complement, a negative slot borrows one from the slot above, so the unpack
+  carries that borrow upward.  Three integer products (Karatsuba on the two
+  parts) give both parts.  Harvey, "Faster polynomial multiplication via
+  multipoint Kronecker substitution", J. Symb. Comput. 44 (2009).
+* Division runs one integer pseudo-division kernel.  The divisor is first
+  multiplied by the conjugate of its leading coefficient, which makes that
+  coefficient a rational integer N; the remainder is scaled only as far as N
+  needs to divide its next leading coefficient.  divmod, exact division,
+  valuations and the pseudo-remainders of the gcd all go through it.
+* ``coeffs`` and ``f[i]`` give the coefficients as QuadElems, built on demand.
 
 Places of the function field are monic irreducible polynomials plus the place
 at infinity.  Irreducibility is decided for degrees <= 2 (via the square test
@@ -20,11 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
 from .pointcount import is_prime
-
-D = -3  # square-free discriminant tag of the coefficient field
 
 Rational = Union[int, Fraction]
 
@@ -221,19 +243,32 @@ def is_square_quad(c) -> tuple[bool, Optional[QuadElem]]:
 class Poly:
     """Dense univariate polynomial over Q(sqrt(-3)), lowest degree first.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as (re + im*sqrt(-3)) / den: two integer coefficient tuples of
+    one length and a common denominator den > 0 with gcd(den, re, im) = 1, so
+    equal polynomials have equal fields.  The zero polynomial has empty
+    tuples, den 1 and degree -1.  ``coeffs`` is derived from them.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_re", "_im", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
-        lst = [QuadElem.coerce(c) for c in coeffs]
-        while lst and lst[-1].is_zero():
-            lst.pop()
-        object.__setattr__(self, "coeffs", tuple(lst))
+        cs = [QuadElem.coerce(c) for c in coeffs]
+        den = math.lcm(1, *(q.denominator for c in cs for q in (c.a, c.b)))
+        _init(self, [c.a.numerator * (den // c.a.denominator) for c in cs],
+              [c.b.numerator * (den // c.b.denominator) for c in cs], den)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as QuadElems (built on first use, then cached)."""
+        if self._coeffs is None:
+            d = self._den
+            object.__setattr__(self, "_coeffs", tuple(
+                QuadElem(Fraction(a, d), Fraction(b, d))
+                for a, b in zip(self._re, self._im)))
+        return self._coeffs
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -246,32 +281,31 @@ class Poly:
 
     @staticmethod
     def x(power: int = 1) -> "Poly":
-        return Poly([0] * power + [1])
+        return _poly([0] * power + [1], [0] * (power + 1))
 
     # -- basic queries -------------------------------------------------------
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._re
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._re) <= 1
 
     def lc(self) -> QuadElem:
-        if not self.coeffs:
-            return ZERO
-        return self.coeffs[-1]
+        return self[len(self._re) - 1]
 
     def constant(self) -> QuadElem:
         """Value as a field constant (degree <= 0 required)."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.coeffs[0] if self.coeffs else ZERO
+        return self[0]
 
     def __getitem__(self, i: int) -> QuadElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._re):
+            return QuadElem(Fraction(self._re[i], self._den),
+                            Fraction(self._im[i], self._den))
         return ZERO
 
     # -- arithmetic -----------------------------------------------------------
@@ -287,39 +321,38 @@ class Poly:
         o = Poly._try_coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly([self[i] + o[i] for i in range(n)])
+        return _add(self, o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-v for v in self._re], [-v for v in self._im], self._den)
 
     def __sub__(self, other):
         o = Poly._try_coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _add(self, o, -1)
 
     def __rsub__(self, other):
         o = Poly._try_coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _add(o, self, -1)
 
     def __mul__(self, other):
         o = Poly._try_coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        if not self._re or not o._re:
             return Poly()
-        out = [ZERO] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
-            for j, cj in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(out)
+        if len(o._re) == 1:
+            re, im = _scale(self._re, self._im, o._re[0], o._im[0])
+        elif len(self._re) == 1:
+            re, im = _scale(o._re, o._im, self._re[0], self._im[0])
+        else:
+            re, im = _kronecker_mul(self._re, self._im, o._re, o._im)
+        return _poly(re, im, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -338,19 +371,13 @@ class Poly:
         o = Poly.coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
+        if len(self._re) < len(o._re):
             return Poly(), self
-        inv_lc = o.lc().inv()
-        quot = [ZERO] * (dq + 1)
-        for i in range(dq, -1, -1):
-            c = rem[i + o.degree()] * inv_lc
-            quot[i] = c
-            if not c.is_zero():
-                for j, oc in enumerate(o.coeffs):
-                    rem[i + j] = rem[i + j] - c * oc
-        return Poly(quot), Poly(rem)
+        qr, qi, rr, ri, s = _pseudo_divide(self._re, self._im, o._re, o._im)
+        # s F = Q G + R with f = F / df, g = G / dg: f = Q dg / (s df) g + R / (s df)
+        den, dg = s * self._den, o._den
+        return (_poly([v * dg for v in qr], [v * dg for v in qi], den),
+                _poly(rr, ri, den))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -363,23 +390,25 @@ class Poly:
             o = Poly.coerce(other)
         except TypeError:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return (self._den == o._den and self._re == o._re
+                and self._im == o._im)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._re, self._im, self._den))
 
     def __bool__(self):
         return not self.is_zero()
 
     # -- calculus / structure --------------------------------------------------
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv_lc = self.lc().inv()
-        return Poly([c * inv_lc for c in self.coeffs])
+        # (F / d) / (c / d) = F conj(c) / norm(c): the denominator drops out
+        cr, ci = self._re[-1], self._im[-1]
+        if not ci:
+            return _poly(list(self._re), list(self._im), cr)
+        re, im = _scale(self._re, self._im, cr, -ci)
+        return _poly(re, im, cr * cr + 3 * ci * ci)
 
     def eval(self, point) -> QuadElem:
         p = QuadElem.coerce(point)
@@ -396,10 +425,8 @@ class Poly:
             n = self.degree()
         if n < self.degree():
             raise ValueError("reversal order below degree")
-        out = [ZERO] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
-        return Poly(out)
+        pad = (0,) * (n - self.degree())
+        return _poly(pad + self._re[::-1], pad + self._im[::-1], self._den)
 
     def __repr__(self):
         if self.is_zero():
@@ -411,39 +438,196 @@ class Poly:
         return "Poly[" + " + ".join(terms) + "]"
 
 
+def _init(obj: Poly, re: list, im: list, den: int) -> None:
+    """Set obj to (re + im*sqrt(-3)) / den in canonical form (den != 0)."""
+    n = len(re)
+    while n and not re[n - 1] and not im[n - 1]:
+        n -= 1
+    if n == 0:
+        re = im = ()
+        den = 1
+    else:
+        if n < len(re):
+            re, im = re[:n], im[:n]
+        if den < 0:
+            re, im, den = [-v for v in re], [-v for v in im], -den
+        if den != 1:
+            g = math.gcd(den, *re, *im)
+            if g != 1:
+                re, im = [v // g for v in re], [v // g for v in im]
+                den //= g
+        re, im = tuple(re), tuple(im)
+    object.__setattr__(obj, "_re", re)
+    object.__setattr__(obj, "_im", im)
+    object.__setattr__(obj, "_den", den)
+    object.__setattr__(obj, "_coeffs", None)
+
+
+def _poly(re, im, den: int = 1) -> Poly:
+    obj = object.__new__(Poly)
+    _init(obj, re, im, den)
+    return obj
+
+
+def _add(f: Poly, g: Poly, sign: int) -> Poly:
+    """f + sign * g over the least common denominator."""
+    den = math.lcm(f._den, g._den)
+    s, t = den // f._den, sign * (den // g._den)
+    return _poly([a * s + b * t for a, b in zip_longest(f._re, g._re, fillvalue=0)],
+                 [a * s + b * t for a, b in zip_longest(f._im, g._im, fillvalue=0)],
+                 den)
+
+
+def _scale(re, im, cr: int, ci: int) -> tuple[list, list]:
+    """(re + im w)(cr + ci w) coefficientwise, w^2 = -3."""
+    if not ci:
+        return [a * cr for a in re], [b * cr for b in im]
+    return ([a * cr - 3 * b * ci for a, b in zip(re, im)],
+            [a * ci + b * cr for a, b in zip(re, im)])
+
+
+def _pack(cs, nb: int) -> int:
+    """sum cs[i] 2^(8 nb i) for signed |cs[i]| < 2^(8 nb - 1): offset every
+    slot by 2^(8 nb - 1) to make it unsigned, then take the offsets back."""
+    half = 1 << (8 * nb - 1)
+    raw = b"".join((c + half).to_bytes(nb, "little") for c in cs)
+    off = half.to_bytes(nb, "little") * len(cs)
+    return int.from_bytes(raw, "little") - int.from_bytes(off, "little")
+
+
+def _unpack(h: int, n: int, nb: int) -> list[int]:
+    """The n signed slots of h = sum c_i 2^(8 nb i), |c_i| < 2^(8 nb - 1).
+
+    The two's complement bytes of h give each slot mod 2^(8 nb) less a borrow
+    from every negative slot below it, so the borrow is carried upward."""
+    full = 1 << (8 * nb)
+    half = full >> 1
+    raw = h.to_bytes(n * nb, "little", signed=True)
+    out = []
+    carry = 0
+    for k in range(0, n * nb, nb):
+        u = int.from_bytes(raw[k:k + nb], "little") + carry
+        if u >= half:
+            out.append(u - full)
+            carry = 1
+        else:
+            out.append(u)
+            carry = 0
+    return out
+
+
+def _kronecker_mul(a, b, c, d) -> tuple[list, list]:
+    """(a + b w)(c + d w), w^2 = -3, for integer coefficient sequences, by
+    Kronecker substitution into Python ints.
+
+    Slots of bitlen(4 n M1 M2) + 1 bits, rounded up to whole bytes, hold every
+    coefficient of ac - 3bd and ad + bc (see the module docstring).  Packing
+    is linear, so three integer products (Karatsuba on the two parts) give
+    both parts; one or two when a factor is rational.
+    """
+    m1 = max(max(map(abs, a)), max(map(abs, b)))
+    m2 = max(max(map(abs, c)), max(map(abs, d)))
+    bits = (4 * min(len(a), len(c)) * m1 * m2).bit_length() + 1
+    nb = (bits + 7) // 8
+    n = len(a) + len(c) - 1
+    A, C = _pack(a, nb), _pack(c, nb)
+    AC = A * C
+    b_real, d_real = not any(b), not any(d)
+    if b_real and d_real:
+        return _unpack(AC, n, nb), [0] * n
+    if b_real:
+        return _unpack(AC, n, nb), _unpack(A * _pack(d, nb), n, nb)
+    B = _pack(b, nb)
+    if d_real:
+        return _unpack(AC, n, nb), _unpack(B * C, n, nb)
+    D = _pack(d, nb)
+    BD = B * D
+    return (_unpack(AC - 3 * BD, n, nb),
+            _unpack((A + B) * (C + D) - AC - BD, n, nb))
+
+
+def _pseudo_divide(fr, fi, gr, gi) -> tuple[list, list, list, list, int]:
+    """Integer pseudo-division in Z[w][sigma], w^2 = -3: s F = Q G + R with
+    deg R < deg G and an integer s > 0.  Returns (Q re, Q im, R re, R im, s).
+
+    G times the conjugate of its leading coefficient c has the rational
+    integer leading coefficient N = norm(c) (G itself when c is rational).
+    Before each step the remainder (and the quotient so far) is multiplied
+    by the least s_i > 0 that makes N divide its leading coefficient; s is
+    the product of the s_i, so s = 1 whenever N divides every leading
+    coefficient met (N = +-1 among them).
+    """
+    cr, ci = gr[-1], gi[-1]
+    if ci:
+        gr, gi = _scale(gr, gi, cr, -ci)
+    N = gr[-1]
+    absN = abs(N)
+    m = len(gr) - 1
+    rr, ri = list(fr), list(fi)
+    dq = len(rr) - m - 1
+    qr, qi = [0] * (dq + 1), [0] * (dq + 1)
+    s = 1
+    real = not any(gi)
+    for i in range(dq, -1, -1):
+        top = i + m
+        tr, ti = rr[top], ri[top]
+        if not tr and not ti:
+            continue
+        k = absN // math.gcd(N, tr, ti)
+        if k != 1:
+            s *= k
+            tr, ti = tr * k, ti * k
+            for j in range(top):
+                rr[j] *= k
+                ri[j] *= k
+            for j in range(i + 1, dq + 1):
+                qr[j] *= k
+                qi[j] *= k
+        ur, ui = tr // N, ti // N
+        qr[i], qi[i] = ur, ui
+        rr[top] = ri[top] = 0
+        if real:
+            for j in range(m):
+                x = gr[j]
+                rr[i + j] -= ur * x
+                ri[i + j] -= ui * x
+        else:
+            for j in range(m):
+                x, y = gr[j], gi[j]
+                rr[i + j] -= ur * x - 3 * ui * y
+                ri[i + j] -= ur * y + ui * x
+    if ci:
+        qr, qi = _scale(qr, qi, cr, -ci)
+    return qr, qi, rr[:m], ri[:m], s
+
+
 def _integerize_primitive(f: Poly) -> Poly:
     """Scale f by a rational so the coefficients land in Z[sqrt(-3)] with
     integer content 1 (keeps the remainder sequences small)."""
     if f.is_zero():
         return f
-    den = 1
-    for c in f.coeffs:
-        den = den * c.a.denominator // math.gcd(den, c.a.denominator)
-        den = den * c.b.denominator // math.gcd(den, c.b.denominator)
-    num = 0
-    for c in f.coeffs:
-        num = math.gcd(num, abs(c.a.numerator * (den // c.a.denominator)))
-        num = math.gcd(num, abs(c.b.numerator * (den // c.b.denominator)))
-    scale = Fraction(den, num)
-    return Poly([c * scale for c in f.coeffs])
+    g = math.gcd(*f._re, *f._im)
+    return _poly([v // g for v in f._re], [v // g for v in f._im])
 
 
 def _pseudo_rem(a: Poly, b: Poly) -> Poly:
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, division-free."""
-    db = b.degree()
-    lcb = b.lc()
-    r = a
-    n = a.degree() - db + 1
-    while not r.is_zero() and r.degree() >= db:
-        shift = r.degree() - db
-        lcr = r.lc()
-        r = Poly([lcb * c for c in r.coeffs]) \
-            - Poly([ZERO] * shift + [lcr * c for c in b.coeffs])
-        n -= 1
-    if n > 0:
-        s = lcb ** n
-        r = Poly([s * c for c in r.coeffs])
-    return r
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, the remainder the
+    subresultant sequence is built on.
+
+    With a = A / da, b = B / db and c = lc(B), the kernel gives
+    s A = Q B + R, so a mod b = R / (s da) and
+    prem(a, b) = c^n R / (db^n s da): one kernel call, one normalisation.
+    """
+    n = a.degree() - b.degree() + 1
+    if n <= 0:
+        return a
+    cr, ci = b._re[-1], b._im[-1]
+    _, _, rr, ri, s = _pseudo_divide(a._re, a._im, b._re, b._im)
+    pr, pi = 1, 0
+    for _ in range(n):
+        pr, pi = pr * cr - 3 * pi * ci, pr * ci + pi * cr
+    rr, ri = _scale(rr, ri, pr, pi)
+    return _poly(rr, ri, s * a._den * b._den ** n)
 
 
 def _find_modp_primes() -> list[tuple[int, int]]:
@@ -482,9 +666,13 @@ def reduce_mod_p(c: QuadElem, p: int, w: Optional[int]) -> Optional[int]:
 
 
 def _map_mod_p(f: Poly, p: int, w: int) -> Optional[list[int]]:
-    """Image of f in F_p[x] under sqrt(-3) -> w; None if p hits a denominator."""
-    out = [reduce_mod_p(c, p, w) for c in f.coeffs]
-    return None if None in out else out
+    """Image of f in F_p[x] under sqrt(-3) -> w; None if p hits a denominator
+    (p divides the common denominator exactly when it divides one of the
+    coefficient denominators)."""
+    if f._den % p == 0:
+        return None
+    inv = pow(f._den, -1, p)
+    return [(a + b * w) * inv % p for a, b in zip(f._re, f._im)]
 
 
 def _gcd_degree_mod_p(fa: list[int], fb: list[int], p: int) -> int:
@@ -516,10 +704,8 @@ def _definitely_coprime(a: Poly, b: Poly) -> bool:
         fb = _map_mod_p(b, p, w)
         if fa is None or fb is None:
             continue
-        if len(fa) - 1 != a.degree() or len(fb) - 1 != b.degree():
+        if fa[-1] == 0 or fb[-1] == 0:
             continue  # leading coefficient vanished: degree unreliable
-        if fa[-1] % p == 0 or fb[-1] % p == 0:
-            continue
         return _gcd_degree_mod_p(fa, fb, p) == 0
     return False
 
@@ -529,7 +715,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
     A mod-p image first certifies the (typical) coprime case in O(deg^2)
     word operations; otherwise the Collins subresultant PRS keeps the
-    coefficient growth polynomial where plain Euclid explodes.
+    coefficient growth polynomial where plain Euclid explodes.  Its
+    pseudo-remainders come from the integer division kernel.
     """
     if f.is_zero():
         return g.monic()
@@ -548,11 +735,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         delta = a.degree() - b.degree()
         r = _pseudo_rem(a, b)
         if r.is_zero():
-            return _integerize_primitive(b).monic()
+            return b.monic()
         if r.is_constant():
             return Poly([1])
-        scale = (gg * hh ** delta).inv()
-        a, b = b, Poly([scale * c for c in r.coeffs])
+        a, b = b, r * (gg * hh ** delta).inv()
         gg = a.lc()
         hh = hh * (gg / hh) ** delta if delta else hh
 
@@ -660,9 +846,7 @@ class RatFunc:
             g = poly_gcd(n, d)
             if g.degree() > 0:
                 n, d = n // g, d // g
-            u = d.lc().inv()
-            n = Poly([c * u for c in n.coeffs])
-            d = Poly([c * u for c in d.coeffs])
+            n, d = n * d.lc().inv(), d.monic()
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -676,9 +860,7 @@ class RatFunc:
         if n.is_zero():
             n, d = Poly(), Poly([1])
         elif d.lc() != ONE:
-            u = d.lc().inv()
-            n = Poly([c * u for c in n.coeffs])
-            d = Poly([c * u for c in d.coeffs])
+            n, d = n * d.lc().inv(), d.monic()
         object.__setattr__(obj, "num", n)
         object.__setattr__(obj, "den", d)
         return obj

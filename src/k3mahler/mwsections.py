@@ -340,35 +340,6 @@ def twist_push(P: SectionPoint, E: FunctionFieldCurve, tw: TwistResult,
     return from_completed_square(SectionPoint(xs, Ys), tw.curve)
 
 
-def twist_pull(P: SectionPoint, E: FunctionFieldCurve, tw: TwistResult,
-               root=None) -> SectionPoint:
-    """Inverse of twist_push (twisted curve -> E)."""
-    if P.is_zero:
-        return P
-    sd = tw._root(root)
-    d = tw.d
-    Pc = to_completed_square(P, tw.curve)
-    xs = Pc.x / d
-    Ys = Pc.y / (d * sd)
-    return from_completed_square(SectionPoint(xs, Ys), E)
-
-
-def curves_isomorphic_by_scaling(E1: FunctionFieldCurve,
-                                 E2: FunctionFieldCurve) -> bool:
-    """True iff the curves differ by x -> u^2 x, y -> u^3 y over the field:
-    the b-invariants must scale as (u^2, u^4, u^6) with u^2 a field square."""
-    b2a = E1.b2()
-    if b2a.is_zero():
-        raise ValueError("scaling test requires b2 != 0")
-    ratio = E2.b2() / b2a
-    if not ratio.is_constant():
-        return False
-    c = ratio.constant()
-    if not is_square_quad(c)[0]:
-        return False  # the scaling exists only over a quadratic extension
-    return (E2.b4() == E1.b4() * c ** 2) and (E2.b6() == E1.b6() * c ** 3)
-
-
 # ---------------------------------------------------------------------------
 # Halving criterion
 # ---------------------------------------------------------------------------

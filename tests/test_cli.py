@@ -49,7 +49,8 @@ class TestSchemas:
         doc = json.loads(out)
         assert {"identity", "lhs", "rhs", "abs_diff", "tolerance", "pass",
                 "subchecks", "k", "prec", "timings"} <= set(doc)
-        assert set(doc["timings"]) == {"total_s"}
+        # k = 0 runs the two identity sides and nothing else
+        assert set(doc["timings"]) == {"lhs_s", "rhs_s", "total_s"}
         assert {"value", "method", "error_bound", "bound_kind"} <= set(doc["lhs"])
         assert doc["lhs"]["bound_kind"] == "estimate"
         assert doc["rhs"]["bound_kind"] == "rigorous"
@@ -75,17 +76,19 @@ class TestDeterminism:
         _, out2 = run(capsys, argv)
         assert out1 == out2
 
-    def test_verify_report_equal_outside_timings(self, capsys):
+    def test_verify_report_equal_outside_timings(self, capsys, k18_report):
+        def report(argv):
+            code, out = run(capsys, argv)
+            assert code == 0, argv
+            doc = json.loads(out)
+            del doc["timings"]
+            return doc
         for argv in (["verify", "--k", "0", "--json"],
                      ["verify", "--k", "6", "--pmax", "13", "--json"]):
-            docs = []
-            for _ in range(2):
-                code, out = run(capsys, argv)
-                assert code == 0, argv
-                doc = json.loads(out)
-                del doc["timings"]
-                docs.append(doc)
-            assert docs[0] == docs[1], argv
+            assert report(argv) == report(argv), argv
+        # the module's k = 18 run is the first of the two
+        first = {key: v for key, v in k18_report[1].items() if key != "timings"}
+        assert first == report(["verify", "--k", "18", "--json"])
 
 
 class TestExitCodes:
@@ -188,6 +191,7 @@ class TestSectionReport:
         assert nt["pass"] is True
         assert nt["provenance"] == "specialization at sigma=t, reduction mod p"
         w = nt["witness"]
+        assert w == {"sigma": 1, "p": 29, "sqrt_m3_mod_p": None, "order": 10}
         wit = NontorsionWitness(w["sigma"], w["p"], w["sqrt_m3_mod_p"], w["order"])
         assert wit.order > 6
         order = replay_witness(fx.twist_section(), fx.y18_twist_curve(), wit)
@@ -202,6 +206,15 @@ class TestSectionReport:
         assert len(checked) == 3
         for P in (k18["Pb"], T2, k18["Q"]):
             assert sum(P == R for R in checked) == 1
+
+    def test_k18_stage_timings(self, k18_report):
+        _, doc, _ = k18_report
+        stages = {"lhs", "rhs", "lattice", "ek", "ap", "on_curve", "nontorsion",
+                  "halving", "zero_intersection", "height"}
+        assert set(doc["timings"]) == {f"{s}_s" for s in stages} | {"total_s"}
+        assert all(t >= 0 for t in doc["timings"].values())
+        assert sum(doc["timings"][f"{s}_s"] for s in stages) \
+            <= doc["timings"]["total_s"] + 1e-3
 
 
 class TestWithoutScipy:

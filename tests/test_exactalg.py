@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from k3mahler import exactalg
 from k3mahler import fixtures as fx
-from k3mahler.exactalg import (ONE, Place, Poly, QuadElem, RatFunc, SQRT_M3,
+from k3mahler.exactalg import (ONE, ZERO, Place, Poly, QuadElem, RatFunc, SQRT_M3,
                                is_square_quad, is_square_ratfunc, poly_gcd,
                                poly_sqrt, sqrt_ratfunc, valuation)
 
@@ -24,6 +25,144 @@ def rand_poly(rng, deg, span=6):
             return p
 
 
+# -- Fraction-coefficient oracles for the integer kernels -------------------
+# Coefficientwise QuadElem arithmetic, as exactalg computed before it stored
+# integer numerators over a common denominator.
+
+def frac_mul(f: Poly, g: Poly) -> Poly:
+    """Schoolbook product on QuadElem coefficients."""
+    if f.is_zero() or g.is_zero():
+        return Poly()
+    out = [ZERO] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, ci in enumerate(f.coeffs):
+        if ci.is_zero():
+            continue
+        for j, cj in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + ci * cj
+    return Poly(out)
+
+
+def frac_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """Long division by the inverse of lc(g) in the field."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f.coeffs)
+    dq = len(rem) - len(g.coeffs)
+    if dq < 0:
+        return Poly(), f
+    inv_lc = g.lc().inv()
+    quot = [ZERO] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = rem[i + g.degree()] * inv_lc
+        quot[i] = c
+        if not c.is_zero():
+            for j, gc in enumerate(g.coeffs):
+                rem[i + j] = rem[i + j] - c * gc
+    return Poly(quot), Poly(rem)
+
+
+def frac_pseudo_rem(a: Poly, b: Poly) -> Poly:
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, division-free."""
+    db = b.degree()
+    lcb = b.lc()
+    r = a
+    n = a.degree() - db + 1
+    while not r.is_zero() and r.degree() >= db:
+        shift = r.degree() - db
+        lcr = r.lc()
+        r = Poly([lcb * c for c in r.coeffs]) \
+            - Poly([ZERO] * shift + [lcr * c for c in b.coeffs])
+        n -= 1
+    if n > 0:
+        s = lcb ** n
+        r = Poly([s * c for c in r.coeffs])
+    return r
+
+
+def frac_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm on the Fraction oracles."""
+    while not g.is_zero():
+        f, g = g, frac_divmod(f, g)[1]
+    if f.is_zero():
+        return f
+    inv_lc = f.lc().inv()
+    return Poly([c * inv_lc for c in f.coeffs])
+
+
+# denominators: units, small primes and prime powers, a 61-bit prime
+KERNEL_DENS = (1, 1, 1, 2, 3, 4, 9, 12, 2 ** 61 - 1)
+
+
+def rand_kernel_coeff(rng, bits, kind):
+    """A coefficient of the given kind (zero / rational / pure sqrt(-3) /
+    mixed) with numerators of up to bits + 64 bits."""
+    def q():
+        num = rng.getrandbits(rng.choice((1, 8, 64, bits, bits + 64)))
+        den = rng.choice(KERNEL_DENS + (rng.getrandbits(64) | 1,))
+        return Fraction(rng.choice((1, -1)) * num, den)
+    if kind == "zero":
+        return ZERO
+    if kind == "rational":
+        return QuadElem(q())
+    if kind == "sqrt":
+        return QuadElem(0, q())
+    return QuadElem(q(), q())
+
+
+def rand_kernel_poly(rng, deg, bits):
+    """A polynomial of degree deg (-1: zero) whose coefficients are all
+    rational, all pure sqrt(-3), or mixed, with zero interior coefficients."""
+    if deg < 0:
+        return Poly()
+    shape = rng.choice(("rational", "sqrt", "mixed", "mixed"))
+    kinds = ("zero", "rational", "sqrt", "mixed") if shape == "mixed" else (shape,)
+    cs = [rand_kernel_coeff(rng, bits, "zero" if rng.random() < 0.2
+                            else rng.choice(kinds)) for _ in range(deg)]
+    lead = ZERO
+    while lead.is_zero():
+        lead = rand_kernel_coeff(rng, bits, rng.choice(kinds))
+    return Poly(cs + [lead])
+
+
+def check_kernels(cases: int, max_deg: int, bits: int, seed: int,
+                  gcd_deg: int = 3) -> dict:
+    """Compare the integer kernels with the Fraction oracles on seeded random
+    cases.  Each case draws f and g of degree up to max_deg (a third of them
+    up to max_deg, the rest lower; -1 is the zero polynomial) and checks
+    f * g, divmod(f, g) and the pseudo-remainder of the higher by the lower
+    degree; then the gcd of h u and h v with h, u, v of degree up to gcd_deg.
+    The remainder sequences of a gcd grow by about the input size per step,
+    for the oracle as well, which is why gcd_deg is separate.  Returns counts
+    of what was compared."""
+    rng = random.Random(seed)
+    seen = {"products": 0, "divmods": 0, "prems": 0, "gcds": 0,
+            "nontrivial_gcds": 0}
+    for _ in range(cases):
+        f, g = (rand_kernel_poly(rng, rng.randint(-1, rng.choice(
+            (2, max_deg // 4, max_deg))), bits) for _ in range(2))
+        assert f * g == frac_mul(f, g), (f, g)
+        seen["products"] += 1
+        if g.is_zero():
+            continue
+        assert divmod(f, g) == frac_divmod(f, g), (f, g)
+        seen["divmods"] += 1
+        a, b = (f, g) if f.degree() >= g.degree() else (g, f)
+        if not b.is_zero():
+            assert exactalg._pseudo_rem(a, b) == frac_pseudo_rem(a, b), (a, b)
+            seen["prems"] += 1
+        h, u, v = (rand_kernel_poly(rng, rng.randint(0, gcd_deg), bits)
+                   for _ in range(3))
+        d = poly_gcd(h * u, h * v)
+        assert d == frac_gcd(h * u, h * v), (h, u, v)
+        seen["gcds"] += 1
+        seen["nontrivial_gcds"] += d.degree() > 0
+    return seen
+
+
+def derivative(f: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(f.coeffs)][1:])
+
+
 def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Yun's square-free decomposition: f = lc * prod a_i^i with a_i monic,
     square-free and pairwise coprime.  Returns [(a_i, i)] for nonconstant a_i.
@@ -37,13 +176,13 @@ def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     out: list[tuple[Poly, int]] = []
     if f.is_constant():
         return out
-    df = f.derivative()
+    df = derivative(f)
     a = poly_gcd(f, df)
     b = f // a
     c = df // a
     i = 1
     while b.degree() > 0:
-        d = c - b.derivative()
+        d = c - derivative(b)
         a_i = poly_gcd(b, d)
         if a_i.degree() > 0:
             out.append((a_i, i))
@@ -182,6 +321,58 @@ class TestPoly:
         a, b = Poly([1, 1]), Poly([2, 0, 1])
         assert odd_multiplicity_part(a ** 2 * b) == b.monic()
         assert odd_multiplicity_part(a ** 2 * b ** 4).is_constant()
+
+
+class TestIntegerKernels:
+    def test_against_fraction_oracles(self):
+        seen = check_kernels(300, 12, 256, seed=2026)
+        assert seen["products"] == 300
+        assert min(seen["divmods"], seen["prems"], seen["gcds"]) > 200
+        # both branches of poly_gcd: a common factor, and the mod-p certificate
+        assert 100 < seen["nontrivial_gcds"] < seen["gcds"] - 20, seen
+
+    def test_slot_straddling_unpack(self):
+        # a -1 below a slot holding the extreme +-(2^(8 nb - 1) - 1): the
+        # two's complement bytes borrow from the slot above, and unpacking
+        # must carry it back
+        for nb in (1, 2, 8, 40):
+            top = (1 << (8 * nb - 1)) - 1
+            for cs in ([-1, top, -1, -top, 0, -1, 1, 0, -top],
+                       [top, -1, -top, -top, 1, -1],
+                       [-1] * 5, [-top, 0, 0, top]):
+                assert exactalg._unpack(exactalg._pack(cs, nb), len(cs), nb) == cs
+
+    def test_product_at_the_slot_bound(self):
+        # f = -1 + K(1 + w) s, g = 1 + (1 - w) s: the s^2 coefficient is
+        # K (1 + w)(1 - w) = 4K, half the proven bound 4 * 2 * K * 1, next to
+        # -1 and K - 1 (+ (K + 1) w).  For K = 2^j - 1 the slot has j + 4 bits
+        # rounded up to bytes: with j = 4 mod 8, 4K fills the bit below the sign
+        w = SQRT_M3
+        for j in (4, 5, 12, 13, 60, 61, 252, 253):
+            K = (1 << j) - 1
+            f = Poly([-1, K * (1 + w)])
+            g = Poly([1, 1 - w])
+            assert f * g == frac_mul(f, g) == Poly([-1, K - 1 + (K + 1) * w, 4 * K])
+            assert (-f) * g == Poly([1, -(K - 1) - (K + 1) * w, -4 * K])
+
+    def test_canonical_form(self):
+        half = Poly([Fraction(1, 2)])
+        same = [Poly([Fraction(2, 4)]), Poly([QuadElem(Fraction(1, 2))]),
+                Poly([Fraction(3, 4)]) * Poly([Fraction(2, 3)]),
+                Poly([QuadElem(Fraction(1, 6), 1)]) * Poly([3])
+                - Poly([QuadElem(0, 3)]),
+                Poly([Fraction(1, 2), 5]) - Poly([0, 5])]
+        for p in same:
+            assert p == half and hash(p) == hash(half), p
+        # a Kronecker product whose common denominator 6 * 2 cancels to 2
+        q = Poly([Fraction(1, 6), Fraction(1, 6)]) * Poly([3, -3])
+        want = Poly([Fraction(1, 2), 0, Fraction(-1, 2)])
+        assert q == want and hash(q) == hash(want)
+        assert q * 2 == Poly([1, 0, -1])
+        # zero has one form, whatever it came from
+        zero = Poly([Fraction(1, 3), QuadElem(0, Fraction(2, 9))])
+        for z in (zero - zero, Poly([0, 0]), Poly([Fraction(0, 7)]), zero * 0):
+            assert z == Poly() and hash(z) == hash(Poly()) and z.degree() == -1
 
 
 class TestPolySqrt:
