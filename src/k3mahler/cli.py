@@ -122,7 +122,8 @@ def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
 
 
 def _section_subchecks(timings: dict) -> list[dict]:
-    from . import fixtures, mwsections as mw
+    with _stage(timings, "section_import"):
+        from . import fixtures, mwsections as mw
     out = []
     with _stage(timings, "on_curve"):
         E = fixtures.y18_curve()

@@ -239,42 +239,25 @@ def _format_vector(b: Sequence[int], labels: Sequence[str]) -> str:
 class FiberEntry:
     place: str
     m: int            # component count of the I_m fiber
-    cover_note: str = ""
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("I_m fiber needs m >= 1")
 
 
-@dataclass(frozen=True)
-class FiberConfiguration:
-    entries: tuple
-
-    @staticmethod
-    def from_m_list(ms: Sequence[int]) -> "FiberConfiguration":
-        return FiberConfiguration(tuple(FiberEntry(f"v{i}", m)
-                                        for i, m in enumerate(ms)))
-
-    def m_list(self) -> list[int]:
-        return [e.m for e in self.entries]
-
-
-def shioda_rank(rho: int, fibers: FiberConfiguration) -> int:
-    """Mordell-Weil rank r from rho = r + 2 + sum(m_nu - 1)."""
+def shioda_rank(rho: int, ms: Sequence[int]) -> int:
+    """Mordell-Weil rank r from rho = r + 2 + sum(m_nu - 1) over the I_m fibers."""
     if not 1 <= rho <= 20:
         raise ValueError("Picard number out of range [1, 20]")
-    r = rho - 2 - sum(m - 1 for m in fibers.m_list())
+    r = rho - 2 - sum(m - 1 for m in ms)
     if r < 0:
         raise ValueError(f"inconsistent fiber data: rank would be {r}")
     return r
 
 
-def trivial_lattice_det(fibers: FiberConfiguration) -> int:
+def trivial_lattice_det(ms: Sequence[int]) -> int:
     """Determinant of the trivial lattice: product of m over the I_m fibers."""
-    out = 1
-    for m in fibers.m_list():
-        out *= m
-    return out
+    return math.prod(ms)
 
 
 def ns_determinant(rank: int, trivial_det: int, mwl_det, torsion_order: int):
@@ -304,49 +287,50 @@ class Surface:
     rank: Optional[int] = None        # Mordell-Weil rank
     section_disc: Optional[int] = None  # d with the infinite section over Q(sqrt(d))
     bad_primes: frozenset = frozenset({2, 3})  # excluded from the A_p count
-    fibers: Optional[FiberConfiguration] = None
+    fibers: Optional[tuple] = None    # one FiberEntry per singular fiber
     torsion: Optional[int] = None     # Mordell-Weil torsion order
 
 
 # Singular fibers of the double cover are read off from the Beauville
-# fibration (u = (s^2 - k s + 1)/s^2).
+# fibration (u = (s^2 - k s + 1)/s^2); each comment names the fiber of u
+# below.  The k=18 entries are the fibers `mwsections.y18_height` reads.
 SURFACES = {
     0: Surface(0, 1e-6, Fraction(1)),
     3: Surface(3, 1e-5, Fraction(0), disc=-15, level=15,
                prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1,
                bad_primes=frozenset({2, 3, 5}), torsion=6,
-               fibers=FiberConfiguration((
-                   FiberEntry("s=0", 12, "double over u=inf"),
-                   FiberEntry("s=alpha1", 3, "over u=0"),
-                   FiberEntry("s=beta1", 3, "over u=0"),
-                   FiberEntry("s=1/3", 2, "over u=1"),
-                   FiberEntry("s=inf", 2, "over u=1"),
-                   FiberEntry("s=alpha2", 1, "over u=-8"),
-                   FiberEntry("s=beta2", 1, "over u=-8"),
-               ))),
+               fibers=(
+                   FiberEntry("s=0", 12),      # double over u=inf
+                   FiberEntry("s=inf", 2),     # over u=1
+                   FiberEntry("s=1/3", 2),     # over u=1
+                   FiberEntry("alpha1", 3),    # over u=0
+                   FiberEntry("beta1", 3),     # over u=0
+                   FiberEntry("alpha2", 1),    # over u=-8
+                   FiberEntry("beta2", 1),     # over u=-8
+               )),
     6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24, ap_twist=-3,
                prefactor=(Fraction(24), 6), rank=0,
                bad_primes=frozenset({2, 3}), torsion=6,
-               fibers=FiberConfiguration((
-                   FiberEntry("s=0", 12, "double over u=inf"),
-                   FiberEntry("s=alpha", 3, "over u=0"),
-                   FiberEntry("s=beta", 3, "over u=0"),
-                   FiberEntry("s=1/6", 2, "over u=1"),
-                   FiberEntry("s=inf", 2, "over u=1"),
-                   FiberEntry("s=1/3", 2, "double over u=-8"),
-               ))),
+               fibers=(
+                   FiberEntry("s=0", 12),      # double over u=inf
+                   FiberEntry("s=inf", 2),     # over u=1
+                   FiberEntry("s=1/6", 2),     # over u=1
+                   FiberEntry("alpha", 3),     # over u=0
+                   FiberEntry("beta", 3),      # over u=0
+                   FiberEntry("s=1/3", 2),     # double over u=-8
+               )),
     18: Surface(18, 1e-4, Fraction(14, 5), disc=-120, level=120,
                 ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
                 section_disc=-3, bad_primes=frozenset({2, 3, 5}), torsion=6,
-                fibers=FiberConfiguration((
-                    FiberEntry("s=0", 12, "double over u=inf"),
-                    FiberEntry("s=alpha1", 3, "over u=0"),
-                    FiberEntry("s=beta1", 3, "over u=0"),
-                    FiberEntry("s=1/18", 2, "over u=1"),
-                    FiberEntry("s=inf", 2, "over u=1"),
-                    FiberEntry("s=alpha2", 1, "over u=-8"),
-                    FiberEntry("s=beta2", 1, "over u=-8"),
-                ))),
+                fibers=(
+                    FiberEntry("s=0", 12),     # double over u=inf
+                    FiberEntry("s=inf", 2),    # over u=1
+                    FiberEntry("s=1/18", 2),   # over u=1
+                    FiberEntry("alpha1", 3),   # over u=0
+                    FiberEntry("beta1", 3),    # over u=0
+                    FiberEntry("alpha2", 1),   # over u=-8
+                    FiberEntry("beta2", 1),    # over u=-8
+                )),
 }
 
 
@@ -358,12 +342,12 @@ def transcendental_summary(k: int) -> dict:
     if fibers is None:
         raise ValueError(f"no fiber table for k={k}")
     comp = orthocomplement(ambient_lattice(), rec.period_relation_vector())
-    rank = shioda_rank(20, fibers)
+    ms = [f.m for f in fibers]
     return {
         "k": k,
         "tau": rec,
         "orthocomplement": comp,
-        "rank": rank,
-        "trivial_det": trivial_lattice_det(fibers),
+        "rank": shioda_rank(20, ms),
+        "trivial_det": trivial_lattice_det(ms),
         "fibers": fibers,
     }

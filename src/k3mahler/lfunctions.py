@@ -321,11 +321,9 @@ def epstein_combo(N: int = 2048) -> BigReal:
 # Dirichlet L(chi_-3, 2) and d3
 # ---------------------------------------------------------------------------
 
-def dirichlet_lvalue(modulus: int = 3, s: int = 2, prec: int = 128) -> BigReal:
+def dirichlet_lvalue(prec: int = 128) -> BigReal:
     """L(chi_-3, 2) = sum chi(n)/n^2 by paired summation with an
     Euler-Maclaurin tail on f(j) = (3j+1)^-2 - (3j+2)^-2."""
-    if (modulus, s) != (3, 2):
-        raise ValueError("only L(chi_-3, 2) is implemented")
     with mp.workprec(prec + 24):
         J = max(64, prec // 2)
         head = mp.fsum(mp.mpf(3 * j + 1) ** -2 - mp.mpf(3 * j + 2) ** -2
@@ -351,7 +349,7 @@ def dirichlet_lvalue(modulus: int = 3, s: int = 2, prec: int = 128) -> BigReal:
 
 def d3(prec: int = 128) -> BigReal:
     """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1)."""
-    L = dirichlet_lvalue(3, 2, prec=prec)
+    L = dirichlet_lvalue(prec)
     with mp.workprec(prec):
         c = 3 * mp.sqrt(3) / (4 * mp.pi)
         return BigReal(+(c * L.value), prec, c * L.error_bound + mp.mpf(2) ** (-(prec - 2)))

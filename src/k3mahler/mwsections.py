@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
                        is_square_ratfunc, poly_sqrt, reduce_mod_p, sqrt_ratfunc,
                        valuation)
-from .pointcount import discriminant_mod_p, point_order, primes_up_to
+from .lattices import SURFACES
+from .pointcount import point_order, primes_up_to, weierstrass_invariants
 
 
 class VerificationError(RuntimeError):
@@ -45,27 +47,9 @@ class FunctionFieldCurve:
     def from_coeffs(a1, a2, a3, a4, a6) -> "FunctionFieldCurve":
         return FunctionFieldCurve(*(RatFunc.coerce(v) for v in (a1, a2, a3, a4, a6)))
 
-    # standard b-invariants
-    def b2(self) -> RatFunc:
-        return self.a1 * self.a1 + 4 * self.a2
-
-    def b4(self) -> RatFunc:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    def b6(self) -> RatFunc:
-        return self.a3 * self.a3 + 4 * self.a6
-
-    def b8(self) -> RatFunc:
-        return (self.a1 * self.a1 * self.a6 + 4 * self.a2 * self.a6
-                - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 * self.a3
-                - self.a4 * self.a4)
-
-    def discriminant(self) -> RatFunc:
-        b2, b4, b6, b8 = self.b2(), self.b4(), self.b6(), self.b8()
-        return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    def c4(self) -> RatFunc:
-        return self.b2() * self.b2() - 24 * self.b4()
+    def invariants(self) -> tuple:
+        """(b2, b4, b6, discriminant), by `pointcount.weierstrass_invariants`."""
+        return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def equation_residual(self, x: RatFunc, y: RatFunc) -> RatFunc:
         return (y * y + self.a1 * x * y + self.a3 * y
@@ -175,26 +159,26 @@ class NontorsionWitness:
     order: int
 
 
-# the fixed, deterministic search order of the nontorsion certificate
+# the torsion exponent bound of this family, and the fixed, deterministic
+# search order of the nontorsion certificate
+NONTORSION_BOUND = 6
 NONTORSION_SIGMAS = range(1, 13)
 NONTORSION_PRIMES = tuple(p for p in primes_up_to(300) if p >= 5)
 
 
-def verify_nontorsion(P: SectionPoint, E: FunctionFieldCurve,
-                      bound: int = 6) -> Optional[NontorsionWitness]:
-    """A witness that [n]P != O for every n = 1..bound (bound 6 for this
-    family), or None when the search certifies nothing.
+def verify_nontorsion(P: SectionPoint,
+                      E: FunctionFieldCurve) -> Optional[NontorsionWitness]:
+    """A witness that [n]P != O for every n = 1..NONTORSION_BOUND, or None
+    when the search certifies nothing.
 
     Specializing at a smooth fiber sigma = t and reducing modulo a prime p of
     good reduction at which P_t is integral are group homomorphisms, so an
-    image of order > bound shows that no [n]P with n <= bound vanishes.  The
+    image of order > NONTORSION_BOUND shows that no such [n]P vanishes.  The
     search runs over t in NONTORSION_SIGMAS and then p in NONTORSION_PRIMES
     (only p = 1 mod 3 when a coordinate involves sqrt(-3)).  A pair is skipped
     at a pole of a coefficient or coordinate, at a denominator divisible by
     p, and when disc(E)(t) = 0 mod p, which also covers disc(E)(t) = 0.
     """
-    if bound != 6:
-        raise ValueError("the torsion exponent bound for this family is 6")
     if not verify_on_curve(P, E):
         raise ValueError("point is not on the curve")
     if P.is_zero:
@@ -213,12 +197,12 @@ def verify_nontorsion(P: SectionPoint, E: FunctionFieldCurve,
             continue
         for p, w in primes:
             red = [reduce_mod_p(v, p, w) for v in vals]
-            if None in red or discriminant_mod_p(red[:5], p) == 0:
+            if None in red or weierstrass_invariants(*red[:5])[3] % p == 0:
                 continue
             # Hasse: #E(F_p) <= p + 1 + 2 sqrt(p) bounds every point's order
             order = point_order(red[:5], (red[5], red[6]), p,
                                 bound=p + 2 + 2 * math.isqrt(p))
-            if order > bound:
+            if order > NONTORSION_BOUND:
                 return NontorsionWitness(t, p, w, order)
     return None
 
@@ -251,9 +235,9 @@ def transform_point(P: SectionPoint, u, r, s, t) -> SectionPoint:
 
 def complete_square(E: FunctionFieldCurve) -> FunctionFieldCurve:
     """Eliminate the xy and y terms: Y = y + (a1 x + a3)/2."""
-    half = Fraction(1, 2)
-    return FunctionFieldCurve(RatFunc(0), E.b2() * Fraction(1, 4), RatFunc(0),
-                              E.b4() * half, E.b6() * Fraction(1, 4))
+    b2, b4, b6, _ = E.invariants()
+    return FunctionFieldCurve(RatFunc(0), b2 * Fraction(1, 4), RatFunc(0),
+                              b4 * Fraction(1, 2), b6 * Fraction(1, 4))
 
 
 def to_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
@@ -302,9 +286,10 @@ def quadratic_twist(E: FunctionFieldCurve, d: int) -> TwistResult:
         raise ValueError("d must be nonzero")
     if _squarefull_part(d) != 1:
         raise ValueError("d must be square-free")
-    A = E.b2() * Fraction(1, 4)
-    B = E.b4() * Fraction(1, 2)
-    C = E.b6() * Fraction(1, 4)
+    b2, b4, b6, _ = E.invariants()
+    A = b2 * Fraction(1, 4)
+    B = b4 * Fraction(1, 2)
+    C = b6 * Fraction(1, 4)
     a2 = d * A - E.a1 * E.a1 * Fraction(1, 4)
     a4 = d * d * B - E.a1 * E.a3 * Fraction(1, 2)
     a6 = d ** 3 * C - E.a3 * E.a3 * Fraction(1, 4)
@@ -414,7 +399,7 @@ def contribution(m: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Neron component identification for the k=18 surface
+# Neron components and the height of the k=18 surface
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -422,21 +407,42 @@ class NeronFiberData:
     place: str
     kodaira_m: int
     component: int
-    transform: Optional[tuple] = None  # replayed coordinate change, when any
+    facts: dict = field(default_factory=dict)  # the replayed valuations and limits
 
     def contr(self) -> Fraction:
         return contribution(self.kodaira_m, self.component)
 
 
-@dataclass
-class ComponentTranscript:
-    place: str
-    kodaira_m: int
-    component: int
-    facts: dict = field(default_factory=dict)
+_S = Poly.x()  # the parameter of a model's chart: s, or sigma
+_AT_ZERO = Place.at_root(0)
+_FIBER_M = {f.place: f.m for f in SURFACES[18].fibers}
 
+# The node rule, for an I_m fiber at the origin of a chart: whether the chart
+# is the reciprocal one (s = 1/sigma), the change of variables (u, r, s, t) to
+# Neron's model there, the model's fixture loader, and (b, c, d) of the conic
+# Y^2 + bXY + cX^2 + dZ^2 = 0 that carries the limit points at depth m/2.
+# s=0 is the I12 fiber at sigma = infinity: x = X + 2 s^6, y = Y - s X - 2 s^7 - s^6;
+# s=inf is the I2 fiber at sigma = 0: x = X/9 + 12 s, y = Y/27 + X/9 - 6 s.
+_NODE_RULES = {
+    "s=0": (True, (1, 2 * _S ** 6, -_S, -(2 * _S ** 7 + _S ** 6)),
+            "neron_es_model", (1, 0, 1)),
+    "s=inf": (False, (Fraction(1, 3), 12 * _S, 1, -6 * _S),
+              "neron_esigma_model", (9, 27, -78732)),
+}
 
-Y18_PLACES = ("s=0", "s=inf", "s=1/18", "I3", "I1")
+# The line rule: the place, and the factors of the fiber in Beauville
+# coordinates as (form, degree), listed by component; the zero section meets
+# the first.  s=1/18 (sigma = 18) is (X+Y+Z)(XY+XZ+YZ) = 0; alpha1 and beta1,
+# the conjugate roots of sigma^2 - 18 sigma + 1, are (X+Y)(X+Z)(Y+Z) = 0 and
+# are read at once at their degree-2 place.
+_I3_RULE = (Place.finite(Poly([1, -18, 1])),
+            lambda X, Y, Z: ((X + Y, 1), (X + Z, 1), (Y + Z, 1)))
+_LINE_RULES = {
+    "s=1/18": (Place.at_root(18),
+               lambda X, Y, Z: ((X + Y + Z, 1), (X * Y + X * Z + Y * Z, 2))),
+    "alpha1": _I3_RULE,
+    "beta1": _I3_RULE,
+}
 
 
 def _val_or_inf(f: RatFunc, place: Place) -> Optional[int]:
@@ -452,237 +458,108 @@ def _min_val(vals) -> int:
     return min(finite)
 
 
-def _exceeds(v: Optional[int], mu: int) -> bool:
-    return v is None or v > mu
+def _reciprocal_chart(P: SectionPoint) -> SectionPoint:
+    """x = s^4 x'(1/s), y = s^6 y'(1/s)."""
+    if P.is_zero:
+        return P
+    return SectionPoint(P.x.substitute_reciprocal() * RatFunc(Poly.x(4)),
+                        P.y.substitute_reciprocal() * RatFunc(Poly.x(6)))
 
 
-class Y18Sections:
-    """Replay-with-verification machinery for the k=18 elliptic surface.
+@lru_cache(maxsize=None)
+def schart_curve() -> FunctionFieldCurve:
+    """Weierstrass model around s = 0 via x = s^4 x'(1/s), y = s^6 y'(1/s),
+    checked against its fixture."""
+    from . import fixtures
+    E = fixtures.y18_curve()
+    # the coefficient a_i picks up s^(2i)
+    derived = FunctionFieldCurve(*(
+        a.substitute_reciprocal() * RatFunc(Poly.x(2 * i))
+        for i, a in ((1, E.a1), (2, E.a2), (3, E.a3), (4, E.a4), (6, E.a6))))
+    if derived != fixtures.y18_schart_curve():
+        raise VerificationError("s-chart model mismatch")
+    return derived
 
-    All coordinate changes are the explicit ones used for this surface; every
-    construction is cross-checked against the stored models (raising
-    VerificationError on any mismatch) before a component index is reported.
-    """
 
-    def __init__(self):
-        from . import fixtures
-        self.fx = fixtures
-        self.curve = fixtures.y18_curve()
-        self.s1_place = Place.finite(fixtures.poly([1, -18, 1]))
-        self.i1_place = Place.finite(fixtures.poly([Fraction(1, 9), -2, 1]))
-        self.place_s18 = Place.at_root(18)
-        self.place_0 = Place.at_root(0)
-        self._schart = None
-        self._es = None
-        self._esigma = None
+@lru_cache(maxsize=None)
+def neron_model(place: str) -> FunctionFieldCurve:
+    """Neron's model at a node-rule place, derived by its change of variables
+    and checked against its fixture and against Neron's valuation pattern."""
+    from . import fixtures
+    reciprocal, change, fixture, _ = _NODE_RULES[place]
+    E = schart_curve() if reciprocal else fixtures.y18_curve()
+    derived = transform_curve(E, *change)
+    if derived != getattr(fixtures, fixture)():
+        raise VerificationError(f"{place} model mismatch")
+    _verify_neron_valuations(derived, _AT_ZERO, _FIBER_M[place])
+    return derived
 
-    # -- models -------------------------------------------------------------
-    def schart_curve(self) -> FunctionFieldCurve:
-        """Weierstrass model around s = 0 via x = s^4 x'(1/s), y = s^6 y'(1/s)."""
-        if self._schart is None:
-            E = self.curve
-            coeffs = []
-            # under x = s^4 x'(1/s), y = s^6 y'(1/s) the coefficient a_i
-            # picks up s^(2i)
-            for i, a in ((1, E.a1), (2, E.a2), (3, E.a3), (4, E.a4), (6, E.a6)):
-                coeffs.append(a.substitute_reciprocal() * RatFunc(Poly.x(2 * i)))
-            derived = FunctionFieldCurve(*coeffs)
-            if derived != self.fx.y18_schart_curve():
-                raise VerificationError("s-chart model mismatch")
-            self._schart = derived
-        return self._schart
 
-    def schart_point(self, P: SectionPoint) -> SectionPoint:
-        if P.is_zero:
-            return P
-        return SectionPoint(P.x.substitute_reciprocal() * RatFunc(Poly.x(4)),
-                            P.y.substitute_reciprocal() * RatFunc(Poly.x(6)))
+@lru_cache(maxsize=None)
+def beauville_coords(P: SectionPoint) -> tuple[RatFunc, RatFunc, RatFunc]:
+    """[X:Y:Z] = [-y - a1 x : y : x + (s^2 - 18s)] on the Beauville cubic."""
+    if P.is_zero:
+        return RatFunc(0), RatFunc(1), RatFunc(0)
+    from . import fixtures
+    a1 = fixtures.y18_curve().a1
+    X = -P.y - a1 * P.x
+    Y = P.y
+    Z = P.x + RatFunc(Poly([0, -18, 1]))
+    # image must satisfy (X+Y)(X+Z)(Y+Z) + a1 XYZ = 0
+    if not ((X + Y) * (X + Z) * (Y + Z) + a1 * X * Y * Z).is_zero():
+        raise VerificationError("Beauville cubic identity failed")
+    return X, Y, Z
 
-    def es_model(self) -> FunctionFieldCurve:
-        """Neron model over s = 0 (I12): x = X + 2 s^6, y = Y - s X - 2 s^7 - s^6."""
-        if self._es is None:
-            s = Poly.x()
-            derived = transform_curve(self.schart_curve(), 1,
-                                      RatFunc(2 * s ** 6), RatFunc(-s),
-                                      RatFunc(-(2 * s ** 7 + s ** 6)))
-            if derived != self.fx.neron_es_model():
-                raise VerificationError("E_s model mismatch")
-            _verify_neron_valuations(derived, self.place_0, 12)
-            self._es = derived
-        return self._es
 
-    def esigma_model(self) -> FunctionFieldCurve:
-        """Neron model over sigma = 0 (I2): x = X/9 + 12 s, y = Y/27 + X/9 - 6 s."""
-        if self._esigma is None:
-            s = Poly.x()
-            derived = transform_curve(self.curve, Fraction(1, 3),
-                                      RatFunc(12 * s), RatFunc(1), RatFunc(-6 * s))
-            if derived != self.fx.neron_esigma_model():
-                raise VerificationError("E_sigma model mismatch")
-            _verify_neron_valuations(derived, self.place_0, 2)
-            self._esigma = derived
-        return self._esigma
+def _node_component(place: str, m: int, P: SectionPoint) -> NeronFiberData:
+    """Count the chain components [X : Y : s^i] that the section degenerates
+    through, min(v(X), v(Y)) on Neron's model; at depth m/2 the limit point
+    must lie on the fiber's conic."""
+    reciprocal, change, _, (b, c, d) = _NODE_RULES[place]
+    Q = transform_point(_reciprocal_chart(P) if reciprocal else P, *change)
+    if not verify_on_curve(Q, neron_model(place)):
+        raise VerificationError(f"transformed section left the {place} model")
+    vX, vY = _val_or_inf(Q.x, _AT_ZERO), _val_or_inf(Q.y, _AT_ZERO)
+    facts = {"v(X)": vX, "v(Y)": vY}
+    j = max(0, _min_val([vX, vY]))
+    if j > m // 2:
+        raise VerificationError("section valuation exceeds half the fiber")
+    if j == m // 2:
+        sh = RatFunc(Poly.x(j))
+        x0, y0 = (Q.x / sh).eval(0), (Q.y / sh).eval(0)
+        facts["limit"] = (x0, y0)
+        if not (y0 * y0 + b * x0 * y0 + c * x0 * x0 + d).is_zero():
+            raise VerificationError(f"limit point is not on the {place} conic")
+    return NeronFiberData(place, m, j, facts)
 
-    def beauville_coords(self, P: SectionPoint) -> tuple[RatFunc, RatFunc, RatFunc]:
-        """[X:Y:Z] = [-y - a1 x : y : x + (s^2 - 18s)] on the Beauville cubic."""
-        if P.is_zero:
-            return RatFunc(0), RatFunc(1), RatFunc(0)
-        a1 = self.curve.a1
-        sq = RatFunc(self.fx.poly([0, -18, 1]))  # sigma^2 - 18 sigma
-        X = -P.y - a1 * P.x
-        Y = P.y
-        Z = P.x + sq
-        # image must satisfy (X+Y)(X+Z)(Y+Z) + a1 XYZ = 0
-        cubic = (X + Y) * (X + Z) * (Y + Z) + a1 * X * Y * Z
-        if not cubic.is_zero():
-            raise VerificationError("Beauville cubic identity failed")
-        return X, Y, Z
 
-    # -- per-fiber component indices -----------------------------------------
-    def component_s0(self, P: SectionPoint) -> ComponentTranscript:
-        """I12 fiber at s = 0 (sigma = infinity): count the chain factors
-        [X : Y : s^i] that degenerate to [0:0:1]; at depth 6 the residual
-        point must lie on the conic Y^2 + XY + Z^2 = 0."""
-        tr = ComponentTranscript("s=0", 12, 0)
-        if P.is_zero:
-            return tr
-        Es = self.es_model()
-        s = Poly.x()
-        Q = transform_point(self.schart_point(P), 1, RatFunc(2 * s ** 6),
-                            RatFunc(-s), RatFunc(-(2 * s ** 7 + s ** 6)))
-        if not verify_on_curve(Q, Es):
-            raise VerificationError("transformed section left the E_s model")
-        vX = _val_or_inf(Q.x, self.place_0)
-        vY = _val_or_inf(Q.y, self.place_0)
-        v = _min_val([vX, vY])
-        tr.facts["v(X)"] = vX
-        tr.facts["v(Y)"] = vY
-        if v > 6:
-            raise VerificationError("section valuation exceeds half the fiber")
-        j = max(0, min(v, 6))
-        if j == 6:
-            sh = RatFunc(Poly.x(6))
-            x0 = (Q.x / sh).eval(0)
-            y0 = (Q.y / sh).eval(0)
-            resid = y0 * y0 + x0 * y0 + QuadElem(1)
-            tr.facts["limit"] = (x0, y0)
-            tr.facts["conic"] = "Y^2+XY+Z^2"
-            if not resid.is_zero():
-                raise VerificationError("limit point is not on the s=0 conic")
-        tr.component = j
-        return tr
+def _line_component(place: str, m: int, P: SectionPoint) -> NeronFiberData:
+    """The component whose factor vanishes on the section; exactly one must."""
+    pl, factors = _LINE_RULES[place]
+    X, Y, Z = beauville_coords(P)
+    mu = _min_val([_val_or_inf(c, pl) for c in (X, Y, Z)])
+    hits = []
+    for f, deg in factors(X, Y, Z):
+        v = _val_or_inf(f, pl)
+        hits.append(v is None or v > deg * mu)
+    if sum(hits) != 1:
+        raise VerificationError(f"section does not meet exactly one component "
+                                f"of the {place} fiber")
+    return NeronFiberData(place, m, hits.index(True), {"vanishing": tuple(hits)})
 
-    def component_sinf(self, P: SectionPoint) -> ComponentTranscript:
-        """I2 fiber at s = infinity, handled at sigma = 0 on the E_sigma model;
-        depth-1 points must lie on Y^2 + 9XY + 27X^2 - 78732 Z^2 = 0."""
-        tr = ComponentTranscript("s=inf", 2, 0)
-        if P.is_zero:
-            return tr
-        Esig = self.esigma_model()
-        s = Poly.x()
-        Q = transform_point(P, Fraction(1, 3), RatFunc(12 * s), RatFunc(1),
-                            RatFunc(-6 * s))
-        if not verify_on_curve(Q, Esig):
-            raise VerificationError("transformed section left the E_sigma model")
-        vX = _val_or_inf(Q.x, self.place_0)
-        vY = _val_or_inf(Q.y, self.place_0)
-        v = _min_val([vX, vY])
-        tr.facts["v(X)"] = vX
-        tr.facts["v(Y)"] = vY
-        if v > 1:
-            raise VerificationError("section valuation exceeds half the fiber")
-        j = max(0, min(v, 1))
-        if j == 1:
-            sh = RatFunc(Poly.x())
-            x0 = (Q.x / sh).eval(0)
-            y0 = (Q.y / sh).eval(0)
-            resid = y0 * y0 + 9 * x0 * y0 + 27 * x0 * x0 - QuadElem(78732)
-            tr.facts["limit"] = (x0, y0)
-            tr.facts["conic"] = "Y^2+9XY+27X^2-78732Z^2"
-            if not resid.is_zero():
-                raise VerificationError("limit point is not on the s=inf conic")
-        tr.component = j
-        return tr
 
-    def component_s_1_18(self, P: SectionPoint) -> ComponentTranscript:
-        """I2 fiber at s = 1/18 (sigma = 18): in Beauville coordinates the
-        fiber splits as (X+Y+Z)(XY+XZ+YZ) = 0; the zero section meets the
-        linear branch, so the section index is 0 or 1 by which factor
-        vanishes on it."""
-        tr = ComponentTranscript("s=1/18", 2, 0)
-        if P.is_zero:
-            return tr
-        X, Y, Z = self.beauville_coords(P)
-        place = self.place_s18
-        mu = _min_val([_val_or_inf(c, place) for c in (X, Y, Z)])
-        line = X + Y + Z
-        quad = X * Y + X * Z + Y * Z
-        on_line = _exceeds(_val_or_inf(line, place), mu)
-        on_quad = _exceeds(_val_or_inf(quad, place), 2 * mu)
-        tr.facts["on Theta_0 (X+Y+Z=0)"] = on_line
-        tr.facts["on Theta_1 (XY+XZ+YZ=0)"] = on_quad
-        if on_line == on_quad:
-            raise VerificationError("section hits the singular point of the "
-                                    "s=1/18 fiber or neither component")
-        tr.component = 1 if on_quad else 0
-        return tr
-
-    def component_i3(self, P: SectionPoint) -> ComponentTranscript:
-        """I3 fibers over the roots of sigma^2 - 18 sigma + 1 (both conjugate
-        fibers at once): the fiber is (X+Y)(X+Z)(Y+Z) = 0 with the zero
-        section on X+Y = 0; exactly one line must contain the section."""
-        tr = ComponentTranscript("I3", 3, 0)
-        if P.is_zero:
-            return tr
-        X, Y, Z = self.beauville_coords(P)
-        place = self.s1_place
-        mu = _min_val([_val_or_inf(c, place) for c in (X, Y, Z)])
-        hits = [_exceeds(_val_or_inf(f, place), mu)
-                for f in (X + Y, X + Z, Y + Z)]
-        tr.facts["lines (X+Y, X+Z, Y+Z)"] = tuple(hits)
-        if sum(hits) != 1:
-            raise VerificationError("section does not meet exactly one line "
-                                    "of the I3 fiber")
-        tr.component = hits.index(True)
-        return tr
-
-    def component_i1(self, P: SectionPoint) -> ComponentTranscript:
-        """I1 fibers over the roots of 9 sigma^2 - 18 sigma + 1: one component."""
-        tr = ComponentTranscript("I1", 1, 0)
-        tr.facts["place"] = "9*sigma^2-18*sigma+1"
-        return tr
-
-    def neron_component_check(self, place: str, P: SectionPoint) -> ComponentTranscript:
-        if place == "s=0":
-            return self.component_s0(P)
-        if place == "s=inf":
-            return self.component_sinf(P)
-        if place == "s=1/18":
-            return self.component_s_1_18(P)
-        if place == "I3":
-            return self.component_i3(P)
-        if place == "I1":
-            return self.component_i1(P)
+def neron_component(place: str, P: SectionPoint) -> NeronFiberData:
+    """The verified Neron component that P meets on one singular fiber of
+    SURFACES[18]; the zero section and I1 fibers give component 0."""
+    if place not in _FIBER_M:
         raise ValueError(f"unknown fiber place {place!r}; "
-                         f"expected one of {Y18_PLACES}")
-
-    def fiber_data(self, P: SectionPoint) -> list[NeronFiberData]:
-        """All seven singular fibers with verified component indices."""
-        s0 = self.component_s0(P)
-        sinf = self.component_sinf(P)
-        s18 = self.component_s_1_18(P)
-        i3 = self.component_i3(P)
-        return [
-            NeronFiberData("s=0", 12, s0.component,
-                           ("u=1", "r=2s^6", "s=-s", "t=-2s^7-s^6")),
-            NeronFiberData("s=inf", 2, sinf.component,
-                           ("u=1/3", "r=12s", "s=1", "t=-6s")),
-            NeronFiberData("s=1/18", 2, s18.component),
-            NeronFiberData("alpha1", 3, i3.component),
-            NeronFiberData("beta1", 3, i3.component),
-            NeronFiberData("alpha2", 1, 0),
-            NeronFiberData("beta2", 1, 0),
-        ]
+                         f"expected one of {tuple(_FIBER_M)}")
+    m = _FIBER_M[place]
+    if m == 1 or P.is_zero:
+        return NeronFiberData(place, m, 0)
+    if place in _NODE_RULES:
+        return _node_component(place, m, P)
+    return _line_component(place, m, P)
 
 
 def _verify_neron_valuations(E: FunctionFieldCurve, place: Place, m: int) -> None:
@@ -690,10 +567,11 @@ def _verify_neron_valuations(E: FunctionFieldCurve, place: Place, m: int) -> Non
     v(lambda^2 + 4 alpha) = 0, v(mu) >= l, v(beta) >= l, v(gamma) = m,
     v(j) = -m, with l = m/2 + 1."""
     ell = m // 2 + 1
+    b2, b4, _, disc = E.invariants()
     # v(j) = 3 v(c4) - v(disc), kept factored to dodge a huge polynomial gcd
-    v_j = 3 * valuation(E.c4(), place) - valuation(E.discriminant(), place)
+    v_j = 3 * valuation(b2 * b2 - 24 * b4, place) - valuation(disc, place)
     checks = [
-        ("v(lambda^2+4alpha)", valuation(E.a1 * E.a1 + 4 * E.a2, place), "==", 0),
+        ("v(lambda^2+4alpha)", valuation(b2, place), "==", 0),
         ("v(mu)", valuation(E.a3, place), ">=", ell),
         ("v(beta)", valuation(E.a4, place), ">=", ell),
         ("v(gamma)", valuation(E.a6, place), "==", m),
@@ -717,19 +595,8 @@ def height(P: SectionPoint, chi: int, fibers: Sequence[NeronFiberData]) -> Fract
     return total
 
 
-_Y18_MACHINE: Optional[Y18Sections] = None
-
-
-def y18_machine() -> Y18Sections:
-    """Shared Y18Sections instance (the model verifications run once)."""
-    global _Y18_MACHINE
-    if _Y18_MACHINE is None:
-        _Y18_MACHINE = Y18Sections()
-    return _Y18_MACHINE
-
-
 def y18_height(P: SectionPoint) -> tuple[Fraction, list[NeronFiberData]]:
-    """Height of a section of the k=18 surface with the full verified chain."""
-    machine = y18_machine()
-    fibers = machine.fiber_data(P)
+    """Height of a section of the k=18 surface (chi = 2), with one verified
+    component for each singular fiber of SURFACES[18], in the record's order."""
+    fibers = [neron_component(f.place, P) for f in SURFACES[18].fibers]
     return height(P, 2, fibers), fibers

@@ -26,7 +26,7 @@ infinite section lives over Q(sqrt(d)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -263,27 +263,22 @@ def fiber_counts(k: int, p: int) -> list[FiberCount]:
     return [FiberCount(s, p + 1 - int(a), int(a)) for s, a in zip(labels, vals)]
 
 
-def A_p(k: int, p: int, rank: Optional[int] = None, d: Optional[int] = None) -> int:
-    """Transcendental L-coefficient A_p from fiber counts.
-
-    rank/d default to the tabulated surface data for k in {3, 6, 18}.  Raises
-    at bad primes (those dividing the matched newform level, plus 2 and 3).
+def A_p(k: int, p: int) -> int:
+    """Transcendental L-coefficient A_p from fiber counts, for k in {3, 6, 18}
+    with the rank and section field of the k's Surface record.  Raises at bad
+    primes (those dividing the matched newform level, plus 2 and 3).
     """
     surf = SURFACES.get(k)
-    if rank is None:
-        if surf is None or surf.rank is None:
-            raise ValueError(f"rank not given and k={k} not tabulated")
-        rank, d = surf.rank, surf.section_disc
-    if rank == 1 and d is None:
-        raise ValueError("rank 1 requires the section field discriminant d")
-    bad = surf.bad_primes if surf is not None else frozenset({2, 3})
-    if p in bad:
-        raise ValueError(f"p={p} is a bad prime for k={k}: excluded set {sorted(bad)}")
+    if surf is None or surf.rank is None:
+        raise ValueError(f"k={k} has no tabulated surface")
+    if p in surf.bad_primes:
+        raise ValueError(f"p={p} is a bad prime for k={k}: "
+                         f"excluded set {sorted(surf.bad_primes)}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     value = -int(np.sum(weierstrass_fiber_ap_values(k, p)))
-    if rank == 1:
-        value -= legendre(d, p) * p
+    if surf.rank == 1:
+        value -= legendre(surf.section_disc, p) * p
     return value
 
 
@@ -297,14 +292,16 @@ def ap_scan(k: int, pmax: int) -> dict[int, int]:
 # Weierstrass counting over F_p (used for the twisted-curve reductions)
 # ---------------------------------------------------------------------------
 
-def discriminant_mod_p(coeffs: Iterable[int], p: int) -> int:
-    """Discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 mod p."""
-    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
-    b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4) % p
-    return (-b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6) % p
+def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, discriminant) of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    Ring-generic: the same formulas serve rational functions and integers
+    (reduce the results mod p for the curve over F_p)."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
 def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
@@ -315,13 +312,10 @@ def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
     """
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    coeffs = tuple(coeffs)
-    if discriminant_mod_p(coeffs, p) == 0:
-        raise ValueError("singular curve mod p")
     a1, a2, a3, a4, a6 = (v % p for v in coeffs)
-    b2 = (a1 * a1 + 4 * a2) % p
-    b4 = (2 * a4 + a1 * a3) % p
-    b6 = (a3 * a3 + 4 * a6) % p
+    b2, b4, b6, disc = (b % p for b in weierstrass_invariants(a1, a2, a3, a4, a6))
+    if disc == 0:
+        raise ValueError("singular curve mod p")
     chi = _legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     rhs = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
@@ -334,10 +328,9 @@ def point_order(coeffs: Iterable[int], pt: tuple[int, int], p: int,
 
     Raises on singular reduction, where the chord-tangent law is not a group
     law on all points."""
-    coeffs = tuple(coeffs)
-    if discriminant_mod_p(coeffs, p) == 0:
-        raise ValueError("singular curve mod p")
     a1, a2, a3, a4, a6 = (v % p for v in coeffs)
+    if weierstrass_invariants(a1, a2, a3, a4, a6)[3] % p == 0:
+        raise ValueError("singular curve mod p")
 
     def add(P, Q):
         if P is None:

@@ -209,8 +209,8 @@ class TestSectionReport:
 
     def test_k18_stage_timings(self, k18_report):
         _, doc, _ = k18_report
-        stages = {"lhs", "rhs", "lattice", "ek", "ap", "on_curve", "nontorsion",
-                  "halving", "zero_intersection", "height"}
+        stages = {"lhs", "rhs", "lattice", "ek", "ap", "section_import", "on_curve",
+                  "nontorsion", "halving", "zero_intersection", "height"}
         assert set(doc["timings"]) == {f"{s}_s" for s in stages} | {"total_s"}
         assert all(t >= 0 for t in doc["timings"].values())
         assert sum(doc["timings"][f"{s}_s"] for s in stages) \

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3mahler.lattices import (FiberConfiguration, SURFACES,
-                               ambient_lattice, ns_determinant,
+from k3mahler.lattices import (SURFACES, ambient_lattice, ns_determinant,
                                orthocomplement, shioda_rank, tau_table,
                                transcendental_summary, trivial_lattice_det)
 
@@ -91,24 +90,24 @@ class TestOrthocomplement:
 
 class TestShioda:
     def test_rank_examples(self):
-        assert shioda_rank(20, FiberConfiguration.from_m_list([12, 3, 3, 2, 2, 2])) == 0
-        assert shioda_rank(20, FiberConfiguration.from_m_list([12, 3, 3, 2, 2, 1, 1])) == 1
-        assert shioda_rank(2, FiberConfiguration.from_m_list([])) == 0
+        assert shioda_rank(20, [12, 3, 3, 2, 2, 2]) == 0
+        assert shioda_rank(20, [12, 3, 3, 2, 2, 1, 1]) == 1
+        assert shioda_rank(2, []) == 0
 
     def test_negative_rank_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            shioda_rank(10, FiberConfiguration.from_m_list([12, 12]))
+            shioda_rank(10, [12, 12])
 
     def test_rank_reconstructs_rho(self):
         for k in (3, 6, 18):
-            fibers = SURFACES[k].fibers
-            r = shioda_rank(20, fibers)
-            assert r + 2 + sum(m - 1 for m in fibers.m_list()) == 20
+            ms = [f.m for f in SURFACES[k].fibers]
+            r = shioda_rank(20, ms)
+            assert r + 2 + sum(m - 1 for m in ms) == 20
 
     def test_trivial_lattice_det(self):
-        assert trivial_lattice_det(FiberConfiguration.from_m_list([12, 3, 3, 2, 2, 2])) == 864
-        assert trivial_lattice_det(FiberConfiguration.from_m_list([12, 3, 3, 2, 2, 1, 1])) == 432
-        assert trivial_lattice_det(FiberConfiguration.from_m_list([])) == 1
+        assert trivial_lattice_det([12, 3, 3, 2, 2, 2]) == 864
+        assert trivial_lattice_det([12, 3, 3, 2, 2, 1, 1]) == 432
+        assert trivial_lattice_det([]) == 1
 
 
 class TestNSDeterminant:

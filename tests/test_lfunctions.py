@@ -166,13 +166,13 @@ class TestDirichletAndD3:
         with mp.workprec(200):
             ref = (mp.polygamma(1, mp.mpf(1) / 3)
                    - mp.polygamma(1, mp.mpf(2) / 3)) / 9
-        v = lf.dirichlet_lvalue(3, 2, prec=160)
+        v = lf.dirichlet_lvalue(prec=160)
         assert abs(v.value - ref) < mp.mpf(2) ** -150
 
     def test_partial_sums_bracket(self):
         # blocks of (1/(3j+1)^2 - 1/(3j+2)^2) are positive and decreasing,
         # so the partial sums increase toward the limit from below
-        L = float(lf.dirichlet_lvalue(3, 2, prec=80).value)
+        L = float(lf.dirichlet_lvalue(prec=80).value)
         partial = 0.0
         prev_block = float("inf")
         for j in range(200):
@@ -189,10 +189,6 @@ class TestDirichletAndD3:
             lambda t: math.log(2 * math.cos(math.pi * t)), 0.0, 1.0 / 3.0,
             epsabs=1e-12, limit=200)
         assert abs(2 * val - float(d3_value.value)) < 1e-8
-
-    def test_unsupported_character(self):
-        with pytest.raises(ValueError):
-            lf.dirichlet_lvalue(4, 2)
 
 
 class TestNewformTables:

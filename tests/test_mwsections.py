@@ -11,6 +11,7 @@ from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
                                valuation)
+from k3mahler.lattices import SURFACES
 
 
 def twist_pull(P, E, tw, root=None):
@@ -28,16 +29,17 @@ def twist_pull(P, E, tw, root=None):
 def curves_isomorphic_by_scaling(E1, E2) -> bool:
     """True iff the curves differ by x -> u^2 x, y -> u^3 y over the field:
     the b-invariants must scale as (u^2, u^4, u^6) with u^2 a field square."""
-    b2a = E1.b2()
+    b2a, b4a, b6a, _ = E1.invariants()
+    b2b, b4b, b6b, _ = E2.invariants()
     if b2a.is_zero():
         raise ValueError("scaling test requires b2 != 0")
-    ratio = E2.b2() / b2a
+    ratio = b2b / b2a
     if not ratio.is_constant():
         return False
     c = ratio.constant()
     if not is_square_quad(c)[0]:
         return False  # the scaling exists only over a quadratic extension
-    return (E2.b4() == E1.b4() * c ** 2) and (E2.b6() == E1.b6() * c ** 3)
+    return (b4b == b4a * c ** 2) and (b6b == b6a * c ** 3)
 
 
 class TestGroupLaw:
@@ -166,11 +168,6 @@ class TestNontorsion:
         with pytest.raises(ValueError, match="not on the curve"):
             mw.verify_nontorsion(mw.SectionPoint.affine(1, 1), fx.y18_curve())
 
-    def test_bound_is_pinned(self):
-        with pytest.raises(ValueError):
-            mw.verify_nontorsion(fx.infinite_section_k18(), fx.y18_curve(),
-                                 bound=12)
-
 
 class TestTwist:
     def test_matches_printed_curve(self):
@@ -234,8 +231,8 @@ class TestCompleteSquare:
         assert mw.complete_square(E) == E
 
     def test_discriminant_preserved(self, k18):
-        assert mw.complete_square(k18["E"]).discriminant() == \
-            k18["E"].discriminant()
+        assert mw.complete_square(k18["E"]).invariants()[3] == \
+            k18["E"].invariants()[3]
 
     def test_points_transport(self, k18):
         E, Eb = k18["E"], k18["Eb"]
@@ -326,51 +323,51 @@ class TestIntersections:
 
 class TestNeronComponents:
     def test_psigma_transcripts(self, k18):
-        m = mw.y18_machine()
         ps = k18["ps"]
-        t = m.neron_component_check("s=0", ps)
+        t = mw.neron_component("s=0", ps)
         assert t.component == 6
         assert t.facts["limit"] == (QuadElem(-2), QuadElem(1))
-        t = m.neron_component_check("s=inf", ps)
+        t = mw.neron_component("s=inf", ps)
         assert t.component == 1
         assert t.facts["limit"] == (QuadElem(Fraction(-1011, 8)),
                                     QuadElem(Fraction(9099, 16), Fraction(-1575, 16)))
-        t = m.neron_component_check("s=1/18", ps)
+        t = mw.neron_component("s=1/18", ps)
         assert t.component == 1
-        t = m.neron_component_check("I3", ps)
+        t = mw.neron_component("alpha1", ps)
         assert t.component == 0
-        t = m.neron_component_check("I1", ps)
+        t = mw.neron_component("alpha2", ps)
         assert t.component == 0
         with pytest.raises(ValueError, match="unknown fiber place"):
-            m.neron_component_check("s=2", ps)
+            mw.neron_component("s=2", ps)
 
     def test_printed_quadric_value(self, k18):
-        m = mw.y18_machine()
-        X, Y, Z = m.beauville_coords(k18["ps"])
+        X, Y, Z = mw.beauville_coords(k18["ps"])
         assert (X * Y + X * Z + Y * Z) / (Z * Z) == fx.beauville_quadric_psigma()
 
     def test_i3_section_function_factors(self, k18):
         # X + Y = -(s^2-18s+1) x(sigma) with cofactor coprime to the place
-        m = mw.y18_machine()
-        X, Y, _ = m.beauville_coords(k18["ps"])
+        X, Y, _ = mw.beauville_coords(k18["ps"])
         s1 = Place.finite(Poly([1, -18, 1]))
         assert valuation(X + Y, s1) == 1
         f3 = (X + Y) / RatFunc(Poly([1, -18, 1]))
         assert valuation(f3, s1) == 0
 
     def test_printed_models_match_derivation(self):
-        m = mw.y18_machine()
-        assert m.es_model() == fx.neron_es_model()
-        assert m.esigma_model() == fx.neron_esigma_model()
-        assert m.schart_curve() == fx.y18_schart_curve()
+        assert mw.neron_model("s=0") == fx.neron_es_model()
+        assert mw.neron_model("s=inf") == fx.neron_esigma_model()
+        assert mw.schart_curve() == fx.y18_schart_curve()
 
     def test_zero_section_components(self):
-        m = mw.y18_machine()
-        for place in mw.Y18_PLACES:
-            assert m.neron_component_check(place, mw.O).component == 0
+        for f in SURFACES[18].fibers:
+            assert mw.neron_component(f.place, mw.O).component == 0
 
 
 class TestHeight:
+    def test_fibers_are_the_surface_record(self, k18):
+        _, fibers = mw.y18_height(k18["ps"])
+        assert [(f.place, f.kodaira_m) for f in fibers] == \
+            [(f.place, f.m) for f in SURFACES[18].fibers]
+
     def test_psigma_height(self, k18):
         h, fibers = mw.y18_height(k18["ps"])
         assert h == 10

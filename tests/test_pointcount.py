@@ -140,7 +140,7 @@ class TestAp:
             assert pc.A_p(6, p) == want
 
     def test_k18_p31(self):
-        assert pc.A_p(18, 31, rank=1, d=-3) == -58
+        assert pc.A_p(18, 31) == -58
         assert lf.twist_coeff(lf.newform_table(120).ap[31], -3, 31) == -58
 
     def test_matches_twisted_newform_all_k(self):
@@ -159,10 +159,6 @@ class TestAp:
             pc.A_p(18, 5)
         with pytest.raises(ValueError, match="bad prime"):
             pc.A_p(6, 2)
-
-    def test_rank1_needs_discriminant(self):
-        with pytest.raises(ValueError, match="discriminant"):
-            pc.A_p(18, 7, rank=1)
 
     def test_inert_vanishing_and_weight_bound_up_to_200(self):
         for k, disc in ((3, -15), (6, -24), (18, -120)):
@@ -211,7 +207,7 @@ class TestWeierstrassCounts:
 
     def test_point_order_rejects_singular_reduction(self):
         # (0, 0) lies on the sigma = 0 curve y^2 + xy = x^3 + 2x^2 mod 5
-        assert pc.discriminant_mod_p(self._twist_coeffs(0), 5) == 0
+        assert pc.weierstrass_invariants(*self._twist_coeffs(0))[3] % 5 == 0
         with pytest.raises(ValueError, match="singular"):
             pc.point_order(self._twist_coeffs(0), (0, 0), 5)
 
