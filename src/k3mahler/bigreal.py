@@ -4,9 +4,9 @@ absolute error bound.
 Thin wrapper over mpmath.  The bound is propagated through the few arithmetic
 operations the verification pipelines actually use.  It is only as strong as
 the bounds it starts from, and `bound_kind` says which it is: a proven tail
-bound gives a "rigorous" bound, but the quadrature error estimates and the
-Richardson spreads some routes carry are "estimate"s, and so is anything
-computed from them.
+bound (the L-value, d3 and the lattice sums) gives a "rigorous" bound, but the
+quadrature's error estimate is an "estimate", and so is anything computed
+from it.
 """
 
 from __future__ import annotations

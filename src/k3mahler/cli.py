@@ -200,7 +200,8 @@ def cmd_verify(args) -> int:
             c = surf.d3_coeff
             with mp.workprec(args.prec):
                 coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, args.prec)
-            parts.append(coeff * lfunctions.d3(args.prec))
+            d3_term = coeff * lfunctions.d3(args.prec)
+            parts.append(d3_term)
             terms.append(f"({surf.d3_coeff}) d3" if terms
                          else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
         exact = sum(parts)
@@ -226,6 +227,13 @@ def cmd_verify(args) -> int:
         with _stage(timings, "ap"):
             report["subchecks"].append(_ap_subcheck(surf, args.pmax))
         if k == 18:
+            with _stage(timings, "epstein"):
+                eps = mahler.epstein_combo(args.prec)
+            report["subchecks"].append(_subcheck(
+                "dirichlet-term-epstein", eps.consistent_with(d3_term),
+                "Chowla-Selberg rows of the weight-0 Epstein combination vs (14/5) d3",
+                value=float(eps.value), diff=float(eps.abs_diff(d3_term)),
+                error_bound=float(eps.error_bound + d3_term.error_bound)))
             report["subchecks"].extend(_section_subchecks(timings))
 
     report["abs_diff"] = diff

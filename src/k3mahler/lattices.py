@@ -349,5 +349,4 @@ def transcendental_summary(k: int) -> dict:
         "orthocomplement": comp,
         "rank": shioda_rank(20, ms),
         "trivial_det": trivial_lattice_det(ms),
-        "fibers": fibers,
     }

@@ -7,9 +7,10 @@ coefficients come from direct lattice-point enumeration, so every value here
 is independent of the quadrature route.  L(phi, 3) is the smoothed sum of the
 functional equation (``smoothed_lvalue``): 64-182 coefficients give it to
 2^-128 with a rigorous bound, after a check that the functional equation
-holds.  ``lvalue_from_coeffs`` keeps the plain partial Dirichlet sum.
+holds.  ``lvalue_from_coeffs`` keeps the plain partial Dirichlet sum.  The
+Epstein combination that checks the d3 term lives with the other lattice
+sums in ``mahler``.
 """
-
 from __future__ import annotations
 
 import csv
@@ -285,39 +286,6 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int = 128,
 
 
 # ---------------------------------------------------------------------------
-# Weight-0 Epstein combination
-# ---------------------------------------------------------------------------
-
-_EPSTEIN_FORMS = ((5, 6, -1.0), (10, 3, 1.0), (15, 2, -1.0), (30, 1, 1.0))
-
-
-def _epstein_box(M: int, forms=_EPSTEIN_FORMS) -> float:
-    rows = []
-    m = np.arange(1, M + 1, dtype=np.float64)
-    k = np.arange(1, M + 1, dtype=np.float64)
-    for a, c, sgn in forms:
-        q = a * m[:, None] ** 2 + c * k[None, :] ** 2
-        rows.append(sgn * 4.0 * float(np.sum(q ** -2.0)))
-        rows.append(sgn * 2.0 * float(np.sum((a * m * m) ** -2.0)))
-        rows.append(sgn * 2.0 * float(np.sum((c * k * k) ** -2.0)))
-    return math.fsum(rows)
-
-
-def epstein_combo(N: int = 2048) -> BigReal:
-    """(3 sqrt(30)/pi^3) * the signed sum of the four weight-0 Epstein series,
-    box-summed with two Richardson stages in the box size."""
-    if N < 10 ** 3:
-        raise ValueError("N >= 10^3 required")
-    s1, s2, s3 = _epstein_box(N // 4), _epstein_box(N // 2), _epstein_box(N)
-    r1 = (4.0 * s2 - s1) / 3.0
-    r2 = (4.0 * s3 - s2) / 3.0
-    rr = (16.0 * r2 - r1) / 15.0
-    scale = 3.0 * math.sqrt(30.0) / math.pi ** 3
-    return BigReal.with_bound(rr * scale, 4.0 * abs(rr - r2) * scale + 1e-12,
-                              kind="estimate")
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet L(chi_-3, 2) and d3
 # ---------------------------------------------------------------------------
 
@@ -404,41 +372,3 @@ def twist_coeff(a_p: int, d: int, p: int) -> int:
         raise ValueError(f"p={p} divides the twisting discriminant {d}; "
                          "the twisted coefficient is not (d/p) a_p there")
     return kronecker(d, p) * a_p
-
-
-def newform_coefficients(level: int, N: int) -> DirichletCoeffs:
-    """a_n of the level-15/24/120 newform for n <= N.
-
-    Away from 3 the coefficients are the (-3/.)-twist of the corresponding
-    form-series coefficients (the identity twist when the surface record has
-    no ap_twist); powers of 3 enter through the linear Euler factor
-    a_{3^v} = a_3^v.  Nothing beyond the embedded tables and the form sums is
-    baked in.
-    """
-    entry = newform_table(level)
-    phi = form_coefficients(FORM_SERIES[entry.cm_disc], N)
-    out = np.zeros(N + 1, dtype=np.int64)
-    if entry.twist is None:
-        out[:] = phi.values
-        return DirichletCoeffs(
-            out, f"form-series disc {entry.cm_disc} (identity twist)",
-            tail_scale=phi.tail_scale)
-    if entry.twist != -3:
-        raise ValueError(f"only the (-3/.) twist is implemented, not {entry.twist}")
-    a3 = entry.ap[3]
-    n = np.arange(N + 1)
-    chi = np.zeros(N + 1, dtype=np.int64)
-    chi[n % 3 == 1] = 1
-    chi[n % 3 == 2] = -1
-    out = chi * phi.values
-    power = a3
-    block = 3
-    while block <= N:
-        idx = np.arange(block, N + 1, block)
-        coprime = idx[(idx // block) % 3 != 0]
-        out[coprime] = power * chi[coprime // block] * phi.values[coprime // block]
-        power *= a3
-        block *= 3
-    # the 3-power Euler factor inflates the tail by sum_v 3^-v = 3/2
-    return DirichletCoeffs(out, f"twisted-back form series disc {entry.cm_disc}",
-                           tail_scale=1.5 * phi.tail_scale)

@@ -10,26 +10,27 @@ Three independent routes:
   the float64 floor in a few milliseconds.
 * ``mahler_mc`` -- plain Monte Carlo on the torus, the statistical oracle.
 * ``bertin_series`` -- the weighted Eisenstein-Kronecker double sums over the
-  four sublattices j*m*tau + n (j = 1, 2, 3, 6; weights -4, 16, -36, 144),
-  summed over symmetric boxes and Richardson-extrapolated in the box size.
+  four sublattices j*m*tau + n (j = 1, 2, 3, 6; weights -4, 16, -36, 144) at
+  the tabulated CM point, in mpmath at a caller-chosen precision.
 
-The modular side (Dedekind eta, the eta-quotient parametrization w(tau) and
-its inverse) runs in mpmath at a caller-chosen precision.
+The lattice sums here, the Eisenstein-Kronecker series and the weight-0
+Epstein combination behind the d3 term of m(P_18) (``epstein_combo``), share
+one row kernel: each row of either sum is a sum over n of 1/(u^3 v) and
+1/(u^2 v^2), u = n + z, v = n + conj z, which partial fractions and
+cot(pi z) give in closed form.  Rows decay like e^(-2 pi Im z), so both sums
+come with a rigorous bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import mpmath as mp
 import numpy as np
 
 from .bigreal import BigReal
 from .lattices import tau_table
-
-EK_WEIGHTS = ((1, -4.0), (2, 16.0), (3, -36.0), (6, 144.0))
 
 
 class ToleranceNotReached(RuntimeError):
@@ -43,10 +44,6 @@ class ToleranceNotReached(RuntimeError):
         self.estimate = estimate
         self.achieved = achieved
         self.requested = requested
-
-
-class NewtonNonConvergence(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -182,60 +179,6 @@ def mahler_mc(k: float, samples: int, seed: int,
     return mean, math.sqrt(var / samples)
 
 
-# ---------------------------------------------------------------------------
-# Dedekind eta and the modular parametrization
-# ---------------------------------------------------------------------------
-
-def eta(tau, prec: int = 128, n_terms: Optional[int] = None):
-    """Dedekind eta via the truncated q-product, correct to ~2^-prec.
-
-    The truncation length is chosen so |q|^N clears the target precision
-    plus guard bits; n_terms overrides it (used by the convergence tests).
-    """
-    with mp.workprec(prec + 24):
-        t = mp.mpc(tau)
-        if mp.im(t) <= 0:
-            raise ValueError("eta requires Im(tau) > 0")
-        q = mp.exp(2j * mp.pi * t)
-        if n_terms is None:
-            n_terms = int((prec + 24) * math.log(2)
-                          / (2 * math.pi * float(mp.im(t)))) + 4
-        prod = mp.mpc(1)
-        qn = mp.mpc(1)
-        for _ in range(1, n_terms + 1):
-            qn *= q
-            prod *= (1 - qn)
-        out = mp.exp(1j * mp.pi * t / 12) * prod
-    with mp.workprec(prec):
-        return +out
-
-
-def w_of_tau(tau, prec: int = 128):
-    """The sixth power of the eta quotient eta(t)eta(6t)/(eta(2t)eta(3t))."""
-    with mp.workprec(prec + 24):
-        t = mp.mpc(tau)
-        num = eta(t, prec + 24) * eta(6 * t, prec + 24)
-        den = eta(2 * t, prec + 24) * eta(3 * t, prec + 24)
-        out = (num / den) ** 6
-    with mp.workprec(prec):
-        return +out
-
-
-def k_of_tau(tau, prec: int = 128):
-    """k = w + 1/w under the modular parametrization."""
-    with mp.workprec(prec + 24):
-        w = w_of_tau(tau, prec + 24)
-        out = w + 1 / w
-    with mp.workprec(prec):
-        return +out
-
-
-@dataclass(frozen=True)
-class CMPoint:
-    tau: mp.mpc
-    source: str  # "table" | "numeric-inversion"
-
-
 def exact_tau_value(k: int, prec: int = 128):
     """mpmath value of the tabulated CM point (A + sqrt(B))/C."""
     rec = tau_table(k)
@@ -243,116 +186,86 @@ def exact_tau_value(k: int, prec: int = 128):
         return (rec.A + mp.sqrt(mp.mpf(rec.B))) / rec.C
 
 
-def tau_of_k(k, prec: int = 128, max_iter: int = 80) -> CMPoint:
-    """CM point for tabulated k, else Newton inversion of w(tau) = w(k).
+# ---------------------------------------------------------------------------
+# Lattice sums: the Eisenstein-Kronecker series and the Epstein combination
+# ---------------------------------------------------------------------------
 
-    The numeric branch requires k > 4 so that w = (k - sqrt(k^2 - 4))/2 lies in
-    (0, 1) and tau can be taken purely imaginary, seeded by the leading-order
-    inversion w ~ q^(1/2).
-    """
-    if isinstance(k, int) or (isinstance(k, float) and k.is_integer()):
-        ki = int(k)
-        try:
-            return CMPoint(exact_tau_value(ki, prec), "table")
-        except ValueError:
-            pass
-    k = float(k)
-    if k <= 4:
-        raise ValueError("numeric inversion implemented for k > 4 only "
-                         "(tabulated k handled exactly)")
+EK_WEIGHTS = ((1, -4), (2, 16), (3, -36), (6, 144))
+EPSTEIN_FORMS = ((5, 6, -1), (10, 3, 1), (15, 2, -1), (30, 1, 1))   # a, c, sign
+
+
+def _row_sums(z):
+    """(sum_n 1/(u^3 v), sum_n 1/(u^2 v^2)), u = n + z, v = n + conj z, Im z > 0,
+    by the partial fractions (d = z - conj z)
+        1/(u^3 v) = -1/(d u^3) - 1/(d^2 u^2) - 1/(d^3 u) + 1/(d^3 v),
+        1/(u^2 v^2) = 1/(d^2 u^2) + 2/(d^3 u) + 1/(d^2 v^2) - 2/(d^3 v)
+    and, with c = cot(pi z), S_j = sum_n u^-j: S_1 = pi c (summed
+    symmetrically), S_2 = pi^2 (1 + c^2), S_3 = pi^3 c (1 + c^2)."""
+    c = mp.cot(mp.pi * z)
+    s1, s2 = mp.pi * c, mp.pi ** 2 * (1 + c * c)
+    d = z - mp.conj(z)
+    odd = (s1 - mp.conj(s1)) / d ** 3
+    return -s1 * s2 / d - s2 / d ** 2 - odd, (s2 + mp.conj(s2)) / d ** 2 + 2 * odd
+
+
+def _lattice_sum(prec: int, terms, row) -> BigReal:
+    """sum f (h + 2 sum_{m>=1} row(*_row_sums(m z1), m Im z1)) over the four
+    (z1, f, h) in terms, rounded to prec bits with a rigorous bound, for a row
+    with |row(A, B, y)| <= 2|A - A_inf| + |B - B_inf|.  With y = m Im z1,
+    q = e^(-2 pi y) and e = 2q/(1 - q) >= |cot(pi z) + i|, S_1, S_2, S_3 lie
+    within pi e, pi^2 e (2 + e), pi^3 (1 + e) e (2 + e) of their limits, so a
+    row is at most b(m) = `tail` (1 - q_1); b(m)/q^m falls, so rows m, m+1, ...
+    sum to at most `tail`.  Roundings: 64 of x^4 (1 + |z|) a row (x = pi (2 + e)
+    / min(1, y) bounds its terms), one an addition, 16 a term f (h + 2 sum)."""
+    ulp = mp.mpf(2) ** -(prec + 32)
     with mp.workprec(prec + 32):
-        kk = mp.mpf(k)
-        w = (kk - mp.sqrt(kk * kk - 4)) / 2
-        t = mp.log(1 / w) / mp.pi  # from w ~ exp(pi i tau), tau = i t
-        target = mp.mpf(2) ** (-(prec + 8))
-        for _ in range(max_iter):
-            f = mp.re(w_of_tau(1j * t, prec + 32)) - w
-            if abs(f) < target:
-                break
-            h = t * mp.mpf(2) ** (-(prec + 32) // 2)
-            fp = (mp.re(w_of_tau(1j * (t + h), prec + 32))
-                  - mp.re(w_of_tau(1j * (t - h), prec + 32))) / (2 * h)
-            if fp == 0:
-                raise NewtonNonConvergence("zero derivative in Newton step")
-            t = t - f / fp
-        else:
-            raise NewtonNonConvergence(
-                f"no convergence to 2^-({prec}+8) in {max_iter} steps")
-        out = 1j * t
+        value = err = mp.mpf(0)
+        for z1, f, h in terms:
+            q1 = mp.exp(-2 * mp.pi * mp.im(z1))
+            rows = mag = mp.mpf(0)
+            for m in itertools.count(1):
+                y, e = m * mp.im(z1), 2 * q1 ** m / (1 - q1 ** m)
+                tail = mp.pi * e * (mp.pi ** 2 * (1 + e) * (2 + e) / y
+                                    + mp.pi * (2 + e) / y ** 2 + 1 / y ** 3) / (1 - q1)
+                if tail <= mp.mpf(2) ** -(prec + 7) / abs(f):
+                    break
+                rows += row(*_row_sums(m * z1), y)
+                mag += (mp.pi * (2 + e) / min(1, y)) ** 4 * (1 + abs(m * z1))
+            term = f * (h + 2 * rows)
+            value += term
+            err += (2 * abs(f) * (tail + (m + 64) * mag * ulp)
+                    + 16 * (abs(term) + abs(value)) * ulp)
     with mp.workprec(prec):
-        return CMPoint(+out, "numeric-inversion")
+        rounded = +value
+    return BigReal(rounded, prec, err + abs(rounded - value))
 
 
-def fit_w_expansion(n_coeffs: int = 6, prec: int = 220) -> list:
-    """Leading coefficients of w in the variable q^(1/2), fitted from values.
-
-    Evaluates w at purely imaginary tau = i*t for n_coeffs values of t and
-    solves the Vandermonde system in q = exp(2 pi i tau); with large t the
-    truncation leakage is far below the fit's working precision.
-    """
-    with mp.workprec(prec):
-        ts = [mp.mpf(3) / 2 + mp.mpf(j) / 4 for j in range(n_coeffs)]
-        rows, rhs = [], []
-        for t in ts:
-            tau = 1j * t
-            q = mp.exp(-2 * mp.pi * t)
-            qhalf = mp.exp(-mp.pi * t)
-            w = mp.re(w_of_tau(tau, prec))
-            rows.append([q ** i for i in range(n_coeffs)])
-            rhs.append(w / qhalf)
-        sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        return [+sol[i] for i in range(n_coeffs)]
-
-
-# ---------------------------------------------------------------------------
-# Eisenstein-Kronecker series
-# ---------------------------------------------------------------------------
-
-def _ek_box_sum(re_tau: float, im_tau: float, box: int) -> float:
-    """Weighted sum over the four sublattices for one symmetric box size.
-
-    For lam = j m tau + n the summand 2 Re(1/(lam^3 conj(lam))) +
-    1/(lam^2 conj(lam)^2) equals (3 x^2 - y^2)/(x^2 + y^2)^3 with
-    x = n + j m Re(tau), y = j m Im(tau); everything is summed in float64
-    rows (pairwise) and the rows are reduced with exact fsum in a fixed order.
-    """
-    rows = []
-    for j, weight in EK_WEIGHTS:
-        nn = np.arange(-j * box, j * box + 1, dtype=np.float64)
-        nn_m0 = nn[nn != 0.0]
-        for m in range(-box, box + 1):
-            n = nn_m0 if m == 0 else nn
-            x = n + j * m * re_tau
-            y = j * m * im_tau
-            r2 = x * x + y * y
-            rows.append(weight * float(np.sum((3.0 * x * x - y * y) / (r2 * r2 * r2))))
-    return math.fsum(rows)
-
-
-def bertin_series(tau, box: int = 256) -> BigReal:
-    """Eisenstein-Kronecker evaluation of m(P_k) at the CM point tau.
-
-    Sums symmetric boxes |m| <= M, |n| <= j*M for M = box/4, box/2, box (the
-    tail decays like 1/M^2), applies two Richardson stages on the 1/M^2
-    ladder, and reports the final extrapolation spread as the error estimate.
-    """
-    if box < 16:
-        raise ValueError("box must be >= 16")
-    re_tau, im_tau = float(mp.re(mp.mpc(tau))), float(mp.im(mp.mpc(tau)))
-    if im_tau <= 0:
+def bertin_series(tau, prec: int = 64) -> BigReal:
+    """m(P_k) = (Im tau / 8 pi^3) sum_j w_j sum' 2 Re(1/(l^3 conj l)) + 1/|l|^4,
+    l = j m tau + n, at the CM point tau (Bertin).  Row m = 0 is 6 zeta(4); rows
+    m and -m are equal, and row m is 2 Re A + B of _row_sums(j m tau), whose
+    limit 2 (-pi/4y^3) + pi/2y^3 is 0."""
+    if mp.im(tau) <= 0:
         raise ValueError("Im(tau) > 0 required")
-    s1 = _ek_box_sum(re_tau, im_tau, box // 4)
-    s2 = _ek_box_sum(re_tau, im_tau, box // 2)
-    s3 = _ek_box_sum(re_tau, im_tau, box)
-    r1 = (4.0 * s2 - s1) / 3.0
-    r2 = (4.0 * s3 - s2) / 3.0
-    rr = (16.0 * r2 - r1) / 15.0
-    scale = im_tau / (8.0 * math.pi ** 3)
-    # extrapolation spread, padded: the spread alone can undershoot the tail
-    est = 4.0 * abs(rr - r2) * scale + 1e-12
-    return BigReal.with_bound(rr * scale, est, kind="estimate")
+    with mp.workprec(prec + 32):
+        t = mp.mpc(tau)
+        terms = [(j * t, w * mp.im(t) / (8 * mp.pi ** 3), 6 * mp.zeta(4))
+                 for j, w in EK_WEIGHTS]
+    return _lattice_sum(prec, terms, lambda a, b, y: 2 * mp.re(a) + mp.re(b))
 
 
 def bertin_series_for_k(k: int, prec: int = 64) -> BigReal:
     """bertin_series at the tabulated CM point of k."""
-    return bertin_series(exact_tau_value(k, prec))
+    return bertin_series(exact_tau_value(k, prec + 32), prec)
+
+
+def epstein_combo(prec: int = 128) -> BigReal:
+    """(3 sqrt(30)/pi^3) sum sign Z(a, c) over EPSTEIN_FORMS.  Row m of Z(a, c) =
+    sum' (a m^2 + c n^2)^-2 is c^-2 B at z = i m sqrt(a/c) (Chowla and Selberg,
+    J. reine angew. Math. 227 (1967)); row 0 is 2 zeta(4)/c^2, and the limits
+    pi/(2 c^2 y^3) of rows +-m sum to pi zeta(3)/(c^2 Y^3), Y = sqrt(a/c)."""
+    with mp.workprec(prec + 32):
+        terms = [(1j * mp.sqrt(mp.mpf(a) / c), sign * 3 * mp.sqrt(30) / (mp.pi ** 3 * c * c),
+                  2 * mp.zeta(4) + mp.pi * mp.zeta(3) * mp.sqrt(mp.mpf(c) / a) ** 3)
+                 for a, c, sign in EPSTEIN_FORMS]
+    return _lattice_sum(prec, terms, lambda _, b, y: mp.re(b) - mp.pi / (2 * y ** 3))

@@ -533,19 +533,27 @@ def _node_component(place: str, m: int, P: SectionPoint) -> NeronFiberData:
     return NeronFiberData(place, m, j, facts)
 
 
-def _line_component(place: str, m: int, P: SectionPoint) -> NeronFiberData:
-    """The component whose factor vanishes on the section; exactly one must."""
-    pl, factors = _LINE_RULES[place]
+@lru_cache(maxsize=None)
+def _line_vanishing(rule: tuple, P: SectionPoint) -> tuple[bool, ...]:
+    """Which factors of a line rule vanish on the section, read once per rule:
+    alpha1 and beta1 share theirs."""
+    pl, factors = rule
     X, Y, Z = beauville_coords(P)
     mu = _min_val([_val_or_inf(c, pl) for c in (X, Y, Z)])
     hits = []
     for f, deg in factors(X, Y, Z):
         v = _val_or_inf(f, pl)
         hits.append(v is None or v > deg * mu)
+    return tuple(hits)
+
+
+def _line_component(place: str, m: int, P: SectionPoint) -> NeronFiberData:
+    """The component whose factor vanishes on the section; exactly one must."""
+    hits = _line_vanishing(_LINE_RULES[place], P)
     if sum(hits) != 1:
         raise VerificationError(f"section does not meet exactly one component "
                                 f"of the {place} fiber")
-    return NeronFiberData(place, m, hits.index(True), {"vanishing": tuple(hits)})
+    return NeronFiberData(place, m, hits.index(True), {"vanishing": hits})
 
 
 def neron_component(place: str, P: SectionPoint) -> NeronFiberData:

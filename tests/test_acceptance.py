@@ -16,6 +16,7 @@ from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.exactalg import (ONE, Place, Poly, QuadElem, RatFunc,
                                is_square_ratfunc, valuation)
+from modular import fit_w_expansion
 
 PHI_ROWS = {
     -24: {2: -2, 3: 3, 5: 2, 7: -10, 11: -10, 13: 0, 17: 0, 19: 0, 23: 0,
@@ -93,7 +94,7 @@ def test_criterion_5_eisenstein_kronecker(quad):
 
 
 def test_criterion_6_epstein(d3_value):
-    v = lf.epstein_combo(2048)
+    v = mh.epstein_combo()
     diff = abs(float(v.value) - 2.8 * float(d3_value.value))
     report(6, diff < 1e-5, f"|epstein - (14/5) d3| = {diff:.2e} < 1e-5")
 
@@ -198,7 +199,7 @@ def test_criterion_11_torsion_fixtures():
 
 
 def test_criterion_12_w_expansion():
-    coeffs = mh.fit_w_expansion(6, prec=220)
+    coeffs = fit_w_expansion(6, prec=220)
     errs = [abs(float(c - w)) for c, w in zip(coeffs[:4], (1, -6, 15, -20))]
     ok = all(e < 1e-10 for e in errs)
     report(12, ok, "fitted w-coefficients off integers by " +

@@ -98,7 +98,7 @@ class TestExitCodes:
                      ["lvalue", "--k", "3", "--n-terms", "10"],
                      ["mahler", "--k", "6", "--method", "mc", "--samples", "10"],
                      ["verify", "--k", "6", "--box", "8"],
-                     # the box size of the EK series is fixed at 256
+                     # no box size: the EK series sums rows to a working precision
                      ["verify", "--k", "6", "--box", "256"],
                      ["mahler", "--k", "6", "--method", "bertin", "--box", "256"],
                      ["verify", "--k", "6", "--tol", "0"],
@@ -146,7 +146,7 @@ class TestExitCodes:
         # a series value 5e-5 off with a claimed bound of 1e-9 must fail,
         # although 5e-5 is far below the identity tolerance
         def off_by_5e5(k):
-            m6 = 1.6733893038787548  # m(P_6), as the box-256 series gives it
+            m6 = 1.6733893029701967  # m(P_6), as the EK series gives it
             return BigReal.with_bound(m6 + 5e-5, 1e-9)
         monkeypatch.setattr(mahler, "bertin_series_for_k", off_by_5e5)
         code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13"])
@@ -207,10 +207,18 @@ class TestSectionReport:
         for P in (k18["Pb"], T2, k18["Q"]):
             assert sum(P == R for R in checked) == 1
 
+    def test_k18_epstein_subcheck(self, k18_report):
+        # the Epstein combination checks the (14/5) d3 term at --prec
+        _, doc, _ = k18_report
+        eps = {c["name"]: c for c in doc["subchecks"]}["dirichlet-term-epstein"]
+        assert eps["pass"] is True
+        assert eps["diff"] <= eps["error_bound"] < 1e-35
+        assert abs(eps["value"] - 2.8 * lfunctions.d3(128).value) < 1e-15
+
     def test_k18_stage_timings(self, k18_report):
         _, doc, _ = k18_report
-        stages = {"lhs", "rhs", "lattice", "ek", "ap", "section_import", "on_curve",
-                  "nontorsion", "halving", "zero_intersection", "height"}
+        stages = {"lhs", "rhs", "lattice", "ek", "ap", "epstein", "section_import",
+                  "on_curve", "nontorsion", "halving", "zero_intersection", "height"}
         assert set(doc["timings"]) == {f"{s}_s" for s in stages} | {"total_s"}
         assert all(t >= 0 for t in doc["timings"].values())
         assert sum(doc["timings"][f"{s}_s"] for s in stages) \

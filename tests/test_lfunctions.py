@@ -11,6 +11,9 @@ import pytest
 from scipy import integrate
 
 from k3mahler import lfunctions as lf
+from k3mahler.bigreal import BigReal
+from k3mahler.mahler import epstein_combo
+from modular import newform_coefficients
 
 # the printed phi-rows (coefficients of the three Hecke series at p <= 31)
 PHI_ROWS = {
@@ -144,21 +147,19 @@ class TestSmoothedLValue:
 
 class TestEpstein:
     def test_matches_d3_combination(self, d3_value):
-        v = lf.epstein_combo(2048)
+        v = epstein_combo()
         assert abs(float(v.value) - 2.8 * float(d3_value.value)) < 1e-5
+        # at 128 bits, inside both rigorous bounds
+        with mp.workprec(128):
+            d3_term = BigReal.exactly(mp.mpf(14) / 5, 128) * d3_value
+        assert v.bound_kind == d3_term.bound_kind == "rigorous"
+        assert v.consistent_with(d3_term)
 
-    def test_doubling_within_estimate(self):
-        a = lf.epstein_combo(1024)
-        b = lf.epstein_combo(2048)
-        assert abs(float(a.value) - float(b.value)) <= float(a.error_bound)
-
-    def test_sign_flip_negates(self):
-        flipped = tuple((a, c, -s) for a, c, s in lf._EPSTEIN_FORMS)
-        assert lf._epstein_box(64, flipped) == -lf._epstein_box(64)
-
-    def test_floor(self):
-        with pytest.raises(ValueError):
-            lf.epstein_combo(100)
+    def test_precision_doubling_within_bound(self):
+        a = epstein_combo(64)
+        b = epstein_combo(160)
+        assert a.bound_kind == b.bound_kind == "rigorous"
+        assert a.abs_diff(b) <= a.error_bound
 
 
 class TestDirichletAndD3:
@@ -241,12 +242,12 @@ class TestTwisting:
 class TestNewformCoefficients:
     def test_tables_reproduced(self):
         for level in (15, 24, 120):
-            co = lf.newform_coefficients(level, 40)
+            co = newform_coefficients(level, 40)
             for p in PRIMES_31:
                 assert co[p] == lf.newform_table(level).ap[p], (level, p)
 
     def test_level15_lvalue_matches_hecke(self, hecke):
-        co = lf.newform_coefficients(15, 500_000)
+        co = newform_coefficients(15, 500_000)
         v = lf.lvalue_from_coeffs(co, s=3)
         assert abs(float(v.value) - float(hecke(-15, 500_000).value)) < 1e-10
 
@@ -257,7 +258,7 @@ class TestNewformCoefficients:
         assert abs(pref * float(hecke(-24).value) - float(quad(6).value)) < 1e-5
 
     def test_multiplicativity_with_power_of_three(self):
-        co = lf.newform_coefficients(24, 200)
+        co = newform_coefficients(24, 200)
         assert co[9] == co[3] ** 2
         assert co[6] == co[2] * co[3]
         assert co[12] == co[4] * co[3]

@@ -1,5 +1,6 @@
 """Numerical Mahler-measure evaluators: quadrature, Monte Carlo, the
-eta-quotient parametrization and the Eisenstein-Kronecker series."""
+eta-quotient parametrization, the row kernel of the lattice sums and the
+Eisenstein-Kronecker series."""
 
 import math
 import warnings
@@ -7,11 +8,15 @@ import warnings
 import mpmath as mp
 import pytest
 
+from k3mahler import lfunctions
+from k3mahler.bigreal import BigReal
+from k3mahler.cli import _prefactor
+from k3mahler.lattices import SURFACES
 from k3mahler.lfunctions import d3
-from k3mahler.mahler import (ToleranceNotReached, bertin_series,
-                             bertin_series_for_k, eta, exact_tau_value,
-                             fit_w_expansion, k_of_tau, mahler_mc,
-                             mahler_quadrature, tau_of_k, w_of_tau)
+from k3mahler.mahler import (ToleranceNotReached, _row_sums, bertin_series,
+                             bertin_series_for_k, exact_tau_value, mahler_mc,
+                             mahler_quadrature)
+from modular import eta, fit_w_expansion, k_of_tau, tau_of_k, w_of_tau
 
 # the kinks of the inner integrand move with k; 1.999 ... 6.0001 sit next to
 # the k where outer breakpoints appear, merge or leave [0, pi]
@@ -188,29 +193,77 @@ class TestModularParametrization:
             tau_of_k(3.5, prec=64)
 
 
+def lvalue_side(k, prec):
+    """prefactor * L(phi, 3) + d3_coeff * d3 at prec bits, as verify sums it."""
+    surf = SURFACES[k]
+    parts = []
+    if surf.disc is not None:
+        parts.append(_prefactor(surf, prec)
+                     * lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[surf.disc], prec))
+    if surf.d3_coeff:
+        c = surf.d3_coeff
+        with mp.workprec(prec):
+            coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, prec)
+        parts.append(coeff * d3(prec))
+    return sum(parts)
+
+
+def ek_vs_lvalue(k, prec):
+    """(|EK - L-value side|, err(EK) + err(L-value side)) at prec bits."""
+    ek, rhs = bertin_series_for_k(k, prec), lvalue_side(k, prec)
+    assert ek.bound_kind == rhs.bound_kind == "rigorous"
+    return ek.abs_diff(rhs), ek.error_bound + rhs.error_bound
+
+
+# points z with Re z != 0 and Im z across [0.2, 3]
+ROW_POINTS = (0.3 + 0.7j, -1.2 + 0.25j, 0.5 + 2.5j, 3.7 + 3j, 0.01 + 0.2j,
+              -0.49 + 1.1j, 2.25 + 0.9j, -7.8 + 1.6j, 0.125 + 2.0j, 12.6 + 0.45j,
+              -0.5 + 0.2j)
+
+
+class TestRowSums:
+    def test_matches_direct_sums(self):
+        # mp.nsum (Richardson on the two half-lines) is independent of the
+        # partial fractions and the cotangent
+        with mp.workdps(20):
+            for z in map(mp.mpc, ROW_POINTS):
+                zb = mp.conj(z)
+                a = mp.nsum(lambda n: 1 / ((n + z) ** 3 * (n + zb)), [-mp.inf, mp.inf],
+                            method="richardson")
+                b = mp.nsum(lambda n: 1 / ((n + z) ** 2 * (n + zb) ** 2), [-mp.inf, mp.inf],
+                            method="richardson")
+                got_a, got_b = _row_sums(z)
+                assert abs(got_a - a) <= 1e-15 * (1 + abs(a)), z
+                assert abs(got_b - b) <= 1e-15 * (1 + abs(b)), z
+
+
 class TestBertinSeries:
     def test_matches_quadrature(self, quad):
-        for k in (3, 6, 18):
+        for k in (0, 2, 3, 6, 10, 18):
             b = bertin_series_for_k(k)
-            assert abs(float(b.value) - float(quad(k).value)) < 1e-4
+            assert b.bound_kind == "rigorous"
+            assert b.consistent_with(quad(k)), k
 
     def test_matches_quadrature_at_inverted_point(self, quad):
         # end-to-end: numeric inversion of the modular parametrization feeds
         # the lattice sums, which must land on the quadrature value
         cm = tau_of_k(100, prec=80)
-        b = bertin_series(cm.tau, box=256)
+        b = bertin_series(cm.tau)
         assert abs(float(b.value) - float(quad(100, 1e-9).value)) < 1e-7
 
-    def test_box_doubling_within_estimate(self):
-        tau = exact_tau_value(6, 64)
-        a = bertin_series(tau, box=128)
-        b = bertin_series(tau, box=256)
-        assert abs(float(a.value) - float(b.value)) <= float(a.error_bound)
+    def test_precision_doubling_within_bound(self):
+        for k in (0, 3, 6, 18):
+            a = bertin_series_for_k(k, 64)
+            b = bertin_series_for_k(k, 160)
+            assert a.abs_diff(b) <= a.error_bound, k
 
-    def test_box_floor(self):
-        with pytest.raises(ValueError):
-            bertin_series(1j, box=8)
+    def test_matches_lvalue_side_at_200_bits(self):
+        # both sides are rounded to 200 bits, whose half-ulp near 2.9 is
+        # 1.3e-60; both bounds are rigorous
+        for k in (0, 3, 6, 18):
+            diff, bound = ek_vs_lvalue(k, 200)
+            assert diff < 1e-59 and diff <= bound, (k, diff, bound)
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
-            bertin_series(-0.5j, box=64)
+            bertin_series(-0.5j)

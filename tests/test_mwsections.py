@@ -361,6 +361,19 @@ class TestNeronComponents:
         for f in SURFACES[18].fibers:
             assert mw.neron_component(f.place, mw.O).component == 0
 
+    def test_i3_place_read_once(self, k18):
+        # alpha1 and beta1 share one degree-2 place: one read per section,
+        # yet each call returns its own record and facts
+        P = mw.ec_add(k18["ps"], k18["ps"], fx.y18_curve())
+        before = mw._line_vanishing.cache_info()
+        a, b = mw.neron_component("alpha1", P), mw.neron_component("beta1", P)
+        after = mw._line_vanishing.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert a.component == b.component and a.facts == b.facts
+        assert a.facts is not b.facts
+        a.facts["note"] = 1
+        assert "note" not in mw.neron_component("alpha1", P).facts
+
 
 class TestHeight:
     def test_fibers_are_the_surface_record(self, k18):
