@@ -11,6 +11,7 @@ from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -41,6 +42,14 @@ class BigReal:
 
     def __float__(self) -> float:
         return float(self.value)
+
+    def as_float(self) -> tuple[float, float]:
+        """(float64 value, bound on its distance from the exact value): the
+        error bound plus the rounding to float64, rounded up."""
+        f = float(self.value)
+        with mp.workprec(self.prec + 64):
+            err = self.error_bound + abs(self.value - f)
+        return f, math.nextafter(float(err), math.inf)
 
     def _round_err(self, v) -> mp.mpf:
         return mp.mpf(2) ** (-self.prec) * (abs(v) + 1)

@@ -105,18 +105,20 @@ def _lattice_subchecks(surf: lattices.Surface) -> list[dict]:
 
 def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
     nf = lfunctions.newform_table(surf.level)
+    co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[surf.disc], max(pmax, 2))
     aps = pointcount.ap_scan(surf.k, pmax)
     mism = {}
     for p, ap in aps.items():
-        if p not in nf.ap:
-            continue
-        want = nf.ap[p] if surf.ap_twist is None \
-            else lfunctions.twist_coeff(nf.ap[p], surf.ap_twist, p)
-        if ap != want:
-            mism[p] = (ap, want)
+        refs = [int(co[p])]
+        if p in nf.ap:  # the embedded table is a second reference where it has p
+            refs.append(nf.ap[p] if surf.ap_twist is None
+                        else lfunctions.twist_coeff(nf.ap[p], surf.ap_twist, p))
+        if any(r != ap for r in refs):
+            mism[p] = (ap, *refs)
     # a scan that reached no prime has checked nothing
     return _subcheck(f"A_p-vs-newform-level-{surf.level}", bool(aps) and not mism,
-                     "fiber point counts vs embedded twisted table",
+                     "fiber point counts vs form-series coefficients and the "
+                     "embedded twisted table",
                      primes=sorted(aps), mismatches=mism,
                      values={str(p): aps[p] for p in sorted(aps)})
 
@@ -205,9 +207,7 @@ def cmd_verify(args) -> int:
             terms.append(f"({surf.d3_coeff}) d3" if terms
                          else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
         exact = sum(parts)
-    # rounded to float once; the rounding joins the bound
-    rhs = float(exact.value)
-    rhs_err = float(exact.error_bound + abs(exact.value - rhs))
+    rhs, rhs_err = exact.as_float()
     report["rhs"] = {"value": rhs, "method": " + ".join(terms), "error_bound": rhs_err,
                      "bound_kind": exact.bound_kind}
     diff = abs(float(quad.value) - rhs)
@@ -271,15 +271,15 @@ def cmd_mahler(args) -> int:
         _emit(args, payload, f"m(P_{k}) = {float(v.value):.12f} "
                              f"(+- {float(v.error_bound):.2e}, quadrature)")
     elif args.method == "bertin":
-        if k != int(k):
-            print("bertin method needs a tabulated integer k", file=sys.stderr)
-            return 2
-        v = mahler.bertin_series_for_k(int(k), prec=args.prec)
-        payload = {"input": {"k": int(k), "method": "bertin"},
-                   "value": float(v.value), "error_bound": float(v.error_bound),
+        try:
+            lattices.tau_table(k)
+        except ValueError as exc:
+            raise UsageError(f"bertin method: {exc}") from None
+        value, err = mahler.bertin_series_for_k(k, prec=args.prec).as_float()
+        payload = {"input": {"k": k, "method": "bertin", "prec": args.prec},
+                   "value": value, "error_bound": err,
                    "provenance": "Eisenstein-Kronecker lattice sums"}
-        _emit(args, payload, f"m(P_{k}) = {float(v.value):.10f} "
-                             f"(+- {float(v.error_bound):.2e}, series)")
+        _emit(args, payload, f"m(P_{k}) = {value:.10f} (+- {err:.2e}, series)")
     else:
         est, se = mahler.mahler_mc(k, args.samples, args.seed)
         payload = {"input": {"k": k, "method": "mc", "samples": args.samples,
@@ -292,12 +292,12 @@ def cmd_mahler(args) -> int:
 
 def cmd_lvalue(args) -> int:
     disc = SURFACES[args.k].disc
-    v = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[disc], args.prec)
+    value, err = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[disc],
+                                            args.prec).as_float()
     payload = {"input": {"k": args.k, "disc": disc, "s": 3, "prec": args.prec},
-               "value": float(v.value), "error_bound": float(v.error_bound),
+               "value": value, "error_bound": err,
                "provenance": f"smoothed sum of the binary-quadratic-form series, disc {disc}"}
-    _emit(args, payload,
-          f"L(phi_{disc}, 3) = {float(v.value):.12f} (+- {float(v.error_bound):.2e})")
+    _emit(args, payload, f"L(phi_{disc}, 3) = {value:.12f} (+- {err:.2e})")
     return 0
 
 
@@ -423,10 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class UsageError(Exception):
+    """A request the parser accepts but no route can serve; exits 2."""
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

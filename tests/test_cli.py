@@ -14,9 +14,10 @@ import pytest
 
 import k3mahler
 from k3mahler import fixtures as fx
-from k3mahler import lfunctions, mahler, mwsections as mw
+from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import main
+from k3mahler.lattices import SURFACES
 from k3mahler.mwsections import NontorsionWitness
 
 from test_mwsections import replay_witness
@@ -37,11 +38,21 @@ class TestSchemas:
                      ["coeffs", "--k", "6", "--nmax", "8", "--json"],
                      ["lvalue", "--k", "3", "--json"],
                      ["mahler", "--k", "6", "--method", "mc",
-                      "--samples", "2000", "--seed", "1", "--json"]):
+                      "--samples", "2000", "--seed", "1", "--json"],
+                     ["mahler", "--k", "6", "--method", "bertin", "--json"]):
             code, out = run(capsys, argv)
             assert code == 0
             doc = json.loads(out)
             assert set(doc) == SUBCOMMAND_KEYS, argv
+
+    def test_bertin_input_names_prec(self, capsys):
+        # the series and its bound depend on --prec, so the input records it
+        for prec in ("64", "128"):
+            code, out = run(capsys, ["mahler", "--k", "6", "--method", "bertin",
+                                     "--prec", prec, "--json"])
+            assert code == 0
+            assert json.loads(out)["input"] == {"k": 6, "method": "bertin",
+                                                "prec": int(prec)}
 
     def test_verify_report_schema(self, capsys):
         code, out = run(capsys, ["verify", "--k", "0", "--json"])
@@ -66,6 +77,23 @@ class TestSchemas:
         assert "A_p-vs-newform-level-24" in names
         for c in doc["subchecks"]:
             assert {"name", "pass", "provenance"} <= set(c)
+
+
+class TestPrintedBounds:
+    def test_bound_covers_the_float64_rounding(self, capsys):
+        # the printed float64 value is within the printed bound of the
+        # 256-bit value
+        for k in (3, 6, 18):
+            for argv, exact in (
+                    (["mahler", "--method", "bertin"], mahler.bertin_series_for_k(k, 256)),
+                    (["lvalue"], lfunctions.smoothed_lvalue(
+                        lfunctions.FORM_SERIES[SURFACES[k].disc], 256))):
+                code, out = run(capsys, argv + ["--k", str(k), "--json"])
+                assert code == 0
+                doc = json.loads(out)
+                with mp.workprec(256):
+                    assert abs(mp.mpf(doc["value"]) - exact.value) <= doc["error_bound"], \
+                        (argv, k)
 
 
 class TestDeterminism:
@@ -112,7 +140,10 @@ class TestExitCodes:
                      ["ap", "--k", "6", "--workers", "2"],
                      ["--config", "k3mahler.cfg", "ap", "--k", "6"],
                      # the direct L-value sum and its term count are gone
-                     ["verify", "--k", "6", "--n-terms", "1000"]):
+                     ["verify", "--k", "6", "--n-terms", "1000"],
+                     # no tabulated CM point, integral or not
+                     ["mahler", "--k", "5", "--method", "bertin"],
+                     ["mahler", "--k", "5.5", "--method", "bertin"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -155,6 +186,20 @@ class TestExitCodes:
             "eisenstein-kronecker-series"]
         assert ek["pass"] is False
         assert ek["diff"] > 4e-5 and ek["error_bound"] < 1e-7
+
+    def test_ap_checked_past_the_embedded_table(self, capsys, monkeypatch):
+        # the embedded table stops at 31; p = 37 is checked by the form series
+        scan = pointcount.ap_scan
+
+        def one_wrong(k, pmax):
+            aps = dict(scan(k, pmax))
+            aps[37] += 1
+            return aps
+        monkeypatch.setattr(pointcount, "ap_scan", one_wrong)
+        code, out = run(capsys, ["verify", "--k", "6", "--pmax", "40", "--json"])
+        assert code == 1
+        ap = {c["name"]: c for c in json.loads(out)["subchecks"]}["A_p-vs-newform-level-24"]
+        assert ap["pass"] is False and list(ap["mismatches"]) == ["37"]
 
     def test_no_primes_checked_is_failure(self, capsys):
         code, out = run(capsys, ["verify", "--k", "3", "--pmax", "1", "--json"])
