@@ -187,7 +187,7 @@ def cmd_verify(args) -> int:
                     "prec": args.prec, "subchecks": []}
     with _stage(timings, "lhs"):
         quad = mahler.mahler_quadrature(k, tol=min(tol / 4, 1e-7))
-    report["lhs"] = {"value": float(quad.value), "method": "jensen-quadrature",
+    report["lhs"] = {"value": float(quad.value), "method": "agm-period-quadrature",
                      "error_bound": float(quad.error_bound),
                      "bound_kind": quad.bound_kind}
     parts, terms = [], []
@@ -267,7 +267,7 @@ def cmd_mahler(args) -> int:
         v = mahler.mahler_quadrature(k, tol=args.tol)
         payload = {"input": {"k": k, "method": "quadrature", "tol": args.tol},
                    "value": float(v.value), "error_bound": float(v.error_bound),
-                   "provenance": "jensen-reduced tanh-sinh quadrature"}
+                   "provenance": "tanh-sinh quadrature of the AGM period"}
         _emit(args, payload, f"m(P_{k}) = {float(v.value):.12f} "
                              f"(+- {float(v.error_bound):.2e}, quadrature)")
     elif args.method == "bertin":

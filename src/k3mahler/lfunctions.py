@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,6 @@ from importlib import resources
 from typing import Optional
 
 import mpmath as mp
-import numpy as np
 
 from .bigreal import BigReal
 from .lattices import SURFACES
@@ -137,7 +137,7 @@ class DirichletCoeffs:
     tail_scale gives |sum_{n>N} A_n/n^3| <= 2*tail_scale/N.
     """
 
-    values: np.ndarray
+    values: list[int]
     source: str
     tail_scale: float
 
@@ -153,11 +153,12 @@ def form_coefficients(series: QuadFormSeries, N: int) -> DirichletCoeffs:
     """Dirichlet coefficients A_n of the form series by lattice enumeration.
 
     A_n = prefactor * sum over terms of sign * sum_{Q(m,k)=n} N(m,k), with the
-    (m, k) range bounded from positive definiteness.  Exact integers.
+    (m, k) range bounded from positive definiteness.  Exact integers, in a
+    list of Python ints.
     """
     if N < 2:
         raise ValueError("N >= 2 required")
-    acc = np.zeros(N + 1, dtype=np.int64)
+    acc = [0] * (N + 1)
     for term in series.terms:
         a, b, c = term.form
         p, q, r = term.numerator
@@ -170,19 +171,14 @@ def form_coefficients(series: QuadFormSeries, N: int) -> DirichletCoeffs:
                 continue
             half = math.sqrt(rad / a)
             mid = -b * k / (2.0 * a)
-            m = np.arange(int(math.floor(mid - half)) - 1,
-                          int(math.ceil(mid + half)) + 2, dtype=np.int64)
-            n = a * m * m + (b * k) * m + c * k * k
-            sel = (n >= 1) & (n <= N)
-            m, n = m[sel], n[sel]
-            w = p * m * m + (q * k) * m + r * k * k
-            np.add.at(acc, n, term.sign * w)
-    pref = series.prefactor
-    scaled = acc * pref.numerator
-    if np.any(scaled % pref.denominator):
+            for m in range(math.floor(mid - half) - 1, math.ceil(mid + half) + 2):
+                n = (a * m + b * k) * m + c * k * k
+                if 1 <= n <= N:
+                    acc[n] += term.sign * ((p * m + q * k) * m + r * k * k)
+    num, den = series.prefactor.numerator, series.prefactor.denominator
+    if any(v * num % den for v in acc):
         raise ArithmeticError("form coefficients are not integral")
-    return DirichletCoeffs(scaled // pref.denominator,
-                           f"form-series disc {series.disc}",
+    return DirichletCoeffs([v * num // den for v in acc], f"form-series disc {series.disc}",
                            tail_scale=series.tail_scale())
 
 
@@ -195,11 +191,12 @@ def lvalue_from_coeffs(coeffs: DirichletCoeffs, s: int = 3,
         N = coeffs.N
     if N > coeffs.N:
         raise ValueError(f"insufficient coefficients: have {coeffs.N}, need {N}")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    a = coeffs.values[1:N + 1].astype(np.float64)
-    value = float(np.dot(a, n ** -3.0))
+    values = coeffs.values[1:N + 1]
+    # each nonzero term to 3 ulps: two roundings and the one of n^-3.0
+    terms = [a * n ** -3.0 for n, a in itertools.compress(enumerate(values, 1), values)]
+    value = math.fsum(terms)
     tail = 2.0 * coeffs.tail_scale / N
-    rounding = 1e-15 * float(np.dot(np.abs(a), n ** -3.0)) + 1e-16
+    rounding = 1e-15 * math.fsum(map(abs, terms)) + 1e-16
     return BigReal.with_bound(value, tail + rounding)
 
 

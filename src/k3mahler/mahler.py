@@ -2,12 +2,11 @@
 
 Three independent routes:
 
-* ``mahler_quadrature`` -- the z-integral is done exactly by Jensen's formula,
-  leaving a 2D integral of acosh(|2 cos a + 2 cos b - k| / 2) over the region
-  where the argument exceeds 1.  Nested tanh-sinh quadrature (Takahasi and
-  Mori, Publ. RIMS 9 (1974)) in numpy, with every segment ending at a kink
-  curve |2 cos a + 2 cos b - k| = 2 or where one enters the square, reaches
-  the float64 floor in a few milliseconds.
+* ``mahler_quadrature`` -- Jensen's formula in z and the AGM period of
+  m(x + 1/x + y + 1/y - c) leave a one-dimensional integral of K times an
+  arccosine; tanh-sinh quadrature (Takahasi and Mori, Publ. RIMS 9 (1974)),
+  split at the integrand's three singular points, reaches the float64 floor
+  in 1-6 ms, in pure Python.
 * ``mahler_mc`` -- plain Monte Carlo on the torus, the statistical oracle.
 * ``bertin_series`` -- the weighted Eisenstein-Kronecker double sums over the
   four sublattices j*m*tau + n (j = 1, 2, 3, 6; weights -4, 16, -36, 144) at
@@ -27,7 +26,6 @@ import itertools
 import math
 
 import mpmath as mp
-import numpy as np
 
 from .bigreal import BigReal
 from .lattices import tau_table
@@ -47,98 +45,112 @@ class ToleranceNotReached(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Jensen-reduced quadrature
+# One-dimensional AGM quadrature
 # ---------------------------------------------------------------------------
 
 # Tanh-sinh abscissae t = j h run over |t| <= _TS_TMAX: at t = 3.5 the weight
-# is below 1e-20 h, and every integrand here is bounded.
+# is below 1e-20, and every integrand here is at most logarithmic at its ends.
 _TS_TMAX = 3.5
-# h = 2^-1, ..., 2^-_TS_LEVELS; the last costs about 10^6 integrand values
-_TS_LEVELS = 6
+# h = 1, 1/2, ..., 2^-_TS_LEVELS; each level adds the odd multiples of h
+_TS_LEVELS = 8
 _HALF_PI = math.pi / 2.0
 
 
-def _tanh_sinh(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tanh-sinh rule on [0, 1] with step h: (gap, upper, weights).
+def _tanh_sinh_nodes(h: float, odd: bool) -> list[tuple[float, bool, float]]:
+    """Tanh-sinh nodes t = j h, |t| <= _TS_TMAX (odd j only, if odd), on
+    [0, 1] as (gap, upper, weight / h): x = tanh(s), s = (pi/2) sinh t, and
+    the node (1 + x)/2 lies gap = e^-|s| / (2 cosh s) from its lower end
+    (upper False) or its upper end.  The gap is computed directly, not from
+    1 - tanh, so a node can sit within 1e-20 of an endpoint singularity."""
+    n = math.floor(_TS_TMAX / h)
+    out = []
+    for j in range(-n, n + 1):
+        if odd and j % 2 == 0:
+            continue
+        t = j * h
+        s = _HALF_PI * math.sinh(t)
+        cs = math.cosh(s)
+        out.append((0.5 * math.exp(-abs(s)) / cs, t > 0,
+                    0.5 * _HALF_PI * math.cosh(t) / (cs * cs)))
+    return out
 
-    x = tanh(s), s = (pi/2) sinh(t) maps t to (-1, 1) and the node is
-    (1 + x)/2, which lies `gap` from the lower end (upper False) or from the
-    upper end (upper True).  gap = (1 - |x|)/2 = e^-|s| / (2 cosh s) is
-    computed directly, not from 1 - tanh, so a node can sit within 1e-20 of an
-    endpoint singularity.
+
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of a >= b > 0; stopped when a - b <= 1e-10 a,
+    after which (a + b)/2 is within 1e-21 a of the limit."""
+    while a - b > 1e-10 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+def _acos(one_minus: float, one_plus: float) -> float:
+    """acos(clip(x)) = 2 atan(sqrt((1 - x)/(1 + x))) from 1 - x and 1 + x."""
+    if one_minus <= 0.0:
+        return 0.0
+    if one_plus <= 0.0:
+        return math.pi
+    return 2.0 * math.atan2(math.sqrt(one_minus), math.sqrt(one_plus))
+
+
+def _period_integrand(k: float, t: float, o4: float, o_km2: float, o_kp2: float,
+                      o_2mk: float) -> float:
+    """g(t) mu_k(t) for k >= 0, given o_c = t - c for c = 4, k - 2, k + 2, 2 - k.
+
+    g(t) = K(t/4)/(2 pi) = 1/(4 M(1, k')) for t < 4 and 2 K(4/t)/(pi t) =
+    1/(t M(1, k')) above, K(m) = pi / 2 M(1, sqrt(1 - m^2)); the complementary
+    modulus k' is taken from o4.  mu_k(t) = 1 - (acos((k - t)/2) -
+    acos((k + t)/2))/pi, whose arguments meet +-1 at t = k - 2, k + 2, 2 - k.
     """
-    n = math.ceil(_TS_TMAX / h)
-    t = np.arange(-n, n + 1) * h
-    s = _HALF_PI * np.sinh(t)
-    cs = np.cosh(s)
-    gap = 0.5 * np.exp(-np.abs(s)) / cs
-    weights = h * 0.5 * _HALF_PI * np.cosh(t) / (cs * cs)
-    return gap, t > 0, weights
-
-
-def _inner_integrals(b: np.ndarray, k: float, rule: tuple) -> np.ndarray:
-    """int_0^pi acosh+(|2 cos a + 2 cos b - k| / 2) da for each outer node b.
-
-    With B = 2 cos b - k the integrand is nonzero on [0, e+] (where
-    2 cos a + B >= 2, e+ = acos((2 - B)/2)) and on [e-, pi] (where it is
-    <= -2, e- = acos((-2 - B)/2)); each segment is empty, ends at a kink, or is
-    all of [0, pi].  In the distance d from the kink end the argument is
-    1 + u with u = 2 sin(e -+ d/2) sin(d/2) + extra, exact in form up to the
-    rounding of e, where extra > 0 only for a full segment.
-    """
-    gap, upper, weights = rule
-    nodes = np.where(upper, 1.0 - gap, gap)
-    B = 2.0 * np.cos(b) - k
-    total = np.zeros_like(b)
-    for t, sign in ((1.0 - B / 2.0, -1.0), (-1.0 - B / 2.0, 1.0)):
-        e = np.arccos(np.clip(t, -1.0, 1.0))
-        length = e if sign < 0 else math.pi - e
-        extra = np.maximum(-1.0 - t if sign < 0 else t - 1.0, 0.0)
-        d = length[:, None] * nodes[None, :]
-        u = (2.0 * np.sin(e[:, None] + sign * 0.5 * d) * np.sin(0.5 * d)
-             + extra[:, None])
-        f = np.log1p(u + np.sqrt(u * (u + 2.0)))    # acosh(1 + u), small u kept
-        total += length * (f @ weights)
-    return total
+    if o4 < 0.0:
+        g = 0.25 / _agm(1.0, 0.25 * math.sqrt(-o4 * (8.0 + o4)))
+    else:
+        g = 1.0 / (t * _agm(1.0, math.sqrt(o4 * (8.0 + o4)) / t))
+    a = _acos(0.5 * o_km2, -0.5 * o_kp2)
+    b = _acos(-0.5 * o_2mk, 0.5 * (k + 2.0 + t))
+    return g * (1.0 - (a - b) / math.pi)
 
 
 def mahler_quadrature(k: float, tol: float = 1e-8) -> BigReal:
-    """m(P_k) by nested tanh-sinh quadrature of the Jensen-reduced integrand.
+    """m(P_k) by tanh-sinh quadrature of one AGM period.
 
-    m(P_k) = pi^-2 int_0^pi int_0^pi acosh+(|2 cos a + 2 cos b - k| / 2) da db.
-    The inner integral is split at its kinks (see _inner_integrals); the outer
-    one over [0, pi] at pi/2 and at the b where an inner kink enters or leaves
-    [0, pi], so every singularity sits at a segment end, where tanh-sinh
-    converges double-exponentially.  Both steps are halved together, level by
-    level, until two levels agree to the float64 floor or the level cap is
-    reached.  The error estimate is |I_h - I_{h/2}| plus a rounding term of
-    four ulps of the value (an estimate, as QUADPACK's was); tol only decides
-    whether ToleranceNotReached is raised.
+    With m2(c) = m(x + 1/x + y + 1/y - c), Jensen's formula in z gives
+    m(P_k) = pi^-1 int_0^pi m2(|k - 2 cos a|) da, and m2(0) = 0 with m2' = g,
+    g(t) = K(t/4)/(2 pi) for t < 4 and 2 K(4/t)/(pi t) for t > 4: the period
+    of Rodriguez-Villegas, "Modular Mahler measures I" (1999), behind Rogers'
+    3F2 formula for m2 (IMRN 2011).  Swapping the integrals gives
+    m(P_k) = int_0^(|k|+2) g(t) mu_k(t) dt, mu_k(t) the share of a in [0, pi]
+    with |k - 2 cos a| > t (and m(P_k) = m(P_-k)).  It is split at |k - 2|, 4
+    and |k| + 2, the kinks of mu and the logarithm of K, so tanh-sinh
+    converges double-exponentially; differences that vanish at a segment end
+    come from the node's gap.  The step is halved, reusing the earlier nodes,
+    until two levels agree exactly or the level cap is reached.  The error
+    estimate is |I_h - I_{h/2}| plus four ulps of the value (an estimate, as
+    QUADPACK's was); tol only decides whether ToleranceNotReached is raised.
     """
-    k = float(k)
+    k = abs(float(k))
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # outer kinks: cos(beta) values where an inner kink crosses cos(a) = +-1
-    outer_pts = []
-    for t in (k / 2.0, (k + 4.0) / 2.0, (k - 4.0) / 2.0):
-        if -1.0 < t < 1.0:
-            outer_pts.append(math.acos(t))
-    ends = sorted({0.0, math.pi / 2.0, math.pi, *outer_pts})
-    lo, hi = np.array(ends[:-1])[:, None], np.array(ends[1:])[:, None]
+    top = k + 2.0
+    ends = sorted({0.0, abs(k - 2.0), top} | ({4.0} if top > 4.0 else set()))
+    marks = (4.0, k - 2.0, k + 2.0, 2.0 - k)
+    terms: list[float] = []
     value, diff = None, math.inf
-    for level in range(1, _TS_LEVELS + 1):
-        rule = _tanh_sinh(2.0 ** -level)
-        gap, upper, weights = rule
-        b = np.where(upper, hi - (hi - lo) * gap, lo + (hi - lo) * gap)
-        inner = _inner_integrals(b.ravel(), k, rule).reshape(b.shape)
-        new = math.fsum(((hi - lo) * weights * inner).ravel()) / math.pi ** 2
+    for level in range(_TS_LEVELS + 1):
+        h = 2.0 ** -level
+        for gap, upper, weight in _tanh_sinh_nodes(h, odd=level > 0):
+            for lo, hi in zip(ends, ends[1:]):
+                length = hi - lo
+                d = length * gap
+                t, d_lo, d_hi = (hi - d, length - d, d) if upper else (lo + d, d, length - d)
+                offsets = [d_lo if c == lo else -d_hi if c == hi else t - c for c in marks]
+                terms.append(length * weight * _period_integrand(k, t, *offsets))
+        new = h * math.fsum(terms)
         if value is not None:
             diff = abs(new - value)
         value = new
-        rounding = 4.0 * math.ulp(value)
-        if diff <= rounding:
+        if diff == 0.0:
             break
-    bound = diff + rounding
+    bound = diff + 4.0 * math.ulp(value)
     if bound > tol:
         raise ToleranceNotReached(value, bound, tol)
     return BigReal.with_bound(value, bound, kind="estimate")
@@ -152,6 +164,8 @@ def mahler_mc(k: float, samples: int, seed: int,
     integrand="torus3" samples log|P_k| on the raw 3-torus.  Deterministic for
     a fixed seed.
     """
+    import numpy as np
+
     if samples < 10 ** 3:
         raise ValueError("use at least 10^3 samples")
     rng = np.random.default_rng(seed)

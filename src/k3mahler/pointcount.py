@@ -1,34 +1,25 @@
 """Finite-field point counting on the fibers of the K3 pencil and assembly of
 the transcendental L-coefficients A_p.
 
-The fiber over s is the projective cubic
-
-    s^2 (x+y)(x+z)(y+z) + (s^2 - k s + 1) xyz = 0,
-
-counted over all s in P^1(F_p) including the singular fibers; the fiber over
-s = infinity is the u = 1 specialization (x+y)(x+z)(y+z) + xyz = 0.  The
-plane-model counter solves a quadratic in y per (s, x) with a Legendre lookup
-(O(p) per fiber); a full O(p^2) projective enumeration is kept as a
-cross-check mode.
-
-A_p is assembled from the Weierstrass fibers instead.  With u = s^2 - ks each
-fiber's value is a_p(s) = -chi(A) H(-u/A^2), A = (u^2+6u-3)/4, read from one
-table H(r) = sum_y chi(y(y^2+y+r)) that is the cyclic convolution of a
-bincount with the Legendre symbol.  One zero-padded real FFT computes it, and
-its rounding is checked rather than trusted; at most two fibers with A = 0
-are summed directly.  So all p + 1 fibers of one prime cost O(p log p)
-together (see `weierstrass_fiber_ap_values`).
+A_p is assembled from the Weierstrass fibers over all s in P^1(F_p),
+singular fibers included.  With u = s^2 - ks each fiber's value is
+a_p(s) = -chi(A) H(-u/A^2), A = (u^2+6u-3)/4, read from one table
+H(r) = sum_y chi(y(y^2+y+r)), the cyclic convolution of a bincount with the
+Legendre symbol; at most two fibers with A = 0 are summed directly.  So all
+p + 1 fibers of one prime cost O(p log p) together (see
+`weierstrass_fiber_ap_values`).  Two kernels compute the convolution, chosen
+by p alone: below _NUMPY_FROM one exact big-integer (Kronecker) product in
+pure Python, so small primes, and `verify` at its default pmax, never import
+numpy; from _NUMPY_FROM on one numpy FFT, whose rounding is checked.
 
 A_p = -sum_s a_p(s) for rank 0, with an extra -(d/p) p for rank 1 when the
-infinite section lives over Q(sqrt(d)).
-"""
+infinite section lives over Q(sqrt(d))."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .lattices import SURFACES
 
@@ -60,12 +51,14 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p::p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
 
 
 def legendre(a: int, p: int) -> int:
@@ -78,8 +71,19 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _legendre_table(p: int) -> np.ndarray:
+def _legendre_list(p: int) -> list[int]:
     """chi[t] = (t/p) for t in 0..p-1."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, p // 2 + 1):
+        chi[x * x % p] = 1
+    return chi
+
+
+def _legendre_table(p: int):
+    """chi[t] = (t/p) for t in 0..p-1, as a numpy array."""
+    import numpy as np
+
     chi = -np.ones(p, dtype=np.int64)
     chi[0] = 0
     sq = (np.arange(1, p, dtype=np.int64) ** 2) % p
@@ -88,92 +92,15 @@ def _legendre_table(p: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fiber counting
+# Fiber scan
 # ---------------------------------------------------------------------------
 
-def _fiber_params(k: int, s, p: int) -> tuple[int, int]:
-    """(s^2, s^2 - k s + 1) mod p; s None/"inf" means the fiber at infinity."""
-    if s is None or s == "inf":
-        return 1, 1
-    s = int(s) % p
-    return (s * s) % p, (s * s - k * s + 1) % p
+# Primes below this are scanned in pure Python, the rest by numpy's FFT; with
+# numpy already loaded the two take equal time at p = 110-150 (2-core x86-64).
+_NUMPY_FROM = 150
 
 
-def count_fiber_points(k: int, s, p: int, method: str = "legendre") -> int:
-    """Number of points of the projective cubic fiber over s in P^2(F_p)."""
-    if p in (2, 3) or not is_prime(p):
-        raise ValueError("p must be a prime not dividing 6")
-    if method == "enumerate":
-        return _count_fiber_enumerate(k, s, p)
-    if method != "legendre":
-        raise ValueError(f"unknown method {method!r}")
-    s2, c = _fiber_params(k, s, p)
-    chi = _legendre_table(p)
-    return _count_one_fiber(s2, c, p, chi)
-
-
-def _count_one_fiber(s2: int, c: int, p: int, chi: np.ndarray) -> int:
-    x = np.arange(p, dtype=np.int64)
-    # affine chart z = 1: quadratic in y with
-    #   A = s^2 (x+1), B = s^2 (x+1)^2 + c x, C = s^2 x (x+1)
-    xp1 = (x + 1) % p
-    A = (s2 * xp1) % p
-    B = (s2 * xp1 * xp1 + c * x) % p
-    C = (s2 * x * xp1) % p
-    disc = (B * B - 4 * A * C) % p
-    roots = np.where(A != 0, 1 + chi[disc],
-                     np.where(B != 0, 1, np.where(C == 0, p, 0)))
-    total = int(np.sum(roots))
-    # line z = 0: s^2 x y (x+y) = 0
-    total += 3 if s2 % p else p + 1
-    return total
-
-
-def _count_fiber_enumerate(k: int, s, p: int) -> int:
-    """Full projective enumeration (oracle; O(p^2) points)."""
-    s2, c = _fiber_params(k, s, p)
-
-    def f(x, y, z):
-        return (s2 * (x + y) * (x + z) * (y + z) + c * x * y * z) % p
-
-    total = 0
-    for x in range(p):
-        for y in range(p):
-            if f(x, y, 1) == 0:
-                total += 1
-    for x in range(p):
-        if f(x, 1, 0) == 0:
-            total += 1
-    if f(1, 0, 0) == 0:
-        total += 1
-    return total
-
-
-def cubic_fiber_ap_values(k: int, p: int) -> np.ndarray:
-    """a_p(s) = p + 1 - #(plane cubic fiber) for every s in P^1(F_p)
-    (last entry is s = infinity).  Cross-check data for the plane model;
-    the A_p assembly uses the Weierstrass fiber counts instead."""
-    if p in (2, 3) or not is_prime(p):
-        raise ValueError("p must be a prime not dividing 6")
-    chi = _legendre_table(p)
-    s = np.arange(p, dtype=np.int64)
-    s2 = (s * s) % p
-    c = (s2 - k * s + 1) % p
-    x = np.arange(p, dtype=np.int64)
-    xp1 = (x + 1) % p
-    A = (s2[:, None] * xp1[None, :]) % p
-    B = (s2[:, None] * (xp1 * xp1)[None, :] + c[:, None] * x[None, :]) % p
-    C = (s2[:, None] * (x * xp1)[None, :]) % p
-    disc = (B * B - 4 * A * C) % p
-    roots = np.where(A != 0, 1 + chi[disc],
-                     np.where(B != 0, 1, np.where(C == 0, p, 0)))
-    counts = roots.sum(axis=1)
-    counts += np.where(s2 % p != 0, 3, p + 1)
-    counts = np.append(counts, _count_one_fiber(1, 1, p, chi))  # s = infinity
-    return (p + 1) - counts
-
-
-def weierstrass_fiber_ap_values(k: int, p: int) -> np.ndarray:
+def weierstrass_fiber_ap_values(k: int, p: int) -> list[int]:
     """a_p(s) = p + 1 - #(Weierstrass fiber) over every s in P^1(F_p).
 
     Fibers of y^2 + (s^2-ks+1)xy = x(x-1)(x+s^2-ks) for s in F_p, plus the
@@ -186,53 +113,96 @@ def weierstrass_fiber_ap_values(k: int, p: int) -> np.ndarray:
     G(u) = sum_x chi(x^3 + A x^2 + B x), A = (u^2+6u-3)/4, B = -u.  For
     A != 0 the substitution x = A y gives G(u) = chi(A) H(B/A^2), where
     H(r) = sum_y chi(y (y^2 + y + r)) is one table for all fibers (see
-    `_cubic_character_table`).  At the at most two roots of A (they exist
-    when p = +-1 mod 12) G(u) = sum_x chi(x^3 - ux) is summed directly by
-    `count_weierstrass`.  The
+    `_cubic_character_list`).  At the at most two roots of A (they exist
+    when p = +-1 mod 12) G(u) = sum_x chi(x^3 - ux) is summed directly.  The
     s = infinity fiber, 4x^3 + x^2 = 4(x^3 + x^2/4), is the case A = 1/4,
     B = 0, so its value is -H(0).  Every step is a bijection of F_p or a
     factorisation of the same character sum, so the values are exact on
-    singular fibers too.  Cost: O(p log p) time and O(p) memory per prime.
+    singular fibers too.  Cost: O(p log p) time and O(p) memory per prime,
+    in pure Python below _NUMPY_FROM and in numpy from there on.
     """
     if p in (2, 3) or not is_prime(p):
         raise ValueError("p must be a prime not dividing 6")
+    return (_fiber_values_fft if p >= _NUMPY_FROM else _fiber_values_small)(k, p)
+
+
+def _fiber_values_small(k: int, p: int) -> list[int]:
+    """weierstrass_fiber_ap_values in pure Python."""
+    chi = _legendre_list(p)
+    H = _cubic_character_list(p, chi)
+    inv4 = pow(4, -1, p)
+    values = []
+    for s in range(p):
+        u = s * (s - k) % p
+        A = (u * u + 6 * u - 3) * inv4 % p
+        if A:
+            A_inv = pow(A, -1, p)
+            values.append(-chi[A] * H[(p - u) * A_inv * A_inv % p])
+        else:   # y^2 = x^3 - ux is smooth here: u = 0 would make A = -3/4
+            values.append(p + 1 - count_weierstrass((0, 0, 0, -u, 0), p))
+    return values + [-H[0]]
+
+
+def _cubic_character_list(p: int, chi: list[int]) -> list[int]:
+    """H[r] = sum_y chi(y (y^2 + y + r)) for every r in F_p.
+
+    With w = -y^2 - y, chi(y^2 + y + r) = chi(r - w), so H is the cyclic
+    convolution of h(w) = sum_{y: -y^2-y = w} chi(y) with chi.  It is taken
+    as one exact integer (Kronecker) product of h + 2 and chi + 1, packed in
+    slots wide enough for their coefficients (at most 4 * 2 * p), and folded
+    mod p: sum h = sum chi = 0, so the shifts add exactly 2p to each entry.
+    """
+    h = [2] * p
+    for y in range(p):
+        h[-y * (y + 1) % p] += chi[y]
+    width = ((8 * p).bit_length() + 7) // 8
+
+    def pack(values):    # little-endian slots of `width` bytes; values < 256
+        slots = bytearray(width * p)
+        slots[::width] = bytes(values)
+        return int.from_bytes(slots, "little")
+
+    buf = (pack(h) * pack([c + 1 for c in chi])).to_bytes(2 * p * width, "little")
+    conv = list(buf[::width])
+    for j in range(1, width):
+        conv = [c + (b << 8 * j) for c, b in zip(conv, buf[j::width])]
+    return [conv[r] + conv[r + p] - 2 * p for r in range(p)]
+
+
+def _fiber_values_fft(k: int, p: int) -> list[int]:
+    """weierstrass_fiber_ap_values by numpy, with H from one real FFT."""
+    import numpy as np
+
     chi = _legendre_table(p)
     H = _cubic_character_table(p, chi)
     s = np.arange(p, dtype=np.int64)
     u = s * (s - k % p) % p
     A = (u * u + 6 * u - 3) % p * pow(4, -1, p) % p
-    A_inv = _inverse_mod(A, p)
-    G = chi[A] * H[(p - u) * A_inv % p * A_inv % p]
-    for i in np.flatnonzero(A == 0):
-        # y^2 = x^3 - ux is smooth here: u = 0 would make A = -3/4
-        G[i] = count_weierstrass((0, 0, 0, -int(u[i]), 0), p) - (p + 1)
-    return -np.append(G, H[0])
-
-
-def _inverse_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a^(p-2) mod p elementwise: the inverse of nonzero a, and 0 at a = 0."""
-    result = np.ones_like(a)
-    base = a % p
-    e = p - 2
+    # A^(p-2) mod p elementwise: the inverse of nonzero A, and 0 at A = 0
+    A_inv, base, e = np.ones_like(A), A, p - 2
     while e:
         if e & 1:
-            result = result * base % p
+            A_inv = A_inv * base % p
         base = base * base % p
         e >>= 1
-    return result
+    G = chi[A] * H[(p - u) * A_inv % p * A_inv % p]
+    for i in np.flatnonzero(A == 0):   # G = sum_x chi(x^3 - ux), x over F_p as s
+        G[i] = int(np.sum(chi[(s * s % p - u[i]) * s % p]))
+    return (-np.append(G, H[0])).tolist()
 
 
-def _cubic_character_table(p: int, chi: np.ndarray) -> np.ndarray:
-    """H[r] = sum_y chi(y (y^2 + y + r)) for every r in F_p.
+def _cubic_character_table(p: int, chi):
+    """H[r] = sum_y chi(y (y^2 + y + r)) for every r in F_p, by numpy.
 
-    With w = -y^2 - y, chi(y^2 + y + r) = chi(r - w), so H is the cyclic
-    convolution of h(w) = sum_{y: -y^2-y = w} chi(y) with chi.  It is taken
-    as one real FFT of length a power of two >= 2p - 1, folded mod p.  Since
-    |h| <= 2 and |chi| <= 1, the floating-point error of each entry is of
-    order eps * log2(n) * ||h||_2 ||chi||_2 <= eps * log2(n) * 2p, below
-    1e-8 for p < 10^6; an entry at least 0.1 from an integer raises
-    ArithmeticError instead of being rounded.
+    The convolution of `_cubic_character_list` is taken as one real FFT of
+    length a power of two >= 2p - 1, folded mod p.  Since |h| <= 2 and
+    |chi| <= 1, the floating-point error of each entry is of order
+    eps * log2(n) * ||h||_2 ||chi||_2 <= eps * log2(n) * 2p, below 1e-8 for
+    p < 10^6; an entry at least 0.1 from an integer raises ArithmeticError
+    instead of being rounded.
     """
+    import numpy as np
+
     y = np.arange(p, dtype=np.int64)
     h = np.bincount((p - y * (y + 1) % p) % p, weights=chi, minlength=p)
     n = 1 << (2 * p - 2).bit_length()
@@ -276,7 +246,7 @@ def A_p(k: int, p: int) -> int:
                          f"excluded set {sorted(surf.bad_primes)}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    value = -int(np.sum(weierstrass_fiber_ap_values(k, p)))
+    value = -sum(weierstrass_fiber_ap_values(k, p))
     if surf.rank == 1:
         value -= legendre(surf.section_disc, p) * p
     return value
@@ -316,10 +286,8 @@ def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
     b2, b4, b6, disc = (b % p for b in weierstrass_invariants(a1, a2, a3, a4, a6))
     if disc == 0:
         raise ValueError("singular curve mod p")
-    chi = _legendre_table(p)
-    x = np.arange(p, dtype=np.int64)
-    rhs = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-    return int(np.sum(1 + chi[rhs])) + 1
+    chi = _legendre_list(p)
+    return sum(1 + chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p)) + 1
 
 
 def point_order(coeffs: Iterable[int], pt: tuple[int, int], p: int,

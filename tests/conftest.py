@@ -5,6 +5,7 @@ import pytest
 from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw
 from k3mahler.bigreal import BigReal
+from modular import form_coefficients_numpy
 
 
 def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
@@ -12,7 +13,7 @@ def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
     with a proven tail bound: the oracle for lfunctions.smoothed_lvalue."""
     if N < 10 ** 3:
         raise ValueError("N >= 10^3 required")
-    return lfunctions.lvalue_from_coeffs(lfunctions.form_coefficients(series, N), s=s)
+    return lfunctions.lvalue_from_coeffs(form_coefficients_numpy(series, N), s=s)
 
 
 @pytest.fixture(scope="session")

@@ -201,6 +201,10 @@ class TestExitCodes:
         ap = {c["name"]: c for c in json.loads(out)["subchecks"]}["A_p-vs-newform-level-24"]
         assert ap["pass"] is False and list(ap["mismatches"]) == ["37"]
 
+    def test_ap_with_no_primes(self, capsys):
+        code, out = run(capsys, ["ap", "--k", "3", "--pmax", "0", "--json"])
+        assert code == 0 and json.loads(out)["value"] == {}
+
     def test_no_primes_checked_is_failure(self, capsys):
         code, out = run(capsys, ["verify", "--k", "3", "--pmax", "1", "--json"])
         assert code == 1
@@ -298,6 +302,32 @@ class TestWithoutScipy:
         for path in Path(k3mahler.__file__).parent.glob("*.py"):
             text = path.read_text()
             assert "import scipy" not in text and "from scipy" not in text, path.name
+
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+from k3mahler.cli import main
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+class TestWithoutNumpy:
+    @pytest.mark.parametrize("argv, loads_numpy", [
+        ([], False),
+        *((["verify", "--k", k, "--json"], False) for k in ("0", "3", "6", "18")),
+        # the control: a prime in [_NUMPY_FROM, 2 _NUMPY_FROM] is scanned by numpy
+        (["ap", "--k", "3", "--pmax", str(2 * pointcount._NUMPY_FROM)], True),
+    ], ids=["import", "verify-k0", "verify-k3", "verify-k6", "verify-k18", "ap-control"])
+    def test_numpy_stays_unloaded(self, argv, loads_numpy):
+        env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert json.loads(proc.stdout) is loads_numpy
 
 
 class TestNoFiles:

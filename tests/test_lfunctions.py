@@ -13,7 +13,7 @@ from scipy import integrate
 from k3mahler import lfunctions as lf
 from k3mahler.bigreal import BigReal
 from k3mahler.mahler import epstein_combo
-from modular import newform_coefficients
+from modular import form_coefficients_numpy, newform_coefficients
 
 # the printed phi-rows (coefficients of the three Hecke series at p <= 31)
 PHI_ROWS = {
@@ -90,6 +90,13 @@ class TestFormCoefficients:
     def test_small_N_rejected(self):
         with pytest.raises(ValueError):
             lf.form_coefficients(lf.FORM_SERIES[-24], 1)
+
+    def test_matches_numpy_enumeration(self):
+        for disc in PHI_ROWS:
+            for N in (2, 3, 97, 2 * 10 ** 4):
+                co = lf.form_coefficients(lf.FORM_SERIES[disc], N)
+                want = form_coefficients_numpy(lf.FORM_SERIES[disc], N).values
+                assert all(type(v) is int for v in co.values) and co.values == want, (disc, N)
 
 
 class TestLValues:

@@ -6,6 +6,7 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from k3mahler import lfunctions
@@ -59,6 +60,75 @@ def quadpack_quadrature(k, tol=1e-10):
     return total / math.pi ** 2, (err + math.pi * inner_eps) / math.pi ** 2
 
 
+# Tanh-sinh abscissae t = j h of the 2D oracle run over |t| <= _TS_TMAX; the
+# levels are h = 2^-1, ..., 2^-_TS_LEVELS, the last about 10^6 integrand values
+_TS_TMAX = 3.5
+_TS_LEVELS = 6
+
+
+def _tanh_sinh(h):
+    """Tanh-sinh rule on [0, 1] with step h: (gap, upper, weights), the node
+    lying `gap` from the lower end (upper False) or from the upper end."""
+    n = math.ceil(_TS_TMAX / h)
+    t = np.arange(-n, n + 1) * h
+    s = 0.5 * math.pi * np.sinh(t)
+    cs = np.cosh(s)
+    gap = 0.5 * np.exp(-np.abs(s)) / cs
+    weights = h * 0.25 * math.pi * np.cosh(t) / (cs * cs)
+    return gap, t > 0, weights
+
+
+def _inner_integrals(b, k, rule):
+    """int_0^pi acosh+(|2 cos a + 2 cos b - k| / 2) da for each outer node b.
+
+    With B = 2 cos b - k the integrand is nonzero on [0, e+] (where
+    2 cos a + B >= 2, e+ = acos((2 - B)/2)) and on [e-, pi] (where it is
+    <= -2, e- = acos((-2 - B)/2)); each segment is empty, ends at a kink, or is
+    all of [0, pi].  In the distance d from the kink end the argument is
+    1 + u with u = 2 sin(e -+ d/2) sin(d/2) + extra, where extra > 0 only for
+    a full segment.
+    """
+    gap, upper, weights = rule
+    nodes = np.where(upper, 1.0 - gap, gap)
+    B = 2.0 * np.cos(b) - k
+    total = np.zeros_like(b)
+    for t, sign in ((1.0 - B / 2.0, -1.0), (-1.0 - B / 2.0, 1.0)):
+        e = np.arccos(np.clip(t, -1.0, 1.0))
+        length = e if sign < 0 else math.pi - e
+        extra = np.maximum(-1.0 - t if sign < 0 else t - 1.0, 0.0)
+        d = length[:, None] * nodes[None, :]
+        u = (2.0 * np.sin(e[:, None] + sign * 0.5 * d) * np.sin(0.5 * d)
+             + extra[:, None])
+        f = np.log1p(u + np.sqrt(u * (u + 2.0)))    # acosh(1 + u), small u kept
+        total += length * (f @ weights)
+    return total
+
+
+def jensen_2d_quadrature(k):
+    """m(P_k) = pi^-2 int_0^pi int_0^pi acosh+(|2 cos a + 2 cos b - k| / 2) da db
+    by nested tanh-sinh quadrature in numpy: the two-dimensional oracle for
+    the AGM route.  The outer integral is split at pi/2 and where an inner
+    kink enters or leaves [0, pi]; both steps are halved together until two
+    levels agree to four ulps.  Returns (value, |I_h - I_{h/2}| + 4 ulp)."""
+    outer_pts = [math.acos(t) for t in (k / 2.0, (k + 4.0) / 2.0, (k - 4.0) / 2.0)
+                 if -1.0 < t < 1.0]
+    ends = sorted({0.0, math.pi / 2.0, math.pi, *outer_pts})
+    lo, hi = np.array(ends[:-1])[:, None], np.array(ends[1:])[:, None]
+    value, diff = None, math.inf
+    for level in range(1, _TS_LEVELS + 1):
+        rule = _tanh_sinh(2.0 ** -level)
+        gap, upper, weights = rule
+        b = np.where(upper, hi - (hi - lo) * gap, lo + (hi - lo) * gap)
+        inner = _inner_integrals(b.ravel(), k, rule).reshape(b.shape)
+        new = math.fsum(((hi - lo) * weights * inner).ravel()) / math.pi ** 2
+        if value is not None:
+            diff = abs(new - value)
+        value = new
+        if diff <= 4.0 * math.ulp(value):
+            break
+    return value, diff + 4.0 * math.ulp(value)
+
+
 def constant_term_series(k, terms=120):
     """m(P_k) = log k - sum_n c_2n / (2n k^2n) for |k| > 6, where
     c_2n = C(2n,n) sum_j C(n,j)^2 C(2j,j) is the constant term of
@@ -81,6 +151,21 @@ class TestQuadrature:
             assert abs(float(v.value) - ref) <= 1e-13, k
             assert v.bound_kind == "estimate"
             assert float(v.error_bound) <= 1e-14, k
+
+    def test_matches_2d_oracle(self):
+        # the two routes share nothing past Jensen's formula: one integrates
+        # acosh over the 2-torus, the other K times an arccosine
+        for k in K_GRID:
+            v = mahler_quadrature(k, tol=1e-10)
+            ref, ref_err = jensen_2d_quadrature(float(k))
+            assert abs(float(v.value) - ref) <= float(v.error_bound) + ref_err, k
+
+    def test_error_bounds_at_the_float64_floor(self):
+        # four ulps of the value plus |I_h - I_{h/2}|: 0, or one ulp at k = 18
+        pinned = {0: 2.2205e-16, 3: 4.4409e-16, 6: 8.8818e-16, 18: 2.2205e-15}
+        for k, bound in pinned.items():
+            v = mahler_quadrature(k, tol=1e-10)
+            assert float(v.error_bound) <= bound, (k, float(v.error_bound))
 
     def test_k0_is_d3(self):
         assert mahler_quadrature(0).abs_diff(d3(250).value) <= 1e-16

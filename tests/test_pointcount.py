@@ -1,5 +1,6 @@
 """Finite-field fiber counts and the A_p assembly, checked against brute
-force, the Hasse bound, and the published coefficient tables."""
+force, the plane-cubic model of the fibers, the Hasse bound, and the
+published coefficient tables."""
 
 import random
 
@@ -11,6 +12,108 @@ from k3mahler import pointcount as pc
 from k3mahler.lattices import SURFACES
 
 AP_TABLE_K6 = {5: 2, 7: -10, 11: -10, 13: 0, 17: 0, 19: 0, 23: 0, 29: 50, 31: 38}
+
+
+# ---------------------------------------------------------------------------
+# The plane-cubic model of the fibers, an independent count
+# ---------------------------------------------------------------------------
+#
+# The fiber over s is the projective cubic
+#     s^2 (x+y)(x+z)(y+z) + (s^2 - k s + 1) xyz = 0,
+# and the fiber over s = infinity its u = 1 specialization
+# (x+y)(x+z)(y+z) + xyz = 0.  The counter solves a quadratic in y per (s, x)
+# with a Legendre lookup (O(p) per fiber); a full O(p^2) projective
+# enumeration cross-checks it.
+
+def _fiber_params(k, s, p):
+    """(s^2, s^2 - k s + 1) mod p; s None/"inf" means the fiber at infinity."""
+    if s is None or s == "inf":
+        return 1, 1
+    s = int(s) % p
+    return (s * s) % p, (s * s - k * s + 1) % p
+
+
+def count_fiber_points(k, s, p, method="legendre"):
+    """Number of points of the projective cubic fiber over s in P^2(F_p)."""
+    if p in (2, 3) or not pc.is_prime(p):
+        raise ValueError("p must be a prime not dividing 6")
+    if method == "enumerate":
+        return _count_fiber_enumerate(k, s, p)
+    if method != "legendre":
+        raise ValueError(f"unknown method {method!r}")
+    s2, c = _fiber_params(k, s, p)
+    return _count_one_fiber(s2, c, p, pc._legendre_table(p))
+
+
+def _count_one_fiber(s2, c, p, chi):
+    x = np.arange(p, dtype=np.int64)
+    # affine chart z = 1: quadratic in y with
+    #   A = s^2 (x+1), B = s^2 (x+1)^2 + c x, C = s^2 x (x+1)
+    xp1 = (x + 1) % p
+    A = (s2 * xp1) % p
+    B = (s2 * xp1 * xp1 + c * x) % p
+    C = (s2 * x * xp1) % p
+    disc = (B * B - 4 * A * C) % p
+    roots = np.where(A != 0, 1 + chi[disc],
+                     np.where(B != 0, 1, np.where(C == 0, p, 0)))
+    total = int(np.sum(roots))
+    # line z = 0: s^2 x y (x+y) = 0
+    total += 3 if s2 % p else p + 1
+    return total
+
+
+def _count_fiber_enumerate(k, s, p):
+    """Full projective enumeration (oracle; O(p^2) points)."""
+    s2, c = _fiber_params(k, s, p)
+
+    def f(x, y, z):
+        return (s2 * (x + y) * (x + z) * (y + z) + c * x * y * z) % p
+
+    total = 0
+    for x in range(p):
+        for y in range(p):
+            if f(x, y, 1) == 0:
+                total += 1
+    for x in range(p):
+        if f(x, 1, 0) == 0:
+            total += 1
+    if f(1, 0, 0) == 0:
+        total += 1
+    return total
+
+
+def cubic_fiber_ap_values(k, p):
+    """a_p(s) = p + 1 - #(plane cubic fiber) for every s in P^1(F_p)
+    (last entry is s = infinity), all fibers at once."""
+    if p in (2, 3) or not pc.is_prime(p):
+        raise ValueError("p must be a prime not dividing 6")
+    chi = pc._legendre_table(p)
+    s = np.arange(p, dtype=np.int64)
+    s2 = (s * s) % p
+    c = (s2 - k * s + 1) % p
+    x = np.arange(p, dtype=np.int64)
+    xp1 = (x + 1) % p
+    A = (s2[:, None] * xp1[None, :]) % p
+    B = (s2[:, None] * (xp1 * xp1)[None, :] + c[:, None] * x[None, :]) % p
+    C = (s2[:, None] * (x * xp1)[None, :]) % p
+    disc = (B * B - 4 * A * C) % p
+    roots = np.where(A != 0, 1 + chi[disc],
+                     np.where(B != 0, 1, np.where(C == 0, p, 0)))
+    counts = roots.sum(axis=1)
+    counts += np.where(s2 % p != 0, 3, p + 1)
+    counts = np.append(counts, _count_one_fiber(1, 1, p, chi))  # s = infinity
+    return (p + 1) - counts
+
+
+class TestPrimes:
+    def test_primes_up_to_edges(self):
+        assert [pc.primes_up_to(n) for n in range(4)] == [[], [], [2], [2, 3]]
+        assert pc.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_primes_up_to_matches_miller_rabin(self):
+        primes = pc.primes_up_to(10 ** 4)
+        assert len(primes) == 1229
+        assert primes == [n for n in range(10 ** 4 + 1) if pc.is_prime(n)]
 
 
 class TestLegendre:
@@ -35,14 +138,14 @@ class TestCubicFiberCounts:
         for p in (5, 7, 11, 13):
             for k in (3, 6, 18):
                 for s in list(range(p)) + ["inf"]:
-                    fast = pc.count_fiber_points(k, s, p)
-                    slow = pc.count_fiber_points(k, s, p, method="enumerate")
+                    fast = count_fiber_points(k, s, p)
+                    slow = count_fiber_points(k, s, p, method="enumerate")
                     assert fast == slow, (k, s, p)
 
     def test_chart_independence(self):
         # the cubic is symmetric in (x, y, z); count the (x:1:z) chart directly
         def count_other_chart(k, s, p):
-            s2, c = pc._fiber_params(k, s, p)
+            s2, c = _fiber_params(k, s, p)
 
             def f(x, y, z):
                 return (s2 * (x + y) * (x + z) * (y + z) + c * x * y * z) % p
@@ -54,7 +157,7 @@ class TestCubicFiberCounts:
 
         for p in (5, 11):
             for s in (1, 2, "inf"):
-                assert count_other_chart(6, s, p) == pc.count_fiber_points(6, s, p)
+                assert count_other_chart(6, s, p) == count_fiber_points(6, s, p)
 
     def test_hasse_bound_on_smooth_fibers(self):
         rng = random.Random(4)
@@ -67,12 +170,12 @@ class TestCubicFiberCounts:
                 continue
             if (k * s - 1) % p == 0:
                 continue
-            n = pc.count_fiber_points(k, s, p)
+            n = count_fiber_points(k, s, p)
             assert abs(n - (p + 1)) <= 2 * np.sqrt(p)
 
     def test_bad_characteristic_rejected(self):
         with pytest.raises(ValueError):
-            pc.count_fiber_points(6, 1, 3)
+            count_fiber_points(6, 1, 3)
 
 
 class TestWeierstrassFiberScan:
@@ -80,9 +183,9 @@ class TestWeierstrassFiberScan:
         # the vectorized cubic scan agrees with the scalar counter fiberwise
         for p in (5, 7, 11, 13):
             for k in (3, 6, 18):
-                vals = pc.cubic_fiber_ap_values(k, p)
+                vals = cubic_fiber_ap_values(k, p)
                 for i, s in enumerate(list(range(p)) + ["inf"]):
-                    assert vals[i] == p + 1 - pc.count_fiber_points(k, s, p)
+                    assert vals[i] == p + 1 - count_fiber_points(k, s, p)
 
     def test_fiber_count_records(self):
         recs = pc.fiber_counts(6, 7)
@@ -110,7 +213,19 @@ class TestWeierstrassFiberScan:
         for k, p in cases:
             vals = pc.weierstrass_fiber_ap_values(k, p)
             want = _weierstrass_fiber_ap_values_oracle(k, p)
-            assert vals.dtype == want.dtype and np.array_equal(vals, want), (k, p)
+            assert all(type(v) is int for v in vals) and vals == want.tolist(), (k, p)
+
+    def test_kernels_agree_across_the_crossover(self):
+        # the pure-Python and the numpy kernel, each forced, fiber by fiber;
+        # p = +-1 mod 12 (11, 13, 23, ...) have fibers with A = 0
+        primes = [p for p in pc.primes_up_to(400) if p >= 5]
+        assert primes[0] < pc._NUMPY_FROM < primes[-1]
+        assert sum(p % 12 in (1, 11) for p in primes) > 30
+        for p in primes:
+            for k in (3, 6, 18):
+                small, fft = pc._fiber_values_small(k, p), pc._fiber_values_fft(k, p)
+                assert len(small) == p + 1 and small == fft, (k, p)
+                assert all(type(v) is int for v in small + fft), (k, p)
 
     def test_zero_quadratic_coefficient_branch(self, monkeypatch):
         # at p = 11, A = (u^2 + 6u - 3)/4 vanishes at u = 7 and u = 9;
@@ -128,10 +243,11 @@ class TestWeierstrassFiberScan:
         assert np.array_equal(vals, _weierstrass_fiber_ap_values_oracle(3, 11))
 
     def test_rounding_guard(self, monkeypatch):
+        # the FFT kernel serves p >= _NUMPY_FROM
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(ArithmeticError):
-            pc.weierstrass_fiber_ap_values(6, 101)
+            pc.weierstrass_fiber_ap_values(6, 1009)
 
 
 class TestAp:
