@@ -3,6 +3,4 @@ L-value identities for the family x + 1/x + y + 1/y + z + 1/z - k."""
 
 __version__ = "0.1.0"
 
-from .bigreal import BigReal
-
-__all__ = ["BigReal", "__version__"]
+__all__ = ["__version__"]

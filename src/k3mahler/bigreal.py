@@ -94,9 +94,6 @@ class BigReal:
         o = other.value if isinstance(other, BigReal) else mp.mpf(other)
         return abs(self.value - o)
 
-    def agrees_with(self, other, tol) -> bool:
-        return self.abs_diff(other) <= mp.mpf(tol)
-
     def consistent_with(self, other: "BigReal") -> bool:
         """True iff the two values are within the sum of their bounds."""
         return self.abs_diff(other) <= self.error_bound + other.error_bound

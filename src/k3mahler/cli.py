@@ -16,10 +16,9 @@ import sys
 import time
 from fractions import Fraction
 
-import mpmath as mp
-
-from . import lattices, lfunctions, mahler, pointcount
-from .bigreal import BigReal
+# the other layers, and mpmath with them, are imported by the subcommands
+# that run them: `ap` and `lattice` never load mpmath
+from . import lattices
 from .lattices import SURFACES
 
 VERIFY_KS = tuple(SURFACES)
@@ -32,6 +31,8 @@ def _prefactor(surf: lattices.Surface, prec: int) -> BigReal:
 
     Its few roundings at prec + 10 bits and the last one to prec stay within
     the 2^-prec (|v| + 1) that BigReal.exactly allows."""
+    import mpmath as mp
+    from .bigreal import BigReal
     r, n = surf.prefactor
     with mp.workprec(prec + 10):
         v = r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
@@ -46,11 +47,6 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _jsonable(v):
-    if isinstance(v, BigReal):
-        return {"value": float(v.value), "error_bound": float(v.error_bound),
-                "prec": v.prec}
-    if isinstance(v, (mp.mpf, mp.mpc)):
-        return float(mp.re(v)) if mp.im(v) == 0 else repr(v)
     if isinstance(v, Fraction):
         return {"num": v.numerator, "den": v.denominator}
     raise TypeError(f"not jsonable: {type(v)!r}")
@@ -104,6 +100,7 @@ def _lattice_subchecks(surf: lattices.Surface) -> list[dict]:
 
 
 def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
+    from . import lfunctions, pointcount
     nf = lfunctions.newform_table(surf.level)
     co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[surf.disc], max(pmax, 2))
     aps = pointcount.ap_scan(surf.k, pmax)
@@ -178,6 +175,9 @@ def _section_subchecks(timings: dict) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from . import lfunctions, mahler
+    from .bigreal import BigReal
+    import mpmath as mp
     k = args.k
     surf = SURFACES[k]
     tol = args.tol if args.tol is not None else surf.tol
@@ -262,6 +262,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mahler(args) -> int:
+    from . import mahler
     k = int(args.k) if float(args.k).is_integer() else args.k
     if args.method == "quadrature":
         v = mahler.mahler_quadrature(k, tol=args.tol)
@@ -291,6 +292,7 @@ def cmd_mahler(args) -> int:
 
 
 def cmd_lvalue(args) -> int:
+    from . import lfunctions
     disc = SURFACES[args.k].disc
     value, err = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[disc],
                                             args.prec).as_float()
@@ -302,6 +304,7 @@ def cmd_lvalue(args) -> int:
 
 
 def cmd_ap(args) -> int:
+    from . import pointcount
     aps = pointcount.ap_scan(args.k, args.pmax)
     payload = {"input": {"k": args.k, "pmax": args.pmax},
                "value": {str(p): v for p, v in sorted(aps.items())},
@@ -341,6 +344,7 @@ def cmd_height(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    from . import lfunctions
     disc = SURFACES[args.k].disc
     co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[disc], args.nmax)
     payload = {"input": {"k": args.k, "disc": disc, "nmax": args.nmax},

@@ -2,11 +2,11 @@
 
 Provides the chord-tangent group law in long Weierstrass form with exact
 rational-function arithmetic, a nontorsion certificate by specialization at a
-fiber and reduction mod p, quadratic twisting with explicit coordinate
-maps, the two-descent halving criterion on curves y^2 = x(x^2 + a x + b),
-section/zero-section intersection numbers, replay-with-verification of the
-Neron-model component identifications for the k=18 surface, and the canonical
-height h(P) = 2*chi + 2*(P.O) - sum of local contributions.
+fiber and reduction mod p, the two-descent halving criterion on curves
+y^2 = x(x^2 + a x + b), section/zero-section intersection numbers,
+replay-with-verification of the Neron-model component identifications for the
+k=18 surface, and the canonical height h(P) = 2*chi + 2*(P.O) - sum of local
+contributions.
 
 Every check that mirrors a printed computation is verified exactly; a
 mismatch raises VerificationError rather than returning a wrong index.
@@ -20,9 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
-                       is_square_ratfunc, poly_sqrt, reduce_mod_p, sqrt_ratfunc,
-                       valuation)
+from .exactalg import (Place, Poly, RatFunc, is_square_ratfunc, poly_sqrt,
+                       reduce_mod_p, sqrt_ratfunc, valuation)
 from .lattices import SURFACES
 from .pointcount import point_order, primes_up_to, weierstrass_invariants
 
@@ -233,23 +232,10 @@ def transform_point(P: SectionPoint, u, r, s, t) -> SectionPoint:
     return SectionPoint(xs, ys)
 
 
-def complete_square(E: FunctionFieldCurve) -> FunctionFieldCurve:
-    """Eliminate the xy and y terms: Y = y + (a1 x + a3)/2."""
-    b2, b4, b6, _ = E.invariants()
-    return FunctionFieldCurve(RatFunc(0), b2 * Fraction(1, 4), RatFunc(0),
-                              b4 * Fraction(1, 2), b6 * Fraction(1, 4))
-
-
 def to_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     if P.is_zero:
         return P
     return SectionPoint(P.x, P.y + (E.a1 * P.x + E.a3) * Fraction(1, 2))
-
-
-def from_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
-    if P.is_zero:
-        return P
-    return SectionPoint(P.x, P.y - (E.a1 * P.x + E.a3) * Fraction(1, 2))
 
 
 def bform_coefficients(E: FunctionFieldCurve) -> tuple[RatFunc, RatFunc]:
@@ -257,72 +243,6 @@ def bform_coefficients(E: FunctionFieldCurve) -> tuple[RatFunc, RatFunc]:
     if not (E.a1.is_zero() and E.a3.is_zero() and E.a6.is_zero()):
         raise ValueError("curve is not in the form y^2 = x(x^2 + ax + b)")
     return E.a2, E.a4
-
-
-@dataclass(frozen=True)
-class TwistResult:
-    curve: FunctionFieldCurve
-    d: int
-    sqrt_d: Optional[QuadElem]  # in-field square root of d when one exists
-
-    def _root(self, root) -> QuadElem:
-        sd = self.sqrt_d if root is None else QuadElem.coerce(root)
-        if sd is None:
-            raise ValueError(f"sqrt({self.d}) is not in Q(sqrt(-3)); the "
-                             "coordinate maps live over a quadratic extension")
-        if not (sd * sd == QuadElem(self.d)):
-            raise ValueError("root is not a square root of d")
-        return sd
-
-
-def quadratic_twist(E: FunctionFieldCurve, d: int) -> TwistResult:
-    """Quadratic twist by a square-free integer d, keeping a1 and a3.
-
-    On the completed square y^2 = x^3 + A x^2 + B x + C the twist scales
-    (A, B, C) -> (dA, d^2 B, d^3 C); the original a1, a3 are then reattached
-    so the printed models of this family come out coefficient-by-coefficient.
-    """
-    if d == 0:
-        raise ValueError("d must be nonzero")
-    if _squarefull_part(d) != 1:
-        raise ValueError("d must be square-free")
-    b2, b4, b6, _ = E.invariants()
-    A = b2 * Fraction(1, 4)
-    B = b4 * Fraction(1, 2)
-    C = b6 * Fraction(1, 4)
-    a2 = d * A - E.a1 * E.a1 * Fraction(1, 4)
-    a4 = d * d * B - E.a1 * E.a3 * Fraction(1, 2)
-    a6 = d ** 3 * C - E.a3 * E.a3 * Fraction(1, 4)
-    ok, w = is_square_quad(QuadElem(d))
-    return TwistResult(FunctionFieldCurve(E.a1, a2, E.a3, a4, a6), d,
-                       w if ok else None)
-
-
-def _squarefull_part(d: int) -> int:
-    d = abs(d)
-    f = 1
-    q = 2
-    while q * q <= d:
-        while d % (q * q) == 0:
-            d //= q * q
-            f *= q
-        q += 1
-    return f
-
-
-def twist_push(P: SectionPoint, E: FunctionFieldCurve, tw: TwistResult,
-               root=None) -> SectionPoint:
-    """Map E -> twisted curve: x' = d x_cs, Y' = d sqrt(d) Y_cs (cs = completed
-    square).  root picks the branch of sqrt(d); the two branches differ by
-    composition with [-1]."""
-    if P.is_zero:
-        return P
-    sd = tw._root(root)
-    d = tw.d
-    Pc = to_completed_square(P, E)
-    xs = d * Pc.x
-    Ys = (d * sd) * Pc.y
-    return from_completed_square(SectionPoint(xs, Ys), tw.curve)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ infinite section lives over Q(sqrt(d))."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .lattices import SURFACES
@@ -218,20 +217,6 @@ def _cubic_character_table(p: int, chi):
 # ---------------------------------------------------------------------------
 # A_p
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiberCount:
-    s: object          # element of F_p or "inf"
-    count: int
-    a_p_s: int         # always p + 1 - count
-
-
-def fiber_counts(k: int, p: int) -> list[FiberCount]:
-    """Per-fiber Weierstrass counts over P^1(F_p), as (s, count, a_p(s))."""
-    vals = weierstrass_fiber_ap_values(k, p)
-    labels = list(range(p)) + ["inf"]
-    return [FiberCount(s, p + 1 - int(a), int(a)) for s, a in zip(labels, vals)]
-
 
 def A_p(k: int, p: int) -> int:
     """Transcendental L-coefficient A_p from fiber counts, for k in {3, 6, 18}

