@@ -14,7 +14,6 @@ import contextlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 # the other layers, and mpmath with them, are imported by the subcommands
 # that run them: `ap` and `lattice` never load mpmath
@@ -41,15 +40,9 @@ def _prefactor(surf: lattices.Surface, prec: int) -> BigReal:
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable))
+        print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(human)
-
-
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return {"num": v.numerator, "den": v.denominator}
-    raise TypeError(f"not jsonable: {type(v)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +238,7 @@ def cmd_verify(args) -> int:
     report["timings"] = timings
 
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2, default=_jsonable))
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(f"identity m(P_{k}): lhs={report['lhs']['value']:.10f} "
               f"rhs={report['rhs']['value']:.10f} |diff|={diff:.3e} "

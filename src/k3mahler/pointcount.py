@@ -5,12 +5,14 @@ A_p is assembled from the Weierstrass fibers over all s in P^1(F_p),
 singular fibers included.  With u = s^2 - ks each fiber's value is
 a_p(s) = -chi(A) H(-u/A^2), A = (u^2+6u-3)/4, read from one table
 H(r) = sum_y chi(y(y^2+y+r)), the cyclic convolution of a bincount with the
-Legendre symbol; at most two fibers with A = 0 are summed directly.  So all
-p + 1 fibers of one prime cost O(p log p) together (see
-`weierstrass_fiber_ap_values`).  Two kernels compute the convolution, chosen
-by p alone: below _NUMPY_FROM one exact big-integer (Kronecker) product in
-pure Python, so small primes, and `verify` at its default pmax, never import
-numpy; from _NUMPY_FROM on one numpy FFT, whose rounding is checked.
+Legendre symbol; at most two fibers with A = 0 are summed directly.  u is
+even in s - k/2, so (p + 3)/2 values, weighted 1, 2, ..., 2, 1, give all
+p + 1 fibers of one prime in O(p log p) (see `weierstrass_fiber_ap_values`).
+Two kernels compute them, chosen by p alone: below _NUMPY_FROM one exact
+big-integer (Kronecker) product in pure Python, from there on one numpy FFT,
+whose rounding is checked.  _NUMPY_FROM is the break-even prime where the
+pure kernel's extra time first exceeds numpy's import, so scans below it,
+`verify` at its default pmax among them, never import numpy.
 
 A_p = -sum_s a_p(s) for rank 0, with an extra -(d/p) p for rank 1 when the
 infinite section lives over Q(sqrt(d))."""
@@ -18,6 +20,8 @@ infinite section lives over Q(sqrt(d))."""
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from typing import Iterable
 
 from .lattices import SURFACES
@@ -94,9 +98,10 @@ def _legendre_table(p: int):
 # Fiber scan
 # ---------------------------------------------------------------------------
 
-# Primes below this are scanned in pure Python, the rest by numpy's FFT; with
-# numpy already loaded the two take equal time at p = 110-150 (2-core x86-64).
-_NUMPY_FROM = 150
+# Primes below this are scanned in pure Python, the rest by numpy's FFT: the
+# break-even prime, where the pure kernel's extra time over all smaller primes
+# first exceeds numpy's import (measured in CHANGES.md).
+_NUMPY_FROM = 1693
 
 
 def weierstrass_fiber_ap_values(k: int, p: int) -> list[int]:
@@ -113,70 +118,93 @@ def weierstrass_fiber_ap_values(k: int, p: int) -> list[int]:
     A != 0 the substitution x = A y gives G(u) = chi(A) H(B/A^2), where
     H(r) = sum_y chi(y (y^2 + y + r)) is one table for all fibers (see
     `_cubic_character_list`).  At the at most two roots of A (they exist
-    when p = +-1 mod 12) G(u) = sum_x chi(x^3 - ux) is summed directly.  The
+    when p = +-1 mod 12) G(u) is summed directly (`_cubic_sum`).  The
     s = infinity fiber, 4x^3 + x^2 = 4(x^3 + x^2/4), is the case A = 1/4,
     B = 0, so its value is -H(0).  Every step is a bijection of F_p or a
     factorisation of the same character sum, so the values are exact on
-    singular fibers too.  Cost: O(p log p) time and O(p) memory per prime,
-    in pure Python below _NUMPY_FROM and in numpy from there on.
+    singular fibers too.  They are read from `_half_table`.
     """
+    half = _half_table(k, p)
+    c = k * ((p + 1) // 2) % p      # k/2
+    return [int(half[min(t, p - t)]) for t in ((s - c) % p for s in range(p))] \
+        + [int(half[-1])]
+
+
+def _fiber_sum(k: int, p: int) -> int:
+    """sum_s a_p(s) over P^1(F_p): the half table weighted 1, 2, ..., 2, 1."""
+    half = _half_table(k, p)
+    total = half.sum() if p >= _NUMPY_FROM else sum(half)
+    return int(2 * total - half[0] - half[-1])
+
+
+def _half_table(k: int, p: int):
+    """a_p(s) at s = k/2 + t for t = 0..(p-1)/2, then at s = infinity.
+
+    u = s^2 - ks = t^2 - k^2/4 is even in t, so s = k/2 +- t share a value.
+    O(p log p) time and O(p) memory per prime: a list in pure Python below
+    _NUMPY_FROM, an array from numpy from there on."""
     if p in (2, 3) or not is_prime(p):
         raise ValueError("p must be a prime not dividing 6")
-    return (_fiber_values_fft if p >= _NUMPY_FROM else _fiber_values_small)(k, p)
+    return (_half_table_fft if p >= _NUMPY_FROM else _half_table_small)(k, p)
 
 
-def _fiber_values_small(k: int, p: int) -> list[int]:
-    """weierstrass_fiber_ap_values in pure Python."""
+def _half_table_small(k: int, p: int) -> list[int]:
+    """_half_table in pure Python, for p < 8192 (see `_cubic_character_list`)."""
     chi = _legendre_list(p)
     H = _cubic_character_list(p, chi)
-    inv4 = pow(4, -1, p)
-    values = []
-    for s in range(p):
-        u = s * (s - k) % p
-        A = (u * u + 6 * u - 3) * inv4 % p
-        if A:
-            A_inv = pow(A, -1, p)
-            values.append(-chi[A] * H[(p - u) * A_inv * A_inv % p])
-        else:   # y^2 = x^3 - ux is smooth here: u = 0 would make A = -3/4
-            values.append(p + 1 - count_weierstrass((0, 0, 0, -u, 0), p))
-    return values + [-H[0]]
+    inv = [0, 1] + [0] * (p - 2)    # inv[i] = 1/i mod p
+    for i in range(2, p):
+        inv[i] = -(p // i) * inv[p % i] % p
+    c = k * k * inv[4] % p          # k^2/4
+    half = []
+    for t in range((p + 1) // 2):
+        u = (t * t - c) % p
+        a = (u * u + 6 * u - 3) % p     # 4A: chi(4A) = chi(A), -u/A^2 = -16u/(4A)^2
+        # y^2 = x^3 - ux is smooth at A = 0: u = 0 would make A = -3/4
+        half.append(-chi[a] * H[-16 * u * inv[a * a % p] % p] if a else -_cubic_sum(u, p, chi))
+    return half + [-H[0]]
+
+
+def _cubic_sum(u: int, p: int, chi: list[int]) -> int:
+    """G(u) = sum_x chi(x^3 - ux), the fiber sum where A = 0."""
+    return sum(chi[(x * x - u) * x % p] for x in range(p))
 
 
 def _cubic_character_list(p: int, chi: list[int]) -> list[int]:
-    """H[r] = sum_y chi(y (y^2 + y + r)) for every r in F_p.
+    """H[r] = sum_y chi(y (y^2 + y + r)) for every r in F_p, for p < 8192.
 
     With w = -y^2 - y, chi(y^2 + y + r) = chi(r - w), so H is the cyclic
-    convolution of h(w) = sum_{y: -y^2-y = w} chi(y) with chi.  It is taken
-    as one exact integer (Kronecker) product of h + 2 and chi + 1, packed in
-    slots wide enough for their coefficients (at most 4 * 2 * p), and folded
-    mod p: sum h = sum chi = 0, so the shifts add exactly 2p to each entry.
+    convolution of h(w) = sum_{y: -y^2-y = w} chi(y) with chi: one exact
+    integer (Kronecker) product of h + 2 and chi + 1 in 16-bit slots, folded
+    mod p in the integer.  A folded slot sums exactly p products of at most
+    4 * 2 < 2^16 / p, so none carries; as sum h = sum chi = 0, it is H[r] + 2p.
     """
     h = [2] * p
     for y in range(p):
         h[-y * (y + 1) % p] += chi[y]
-    width = ((8 * p).bit_length() + 7) // 8
 
-    def pack(values):    # little-endian slots of `width` bytes; values < 256
-        slots = bytearray(width * p)
-        slots[::width] = bytes(values)
+    def pack(values):    # little-endian 16-bit slots; values < 256
+        slots = bytearray(2 * p)
+        slots[::2] = bytes(values)
         return int.from_bytes(slots, "little")
 
-    buf = (pack(h) * pack([c + 1 for c in chi])).to_bytes(2 * p * width, "little")
-    conv = list(buf[::width])
-    for j in range(1, width):
-        conv = [c + (b << 8 * j) for c, b in zip(conv, buf[j::width])]
-    return [conv[r] + conv[r + p] - 2 * p for r in range(p)]
+    c = pack(h) * pack([v + 1 for v in chi])
+    slots = array("H", ((c & ((1 << 16 * p) - 1)) + (c >> 16 * p)).to_bytes(2 * p, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return [v - 2 * p for v in slots]
 
 
-def _fiber_values_fft(k: int, p: int) -> list[int]:
-    """weierstrass_fiber_ap_values by numpy, with H from one real FFT."""
+def _half_table_fft(k: int, p: int):
+    """_half_table by numpy, with H from one real FFT."""
     import numpy as np
 
     chi = _legendre_table(p)
     H = _cubic_character_table(p, chi)
-    s = np.arange(p, dtype=np.int64)
-    u = s * (s - k % p) % p
-    A = (u * u + 6 * u - 3) % p * pow(4, -1, p) % p
+    x = np.arange(p, dtype=np.int64)
+    inv4 = pow(4, -1, p)
+    u = (x[:(p + 1) // 2] ** 2 - k * k * inv4 % p) % p
+    A = (u * u + 6 * u - 3) % p * inv4 % p
     # A^(p-2) mod p elementwise: the inverse of nonzero A, and 0 at A = 0
     A_inv, base, e = np.ones_like(A), A, p - 2
     while e:
@@ -185,9 +213,9 @@ def _fiber_values_fft(k: int, p: int) -> list[int]:
         base = base * base % p
         e >>= 1
     G = chi[A] * H[(p - u) * A_inv % p * A_inv % p]
-    for i in np.flatnonzero(A == 0):   # G = sum_x chi(x^3 - ux), x over F_p as s
-        G[i] = int(np.sum(chi[(s * s % p - u[i]) * s % p]))
-    return (-np.append(G, H[0])).tolist()
+    for i in np.flatnonzero(A == 0):   # G = sum_x chi(x^3 - ux)
+        G[i] = int(np.sum(chi[(x * x % p - u[i]) * x % p]))
+    return -np.append(G, H[0])
 
 
 def _cubic_character_table(p: int, chi):
@@ -231,7 +259,7 @@ def A_p(k: int, p: int) -> int:
                          f"excluded set {sorted(surf.bad_primes)}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    value = -sum(weierstrass_fiber_ap_values(k, p))
+    value = -_fiber_sum(k, p)
     if surf.rank == 1:
         value -= legendre(surf.section_disc, p) * p
     return value
@@ -244,7 +272,7 @@ def ap_scan(k: int, pmax: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Weierstrass counting over F_p (used for the twisted-curve reductions)
+# Weierstrass curves over F_p (used for the twisted-curve reductions)
 # ---------------------------------------------------------------------------
 
 def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
@@ -257,22 +285,6 @@ def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
     b6 = a3 * a3 + 4 * a6
     b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
     return b2, b4, b6, -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-
-def count_weierstrass(coeffs: Iterable[int], p: int) -> int:
-    """#E(F_p) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p.
-
-    Completes the square and sums Legendre symbols; raises on singular
-    reduction.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
-    b2, b4, b6, disc = (b % p for b in weierstrass_invariants(a1, a2, a3, a4, a6))
-    if disc == 0:
-        raise ValueError("singular curve mod p")
-    chi = _legendre_list(p)
-    return sum(1 + chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p)) + 1
 
 
 def point_order(coeffs: Iterable[int], pt: tuple[int, int], p: int,

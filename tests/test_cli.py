@@ -295,6 +295,12 @@ print(json.dumps({"loaded": [m for m in ("mpmath", "numpy") if m in sys.modules]
 """
 
 
+# the last prime that `ap` scans in pure Python and the first it scans by numpy
+LAST_PURE_PRIME = pointcount.primes_up_to(pointcount._NUMPY_FROM - 1)[-1]
+FIRST_NUMPY_PRIME = next(p for p in pointcount.primes_up_to(2 * pointcount._NUMPY_FROM)
+                         if p >= pointcount._NUMPY_FROM)
+
+
 class TestWithoutNumpy:
     # one fresh interpreter per request, in which `import scipy` fails,
     # reports which of mpmath and numpy the request loaded
@@ -303,10 +309,12 @@ class TestWithoutNumpy:
         (["ap", "--k", "18", "--json"], []),
         (["lattice", "--k", "18", "--json"], []),
         *((["verify", "--k", k, "--json"], ["mpmath"]) for k in ("0", "3", "6", "18")),
-        # the control: a prime in [_NUMPY_FROM, 2 _NUMPY_FROM] is scanned by numpy
-        (["ap", "--k", "3", "--pmax", str(2 * pointcount._NUMPY_FROM)], ["numpy"]),
+        # every prime below _NUMPY_FROM is scanned in pure Python; the control,
+        # the first prime from there on, is scanned by numpy
+        (["ap", "--k", "3", "--pmax", str(LAST_PURE_PRIME)], []),
+        (["ap", "--k", "3", "--pmax", str(FIRST_NUMPY_PRIME)], ["numpy"]),
     ], ids=["import", "ap-k18", "lattice-k18", "verify-k0", "verify-k3", "verify-k6",
-            "verify-k18", "ap-control"])
+            "verify-k18", "ap-below-crossover", "ap-control"])
     def test_numpy_stays_unloaded(self, argv, loads):
         env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", LOADS_PROBE, json.dumps(argv)],

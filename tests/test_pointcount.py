@@ -230,39 +230,50 @@ class TestWeierstrassFiberScan:
             want = _weierstrass_fiber_ap_values_oracle(k, p)
             assert all(type(v) is int for v in vals) and vals == want.tolist(), (k, p)
 
+    def test_half_table_sum_matches_fiber_values(self):
+        # A_p's weights 1, 2, ..., 2, 1 on the half table give the fiber sum
+        cases = [(k, p) for p in [*pc.primes_up_to(400)[2:], 1009, 1499, 1999]
+                 for k in (0, 1, 2, 3, 6, 10, 18)]
+        for k, p in cases:
+            assert pc._fiber_sum(k, p) == sum(pc.weierstrass_fiber_ap_values(k, p)), (k, p)
+
     def test_kernels_agree_across_the_crossover(self):
-        # the pure-Python and the numpy kernel, each forced, fiber by fiber;
+        # the pure-Python and the numpy kernel, each forced, fiber by fiber,
+        # below 400 and at every prime within 64 of the crossover;
         # p = +-1 mod 12 (11, 13, 23, ...) have fibers with A = 0
         primes = [p for p in pc.primes_up_to(400) if p >= 5]
-        assert primes[0] < pc._NUMPY_FROM < primes[-1]
+        near = [p for p in pc.primes_up_to(pc._NUMPY_FROM + 64)
+                if p >= pc._NUMPY_FROM - 64]
         assert sum(p % 12 in (1, 11) for p in primes) > 30
-        for p in primes:
+        assert min(near) < pc._NUMPY_FROM <= max(near)
+        for p in primes + near:
             for k in (3, 6, 18):
-                small, fft = pc._fiber_values_small(k, p), pc._fiber_values_fft(k, p)
-                assert len(small) == p + 1 and small == fft, (k, p)
-                assert all(type(v) is int for v in small + fft), (k, p)
+                small, fft = pc._half_table_small(k, p), pc._half_table_fft(k, p)
+                assert len(small) == (p + 3) // 2 and small == fft.tolist(), (k, p)
+                assert all(type(v) is int for v in small), (k, p)
 
     def test_zero_quadratic_coefficient_branch(self, monkeypatch):
         # at p = 11, A = (u^2 + 6u - 3)/4 vanishes at u = 7 and u = 9;
         # with k = 3, u = s^2 - 3s is 9 at s = 1, 2 and 7 at s = 6, 8
         seen = []
-        direct = pc.count_weierstrass
+        direct = pc._cubic_sum
 
-        def spy(coeffs, p):
-            seen.append(-coeffs[3] % p)
-            return direct(coeffs, p)
+        def spy(u, p, chi):
+            seen.append(u)
+            return direct(u, p, chi)
 
-        monkeypatch.setattr(pc, "count_weierstrass", spy)
+        monkeypatch.setattr(pc, "_cubic_sum", spy)
         vals = pc.weierstrass_fiber_ap_values(3, 11)
         assert set(seen) == {7, 9}
         assert np.array_equal(vals, _weierstrass_fiber_ap_values_oracle(3, 11))
 
     def test_rounding_guard(self, monkeypatch):
         # the FFT kernel serves p >= _NUMPY_FROM
+        p = next(q for q in range(pc._NUMPY_FROM, 2 * pc._NUMPY_FROM) if pc.is_prime(q))
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(ArithmeticError):
-            pc.weierstrass_fiber_ap_values(6, 1009)
+            pc.weierstrass_fiber_ap_values(6, p)
 
 
 class TestAp:
@@ -318,6 +329,22 @@ class TestAp:
             assert ap * aq == co[p * q]
 
 
+def count_weierstrass(coeffs, p):
+    """#E(F_p) for y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over F_p.
+
+    Completes the square and sums Legendre symbols; raises on singular
+    reduction.
+    """
+    if p == 2 or not pc.is_prime(p):
+        raise ValueError("p must be an odd prime")
+    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
+    b2, b4, b6, disc = (b % p for b in pc.weierstrass_invariants(a1, a2, a3, a4, a6))
+    if disc == 0:
+        raise ValueError("singular curve mod p")
+    chi = pc._legendre_list(p)
+    return sum(1 + chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p)) + 1
+
+
 class TestWeierstrassCounts:
     def _twist_coeffs(self, sigma):
         a1 = sigma * sigma - 18 * sigma + 1
@@ -328,13 +355,13 @@ class TestWeierstrassCounts:
     def test_twisted_curve_mod5(self):
         for sigma in (1, 2):
             coeffs = self._twist_coeffs(sigma)
-            assert pc.count_weierstrass(coeffs, 5) == 6
+            assert count_weierstrass(coeffs, 5) == 6
         assert pc.point_order(self._twist_coeffs(1), (3, 1), 5) == 6
 
     def test_bad_reduction_raises(self):
         # sigma = 0 reduces to a singular curve
         with pytest.raises(ValueError, match="singular"):
-            pc.count_weierstrass(self._twist_coeffs(0), 5)
+            count_weierstrass(self._twist_coeffs(0), 5)
 
     def test_point_order_rejects_singular_reduction(self):
         # (0, 0) lies on the sigma = 0 curve y^2 + xy = x^3 + 2x^2 mod 5
@@ -343,14 +370,14 @@ class TestWeierstrassCounts:
             pc.point_order(self._twist_coeffs(0), (0, 0), 5)
 
     def test_against_enumeration(self):
-        cnt = pc.count_weierstrass((0, 0, 0, 1, 0), 5)  # y^2 = x^3 + x
+        cnt = count_weierstrass((0, 0, 0, 1, 0), 5)  # y^2 = x^3 + x
         assert cnt == _raw_weierstrass_count((0, 0, 0, 1, 0), 5)
         rng = random.Random(8)
         for _ in range(30):
             p = rng.choice([5, 7, 11, 13])
             coeffs = tuple(rng.randrange(p) for _ in range(5))
             try:
-                fast = pc.count_weierstrass(coeffs, p)
+                fast = count_weierstrass(coeffs, p)
             except ValueError:
                 continue
             assert fast == _raw_weierstrass_count(coeffs, p)
