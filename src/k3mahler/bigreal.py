@@ -12,7 +12,6 @@ from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -22,12 +21,15 @@ def _mpf_at(value, prec: int):
         return +mp.mpf(value)
 
 
-@dataclass(frozen=True)
 class BigReal:
-    value: mp.mpf
-    prec: int
-    error_bound: mp.mpf
-    bound_kind: str = "rigorous"   # or "estimate"
+    __slots__ = ("value", "prec", "error_bound", "bound_kind")
+
+    def __init__(self, value: mp.mpf, prec: int, error_bound: mp.mpf,
+                 bound_kind: str = "rigorous"):   # or "estimate"
+        self.value = value
+        self.prec = prec
+        self.error_bound = error_bound
+        self.bound_kind = bound_kind
 
     @staticmethod
     def exactly(value, prec: int = 53) -> "BigReal":

@@ -361,9 +361,17 @@ def _at_least(lo: int):
     return parse
 
 
-def _positive(text: str) -> float:
-    """argparse type: a float > 0."""
+def _finite(text: str) -> float:
+    """argparse type: a finite float (no nan or inf)."""
     x = float(text)
+    if not abs(x) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    x = _finite(text)
     if not x > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
     return x
@@ -386,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     m = sub.add_parser("mahler", help="Mahler measure by one method")
-    m.add_argument("--k", type=float, required=True)
+    m.add_argument("--k", type=_finite, required=True)
     m.add_argument("--prec", type=_at_least(53), default=128)
     m.add_argument("--json", action="store_true")
     m.add_argument("--method", choices=["quadrature", "bertin", "mc"],

@@ -41,14 +41,12 @@ half of the coefficients and proves the answer by multiplying it out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional, Union
 
 from .pointcount import is_prime
-
-Rational = Union[int, Fraction]
 
 
 def _as_fraction(v) -> Fraction:
@@ -59,7 +57,7 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"expected rational, got {type(v).__name__}")
 
 
-def sqrt_fraction(q: Fraction) -> Optional[Fraction]:
+def sqrt_fraction(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if not a square."""
     if q < 0:
         return None
@@ -75,7 +73,7 @@ class QuadElem:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Rational = 0, b: Rational = 0):
+    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0):
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
 
@@ -202,7 +200,7 @@ ONE = QuadElem(1)
 SQRT_M3 = QuadElem(0, 1)  # sqrt(-3)
 
 
-def is_square_quad(c) -> tuple[bool, Optional[QuadElem]]:
+def is_square_quad(c) -> tuple[bool, QuadElem | None]:
     """Decide whether c is a square in Q(sqrt(-3)); return (flag, witness).
 
     Solves w^2 = c for w = u + v*sqrt(-3): u^2 - 3 v^2 = Re(c), 2uv = Im(c).
@@ -417,7 +415,7 @@ class Poly:
             acc = acc * p + c
         return acc
 
-    def reverse(self, n: Optional[int] = None) -> "Poly":
+    def reverse(self, n: int | None = None) -> "Poly":
         """sigma^n * f(1/sigma) as a polynomial; n defaults to deg f."""
         if self.is_zero():
             return self
@@ -644,7 +642,7 @@ def _find_modp_primes() -> list[tuple[int, int]]:
     return out
 
 
-_MODP_PRIMES: Optional[list] = None
+_MODP_PRIMES: list | None = None
 
 
 def _modp_primes() -> list[tuple[int, int]]:
@@ -654,7 +652,7 @@ def _modp_primes() -> list[tuple[int, int]]:
     return _MODP_PRIMES
 
 
-def reduce_mod_p(c: QuadElem, p: int, w: Optional[int]) -> Optional[int]:
+def reduce_mod_p(c: QuadElem, p: int, w: int | None) -> int | None:
     """Image of c in F_p under sqrt(-3) -> w (w * w = -3 mod p; None when c
     is rational); None if p divides a denominator of c."""
     if c.a.denominator % p == 0 or c.b.denominator % p == 0:
@@ -665,7 +663,7 @@ def reduce_mod_p(c: QuadElem, p: int, w: Optional[int]) -> Optional[int]:
     return v % p
 
 
-def _map_mod_p(f: Poly, p: int, w: int) -> Optional[list[int]]:
+def _map_mod_p(f: Poly, p: int, w: int) -> list[int] | None:
     """Image of f in F_p[x] under sqrt(-3) -> w; None if p hits a denominator
     (p divides the common denominator exactly when it divides one of the
     coefficient denominators)."""
@@ -743,7 +741,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         hh = hh * (gg / hh) ** delta if delta else hh
 
 
-def poly_sqrt(f: Poly) -> Optional[Poly]:
+def poly_sqrt(f: Poly) -> Poly | None:
     """A polynomial g with g^2 = f, or None if f is not a square.
 
     A square root is unique up to sign, so the top half of f fixes the only
@@ -775,11 +773,11 @@ def poly_sqrt(f: Poly) -> Optional[Poly]:
 # Places and rational functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Place:
-    """A place of Q(sqrt(-3))(sigma): a monic irreducible polynomial, or infinity."""
+class Place(namedtuple("Place", "poly")):
+    """A place of Q(sqrt(-3))(sigma): a monic irreducible polynomial, or
+    infinity (poly None)."""
 
-    poly: Optional[Poly]  # None encodes the place at infinity
+    __slots__ = ()
 
     @staticmethod
     def finite(poly) -> "Place":
@@ -1009,7 +1007,7 @@ def valuation(f: RatFunc, place: Place) -> int:
     return -poly_valuation(f.den, pi)
 
 
-def sqrt_ratfunc(f: RatFunc) -> Optional[RatFunc]:
+def sqrt_ratfunc(f: RatFunc) -> RatFunc | None:
     """A rational function r with r^2 = f, or None if f is not a square.
 
     num and den are coprime and den is monic, so f is a square exactly when

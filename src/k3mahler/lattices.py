@@ -5,36 +5,36 @@ complements with saturated integer bases, the Shioda rank count from fiber
 data, and the Neron-Severi determinant chain.  All arithmetic is exact.
 
 ``SURFACES`` holds one ``Surface`` record per k = 0, 3, 6, 18: every per-k
-fact the other modules use, defined once.
+fact the other modules use, defined once; ``NEWFORM_AP`` holds the a_p table
+of the newform of each surface's level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 # Ambient pairing on the transcendental periods (gamma_1, gamma_2, gamma_3).
 AMBIENT_GRAM = ((0, 0, 1), (0, 12, 0), (1, 0, 0))
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(namedtuple("GramLattice", "gram labels")):
     """Integer symmetric bilinear form with labeled basis."""
 
-    gram: tuple
-    labels: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.gram)
-        for row in self.gram:
+    def __new__(cls, gram, labels):
+        n = len(gram)
+        for row in gram:
             if len(row) != n:
                 raise ValueError("Gram matrix must be square")
         for i in range(n):
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        return super().__new__(cls, gram, labels)
 
     @property
     def n(self) -> int:
@@ -67,18 +67,11 @@ def ambient_lattice() -> GramLattice:
     return GramLattice(AMBIENT_GRAM, ("g1", "g2", "g3"))
 
 
-@dataclass(frozen=True)
-class TauRecord:
+class TauRecord(namedtuple("TauRecord", "k A B C p q r")):
     """CM point data: tau = (A + sqrt(B))/C with B < 0, and the primitive
     (p, q, r) solving -6 p tau^2 + 12 q tau + r = 0."""
 
-    k: int
-    A: int
-    B: int
-    C: int
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
     def residual(self) -> tuple[Fraction, Fraction]:
         """(rational, sqrt(B)-coefficient) parts of -6p tau^2 + 12q tau + r."""
@@ -190,11 +183,7 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return m
 
 
-@dataclass(frozen=True)
-class OrthoComplement:
-    basis: tuple
-    sublattice: GramLattice
-    det: int
+OrthoComplement = namedtuple("OrthoComplement", "basis sublattice det")
 
 
 def orthocomplement(ambient: GramLattice, v: Sequence[int]) -> OrthoComplement:
@@ -235,14 +224,16 @@ def _format_vector(b: Sequence[int], labels: Sequence[str]) -> str:
 # Fiber configurations and Shioda bookkeeping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberEntry:
-    place: str
-    m: int            # component count of the I_m fiber
+class FiberEntry(namedtuple("FiberEntry", (
+        "place",
+        "m",            # component count of the I_m fiber
+))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, place, m):
+        if m < 1:
             raise ValueError("I_m fiber needs m >= 1")
+        return super().__new__(cls, place, m)
 
 
 def shioda_rank(rho: int, ms: Sequence[int]) -> int:
@@ -268,27 +259,28 @@ def ns_determinant(rank: int, trivial_det: int, mwl_det, torsion_order: int):
     return Fraction(sign * trivial_det, torsion_order ** 2) * Fraction(mwl_det)
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(namedtuple("Surface", (
+        "k",
+        "tol",           # default identity tolerance of `verify`
+        "d3_coeff",      # a Fraction
+        "disc",          # CM discriminant of the weight-3 form phi
+        "level",         # newform level, equal to |det T|
+        "ap_twist",      # d with A_p = (d/p) a_p of that newform
+        "prefactor",     # (r, n) as above
+        "rank",          # Mordell-Weil rank
+        "section_disc",  # d with the infinite section over Q(sqrt(d))
+        "bad_primes",    # excluded from the A_p count
+        "fibers",        # one FiberEntry per singular fiber
+        "torsion",       # Mordell-Weil torsion order
+), defaults=(None,) * 6 + (frozenset({2, 3}), None, None))):
     """What the identity for one k rests on:
 
         m(P_k) = (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3
 
     with prefactor = (r, n).  k = 0 is the bare identity m(P_0) = d3; its
-    surface fields stay unset."""
+    surface fields stay unset (None)."""
 
-    k: int
-    tol: float                        # default identity tolerance of `verify`
-    d3_coeff: Fraction
-    disc: Optional[int] = None        # CM discriminant of the weight-3 form phi
-    level: Optional[int] = None       # newform level, equal to |det T|
-    ap_twist: Optional[int] = None    # d with A_p = (d/p) a_p of that newform
-    prefactor: Optional[tuple] = None  # (r, n) as above
-    rank: Optional[int] = None        # Mordell-Weil rank
-    section_disc: Optional[int] = None  # d with the infinite section over Q(sqrt(d))
-    bad_primes: frozenset = frozenset({2, 3})  # excluded from the A_p count
-    fibers: Optional[tuple] = None    # one FiberEntry per singular fiber
-    torsion: Optional[int] = None     # Mordell-Weil torsion order
+    __slots__ = ()
 
 
 # Singular fibers of the double cover are read off from the Beauville
@@ -331,6 +323,17 @@ SURFACES = {
                     FiberEntry("alpha2", 1),   # over u=-8
                     FiberEntry("beta2", 1),    # over u=-8
                 )),
+}
+
+# a_p (p <= 31) of the weight-3 CM newform of each surface's level, the
+# second reference for the A_p scan where it has the prime
+NEWFORM_AP = {
+    15: {2: -1, 3: 3, 5: -5, 7: 0, 11: 0, 13: 0, 17: 14, 19: -22, 23: -34,
+         29: 0, 31: 2},
+    24: {2: 2, 3: -3, 5: -2, 7: -10, 11: 10, 13: 0, 17: 0, 19: 0, 23: 0,
+         29: -50, 31: 38},
+    120: {2: 2, 3: 3, 5: -5, 7: 0, 11: 2, 13: -14, 17: -26, 19: 0, 23: -14,
+          29: 38, 31: -58},
 }
 
 

@@ -7,27 +7,19 @@ coefficients come from direct lattice-point enumeration, so every value here
 is independent of the quadrature route.  L(phi, 3) is the smoothed sum of the
 functional equation (``smoothed_lvalue``): 64-182 coefficients give it to
 2^-128 with a rigorous bound, after a check that the functional equation
-holds.  ``lvalue_from_coeffs`` keeps the plain partial Dirichlet sum.  The
-Epstein combination that checks the d3 term lives with the other lattice
-sums in ``mahler``.
+holds.  The Epstein combination that checks the d3 term lives with the other
+lattice sums in ``mahler``.
 """
 from __future__ import annotations
 
-import csv
-import hashlib
-import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
-from typing import Optional
 
 import mpmath as mp
 
 from .bigreal import BigReal
-from .lattices import SURFACES
-
-_NEWFORM_CSV_SHA256 = "c622b0f366b17c3d7c964b4e81cdafff6c35da227c0a97c05032b46860073642"
+from .lattices import NEWFORM_AP, SURFACES
 
 
 def kronecker(d: int, n: int) -> int:
@@ -64,26 +56,27 @@ def kronecker(d: int, n: int) -> int:
 # Quadratic-form series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadFormTerm:
-    form: tuple            # (a, b, c): a m^2 + b mk + c k^2, positive definite
-    numerator: tuple       # (p, q, r): p m^2 + q mk + r k^2
-    sign: int              # +1 or -1
-    numerator_bound: int   # sup |numerator| / form over the real plane
+class QuadFormTerm(namedtuple("QuadFormTerm", (
+        "form",             # (a, b, c): a m^2 + b mk + c k^2, positive definite
+        "numerator",        # (p, q, r): p m^2 + q mk + r k^2
+        "sign",             # +1 or -1
+        "numerator_bound",  # sup |numerator| / form over the real plane
+))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b, c = self.form
+    def __new__(cls, form, numerator, sign, numerator_bound):
+        a, b, c = form
         if a <= 0 or 4 * a * c - b * b <= 0:
             raise ValueError("form is not positive definite")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +-1")
+        return super().__new__(cls, form, numerator, sign, numerator_bound)
 
 
-@dataclass(frozen=True)
-class QuadFormSeries:
-    disc: int
-    prefactor: Fraction
-    terms: tuple
+class QuadFormSeries(namedtuple("QuadFormSeries", "disc prefactor terms")):
+    """prefactor (a Fraction) times the signed sum of the terms."""
+
+    __slots__ = ()
 
     def coeff_bound(self) -> float:
         """C with |A_n| <= C n^2 for every n >= 1.
@@ -130,16 +123,18 @@ FORM_SERIES = {
 }
 
 
-@dataclass(frozen=True)
 class DirichletCoeffs:
     """A_n for 1 <= n <= N as exact integers (index 0 unused).
 
     tail_scale gives |sum_{n>N} A_n/n^3| <= 2*tail_scale/N.
     """
 
-    values: list[int]
-    source: str
-    tail_scale: float
+    __slots__ = ("values", "source", "tail_scale")
+
+    def __init__(self, values: list[int], source: str, tail_scale: float):
+        self.values = values
+        self.source = source
+        self.tail_scale = tail_scale
 
     @property
     def N(self) -> int:
@@ -182,24 +177,6 @@ def form_coefficients(series: QuadFormSeries, N: int) -> DirichletCoeffs:
                            tail_scale=series.tail_scale())
 
 
-def lvalue_from_coeffs(coeffs: DirichletCoeffs, s: int = 3,
-                       N: int | None = None) -> BigReal:
-    """Partial Dirichlet sum sum_{n<=N} A_n / n^s with a proven tail bound."""
-    if s != 3:
-        raise ValueError("only s = 3 is supported (weight-2 numerators)")
-    if N is None:
-        N = coeffs.N
-    if N > coeffs.N:
-        raise ValueError(f"insufficient coefficients: have {coeffs.N}, need {N}")
-    values = coeffs.values[1:N + 1]
-    # each nonzero term to 3 ulps: two roundings and the one of n^-3.0
-    terms = [a * n ** -3.0 for n, a in itertools.compress(enumerate(values, 1), values)]
-    value = math.fsum(terms)
-    tail = 2.0 * coeffs.tail_scale / N
-    rounding = 1e-15 * math.fsum(map(abs, terms)) + 1e-16
-    return BigReal.with_bound(value, tail + rounding)
-
-
 def _n2_tail(alpha, M: int):
     """Upper bound for sum_{n>M} n^2 e^(-alpha n), as an mpf.
 
@@ -214,7 +191,7 @@ def _n2_tail(alpha, M: int):
 
 
 def smoothed_lvalue(series: QuadFormSeries, prec: int = 128,
-                    level: Optional[int] = None, sign: int = 1) -> BigReal:
+                    level: int | None = None, sign: int = 1) -> BigReal:
     """L(phi, 3) for the form series by the smoothed sum of its functional
     equation (Dokchitser, Exp. Math. 13 (2004)), with a rigorous bound.
 
@@ -324,43 +301,19 @@ def d3(prec: int = 128) -> BigReal:
 # Embedded newform tables and twisting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewformEntry:
-    level: int
-    weight: int
-    cm_disc: int
-    ap: dict  # p -> a_p for the tabled primes
-    twist: Optional[int]  # the surface's ap_twist: A_p = (twist/p) a_p
-
-
-_TABLE_CACHE: dict[int, NewformEntry] = {}
-
-
-def _load_newform_csv() -> dict[int, dict[int, int]]:
-    data = resources.files("k3mahler").joinpath("data/newform_ap.csv").read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != _NEWFORM_CSV_SHA256:
-        raise RuntimeError(f"newform table checksum mismatch: {digest}")
-    out: dict[int, dict[int, int]] = {}
-    for row in csv.reader(data.decode().splitlines()):
-        if not row or row[0].startswith("#"):
-            continue
-        level, p, ap = (int(v) for v in row)
-        out.setdefault(level, {})[p] = ap
-    return out
+NewformEntry = namedtuple("NewformEntry", (
+    "level", "weight", "cm_disc",
+    "ap",      # p -> a_p for the tabled primes
+    "twist",   # the surface's ap_twist: A_p = (twist/p) a_p
+))
 
 
 def newform_table(level: int) -> NewformEntry:
     """Embedded a_p table (p <= 31) for the weight-3 newform of the level."""
-    if not _TABLE_CACHE:
-        tables = _load_newform_csv()
-        _TABLE_CACHE.update({
-            surf.level: NewformEntry(surf.level, 3, surf.disc, tables[surf.level],
-                                     surf.ap_twist)
-            for surf in SURFACES.values() if surf.level is not None})
-    if level not in _TABLE_CACHE:
+    if level not in NEWFORM_AP:
         raise ValueError(f"no embedded newform of level {level}")
-    return _TABLE_CACHE[level]
+    surf = next(s for s in SURFACES.values() if s.level == level)
+    return NewformEntry(level, 3, surf.disc, NEWFORM_AP[level], surf.ap_twist)
 
 
 def twist_coeff(a_p: int, d: int, p: int) -> int:

@@ -128,7 +128,9 @@ def mahler_quadrature(k: float, tol: float = 1e-8) -> BigReal:
     QUADPACK's was); tol only decides whether ToleranceNotReached is raised.
     """
     k = abs(float(k))
-    if tol <= 0:
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    if not tol > 0:
         raise ValueError("tol must be positive")
     top = k + 2.0
     ends = sorted({0.0, abs(k - 2.0), top} | ({4.0} if top > 4.0 else set()))
@@ -151,7 +153,7 @@ def mahler_quadrature(k: float, tol: float = 1e-8) -> BigReal:
         if diff == 0.0:
             break
     bound = diff + 4.0 * math.ulp(value)
-    if bound > tol:
+    if not bound <= tol:    # a NaN bound certifies nothing
         raise ToleranceNotReached(value, bound, tol)
     return BigReal.with_bound(value, bound, kind="estimate")
 

@@ -15,10 +15,10 @@ mismatch raises VerificationError rather than returning a wrong index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .exactalg import (Place, Poly, RatFunc, is_square_ratfunc, poly_sqrt,
                        reduce_mod_p, sqrt_ratfunc, valuation)
@@ -34,13 +34,10 @@ class VerificationError(RuntimeError):
 # Curves and points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionFieldCurve:
-    a1: RatFunc
-    a2: RatFunc
-    a3: RatFunc
-    a4: RatFunc
-    a6: RatFunc
+class FunctionFieldCurve(namedtuple("FunctionFieldCurve", "a1 a2 a3 a4 a6")):
+    """Long Weierstrass form with RatFunc coefficients."""
+
+    __slots__ = ()
 
     @staticmethod
     def from_coeffs(a1, a2, a3, a4, a6) -> "FunctionFieldCurve":
@@ -55,10 +52,10 @@ class FunctionFieldCurve:
                 - (x ** 3 + self.a2 * x * x + self.a4 * x + self.a6))
 
 
-@dataclass(frozen=True)
-class SectionPoint:
-    x: Optional[RatFunc]
-    y: Optional[RatFunc]
+class SectionPoint(namedtuple("SectionPoint", "x y")):
+    """An affine point (x, y) of RatFuncs, or the zero section (None, None)."""
+
+    __slots__ = ()
 
     @staticmethod
     def zero() -> "SectionPoint":
@@ -148,14 +145,9 @@ def ec_mul(n: int, P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     return result
 
 
-@dataclass(frozen=True)
-class NontorsionWitness:
-    """P reduces to a point of order `order` on the fiber sigma = t modulo p,
-    with sqrt(-3) -> w (None when every coordinate is rational)."""
-    t: int
-    p: int
-    w: Optional[int]
-    order: int
+# P reduces to a point of order `order` on the fiber sigma = t modulo p, with
+# sqrt(-3) -> w (None when every coordinate is rational)
+NontorsionWitness = namedtuple("NontorsionWitness", "t p w order")
 
 
 # the torsion exponent bound of this family, and the fixed, deterministic
@@ -166,7 +158,7 @@ NONTORSION_PRIMES = tuple(p for p in primes_up_to(300) if p >= 5)
 
 
 def verify_nontorsion(P: SectionPoint,
-                      E: FunctionFieldCurve) -> Optional[NontorsionWitness]:
+                      E: FunctionFieldCurve) -> NontorsionWitness | None:
     """A witness that [n]P != O for every n = 1..NONTORSION_BOUND, or None
     when the search certifies nothing.
 
@@ -249,15 +241,10 @@ def bform_coefficients(E: FunctionFieldCurve) -> tuple[RatFunc, RatFunc]:
 # Halving criterion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalvingCertificate:
-    can_halve: bool
-    x_is_square: bool
-    qplus_is_square: Optional[bool]
-    qminus_is_square: Optional[bool]
-    r: Optional[RatFunc]
-    qplus: Optional[RatFunc]
-    qminus: Optional[RatFunc]
+# the square tests of `can_halve`; the last five are None when x(Q) is no square
+HalvingCertificate = namedtuple("HalvingCertificate", (
+    "can_halve", "x_is_square", "qplus_is_square", "qminus_is_square",
+    "r", "qplus", "qminus"))
 
 
 def can_halve(Q: SectionPoint, E: FunctionFieldCurve) -> HalvingCertificate:
@@ -322,12 +309,16 @@ def contribution(m: int, j: int) -> Fraction:
 # Neron components and the height of the k=18 surface
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NeronFiberData:
-    place: str
-    kodaira_m: int
-    component: int
-    facts: dict = field(default_factory=dict)  # the replayed valuations and limits
+class NeronFiberData(namedtuple("NeronFiberData", (
+        "place", "kodaira_m", "component",
+        "facts",  # the replayed valuations and limits
+))):
+    __slots__ = ()
+
+    def __new__(cls, place, kodaira_m, component, facts=None):
+        # a fresh dict per record: a namedtuple default would be shared
+        return super().__new__(cls, place, kodaira_m, component,
+                               {} if facts is None else facts)
 
     def contr(self) -> Fraction:
         return contribution(self.kodaira_m, self.component)
@@ -365,7 +356,7 @@ _LINE_RULES = {
 }
 
 
-def _val_or_inf(f: RatFunc, place: Place) -> Optional[int]:
+def _val_or_inf(f: RatFunc, place: Place) -> int | None:
     if f.is_zero():
         return None  # +infinity
     return valuation(f, place)

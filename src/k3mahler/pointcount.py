@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from typing import Iterable
+from collections.abc import Iterable
 
 from .lattices import SURFACES
 

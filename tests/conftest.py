@@ -1,4 +1,8 @@
-"""Shared (session-scoped) fixtures so the expensive evaluations run once."""
+"""Shared (session-scoped) fixtures so the expensive evaluations run once,
+and the plain Dirichlet sum they use as the L-value oracle."""
+
+import itertools
+import math
 
 import pytest
 
@@ -8,12 +12,30 @@ from k3mahler.bigreal import BigReal
 from modular import form_coefficients_numpy
 
 
+def lvalue_from_coeffs(coeffs, s=3, N=None) -> BigReal:
+    """Partial Dirichlet sum sum_{n<=N} A_n / n^s of a DirichletCoeffs, with
+    a proven tail bound."""
+    if s != 3:
+        raise ValueError("only s = 3 is supported (weight-2 numerators)")
+    if N is None:
+        N = coeffs.N
+    if N > coeffs.N:
+        raise ValueError(f"insufficient coefficients: have {coeffs.N}, need {N}")
+    values = coeffs.values[1:N + 1]
+    # each nonzero term to 3 ulps: two roundings and the one of n^-3.0
+    terms = [a * n ** -3.0 for n, a in itertools.compress(enumerate(values, 1), values)]
+    value = math.fsum(terms)
+    tail = 2.0 * coeffs.tail_scale / N
+    rounding = 1e-15 * math.fsum(map(abs, terms)) + 1e-16
+    return BigReal.with_bound(value, tail + rounding)
+
+
 def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
     """L(phi, s) for the explicit form series by direct summation of N terms,
     with a proven tail bound: the oracle for lfunctions.smoothed_lvalue."""
     if N < 10 ** 3:
         raise ValueError("N >= 10^3 required")
-    return lfunctions.lvalue_from_coeffs(form_coefficients_numpy(series, N), s=s)
+    return lvalue_from_coeffs(form_coefficients_numpy(series, N), s=s)
 
 
 @pytest.fixture(scope="session")

@@ -143,7 +143,14 @@ class TestExitCodes:
                      ["verify", "--k", "6", "--n-terms", "1000"],
                      # no tabulated CM point, integral or not
                      ["mahler", "--k", "5", "--method", "bertin"],
-                     ["mahler", "--k", "5.5", "--method", "bertin"]):
+                     ["mahler", "--k", "5.5", "--method", "bertin"],
+                     # a non-finite k or tol would print nan or pass vacuously
+                     ["mahler", "--k", "nan"],
+                     ["mahler", "--k", "inf"],
+                     ["mahler", "--k", "-inf", "--json"],
+                     ["verify", "--k", "6", "--tol", "inf"],
+                     ["verify", "--k", "3", "--tol", "nan", "--json"],
+                     ["mahler", "--k", "6", "--tol", "inf"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -291,6 +298,8 @@ if argv:
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
 print(json.dumps({"loaded": [m for m in ("mpmath", "numpy") if m in sys.modules],
+                  "startup": [m for m in ("dataclasses", "csv", "hashlib")
+                              if m in sys.modules],
                   "stdout": out.getvalue()}))
 """
 
@@ -303,7 +312,8 @@ FIRST_NUMPY_PRIME = next(p for p in pointcount.primes_up_to(2 * pointcount._NUMP
 
 class TestWithoutNumpy:
     # one fresh interpreter per request, in which `import scipy` fails,
-    # reports which of mpmath and numpy the request loaded
+    # reports which of mpmath and numpy the request loaded, and which of the
+    # modules that would only cost start-up time (no layer needs them)
     @pytest.mark.parametrize("argv, loads", [
         ([], []),
         (["ap", "--k", "18", "--json"], []),
@@ -322,6 +332,8 @@ class TestWithoutNumpy:
         assert proc.returncode == 0, proc.stderr[-500:]
         probe = json.loads(proc.stdout)
         assert probe["loaded"] == loads
+        if "numpy" not in loads:    # what numpy itself imports is not ours
+            assert probe["startup"] == [], probe["startup"]
         if argv[:1] == ["verify"]:
             doc = json.loads(probe["stdout"])
             assert abs(doc["lhs"]["value"] - doc["rhs"]["value"]) <= 1e-14

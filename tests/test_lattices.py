@@ -6,9 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from k3mahler.lattices import (SURFACES, ambient_lattice, ns_determinant,
-                               orthocomplement, shioda_rank, tau_table,
-                               transcendental_summary, trivial_lattice_det)
+from k3mahler.lattices import (SURFACES, FiberEntry, GramLattice, ambient_lattice,
+                               ns_determinant, orthocomplement, shioda_rank,
+                               tau_table, transcendental_summary,
+                               trivial_lattice_det)
+
+
+class TestRecordValidation:
+    def test_gram_must_be_square(self):
+        with pytest.raises(ValueError, match="square"):
+            GramLattice(((1, 0), (0, 1, 0)), ("a", "b"))
+
+    def test_gram_must_be_symmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            GramLattice(((1, 2), (0, 1)), ("a", "b"))
+
+    def test_fiber_needs_a_component(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            FiberEntry("s=0", 0)
+        assert FiberEntry("s=0", 1).m == 1
 
 
 class TestTauTable:

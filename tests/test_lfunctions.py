@@ -1,9 +1,7 @@
 """Hecke form-series coefficients against the printed tables, L-value
 machinery, d3, the Epstein combination, and twisting utilities."""
 
-import hashlib
 import math
-from importlib import resources
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +11,7 @@ from scipy import integrate
 from k3mahler import lfunctions as lf
 from k3mahler.bigreal import BigReal
 from k3mahler.mahler import epstein_combo
+from conftest import lvalue_from_coeffs
 from modular import form_coefficients_numpy, newform_coefficients
 
 # the printed phi-rows (coefficients of the three Hecke series at p <= 31)
@@ -87,6 +86,14 @@ class TestFormCoefficients:
                 measured = float(np.sum(absterm[N:]))
                 assert measured < 2.0 * series.tail_scale() / N, (disc, N)
 
+    def test_term_validation(self):
+        with pytest.raises(ValueError, match="positive definite"):
+            lf.QuadFormTerm((1, 2, 1), (1, 0, 1), 1, 1)      # disc 0
+        with pytest.raises(ValueError, match="positive definite"):
+            lf.QuadFormTerm((-1, 0, -6), (1, 0, -6), 1, 1)
+        with pytest.raises(ValueError, match="sign"):
+            lf.QuadFormTerm((1, 0, 6), (1, 0, -6), 0, 1)
+
     def test_small_N_rejected(self):
         with pytest.raises(ValueError):
             lf.form_coefficients(lf.FORM_SERIES[-24], 1)
@@ -117,9 +124,9 @@ class TestLValues:
     def test_insufficient_coefficients(self):
         co = lf.form_coefficients(lf.FORM_SERIES[-24], 100)
         with pytest.raises(ValueError, match="insufficient"):
-            lf.lvalue_from_coeffs(co, s=3, N=500)
+            lvalue_from_coeffs(co, s=3, N=500)
         with pytest.raises(ValueError):
-            lf.lvalue_from_coeffs(co, s=2)
+            lvalue_from_coeffs(co, s=2)
 
 
 class TestSmoothedLValue:
@@ -211,9 +218,18 @@ class TestNewformTables:
         with pytest.raises(ValueError):
             lf.newform_table(8)
 
-    def test_checksum_pinned(self):
-        data = resources.files("k3mahler").joinpath("data/newform_ap.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == lf._NEWFORM_CSV_SHA256
+    def test_all_33_values_pinned(self):
+        # every (level, p, a_p) of the embedded table, written out
+        want = {
+            15: [(2, -1), (3, 3), (5, -5), (7, 0), (11, 0), (13, 0), (17, 14),
+                 (19, -22), (23, -34), (29, 0), (31, 2)],
+            24: [(2, 2), (3, -3), (5, -2), (7, -10), (11, 10), (13, 0), (17, 0),
+                 (19, 0), (23, 0), (29, -50), (31, 38)],
+            120: [(2, 2), (3, 3), (5, -5), (7, 0), (11, 2), (13, -14), (17, -26),
+                  (19, 0), (23, -14), (29, 38), (31, -58)],
+        }
+        for level, rows in want.items():
+            assert lf.newform_table(level).ap == dict(rows), level
 
     def test_inert_vanishing_on_tabled_primes(self):
         for level in (15, 24, 120):
@@ -255,7 +271,7 @@ class TestNewformCoefficients:
 
     def test_level15_lvalue_matches_hecke(self, hecke):
         co = newform_coefficients(15, 500_000)
-        v = lf.lvalue_from_coeffs(co, s=3)
+        v = lvalue_from_coeffs(co, s=3)
         assert abs(float(v.value) - float(hecke(-15, 500_000).value)) < 1e-10
 
     def test_twisted_lvalue_is_the_form_series(self, quad, hecke):

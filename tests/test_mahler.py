@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from k3mahler import lfunctions
+from k3mahler import lfunctions, mahler
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import _prefactor
 from k3mahler.lattices import SURFACES
@@ -194,6 +194,18 @@ class TestQuadrature:
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             mahler_quadrature(3, tol=0.0)
+
+    def test_non_finite_k_rejected(self):
+        for k in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                mahler_quadrature(k)
+
+    def test_nan_bound_reaches_no_tolerance(self, monkeypatch):
+        # a NaN integrand gives a NaN bound, which certifies no tolerance,
+        # not even an infinite one
+        monkeypatch.setattr(mahler, "_period_integrand", lambda *args: math.nan)
+        with pytest.raises(ToleranceNotReached):
+            mahler_quadrature(3, tol=math.inf)
 
 
 class TestMonteCarlo:

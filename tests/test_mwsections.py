@@ -445,8 +445,10 @@ class TestNeronComponents:
         assert mw.schart_curve() == fx.y18_schart_curve()
 
     def test_zero_section_components(self):
-        for f in SURFACES[18].fibers:
-            assert mw.neron_component(f.place, mw.O).component == 0
+        records = [mw.neron_component(f.place, mw.O) for f in SURFACES[18].fibers]
+        assert all(t.component == 0 and t.facts == {} for t in records)
+        # records built without facts still get a dict each
+        assert len({id(t.facts) for t in records}) == len(records)
 
     def test_i3_place_read_once(self, k18):
         # alpha1 and beta1 share one degree-2 place: one read per section,
