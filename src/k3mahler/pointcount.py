@@ -4,18 +4,17 @@ the transcendental L-coefficients A_p.
 A_p is assembled from the Weierstrass fibers over all s in P^1(F_p),
 singular fibers included.  With u = s^2 - ks each fiber's value is
 a_p(s) = -chi(A) H(-u/A^2), A = (u^2+6u-3)/4, read from one table
-H(r) = sum_y chi(y(y^2+y+r)), the cyclic convolution of a bincount with the
-Legendre symbol; at most two fibers with A = 0 are summed directly.  u is
-even in s - k/2, so (p + 3)/2 values, weighted 1, 2, ..., 2, 1, give all
-p + 1 fibers of one prime in O(p log p) (see `weierstrass_fiber_ap_values`).
-Two kernels compute them, chosen by p alone: below _NUMPY_FROM one exact
-big-integer (Kronecker) product in pure Python, from there on one numpy FFT,
-whose rounding is checked.  _NUMPY_FROM is the break-even prime where the
-pure kernel's extra time first exceeds numpy's import, so scans below it,
-`verify` at its default pmax among them, never import numpy.
+H(r) = sum_y chi(y(y^2+y+r)), a cyclic convolution with the Legendre symbol;
+at most two fibers with A = 0 are summed directly, at p = 1 mod 12 only and
+over half of F_p.  u is even in s - k/2, so (p + 3)/2 values, weighted 1, 2,
+..., 2, 1, give all p + 1 fibers of one prime in O(p log p) (`_half_table`):
+below _NUMPY_FROM by one exact big-integer (Kronecker) product and a few list
+passes over the squares mod p in pure Python, from there on by one numpy FFT,
+whose rounding is checked.  _NUMPY_FROM is the break-even prime where the pure
+kernel's extra time first exceeds numpy's import; scans below it skip numpy.
 
 A_p = -sum_s a_p(s) for rank 0, with an extra -(d/p) p for rank 1 when the
-infinite section lives over Q(sqrt(d))."""
+infinite section lives over Q(sqrt(d)); `A_p` alone tests p for primality."""
 
 from __future__ import annotations
 
@@ -23,6 +22,7 @@ import math
 import sys
 from array import array
 from collections.abc import Iterable
+from operator import add
 
 from .lattices import SURFACES
 
@@ -74,15 +74,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _legendre_list(p: int) -> list[int]:
-    """chi[t] = (t/p) for t in 0..p-1."""
-    chi = [-1] * p
-    chi[0] = 0
-    for x in range(1, p // 2 + 1):
-        chi[x * x % p] = 1
-    return chi
-
-
 def _legendre_table(p: int):
     """chi[t] = (t/p) for t in 0..p-1, as a numpy array."""
     import numpy as np
@@ -101,14 +92,22 @@ def _legendre_table(p: int):
 # Primes below this are scanned in pure Python, the rest by numpy's FFT: the
 # break-even prime, where the pure kernel's extra time over all smaller primes
 # first exceeds numpy's import (measured in CHANGES.md).
-_NUMPY_FROM = 1693
+_NUMPY_FROM = 2450
 
 
-def weierstrass_fiber_ap_values(k: int, p: int) -> list[int]:
-    """a_p(s) = p + 1 - #(Weierstrass fiber) over every s in P^1(F_p).
+def _fiber_sum(k: int, p: int) -> int:
+    """sum_s a_p(s) over P^1(F_p): the half table weighted 1, 2, ..., 2, 1."""
+    half = _half_table(k, p)
+    total = half.sum() if p >= _NUMPY_FROM else sum(half)
+    return int(2 * total - half[0] - half[-1])
 
-    Fibers of y^2 + (s^2-ks+1)xy = x(x-1)(x+s^2-ks) for s in F_p, plus the
-    s = infinity fiber read in the reciprocal chart.  Singular fibers are
+
+def _half_table(k: int, p: int):
+    """a_p(s) = p + 1 - #(Weierstrass fiber) at s = k/2 + t for t = 0..(p-1)/2,
+    then at s = infinity, for a prime p > 3 that the caller has checked.
+
+    The fibers are y^2 + (s^2-ks+1)xy = x(x-1)(x+s^2-ks) for s in F_p, plus
+    the s = infinity fiber read in the reciprocal chart.  Singular fibers are
     counted on the (one-component) Weierstrass model; this is the convention
     that reproduces the published A_p tables.
 
@@ -122,77 +121,76 @@ def weierstrass_fiber_ap_values(k: int, p: int) -> list[int]:
     s = infinity fiber, 4x^3 + x^2 = 4(x^3 + x^2/4), is the case A = 1/4,
     B = 0, so its value is -H(0).  Every step is a bijection of F_p or a
     factorisation of the same character sum, so the values are exact on
-    singular fibers too.  They are read from `_half_table`.
-    """
-    half = _half_table(k, p)
-    c = k * ((p + 1) // 2) % p      # k/2
-    return [int(half[min(t, p - t)]) for t in ((s - c) % p for s in range(p))] \
-        + [int(half[-1])]
-
-
-def _fiber_sum(k: int, p: int) -> int:
-    """sum_s a_p(s) over P^1(F_p): the half table weighted 1, 2, ..., 2, 1."""
-    half = _half_table(k, p)
-    total = half.sum() if p >= _NUMPY_FROM else sum(half)
-    return int(2 * total - half[0] - half[-1])
-
-
-def _half_table(k: int, p: int):
-    """a_p(s) at s = k/2 + t for t = 0..(p-1)/2, then at s = infinity.
-
-    u = s^2 - ks = t^2 - k^2/4 is even in t, so s = k/2 +- t share a value.
-    O(p log p) time and O(p) memory per prime: a list in pure Python below
-    _NUMPY_FROM, an array from numpy from there on."""
-    if p in (2, 3) or not is_prime(p):
-        raise ValueError("p must be a prime not dividing 6")
+    singular fibers too.  u = t^2 - k^2/4 is even in t, so s = k/2 +- t
+    share a value.  O(p log p) time and O(p) memory per prime: a list in
+    pure Python below _NUMPY_FROM, an array from numpy from there on."""
     return (_half_table_fft if p >= _NUMPY_FROM else _half_table_small)(k, p)
 
 
 def _half_table_small(k: int, p: int) -> list[int]:
     """_half_table in pure Python, for p < 8192 (see `_cubic_character_list`)."""
-    chi = _legendre_list(p)
-    H = _cubic_character_list(p, chi)
-    inv = [0, 1] + [0] * (p - 2)    # inv[i] = 1/i mod p
-    for i in range(2, p):
+    m = p // 2
+    sq = [t * t % p for t in range(m + 1)]
+    chi1 = bytearray(p)             # chi + 1
+    for s in sq:
+        chi1[s] = 2
+    chi1[0] = 1
+    Hn = _cubic_character_list(p, chi1, sq)     # H + 2p
+    inv = [0, 1] + [0] * (m - 1)    # inv[i] = 1/i mod p for i <= (p-1)/2
+    for i in range(2, m + 1):
         inv[i] = -(p // i) * inv[p % i] % p
-    c = k * k * inv[4] % p          # k^2/4
-    half = []
-    for t in range((p + 1) // 2):
-        u = (t * t - c) % p
-        a = (u * u + 6 * u - 3) % p     # 4A: chi(4A) = chi(A), -u/A^2 = -16u/(4A)^2
-        # y^2 = x^3 - ux is smooth at A = 0: u = 0 would make A = -3/4
-        half.append(-chi[a] * H[-16 * u * inv[a * a % p] % p] if a else -_cubic_sum(u, p, chi))
-    return half + [-H[0]]
+    isq = [v * v % p for v in inv]  # 1/i^2, even in i
+    isq += isq[:0:-1]
+    c = (k * (m + 1)) ** 2 % p      # (k/2)^2, so u = t^2 - c
+    c6, c16, p2 = 6 - c, 16 * c, 2 * p
+    # 4A = u^2 + 6u - 3: chi(4A) = chi(A), -u/A^2 = 16(c - t^2)/(4A)^2;
+    # at 4A = 0 the factor 1 - chi1[0] is 0
+    a4 = [((s - c) * (s + c6) - 3) % p for s in sq]
+    half = [(1 - chi1[a]) * (Hn[(c16 - 16 * s) * isq[a] % p] - p2) for s, a in zip(sq, a4)]
+    if p % 12 == 1:     # 4A has roots only at p = +-1 mod 12, G = 0 at 11
+        for t, a in enumerate(a4):
+            if not a:   # y^2 = x^3 - ux is smooth: u = 0 would make 4A = -3
+                half[t] = -_cubic_sum((sq[t] - c) % p, p, chi1)
+    return half + [p2 - Hn[0]]
 
 
-def _cubic_sum(u: int, p: int, chi: list[int]) -> int:
-    """G(u) = sum_x chi(x^3 - ux), the fiber sum where A = 0."""
-    return sum(chi[(x * x - u) * x % p] for x in range(p))
+def _cubic_sum(u: int, p: int, chi1) -> int:
+    """G(u) = sum_x chi(x^3 - ux), the fiber sum where A = 0, from chi + 1.
+
+    x -> -x gives G = chi(-1) G: G is 0 at p = 3 mod 4, and twice the sum
+    over x = 1..(p-1)/2 at p = 1 mod 4."""
+    if p % 4 == 3:
+        return 0
+    return 2 * sum([chi1[(x * x - u) * x % p] for x in range(1, (p + 1) // 2)]) - (p - 1)
 
 
-def _cubic_character_list(p: int, chi: list[int]) -> list[int]:
-    """H[r] = sum_y chi(y (y^2 + y + r)) for every r in F_p, for p < 8192.
+def _cubic_character_list(p: int, chi1, sq: list[int]) -> list[int]:
+    """H[r] + 2p, H[r] = sum_y chi(y (y^2 + y + r)), for every r in F_p, from
+    chi1 = chi + 1 and sq[z] = z^2 for z = 0..(p-1)/2; for p < 8192.
 
-    With w = -y^2 - y, chi(y^2 + y + r) = chi(r - w), so H is the cyclic
-    convolution of h(w) = sum_{y: -y^2-y = w} chi(y) with chi: one exact
-    integer (Kronecker) product of h + 2 and chi + 1 in 16-bit slots, folded
-    mod p in the integer.  A folded slot sums exactly p products of at most
-    4 * 2 < 2^16 / p, so none carries; as sum h = sum chi = 0, it is H[r] + 2p.
+    With z = y + 1/2, H(r) = sum_v g(v) chi(v + r - 1/4), where g(z^2) =
+    chi(z - 1/2) + chi(-z - 1/2), g(0) = chi(-1/2) and g = 0 off the squares:
+    the cyclic convolution of g(-v) with chi(x - 1/4).  As -1/2 = (p-1)/2,
+    g + 2 at z^2 is a sum of two slices of chi1.  One exact integer (Kronecker)
+    product of g(-v) + 2 and chi(x - 1/4) + 1 in 16-bit slots, folded mod p in
+    the integer, gives it: a folded slot sums p products of at most
+    4 * 2 < 2^16 / p, so none carries, and as sum g = sum chi = 0 it is H + 2p.
     """
-    h = [2] * p
-    for y in range(p):
-        h[-y * (y + 1) % p] += chi[y]
-
-    def pack(values):    # little-endian 16-bit slots; values < 256
-        slots = bytearray(2 * p)
-        slots[::2] = bytes(values)
-        return int.from_bytes(slots, "little")
-
-    c = pack(h) * pack([v + 1 for v in chi])
+    m = p // 2
+    g = bytearray(b"\2") * p
+    for s, v in zip(sq, map(add, chi1[m:], chi1[m::-1])):
+        g[s] = v
+    g[0] = chi1[m] + 1
+    slots = bytearray(2 * p)        # little-endian 16-bit slots
+    slots[0], slots[2::2] = g[0], g[:0:-1]
+    a = int.from_bytes(slots, "little")
+    j = pow(4, -1, p)
+    slots[::2] = chi1[-j:] + chi1[:-j]
+    c = a * int.from_bytes(slots, "little")
     slots = array("H", ((c & ((1 << 16 * p) - 1)) + (c >> 16 * p)).to_bytes(2 * p, "little"))
     if sys.byteorder == "big":
         slots.byteswap()
-    return [v - 2 * p for v in slots]
+    return slots.tolist()
 
 
 def _half_table_fft(k: int, p: int):
@@ -260,8 +258,9 @@ def A_p(k: int, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     value = -_fiber_sum(k, p)
-    if surf.rank == 1:
-        value -= legendre(surf.section_disc, p) * p
+    if surf.rank == 1:  # (d/p) by Euler's criterion: e is 0, 1 or p - 1
+        e = pow(surf.section_disc, (p - 1) // 2, p)
+        value -= (e - p if e > 1 else e) * p
     return value
 
 

@@ -106,6 +106,27 @@ def cubic_fiber_ap_values(k, p):
     return (p + 1) - counts
 
 
+def weierstrass_fiber_ap_values(k, p):
+    """a_p(s) = p + 1 - #(Weierstrass fiber) over every s in P^1(F_p), the
+    last entry s = infinity, read per s from the half table (see
+    `pointcount._half_table` for the derivation)."""
+    if p in (2, 3) or not pc.is_prime(p):
+        raise ValueError("p must be a prime not dividing 6")
+    half = pc._half_table(k, p)
+    c = k * ((p + 1) // 2) % p      # k/2
+    return [int(half[min(t, p - t)]) for t in ((s - c) % p for s in range(p))] \
+        + [int(half[-1])]
+
+
+def _legendre_list(p):
+    """chi[t] = (t/p) for t in 0..p-1."""
+    chi = [-1] * p
+    chi[0] = 0
+    for x in range(1, p // 2 + 1):
+        chi[x * x % p] = 1
+    return chi
+
+
 @dataclass(frozen=True)
 class FiberCount:
     s: object          # element of F_p or "inf"
@@ -115,7 +136,7 @@ class FiberCount:
 
 def fiber_counts(k, p):
     """Per-fiber Weierstrass counts over P^1(F_p), as (s, count, a_p(s))."""
-    vals = pc.weierstrass_fiber_ap_values(k, p)
+    vals = weierstrass_fiber_ap_values(k, p)
     labels = list(range(p)) + ["inf"]
     return [FiberCount(s, p + 1 - int(a), int(a)) for s, a in zip(labels, vals)]
 
@@ -212,7 +233,7 @@ class TestWeierstrassFiberScan:
     def test_against_pointwise_weierstrass_counts(self):
         for p in (5, 7, 11, 13):
             for k in (3, 6, 18):
-                vals = pc.weierstrass_fiber_ap_values(k, p)
+                vals = weierstrass_fiber_ap_values(k, p)
                 for s in range(p):
                     coeffs = (s * s - k * s + 1, s * s - k * s - 1, 0,
                               k * s - s * s, 0)
@@ -226,7 +247,7 @@ class TestWeierstrassFiberScan:
                  for k in (0, 1, 2, 3, 6, 10, 18)]
         cases += [(k, p) for p in (1009, 1499, 1999) for k in (3, 6, 18)]
         for k, p in cases:
-            vals = pc.weierstrass_fiber_ap_values(k, p)
+            vals = weierstrass_fiber_ap_values(k, p)
             want = _weierstrass_fiber_ap_values_oracle(k, p)
             assert all(type(v) is int for v in vals) and vals == want.tolist(), (k, p)
 
@@ -235,7 +256,7 @@ class TestWeierstrassFiberScan:
         cases = [(k, p) for p in [*pc.primes_up_to(400)[2:], 1009, 1499, 1999]
                  for k in (0, 1, 2, 3, 6, 10, 18)]
         for k, p in cases:
-            assert pc._fiber_sum(k, p) == sum(pc.weierstrass_fiber_ap_values(k, p)), (k, p)
+            assert pc._fiber_sum(k, p) == sum(weierstrass_fiber_ap_values(k, p)), (k, p)
 
     def test_kernels_agree_across_the_crossover(self):
         # the pure-Python and the numpy kernel, each forced, fiber by fiber,
@@ -253,19 +274,33 @@ class TestWeierstrassFiberScan:
                 assert all(type(v) is int for v in small), (k, p)
 
     def test_zero_quadratic_coefficient_branch(self, monkeypatch):
-        # at p = 11, A = (u^2 + 6u - 3)/4 vanishes at u = 7 and u = 9;
-        # with k = 3, u = s^2 - 3s is 9 at s = 1, 2 and 7 at s = 6, 8
+        # at p = 11, A = (u^2 + 6u - 3)/4 vanishes at u = 7 and u = 9, where
+        # G = 0 as p = 3 mod 4; at p = 13 it vanishes at u = 2 and u = 5:
+        # with k = 3, u = s^2 - 3s is 5 at s = 6, 10 and 2 at s = 7, 9
+        assert weierstrass_fiber_ap_values(3, 11) \
+            == _weierstrass_fiber_ap_values_oracle(3, 11).tolist()
         seen = []
         direct = pc._cubic_sum
 
-        def spy(u, p, chi):
+        def spy(u, p, chi1):
             seen.append(u)
-            return direct(u, p, chi)
+            return direct(u, p, chi1)
 
         monkeypatch.setattr(pc, "_cubic_sum", spy)
-        vals = pc.weierstrass_fiber_ap_values(3, 11)
-        assert set(seen) == {7, 9}
-        assert np.array_equal(vals, _weierstrass_fiber_ap_values_oracle(3, 11))
+        vals = weierstrass_fiber_ap_values(3, 13)
+        assert sorted(seen) == [2, 5]
+        assert vals == _weierstrass_fiber_ap_values_oracle(3, 13).tolist()
+        assert [s for s in range(13) if (s * s - 3 * s) % 13 in (2, 5)] == [6, 7, 9, 10]
+
+    def test_cubic_sum_matches_brute_force(self):
+        # G(u) = chi(-1) G(u): 0 at p = 3 mod 4 (11, 23), a half-range sum at
+        # p = 1 mod 4 (13, 37, 61, 73)
+        for p in (11, 13, 23, 37, 61, 73):
+            chi = _legendre_list(p)
+            chi1 = bytes(v + 1 for v in chi)
+            for u in range(p):
+                want = sum(chi[(x ** 3 - u * x) % p] for x in range(p))
+                assert pc._cubic_sum(u, p, chi1) == want, (u, p)
 
     def test_rounding_guard(self, monkeypatch):
         # the FFT kernel serves p >= _NUMPY_FROM
@@ -273,7 +308,7 @@ class TestWeierstrassFiberScan:
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(ArithmeticError):
-            pc.weierstrass_fiber_ap_values(6, p)
+            weierstrass_fiber_ap_values(6, p)
 
 
 class TestAp:
@@ -321,6 +356,27 @@ class TestAp:
             for p, ap in aps.items():
                 assert ap == co[p], (k, p)
 
+    def test_scan_matches_per_prime_calls(self):
+        for k in (3, 6, 18):
+            bad = SURFACES[k].bad_primes
+            want = {p: pc.A_p(k, p) for p in pc.primes_up_to(400) if p not in bad}
+            assert pc.ap_scan(k, 400) == want, k
+
+    def test_scan_tests_each_prime_once(self, monkeypatch):
+        # A_p's check is the only primality test a scanned prime passes
+        tested = []
+        is_prime = pc.is_prime
+
+        def spy(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(pc, "is_prime", spy)
+        for k in (3, 6, 18):
+            tested.clear()
+            aps = pc.ap_scan(k, 400)
+            assert tested == list(aps), k
+
     def test_multiplicativity_cross_check(self):
         co = lf.form_coefficients(lf.FORM_SERIES[-24], 500)
         for p, q in ((5, 7), (5, 11), (7, 11)):
@@ -341,7 +397,7 @@ def count_weierstrass(coeffs, p):
     b2, b4, b6, disc = (b % p for b in pc.weierstrass_invariants(a1, a2, a3, a4, a6))
     if disc == 0:
         raise ValueError("singular curve mod p")
-    chi = pc._legendre_list(p)
+    chi = _legendre_list(p)
     return sum(1 + chi[(((4 * x + b2) * x + 2 * b4) * x + b6) % p] for x in range(p)) + 1
 
 
