@@ -1,11 +1,9 @@
 """Curve and section fixtures for the k=3/6/18 surfaces.
 
 Every displayed formula this package replays (Weierstrass models, the
-infinite sections, torsion multiples, the halving data, the two Neron models)
-is built here from its printed factored form over Q(sqrt(-3)), and these
-builders are its only copy.  Each public loader caches what its builder
-returns.  `mwsections.schart_curve` and `mwsections.neron_model` derive three
-of the models by a change of variables and check them against these.
+infinite sections, torsion multiples, the halving data) is built here from its
+printed factored form over Q(sqrt(-3)), and these builders are its only copy.
+Each public loader caches what its builder returns.
 """
 
 from __future__ import annotations
@@ -49,11 +47,6 @@ def y3_curve() -> FunctionFieldCurve:
 
 
 @lru_cache(maxsize=None)
-def y18_schart_curve() -> FunctionFieldCurve:
-    return schart_family_curve(18)
-
-
-@lru_cache(maxsize=None)
 def y6_curve() -> FunctionFieldCurve:
     return schart_family_curve(6)
 
@@ -63,25 +56,6 @@ def y18_twist_curve() -> FunctionFieldCurve:
     """The quadratic twist of y18_curve() by -3."""
     return FunctionFieldCurve.from_coeffs(Poly([1, -18, 1]), Poly([2, 90, -329, 36, -1]),
                                           0, Poly([0, 162, -9]), 0)
-
-
-@lru_cache(maxsize=None)
-def neron_es_model() -> FunctionFieldCurve:
-    """Neron's model at the I12 fiber s = 0."""
-    return FunctionFieldCurve.from_coeffs(
-        Poly([1, -20, 1]),
-        Poly([0, 1, -18, -17, -1, 0, 6]),
-        Poly([0, 0, 0, 0, 0, 0, 0, -40, 2]),
-        Poly([0, 0, 0, 0, 0, 0, 0, 2, -71, -68, -4, 0, 12]),
-        Poly([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, -70, -68, -4, 0, 8]))
-
-
-@lru_cache(maxsize=None)
-def neron_esigma_model() -> FunctionFieldCurve:
-    """Neron's model at the I2 fiber s = inf."""
-    return FunctionFieldCurve.from_coeffs(
-        Poly([9, -54, 3]), Poly([-27, 324]), Poly([0, 0, -5832, 324]),
-        Poly([0, 0, 8667, 1458]), Poly([0, 0, 78732, -1583388, 157464]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +125,6 @@ def y6_torsion_point() -> SectionPoint:
     return SectionPoint.affine(Poly([0, 0, -1, 6]), Poly([]))
 
 
-# ---------------------------------------------------------------------------
-# Two-descent data and the Beauville quadric
-# ---------------------------------------------------------------------------
-
 @lru_cache(maxsize=None)
 def halving_data() -> dict[str, RatFunc]:
     dcore = _psigma_denominator_core()
@@ -171,8 +141,3 @@ def halving_data() -> dict[str, RatFunc]:
             "bform_a": RatFunc(Poly([-3, -108, 330, -36, 1]), 4),
             "bform_b": RatFunc(Poly([0, 18, -1]))}
 
-
-@lru_cache(maxsize=None)
-def beauville_quadric_psigma() -> RatFunc:
-    """(XY + XZ + YZ)/Z^2 on the infinite section, in the Z-normalized chart."""
-    return RatFunc(-3888 * _psigma_x_numerator(), _psigma_denominator_core() ** 2)

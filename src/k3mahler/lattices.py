@@ -227,13 +227,15 @@ def _format_vector(b: Sequence[int], labels: Sequence[str]) -> str:
 class FiberEntry(namedtuple("FiberEntry", (
         "place",
         "m",            # component count of the I_m fiber
+        "sigma",        # its polynomial in sigma, constant term first; None: sigma = inf
+        "j",            # the component the surface's infinite section meets
 ))):
     __slots__ = ()
 
-    def __new__(cls, place, m):
+    def __new__(cls, place, m, sigma=None, j=None):
         if m < 1:
             raise ValueError("I_m fiber needs m >= 1")
-        return super().__new__(cls, place, m)
+        return super().__new__(cls, place, m, sigma, j)
 
 
 def shioda_rank(rho: int, ms: Sequence[int]) -> int:
@@ -272,7 +274,8 @@ class Surface(namedtuple("Surface", (
         "bad_primes",    # excluded from the A_p count
         "fibers",        # one FiberEntry per singular fiber
         "torsion",       # Mordell-Weil torsion order
-), defaults=(None,) * 6 + (frozenset({2, 3}), None, None))):
+        "height",        # canonical height of the infinite section, a Fraction
+), defaults=(None,) * 6 + (frozenset({2, 3}), None, None, None))):
     """What the identity for one k rests on:
 
         m(P_k) = (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3
@@ -284,44 +287,46 @@ class Surface(namedtuple("Surface", (
 
 
 # Singular fibers of the double cover are read off from the Beauville
-# fibration (u = (s^2 - k s + 1)/s^2); each comment names the fiber of u
-# below.  The k=18 entries are the fibers `mwsections.y18_height` reads.
+# fibration (u = (s^2 - k s + 1)/s^2, s = 1/sigma); each comment names the
+# fiber of u below.  `mwsections.section_height` checks them against
+# `fixtures.family_curve(k)` and takes one local height per entry.
 SURFACES = {
     0: Surface(0, 1e-6, Fraction(1)),
     3: Surface(3, 1e-5, Fraction(0), disc=-15, level=15,
                prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1,
                bad_primes=frozenset({2, 3, 5}), torsion=6,
                fibers=(
-                   FiberEntry("s=0", 12),      # double over u=inf
-                   FiberEntry("s=inf", 2),     # over u=1
-                   FiberEntry("s=1/3", 2),     # over u=1
-                   FiberEntry("alpha1", 3),    # over u=0
-                   FiberEntry("beta1", 3),     # over u=0
-                   FiberEntry("alpha2", 1),    # over u=-8
-                   FiberEntry("beta2", 1),     # over u=-8
+                   FiberEntry("s=0", 12, None),          # double over u=inf
+                   FiberEntry("s=inf", 2, (0, 1)),       # over u=1
+                   FiberEntry("s=1/3", 2, (-3, 1)),      # over u=1
+                   FiberEntry("alpha1", 3, (1, -3, 1)),  # over u=0
+                   FiberEntry("beta1", 3, (1, -3, 1)),   # over u=0
+                   FiberEntry("alpha2", 1, (9, -3, 1)),  # over u=-8
+                   FiberEntry("beta2", 1, (9, -3, 1)),   # over u=-8
                )),
     6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24, ap_twist=-3,
                prefactor=(Fraction(24), 6), rank=0,
                bad_primes=frozenset({2, 3}), torsion=6,
                fibers=(
-                   FiberEntry("s=0", 12),      # double over u=inf
-                   FiberEntry("s=inf", 2),     # over u=1
-                   FiberEntry("s=1/6", 2),     # over u=1
-                   FiberEntry("alpha", 3),     # over u=0
-                   FiberEntry("beta", 3),      # over u=0
-                   FiberEntry("s=1/3", 2),     # double over u=-8
+                   FiberEntry("s=0", 12, None),         # double over u=inf
+                   FiberEntry("s=inf", 2, (0, 1)),      # over u=1
+                   FiberEntry("s=1/6", 2, (-6, 1)),     # over u=1
+                   FiberEntry("alpha", 3, (1, -6, 1)),  # over u=0
+                   FiberEntry("beta", 3, (1, -6, 1)),   # over u=0
+                   FiberEntry("s=1/3", 2, (-3, 1)),     # double over u=-8
                )),
     18: Surface(18, 1e-4, Fraction(14, 5), disc=-120, level=120,
                 ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
                 section_disc=-3, bad_primes=frozenset({2, 3, 5}), torsion=6,
+                height=Fraction(10),
                 fibers=(
-                    FiberEntry("s=0", 12),     # double over u=inf
-                    FiberEntry("s=inf", 2),    # over u=1
-                    FiberEntry("s=1/18", 2),   # over u=1
-                    FiberEntry("alpha1", 3),   # over u=0
-                    FiberEntry("beta1", 3),    # over u=0
-                    FiberEntry("alpha2", 1),   # over u=-8
-                    FiberEntry("beta2", 1),    # over u=-8
+                    FiberEntry("s=0", 12, None, j=6),          # double over u=inf
+                    FiberEntry("s=inf", 2, (0, 1), j=1),       # over u=1
+                    FiberEntry("s=1/18", 2, (-18, 1), j=1),    # over u=1
+                    FiberEntry("alpha1", 3, (1, -18, 1), j=0),  # over u=0
+                    FiberEntry("beta1", 3, (1, -18, 1), j=0),   # over u=0
+                    FiberEntry("alpha2", 1, (9, -18, 1), j=0),  # over u=-8
+                    FiberEntry("beta2", 1, (9, -18, 1), j=0),   # over u=-8
                 )),
 }
 

@@ -3,10 +3,10 @@
 Provides the chord-tangent group law in long Weierstrass form with exact
 rational-function arithmetic, a nontorsion certificate by specialization at a
 fiber and reduction mod p, the two-descent halving criterion on curves
-y^2 = x(x^2 + a x + b), section/zero-section intersection numbers,
-replay-with-verification of the Neron-model component identifications for the
-k=18 surface, and the canonical height h(P) = 2*chi + 2*(P.O) - sum of local
-contributions.
+y^2 = x(x^2 + a x + b), section/zero-section intersection numbers, and the
+canonical height h(P) = 2*chi + 2*(P.O) - sum of local terms M(m - M)/m, with
+one term per singular fiber of the `Surface` record by Silverman's rule for
+multiplicative fibers.
 
 Every check that mirrors a printed computation is verified exactly; a
 mismatch raises VerificationError rather than returning a wrong index.
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import (Place, Poly, RatFunc, is_square_ratfunc, poly_sqrt,
-                       reduce_mod_p, sqrt_ratfunc, valuation)
+from .exactalg import (Place, Poly, RatFunc, is_square_quad, is_square_ratfunc,
+                       poly_sqrt, reduce_mod_p, sqrt_ratfunc, valuation)
 from .lattices import SURFACES
 from .pointcount import point_order, primes_up_to, weierstrass_invariants
 
@@ -199,30 +198,8 @@ def verify_nontorsion(P: SectionPoint,
 
 
 # ---------------------------------------------------------------------------
-# Coordinate changes, twists, completing the square
+# Completing the square
 # ---------------------------------------------------------------------------
-
-def transform_curve(E: FunctionFieldCurve, u, r, s, t) -> FunctionFieldCurve:
-    """Weierstrass change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-    u, r, s, t = (RatFunc.coerce(v) for v in (u, r, s, t))
-    a1, a2, a3, a4, a6 = E.a1, E.a2, E.a3, E.a4, E.a6
-    A1 = (a1 + 2 * s) / u
-    A2 = (a2 - s * a1 + 3 * r - s * s) / u ** 2
-    A3 = (a3 + r * a1 + 2 * t) / u ** 3
-    A4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4
-    A6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6
-    return FunctionFieldCurve(A1, A2, A3, A4, A6)
-
-
-def transform_point(P: SectionPoint, u, r, s, t) -> SectionPoint:
-    """Image of a point under the same change of variables."""
-    if P.is_zero:
-        return P
-    u, r, s, t = (RatFunc.coerce(v) for v in (u, r, s, t))
-    xs = (P.x - r) / (u * u)
-    ys = (P.y - s * (P.x - r) - t) / (u ** 3)
-    return SectionPoint(xs, ys)
-
 
 def to_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     if P.is_zero:
@@ -306,216 +283,93 @@ def contribution(m: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Neron components and the height of the k=18 surface
+# Local heights and the canonical height
 # ---------------------------------------------------------------------------
 
-class NeronFiberData(namedtuple("NeronFiberData", (
-        "place", "kodaira_m", "component",
-        "facts",  # the replayed valuations and limits
-))):
-    __slots__ = ()
+# chi(O) of a K3 surface; the Euler numbers m of its I_m fibers sum to 12 chi
+K3_CHI = 2
 
-    def __new__(cls, place, kodaira_m, component, facts=None):
-        # a fresh dict per record: a namedtuple default would be shared
-        return super().__new__(cls, place, kodaira_m, component,
-                               {} if facts is None else facts)
-
-    def contr(self) -> Fraction:
-        return contribution(self.kodaira_m, self.component)
-
-
-_S = Poly.x()  # the parameter of a model's chart: s, or sigma
-_AT_ZERO = Place.at_root(0)
-_FIBER_M = {f.place: f.m for f in SURFACES[18].fibers}
-
-# The node rule, for an I_m fiber at the origin of a chart: whether the chart
-# is the reciprocal one (s = 1/sigma), the change of variables (u, r, s, t) to
-# Neron's model there, the model's fixture loader, and (b, c, d) of the conic
-# Y^2 + bXY + cX^2 + dZ^2 = 0 that carries the limit points at depth m/2.
-# s=0 is the I12 fiber at sigma = infinity: x = X + 2 s^6, y = Y - s X - 2 s^7 - s^6;
-# s=inf is the I2 fiber at sigma = 0: x = X/9 + 12 s, y = Y/27 + X/9 - 6 s.
-_NODE_RULES = {
-    "s=0": (True, (1, 2 * _S ** 6, -_S, -(2 * _S ** 7 + _S ** 6)),
-            "neron_es_model", (1, 0, 1)),
-    "s=inf": (False, (Fraction(1, 3), 12 * _S, 1, -6 * _S),
-              "neron_esigma_model", (9, 27, -78732)),
-}
-
-# The line rule: the place, and the factors of the fiber in Beauville
-# coordinates as (form, degree), listed by component; the zero section meets
-# the first.  s=1/18 (sigma = 18) is (X+Y+Z)(XY+XZ+YZ) = 0; alpha1 and beta1,
-# the conjugate roots of sigma^2 - 18 sigma + 1, are (X+Y)(X+Z)(Y+Z) = 0 and
-# are read at once at their degree-2 place.
-_I3_RULE = (Place.finite(Poly([1, -18, 1])),
-            lambda X, Y, Z: ((X + Y, 1), (X + Z, 1), (Y + Z, 1)))
-_LINE_RULES = {
-    "s=1/18": (Place.at_root(18),
-               lambda X, Y, Z: ((X + Y + Z, 1), (X * Y + X * Z + Y * Z, 2))),
-    "alpha1": _I3_RULE,
-    "beta1": _I3_RULE,
-}
-
-
-def _val_or_inf(f: RatFunc, place: Place) -> int | None:
-    if f.is_zero():
-        return None  # +infinity
-    return valuation(f, place)
-
-
-def _min_val(vals) -> int:
-    finite = [v for v in vals if v is not None]
-    if not finite:
-        raise VerificationError("all coordinates vanish identically")
-    return min(finite)
+# What the local-height rule read at one fiber: m of its I_m, the valuations
+# at the section of psi2 = 2y + a1 x + a3 and of dF/dx = 3x^2 + 2 a2 x + a4 -
+# a1 y (None for +infinity), and the component M met
+FiberReading = namedtuple("FiberReading", "place m v_psi2 v_dfdx component")
 
 
 def _reciprocal_chart(P: SectionPoint) -> SectionPoint:
     """x = s^4 x'(1/s), y = s^6 y'(1/s)."""
-    if P.is_zero:
-        return P
     return SectionPoint(P.x.substitute_reciprocal() * RatFunc(Poly.x(4)),
                         P.y.substitute_reciprocal() * RatFunc(Poly.x(6)))
 
 
+def _places(sigma) -> list[Place]:
+    """The places over a record's sigma-polynomial (constant term first), one
+    per root where it splits over Q(sqrt(-3)); s = 0 for sigma = inf (None)."""
+    if sigma is None:
+        return [Place.at_root(0)]
+    f = Poly(list(sigma)).monic()
+    if f.degree() == 2:
+        ok, w = is_square_quad(f[1] * f[1] - 4 * f[0])
+        if ok:
+            return [Place.at_root((w - f[1]) / 2), Place.at_root((-w - f[1]) / 2)]
+    return [Place.finite(f)]
+
+
 @lru_cache(maxsize=None)
-def schart_curve() -> FunctionFieldCurve:
-    """Weierstrass model around s = 0 via x = s^4 x'(1/s), y = s^6 y'(1/s),
-    checked against its fixture."""
+def _fiber_places(k: int, fibers: tuple) -> tuple:
+    """(place, whether in the s-chart) per entry of a fiber record, after
+    checking Silverman's hypothesis there: v(c4) = 0 and v(disc) = m on the
+    integral model, so the fiber is I_m.  Conjugate entries share one place
+    of their degree, or take one root each; the m must sum to 12 chi."""
     from . import fixtures
-    E = fixtures.y18_curve()
-    # the coefficient a_i picks up s^(2i)
-    derived = FunctionFieldCurve(*(
-        a.substitute_reciprocal() * RatFunc(Poly.x(2 * i))
-        for i, a in ((1, E.a1), (2, E.a2), (3, E.a3), (4, E.a4), (6, E.a6))))
-    if derived != fixtures.y18_schart_curve():
-        raise VerificationError("s-chart model mismatch")
-    return derived
+    out = {}
+    for sigma in dict.fromkeys(f.sigma for f in fibers):
+        entries = [f for f in fibers if f.sigma == sigma]
+        places = _places(sigma)
+        if sum(pl.degree() for pl in places) != len(entries):
+            raise VerificationError(f"{[f.place for f in entries]} do not match "
+                                    f"the places over {places}")
+        E = fixtures.schart_family_curve(k) if sigma is None else fixtures.family_curve(k)
+        b2, b4, _, disc = E.invariants()
+        for f, pl in zip(entries, places * (len(entries) // len(places))):
+            v_c4, v_disc = valuation(b2 * b2 - 24 * b4, pl), valuation(disc, pl)
+            if v_c4 != 0 or v_disc != f.m:
+                raise VerificationError(f"{f.place}: v(c4) = {v_c4}, v(disc) = {v_disc}; "
+                                        f"not a multiplicative fiber I_{f.m}")
+            out[f.place] = (pl, sigma is None)
+    if sum(f.m for f in fibers) != 12 * K3_CHI:
+        raise VerificationError(f"the fibers' m sum to {sum(f.m for f in fibers)}")
+    return tuple(out[f.place] for f in fibers)
 
 
-@lru_cache(maxsize=None)
-def neron_model(place: str) -> FunctionFieldCurve:
-    """Neron's model at a node-rule place, derived by its change of variables
-    and checked against its fixture and against Neron's valuation pattern."""
+def section_height(k: int, P: SectionPoint) -> tuple[Fraction, list[FiberReading]]:
+    """Canonical height 2 chi + 2 (P.O) - sum M(m - M)/m of a section of
+    family_curve(k), with one reading per entry of SURFACES[k].fibers.
+
+    M is the component of the I_m fiber that P meets, by Silverman,
+    "Computing heights on elliptic curves", Math. Comp. 51 (1988), Thm 5.2,
+    multiplicative case: M = min(v(psi2), m // 2) if v(x) >= 0, v(psi2) > 0
+    and v(dF/dx) > 0, else 0.  The model is schart_family_curve(k) at sigma =
+    inf and family_curve(k) elsewhere."""
     from . import fixtures
-    reciprocal, change, fixture, _ = _NODE_RULES[place]
-    E = schart_curve() if reciprocal else fixtures.y18_curve()
-    derived = transform_curve(E, *change)
-    if derived != getattr(fixtures, fixture)():
-        raise VerificationError(f"{place} model mismatch")
-    _verify_neron_valuations(derived, _AT_ZERO, _FIBER_M[place])
-    return derived
-
-
-@lru_cache(maxsize=None)
-def beauville_coords(P: SectionPoint) -> tuple[RatFunc, RatFunc, RatFunc]:
-    """[X:Y:Z] = [-y - a1 x : y : x + (s^2 - 18s)] on the Beauville cubic."""
-    if P.is_zero:
-        return RatFunc(0), RatFunc(1), RatFunc(0)
-    from . import fixtures
-    a1 = fixtures.y18_curve().a1
-    X = -P.y - a1 * P.x
-    Y = P.y
-    Z = P.x + RatFunc(Poly([0, -18, 1]))
-    # image must satisfy (X+Y)(X+Z)(Y+Z) + a1 XYZ = 0
-    if not ((X + Y) * (X + Z) * (Y + Z) + a1 * X * Y * Z).is_zero():
-        raise VerificationError("Beauville cubic identity failed")
-    return X, Y, Z
-
-
-def _node_component(place: str, m: int, P: SectionPoint) -> NeronFiberData:
-    """Count the chain components [X : Y : s^i] that the section degenerates
-    through, min(v(X), v(Y)) on Neron's model; at depth m/2 the limit point
-    must lie on the fiber's conic."""
-    reciprocal, change, _, (b, c, d) = _NODE_RULES[place]
-    Q = transform_point(_reciprocal_chart(P) if reciprocal else P, *change)
-    if not verify_on_curve(Q, neron_model(place)):
-        raise VerificationError(f"transformed section left the {place} model")
-    vX, vY = _val_or_inf(Q.x, _AT_ZERO), _val_or_inf(Q.y, _AT_ZERO)
-    facts = {"v(X)": vX, "v(Y)": vY}
-    j = max(0, _min_val([vX, vY]))
-    if j > m // 2:
-        raise VerificationError("section valuation exceeds half the fiber")
-    if j == m // 2:
-        sh = RatFunc(Poly.x(j))
-        x0, y0 = (Q.x / sh).eval(0), (Q.y / sh).eval(0)
-        facts["limit"] = (x0, y0)
-        if not (y0 * y0 + b * x0 * y0 + c * x0 * x0 + d).is_zero():
-            raise VerificationError(f"limit point is not on the {place} conic")
-    return NeronFiberData(place, m, j, facts)
-
-
-@lru_cache(maxsize=None)
-def _line_vanishing(rule: tuple, P: SectionPoint) -> tuple[bool, ...]:
-    """Which factors of a line rule vanish on the section, read once per rule:
-    alpha1 and beta1 share theirs."""
-    pl, factors = rule
-    X, Y, Z = beauville_coords(P)
-    mu = _min_val([_val_or_inf(c, pl) for c in (X, Y, Z)])
-    hits = []
-    for f, deg in factors(X, Y, Z):
-        v = _val_or_inf(f, pl)
-        hits.append(v is None or v > deg * mu)
-    return tuple(hits)
-
-
-def _line_component(place: str, m: int, P: SectionPoint) -> NeronFiberData:
-    """The component whose factor vanishes on the section; exactly one must."""
-    hits = _line_vanishing(_LINE_RULES[place], P)
-    if sum(hits) != 1:
-        raise VerificationError(f"section does not meet exactly one component "
-                                f"of the {place} fiber")
-    return NeronFiberData(place, m, hits.index(True), {"vanishing": hits})
-
-
-def neron_component(place: str, P: SectionPoint) -> NeronFiberData:
-    """The verified Neron component that P meets on one singular fiber of
-    SURFACES[18]; the zero section and I1 fibers give component 0."""
-    if place not in _FIBER_M:
-        raise ValueError(f"unknown fiber place {place!r}; "
-                         f"expected one of {tuple(_FIBER_M)}")
-    m = _FIBER_M[place]
-    if m == 1 or P.is_zero:
-        return NeronFiberData(place, m, 0)
-    if place in _NODE_RULES:
-        return _node_component(place, m, P)
-    return _line_component(place, m, P)
-
-
-def _verify_neron_valuations(E: FunctionFieldCurve, place: Place, m: int) -> None:
-    """The valuation pattern of Neron's theorem for an I_m model at the place:
-    v(lambda^2 + 4 alpha) = 0, v(mu) >= l, v(beta) >= l, v(gamma) = m,
-    v(j) = -m, with l = m/2 + 1."""
-    ell = m // 2 + 1
-    b2, b4, _, disc = E.invariants()
-    # v(j) = 3 v(c4) - v(disc), kept factored to dodge a huge polynomial gcd
-    v_j = 3 * valuation(b2 * b2 - 24 * b4, place) - valuation(disc, place)
-    checks = [
-        ("v(lambda^2+4alpha)", valuation(b2, place), "==", 0),
-        ("v(mu)", valuation(E.a3, place), ">=", ell),
-        ("v(beta)", valuation(E.a4, place), ">=", ell),
-        ("v(gamma)", valuation(E.a6, place), "==", m),
-        ("v(j)", v_j, "==", -m),
-    ]
-    for name, got, op, want in checks:
-        ok = got == want if op == "==" else got >= want
-        if not ok:
-            raise VerificationError(f"Neron model check failed: {name} = {got}, "
-                                    f"expected {op} {want}")
-
-
-def height(P: SectionPoint, chi: int, fibers: Sequence[NeronFiberData]) -> Fraction:
-    """Canonical height 2*chi + 2*(P.O) - sum of fiber contributions."""
     if P.is_zero:
         raise ValueError("height of the zero section is 0 by convention; "
                          "this routine expects a nonzero section")
-    total = Fraction(2 * chi) + 2 * zero_intersection(P)
-    for f in fibers:
-        total -= f.contr()
-    return total
-
-
-def y18_height(P: SectionPoint) -> tuple[Fraction, list[NeronFiberData]]:
-    """Height of a section of the k=18 surface (chi = 2), with one verified
-    component for each singular fiber of SURFACES[18], in the record's order."""
-    fibers = [neron_component(f.place, P) for f in SURFACES[18].fibers]
-    return height(P, 2, fibers), fibers
+    if not verify_on_curve(P, fixtures.family_curve(k)):
+        raise ValueError("point is not on the curve")
+    fibers = SURFACES[k].fibers
+    charts, vals, readings = {}, {}, []
+    for f, (place, schart) in zip(fibers, _fiber_places(k, fibers)):
+        if schart not in charts:
+            E, Q = ((fixtures.schart_family_curve(k), _reciprocal_chart(P)) if schart
+                    else (fixtures.family_curve(k), P))
+            charts[schart] = (Q.x, 2 * Q.y + E.a1 * Q.x + E.a3,
+                              3 * Q.x * Q.x + 2 * E.a2 * Q.x + E.a4 - E.a1 * Q.y)
+        if (place, schart) not in vals:  # conjugate entries share a reading
+            vals[place, schart] = [math.inf if g.is_zero() else valuation(g, place)
+                                   for g in charts[schart]]
+        v_x, v_psi2, v_dfdx = vals[place, schart]
+        M = min(v_psi2, f.m // 2) if v_x >= 0 and v_psi2 > 0 and v_dfdx > 0 else 0
+        readings.append(FiberReading(f.place, f.m, *(
+            None if v == math.inf else v for v in (v_psi2, v_dfdx)), M))
+    return 2 * K3_CHI + 2 * zero_intersection(P) - sum(
+        contribution(r.m, r.component) for r in readings), readings

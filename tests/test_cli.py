@@ -263,6 +263,28 @@ class TestSectionReport:
         for P in (k18["Pb"], T2, k18["Q"]):
             assert sum(P == R for R in checked) == 1
 
+    def test_k18_neron_witness(self, k18_report):
+        # per place, what the local-height rule read: (m, v(psi2), v(dF/dx), M)
+        sub = {c["name"]: c for c in k18_report[1]["subchecks"]}["neron-components"]
+        wit = sub["witness"]
+        assert {p: (w["m"], w["M"]) for p, w in wit.items()} == \
+            {f.place: (f.m, sub["components"][f.place]) for f in SURFACES[18].fibers}
+        assert wit["s=0"] == {"m": 12, "v_psi2": 7, "v_dfdx": 6, "M": 6}
+        assert all(w["M"] == 0 or 0 < w["M"] <= min(w["v_psi2"], w["v_dfdx"])
+                   for w in wit.values())
+
+    def test_k18_wrong_fiber_record_fails(self, capsys, monkeypatch):
+        # s=1/18 recorded as I3: the hypothesis check catches it in the report
+        fibers = tuple(f._replace(m=3) if f.place == "s=1/18" else f
+                       for f in SURFACES[18].fibers)
+        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(fibers=fibers))
+        code, out = run(capsys, ["verify", "--k", "18", "--json"])
+        assert code == 1
+        sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
+        assert sub["neron-components"]["pass"] is False
+        assert sub["neron-components"]["error"].startswith("s=1/18: ")
+        assert sub["height"]["pass"] is False
+
     def test_k18_epstein_subcheck(self, k18_report):
         # the Epstein combination checks the (14/5) d3 term at --prec
         _, doc, _ = k18_report

@@ -1,6 +1,7 @@
 """The k=18 section suite: group law, torsion fixtures, twisting, halving,
 intersections, Neron components, and the canonical height."""
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +14,8 @@ from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
                                valuation)
-from k3mahler.lattices import SURFACES
+from k3mahler.lattices import SURFACES, FiberEntry, ns_determinant
+import neron_printed as npr
 
 
 def complete_square(E):
@@ -408,95 +410,133 @@ class TestIntersections:
             mw.contribution(3, 3)
 
 
+@functools.cache
+def multiples_and_shifts(n: int) -> tuple:
+    """[n]p_sigma and the five [n]p_sigma + T over the torsion T."""
+    E = fx.y18_curve()
+    P = mw.ec_mul(n, fx.infinite_section_k18(), E)
+    return (P, *(mw.ec_add(P, T, E, check=False) for T in fx.torsion_multiples_k18()))
+
+
 class TestNeronComponents:
+    # the paper's printed route, kept in tests/neron_printed.py as the oracle
     def test_psigma_transcripts(self, k18):
         ps = k18["ps"]
-        t = mw.neron_component("s=0", ps)
-        assert t.component == 6
-        assert t.facts["limit"] == (QuadElem(-2), QuadElem(1))
-        t = mw.neron_component("s=inf", ps)
-        assert t.component == 1
-        assert t.facts["limit"] == (QuadElem(Fraction(-1011, 8)),
-                                    QuadElem(Fraction(9099, 16), Fraction(-1575, 16)))
-        t = mw.neron_component("s=1/18", ps)
-        assert t.component == 1
-        t = mw.neron_component("alpha1", ps)
-        assert t.component == 0
-        t = mw.neron_component("alpha2", ps)
-        assert t.component == 0
-        with pytest.raises(ValueError, match="unknown fiber place"):
-            mw.neron_component("s=2", ps)
+        assert npr.neron_component("s=0", ps) == (
+            6, {"v(X)": 6, "v(Y)": 6, "limit": (QuadElem(-2), QuadElem(1))})
+        j, facts = npr.neron_component("s=inf", ps)
+        assert j == 1 and facts["limit"] == (
+            QuadElem(Fraction(-1011, 8)), QuadElem(Fraction(9099, 16), Fraction(-1575, 16)))
+        assert npr.neron_component("s=1/18", ps) == (1, {"vanishing": (False, True)})
+        assert npr.neron_component("alpha1", ps)[0] == 0
+        assert npr.neron_component("alpha2", ps) == (0, {})
 
     def test_printed_quadric_value(self, k18):
-        X, Y, Z = mw.beauville_coords(k18["ps"])
-        assert (X * Y + X * Z + Y * Z) / (Z * Z) == fx.beauville_quadric_psigma()
-
-    def test_i3_section_function_factors(self, k18):
-        # X + Y = -(s^2-18s+1) x(sigma) with cofactor coprime to the place
-        X, Y, _ = mw.beauville_coords(k18["ps"])
-        s1 = Place.finite(Poly([1, -18, 1]))
-        assert valuation(X + Y, s1) == 1
-        f3 = (X + Y) / RatFunc(Poly([1, -18, 1]))
-        assert valuation(f3, s1) == 0
+        X, Y, Z = npr.beauville_coords(k18["ps"])
+        printed = RatFunc(-3888 * fx._psigma_x_numerator(), fx._psigma_denominator_core() ** 2)
+        assert (X * Y + X * Z + Y * Z) / (Z * Z) == printed
 
     def test_printed_models_match_derivation(self):
-        assert mw.neron_model("s=0") == fx.neron_es_model()
-        assert mw.neron_model("s=inf") == fx.neron_esigma_model()
-        assert mw.schart_curve() == fx.y18_schart_curve()
+        for place, (_, _, printed, _) in npr.NODE_RULES.items():
+            assert npr.neron_model(place) == printed
 
-    def test_zero_section_components(self):
-        records = [mw.neron_component(f.place, mw.O) for f in SURFACES[18].fibers]
-        assert all(t.component == 0 and t.facts == {} for t in records)
-        # records built without facts still get a dict each
-        assert len({id(t.facts) for t in records}) == len(records)
+    def test_rule_matches_printed_route(self):
+        # every k=18 place, for p_sigma and the five p_sigma + T; components
+        # may differ by j <-> m - j, which gives the same local term
+        assert npr.compare_with_rule(multiples_and_shifts(1)) == [10] * 6
 
-    def test_i3_place_read_once(self, k18):
-        # alpha1 and beta1 share one degree-2 place: one read per section,
-        # yet each call returns its own record and facts
-        P = mw.ec_add(k18["ps"], k18["ps"], fx.y18_curve())
-        before = mw._line_vanishing.cache_info()
-        a, b = mw.neron_component("alpha1", P), mw.neron_component("beta1", P)
-        after = mw._line_vanishing.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-        assert a.component == b.component and a.facts == b.facts
-        assert a.facts is not b.facts
-        a.facts["note"] = 1
-        assert "note" not in mw.neron_component("alpha1", P).facts
+    def test_i3_place_read_once(self, k18, monkeypatch):
+        # alpha1 and beta1 share one degree-2 place: the rule reads it once
+        # per section and gives both entries that reading
+        i3 = Place.finite(Poly([1, -18, 1]))
+        mw._fiber_places(18, SURFACES[18].fibers)
+        seen = []
+        monkeypatch.setattr(mw, "valuation", lambda f, pl: seen.append(pl) or valuation(f, pl))
+        _, readings = mw.section_height(18, k18["ps"])
+        assert seen.count(i3) == 3  # x, psi2 and dF/dx
+        a, b = (r for r in readings if r.place in ("alpha1", "beta1"))
+        assert a._replace(place="beta1") == b
+
+
+class TestFiberRecord:
+    @pytest.mark.parametrize("k", [3, 6, 18])
+    def test_records_match_the_curves(self, k):
+        # sum m = 24 = 12 chi, and each entry is an I_m fiber of family_curve(k)
+        assert sum(f.m for f in SURFACES[k].fibers) == 24 == 12 * mw.K3_CHI
+        assert len(mw._fiber_places(k, SURFACES[k].fibers)) == len(SURFACES[k].fibers)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"s=1/18": ("s=1/18", 3, (-18, 1))}, r"s=1/18: .* v\(disc\) = 2; .* I_3"),
+        ({"s=1/18": ("s=1", 2, (-1, 1))}, r"s=1: .* v\(disc\) = 0; .* I_2"),
+        ({"s=inf": ("s=inf", 1, (0, 1)), "s=1/18": ("s=1/18", 3, (-18, 1))},
+         r"s=inf: .* I_1"),
+        ({"s=inf": None}, "sum to 22"),
+        ({"beta1": ("beta1", 3, (-2, 1))}, r"\['alpha1'\] do not match"),
+    ], ids=["wrong-m", "smooth-fiber", "wrong-m-sum-24", "missing", "lone-conjugate"])
+    def test_wrong_record_raises(self, k18, monkeypatch, change, match):
+        fibers = tuple(FiberEntry(*change[f.place]) if f.place in change else f
+                       for f in SURFACES[18].fibers if change.get(f.place, f))
+        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(fibers=fibers))
+        with pytest.raises(mw.VerificationError, match=match):
+            mw.section_height(18, k18["ps"])
 
 
 class TestHeight:
     def test_fibers_are_the_surface_record(self, k18):
-        _, fibers = mw.y18_height(k18["ps"])
-        assert [(f.place, f.kodaira_m) for f in fibers] == \
-            [(f.place, f.m) for f in SURFACES[18].fibers]
+        h, readings = mw.section_height(18, k18["ps"])
+        assert [(r.place, r.m, r.component) for r in readings] == \
+            [(f.place, f.m, f.j) for f in SURFACES[18].fibers]
+        assert h == SURFACES[18].height
 
     def test_psigma_height(self, k18):
-        h, fibers = mw.y18_height(k18["ps"])
+        h, readings = mw.section_height(18, k18["ps"])
         assert h == 10
-        assert {f.place: f.component for f in fibers} == {
+        assert {r.place: r.component for r in readings} == {
             "s=0": 6, "s=inf": 1, "s=1/18": 1,
             "alpha1": 0, "beta1": 0, "alpha2": 0, "beta2": 0}
         assert 12 * h == 120
         assert Fraction(26, 3) <= h <= 14
 
     def test_breakdown(self, k18):
-        h, fibers = mw.y18_height(k18["ps"])
+        h, readings = mw.section_height(18, k18["ps"])
         total = Fraction(2 * 2) + 2 * mw.zero_intersection(k18["ps"])
-        total -= sum(f.contr() for f in fibers)
+        total -= sum(mw.contribution(r.m, r.component) for r in readings)
         assert total == h == 10
+        # the witness: (m, v(psi2), v(dF/dx), M) at the I12 and I2 fibers
+        assert [tuple(r)[1:] for r in readings[:3]] == [(12, 7, 6, 6), (2, 1, 1, 1),
+                                                        (2, 1, 1, 1)]
+
+    def test_multiples_and_torsion_shifts(self, k18):
+        assert mw.section_height(18, mw.ec_mul(2, k18["ps"], k18["E"]))[0] == 40
+        assert [mw.section_height(18, P)[0] for P in multiples_and_shifts(1)] == [10] * 6
 
     def test_torsion_heights_vanish(self):
-        for i, P in enumerate(fx.torsion_multiples_k18(), 1):
-            h, _ = mw.y18_height(P)
-            assert h == 0, f"[{i}]rho6 has height {h}"
+        assert [mw.section_height(k, P)[0]
+                for k in (3, 18) for P in fx.torsion_multiples(k)] == [0] * 10
+        # (0, 0) = [3]rho6: psi2 and a3 vanish identically, v = +infinity
+        _, readings = mw.section_height(18, mw.SectionPoint.affine(0, 0))
+        assert readings[0] == ("s=0", 12, None, 6, 6)
+
+    def test_k3_section(self):
+        E, P = fx.y3_curve(), fx.infinite_section_k3()
+        h, readings = mw.section_height(3, P)
+        assert h == Fraction(5, 4)
+        assert {r.place: r.component for r in readings} == {
+            "s=0": 1, "s=inf": 0, "s=1/3": 1,
+            "alpha1": 1, "beta1": 1, "alpha2": 0, "beta2": 0}
+        assert mw.section_height(3, mw.ec_mul(2, P, E))[0] == 5
+        # |det NS| = 432 h / 6^2 = 15 = |det T|: <P, torsion> is all of MW
+        assert abs(ns_determinant(1, 432, h, 6)) == 15 == SURFACES[3].level
 
     def test_generator_chain(self, k18):
         # h = 10 plus the two halving obstructions certify a generator
-        h, _ = mw.y18_height(k18["ps"])
+        h, _ = mw.section_height(18, k18["ps"])
         assert h == 10
         assert not mw.can_halve(k18["Pb"], k18["Eb"]).can_halve
         assert not mw.can_halve(k18["Q"], k18["Eb"]).can_halve
 
     def test_zero_section_rejected(self):
         with pytest.raises(ValueError):
-            mw.height(mw.O, 2, [])
+            mw.section_height(18, mw.O)
+        with pytest.raises(ValueError, match="not on the curve"):
+            mw.section_height(18, mw.SectionPoint.affine(1, 1))
