@@ -84,14 +84,6 @@ class BigReal:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def scale(self, c) -> "BigReal":
-        """Multiply by a scalar treated as exact."""
-        with mp.workprec(self.prec):
-            v = self.value * mp.mpf(c)
-        return BigReal(v, self.prec,
-                       self.error_bound * abs(mp.mpf(c)) + self._round_err(v),
-                       self.bound_kind)
-
     def abs_diff(self, other) -> mp.mpf:
         o = other.value if isinstance(other, BigReal) else mp.mpf(other)
         return abs(self.value - o)

@@ -93,15 +93,15 @@ def _lattice_subchecks(surf: lattices.Surface) -> list[dict]:
 
 def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
     from . import lfunctions, pointcount
-    nf = lfunctions.newform_table(surf.level)
+    table = lattices.NEWFORM_AP[surf.level]
     co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[surf.disc], max(pmax, 2))
     aps = pointcount.ap_scan(surf.k, pmax)
     mism = {}
     for p, ap in aps.items():
         refs = [int(co[p])]
-        if p in nf.ap:  # the embedded table is a second reference where it has p
-            refs.append(nf.ap[p] if surf.ap_twist is None
-                        else lfunctions.twist_coeff(nf.ap[p], surf.ap_twist, p))
+        if p in table:  # the embedded table is a second reference where it has p
+            refs.append(table[p] if surf.ap_twist is None
+                        else lfunctions.twist_coeff(table[p], surf.ap_twist, p))
         if any(r != ap for r in refs):
             mism[p] = (ap, *refs)
     # a scan that reached no prime has checked nothing
@@ -117,7 +117,7 @@ def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
         from . import fixtures, mwsections as mw
     out = []
     with _stage(timings, "on_curve"):
-        E = fixtures.y18_curve()
+        E = mw.family_curve(surf.k)
         ps = fixtures.infinite_section_k18()
         out.append(_subcheck("infinite-section-on-curve",
                              mw.verify_on_curve(ps, E),
@@ -136,7 +136,7 @@ def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
         # each of Pb, T2 and Q is checked on Eb once: Pb and Q inside can_halve
         Pb = mw.to_completed_square(ps, E)
         c1 = mw.can_halve(Pb, Eb)
-        T2 = mw.to_completed_square(fixtures.torsion_multiples_k18()[2], E)
+        T2 = mw.to_completed_square(fixtures.torsion_multiples(surf.k)[2], E)
         if not mw.verify_on_curve(T2, Eb):
             raise ValueError("2-torsion point is not on the b-form curve")
         Q = mw.ec_add(Pb, T2, Eb, check=False)
@@ -149,7 +149,10 @@ def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
                          "two-descent square tests in Q(sqrt(-3))(sigma)"))
     with _stage(timings, "zero_intersection"):
         po = mw.zero_intersection(ps)
-    out.append(_subcheck("zero-section-intersection", po == 5,
+    # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)
+    local = sum(mw.contribution(f.m, f.j) for f in surf.fibers)
+    out.append(_subcheck("zero-section-intersection",
+                         po == (surf.height - 2 * mw.K3_CHI + local) / 2,
                          "pole-degree count", value=po))
     with _stage(timings, "height"):
         try:
@@ -164,8 +167,9 @@ def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
                          components=comps, **error,
                          witness={r.place: dict(zip(("m", "v_psi2", "v_dfdx", "M"), r[1:]))
                                   for r in readings}))
-    out.append(_subcheck("height", h == surf.height, "2*2 + 2*5 - 36/12 - 1/2 - 1/2",
-                         value=str(h)))
+    terms = [f"{r.component * (r.m - r.component)}/{r.m}" for r in readings if r.component]
+    out.append(_subcheck("height", h == surf.height,
+                         " - ".join([f"2*{mw.K3_CHI} + 2*{po}", *terms]), value=str(h)))
     out.append(_subcheck("height-vs-lattice-det",
                          h is not None and 12 * h == surf.level,
                          "12 * h(P) = |det T|", value=str(h and 12 * h)))
@@ -269,7 +273,7 @@ def cmd_mahler(args) -> int:
                    "provenance": "tanh-sinh quadrature of the AGM period"}
         _emit(args, payload, f"m(P_{k}) = {float(v.value):.12f} "
                              f"(+- {float(v.error_bound):.2e}, quadrature)")
-    elif args.method == "bertin":
+    else:
         try:
             lattices.tau_table(k)
         except ValueError as exc:
@@ -279,13 +283,6 @@ def cmd_mahler(args) -> int:
                    "value": value, "error_bound": err,
                    "provenance": "Eisenstein-Kronecker lattice sums"}
         _emit(args, payload, f"m(P_{k}) = {value:.10f} (+- {err:.2e}, series)")
-    else:
-        est, se = mahler.mahler_mc(k, args.samples, args.seed)
-        payload = {"input": {"k": k, "method": "mc", "samples": args.samples,
-                             "seed": args.seed},
-                   "value": est, "error_bound": 4 * se,
-                   "provenance": f"Monte Carlo, stderr={se:.3e}"}
-        _emit(args, payload, f"m(P_{k}) ~ {est:.7f} +- {se:.2e} (MC)")
     return 0
 
 
@@ -403,11 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--k", type=_finite, required=True)
     m.add_argument("--prec", type=_at_least(53), default=128)
     m.add_argument("--json", action="store_true")
-    m.add_argument("--method", choices=["quadrature", "bertin", "mc"],
-                   default="quadrature")
+    m.add_argument("--method", choices=["quadrature", "bertin"], default="quadrature")
     m.add_argument("--tol", type=_positive, default=1e-5)
-    m.add_argument("--samples", type=_at_least(1000), default=10 ** 6)
-    m.add_argument("--seed", type=int, default=0)
     m.set_defaults(func=cmd_mahler)
 
     lv = sub.add_parser("lvalue", help="Hecke L-value from the form series")

@@ -1,9 +1,11 @@
-"""Curve and section fixtures for the k=3/6/18 surfaces.
+"""Section fixtures for the k=3/18 surfaces.
 
-Every displayed formula this package replays (Weierstrass models, the
+Every displayed formula this package replays (the k=18 twisted curve, the
 infinite sections, torsion multiples, the halving data) is built here from its
 printed factored form over Q(sqrt(-3)), and these builders are its only copy.
-Each public loader caches what its builder returns.
+The family's own Weierstrass models are `mwsections.family_curve` and
+`mwsections.schart_family_curve`.  Each public loader caches what its builder
+returns.
 """
 
 from __future__ import annotations
@@ -20,40 +22,12 @@ def _lin(c) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Weierstrass models
+# The twisted k=18 curve
 # ---------------------------------------------------------------------------
-
-def family_curve(k: int) -> FunctionFieldCurve:
-    """y^2 + (s^2 - k s + 1) xy = x (x - 1)(x + s^2 - k s)."""
-    return FunctionFieldCurve.from_coeffs(Poly([1, -k, 1]), Poly([-1, -k, 1]), 0,
-                                          Poly([0, k, -1]), 0)
-
-
-def schart_family_curve(k: int) -> FunctionFieldCurve:
-    """y^2 + (s^2 - k s + 1) xy = x (x - s^4)(x + s^2 - k s^3): family_curve(k)
-    in the chart x = s^4 x'(1/s), y = s^6 y'(1/s) around s = 0."""
-    return FunctionFieldCurve.from_coeffs(Poly([1, -k, 1]), Poly([0, 0, 1, -k, -1]), 0,
-                                          Poly([0, 0, 0, 0, 0, 0, -1, k]), 0)
-
-
-@lru_cache(maxsize=None)
-def y18_curve() -> FunctionFieldCurve:
-    return family_curve(18)
-
-
-@lru_cache(maxsize=None)
-def y3_curve() -> FunctionFieldCurve:
-    return family_curve(3)
-
-
-@lru_cache(maxsize=None)
-def y6_curve() -> FunctionFieldCurve:
-    return schart_family_curve(6)
-
 
 @lru_cache(maxsize=None)
 def y18_twist_curve() -> FunctionFieldCurve:
-    """The quadratic twist of y18_curve() by -3."""
+    """The quadratic twist of family_curve(18) by -3."""
     return FunctionFieldCurve.from_coeffs(Poly([1, -18, 1]), Poly([2, 90, -329, 36, -1]),
                                           0, Poly([0, 162, -9]), 0)
 
@@ -102,27 +76,13 @@ def infinite_section_k3() -> SectionPoint:
                                _lin(-3) * _lin(-2) * _lin(-1) * Poly([1, -3, 1]))
 
 
-def torsion_multiples(k: int) -> list[SectionPoint]:
+@lru_cache(maxsize=None)
+def torsion_multiples(k: int) -> tuple[SectionPoint, ...]:
     """[rho6, 2*rho6, ..., 5*rho6] on family_curve(k), as displayed."""
     rho = Poly([0, -k, 1])  # sigma (sigma - k)
     s1 = Poly([1, -k, 1])
-    return [SectionPoint.affine(x, y) for x, y in
-            ((-rho, rho * s1), (1, -s1), (0, 0), (1, 0), (-rho, 0))]
-
-
-@lru_cache(maxsize=None)
-def torsion_multiples_k3() -> list[SectionPoint]:
-    return torsion_multiples(3)
-
-
-@lru_cache(maxsize=None)
-def torsion_multiples_k18() -> list[SectionPoint]:
-    return torsion_multiples(18)
-
-
-def y6_torsion_point() -> SectionPoint:
-    """The order-6 point (s^2 (6s - 1), 0) of the k=6 model."""
-    return SectionPoint.affine(Poly([0, 0, -1, 6]), Poly([]))
+    return tuple(SectionPoint.affine(x, y) for x, y in
+                 ((-rho, rho * s1), (1, -s1), (0, 0), (1, 0), (-rho, 0)))
 
 
 @lru_cache(maxsize=None)

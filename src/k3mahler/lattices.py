@@ -289,7 +289,7 @@ class Surface(namedtuple("Surface", (
 # Singular fibers of the double cover are read off from the Beauville
 # fibration (u = (s^2 - k s + 1)/s^2, s = 1/sigma); each comment names the
 # fiber of u below.  `mwsections.section_height` checks them against
-# `fixtures.family_curve(k)` and takes one local height per entry.
+# `mwsections.family_curve(k)` and takes one local height per entry.
 SURFACES = {
     0: Surface(0, 1e-6, Fraction(1)),
     3: Surface(3, 1e-5, Fraction(0), disc=-15, level=15,

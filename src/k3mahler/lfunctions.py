@@ -1,5 +1,5 @@
 """Hecke L-series from explicit binary-quadratic-form sums, Dirichlet L-values,
-the constant d3, the embedded CM-newform coefficient tables, and twisting.
+the constant d3, and twisting.
 
 The three Hecke series are encoded exactly as signed lists of positive
 definite binary quadratic forms with degree-2 numerators; their Dirichlet
@@ -19,7 +19,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .bigreal import BigReal
-from .lattices import NEWFORM_AP, SURFACES
 
 
 def kronecker(d: int, n: int) -> int:
@@ -190,18 +189,16 @@ def _n2_tail(alpha, M: int):
     return (M + 1) ** 2 * mp.exp(-alpha * (M + 1)) / (1 - ratio)
 
 
-def smoothed_lvalue(series: QuadFormSeries, prec: int = 128,
-                    level: int | None = None, sign: int = 1) -> BigReal:
+def smoothed_lvalue(series: QuadFormSeries, prec: int = 128) -> BigReal:
     """L(phi, 3) for the form series by the smoothed sum of its functional
     equation (Dokchitser, Exp. Math. 13 (2004)), with a rigorous bound.
 
-    With N = level (default |disc|) and A = sqrt(N) / 2 pi, the completed
-    L-function Lambda(s) = A^s Gamma(s) L(s) satisfies Lambda(s) =
-    sign * Lambda(3 - s); N = |disc| and sign +1 are the only choices that fit
-    for the three series.  Splitting the Mellin integral of
+    With level N = |disc| and A = sqrt(N) / 2 pi, the completed L-function
+    Lambda(s) = A^s Gamma(s) L(s) satisfies Lambda(s) = Lambda(3 - s) for the
+    three series.  Splitting the Mellin integral of
     theta(y) = sum a_n e^(-2 pi n y / sqrt(N)) at y = 1 gives
 
-        L(3) = sum_n a_n [(A/n)^3 Gamma(3, n/A) + sign E_1(n/A)] / (2 A^3),
+        L(3) = sum_n a_n [(A/n)^3 Gamma(3, n/A) + E_1(n/A)] / (2 A^3),
 
     with Gamma(3, x) = e^-x (x^2 + 2x + 2).  The terms fall like e^(-n/A), so
     M = O(A prec) coefficients from form_coefficients suffice.  The tail bound
@@ -209,13 +206,11 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int = 128,
     |term| <= 6 |a_n| e^-x; the rounding term allows 32 roundings of every
     summand and one per addition, at the working precision.
 
-    Before the sum is trusted, theta(1/y) = sign y^3 theta(y) is checked at
-    y = 5/4 within the same tail and rounding bounds; a level or sign that
-    does not fit raises ArithmeticError.
+    Before the sum is trusted, theta(1/y) = y^3 theta(y) is checked at
+    y = 5/4 within the same tail and rounding bounds; a series whose
+    functional equation does not fit raises ArithmeticError.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    N = abs(series.disc) if level is None else level
+    N = abs(series.disc)
     C = series.coeff_bound()
     wp = prec + 20
     with mp.workprec(wp):
@@ -238,7 +233,7 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int = 128,
                 continue
             x = n / A
             ex = mp.exp(-x)
-            term = a_n * (ex * (1 / x + 2 / x ** 2 + 2 / x ** 3) + sign * mp.e1(x))
+            term = a_n * (ex * (1 / x + 2 / x ** 2 + 2 / x ** 3) + mp.e1(x))
             total += term
             abs_total += abs(term)
             at_inv, at_y = a_n * mp.exp(-x / y), a_n * mp.exp(-x * y)
@@ -248,9 +243,9 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int = 128,
         unit = (M + 32) * mp.mpf(2) ** -wp
         slack = (C * (_n2_tail(1 / (A * y), M) + y3 * _n2_tail(y / A, M))
                  + unit * abs_theta)
-        if abs(theta_inv - sign * y3 * theta_y) > slack:
+        if abs(theta_inv - y3 * theta_y) > slack:
             raise ArithmeticError(
-                f"theta(1/y) != {sign:+d} y^3 theta(y) at level {N}: the functional "
+                f"theta(1/y) != y^3 theta(y) at level {N}: the functional "
                 "equation does not hold, so the smoothed sum does not give L(3)")
         value = total * scale
         err = (6 * C * _n2_tail(1 / A, M) + unit * abs_total) * scale
@@ -298,23 +293,8 @@ def d3(prec: int = 128) -> BigReal:
 
 
 # ---------------------------------------------------------------------------
-# Embedded newform tables and twisting
+# Twisting
 # ---------------------------------------------------------------------------
-
-NewformEntry = namedtuple("NewformEntry", (
-    "level", "weight", "cm_disc",
-    "ap",      # p -> a_p for the tabled primes
-    "twist",   # the surface's ap_twist: A_p = (twist/p) a_p
-))
-
-
-def newform_table(level: int) -> NewformEntry:
-    """Embedded a_p table (p <= 31) for the weight-3 newform of the level."""
-    if level not in NEWFORM_AP:
-        raise ValueError(f"no embedded newform of level {level}")
-    surf = next(s for s in SURFACES.values() if s.level == level)
-    return NewformEntry(level, 3, surf.disc, NEWFORM_AP[level], surf.ap_twist)
-
 
 def twist_coeff(a_p: int, d: int, p: int) -> int:
     """Coefficient of the quadratic twist by d at a prime p not dividing d."""

@@ -1,13 +1,12 @@
 """Numerical Mahler-measure evaluators for P_k = x + 1/x + y + 1/y + z + 1/z - k.
 
-Three independent routes:
+Two independent routes:
 
 * ``mahler_quadrature`` -- Jensen's formula in z and the AGM period of
   m(x + 1/x + y + 1/y - c) leave a one-dimensional integral of K times an
   arccosine; tanh-sinh quadrature (Takahasi and Mori, Publ. RIMS 9 (1974)),
   split at the integrand's three singular points, reaches the float64 floor
   in 1-6 ms, in pure Python.
-* ``mahler_mc`` -- plain Monte Carlo on the torus, the statistical oracle.
 * ``bertin_series`` -- the weighted Eisenstein-Kronecker double sums over the
   four sublattices j*m*tau + n (j = 1, 2, 3, 6; weights -4, 16, -36, 144) at
   the tabulated CM point, in mpmath at a caller-chosen precision.
@@ -54,6 +53,9 @@ _TS_TMAX = 3.5
 # h = 1, 1/2, ..., 2^-_TS_LEVELS; each level adds the odd multiples of h
 _TS_LEVELS = 8
 _HALF_PI = math.pi / 2.0
+# the end ratio (|k| - 2)/4 of [4, |k| - 2] at k = 100, beyond which that
+# segment is split geometrically into pieces of at most this ratio
+_MAX_RATIO = 24.5
 
 
 def _tanh_sinh_nodes(h: float, odd: bool) -> list[tuple[float, bool, float]]:
@@ -104,7 +106,9 @@ def _period_integrand(k: float, t: float, o4: float, o_km2: float, o_kp2: float,
     if o4 < 0.0:
         g = 0.25 / _agm(1.0, 0.25 * math.sqrt(-o4 * (8.0 + o4)))
     else:
-        g = 1.0 / (t * _agm(1.0, math.sqrt(o4 * (8.0 + o4)) / t))
+        # k' = sqrt(t^2 - 16)/t rounds to 1 long before t^2 overflows
+        kp = math.sqrt(o4 * (8.0 + o4)) / t if o4 < 1e150 else 1.0
+        g = 1.0 / (t * _agm(1.0, kp))
     a = _acos(0.5 * o_km2, -0.5 * o_kp2)
     b = _acos(-0.5 * o_2mk, 0.5 * (k + 2.0 + t))
     return g * (1.0 - (a - b) / math.pi)
@@ -121,8 +125,10 @@ def mahler_quadrature(k: float, tol: float = 1e-8) -> BigReal:
     m(P_k) = int_0^(|k|+2) g(t) mu_k(t) dt, mu_k(t) the share of a in [0, pi]
     with |k - 2 cos a| > t (and m(P_k) = m(P_-k)).  It is split at |k - 2|, 4
     and |k| + 2, the kinks of mu and the logarithm of K, so tanh-sinh
-    converges double-exponentially; differences that vanish at a segment end
-    come from the node's gap.  The step is halved, reusing the earlier nodes,
+    converges double-exponentially; past k = 100, [4, |k| - 2] is split
+    geometrically into pieces of end ratio at most _MAX_RATIO, on each of
+    which g ~ 1/t is as tame as at k = 100.  Differences that vanish at a
+    segment end come from the node's gap.  The step is halved, reusing the earlier nodes,
     until two levels agree exactly or the level cap is reached.  The error
     estimate is |I_h - I_{h/2}| plus four ulps of the value (an estimate, as
     QUADPACK's was); tol only decides whether ToleranceNotReached is raised.
@@ -133,7 +139,12 @@ def mahler_quadrature(k: float, tol: float = 1e-8) -> BigReal:
     if not tol > 0:
         raise ValueError("tol must be positive")
     top = k + 2.0
-    ends = sorted({0.0, abs(k - 2.0), top} | ({4.0} if top > 4.0 else set()))
+    ends = {0.0, abs(k - 2.0), top} | ({4.0} if top > 4.0 else set())
+    ratio = (k - 2.0) / 4.0
+    if ratio > _MAX_RATIO:
+        n = math.ceil(math.log(ratio) / math.log(_MAX_RATIO))
+        ends |= {4.0 * ratio ** (i / n) for i in range(1, n)}
+    ends = sorted(ends)
     marks = (4.0, k - 2.0, k + 2.0, 2.0 - k)
     terms: list[float] = []
     value, diff = None, math.inf
@@ -156,43 +167,6 @@ def mahler_quadrature(k: float, tol: float = 1e-8) -> BigReal:
     if not bound <= tol:    # a NaN bound certifies nothing
         raise ToleranceNotReached(value, bound, tol)
     return BigReal.with_bound(value, bound, kind="estimate")
-
-
-def mahler_mc(k: float, samples: int, seed: int,
-              integrand: str = "jensen") -> tuple[float, float]:
-    """Monte Carlo estimate of m(P_k): (estimate, standard error).
-
-    integrand="jensen" samples the 2-torus after the exact z-integration;
-    integrand="torus3" samples log|P_k| on the raw 3-torus.  Deterministic for
-    a fixed seed.
-    """
-    import numpy as np
-
-    if samples < 10 ** 3:
-        raise ValueError("use at least 10^3 samples")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, 1_000_000)
-        if integrand == "jensen":
-            t = rng.uniform(0.0, 2.0 * np.pi, size=(2, n))
-            c = 2.0 * np.cos(t[0]) + 2.0 * np.cos(t[1]) - k
-            vals = np.arccosh(np.maximum(np.abs(c) / 2.0, 1.0))
-        elif integrand == "torus3":
-            t = rng.uniform(0.0, 2.0 * np.pi, size=(3, n))
-            c = 2.0 * (np.cos(t[0]) + np.cos(t[1]) + np.cos(t[2])) - k
-            with np.errstate(divide="ignore"):
-                vals = np.log(np.abs(c))
-        else:
-            raise ValueError(f"unknown integrand {integrand!r}")
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        remaining -= n
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
 
 
 def exact_tau_value(k: int, prec: int = 128):

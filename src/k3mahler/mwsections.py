@@ -1,6 +1,7 @@
 """Elliptic curves over Q(sqrt(-3))(sigma) and the k=18 section suite.
 
-Provides the chord-tangent group law in long Weierstrass form with exact
+Provides the family's Weierstrass models in the sigma and s = 1/sigma charts,
+the chord-tangent group law in long Weierstrass form with exact
 rational-function arithmetic, a nontorsion certificate by specialization at a
 fiber and reduction mod p, the two-descent halving criterion on curves
 y^2 = x(x^2 + a x + b), section/zero-section intersection numbers, and the
@@ -295,8 +296,24 @@ K3_CHI = 2
 FiberReading = namedtuple("FiberReading", "place m v_psi2 v_dfdx component")
 
 
+@lru_cache(maxsize=None)
+def family_curve(k: int) -> FunctionFieldCurve:
+    """y^2 + (s^2 - k s + 1) xy = x (x - 1)(x + s^2 - k s)."""
+    return FunctionFieldCurve.from_coeffs(Poly([1, -k, 1]), Poly([-1, -k, 1]), 0,
+                                          Poly([0, k, -1]), 0)
+
+
+@lru_cache(maxsize=None)
+def schart_family_curve(k: int) -> FunctionFieldCurve:
+    """y^2 + (s^2 - k s + 1) xy = x (x - s^4)(x + s^2 - k s^3): family_curve(k)
+    in the chart x = s^4 x'(1/s), y = s^6 y'(1/s) around s = 0."""
+    return FunctionFieldCurve.from_coeffs(Poly([1, -k, 1]), Poly([0, 0, 1, -k, -1]), 0,
+                                          Poly([0, 0, 0, 0, 0, 0, -1, k]), 0)
+
+
 def _reciprocal_chart(P: SectionPoint) -> SectionPoint:
-    """x = s^4 x'(1/s), y = s^6 y'(1/s)."""
+    """A section of family_curve(k) in the chart of schart_family_curve(k):
+    x = s^4 x'(1/s), y = s^6 y'(1/s)."""
     return SectionPoint(P.x.substitute_reciprocal() * RatFunc(Poly.x(4)),
                         P.y.substitute_reciprocal() * RatFunc(Poly.x(6)))
 
@@ -320,7 +337,6 @@ def _fiber_places(k: int, fibers: tuple) -> tuple:
     checking Silverman's hypothesis there: v(c4) = 0 and v(disc) = m on the
     integral model, so the fiber is I_m.  Conjugate entries share one place
     of their degree, or take one root each; the m must sum to 12 chi."""
-    from . import fixtures
     out = {}
     for sigma in dict.fromkeys(f.sigma for f in fibers):
         entries = [f for f in fibers if f.sigma == sigma]
@@ -328,7 +344,7 @@ def _fiber_places(k: int, fibers: tuple) -> tuple:
         if sum(pl.degree() for pl in places) != len(entries):
             raise VerificationError(f"{[f.place for f in entries]} do not match "
                                     f"the places over {places}")
-        E = fixtures.schart_family_curve(k) if sigma is None else fixtures.family_curve(k)
+        E = schart_family_curve(k) if sigma is None else family_curve(k)
         b2, b4, _, disc = E.invariants()
         for f, pl in zip(entries, places * (len(entries) // len(places))):
             v_c4, v_disc = valuation(b2 * b2 - 24 * b4, pl), valuation(disc, pl)
@@ -350,18 +366,17 @@ def section_height(k: int, P: SectionPoint) -> tuple[Fraction, list[FiberReading
     multiplicative case: M = min(v(psi2), m // 2) if v(x) >= 0, v(psi2) > 0
     and v(dF/dx) > 0, else 0.  The model is schart_family_curve(k) at sigma =
     inf and family_curve(k) elsewhere."""
-    from . import fixtures
     if P.is_zero:
         raise ValueError("height of the zero section is 0 by convention; "
                          "this routine expects a nonzero section")
-    if not verify_on_curve(P, fixtures.family_curve(k)):
+    if not verify_on_curve(P, family_curve(k)):
         raise ValueError("point is not on the curve")
     fibers = SURFACES[k].fibers
     charts, vals, readings = {}, {}, []
     for f, (place, schart) in zip(fibers, _fiber_places(k, fibers)):
         if schart not in charts:
-            E, Q = ((fixtures.schart_family_curve(k), _reciprocal_chart(P)) if schart
-                    else (fixtures.family_curve(k), P))
+            E, Q = ((schart_family_curve(k), _reciprocal_chart(P)) if schart
+                    else (family_curve(k), P))
             charts[schart] = (Q.x, 2 * Q.y + E.a1 * Q.x + E.a3,
                               3 * Q.x * Q.x + 2 * E.a2 * Q.x + E.a4 - E.a1 * Q.y)
         if (place, schart) not in vals:  # conjugate entries share a reading

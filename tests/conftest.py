@@ -1,5 +1,6 @@
 """Shared (session-scoped) fixtures so the expensive evaluations run once,
-and the plain Dirichlet sum they use as the L-value oracle."""
+the plain Dirichlet sum they use as the L-value oracle, and the Monte Carlo
+estimate of m(P_k) that serves as a statistical oracle."""
 
 import itertools
 import math
@@ -28,6 +29,43 @@ def lvalue_from_coeffs(coeffs, s=3, N=None) -> BigReal:
     tail = 2.0 * coeffs.tail_scale / N
     rounding = 1e-15 * math.fsum(map(abs, terms)) + 1e-16
     return BigReal.with_bound(value, tail + rounding)
+
+
+def mahler_mc(k: float, samples: int, seed: int,
+              integrand: str = "jensen") -> tuple[float, float]:
+    """Monte Carlo estimate of m(P_k): (estimate, standard error).
+
+    integrand="jensen" samples the 2-torus after the exact z-integration;
+    integrand="torus3" samples log|P_k| on the raw 3-torus.  Deterministic for
+    a fixed seed.
+    """
+    import numpy as np
+
+    if samples < 10 ** 3:
+        raise ValueError("use at least 10^3 samples")
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    remaining = samples
+    while remaining > 0:
+        n = min(remaining, 1_000_000)
+        if integrand == "jensen":
+            t = rng.uniform(0.0, 2.0 * np.pi, size=(2, n))
+            c = 2.0 * np.cos(t[0]) + 2.0 * np.cos(t[1]) - k
+            vals = np.arccosh(np.maximum(np.abs(c) / 2.0, 1.0))
+        elif integrand == "torus3":
+            t = rng.uniform(0.0, 2.0 * np.pi, size=(3, n))
+            c = 2.0 * (np.cos(t[0]) + np.cos(t[1]) + np.cos(t[2])) - k
+            with np.errstate(divide="ignore"):
+                vals = np.log(np.abs(c))
+        else:
+            raise ValueError(f"unknown integrand {integrand!r}")
+        total += float(np.sum(vals))
+        total_sq += float(np.sum(vals * vals))
+        remaining -= n
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
 
 
 def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
@@ -72,13 +110,13 @@ def d3_value():
 @pytest.fixture(scope="session")
 def k18():
     """The k=18 exact-section bundle: curve, sections, b-form, halving sum."""
-    E = fx.y18_curve()
+    E = mw.family_curve(18)
     ps = fx.infinite_section_k18()
     hd = fx.halving_data()
     Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
     # each of Pb, T2 and Q is checked on Eb once: Pb and T2 by ec_add
     Pb = mw.to_completed_square(ps, E)
-    Q = mw.ec_add(Pb, mw.to_completed_square(fx.torsion_multiples_k18()[2], E), Eb)
+    Q = mw.ec_add(Pb, mw.to_completed_square(fx.torsion_multiples(18)[2], E), Eb)
     assert mw.verify_on_curve(Q, Eb)
     return {"E": E, "ps": ps, "halving": hd, "Eb": Eb, "Pb": Pb, "Q": Q,
             "twist_curve": fx.y18_twist_curve(), "pm3": fx.twist_section()}

@@ -17,7 +17,8 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from k3mahler.lfunctions import FORM_SERIES, DirichletCoeffs, QuadFormSeries, newform_table
+from k3mahler.lattices import NEWFORM_AP, SURFACES
+from k3mahler.lfunctions import FORM_SERIES, DirichletCoeffs, QuadFormSeries
 from k3mahler.mahler import exact_tau_value
 
 
@@ -176,18 +177,18 @@ def newform_coefficients(level: int, N: int) -> DirichletCoeffs:
     a_{3^v} = a_3^v.  Nothing beyond the embedded tables and the form sums is
     baked in.
     """
-    entry = newform_table(level)
-    phi = form_coefficients_numpy(FORM_SERIES[entry.cm_disc], N)
+    surf = next(s for s in SURFACES.values() if s.level == level)
+    phi = form_coefficients_numpy(FORM_SERIES[surf.disc], N)
     values = np.asarray(phi.values)    # a list, which fancy indexing needs as an array
     out = np.zeros(N + 1, dtype=np.int64)
-    if entry.twist is None:
+    if surf.ap_twist is None:
         out[:] = values
         return DirichletCoeffs(
-            out, f"form-series disc {entry.cm_disc} (identity twist)",
+            out, f"form-series disc {surf.disc} (identity twist)",
             tail_scale=phi.tail_scale)
-    if entry.twist != -3:
-        raise ValueError(f"only the (-3/.) twist is implemented, not {entry.twist}")
-    a3 = entry.ap[3]
+    if surf.ap_twist != -3:
+        raise ValueError(f"only the (-3/.) twist is implemented, not {surf.ap_twist}")
+    a3 = NEWFORM_AP[level][3]
     n = np.arange(N + 1)
     chi = np.zeros(N + 1, dtype=np.int64)
     chi[n % 3 == 1] = 1
@@ -202,5 +203,5 @@ def newform_coefficients(level: int, N: int) -> DirichletCoeffs:
         power *= a3
         block *= 3
     # the 3-power Euler factor inflates the tail by sum_v 3^-v = 3/2
-    return DirichletCoeffs(out, f"twisted-back form series disc {entry.cm_disc}",
+    return DirichletCoeffs(out, f"twisted-back form series disc {surf.disc}",
                            tail_scale=1.5 * phi.tail_scale)

@@ -11,12 +11,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from k3mahler import fixtures as fx
 from k3mahler.exactalg import Place, Poly, RatFunc, valuation
 from k3mahler.lattices import SURFACES
 from k3mahler.mwsections import (FunctionFieldCurve, SectionPoint, _reciprocal_chart,
-                                 contribution, section_height, verify_on_curve,
-                                 zero_intersection)
+                                 contribution, family_curve, schart_family_curve,
+                                 section_height, verify_on_curve, zero_intersection)
 
 S = Poly.x()  # the parameter of a model's chart: s, or sigma
 AT_ZERO = Place.at_root(0)
@@ -74,11 +73,11 @@ def neron_model(place: str) -> FunctionFieldCurve:
     """Neron's model at a node, derived (in the s-chart a_i picks up s^(2i))
     and checked against its printed form and Neron's pattern for I_m."""
     reciprocal, change, printed, _ = NODE_RULES[place]
-    E = fx.y18_curve()
+    E = family_curve(18)
     if reciprocal:
         E = FunctionFieldCurve(*(a.substitute_reciprocal() * RatFunc(Poly.x(2 * i))
                                  for i, a in zip((1, 2, 3, 4, 6), E)))
-        assert E == fx.schart_family_curve(18), "s-chart model mismatch"
+        assert E == schart_family_curve(18), "s-chart model mismatch"
     E = transform_curve(E, *change)
     assert E == printed, f"{place} model mismatch"
     m, (b2, b4, _, disc) = FIBER_M[place], E.invariants()
@@ -91,7 +90,7 @@ def neron_model(place: str) -> FunctionFieldCurve:
 @lru_cache(maxsize=None)
 def beauville_coords(P: SectionPoint) -> tuple[RatFunc, RatFunc, RatFunc]:
     """[X:Y:Z] = [-y - a1 x : y : x + (s^2 - 18s)] on the Beauville cubic."""
-    a1 = fx.y18_curve().a1
+    a1 = family_curve(18).a1
     X, Y, Z = -P.y - a1 * P.x, P.y, P.x + RatFunc(Poly([0, -18, 1]))
     assert ((X + Y) * (X + Z) * (Y + Z) + a1 * X * Y * Z).is_zero()
     return X, Y, Z

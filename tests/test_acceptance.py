@@ -16,6 +16,7 @@ from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.exactalg import (ONE, Place, Poly, QuadElem, RatFunc,
                                is_square_ratfunc, valuation)
+from conftest import mahler_mc
 from modular import fit_w_expansion
 
 PHI_ROWS = {
@@ -117,12 +118,12 @@ def test_criterion_8_point_count_tables():
     ok = True
     for k in (3, 6, 18):
         surf = lattices.SURFACES[k]
-        nf = lf.newform_table(surf.level)
+        table = lattices.NEWFORM_AP[surf.level]
         for p in pc.primes_up_to(31):
             if p in surf.bad_primes:
                 continue
-            want = nf.ap[p] if surf.ap_twist is None \
-                else lf.twist_coeff(nf.ap[p], surf.ap_twist, p)
+            want = table[p] if surf.ap_twist is None \
+                else lf.twist_coeff(table[p], surf.ap_twist, p)
             if pc.A_p(k, p) != want:
                 ok = False
     row = [pc.A_p(6, p) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
@@ -184,8 +185,8 @@ def test_criterion_10_section_suite(k18, pm3_nontorsion):
 def test_criterion_11_torsion_fixtures():
     identities = 0
     ok = True
-    for curve, table in ((fx.y3_curve(), fx.torsion_multiples_k3()),
-                         (fx.y18_curve(), fx.torsion_multiples_k18())):
+    for k in (3, 18):
+        curve, table = mw.family_curve(k), fx.torsion_multiples(k)
         P = table[0]
         for i in range(1, 6):
             if P.x != table[i - 1].x or P.y != table[i - 1].y:
@@ -228,8 +229,8 @@ def test_criterion_13_property_suites(quad):
         for v in places:
             ok &= valuation(f * g, v) == valuation(f, v) + valuation(g, v)
     # group-law associativity on the k=18 curve
-    E = fx.y18_curve()
-    tor = fx.torsion_multiples_k18()
+    E = mw.family_curve(18)
+    tor = fx.torsion_multiples(18)
     for _ in range(8):
         P, Q, R = (rng.choice(tor) for _ in range(3))
         lhsP = mw.ec_add(mw.ec_add(P, Q, E, False), R, E, False)
@@ -238,7 +239,7 @@ def test_criterion_13_property_suites(quad):
     # quadrature vs Monte Carlo at 4 sigma
     sigmas = {}
     for k in (0, 3, 6, 18, 100):
-        est, se = mh.mahler_mc(k, 10 ** 6, seed=1000 + k)
+        est, se = mahler_mc(k, 10 ** 6, seed=1000 + k)
         z = abs(est - float(quad(k).value)) / se
         sigmas[k] = z
         ok &= z <= 4.0

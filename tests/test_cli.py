@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -37,8 +39,7 @@ class TestSchemas:
                      ["ap", "--k", "6", "--pmax", "13", "--json"],
                      ["coeffs", "--k", "6", "--nmax", "8", "--json"],
                      ["lvalue", "--k", "3", "--json"],
-                     ["mahler", "--k", "6", "--method", "mc",
-                      "--samples", "2000", "--seed", "1", "--json"],
+                     ["mahler", "--k", "6", "--json"],
                      ["mahler", "--k", "6", "--method", "bertin", "--json"]):
             code, out = run(capsys, argv)
             assert code == 0
@@ -98,11 +99,11 @@ class TestPrintedBounds:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
-        argv = ["mahler", "--k", "6", "--method", "mc", "--samples", "5000",
-                "--seed", "42", "--json"]
-        _, out1 = run(capsys, argv)
-        _, out2 = run(capsys, argv)
-        assert out1 == out2
+        for argv in (["mahler", "--k", "6", "--json"],
+                     ["mahler", "--k", "6", "--method", "bertin", "--json"]):
+            _, out1 = run(capsys, argv)
+            _, out2 = run(capsys, argv)
+            assert out1 == out2, argv
 
     def test_verify_report_equal_outside_timings(self, capsys, k18_report):
         def report(argv):
@@ -124,7 +125,10 @@ class TestExitCodes:
         for argv in (["mahler", "--method", "nosuch", "--k", "6"],
                      ["verify"],  # --k missing
                      ["lvalue", "--k", "3", "--n-terms", "10"],
-                     ["mahler", "--k", "6", "--method", "mc", "--samples", "10"],
+                     # the Monte Carlo route is gone, with its options
+                     ["mahler", "--k", "6", "--method", "mc"],
+                     ["mahler", "--k", "6", "--samples", "1000"],
+                     ["mahler", "--k", "6", "--seed", "1"],
                      ["verify", "--k", "6", "--box", "8"],
                      # no box size: the EK series sums rows to a working precision
                      ["verify", "--k", "6", "--box", "256"],
@@ -258,7 +262,7 @@ class TestSectionReport:
         # and none is checked twice on E_b
         _, doc, checked = k18_report
         assert all(c["pass"] for c in doc["subchecks"])
-        T2 = mw.to_completed_square(fx.torsion_multiples_k18()[2], k18["E"])
+        T2 = mw.to_completed_square(fx.torsion_multiples(18)[2], k18["E"])
         assert len(checked) == 3
         for P in (k18["Pb"], T2, k18["Q"]):
             assert sum(P == R for R in checked) == 1
@@ -285,6 +289,17 @@ class TestSectionReport:
         assert sub["neron-components"]["error"].startswith("s=1/18: ")
         assert sub["height"]["pass"] is False
 
+    def test_k18_wrong_height_record_fails(self, capsys, monkeypatch):
+        # h = 12 recorded: the curve gives h = 10, and (P.O) = 5 is not the
+        # (12 - 2*2 + 4)/2 = 6 that the record and its components imply
+        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(height=Fraction(12)))
+        code, out = run(capsys, ["verify", "--k", "18", "--json"])
+        assert code == 1
+        sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
+        assert sub["height"]["pass"] is False and sub["height"]["value"] == "10"
+        assert sub["zero-section-intersection"]["pass"] is False
+        assert sub["zero-section-intersection"]["value"] == 5
+
     def test_k18_epstein_subcheck(self, k18_report):
         # the Epstein combination checks the (14/5) d3 term at --prec
         _, doc, _ = k18_report
@@ -308,6 +323,12 @@ class TestWithoutScipy:
         for path in Path(k3mahler.__file__).parent.glob("*.py"):
             text = path.read_text()
             assert "import scipy" not in text and "from scipy" not in text, path.name
+
+    def test_only_pointcount_imports_numpy(self):
+        # numpy serves only the FFT kernel of the A_p scan
+        importers = [path.name for path in Path(k3mahler.__file__).parent.glob("*.py")
+                     if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)]
+        assert importers == ["pointcount.py"]
 
 
 LOADS_PROBE = """
@@ -341,12 +362,15 @@ class TestWithoutNumpy:
         (["ap", "--k", "18", "--json"], []),
         (["lattice", "--k", "18", "--json"], []),
         *((["verify", "--k", k, "--json"], ["mpmath"]) for k in ("0", "3", "6", "18")),
+        (["mahler", "--k", "6", "--json"], ["mpmath"]),
+        (["mahler", "--k", "6", "--method", "bertin", "--json"], ["mpmath"]),
         # every prime below _NUMPY_FROM is scanned in pure Python; the control,
         # the first prime from there on, is scanned by numpy
         (["ap", "--k", "3", "--pmax", str(LAST_PURE_PRIME)], []),
         (["ap", "--k", "3", "--pmax", str(FIRST_NUMPY_PRIME)], ["numpy"]),
     ], ids=["import", "ap-k18", "lattice-k18", "verify-k0", "verify-k3", "verify-k6",
-            "verify-k18", "ap-below-crossover", "ap-control"])
+            "verify-k18", "mahler-k6", "mahler-bertin-k6", "ap-below-crossover",
+            "ap-control"])
     def test_numpy_stays_unloaded(self, argv, loads):
         env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", LOADS_PROBE, json.dumps(argv)],
@@ -384,9 +408,3 @@ class TestHumanOutput:
         code, out = run(capsys, ["height"])
         assert code == 0
         assert "h(p_sigma) = 10" in out
-
-    def test_mc_text(self, capsys):
-        code, out = run(capsys, ["mahler", "--k", "6", "--method", "mc",
-                                 "--samples", "2000", "--seed", "7"])
-        assert code == 0
-        assert "+-" in out

@@ -10,6 +10,7 @@ from scipy import integrate
 
 from k3mahler import lfunctions as lf
 from k3mahler.bigreal import BigReal
+from k3mahler.lattices import NEWFORM_AP, SURFACES
 from k3mahler.mahler import epstein_combo
 from conftest import lvalue_from_coeffs
 from modular import form_coefficients_numpy, newform_coefficients
@@ -144,12 +145,11 @@ class TestSmoothedLValue:
             assert v128.abs_diff(v256) <= v128.error_bound, disc
 
     def test_guard_rejects_wrong_functional_equation(self):
+        # the level is |disc|: doubling it breaks the functional equation
         for disc in PHI_ROWS:
             series = lf.FORM_SERIES[disc]
             with pytest.raises(ArithmeticError):
-                lf.smoothed_lvalue(series, level=2 * abs(disc))
-            with pytest.raises(ArithmeticError):
-                lf.smoothed_lvalue(series, sign=-1)
+                lf.smoothed_lvalue(series._replace(disc=2 * disc))
 
     def test_coefficient_bound(self):
         n = np.arange(1, 10 ** 4 + 1)
@@ -206,17 +206,17 @@ class TestDirichletAndD3:
         assert abs(2 * val - float(d3_value.value)) < 1e-8
 
 
+def cm_disc(level):
+    """The discriminant of the surface whose newform has this level."""
+    return next(s.disc for s in SURFACES.values() if s.level == level)
+
+
 class TestNewformTables:
     def test_entries(self):
-        assert lf.newform_table(24).ap[7] == -10
-        assert lf.newform_table(15).ap[17] == 14
-        assert lf.newform_table(120).ap[31] == -58
-        assert lf.newform_table(24).weight == 3
-        assert lf.newform_table(120).cm_disc == -120
-
-    def test_unknown_level(self):
-        with pytest.raises(ValueError):
-            lf.newform_table(8)
+        assert NEWFORM_AP[24][7] == -10
+        assert NEWFORM_AP[15][17] == 14
+        assert NEWFORM_AP[120][31] == -58
+        assert cm_disc(120) == -120
 
     def test_all_33_values_pinned(self):
         # every (level, p, a_p) of the embedded table, written out
@@ -229,14 +229,13 @@ class TestNewformTables:
                   (19, 0), (23, -14), (29, 38), (31, -58)],
         }
         for level, rows in want.items():
-            assert lf.newform_table(level).ap == dict(rows), level
+            assert NEWFORM_AP[level] == dict(rows), level
 
     def test_inert_vanishing_on_tabled_primes(self):
         for level in (15, 24, 120):
-            entry = lf.newform_table(level)
             for p in PRIMES_31:
-                if lf.kronecker(entry.cm_disc, p) == -1:
-                    assert entry.ap[p] == 0, (level, p)
+                if lf.kronecker(cm_disc(level), p) == -1:
+                    assert NEWFORM_AP[level][p] == 0, (level, p)
 
 
 class TestTwisting:
@@ -251,15 +250,13 @@ class TestTwisting:
 
     def test_phi_rows_are_twists_of_newforms(self):
         for level, d in ((24, -3), (120, -3)):
-            entry = lf.newform_table(level)
-            row = PHI_ROWS[entry.cm_disc]
+            row = PHI_ROWS[cm_disc(level)]
             for p in PRIMES_31:
                 if p == 3:
                     continue  # twisting prime: the coefficient is regained,
                               # not given by (d/p) a_p
-                assert lf.twist_coeff(entry.ap[p], d, p) == row[p]
-        entry = lf.newform_table(15)
-        assert all(entry.ap[p] == PHI_ROWS[-15][p] for p in PRIMES_31)
+                assert lf.twist_coeff(NEWFORM_AP[level][p], d, p) == row[p]
+        assert all(NEWFORM_AP[15][p] == PHI_ROWS[-15][p] for p in PRIMES_31)
 
 
 class TestNewformCoefficients:
@@ -267,7 +264,7 @@ class TestNewformCoefficients:
         for level in (15, 24, 120):
             co = newform_coefficients(level, 40)
             for p in PRIMES_31:
-                assert co[p] == lf.newform_table(level).ap[p], (level, p)
+                assert co[p] == NEWFORM_AP[level][p], (level, p)
 
     def test_level15_lvalue_matches_hecke(self, hecke):
         co = newform_coefficients(15, 500_000)

@@ -15,8 +15,8 @@ from k3mahler.cli import _prefactor
 from k3mahler.lattices import SURFACES
 from k3mahler.lfunctions import d3
 from k3mahler.mahler import (ToleranceNotReached, _row_sums, bertin_series,
-                             bertin_series_for_k, exact_tau_value, mahler_mc,
-                             mahler_quadrature)
+                             bertin_series_for_k, exact_tau_value, mahler_quadrature)
+from conftest import mahler_mc
 from modular import eta, fit_w_expansion, k_of_tau, tau_of_k, w_of_tau
 
 # the kinks of the inner integrand move with k; 1.999 ... 6.0001 sit next to
@@ -172,6 +172,14 @@ class TestQuadrature:
 
     def test_k18_constant_term_series(self):
         assert mahler_quadrature(18).abs_diff(constant_term_series(18)) <= 1e-15
+
+    @pytest.mark.parametrize("k", [1e10, 1e12, 1e18, 1e100, 1e200, 1e300])
+    def test_large_k_within_bound(self, k):
+        # [4, k - 2] spans up to 300 decades of g ~ 1/t, and past t ~ 1e154
+        # t^2 overflows float64; the value must still lie within its bound
+        v = mahler_quadrature(k, tol=1e-5)
+        assert v.abs_diff(constant_term_series(k)) <= v.error_bound, k
+        assert float(v.error_bound) <= 1e-12, k
 
     def test_plus_minus_symmetry(self, quad):
         for k in (3.0, 7.5):

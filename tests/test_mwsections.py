@@ -125,10 +125,15 @@ def curves_isomorphic_by_scaling(E1, E2) -> bool:
     return (b4b == b4a * c ** 2) and (b6b == b6a * c ** 3)
 
 
+def y6_torsion_point():
+    """The order-6 point (s^2 (6s - 1), 0) of the k=6 model in the s-chart."""
+    return mw.SectionPoint.affine(Poly([0, 0, -1, 6]), Poly([]))
+
+
 class TestGroupLaw:
     def test_printed_torsion_multiples_k18(self):
-        E = fx.y18_curve()
-        tor = fx.torsion_multiples_k18()
+        E = mw.family_curve(18)
+        tor = fx.torsion_multiples(18)
         P = tor[0]
         for i in range(1, 6):
             assert P == tor[i - 1], f"[{i}]rho6 mismatch"
@@ -136,8 +141,8 @@ class TestGroupLaw:
         assert P.is_zero  # [6]rho6 = O
 
     def test_printed_torsion_multiples_k3(self):
-        E = fx.y3_curve()
-        tor = fx.torsion_multiples_k3()
+        E = mw.family_curve(3)
+        tor = fx.torsion_multiples(3)
         P = tor[0]
         for i in range(1, 6):
             assert P == tor[i - 1], f"[{i}]rho6 mismatch"
@@ -145,22 +150,22 @@ class TestGroupLaw:
         assert P.is_zero
 
     def test_ec_mul_matches_table(self):
-        E = fx.y18_curve()
-        tor = fx.torsion_multiples_k18()
+        E = mw.family_curve(18)
+        tor = fx.torsion_multiples(18)
         assert mw.ec_mul(3, tor[0], E) == tor[2]          # (0, 0)
         assert mw.ec_mul(2, tor[0], E) == tor[1]
         assert tor[2] == mw.SectionPoint.affine(0, 0)
         assert mw.ec_mul(6, tor[0], E).is_zero
 
     def test_negative_multiplication(self):
-        E = fx.y18_curve()
-        tor = fx.torsion_multiples_k18()
+        E = mw.family_curve(18)
+        tor = fx.torsion_multiples(18)
         assert mw.ec_mul(-1, tor[0], E) == mw.ec_neg(tor[0], E)
         assert mw.ec_mul(-2, tor[0], E) == tor[3]  # -2 = 4 mod 6
 
     def test_associativity_and_commutativity(self):
-        E = fx.y18_curve()
-        tor = [mw.O] + fx.torsion_multiples_k18()
+        E = mw.family_curve(18)
+        tor = [mw.O, *fx.torsion_multiples(18)]
         rng = random.Random(31)
         pts = tor + [fx.infinite_section_k18()]
         for _ in range(12):
@@ -175,7 +180,7 @@ class TestGroupLaw:
                 mw.ec_add(ps, mw.ec_add(Q, R, E, False), E, False)
 
     def test_off_curve_rejected(self):
-        E = fx.y18_curve()
+        E = mw.family_curve(18)
         bogus = mw.SectionPoint.affine(1, 1)
         with pytest.raises(ValueError, match="not on the curve"):
             mw.ec_add(bogus, bogus, E)
@@ -188,14 +193,14 @@ class TestGroupLaw:
         assert mw.verify_on_curve(mw.O, cubic)
 
     def test_k3_infinite_section(self):
-        E = fx.y3_curve()
+        E = mw.family_curve(3)
         P = fx.infinite_section_k3()
         assert mw.verify_on_curve(P, E)
         assert mw.verify_nontorsion(P, E)
 
     def test_y6_torsion_point_order_six(self):
-        E = fx.y6_curve()
-        T = fx.y6_torsion_point()
+        E = mw.schart_family_curve(6)
+        T = y6_torsion_point()
         assert mw.verify_on_curve(T, E)
         multiples = [mw.ec_mul(n, T, E) for n in range(1, 7)]
         assert all(not P.is_zero for P in multiples[:5])
@@ -226,57 +231,59 @@ class TestNontorsion:
         assert wit is not None and wit.order > 6
         assert replay_witness(k18["pm3"], k18["twist_curve"], wit) == wit.order
 
-    @pytest.mark.parametrize("section,curve", [
-        (fx.infinite_section_k3, fx.y3_curve),
-        (fx.infinite_section_k18, fx.y18_curve),  # coordinates need sqrt(-3)
+    @pytest.mark.parametrize("section,k", [
+        pytest.param(fx.infinite_section_k3, 3, id="infinite_section_k3-y3_curve"),
+        # coordinates need sqrt(-3)
+        pytest.param(fx.infinite_section_k18, 18, id="infinite_section_k18-y18_curve"),
     ])
-    def test_infinite_sections_certified(self, section, curve):
-        P, E = section(), curve()
+    def test_infinite_sections_certified(self, section, k):
+        P, E = section(), mw.family_curve(k)
         wit = mw.verify_nontorsion(P, E)
         assert wit is not None and wit.order > 6
-        assert (wit.w is None) == (curve is fx.y3_curve)
+        assert (wit.w is None) == (k == 3)
         assert replay_witness(P, E, wit) == wit.order
 
     def test_exact_cross_check_k3(self):
         # [n]P != O for n <= 6 from [2]P and [3]P alone: [n]P = O iff
         # [a]P = -[b]P for some a + b = n with a, b in {1, 2, 3}
-        E, P = fx.y3_curve(), fx.infinite_section_k3()
+        E, P = mw.family_curve(3), fx.infinite_section_k3()
         assert not P.is_zero
         P2, P3 = mw.ec_mul(2, P, E), mw.ec_mul(3, P, E)
         for a, b in ((P, P), (P2, P), (P2, P2), (P2, P3), (P3, P3)):
             assert a != mw.ec_neg(b, E)
 
     def test_torsion_points_flagged(self):
-        cases = [(T, fx.y3_curve()) for T in fx.torsion_multiples_k3()]
-        cases += [(T, fx.y18_curve()) for T in fx.torsion_multiples_k18()]
-        cases += [(fx.y6_torsion_point(), fx.y6_curve()), (mw.O, fx.y18_curve())]
+        cases = [(T, mw.family_curve(3)) for T in fx.torsion_multiples(3)]
+        cases += [(T, mw.family_curve(18)) for T in fx.torsion_multiples(18)]
+        cases += [(y6_torsion_point(), mw.schart_family_curve(6)),
+                  (mw.O, mw.family_curve(18))]
         for P, E in cases:
             assert mw.verify_nontorsion(P, E) is None, P
 
     def test_off_curve_rejected(self):
         with pytest.raises(ValueError, match="not on the curve"):
-            mw.verify_nontorsion(mw.SectionPoint.affine(1, 1), fx.y18_curve())
+            mw.verify_nontorsion(mw.SectionPoint.affine(1, 1), mw.family_curve(18))
 
 
 class TestTwist:
     def test_matches_printed_curve(self):
-        E = fx.y18_curve()
+        E = mw.family_curve(18)
         tw = quadratic_twist(E, -3)
         assert tw.curve == fx.y18_twist_curve()
         assert tw.sqrt_d == QuadElem(0, 1)
 
     def test_twist_by_one_is_identity(self):
-        E = fx.y18_curve()
+        E = mw.family_curve(18)
         assert quadratic_twist(E, 1).curve == E
 
     def test_square_free_required(self):
         with pytest.raises(ValueError):
-            quadratic_twist(fx.y18_curve(), 12)
+            quadratic_twist(mw.family_curve(18), 12)
         with pytest.raises(ValueError):
-            quadratic_twist(fx.y18_curve(), 0)
+            quadratic_twist(mw.family_curve(18), 0)
 
     def test_double_twist_isomorphic(self):
-        E = fx.y18_curve()
+        E = mw.family_curve(18)
         for d in (-3, 5, -1):
             once = quadratic_twist(E, d)
             twice = quadratic_twist(once.curve, d)
@@ -300,11 +307,11 @@ class TestTwist:
         assert mw.verify_on_curve(twist_push(ps, E, tw), tw_curve)
 
     def test_maps_need_in_field_root(self):
-        E = fx.y18_curve()
+        E = mw.family_curve(18)
         tw5 = quadratic_twist(E, 5)
         assert tw5.sqrt_d is None
         with pytest.raises(ValueError, match="quadratic extension"):
-            twist_push(fx.torsion_multiples_k18()[1], E, tw5)
+            twist_push(fx.torsion_multiples(18)[1], E, tw5)
 
 
 class TestCompleteSquare:
@@ -325,7 +332,7 @@ class TestCompleteSquare:
 
     def test_points_transport(self, k18):
         E, Eb = k18["E"], k18["Eb"]
-        for P in fx.torsion_multiples_k18() + [k18["ps"]]:
+        for P in (*fx.torsion_multiples(18), k18["ps"]):
             Pb = mw.to_completed_square(P, E)
             assert mw.verify_on_curve(Pb, Eb)
             assert from_completed_square(Pb, E) == P
@@ -355,13 +362,13 @@ class TestHalving:
         assert ratio.is_constant() and ratio.constant() == QuadElem(4)
 
     def test_two_rho_halvable(self, k18):
-        two = mw.to_completed_square(fx.torsion_multiples_k18()[1], k18["E"])
+        two = mw.to_completed_square(fx.torsion_multiples(18)[1], k18["E"])
         cert = mw.can_halve(two, k18["Eb"])
         assert cert.can_halve and cert.x_is_square
 
     def test_invariance_under_doubled_shifts(self, k18):
         E, Eb = k18["E"], k18["Eb"]
-        tor = fx.torsion_multiples_k18()
+        tor = fx.torsion_multiples(18)
         base = mw.can_halve(k18["Pb"], Eb).can_halve
         for R in (tor[0], tor[1], tor[2]):
             twoR = mw.to_completed_square(mw.ec_mul(2, R, E), E)
@@ -386,7 +393,7 @@ class TestIntersections:
         assert mw.zero_intersection(k18["ps"]) == 5
 
     def test_torsion_sections(self):
-        for P in fx.torsion_multiples_k18():
+        for P in fx.torsion_multiples(18):
             assert mw.zero_intersection(P) == 0
 
     def test_low_degree_polynomial_sections(self):
@@ -413,9 +420,9 @@ class TestIntersections:
 @functools.cache
 def multiples_and_shifts(n: int) -> tuple:
     """[n]p_sigma and the five [n]p_sigma + T over the torsion T."""
-    E = fx.y18_curve()
+    E = mw.family_curve(18)
     P = mw.ec_mul(n, fx.infinite_section_k18(), E)
-    return (P, *(mw.ec_add(P, T, E, check=False) for T in fx.torsion_multiples_k18()))
+    return (P, *(mw.ec_add(P, T, E, check=False) for T in fx.torsion_multiples(18)))
 
 
 class TestNeronComponents:
@@ -518,7 +525,7 @@ class TestHeight:
         assert readings[0] == ("s=0", 12, None, 6, 6)
 
     def test_k3_section(self):
-        E, P = fx.y3_curve(), fx.infinite_section_k3()
+        E, P = mw.family_curve(3), fx.infinite_section_k3()
         h, readings = mw.section_height(3, P)
         assert h == Fraction(5, 4)
         assert {r.place: r.component for r in readings} == {

@@ -10,7 +10,7 @@ import pytest
 
 from k3mahler import lfunctions as lf
 from k3mahler import pointcount as pc
-from k3mahler.lattices import SURFACES
+from k3mahler.lattices import NEWFORM_AP, SURFACES
 
 AP_TABLE_K6 = {5: 2, 7: -10, 11: -10, 13: 0, 17: 0, 19: 0, 23: 0, 29: 50, 31: 38}
 
@@ -318,17 +318,17 @@ class TestAp:
 
     def test_k18_p31(self):
         assert pc.A_p(18, 31) == -58
-        assert lf.twist_coeff(lf.newform_table(120).ap[31], -3, 31) == -58
+        assert lf.twist_coeff(NEWFORM_AP[120][31], -3, 31) == -58
 
     def test_matches_twisted_newform_all_k(self):
         for k in (3, 6, 18):
             surf = SURFACES[k]
-            nf = lf.newform_table(surf.level)
+            table = NEWFORM_AP[surf.level]
             for p in pc.primes_up_to(31):
                 if p in surf.bad_primes:
                     continue
-                want = nf.ap[p] if surf.ap_twist is None \
-                    else lf.twist_coeff(nf.ap[p], surf.ap_twist, p)
+                want = table[p] if surf.ap_twist is None \
+                    else lf.twist_coeff(table[p], surf.ap_twist, p)
                 assert pc.A_p(k, p) == want, (k, p)
 
     def test_bad_prime_error_lists_excluded_set(self):
