@@ -98,7 +98,7 @@ def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
     aps = pointcount.ap_scan(surf.k, pmax)
     mism = {}
     for p, ap in aps.items():
-        refs = [int(co[p])]
+        refs = [co[p]]
         if p in table:  # the embedded table is a second reference where it has p
             refs.append(table[p] if surf.ap_twist is None
                         else lfunctions.twist_coeff(table[p], surf.ap_twist, p))
@@ -133,20 +133,19 @@ def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
     with _stage(timings, "halving"):
         hd = fixtures.halving_data()
         Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
-        # each of Pb, T2 and Q is checked on Eb once: Pb and Q inside can_halve
+        # each of Pb, T2 and Q is checked on Eb once: Pb and Q by halving_witnesses
         Pb = mw.to_completed_square(ps, E)
-        c1 = mw.can_halve(Pb, Eb)
         T2 = mw.to_completed_square(fixtures.torsion_multiples(surf.k)[2], E)
         if not mw.verify_on_curve(T2, Eb):
             raise ValueError("2-torsion point is not on the b-form curve")
         Q = mw.ec_add(Pb, T2, Eb, check=False)
-        c2 = mw.can_halve(Q, Eb)
+        wits = mw.halving_witnesses(Pb, Q, hd["r"], Eb)
     out.append(_subcheck("halving-obstruction",
-                         (not c1.can_halve) and (not c1.x_is_square)
-                         and (not c2.can_halve) and c2.x_is_square
-                         and c2.qplus_is_square is False
-                         and c2.qminus_is_square is False,
-                         "two-descent square tests in Q(sqrt(-3))(sigma)"))
+                         hd["r"] * hd["r"] == Q.x and None not in wits.values(),
+                         "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
+                         "non-residues at sigma=t mod p, p = 1 mod 3",
+                         witness={name: w and {"sigma": w.t, "p": w.p, "sqrt_m3_mod_p": w.w}
+                                  for name, w in wits.items()}))
     with _stage(timings, "zero_intersection"):
         po = mw.zero_intersection(ps)
     # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)
@@ -265,7 +264,8 @@ def cmd_verify(args) -> int:
 
 def cmd_mahler(args) -> int:
     from . import mahler
-    k = int(args.k) if float(args.k).is_integer() else args.k
+    # an integral k prints as an int only where float64 holds it exactly
+    k = int(args.k) if args.k.is_integer() and abs(args.k) < 2 ** 53 else args.k
     if args.method == "quadrature":
         v = mahler.mahler_quadrature(k, tol=args.tol)
         payload = {"input": {"k": k, "method": "quadrature", "tol": args.tol},
@@ -344,11 +344,11 @@ def cmd_coeffs(args) -> int:
     disc = SURFACES[args.k].disc
     co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[disc], args.nmax)
     payload = {"input": {"k": args.k, "disc": disc, "nmax": args.nmax},
-               "value": {str(n): int(co.values[n]) for n in range(1, args.nmax + 1)},
+               "value": {str(n): co[n] for n in range(1, args.nmax + 1)},
                "error_bound": 0,
                "provenance": "lattice-point enumeration of the form series"}
     _emit(args, payload,
-          " ".join(f"A_{n}={int(co.values[n])}" for n in range(1, args.nmax + 1)))
+          " ".join(f"A_{n}={co[n]}" for n in range(1, args.nmax + 1)))
     return 0
 
 
@@ -387,11 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, k_choices=L_KS):
         p.add_argument("--k", type=int, required=True, choices=k_choices)
-        p.add_argument("--prec", type=_at_least(53), default=128, help="bits")
         p.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify", help="full identity verification for one k")
     common(v, k_choices=VERIFY_KS)
+    v.add_argument("--prec", type=_at_least(53), default=128, help="bits")
     v.add_argument("--pmax", type=_at_least(0), default=31)
     v.add_argument("--tol", type=_positive, default=None)
     v.set_defaults(func=cmd_verify)
@@ -406,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lv = sub.add_parser("lvalue", help="Hecke L-value from the form series")
     common(lv)
+    lv.add_argument("--prec", type=_at_least(53), default=128, help="bits")
     lv.set_defaults(func=cmd_lvalue)
 
     app = sub.add_parser("ap", help="transcendental coefficients A_p")

@@ -1005,27 +1005,3 @@ def valuation(f: RatFunc, place: Place) -> int:
     if v:
         return v
     return -poly_valuation(f.den, pi)
-
-
-def sqrt_ratfunc(f: RatFunc) -> RatFunc | None:
-    """A rational function r with r^2 = f, or None if f is not a square.
-
-    num and den are coprime and den is monic, so f is a square exactly when
-    both are; their roots are coprime too, and the root of den is monic.
-    """
-    f = RatFunc.coerce(f)
-    if f.is_zero():
-        return RatFunc(0)
-    n = poly_sqrt(f.num)
-    d = poly_sqrt(f.den)
-    if n is None or d is None:
-        return None
-    return RatFunc._raw(n, d)
-
-
-def is_square_ratfunc(f: RatFunc) -> bool:
-    """True iff f = g^2 for some g in Q(sqrt(-3))(sigma); raises on f = 0."""
-    f = RatFunc.coerce(f)
-    if f.is_zero():
-        raise ValueError("squareness of the zero function is undefined")
-    return sqrt_ratfunc(f) is not None

@@ -87,17 +87,9 @@ def torsion_multiples(k: int) -> tuple[SectionPoint, ...]:
 
 @lru_cache(maxsize=None)
 def halving_data() -> dict[str, RatFunc]:
-    dcore = _psigma_denominator_core()
+    """The b-form y^2 = x(x^2 + a x + b) of family_curve(18), and r with
+    x(Pb + T2) = r^2 for Pb and T2 the infinite section and [3]rho6 on it."""
     tp = _lin(-21) * _lin(3)
-    yprime_num = (Poly([QuadElem(0, 1)]) * dcore
-                  * Poly([1350, -171, -12, 1])
-                  * Poly([-216, 369, -42, 1])
-                  * Poly([-486, -486, 351, -36, 1]))
-    return {"xprime": RatFunc(-(dcore ** 2), 3888 * tp ** 2),
-            "yprime": RatFunc(yprime_num, 419904 * tp ** 3),
-            "qplus": RatFunc(-(tp ** 2) * Poly([9, -18, 1]), 972),
-            "qminus": RatFunc(-243 * Poly([1, -18, 1]) ** 3, tp ** 2),
-            "r": RatFunc(dcore, Poly([QuadElem(0, 36)]) * tp),
+    return {"r": RatFunc(_psigma_denominator_core(), Poly([QuadElem(0, 36)]) * tp),
             "bform_a": RatFunc(Poly([-3, -108, 330, -36, 1]), 4),
             "bform_b": RatFunc(Poly([0, 18, -1]))}
-

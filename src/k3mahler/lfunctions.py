@@ -21,36 +21,6 @@ import mpmath as mp
 from .bigreal import BigReal
 
 
-def kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d/n)."""
-    if n == 0:
-        return 1 if d in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if d < 0:
-            sign = -sign
-    # factor out twos of n
-    while n % 2 == 0:
-        n //= 2
-        if d % 2 == 0:
-            return 0
-        if d % 8 in (3, 5):
-            sign = -sign
-    d %= n
-    # Jacobi symbol (d/n) for odd n > 0
-    while d:
-        while d % 2 == 0:
-            d //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        d, n = n, d
-        if d % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        d %= n
-    return sign if n == 1 else 0
-
-
 # ---------------------------------------------------------------------------
 # Quadratic-form series
 # ---------------------------------------------------------------------------
@@ -122,33 +92,12 @@ FORM_SERIES = {
 }
 
 
-class DirichletCoeffs:
-    """A_n for 1 <= n <= N as exact integers (index 0 unused).
-
-    tail_scale gives |sum_{n>N} A_n/n^3| <= 2*tail_scale/N.
-    """
-
-    __slots__ = ("values", "source", "tail_scale")
-
-    def __init__(self, values: list[int], source: str, tail_scale: float):
-        self.values = values
-        self.source = source
-        self.tail_scale = tail_scale
-
-    @property
-    def N(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return int(self.values[n])
-
-
-def form_coefficients(series: QuadFormSeries, N: int) -> DirichletCoeffs:
+def form_coefficients(series: QuadFormSeries, N: int) -> list[int]:
     """Dirichlet coefficients A_n of the form series by lattice enumeration.
 
     A_n = prefactor * sum over terms of sign * sum_{Q(m,k)=n} N(m,k), with the
-    (m, k) range bounded from positive definiteness.  Exact integers, in a
-    list of Python ints.
+    (m, k) range bounded from positive definiteness.  Exact integers: A_n is
+    the list's entry n, for 1 <= n <= N (entry 0 unused).
     """
     if N < 2:
         raise ValueError("N >= 2 required")
@@ -172,8 +121,7 @@ def form_coefficients(series: QuadFormSeries, N: int) -> DirichletCoeffs:
     num, den = series.prefactor.numerator, series.prefactor.denominator
     if any(v * num % den for v in acc):
         raise ArithmeticError("form coefficients are not integral")
-    return DirichletCoeffs([v * num // den for v in acc], f"form-series disc {series.disc}",
-                           tail_scale=series.tail_scale())
+    return [v * num // den for v in acc]
 
 
 def _n2_tail(alpha, M: int):
@@ -297,8 +245,9 @@ def d3(prec: int = 128) -> BigReal:
 # ---------------------------------------------------------------------------
 
 def twist_coeff(a_p: int, d: int, p: int) -> int:
-    """Coefficient of the quadratic twist by d at a prime p not dividing d."""
+    """The twisted coefficient (d/p) a_p at an odd prime p not dividing d."""
+    from .pointcount import legendre
     if d % p == 0:
         raise ValueError(f"p={p} divides the twisting discriminant {d}; "
                          "the twisted coefficient is not (d/p) a_p there")
-    return kronecker(d, p) * a_p
+    return legendre(d, p) * a_p

@@ -2,12 +2,12 @@
 
 Provides the family's Weierstrass models in the sigma and s = 1/sigma charts,
 the chord-tangent group law in long Weierstrass form with exact
-rational-function arithmetic, a nontorsion certificate by specialization at a
-fiber and reduction mod p, the two-descent halving criterion on curves
-y^2 = x(x^2 + a x + b), section/zero-section intersection numbers, and the
-canonical height h(P) = 2*chi + 2*(P.O) - sum of local terms M(m - M)/m, with
-one term per singular fiber of the `Surface` record by Silverman's rule for
-multiplicative fibers.
+rational-function arithmetic, certificates by specialization at a fiber and
+reduction mod p (nontorsion, and the non-squares of the two-descent halving
+obstruction on y^2 = x(x^2 + a x + b)), section/zero-section intersection
+numbers, and the canonical height h(P) = 2*chi + 2*(P.O) - sum of local terms
+M(m - M)/m, one per singular fiber of the `Surface` record by Silverman's
+rule for multiplicative fibers.
 
 Every check that mirrors a printed computation is verified exactly; a
 mismatch raises VerificationError rather than returning a wrong index.
@@ -20,10 +20,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import (Place, Poly, RatFunc, is_square_quad, is_square_ratfunc,
-                       poly_sqrt, reduce_mod_p, sqrt_ratfunc, valuation)
+from .exactalg import (Place, Poly, RatFunc, is_square_quad, poly_sqrt,
+                       reduce_mod_p, valuation)
 from .lattices import SURFACES
-from .pointcount import point_order, primes_up_to, weierstrass_invariants
+from .pointcount import legendre, point_order, primes_up_to, weierstrass_invariants
 
 
 class VerificationError(RuntimeError):
@@ -149,12 +149,36 @@ def ec_mul(n: int, P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
 # sqrt(-3) -> w (None when every coordinate is rational)
 NontorsionWitness = namedtuple("NontorsionWitness", "t p w order")
 
+# a claimed non-square reduces, at the fiber sigma = t modulo p with
+# sqrt(-3) -> w, to a quadratic non-residue of F_p
+NonsquareWitness = namedtuple("NonsquareWitness", "t p w")
+
 
 # the torsion exponent bound of this family, and the fixed, deterministic
-# search order of the nontorsion certificate
+# search order of the certificates by specialization and reduction
 NONTORSION_BOUND = 6
 NONTORSION_SIGMAS = range(1, 13)
 NONTORSION_PRIMES = tuple(p for p in primes_up_to(300) if p >= 5)
+
+
+def _split_primes() -> list[tuple[int, int]]:
+    """(p, w) for the p = 1 mod 3 of NONTORSION_PRIMES, with w^2 = -3 mod p:
+    the primes at which sqrt(-3) -> w maps Q(sqrt(-3)) into F_p."""
+    return [(p, next(r for r in range(1, p) if r * r % p == p - 3))
+            for p in NONTORSION_PRIMES if p % 3 == 1]
+
+
+def _specializations(fns, primes):
+    """(t, p, w, images of fns in F_p) for t in NONTORSION_SIGMAS, then (p, w)
+    in primes, each function evaluated once per t.  A t at a pole of one of
+    them is skipped; an image is None where p divides a denominator."""
+    for t in NONTORSION_SIGMAS:
+        try:
+            vals = [f.eval(t) for f in fns]
+        except ZeroDivisionError:
+            continue
+        for p, w in primes:
+            yield t, p, w, [reduce_mod_p(v, p, w) for v in vals]
 
 
 def verify_nontorsion(P: SectionPoint,
@@ -165,41 +189,53 @@ def verify_nontorsion(P: SectionPoint,
     Specializing at a smooth fiber sigma = t and reducing modulo a prime p of
     good reduction at which P_t is integral are group homomorphisms, so an
     image of order > NONTORSION_BOUND shows that no such [n]P vanishes.  The
-    search runs over t in NONTORSION_SIGMAS and then p in NONTORSION_PRIMES
-    (only p = 1 mod 3 when a coordinate involves sqrt(-3)).  A pair is skipped
-    at a pole of a coefficient or coordinate, at a denominator divisible by
-    p, and when disc(E)(t) = 0 mod p, which also covers disc(E)(t) = 0.
+    search is `_specializations` over NONTORSION_PRIMES (only p = 1 mod 3 when
+    a coordinate involves sqrt(-3)).  It skips a pair at which a coefficient
+    or coordinate does not reduce, or disc(E)(t) = 0 mod p, which covers
+    disc(E)(t) = 0.
     """
     if not verify_on_curve(P, E):
         raise ValueError("point is not on the curve")
     if P.is_zero:
         return None
     fns = (E.a1, E.a2, E.a3, E.a4, E.a6, P.x, P.y)
-    if any(not c.is_rational() for f in fns for c in f.num.coeffs + f.den.coeffs):
-        # sqrt(-3) -> w needs -3 to be a square mod p
-        primes = [(p, next(r for r in range(1, p) if r * r % p == p - 3))
-                  for p in NONTORSION_PRIMES if p % 3 == 1]
-    else:
-        primes = [(p, None) for p in NONTORSION_PRIMES]
-    for t in NONTORSION_SIGMAS:
-        try:
-            vals = [f.eval(t) for f in fns]
-        except ZeroDivisionError:
+    rational = all(c.is_rational() for f in fns for c in f.num.coeffs + f.den.coeffs)
+    primes = [(p, None) for p in NONTORSION_PRIMES] if rational else _split_primes()
+    for t, p, w, red in _specializations(fns, primes):
+        if None in red or weierstrass_invariants(*red[:5])[3] % p == 0:
             continue
-        for p, w in primes:
-            red = [reduce_mod_p(v, p, w) for v in vals]
-            if None in red or weierstrass_invariants(*red[:5])[3] % p == 0:
-                continue
-            # Hasse: #E(F_p) <= p + 1 + 2 sqrt(p) bounds every point's order
-            order = point_order(red[:5], (red[5], red[6]), p,
-                                bound=p + 2 + 2 * math.isqrt(p))
-            if order > NONTORSION_BOUND:
-                return NontorsionWitness(t, p, w, order)
+        # Hasse: #E(F_p) <= p + 1 + 2 sqrt(p) bounds every point's order
+        order = point_order(red[:5], (red[5], red[6]), p,
+                            bound=p + 2 + 2 * math.isqrt(p))
+        if order > NONTORSION_BOUND:
+            return NontorsionWitness(t, p, w, order)
     return None
 
 
+def nonsquare_witnesses(fns, claims: dict) -> dict:
+    """Per claim (indices into fns, image), the first NonsquareWitness of
+    `_specializations(fns)` over the split primes at which image(p, *the
+    images of those fns) is a quadratic non-residue, or None.
+
+    A square g^2 of Q(sqrt(-3))(sigma), finite at t and integral at p,
+    reduces to g(t)^2, so a non-residue proves the claim no square.  A split
+    prime is needed even for rational claims: at p = 2 mod 3 the residue
+    field is F_(p^2), and the square -3 sigma^2 reduces to a non-residue.
+    """
+    found = {}
+    for t, p, w, red in _specializations(fns, _split_primes()):
+        for name, (idx, image) in claims.items():
+            args = [red[i] for i in idx]
+            if name not in found and None not in args \
+                    and legendre(image(p, *args), p) == -1:
+                found[name] = NonsquareWitness(t, p, w)
+        if len(found) == len(claims):
+            break
+    return {name: found.get(name) for name in claims}
+
+
 # ---------------------------------------------------------------------------
-# Completing the square
+# Completing the square and the halving obstruction
 # ---------------------------------------------------------------------------
 
 def to_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
@@ -208,45 +244,30 @@ def to_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     return SectionPoint(P.x, P.y + (E.a1 * P.x + E.a3) * Fraction(1, 2))
 
 
-def bform_coefficients(E: FunctionFieldCurve) -> tuple[RatFunc, RatFunc]:
-    """(a, b) for a curve already in the shape y^2 = x(x^2 + a x + b)."""
+# the claims on the images of (a, b, x(P), x(Q), y(Q), r); q+- = 2 x(Q) + a
+# +- 2 y(Q)/r is 0, never a witness, where r = 0 mod p
+HALVING_CLAIMS = {
+    "a^2-4b": ((0, 1), lambda p, a, b: a * a - 4 * b),
+    "x(Pb)": ((2,), lambda p, x: x),
+    "q+": ((0, 3, 4, 5), lambda p, a, x, y, r: r and 2 * x + a + 2 * y * pow(r, -1, p)),
+    "q-": ((0, 3, 4, 5), lambda p, a, x, y, r: r and 2 * x + a - 2 * y * pow(r, -1, p)),
+}
+
+
+def halving_witnesses(P: SectionPoint, Q: SectionPoint, r: RatFunc,
+                      E: FunctionFieldCurve) -> dict:
+    """`nonsquare_witnesses` for HALVING_CLAIMS on E: y^2 = x(x^2 + a x + b),
+    after checking P and Q on E.
+
+    x(P) no square puts P outside 2E(K).  With a^2 - 4b no square and
+    x(Q) = r^2, which the caller checks, Q = [2]R needs one of q+- to be a
+    square, so witnesses for both put Q outside 2E(K) too.
+    """
     if not (E.a1.is_zero() and E.a3.is_zero() and E.a6.is_zero()):
         raise ValueError("curve is not in the form y^2 = x(x^2 + ax + b)")
-    return E.a2, E.a4
-
-
-# ---------------------------------------------------------------------------
-# Halving criterion
-# ---------------------------------------------------------------------------
-
-# the square tests of `can_halve`; the last five are None when x(Q) is no square
-HalvingCertificate = namedtuple("HalvingCertificate", (
-    "can_halve", "x_is_square", "qplus_is_square", "qminus_is_square",
-    "r", "qplus", "qminus"))
-
-
-def can_halve(Q: SectionPoint, E: FunctionFieldCurve) -> HalvingCertificate:
-    """Two-descent test on y^2 = x(x^2 + a x + b): Q = [2]P is solvable iff
-    x(Q) is a square, say r^2, and one of q+- = 2x + a +- 2y/r is a square.
-
-    Requires a^2 - 4b not a square (checked) and x(Q) != 0 (error otherwise).
-    """
-    a, b = bform_coefficients(E)
-    hyp = a * a - 4 * b
-    if is_square_ratfunc(hyp):
-        raise ValueError("theorem hypothesis violated: a^2 - 4b is a square")
-    if Q.is_zero or Q.x.is_zero():
-        raise ValueError("theorem hypothesis violated: x-coordinate is zero")
-    if not verify_on_curve(Q, E):
-        raise ValueError("point is not on the curve")
-    r = sqrt_ratfunc(Q.x)
-    if r is None:
-        return HalvingCertificate(False, False, None, None, None, None, None)
-    qplus = 2 * Q.x + a + 2 * Q.y / r
-    qminus = 2 * Q.x + a - 2 * Q.y / r
-    sp = is_square_ratfunc(qplus) if not qplus.is_zero() else False
-    sm = is_square_ratfunc(qminus) if not qminus.is_zero() else False
-    return HalvingCertificate(sp or sm, True, sp, sm, r, qplus, qminus)
+    if not all(not R.is_zero and verify_on_curve(R, E) for R in (P, Q)):
+        raise ValueError("point is not an affine point of the curve")
+    return nonsquare_witnesses((E.a2, E.a4, P.x, Q.x, Q.y, r), HALVING_CLAIMS)
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,24 @@ import pytest
 from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw
 from k3mahler.bigreal import BigReal
+from k3mahler.exactalg import Poly, QuadElem, RatFunc
 from modular import form_coefficients_numpy
 
 
-def lvalue_from_coeffs(coeffs, s=3, N=None) -> BigReal:
-    """Partial Dirichlet sum sum_{n<=N} A_n / n^s of a DirichletCoeffs, with
-    a proven tail bound."""
+def lvalue_from_coeffs(coeffs, tail_scale, s=3, N=None) -> BigReal:
+    """Partial Dirichlet sum sum_{n<=N} A_n / n^s of a coefficient list
+    (entry 0 unused), with the proven tail bound 2 tail_scale / N."""
     if s != 3:
         raise ValueError("only s = 3 is supported (weight-2 numerators)")
     if N is None:
-        N = coeffs.N
-    if N > coeffs.N:
-        raise ValueError(f"insufficient coefficients: have {coeffs.N}, need {N}")
-    values = coeffs.values[1:N + 1]
+        N = len(coeffs) - 1
+    if N >= len(coeffs):
+        raise ValueError(f"insufficient coefficients: have {len(coeffs) - 1}, need {N}")
+    values = coeffs[1:N + 1]
     # each nonzero term to 3 ulps: two roundings and the one of n^-3.0
     terms = [a * n ** -3.0 for n, a in itertools.compress(enumerate(values, 1), values)]
     value = math.fsum(terms)
-    tail = 2.0 * coeffs.tail_scale / N
+    tail = 2.0 * tail_scale / N
     rounding = 1e-15 * math.fsum(map(abs, terms)) + 1e-16
     return BigReal.with_bound(value, tail + rounding)
 
@@ -73,7 +74,7 @@ def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
     with a proven tail bound: the oracle for lfunctions.smoothed_lvalue."""
     if N < 10 ** 3:
         raise ValueError("N >= 10^3 required")
-    return lvalue_from_coeffs(form_coefficients_numpy(series, N), s=s)
+    return lvalue_from_coeffs(form_coefficients_numpy(series, N), series.tail_scale(), s=s)
 
 
 @pytest.fixture(scope="session")
@@ -109,10 +110,19 @@ def d3_value():
 
 @pytest.fixture(scope="session")
 def k18():
-    """The k=18 exact-section bundle: curve, sections, b-form, halving sum."""
+    """The k=18 exact-section bundle: curve, sections, b-form, halving sum,
+    and the printed halving data: x and y of Q (y up to sign), q+ and q-
+    (q- up to a factor 4)."""
     E = mw.family_curve(18)
     ps = fx.infinite_section_k18()
-    hd = fx.halving_data()
+    dcore = Poly([-9, 1]) * Poly([72, -21, 1]) * Poly([18, -15, 1])
+    tp = Poly([-21, 1]) * Poly([3, 1])
+    yprime = (Poly([QuadElem(0, 1)]) * dcore * Poly([1350, -171, -12, 1])
+              * Poly([-216, 369, -42, 1]) * Poly([-486, -486, 351, -36, 1]))
+    hd = {**fx.halving_data(), "xprime": RatFunc(-(dcore ** 2), 3888 * tp ** 2),
+          "yprime": RatFunc(yprime, 419904 * tp ** 3),
+          "qplus": RatFunc(-(tp ** 2) * Poly([9, -18, 1]), 972),
+          "qminus": RatFunc(-243 * Poly([1, -18, 1]) ** 3, tp ** 2)}
     Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
     # each of Pb, T2 and Q is checked on Eb once: Pb and T2 by ec_add
     Pb = mw.to_completed_square(ps, E)

@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from k3mahler.lattices import NEWFORM_AP, SURFACES
-from k3mahler.lfunctions import FORM_SERIES, DirichletCoeffs, QuadFormSeries
+from k3mahler.lfunctions import FORM_SERIES, QuadFormSeries
 from k3mahler.mahler import exact_tau_value
 
 
@@ -137,7 +137,7 @@ def fit_w_expansion(n_coeffs: int = 6, prec: int = 220) -> list:
         return [+sol[i] for i in range(n_coeffs)]
 
 
-def form_coefficients_numpy(series: QuadFormSeries, N: int) -> DirichletCoeffs:
+def form_coefficients_numpy(series: QuadFormSeries, N: int) -> list[int]:
     """lfunctions.form_coefficients with each row of the enumeration (one k)
     vectorized in numpy: the oracle for the pure-Python enumeration, and a
     fast source of the 10^5-10^6 coefficients of the direct-sum L-value."""
@@ -164,28 +164,24 @@ def form_coefficients_numpy(series: QuadFormSeries, N: int) -> DirichletCoeffs:
     scaled = acc * series.prefactor.numerator
     if np.any(scaled % series.prefactor.denominator):
         raise ArithmeticError("form coefficients are not integral")
-    return DirichletCoeffs((scaled // series.prefactor.denominator).tolist(),
-                           f"form-series disc {series.disc}", tail_scale=series.tail_scale())
+    return (scaled // series.prefactor.denominator).tolist()
 
 
-def newform_coefficients(level: int, N: int) -> DirichletCoeffs:
-    """a_n of the level-15/24/120 newform for n <= N.
+def newform_coefficients(level: int, N: int) -> list[int]:
+    """a_n of the level-15/24/120 newform for n <= N (entry 0 unused).
 
     Away from 3 the coefficients are the (-3/.)-twist of the corresponding
     form-series coefficients (the identity twist when the surface record has
     no ap_twist); powers of 3 enter through the linear Euler factor
-    a_{3^v} = a_3^v.  Nothing beyond the embedded tables and the form sums is
-    baked in.
+    a_{3^v} = a_3^v, which inflates the tail bound of the form series by
+    sum_v 3^-v = 3/2.  Nothing beyond the embedded tables and the form sums
+    is baked in.
     """
     surf = next(s for s in SURFACES.values() if s.level == level)
     phi = form_coefficients_numpy(FORM_SERIES[surf.disc], N)
-    values = np.asarray(phi.values)    # a list, which fancy indexing needs as an array
-    out = np.zeros(N + 1, dtype=np.int64)
     if surf.ap_twist is None:
-        out[:] = values
-        return DirichletCoeffs(
-            out, f"form-series disc {surf.disc} (identity twist)",
-            tail_scale=phi.tail_scale)
+        return phi
+    values = np.asarray(phi)    # a list, which fancy indexing needs as an array
     if surf.ap_twist != -3:
         raise ValueError(f"only the (-3/.) twist is implemented, not {surf.ap_twist}")
     a3 = NEWFORM_AP[level][3]
@@ -202,6 +198,4 @@ def newform_coefficients(level: int, N: int) -> DirichletCoeffs:
         out[coprime] = power * chi[coprime // block] * values[coprime // block]
         power *= a3
         block *= 3
-    # the 3-power Euler factor inflates the tail by sum_v 3^-v = 3/2
-    return DirichletCoeffs(out, f"twisted-back form series disc {surf.disc}",
-                           tail_scale=1.5 * phi.tail_scale)
+    return out.tolist()

@@ -14,8 +14,7 @@ from k3mahler import lfunctions as lf
 from k3mahler import mahler as mh
 from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
-from k3mahler.exactalg import (ONE, Place, Poly, QuadElem, RatFunc,
-                               is_square_ratfunc, valuation)
+from k3mahler.exactalg import ONE, Place, Poly, QuadElem, RatFunc, valuation
 from conftest import mahler_mc
 from modular import fit_w_expansion
 
@@ -138,7 +137,7 @@ def test_criterion_8_point_count_tables():
             ap = pc.A_p(k, p)
             if abs(ap) > 2 * p:
                 ok = False
-            if lf.kronecker(disc, p) == -1 and ap != 0:
+            if pc.legendre(disc, p) == -1 and ap != 0:
                 ok = False
     t_big = time.monotonic() - t0
     report(8, ok and t_small < 60 and t_big < 600,
@@ -161,14 +160,16 @@ def test_criterion_9_lattice_invariants():
 
 
 def test_criterion_10_section_suite(k18, pm3_nontorsion):
-    E, ps = k18["E"], k18["ps"]
+    E, ps, r = k18["E"], k18["ps"], k18["halving"]["r"]
+    wits = mw.halving_witnesses(k18["Pb"], k18["Q"], r, k18["Eb"])
     checks = {
         "on-curve": mw.verify_on_curve(ps, E),
         "[n]p_-3 != O, n <= 6": pm3_nontorsion is not None,
-        "x not square": not is_square_ratfunc(ps.x),
-        "x' square": is_square_ratfunc(k18["Q"].x),
-        "q+ not square": not is_square_ratfunc(k18["halving"]["qplus"]),
-        "q- not square": not is_square_ratfunc(k18["halving"]["qminus"]),
+        "a^2 - 4b not square": wits["a^2-4b"] is not None,
+        "x not square": wits["x(Pb)"] is not None,
+        "x' square": r * r == k18["Q"].x,
+        "q+ not square": wits["q+"] is not None,
+        "q- not square": wits["q-"] is not None,
         "(P.O) = 5": mw.zero_intersection(ps) == 5,
     }
     h, readings = mw.section_height(18, ps)

@@ -22,7 +22,7 @@ from k3mahler.cli import main
 from k3mahler.lattices import SURFACES
 from k3mahler.mwsections import NontorsionWitness
 
-from test_mwsections import replay_witness
+from test_mwsections import replay_nonsquare, replay_witness
 
 SUBCOMMAND_KEYS = {"input", "value", "error_bound", "provenance"}
 
@@ -54,6 +54,12 @@ class TestSchemas:
             assert code == 0
             assert json.loads(out)["input"] == {"k": 6, "method": "bertin",
                                                 "prec": int(prec)}
+
+    def test_mahler_k_past_float64_integers(self, capsys):
+        # k prints as an int only below 2^53, not as 1e200's binary rounding
+        code, out = run(capsys, ["mahler", "--k", "1e200", "--json"])
+        assert code == 0 and json.loads(out)["input"]["k"] == 1e200
+        assert run(capsys, ["mahler", "--k", "1e200"])[1].startswith("m(P_1e+200) = ")
 
     def test_verify_report_schema(self, capsys):
         code, out = run(capsys, ["verify", "--k", "0", "--json"])
@@ -139,6 +145,10 @@ class TestExitCodes:
                      # the L-value and d3 run at --prec bits; below float64's
                      # 53 they cannot give a float64 result
                      ["lvalue", "--k", "3", "--prec", "0"],
+                     # only verify, lvalue and mahler run at a precision
+                     ["ap", "--k", "6", "--prec", "64"],
+                     ["lattice", "--k", "6", "--prec", "64"],
+                     ["coeffs", "--k", "6", "--prec", "64"],
                      # no cache, worker or config options
                      ["ap", "--k", "6", "--cache-dir", ""],
                      ["ap", "--k", "6", "--workers", "2"],
@@ -256,6 +266,33 @@ class TestSectionReport:
         assert wit.order > 6
         order = replay_witness(fx.twist_section(), fx.y18_twist_curve(), wit)
         assert order == wit.order
+
+    def test_k18_halving_witnesses_replay(self, k18_report, k18):
+        # Euler's criterion at each (t, p, w), on functions built without the
+        # search: the printed q+ and q- (q- is 4 times the q- searched)
+        sub = {c["name"]: c for c in k18_report[1]["subchecks"]}["halving-obstruction"]
+        hd, Eb = k18["halving"], k18["Eb"]
+        claims = {"a^2-4b": Eb.a2 * Eb.a2 - 4 * Eb.a4, "x(Pb)": k18["ps"].x,
+                  "q+": hd["qplus"], "q-": hd["qminus"]}
+        assert sub["pass"] is True and set(sub["witness"]) == set(claims)
+        for name, w in sub["witness"].items():
+            assert replay_nonsquare(claims[name], w["sigma"], w["p"], w["sqrt_m3_mod_p"])
+
+    def test_k18_halving_fails_without_a_witness(self, capsys, monkeypatch):
+        # cut to sigma = 1, p = 7, the search finds none for a^2 - 4b: no fallback
+        monkeypatch.setattr(mw, "NONTORSION_SIGMAS", range(1, 2))
+        monkeypatch.setattr(mw, "_split_primes", lambda: [(7, 2)])
+        code, out = run(capsys, ["verify", "--k", "18", "--json"])
+        sub = {c["name"]: c for c in json.loads(out)["subchecks"]}["halving-obstruction"]
+        assert code == 1 and sub["pass"] is False and sub["witness"]["a^2-4b"] is None
+
+    def test_k18_halving_checks_r_squared(self, capsys, monkeypatch):
+        # with 2r for r every q keeps a witness: only x(Q) = r^2 catches it
+        hd = fx.halving_data()
+        monkeypatch.setattr(fx, "halving_data", lambda: {**hd, "r": 2 * hd["r"]})
+        code, out = run(capsys, ["verify", "--k", "18", "--json"])
+        sub = {c["name"]: c for c in json.loads(out)["subchecks"]}["halving-obstruction"]
+        assert code == 1 and sub["pass"] is False and None not in sub["witness"].values()
 
     def test_k18_points_checked_on_bform_curve_once(self, k18_report, k18):
         # the exact on-curve check is the costly step; no point goes unchecked

@@ -1,5 +1,5 @@
 """Exact-arithmetic foundation: field axioms, polynomial structure, places,
-valuations, and the squareness tests that drive the two-descent argument."""
+valuations, square tests, and sound mod-p witnesses for non-squares."""
 
 import random
 from fractions import Fraction
@@ -9,8 +9,8 @@ import pytest
 from k3mahler import exactalg
 from k3mahler import fixtures as fx
 from k3mahler.exactalg import (ONE, ZERO, Place, Poly, QuadElem, RatFunc, SQRT_M3,
-                               is_square_quad, is_square_ratfunc, poly_gcd,
-                               poly_sqrt, sqrt_ratfunc, valuation)
+                               is_square_quad, poly_gcd, poly_sqrt, valuation)
+from test_mwsections import nonsquare_witness, replay_nonsquare
 
 
 def rand_quad(rng, span=9):
@@ -494,25 +494,25 @@ class TestPlacesAndValuation:
 
 
 class TestSquarenessInFunctionField:
+    """A square of Q(sqrt(-3))(sigma) never gets a non-square witness."""
+
     def test_paper_cases(self, k18):
         hd = k18["halving"]
-        assert is_square_ratfunc(hd["xprime"])
-        assert not is_square_ratfunc(k18["ps"].x)
-        assert not is_square_ratfunc(hd["qplus"])
-        assert not is_square_ratfunc(hd["qminus"])
+        assert nonsquare_witness(hd["xprime"]) is None
+        for f in (k18["ps"].x, hd["qplus"], hd["qminus"]):
+            assert replay_nonsquare(f, *nonsquare_witness(f))
 
     def test_square_and_twisted_square(self):
         rng = random.Random(29)
         sigma = RatFunc(Poly.x())
         for _ in range(20):
             f = RatFunc(rand_poly(rng, 2), rand_poly(rng, 2))
-            assert is_square_ratfunc(f * f)
-            assert not is_square_ratfunc(sigma * f * f)
-            w = sqrt_ratfunc(f * f)
-            assert w is not None and w * w == f * f
+            assert nonsquare_witness(f * f) is None
+            assert replay_nonsquare(sigma * f * f, *nonsquare_witness(sigma * f * f))
 
     def test_constant_class_matters(self):
         f = RatFunc(Poly([0, 0, 1]))  # sigma^2
-        assert is_square_ratfunc(f)
-        assert is_square_ratfunc(f * QuadElem(-3))   # -3 is a square in the field
-        assert not is_square_ratfunc(f * QuadElem(2))
+        assert nonsquare_witness(f) is None
+        # -3 is a square in the field, though a non-residue mod p = 2 mod 3
+        assert nonsquare_witness(f * QuadElem(-3)) is None
+        assert replay_nonsquare(f * 2, *nonsquare_witness(f * 2))

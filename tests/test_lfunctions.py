@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate
 
 from k3mahler import lfunctions as lf
+from k3mahler import pointcount as pc
 from k3mahler.bigreal import BigReal
 from k3mahler.lattices import NEWFORM_AP, SURFACES
 from k3mahler.mahler import epstein_combo
@@ -49,15 +50,16 @@ class TestFormCoefficients:
     def test_inert_primes_vanish(self):
         for disc in PHI_ROWS:
             co = lf.form_coefficients(lf.FORM_SERIES[disc], 200)
-            for p in (x for x in range(2, 201) if _is_prime(x)):
-                if lf.kronecker(disc, p) == -1:
+            for p in (x for x in range(3, 201) if _is_prime(x)):  # 2 is not inert
+                if pc.legendre(disc, p) == -1:
                     assert co[p] == 0, (disc, p)
 
     def test_hecke_multiplicativity_split_primes(self):
         for disc in PHI_ROWS:
             co = lf.form_coefficients(lf.FORM_SERIES[disc], 2500)
             split = [p for p in range(2, 51)
-                     if _is_prime(p) and lf.kronecker(disc, p) == 1]
+                     # (d/2) = 1 iff d = 1 mod 8
+                     if _is_prime(p) and (pc.legendre(disc, p) if p > 2 else disc % 8) == 1]
             for i, p in enumerate(split):
                 for q in split[i + 1:]:
                     if p * q <= 2500:
@@ -72,7 +74,7 @@ class TestFormCoefficients:
         n = np.arange(1, 10 ** 4 + 1)
         for disc in PHI_ROWS:
             co = lf.form_coefficients(lf.FORM_SERIES[disc], 10 ** 4)
-            assert np.all(np.abs(co.values[1:]) <= n * dn[1:])
+            assert np.all(np.abs(co[1:]) <= n * dn[1:])
         co24 = lf.form_coefficients(lf.FORM_SERIES[-24], 210)
         assert abs(co24[203]) > 2 * sigma1(203)[203]
 
@@ -82,7 +84,7 @@ class TestFormCoefficients:
             series = lf.FORM_SERIES[disc]
             co = lf.form_coefficients(series, 10 ** 5)
             n = np.arange(1, 10 ** 5 + 1, dtype=np.float64)
-            absterm = np.abs(co.values[1:]) * n ** -3.0
+            absterm = np.abs(co[1:]) * n ** -3.0
             for N in (10 ** 3, 10 ** 4):
                 measured = float(np.sum(absterm[N:]))
                 assert measured < 2.0 * series.tail_scale() / N, (disc, N)
@@ -103,8 +105,8 @@ class TestFormCoefficients:
         for disc in PHI_ROWS:
             for N in (2, 3, 97, 2 * 10 ** 4):
                 co = lf.form_coefficients(lf.FORM_SERIES[disc], N)
-                want = form_coefficients_numpy(lf.FORM_SERIES[disc], N).values
-                assert all(type(v) is int for v in co.values) and co.values == want, (disc, N)
+                want = form_coefficients_numpy(lf.FORM_SERIES[disc], N)
+                assert all(type(v) is int for v in co) and co == want, (disc, N)
 
 
 class TestLValues:
@@ -123,11 +125,12 @@ class TestLValues:
         assert abs(float(quad(6).value) - pref * float(hecke(-24).value)) < 1e-5
 
     def test_insufficient_coefficients(self):
-        co = lf.form_coefficients(lf.FORM_SERIES[-24], 100)
+        series = lf.FORM_SERIES[-24]
+        co = lf.form_coefficients(series, 100)
         with pytest.raises(ValueError, match="insufficient"):
-            lvalue_from_coeffs(co, s=3, N=500)
+            lvalue_from_coeffs(co, series.tail_scale(), s=3, N=500)
         with pytest.raises(ValueError):
-            lvalue_from_coeffs(co, s=2)
+            lvalue_from_coeffs(co, series.tail_scale(), s=2)
 
 
 class TestSmoothedLValue:
@@ -156,7 +159,7 @@ class TestSmoothedLValue:
         for disc in PHI_ROWS:
             series = lf.FORM_SERIES[disc]
             co = lf.form_coefficients(series, 10 ** 4)
-            assert np.all(np.abs(co.values[1:]) <= series.coeff_bound() * n * n)
+            assert np.all(np.abs(co[1:]) <= series.coeff_bound() * n * n)
 
 
 class TestEpstein:
@@ -233,8 +236,8 @@ class TestNewformTables:
 
     def test_inert_vanishing_on_tabled_primes(self):
         for level in (15, 24, 120):
-            for p in PRIMES_31:
-                if lf.kronecker(cm_disc(level), p) == -1:
+            for p in PRIMES_31[1:]:  # 2 is not inert
+                if pc.legendre(cm_disc(level), p) == -1:
                     assert NEWFORM_AP[level][p] == 0, (level, p)
 
 
@@ -247,14 +250,16 @@ class TestTwisting:
     def test_bad_prime_rejected(self):
         with pytest.raises(ValueError):
             lf.twist_coeff(5, -3, 3)
+        with pytest.raises(ValueError, match="odd prime"):
+            lf.twist_coeff(5, -3, 2)
 
     def test_phi_rows_are_twists_of_newforms(self):
         for level, d in ((24, -3), (120, -3)):
             row = PHI_ROWS[cm_disc(level)]
-            for p in PRIMES_31:
-                if p == 3:
-                    continue  # twisting prime: the coefficient is regained,
-                              # not given by (d/p) a_p
+            assert -NEWFORM_AP[level][2] == row[2]  # (-3/2) = -1
+            for p in PRIMES_31[2:]:
+                # p = 3 is the twisting prime: the coefficient is regained,
+                # not given by (d/p) a_p
                 assert lf.twist_coeff(NEWFORM_AP[level][p], d, p) == row[p]
         assert all(NEWFORM_AP[15][p] == PHI_ROWS[-15][p] for p in PRIMES_31)
 
@@ -268,7 +273,7 @@ class TestNewformCoefficients:
 
     def test_level15_lvalue_matches_hecke(self, hecke):
         co = newform_coefficients(15, 500_000)
-        v = lvalue_from_coeffs(co, s=3)
+        v = lvalue_from_coeffs(co, lf.FORM_SERIES[-15].tail_scale(), s=3)
         assert abs(float(v.value) - float(hecke(-15, 500_000).value)) < 1e-10
 
     def test_twisted_lvalue_is_the_form_series(self, quad, hecke):

@@ -210,19 +210,33 @@ class TestGroupLaw:
         assert not two.is_zero
 
 
+def _reduce(c, p, w):
+    """c = a + b sqrt(-3) mod p, sqrt(-3) -> w."""
+    return (c.a.numerator * pow(c.a.denominator, -1, p)
+            + c.b.numerator * pow(c.b.denominator, -1, p) * (w or 0)) % p
+
+
 def replay_witness(P, E, wit):
     """Order of P at sigma = t mod p (sqrt(-3) -> w), recomputed from the
     coordinates without the certificate's search or skip rules."""
     p = wit.p
     if wit.w is not None:
         assert wit.w * wit.w % p == p - 3
-    vals = []
-    for f in (E.a1, E.a2, E.a3, E.a4, E.a6, P.x, P.y):
-        c = f.eval(wit.t)
-        a = c.a.numerator * pow(c.a.denominator, -1, p)
-        b = c.b.numerator * pow(c.b.denominator, -1, p)
-        vals.append((a + b * (wit.w or 0)) % p)
+    vals = [_reduce(f.eval(wit.t), p, wit.w)
+            for f in (E.a1, E.a2, E.a3, E.a4, E.a6, P.x, P.y)]
     return pc.point_order(vals[:5], (vals[5], vals[6]), p, bound=2 * p + 2)
+
+
+def nonsquare_witness(f):
+    """The search's witness that f is no square, or None."""
+    return mw.nonsquare_witnesses([f], {"f": ((0,), lambda p, v: v)})["f"]
+
+
+def replay_nonsquare(f, t, p, w):
+    """Euler's criterion, without the search: f at sigma = t, sqrt(-3) -> w,
+    is a non-residue mod a prime p = 1 mod 3."""
+    assert p % 3 == 1 and w * w % p == p - 3
+    return pow(_reduce(f.eval(t), p, w), (p - 1) // 2, p) == p - 1
 
 
 class TestNontorsion:
@@ -318,9 +332,8 @@ class TestCompleteSquare:
     def test_printed_bform(self, k18):
         cs = complete_square(k18["E"])
         assert cs == k18["Eb"]
-        a, b = mw.bform_coefficients(cs)
-        assert a == k18["halving"]["bform_a"]
-        assert b == k18["halving"]["bform_b"]
+        assert cs.a2 == k18["halving"]["bform_a"]
+        assert cs.a4 == k18["halving"]["bform_b"]
 
     def test_already_even_unchanged(self):
         E = mw.FunctionFieldCurve.from_coeffs(0, 1, 0, 2, 3)
@@ -338,54 +351,52 @@ class TestCompleteSquare:
             assert from_completed_square(Pb, E) == P
 
 
+def halving_witnesses(k18, P=None):
+    return mw.halving_witnesses(P or k18["Pb"], k18["Q"], k18["halving"]["r"], k18["Eb"])
+
+
 class TestHalving:
     def test_psigma_not_halvable(self, k18):
-        cert = mw.can_halve(k18["Pb"], k18["Eb"])
-        assert not cert.can_halve and not cert.x_is_square
-        assert cert.qplus_is_square is None and cert.r is None
+        assert halving_witnesses(k18)["x(Pb)"] == (1, 7, 2)
+        assert replay_nonsquare(k18["Pb"].x, 1, 7, 2)
 
     def test_psigma_plus_3rho_not_halvable(self, k18):
-        hd = k18["halving"]
-        Q = k18["Q"]
-        assert Q.x == hd["xprime"]
+        hd, Q, a = k18["halving"], k18["Q"], k18["Eb"].a2
+        assert Q.x == hd["xprime"] == hd["r"] ** 2
         assert Q.y in (hd["yprime"], -hd["yprime"])
-        cert = mw.can_halve(Q, k18["Eb"])
-        assert cert.x_is_square and not cert.can_halve
-        assert cert.qplus_is_square is False and cert.qminus_is_square is False
-        assert cert.r * cert.r == Q.x
-        assert hd["r"] * hd["r"] == hd["xprime"]
-        # one of the computed q's is the printed q+; the other differs from
-        # the printed q- by the square factor 4 (same square class)
-        assert hd["qplus"] in (cert.qplus, cert.qminus)
-        other = cert.qminus if hd["qplus"] == cert.qplus else cert.qplus
-        ratio = hd["qminus"] / other
-        assert ratio.is_constant() and ratio.constant() == QuadElem(4)
+        # the printed q+ is the computed one, the printed q- 4 times the computed one
+        qplus, qminus = (2 * Q.x + a + s * 2 * Q.y / hd["r"] for s in (1, -1))
+        assert hd["qplus"] == qplus and hd["qminus"] == 4 * qminus
+        wits = halving_witnesses(k18)
+        assert (wits["a^2-4b"], wits["q+"], wits["q-"]) == ((1, 13, 6), (1, 7, 2), (1, 7, 2))
+        assert replay_nonsquare(qplus, *wits["q+"]) and replay_nonsquare(qminus, *wits["q-"])
 
     def test_two_rho_halvable(self, k18):
+        # [2]rho has x = 1 = 1^2, and with r = 1 one of q+- is a square
         two = mw.to_completed_square(fx.torsion_multiples(18)[1], k18["E"])
-        cert = mw.can_halve(two, k18["Eb"])
-        assert cert.can_halve and cert.x_is_square
+        wits = mw.halving_witnesses(two, two, RatFunc(1), k18["Eb"])
+        assert wits["x(Pb)"] is None and None in (wits["q+"], wits["q-"])
 
     def test_invariance_under_doubled_shifts(self, k18):
+        # x([2]R) is a square, so shifts by [2]R = [2]rho, [4]rho keep x(Pb)
+        # no square and x(Q) a square
         E, Eb = k18["E"], k18["Eb"]
-        tor = fx.torsion_multiples(18)
-        base = mw.can_halve(k18["Pb"], Eb).can_halve
-        for R in (tor[0], tor[1], tor[2]):
+        for R in fx.torsion_multiples(18)[:2]:
             twoR = mw.to_completed_square(mw.ec_mul(2, R, E), E)
-            if twoR.is_zero:
-                continue
-            shifted = mw.ec_add(k18["Pb"], twoR, Eb, check=False)
-            if shifted.is_zero or shifted.x.is_zero():
-                continue
-            assert mw.can_halve(shifted, Eb).can_halve == base
+            for P, square in ((k18["Pb"], False), (k18["Q"], True)):
+                x = mw.ec_add(P, twoR, Eb, check=False).x
+                wit = nonsquare_witness(x)
+                assert wit is None if square else replay_nonsquare(x, *wit)
 
     def test_hypothesis_violations(self, k18):
-        with pytest.raises(ValueError, match="x-coordinate is zero"):
-            mw.can_halve(mw.SectionPoint.affine(0, 0), k18["Eb"])
-        # a^2 - 4b a square: y^2 = x(x+1)(x+4) has a=5, b=4, a^2-4b=9
+        # y^2 = x(x+1)(x+4): a^2 - 4b = 9 is a square, so the obstruction fails
         bad = mw.FunctionFieldCurve.from_coeffs(0, 5, 0, 4, 0)
-        with pytest.raises(ValueError, match="square"):
-            mw.can_halve(mw.SectionPoint.affine(2, 6), bad)
+        P = mw.SectionPoint.affine(2, 6)
+        assert mw.halving_witnesses(P, P, RatFunc(1), bad)["a^2-4b"] is None
+        with pytest.raises(ValueError, match="not an affine point"):
+            halving_witnesses(k18, mw.SectionPoint.affine(0, 1))
+        with pytest.raises(ValueError, match="not in the form"):
+            mw.halving_witnesses(k18["ps"], k18["ps"], RatFunc(1), k18["E"])
 
 
 class TestIntersections:
@@ -539,8 +550,8 @@ class TestHeight:
         # h = 10 plus the two halving obstructions certify a generator
         h, _ = mw.section_height(18, k18["ps"])
         assert h == 10
-        assert not mw.can_halve(k18["Pb"], k18["Eb"]).can_halve
-        assert not mw.can_halve(k18["Q"], k18["Eb"]).can_halve
+        assert None not in halving_witnesses(k18).values()
+        assert k18["halving"]["r"] ** 2 == k18["Q"].x
 
     def test_zero_section_rejected(self):
         with pytest.raises(ValueError):

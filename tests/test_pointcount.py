@@ -345,7 +345,7 @@ class TestAp:
                     continue
                 ap = pc.A_p(k, p)
                 assert abs(ap) <= 2 * p
-                if lf.kronecker(disc, p) == -1:
+                if pc.legendre(disc, p) == -1:
                     assert ap == 0, (k, p)
 
     def test_scan_matches_form_series_to_3000(self):
