@@ -1,8 +1,8 @@
-"""Section fixtures for the k=3/18 surfaces.
+"""Section fixtures for the k=18 surface.
 
-Every displayed formula this package replays (the k=18 twisted curve, the
-infinite sections, torsion multiples, the halving data) is built here from its
-printed factored form over Q(sqrt(-3)), and these builders are its only copy.
+Every displayed formula this package replays (the k=18 twisted curve, its
+infinite sections, the halving data) is built here from its printed factored
+form over Q(sqrt(-3)), and these builders are its only copy.
 The family's own Weierstrass models are `mwsections.family_curve` and
 `mwsections.schart_family_curve`.  Each public loader caches what its builder
 returns.
@@ -71,25 +71,8 @@ def twist_section() -> SectionPoint:
 
 
 @lru_cache(maxsize=None)
-def infinite_section_k3() -> SectionPoint:
-    return SectionPoint.affine(-(_lin(-3) * _lin(-1) ** 2),
-                               _lin(-3) * _lin(-2) * _lin(-1) * Poly([1, -3, 1]))
-
-
-@lru_cache(maxsize=None)
-def torsion_multiples(k: int) -> tuple[SectionPoint, ...]:
-    """[rho6, 2*rho6, ..., 5*rho6] on family_curve(k), as displayed."""
-    rho = Poly([0, -k, 1])  # sigma (sigma - k)
-    s1 = Poly([1, -k, 1])
-    return tuple(SectionPoint.affine(x, y) for x, y in
-                 ((-rho, rho * s1), (1, -s1), (0, 0), (1, 0), (-rho, 0)))
-
-
-@lru_cache(maxsize=None)
 def halving_data() -> dict[str, RatFunc]:
-    """The b-form y^2 = x(x^2 + a x + b) of family_curve(18), and r with
-    x(Pb + T2) = r^2 for Pb and T2 the infinite section and [3]rho6 on it."""
+    """r with x(Q) = r^2 for Q = Pb + (0, 0), Pb the infinite section on the
+    completed square y^2 = x(x^2 + a x + b) of family_curve(18)."""
     tp = _lin(-21) * _lin(3)
-    return {"r": RatFunc(_psigma_denominator_core(), Poly([QuadElem(0, 36)]) * tp),
-            "bform_a": RatFunc(Poly([-3, -108, 330, -36, 1]), 4),
-            "bform_b": RatFunc(Poly([0, 18, -1]))}
+    return {"r": RatFunc(_psigma_denominator_core(), Poly([QuadElem(0, 36)]) * tp)}

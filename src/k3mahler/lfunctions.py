@@ -60,16 +60,6 @@ class QuadFormSeries(namedtuple("QuadFormSeries", "disc prefactor terms")):
             total += t.numerator_bound * (4 * math.sqrt(4 * a / (4 * a * c - b * b)) + 2)
         return float(self.prefactor) * total
 
-    def tail_scale(self) -> float:
-        """C with |sum_{n>N} A_n/n^3| <= 2C/N: each term contributes its
-        numerator bound times the exterior-ellipse integral pi/sqrt(det Q)."""
-        total = 0.0
-        for t in self.terms:
-            a, b, c = t.form
-            det = a * c - b * b / 4.0
-            total += t.numerator_bound * math.pi / math.sqrt(det)
-        return float(self.prefactor) * total
-
 
 # The three explicit lattice sums.  The degree-2 numerator printed for the
 # disc -15 series carries an obvious k^3/k^2 typo; the k^2 form below is the

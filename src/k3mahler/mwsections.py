@@ -1,13 +1,13 @@
 """Elliptic curves over Q(sqrt(-3))(sigma) and the k=18 section suite.
 
 Provides the family's Weierstrass models in the sigma and s = 1/sigma charts,
-the chord-tangent group law in long Weierstrass form with exact
-rational-function arithmetic, certificates by specialization at a fiber and
-reduction mod p (nontorsion, and the non-squares of the two-descent halving
-obstruction on y^2 = x(x^2 + a x + b)), section/zero-section intersection
-numbers, and the canonical height h(P) = 2*chi + 2*(P.O) - sum of local terms
-M(m - M)/m, one per singular fiber of the `Surface` record by Silverman's
-rule for multiplicative fibers.
+the exact on-curve check of a section, certificates by specialization at a
+fiber and reduction mod p (nontorsion, and the non-squares of the two-descent
+halving obstruction on the completed square y^2 = x(x^2 + a x + b), where
+adding the 2-torsion point (0, 0) has a closed form), section/zero-section
+intersection numbers, and the canonical height h(P) = 2*chi + 2*(P.O) - sum
+of local terms M(m - M)/m, one per singular fiber of the `Surface` record by
+Silverman's rule for multiplicative fibers.  No general group law is needed.
 
 Every check that mirrors a printed computation is verified exactly; a
 mismatch raises VerificationError rather than returning a wrong index.
@@ -47,10 +47,6 @@ class FunctionFieldCurve(namedtuple("FunctionFieldCurve", "a1 a2 a3 a4 a6")):
         """(b2, b4, b6, discriminant), by `pointcount.weierstrass_invariants`."""
         return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def equation_residual(self, x: RatFunc, y: RatFunc) -> RatFunc:
-        return (y * y + self.a1 * x * y + self.a3 * y
-                - (x ** 3 + self.a2 * x * x + self.a4 * x + self.a6))
-
 
 class SectionPoint(namedtuple("SectionPoint", "x y")):
     """An affine point (x, y) of RatFuncs, or the zero section (None, None)."""
@@ -77,72 +73,27 @@ O = SectionPoint.zero()
 
 
 def verify_on_curve(P: SectionPoint, E: FunctionFieldCurve) -> bool:
-    """Exact identity check of the Weierstrass equation.
+    """Exact identity check of the Weierstrass equation of a model with
+    polynomial a_i (ValueError otherwise).
 
-    When the a_i are polynomials the denominators are cleared by hand
-    (multiply by dx^3 dy^2), so the whole check is polynomial multiplication
-    with no gcd reduction on huge intermediates.
+    The denominators are cleared by hand (multiply by dx^3 dy^2), so the
+    whole check is polynomial multiplication with no gcd reduction on huge
+    intermediates.
     """
     if P.is_zero:
         return True
     coeffs = (E.a1, E.a2, E.a3, E.a4, E.a6)
-    if all(c.den.is_constant() for c in coeffs):
-        a1, a2, a3, a4, a6 = (c.num for c in coeffs)
-        nx, dx, ny, dy = P.x.num, P.x.den, P.y.num, P.y.den
-        dx2 = dx * dx
-        dx3 = dx2 * dx
-        dy2 = dy * dy
-        lhs = ny * ny * dx3 + a1 * nx * ny * dx2 * dy + a3 * ny * dx3 * dy
-        rhs = (nx * nx * nx * dy2 + a2 * nx * nx * dx * dy2
-               + a4 * nx * dx2 * dy2 + a6 * dx3 * dy2)
-        return lhs == rhs
-    return E.equation_residual(P.x, P.y).is_zero()
-
-
-def ec_neg(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
-    if P.is_zero:
-        return P
-    return SectionPoint(P.x, -P.y - E.a1 * P.x - E.a3)
-
-
-def ec_add(P: SectionPoint, Q: SectionPoint, E: FunctionFieldCurve,
-           check: bool = True) -> SectionPoint:
-    """Chord-tangent addition in long Weierstrass form."""
-    if check:
-        for R in (P, Q):
-            if not verify_on_curve(R, E):
-                raise ValueError("point is not on the curve")
-    if P.is_zero:
-        return Q
-    if Q.is_zero:
-        return P
-    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-    if x1 == x2:
-        if (y1 + y2 + E.a1 * x2 + E.a3).is_zero():
-            return O
-        den = 2 * y1 + E.a1 * x1 + E.a3
-        lam = (3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1) / den
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + E.a1 * lam - E.a2 - x1 - x2
-    y3 = -(lam + E.a1) * x3 - nu - E.a3
-    return SectionPoint(x3, y3)
-
-
-def ec_mul(n: int, P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
-    if n < 0:
-        return ec_mul(-n, ec_neg(P, E), E)
-    if not verify_on_curve(P, E):
-        raise ValueError("point is not on the curve")
-    result, base = O, P
-    while n:
-        if n & 1:
-            result = ec_add(result, base, E, check=False)
-        n >>= 1
-        if n:
-            base = ec_add(base, base, E, check=False)
-    return result
+    if not all(c.den.is_constant() for c in coeffs):
+        raise ValueError("the model's coefficients are not polynomials")
+    a1, a2, a3, a4, a6 = (c.num for c in coeffs)
+    nx, dx, ny, dy = P.x.num, P.x.den, P.y.num, P.y.den
+    dx2 = dx * dx
+    dx3 = dx2 * dx
+    dy2 = dy * dy
+    lhs = ny * ny * dx3 + a1 * nx * ny * dx2 * dy + a3 * ny * dx3 * dy
+    rhs = (nx * nx * nx * dy2 + a2 * nx * nx * dx * dy2
+           + a4 * nx * dx2 * dy2 + a6 * dx3 * dy2)
+    return lhs == rhs
 
 
 # P reduces to a point of order `order` on the fiber sigma = t modulo p, with
@@ -238,10 +189,23 @@ def nonsquare_witnesses(fns, claims: dict) -> dict:
 # Completing the square and the halving obstruction
 # ---------------------------------------------------------------------------
 
+def complete_square(E: FunctionFieldCurve) -> FunctionFieldCurve:
+    """y^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4: E with y + (a1 x + a3)/2 for y."""
+    b2, b4, b6, _ = E.invariants()
+    return FunctionFieldCurve(RatFunc(0), b2 * Fraction(1, 4), RatFunc(0),
+                              b4 * Fraction(1, 2), b6 * Fraction(1, 4))
+
+
 def to_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     if P.is_zero:
         return P
     return SectionPoint(P.x, P.y + (E.a1 * P.x + E.a3) * Fraction(1, 2))
+
+
+def plus_two_torsion(P: SectionPoint, b: RatFunc) -> SectionPoint:
+    """(x, y) + (0, 0) = (b/x, -b y/x^2) on y^2 = x(x^2 + a x + b), x != 0
+    (Silverman & Tate, Rational Points on Elliptic Curves, III.4)."""
+    return SectionPoint(b / P.x, -b * P.y / (P.x * P.x))
 
 
 # the claims on the images of (a, b, x(P), x(Q), y(Q), r); q+- = 2 x(Q) + a
@@ -254,20 +218,25 @@ HALVING_CLAIMS = {
 }
 
 
-def halving_witnesses(P: SectionPoint, Q: SectionPoint, r: RatFunc,
-                      E: FunctionFieldCurve) -> dict:
-    """`nonsquare_witnesses` for HALVING_CLAIMS on E: y^2 = x(x^2 + a x + b),
-    after checking P and Q on E.
+def halving_witnesses(P: SectionPoint, r: RatFunc,
+                      E: FunctionFieldCurve) -> tuple[bool, dict]:
+    """Whether x(Q) = r^2, and `nonsquare_witnesses` for HALVING_CLAIMS, for
+    Pb the section P of E on complete_square(E): y^2 = x(x^2 + a x + b) and
+    Q = Pb + (0, 0) there, after checking P on E.
 
-    x(P) no square puts P outside 2E(K).  With a^2 - 4b no square and
-    x(Q) = r^2, which the caller checks, Q = [2]R needs one of q+- to be a
-    square, so witnesses for both put Q outside 2E(K) too.
+    x(Pb) no square puts P outside 2E(K).  With a^2 - 4b no square and
+    x(Q) = r^2, Q = [2]R needs one of q+- to be a square, so witnesses for
+    both put Q, P plus a 2-torsion point, outside 2E(K) too.
     """
-    if not (E.a1.is_zero() and E.a3.is_zero() and E.a6.is_zero()):
-        raise ValueError("curve is not in the form y^2 = x(x^2 + ax + b)")
-    if not all(not R.is_zero and verify_on_curve(R, E) for R in (P, Q)):
-        raise ValueError("point is not an affine point of the curve")
-    return nonsquare_witnesses((E.a2, E.a4, P.x, Q.x, Q.y, r), HALVING_CLAIMS)
+    if P.is_zero or P.x.is_zero() or not verify_on_curve(P, E):
+        raise ValueError("point is not an affine point of the curve with x != 0")
+    Eb = complete_square(E)
+    if not Eb.a6.is_zero():
+        raise ValueError("completed square is not in the form y^2 = x(x^2 + ax + b)")
+    Pb = to_completed_square(P, E)
+    Q = plus_two_torsion(Pb, Eb.a4)
+    return r * r == Q.x, nonsquare_witnesses((Eb.a2, Eb.a4, Pb.x, Q.x, Q.y, r),
+                                             HALVING_CLAIMS)
 
 
 # ---------------------------------------------------------------------------

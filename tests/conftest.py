@@ -1,6 +1,6 @@
 """Shared (session-scoped) fixtures so the expensive evaluations run once,
-the plain Dirichlet sum they use as the L-value oracle, and the Monte Carlo
-estimate of m(P_k) that serves as a statistical oracle."""
+the plain Dirichlet sum they use as the L-value oracle with its tail bound,
+and the Monte Carlo estimate of m(P_k) that serves as a statistical oracle."""
 
 import itertools
 import math
@@ -11,7 +11,19 @@ from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw
 from k3mahler.bigreal import BigReal
 from k3mahler.exactalg import Poly, QuadElem, RatFunc
+from grouplaw import ec_add, torsion_multiples
 from modular import form_coefficients_numpy
+
+
+def tail_scale(series) -> float:
+    """C with |sum_{n>N} A_n/n^3| <= 2C/N: each term of the form series
+    contributes its numerator bound times the exterior-ellipse integral
+    pi/sqrt(det Q)."""
+    total = 0.0
+    for t in series.terms:
+        a, b, c = t.form
+        total += t.numerator_bound * math.pi / math.sqrt(a * c - b * b / 4.0)
+    return float(series.prefactor) * total
 
 
 def lvalue_from_coeffs(coeffs, tail_scale, s=3, N=None) -> BigReal:
@@ -74,7 +86,7 @@ def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
     with a proven tail bound: the oracle for lfunctions.smoothed_lvalue."""
     if N < 10 ** 3:
         raise ValueError("N >= 10^3 required")
-    return lvalue_from_coeffs(form_coefficients_numpy(series, N), series.tail_scale(), s=s)
+    return lvalue_from_coeffs(form_coefficients_numpy(series, N), tail_scale(series), s=s)
 
 
 @pytest.fixture(scope="session")
@@ -112,7 +124,7 @@ def d3_value():
 def k18():
     """The k=18 exact-section bundle: curve, sections, b-form, halving sum,
     and the printed halving data: x and y of Q (y up to sign), q+ and q-
-    (q- up to a factor 4)."""
+    (q- up to a factor 4), and the b-form's a and b."""
     E = mw.family_curve(18)
     ps = fx.infinite_section_k18()
     dcore = Poly([-9, 1]) * Poly([72, -21, 1]) * Poly([18, -15, 1])
@@ -122,11 +134,13 @@ def k18():
     hd = {**fx.halving_data(), "xprime": RatFunc(-(dcore ** 2), 3888 * tp ** 2),
           "yprime": RatFunc(yprime, 419904 * tp ** 3),
           "qplus": RatFunc(-(tp ** 2) * Poly([9, -18, 1]), 972),
-          "qminus": RatFunc(-243 * Poly([1, -18, 1]) ** 3, tp ** 2)}
+          "qminus": RatFunc(-243 * Poly([1, -18, 1]) ** 3, tp ** 2),
+          "bform_a": RatFunc(Poly([-3, -108, 330, -36, 1]), 4),
+          "bform_b": RatFunc(Poly([0, 18, -1]))}
     Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
-    # each of Pb, T2 and Q is checked on Eb once: Pb and T2 by ec_add
+    # Q = Pb + T2 by the chord-tangent law, which checks Pb and T2 on Eb
     Pb = mw.to_completed_square(ps, E)
-    Q = mw.ec_add(Pb, mw.to_completed_square(fx.torsion_multiples(18)[2], E), Eb)
+    Q = ec_add(Pb, mw.to_completed_square(torsion_multiples(18)[2], E), Eb)
     assert mw.verify_on_curve(Q, Eb)
     return {"E": E, "ps": ps, "halving": hd, "Eb": Eb, "Pb": Pb, "Q": Q,
             "twist_curve": fx.y18_twist_curve(), "pm3": fx.twist_section()}

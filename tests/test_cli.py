@@ -18,7 +18,7 @@ import k3mahler
 from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
-from k3mahler.cli import main
+from k3mahler.cli import VERIFY_KS, main
 from k3mahler.lattices import SURFACES
 from k3mahler.mwsections import NontorsionWitness
 
@@ -175,10 +175,32 @@ class TestExitCodes:
         assert code == 0
 
     def test_verification_failure_is_one(self, capsys):
-        # an unreachable tolerance fails the run (quadrature cannot certify it)
+        # an unreachable tolerance fails the identity gate
         code = main(["verify", "--k", "0", "--tol", "1e-30"])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize("k", VERIFY_KS)
+    def test_tight_tol_judged_by_the_gate(self, capsys, k):
+        # |lhs - rhs| + both bounds is below 2e-15 at every k; the quadrature
+        # does not refuse the request against a fraction of tol
+        code, out = run(capsys, ["verify", "--k", str(k), "--tol", "3e-15", "--json"])
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"] is True and doc["tolerance"] == 3e-15
+        assert doc["abs_diff"] + doc["lhs"]["error_bound"] + doc["rhs"]["error_bound"] <= 3e-15
+
+    def test_unreachable_tol_prints_a_fail_report(self, capsys):
+        code, out = run(capsys, ["verify", "--k", "6", "--tol", "1e-300", "--json"])
+        doc = json.loads(out)
+        assert code == 1 and doc["pass"] is False and doc["tolerance"] == 1e-300
+        assert all(c["pass"] for c in doc["subchecks"])  # only the identity gate fails
+
+    def test_nan_bound_fails(self, capsys, monkeypatch):
+        # a NaN integrand gives a NaN bound, which no tolerance accepts
+        monkeypatch.setattr(mahler, "_period_integrand", lambda *args: float("nan"))
+        code = main(["verify", "--k", "0", "--tol", "1e-4", "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and "achieved nan" in captured.err
 
     def test_identity_gate_counts_the_bounds(self, capsys, monkeypatch):
         # |lhs - rhs| ~ 1e-16 is far under tol 1e-5, but an L-value bound of
@@ -236,14 +258,13 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def k18_report(k18):
-    """One `verify --k 18 --json` run: exit code, report, and every point the
-    exact on-curve check saw on E_b."""
+    """One `verify --k 18 --json` run: exit code, report, and every (point,
+    curve) the exact on-curve check saw."""
     checked = []
     on_curve = mw.verify_on_curve
 
     def spy(P, E):
-        if E == k18["Eb"]:
-            checked.append(P)
+        checked.append((P, E))
         return on_curve(P, E)
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
@@ -295,14 +316,14 @@ class TestSectionReport:
         assert code == 1 and sub["pass"] is False and None not in sub["witness"].values()
 
     def test_k18_points_checked_on_bform_curve_once(self, k18_report, k18):
-        # the exact on-curve check is the costly step; no point goes unchecked
-        # and none is checked twice on E_b
+        # the exact on-curve check is the costly step: the halving stage
+        # checks p_sigma on E, and Pb and Q = Pb + (0, 0) follow from it
+        # by the completed square and the closed form, so nothing is checked
+        # on E_b
         _, doc, checked = k18_report
         assert all(c["pass"] for c in doc["subchecks"])
-        T2 = mw.to_completed_square(fx.torsion_multiples(18)[2], k18["E"])
-        assert len(checked) == 3
-        for P in (k18["Pb"], T2, k18["Q"]):
-            assert sum(P == R for R in checked) == 1
+        assert (k18["ps"], k18["E"]) in checked
+        assert [P for P, E in checked if E == k18["Eb"]] == []
 
     def test_k18_neron_witness(self, k18_report):
         # per place, what the local-height rule read: (m, v(psi2), v(dF/dx), M)

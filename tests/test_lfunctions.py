@@ -13,7 +13,7 @@ from k3mahler import pointcount as pc
 from k3mahler.bigreal import BigReal
 from k3mahler.lattices import NEWFORM_AP, SURFACES
 from k3mahler.mahler import epstein_combo
-from conftest import lvalue_from_coeffs
+from conftest import lvalue_from_coeffs, tail_scale
 from modular import form_coefficients_numpy, newform_coefficients
 
 # the printed phi-rows (coefficients of the three Hecke series at p <= 31)
@@ -87,7 +87,7 @@ class TestFormCoefficients:
             absterm = np.abs(co[1:]) * n ** -3.0
             for N in (10 ** 3, 10 ** 4):
                 measured = float(np.sum(absterm[N:]))
-                assert measured < 2.0 * series.tail_scale() / N, (disc, N)
+                assert measured < 2.0 * tail_scale(series) / N, (disc, N)
 
     def test_term_validation(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -128,9 +128,9 @@ class TestLValues:
         series = lf.FORM_SERIES[-24]
         co = lf.form_coefficients(series, 100)
         with pytest.raises(ValueError, match="insufficient"):
-            lvalue_from_coeffs(co, series.tail_scale(), s=3, N=500)
+            lvalue_from_coeffs(co, tail_scale(series), s=3, N=500)
         with pytest.raises(ValueError):
-            lvalue_from_coeffs(co, series.tail_scale(), s=2)
+            lvalue_from_coeffs(co, tail_scale(series), s=2)
 
 
 class TestSmoothedLValue:
@@ -273,7 +273,7 @@ class TestNewformCoefficients:
 
     def test_level15_lvalue_matches_hecke(self, hecke):
         co = newform_coefficients(15, 500_000)
-        v = lvalue_from_coeffs(co, lf.FORM_SERIES[-15].tail_scale(), s=3)
+        v = lvalue_from_coeffs(co, tail_scale(lf.FORM_SERIES[-15]), s=3)
         assert abs(float(v.value) - float(hecke(-15, 500_000).value)) < 1e-10
 
     def test_twisted_lvalue_is_the_form_series(self, quad, hecke):

@@ -16,13 +16,7 @@ from k3mahler.exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
                                valuation)
 from k3mahler.lattices import SURFACES, FiberEntry, ns_determinant
 import neron_printed as npr
-
-
-def complete_square(E):
-    """Eliminate the xy and y terms: Y = y + (a1 x + a3)/2."""
-    b2, b4, b6, _ = E.invariants()
-    return mw.FunctionFieldCurve(RatFunc(0), b2 * Fraction(1, 4), RatFunc(0),
-                                 b4 * Fraction(1, 2), b6 * Fraction(1, 4))
+from grouplaw import ec_add, ec_mul, ec_neg, infinite_section_k3, torsion_multiples
 
 
 def from_completed_square(P, E):
@@ -133,57 +127,57 @@ def y6_torsion_point():
 class TestGroupLaw:
     def test_printed_torsion_multiples_k18(self):
         E = mw.family_curve(18)
-        tor = fx.torsion_multiples(18)
+        tor = torsion_multiples(18)
         P = tor[0]
         for i in range(1, 6):
             assert P == tor[i - 1], f"[{i}]rho6 mismatch"
-            P = mw.ec_add(P, tor[0], E, check=False)
+            P = ec_add(P, tor[0], E, check=False)
         assert P.is_zero  # [6]rho6 = O
 
     def test_printed_torsion_multiples_k3(self):
         E = mw.family_curve(3)
-        tor = fx.torsion_multiples(3)
+        tor = torsion_multiples(3)
         P = tor[0]
         for i in range(1, 6):
             assert P == tor[i - 1], f"[{i}]rho6 mismatch"
-            P = mw.ec_add(P, tor[0], E, check=False)
+            P = ec_add(P, tor[0], E, check=False)
         assert P.is_zero
 
     def test_ec_mul_matches_table(self):
         E = mw.family_curve(18)
-        tor = fx.torsion_multiples(18)
-        assert mw.ec_mul(3, tor[0], E) == tor[2]          # (0, 0)
-        assert mw.ec_mul(2, tor[0], E) == tor[1]
+        tor = torsion_multiples(18)
+        assert ec_mul(3, tor[0], E) == tor[2]          # (0, 0)
+        assert ec_mul(2, tor[0], E) == tor[1]
         assert tor[2] == mw.SectionPoint.affine(0, 0)
-        assert mw.ec_mul(6, tor[0], E).is_zero
+        assert ec_mul(6, tor[0], E).is_zero
 
     def test_negative_multiplication(self):
         E = mw.family_curve(18)
-        tor = fx.torsion_multiples(18)
-        assert mw.ec_mul(-1, tor[0], E) == mw.ec_neg(tor[0], E)
-        assert mw.ec_mul(-2, tor[0], E) == tor[3]  # -2 = 4 mod 6
+        tor = torsion_multiples(18)
+        assert ec_mul(-1, tor[0], E) == ec_neg(tor[0], E)
+        assert ec_mul(-2, tor[0], E) == tor[3]  # -2 = 4 mod 6
 
     def test_associativity_and_commutativity(self):
         E = mw.family_curve(18)
-        tor = [mw.O, *fx.torsion_multiples(18)]
+        tor = [mw.O, *torsion_multiples(18)]
         rng = random.Random(31)
         pts = tor + [fx.infinite_section_k18()]
         for _ in range(12):
             P, Q, R = (rng.choice(tor) for _ in range(3))
-            assert mw.ec_add(mw.ec_add(P, Q, E, False), R, E, False) == \
-                mw.ec_add(P, mw.ec_add(Q, R, E, False), E, False)
-            assert mw.ec_add(P, Q, E, False) == mw.ec_add(Q, P, E, False)
+            assert ec_add(ec_add(P, Q, E, False), R, E, False) == \
+                ec_add(P, ec_add(Q, R, E, False), E, False)
+            assert ec_add(P, Q, E, False) == ec_add(Q, P, E, False)
         ps = pts[-1]
         for Q in (tor[1], tor[3]):
             R = tor[2]
-            assert mw.ec_add(mw.ec_add(ps, Q, E, False), R, E, False) == \
-                mw.ec_add(ps, mw.ec_add(Q, R, E, False), E, False)
+            assert ec_add(ec_add(ps, Q, E, False), R, E, False) == \
+                ec_add(ps, ec_add(Q, R, E, False), E, False)
 
     def test_off_curve_rejected(self):
         E = mw.family_curve(18)
         bogus = mw.SectionPoint.affine(1, 1)
         with pytest.raises(ValueError, match="not on the curve"):
-            mw.ec_add(bogus, bogus, E)
+            ec_add(bogus, bogus, E)
 
     def test_on_curve_examples(self, k18):
         assert mw.verify_on_curve(k18["ps"], k18["E"])
@@ -191,10 +185,14 @@ class TestGroupLaw:
         cubic = mw.FunctionFieldCurve.from_coeffs(0, 0, 0, 0, 1)
         assert mw.verify_on_curve(mw.SectionPoint.affine(0, 1), cubic)
         assert mw.verify_on_curve(mw.O, cubic)
+        # a model with a non-polynomial coefficient is refused, not checked
+        pole = mw.FunctionFieldCurve.from_coeffs(0, 0, 0, RatFunc(1, Poly.x()), 1)
+        with pytest.raises(ValueError, match="not polynomials"):
+            mw.verify_on_curve(mw.SectionPoint.affine(0, 1), pole)
 
     def test_k3_infinite_section(self):
         E = mw.family_curve(3)
-        P = fx.infinite_section_k3()
+        P = infinite_section_k3()
         assert mw.verify_on_curve(P, E)
         assert mw.verify_nontorsion(P, E)
 
@@ -202,11 +200,11 @@ class TestGroupLaw:
         E = mw.schart_family_curve(6)
         T = y6_torsion_point()
         assert mw.verify_on_curve(T, E)
-        multiples = [mw.ec_mul(n, T, E) for n in range(1, 7)]
+        multiples = [ec_mul(n, T, E) for n in range(1, 7)]
         assert all(not P.is_zero for P in multiples[:5])
         assert multiples[5].is_zero
-        two = mw.ec_mul(2, T, E)
-        assert mw.ec_mul(3, T, E) == mw.SectionPoint.affine(0, 0)  # 2-torsion
+        two = ec_mul(2, T, E)
+        assert ec_mul(3, T, E) == mw.SectionPoint.affine(0, 0)  # 2-torsion
         assert not two.is_zero
 
 
@@ -246,7 +244,7 @@ class TestNontorsion:
         assert replay_witness(k18["pm3"], k18["twist_curve"], wit) == wit.order
 
     @pytest.mark.parametrize("section,k", [
-        pytest.param(fx.infinite_section_k3, 3, id="infinite_section_k3-y3_curve"),
+        pytest.param(infinite_section_k3, 3, id="infinite_section_k3-y3_curve"),
         # coordinates need sqrt(-3)
         pytest.param(fx.infinite_section_k18, 18, id="infinite_section_k18-y18_curve"),
     ])
@@ -260,15 +258,15 @@ class TestNontorsion:
     def test_exact_cross_check_k3(self):
         # [n]P != O for n <= 6 from [2]P and [3]P alone: [n]P = O iff
         # [a]P = -[b]P for some a + b = n with a, b in {1, 2, 3}
-        E, P = mw.family_curve(3), fx.infinite_section_k3()
+        E, P = mw.family_curve(3), infinite_section_k3()
         assert not P.is_zero
-        P2, P3 = mw.ec_mul(2, P, E), mw.ec_mul(3, P, E)
+        P2, P3 = ec_mul(2, P, E), ec_mul(3, P, E)
         for a, b in ((P, P), (P2, P), (P2, P2), (P2, P3), (P3, P3)):
-            assert a != mw.ec_neg(b, E)
+            assert a != ec_neg(b, E)
 
     def test_torsion_points_flagged(self):
-        cases = [(T, mw.family_curve(3)) for T in fx.torsion_multiples(3)]
-        cases += [(T, mw.family_curve(18)) for T in fx.torsion_multiples(18)]
+        cases = [(T, mw.family_curve(3)) for T in torsion_multiples(3)]
+        cases += [(T, mw.family_curve(18)) for T in torsion_multiples(18)]
         cases += [(y6_torsion_point(), mw.schart_family_curve(6)),
                   (mw.O, mw.family_curve(18))]
         for P, E in cases:
@@ -311,7 +309,7 @@ class TestTwist:
         ps, pm3 = k18["ps"], k18["pm3"]
         # the canonical root lands on -p_sigma; the other branch on p_sigma
         back = twist_pull(pm3, E, tw)
-        assert back == mw.ec_neg(ps, E)
+        assert back == ec_neg(ps, E)
         back2 = twist_pull(pm3, E, tw, root=-tw.sqrt_d)
         assert back2 == ps
         assert twist_push(ps, E, tw, root=-tw.sqrt_d) == pm3
@@ -325,39 +323,53 @@ class TestTwist:
         tw5 = quadratic_twist(E, 5)
         assert tw5.sqrt_d is None
         with pytest.raises(ValueError, match="quadratic extension"):
-            twist_push(fx.torsion_multiples(18)[1], E, tw5)
+            twist_push(torsion_multiples(18)[1], E, tw5)
 
 
 class TestCompleteSquare:
     def test_printed_bform(self, k18):
-        cs = complete_square(k18["E"])
+        cs = mw.complete_square(k18["E"])
         assert cs == k18["Eb"]
         assert cs.a2 == k18["halving"]["bform_a"]
         assert cs.a4 == k18["halving"]["bform_b"]
 
     def test_already_even_unchanged(self):
         E = mw.FunctionFieldCurve.from_coeffs(0, 1, 0, 2, 3)
-        assert complete_square(E) == E
+        assert mw.complete_square(E) == E
 
     def test_discriminant_preserved(self, k18):
-        assert complete_square(k18["E"]).invariants()[3] == \
+        assert mw.complete_square(k18["E"]).invariants()[3] == \
             k18["E"].invariants()[3]
 
     def test_points_transport(self, k18):
         E, Eb = k18["E"], k18["Eb"]
-        for P in (*fx.torsion_multiples(18), k18["ps"]):
+        for P in (*torsion_multiples(18), k18["ps"]):
             Pb = mw.to_completed_square(P, E)
             assert mw.verify_on_curve(Pb, Eb)
             assert from_completed_square(Pb, E) == P
 
+    def test_closed_form_translation(self, k18):
+        # (x, y) + (0, 0) = (b/x, -b y/x^2) is the chord-tangent sum, for
+        # p_sigma and each torsion point with x != 0
+        E, Eb = k18["E"], k18["Eb"]
+        T2 = mw.to_completed_square(torsion_multiples(18)[2], E)
+        assert T2 == mw.SectionPoint.affine(0, 0)
+        points = [P for P in (k18["ps"], *torsion_multiples(18)) if not P.x.is_zero()]
+        assert len(points) == 5
+        for P in points:
+            Pb = mw.to_completed_square(P, E)
+            assert mw.plus_two_torsion(Pb, Eb.a4) == ec_add(Pb, T2, Eb)
+        assert mw.plus_two_torsion(k18["Pb"], Eb.a4) == k18["Q"]
 
-def halving_witnesses(k18, P=None):
-    return mw.halving_witnesses(P or k18["Pb"], k18["Q"], k18["halving"]["r"], k18["Eb"])
+
+def halving_witnesses(k18, r=None):
+    return mw.halving_witnesses(k18["ps"], k18["halving"]["r"] if r is None else r,
+                                k18["E"])
 
 
 class TestHalving:
     def test_psigma_not_halvable(self, k18):
-        assert halving_witnesses(k18)["x(Pb)"] == (1, 7, 2)
+        assert halving_witnesses(k18)[1]["x(Pb)"] == (1, 7, 2)
         assert replay_nonsquare(k18["Pb"].x, 1, 7, 2)
 
     def test_psigma_plus_3rho_not_halvable(self, k18):
@@ -367,24 +379,32 @@ class TestHalving:
         # the printed q+ is the computed one, the printed q- 4 times the computed one
         qplus, qminus = (2 * Q.x + a + s * 2 * Q.y / hd["r"] for s in (1, -1))
         assert hd["qplus"] == qplus and hd["qminus"] == 4 * qminus
-        wits = halving_witnesses(k18)
+        square, wits = halving_witnesses(k18)
+        assert square
         assert (wits["a^2-4b"], wits["q+"], wits["q-"]) == ((1, 13, 6), (1, 7, 2), (1, 7, 2))
         assert replay_nonsquare(qplus, *wits["q+"]) and replay_nonsquare(qminus, *wits["q-"])
 
+    def test_wrong_r_is_no_square_root(self, k18):
+        # x(Q) = r^2 fails for 2r, and the four searches are unchanged
+        square, wits = halving_witnesses(k18, 2 * k18["halving"]["r"])
+        assert not square and wits == halving_witnesses(k18)[1]
+
     def test_two_rho_halvable(self, k18):
-        # [2]rho has x = 1 = 1^2, and with r = 1 one of q+- is a square
-        two = mw.to_completed_square(fx.torsion_multiples(18)[1], k18["E"])
-        wits = mw.halving_witnesses(two, two, RatFunc(1), k18["Eb"])
-        assert wits["x(Pb)"] is None and None in (wits["q+"], wits["q-"])
+        # [2]rho has x = 1 = 1^2; so has [5]rho + (0, 0) = [2]rho, and with
+        # r = 1 one of its q+- is a square
+        two, five = torsion_multiples(18)[1], torsion_multiples(18)[4]
+        assert mw.halving_witnesses(two, RatFunc(1), k18["E"])[1]["x(Pb)"] is None
+        square, wits = mw.halving_witnesses(five, RatFunc(1), k18["E"])
+        assert square and None in (wits["q+"], wits["q-"])
 
     def test_invariance_under_doubled_shifts(self, k18):
         # x([2]R) is a square, so shifts by [2]R = [2]rho, [4]rho keep x(Pb)
         # no square and x(Q) a square
         E, Eb = k18["E"], k18["Eb"]
-        for R in fx.torsion_multiples(18)[:2]:
-            twoR = mw.to_completed_square(mw.ec_mul(2, R, E), E)
+        for R in torsion_multiples(18)[:2]:
+            twoR = mw.to_completed_square(ec_mul(2, R, E), E)
             for P, square in ((k18["Pb"], False), (k18["Q"], True)):
-                x = mw.ec_add(P, twoR, Eb, check=False).x
+                x = ec_add(P, twoR, Eb, check=False).x
                 wit = nonsquare_witness(x)
                 assert wit is None if square else replay_nonsquare(x, *wit)
 
@@ -392,11 +412,16 @@ class TestHalving:
         # y^2 = x(x+1)(x+4): a^2 - 4b = 9 is a square, so the obstruction fails
         bad = mw.FunctionFieldCurve.from_coeffs(0, 5, 0, 4, 0)
         P = mw.SectionPoint.affine(2, 6)
-        assert mw.halving_witnesses(P, P, RatFunc(1), bad)["a^2-4b"] is None
-        with pytest.raises(ValueError, match="not an affine point"):
-            halving_witnesses(k18, mw.SectionPoint.affine(0, 1))
+        assert mw.halving_witnesses(P, RatFunc(1), bad)[1]["a^2-4b"] is None
+        # off the curve, at x = 0 or both; the zero section; (0, 0) itself
+        for P in (mw.SectionPoint.affine(1, 1), mw.SectionPoint.affine(0, 1), mw.O,
+                  torsion_multiples(18)[2]):
+            with pytest.raises(ValueError, match="not an affine point"):
+                mw.halving_witnesses(P, RatFunc(1), k18["E"])
+        # y^2 = x^3 + 1 has no 2-torsion point at x = 0
         with pytest.raises(ValueError, match="not in the form"):
-            mw.halving_witnesses(k18["ps"], k18["ps"], RatFunc(1), k18["E"])
+            mw.halving_witnesses(mw.SectionPoint.affine(2, 3), RatFunc(1),
+                                 mw.FunctionFieldCurve.from_coeffs(0, 0, 0, 0, 1))
 
 
 class TestIntersections:
@@ -404,7 +429,7 @@ class TestIntersections:
         assert mw.zero_intersection(k18["ps"]) == 5
 
     def test_torsion_sections(self):
-        for P in fx.torsion_multiples(18):
+        for P in torsion_multiples(18):
             assert mw.zero_intersection(P) == 0
 
     def test_low_degree_polynomial_sections(self):
@@ -432,8 +457,8 @@ class TestIntersections:
 def multiples_and_shifts(n: int) -> tuple:
     """[n]p_sigma and the five [n]p_sigma + T over the torsion T."""
     E = mw.family_curve(18)
-    P = mw.ec_mul(n, fx.infinite_section_k18(), E)
-    return (P, *(mw.ec_add(P, T, E, check=False) for T in fx.torsion_multiples(18)))
+    P = ec_mul(n, fx.infinite_section_k18(), E)
+    return (P, *(ec_add(P, T, E, check=False) for T in torsion_multiples(18)))
 
 
 class TestNeronComponents:
@@ -525,24 +550,24 @@ class TestHeight:
                                                         (2, 1, 1, 1)]
 
     def test_multiples_and_torsion_shifts(self, k18):
-        assert mw.section_height(18, mw.ec_mul(2, k18["ps"], k18["E"]))[0] == 40
+        assert mw.section_height(18, ec_mul(2, k18["ps"], k18["E"]))[0] == 40
         assert [mw.section_height(18, P)[0] for P in multiples_and_shifts(1)] == [10] * 6
 
     def test_torsion_heights_vanish(self):
         assert [mw.section_height(k, P)[0]
-                for k in (3, 18) for P in fx.torsion_multiples(k)] == [0] * 10
+                for k in (3, 18) for P in torsion_multiples(k)] == [0] * 10
         # (0, 0) = [3]rho6: psi2 and a3 vanish identically, v = +infinity
         _, readings = mw.section_height(18, mw.SectionPoint.affine(0, 0))
         assert readings[0] == ("s=0", 12, None, 6, 6)
 
     def test_k3_section(self):
-        E, P = mw.family_curve(3), fx.infinite_section_k3()
+        E, P = mw.family_curve(3), infinite_section_k3()
         h, readings = mw.section_height(3, P)
         assert h == Fraction(5, 4)
         assert {r.place: r.component for r in readings} == {
             "s=0": 1, "s=inf": 0, "s=1/3": 1,
             "alpha1": 1, "beta1": 1, "alpha2": 0, "beta2": 0}
-        assert mw.section_height(3, mw.ec_mul(2, P, E))[0] == 5
+        assert mw.section_height(3, ec_mul(2, P, E))[0] == 5
         # |det NS| = 432 h / 6^2 = 15 = |det T|: <P, torsion> is all of MW
         assert abs(ns_determinant(1, 432, h, 6)) == 15 == SURFACES[3].level
 
@@ -550,7 +575,8 @@ class TestHeight:
         # h = 10 plus the two halving obstructions certify a generator
         h, _ = mw.section_height(18, k18["ps"])
         assert h == 10
-        assert None not in halving_witnesses(k18).values()
+        square, wits = halving_witnesses(k18)
+        assert square and None not in wits.values()
         assert k18["halving"]["r"] ** 2 == k18["Q"].x
 
     def test_zero_section_rejected(self):
