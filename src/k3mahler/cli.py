@@ -138,7 +138,7 @@ def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
                          witness={name: w and {"sigma": w.t, "p": w.p, "sqrt_m3_mod_p": w.w}
                                   for name, w in wits.items()}))
     with _stage(timings, "zero_intersection"):
-        po = mw.zero_intersection(ps)
+        po = mw.zero_intersection(ps, fixtures.pole_places())
     # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)
     local = sum(mw.contribution(f.m, f.j) for f in surf.fibers)
     out.append(_subcheck("zero-section-intersection",
@@ -146,7 +146,7 @@ def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
                          "pole-degree count", value=po))
     with _stage(timings, "height"):
         try:
-            h, readings, error = *mw.section_height(surf.k, ps), {}
+            h, readings, error = *mw.section_height(surf.k, ps, po), {}
         except mw.VerificationError as exc:   # the record contradicts the curve
             h, readings, error = None, [], {"error": str(exc)}
     comps = {r.place: r.component for r in readings}
@@ -319,11 +319,12 @@ def cmd_lattice(args) -> int:
 def cmd_height(args) -> int:
     from . import fixtures, mwsections as mw
     ps = fixtures.infinite_section_k18()
-    h, fibers = mw.section_height(18, ps)
+    po = mw.zero_intersection(ps, fixtures.pole_places())
+    h, fibers = mw.section_height(18, ps, po)
     payload = {"input": {"k": 18, "section": "infinite section over Q(sqrt(-3))"},
                "value": {"height": str(h),
                          "components": {f.place: f.component for f in fibers},
-                         "zero_intersection": mw.zero_intersection(ps)},
+                         "zero_intersection": po},
                "error_bound": 0,
                "provenance": "Shioda's formula, Silverman's local heights"}
     _emit(args, payload, f"h(p_sigma) = {h} "

@@ -2,7 +2,9 @@
 
 Every displayed formula this package replays (the k=18 twisted curve, its
 infinite sections, the halving data) is built here from its printed factored
-form over Q(sqrt(-3)), and these builders are its only copy.
+form over Q(sqrt(-3)), and these builders are its only copy.  A section's
+coordinates are `mwsections.PolyRatio` pairs over the printed denominators
+dcore^2 and dcore^3, and `pole_places` are the places of dcore's factors.
 The family's own Weierstrass models are `mwsections.family_curve` and
 `mwsections.schart_family_curve`.  Each public loader caches what its builder
 returns.
@@ -10,10 +12,11 @@ returns.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .exactalg import Poly, QuadElem, RatFunc
-from .mwsections import FunctionFieldCurve, SectionPoint
+from .exactalg import Place, Poly, QuadElem
+from .mwsections import FunctionFieldCurve, PolyRatio, SectionPoint
 
 
 def _lin(c) -> Poly:
@@ -36,8 +39,19 @@ def y18_twist_curve() -> FunctionFieldCurve:
 # Sections
 # ---------------------------------------------------------------------------
 
+# the factors of dcore: sigma - 9, sigma^2 - 21 sigma + 72, sigma^2 - 15 sigma + 18
+_DCORE_FACTORS = ((-9, 1), (72, -21, 1), (18, -15, 1))
+
+
 def _psigma_denominator_core() -> Poly:
-    return _lin(-9) * Poly([72, -21, 1]) * Poly([18, -15, 1])
+    return math.prod(map(Poly, _DCORE_FACTORS))
+
+
+@lru_cache(maxsize=None)
+def pole_places() -> tuple[Place, ...]:
+    """The places of dcore's factors, each checked irreducible: the only
+    places where the x of these sections can have a pole."""
+    return tuple(Place.finite(Poly(f)) for f in _DCORE_FACTORS)
 
 
 def _psigma_x_numerator() -> Poly:
@@ -55,8 +69,8 @@ def infinite_section_k18() -> SectionPoint:
                QuadElem(513, -432), QuadElem(-45, 12), QuadElem(1)])
     y_num = (Poly([QuadElem(0, 36)]) * Poly.x() * _lin(-21) * _lin(-18) * _lin(3)
              * f2 * f3 * f5)
-    return SectionPoint(RatFunc(3888 * _psigma_x_numerator(), dcore ** 2),
-                        RatFunc(y_num, dcore ** 3))
+    return SectionPoint(PolyRatio(3888 * _psigma_x_numerator(), dcore ** 2),
+                        PolyRatio(y_num, dcore ** 3))
 
 
 @lru_cache(maxsize=None)
@@ -66,13 +80,13 @@ def twist_section() -> SectionPoint:
     big = Poly([128490624, 132322248, -545848956, 281168010, -44001711,
                 -294840, 771363, -87822, 4455, -108, 1])
     y_num = -324 * Poly.x() * _lin(-18) * _lin(-21) * _lin(3) * big
-    return SectionPoint(RatFunc(-11664 * _psigma_x_numerator(), dcore ** 2),
-                        RatFunc(y_num, dcore ** 3))
+    return SectionPoint(PolyRatio(-11664 * _psigma_x_numerator(), dcore ** 2),
+                        PolyRatio(y_num, dcore ** 3))
 
 
 @lru_cache(maxsize=None)
-def halving_data() -> dict[str, RatFunc]:
+def halving_data() -> dict[str, PolyRatio]:
     """r with x(Q) = r^2 for Q = Pb + (0, 0), Pb the infinite section on the
     completed square y^2 = x(x^2 + a x + b) of family_curve(18)."""
     tp = _lin(-21) * _lin(3)
-    return {"r": RatFunc(_psigma_denominator_core(), Poly([QuadElem(0, 36)]) * tp)}
+    return {"r": PolyRatio(_psigma_denominator_core(), Poly([QuadElem(0, 36)]) * tp)}

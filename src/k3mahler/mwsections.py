@@ -1,13 +1,20 @@
 """Elliptic curves over Q(sqrt(-3))(sigma) and the k=18 section suite.
 
-Provides the family's Weierstrass models in the sigma and s = 1/sigma charts,
-the exact on-curve check of a section, certificates by specialization at a
-fiber and reduction mod p (nontorsion, and the non-squares of the two-descent
-halving obstruction on the completed square y^2 = x(x^2 + a x + b), where
-adding the 2-torsion point (0, 0) has a closed form), section/zero-section
-intersection numbers, and the canonical height h(P) = 2*chi + 2*(P.O) - sum
-of local terms M(m - M)/m, one per singular fiber of the `Surface` record by
-Silverman's rule for multiplicative fibers.  No general group law is needed.
+Provides the family's Weierstrass models in the sigma and s = 1/sigma charts
+(polynomial coefficients), the exact on-curve check of a section, certificates
+by specialization at a fiber and reduction mod p (nontorsion, and the
+non-squares of the two-descent halving obstruction on the completed square
+y^2 = x(x^2 + a x + b), where adding the 2-torsion point (0, 0) has a closed
+form), section/zero-section intersection numbers, and the canonical height
+h(P) = 2*chi + 2*(P.O) - sum of local terms M(m - M)/m, one per singular
+fiber of the `Surface` record by Silverman's rule for multiplicative fibers.
+No general group law is needed.
+
+A coordinate of a section is a `PolyRatio` num/den of two Polys, never
+brought to lowest terms: every quantity read here (the on-curve identity,
+values at sigma = t, orders at places, x(Q) = r^2) is read by clearing
+denominators, so no gcd is taken.  Any object with Poly ``num`` and ``den``
+(and ``eval``) serves as a coordinate.
 
 Every check that mirrors a printed computation is verified exactly; a
 mismatch raises VerificationError rather than returning a wrong index.
@@ -20,8 +27,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import (Place, Poly, RatFunc, is_square_quad, poly_sqrt,
-                       reduce_mod_p, valuation)
+from .exactalg import (Place, Poly, QuadElem, is_square_quad, poly_valuation,
+                       reduce_mod_p)
 from .lattices import SURFACES
 from .pointcount import legendre, point_order, primes_up_to, weierstrass_invariants
 
@@ -35,57 +42,61 @@ class VerificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class FunctionFieldCurve(namedtuple("FunctionFieldCurve", "a1 a2 a3 a4 a6")):
-    """Long Weierstrass form with RatFunc coefficients."""
+    """Long Weierstrass form with Poly coefficients, a model over
+    Q(sqrt(-3))[sigma]."""
 
     __slots__ = ()
 
     @staticmethod
     def from_coeffs(a1, a2, a3, a4, a6) -> "FunctionFieldCurve":
-        return FunctionFieldCurve(*(RatFunc.coerce(v) for v in (a1, a2, a3, a4, a6)))
+        return FunctionFieldCurve(*(Poly.coerce(v) for v in (a1, a2, a3, a4, a6)))
 
     def invariants(self) -> tuple:
         """(b2, b4, b6, discriminant), by `pointcount.weierstrass_invariants`."""
         return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
-class SectionPoint(namedtuple("SectionPoint", "x y")):
-    """An affine point (x, y) of RatFuncs, or the zero section (None, None)."""
+class PolyRatio(namedtuple("PolyRatio", "num den")):
+    """num/den for Polys num and den != 0, not reduced: a common factor is
+    allowed and changes no value or order read from it."""
 
     __slots__ = ()
+    # tuple concatenation and repetition would pass for arithmetic: 2 * f
+    __add__ = __mul__ = __rmul__ = None
 
-    @staticmethod
-    def zero() -> "SectionPoint":
-        return SectionPoint(None, None)
+    def eval(self, t) -> QuadElem:
+        d = self.den.eval(t)
+        if d.is_zero():
+            raise ZeroDivisionError("pole at evaluation point")
+        return self.num.eval(t) / d
 
-    @staticmethod
-    def affine(x, y) -> "SectionPoint":
-        return SectionPoint(RatFunc.coerce(x), RatFunc.coerce(y))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.x is None
-
-    def __repr__(self):
-        return "O" if self.is_zero else f"({self.x!r}, {self.y!r})"
+    def reciprocal(self, weight: int) -> "PolyRatio":
+        """s^weight f(1/s), the s = 1/sigma chart of a coordinate of that weight."""
+        n = max(self.num.degree(), self.den.degree())
+        return PolyRatio(self.num.reverse(n) * Poly.x(weight), self.den.reverse(n))
 
 
-O = SectionPoint.zero()
+# an affine section (x, y): coordinates with Poly num and den, as PolyRatio
+SectionPoint = namedtuple("SectionPoint", "x y")
+
+
+def valuation(f, place: Place) -> float:
+    """Order of f = num/den at a place, +inf for f = 0: v(num) - v(den), and
+    deg den - deg num at infinity, which a common factor leaves unchanged."""
+    if f.num.is_zero():
+        return math.inf
+    if place.is_infinite:
+        return f.den.degree() - f.num.degree()
+    return poly_valuation(f.num, place.poly) - poly_valuation(f.den, place.poly)
 
 
 def verify_on_curve(P: SectionPoint, E: FunctionFieldCurve) -> bool:
     """Exact identity check of the Weierstrass equation of a model with
-    polynomial a_i (ValueError otherwise).
-
-    The denominators are cleared by hand (multiply by dx^3 dy^2), so the
-    whole check is polynomial multiplication with no gcd reduction on huge
-    intermediates.
-    """
-    if P.is_zero:
-        return True
-    coeffs = (E.a1, E.a2, E.a3, E.a4, E.a6)
-    if not all(c.den.is_constant() for c in coeffs):
+    polynomial a_i (ValueError otherwise), multiplied through by dx^3 dy^2:
+    polynomial products only."""
+    if not all(isinstance(c, Poly) for c in E):
         raise ValueError("the model's coefficients are not polynomials")
-    a1, a2, a3, a4, a6 = (c.num for c in coeffs)
+    a1, a2, a3, a4, a6 = E
     nx, dx, ny, dy = P.x.num, P.x.den, P.y.num, P.y.den
     dx2 = dx * dx
     dx3 = dx2 * dx
@@ -147,10 +158,9 @@ def verify_nontorsion(P: SectionPoint,
     """
     if not verify_on_curve(P, E):
         raise ValueError("point is not on the curve")
-    if P.is_zero:
-        return None
-    fns = (E.a1, E.a2, E.a3, E.a4, E.a6, P.x, P.y)
-    rational = all(c.is_rational() for f in fns for c in f.num.coeffs + f.den.coeffs)
+    fns = (*E, P.x, P.y)
+    rational = all(c.is_rational() for f in (*E, P.x.num, P.x.den, P.y.num, P.y.den)
+                   for c in f.coeffs)
     primes = [(p, None) for p in NONTORSION_PRIMES] if rational else _split_primes()
     for t, p, w, red in _specializations(fns, primes):
         if None in red or weierstrass_invariants(*red[:5])[3] % p == 0:
@@ -192,20 +202,34 @@ def nonsquare_witnesses(fns, claims: dict) -> dict:
 def complete_square(E: FunctionFieldCurve) -> FunctionFieldCurve:
     """y^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4: E with y + (a1 x + a3)/2 for y."""
     b2, b4, b6, _ = E.invariants()
-    return FunctionFieldCurve(RatFunc(0), b2 * Fraction(1, 4), RatFunc(0),
+    return FunctionFieldCurve(Poly(), b2 * Fraction(1, 4), Poly(),
                               b4 * Fraction(1, 2), b6 * Fraction(1, 4))
 
 
+def _psi2(P: SectionPoint, E: FunctionFieldCurve) -> PolyRatio:
+    """psi2 = 2y + a1 x + a3 over dx dy."""
+    nx, dx, ny, dy = P.x.num, P.x.den, P.y.num, P.y.den
+    return PolyRatio(2 * ny * dx + E.a1 * nx * dy + E.a3 * dx * dy, dx * dy)
+
+
+def _dfdx(P: SectionPoint, E: FunctionFieldCurve) -> PolyRatio:
+    """dF/dx = 3x^2 + 2 a2 x + a4 - a1 y over dx^2 dy."""
+    nx, dx, ny, dy = P.x.num, P.x.den, P.y.num, P.y.den
+    return PolyRatio((3 * nx * nx + 2 * E.a2 * nx * dx + E.a4 * dx * dx) * dy
+                     - E.a1 * ny * dx * dx, dx * dx * dy)
+
+
 def to_completed_square(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
-    if P.is_zero:
-        return P
-    return SectionPoint(P.x, P.y + (E.a1 * P.x + E.a3) * Fraction(1, 2))
+    """P on complete_square(E): y + (a1 x + a3)/2 = psi2/2 for y."""
+    psi2 = _psi2(P, E)
+    return SectionPoint(P.x, PolyRatio(psi2.num, 2 * psi2.den))
 
 
-def plus_two_torsion(P: SectionPoint, b: RatFunc) -> SectionPoint:
+def plus_two_torsion(P: SectionPoint, b: Poly) -> SectionPoint:
     """(x, y) + (0, 0) = (b/x, -b y/x^2) on y^2 = x(x^2 + a x + b), x != 0
     (Silverman & Tate, Rational Points on Elliptic Curves, III.4)."""
-    return SectionPoint(b / P.x, -b * P.y / (P.x * P.x))
+    nx, dx, ny, dy = P.x.num, P.x.den, P.y.num, P.y.den
+    return SectionPoint(PolyRatio(b * dx, nx), PolyRatio(-b * ny * dx * dx, dy * nx * nx))
 
 
 # the claims on the images of (a, b, x(P), x(Q), y(Q), r); q+- = 2 x(Q) + a
@@ -218,52 +242,52 @@ HALVING_CLAIMS = {
 }
 
 
-def halving_witnesses(P: SectionPoint, r: RatFunc,
+def halving_witnesses(P: SectionPoint, r: PolyRatio,
                       E: FunctionFieldCurve) -> tuple[bool, dict]:
     """Whether x(Q) = r^2, and `nonsquare_witnesses` for HALVING_CLAIMS, for
     Pb the section P of E on complete_square(E): y^2 = x(x^2 + a x + b) and
     Q = Pb + (0, 0) there, after checking P on E.
 
-    x(Pb) no square puts P outside 2E(K).  With a^2 - 4b no square and
+    x(Q) = b dx/nx and r^2 are compared cross-multiplied.  x(Pb) no square
+    puts P outside 2E(K).  With a^2 - 4b no square and
     x(Q) = r^2, Q = [2]R needs one of q+- to be a square, so witnesses for
     both put Q, P plus a 2-torsion point, outside 2E(K) too.
     """
-    if P.is_zero or P.x.is_zero() or not verify_on_curve(P, E):
+    if P.x.num.is_zero() or not verify_on_curve(P, E):
         raise ValueError("point is not an affine point of the curve with x != 0")
     Eb = complete_square(E)
     if not Eb.a6.is_zero():
         raise ValueError("completed square is not in the form y^2 = x(x^2 + ax + b)")
     Pb = to_completed_square(P, E)
     Q = plus_two_torsion(Pb, Eb.a4)
-    return r * r == Q.x, nonsquare_witnesses((Eb.a2, Eb.a4, Pb.x, Q.x, Q.y, r),
-                                             HALVING_CLAIMS)
+    square = Q.x.num * r.den * r.den == r.num * r.num * Q.x.den
+    return square, nonsquare_witnesses((Eb.a2, Eb.a4, Pb.x, Q.x, Q.y, r), HALVING_CLAIMS)
 
 
 # ---------------------------------------------------------------------------
 # Intersection with the zero section
 # ---------------------------------------------------------------------------
 
-def zero_intersection(P: SectionPoint) -> int:
-    """(P.O): half the total pole degree of x(P) across all places.
+def zero_intersection(P: SectionPoint, places) -> int:
+    """(P.O): half the total pole order of x(P) over all places, read by
+    `valuation`, so a factor common to num and den counts nothing.
 
-    The finite part is deg(den)/2 (the denominator must be a perfect square:
-    every pole of a section has even order); the place at infinity is read in
-    the other Weierstrass chart via x(s) = s^4 x(1/s), giving a pole exactly
-    when deg(num) - deg(den) > 4.
+    The finite poles are read at the given places (each of degree deg, a pole
+    of order 2e counts e deg).  Off them den must divide num, which leaves x
+    no pole there.  The place at infinity is read in the other Weierstrass
+    chart, x(s) = s^4 x(1/s): a pole of order -(v_inf(x) + 4) when positive.
+    Every pole of a section has even order.
     """
-    if P.is_zero:
-        raise ValueError("(O.O) is not computed here")
-    x = P.x
-    # den is monic: every finite pole has even order iff den is a square
-    if poly_sqrt(x.den) is None:
-        raise VerificationError("odd pole order in x at a finite place")
-    total = x.den.degree() // 2
-    inf_order = x.num.degree() - x.den.degree() - 4
-    if inf_order > 0:
-        if inf_order % 2:
-            raise VerificationError("odd pole order in x at infinity")
-        total += inf_order // 2
-    return total
+    x, rest, orders = P.x, P.x.den, []
+    for pl in places:
+        orders.append((valuation(x, pl), pl.degree()))
+        rest = rest // pl.poly ** poly_valuation(rest, pl.poly)
+    if not (x.num % rest).is_zero():
+        raise VerificationError("x may have a pole off the given places")
+    orders.append((valuation(x, Place.infinity()) + 4, 1))
+    if any(v < 0 and v % 2 for v, _ in orders):
+        raise VerificationError("odd pole order in x at a place")
+    return sum(-v // 2 * deg for v, deg in orders if v < 0)
 
 
 def contribution(m: int, j: int) -> Fraction:
@@ -304,8 +328,8 @@ def schart_family_curve(k: int) -> FunctionFieldCurve:
 def _reciprocal_chart(P: SectionPoint) -> SectionPoint:
     """A section of family_curve(k) in the chart of schart_family_curve(k):
     x = s^4 x'(1/s), y = s^6 y'(1/s)."""
-    return SectionPoint(P.x.substitute_reciprocal() * RatFunc(Poly.x(4)),
-                        P.y.substitute_reciprocal() * RatFunc(Poly.x(6)))
+    return SectionPoint(*(PolyRatio(c.num, c.den).reciprocal(w)
+                          for c, w in zip(P, (4, 6))))
 
 
 def _places(sigma) -> list[Place]:
@@ -337,7 +361,7 @@ def _fiber_places(k: int, fibers: tuple) -> tuple:
         E = schart_family_curve(k) if sigma is None else family_curve(k)
         b2, b4, _, disc = E.invariants()
         for f, pl in zip(entries, places * (len(entries) // len(places))):
-            v_c4, v_disc = valuation(b2 * b2 - 24 * b4, pl), valuation(disc, pl)
+            v_c4, v_disc = (poly_valuation(g, pl.poly) for g in (b2 * b2 - 24 * b4, disc))
             if v_c4 != 0 or v_disc != f.m:
                 raise VerificationError(f"{f.place}: v(c4) = {v_c4}, v(disc) = {v_disc}; "
                                         f"not a multiplicative fiber I_{f.m}")
@@ -347,18 +371,17 @@ def _fiber_places(k: int, fibers: tuple) -> tuple:
     return tuple(out[f.place] for f in fibers)
 
 
-def section_height(k: int, P: SectionPoint) -> tuple[Fraction, list[FiberReading]]:
+def section_height(k: int, P: SectionPoint,
+                   po: int) -> tuple[Fraction, list[FiberReading]]:
     """Canonical height 2 chi + 2 (P.O) - sum M(m - M)/m of a section of
-    family_curve(k), with one reading per entry of SURFACES[k].fibers.
+    family_curve(k) that meets the zero section po = (P.O) times, with one
+    reading per entry of SURFACES[k].fibers.
 
     M is the component of the I_m fiber that P meets, by Silverman,
     "Computing heights on elliptic curves", Math. Comp. 51 (1988), Thm 5.2,
     multiplicative case: M = min(v(psi2), m // 2) if v(x) >= 0, v(psi2) > 0
     and v(dF/dx) > 0, else 0.  The model is schart_family_curve(k) at sigma =
-    inf and family_curve(k) elsewhere."""
-    if P.is_zero:
-        raise ValueError("height of the zero section is 0 by convention; "
-                         "this routine expects a nonzero section")
+    inf and family_curve(k) elsewhere; x, psi2 and dF/dx are read as pairs."""
     if not verify_on_curve(P, family_curve(k)):
         raise ValueError("point is not on the curve")
     fibers = SURFACES[k].fibers
@@ -367,14 +390,12 @@ def section_height(k: int, P: SectionPoint) -> tuple[Fraction, list[FiberReading
         if schart not in charts:
             E, Q = ((schart_family_curve(k), _reciprocal_chart(P)) if schart
                     else (family_curve(k), P))
-            charts[schart] = (Q.x, 2 * Q.y + E.a1 * Q.x + E.a3,
-                              3 * Q.x * Q.x + 2 * E.a2 * Q.x + E.a4 - E.a1 * Q.y)
+            charts[schart] = (Q.x, _psi2(Q, E), _dfdx(Q, E))
         if (place, schart) not in vals:  # conjugate entries share a reading
-            vals[place, schart] = [math.inf if g.is_zero() else valuation(g, place)
-                                   for g in charts[schart]]
+            vals[place, schart] = [valuation(g, place) for g in charts[schart]]
         v_x, v_psi2, v_dfdx = vals[place, schart]
         M = min(v_psi2, f.m // 2) if v_x >= 0 and v_psi2 > 0 and v_dfdx > 0 else 0
         readings.append(FiberReading(f.place, f.m, *(
             None if v == math.inf else v for v in (v_psi2, v_dfdx)), M))
-    return 2 * K3_CHI + 2 * zero_intersection(P) - sum(
+    return 2 * K3_CHI + 2 * po - sum(
         contribution(r.m, r.component) for r in readings), readings

@@ -4,14 +4,16 @@ and the Monte Carlo estimate of m(P_k) that serves as a statistical oracle."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw
 from k3mahler.bigreal import BigReal
-from k3mahler.exactalg import Poly, QuadElem, RatFunc
+from k3mahler.exactalg import Poly, QuadElem
 from grouplaw import ec_add, torsion_multiples
+from ratfunc import RatFunc
 from modular import form_coefficients_numpy
 
 
@@ -124,19 +126,21 @@ def d3_value():
 def k18():
     """The k=18 exact-section bundle: curve, sections, b-form, halving sum,
     and the printed halving data: x and y of Q (y up to sign), q+ and q-
-    (q- up to a factor 4), and the b-form's a and b."""
+    (q- up to a factor 4), and the b-form's a and b.  r and Q are RatFuncs
+    in lowest terms; ps and Pb are the package's (num, den) pairs."""
     E = mw.family_curve(18)
     ps = fx.infinite_section_k18()
     dcore = Poly([-9, 1]) * Poly([72, -21, 1]) * Poly([18, -15, 1])
     tp = Poly([-21, 1]) * Poly([3, 1])
     yprime = (Poly([QuadElem(0, 1)]) * dcore * Poly([1350, -171, -12, 1])
               * Poly([-216, 369, -42, 1]) * Poly([-486, -486, 351, -36, 1]))
-    hd = {**fx.halving_data(), "xprime": RatFunc(-(dcore ** 2), 3888 * tp ** 2),
+    hd = {"r": RatFunc(*fx.halving_data()["r"]),
+          "xprime": RatFunc(-(dcore ** 2), 3888 * tp ** 2),
           "yprime": RatFunc(yprime, 419904 * tp ** 3),
           "qplus": RatFunc(-(tp ** 2) * Poly([9, -18, 1]), 972),
           "qminus": RatFunc(-243 * Poly([1, -18, 1]) ** 3, tp ** 2),
-          "bform_a": RatFunc(Poly([-3, -108, 330, -36, 1]), 4),
-          "bform_b": RatFunc(Poly([0, 18, -1]))}
+          "bform_a": Poly([-3, -108, 330, -36, 1]) * Fraction(1, 4),
+          "bform_b": Poly([0, 18, -1])}
     Eb = mw.FunctionFieldCurve.from_coeffs(0, hd["bform_a"], 0, hd["bform_b"], 0)
     # Q = Pb + T2 by the chord-tangent law, which checks Pb and T2 on Eb
     Pb = mw.to_completed_square(ps, E)

@@ -4,7 +4,11 @@ torsion multiples and k=3 infinite section it is checked on.
 The package needs no general group law: its only sum, P + (0, 0) on the
 completed square, has the closed form `mwsections.plus_two_torsion`.  This
 is the reference for that form, and the tests' way to form [n]P and
-P + T.
+P + T.  Points here have RatFunc coordinates in lowest terms (`rat` converts
+the package's (num, den) pairs), and the zero section O is (None, None).
+Since lowest terms make den(x) exactly the finite pole part of x,
+`reduced_zero_intersection` counts (P.O) from its degree, the reference for
+`mwsections.zero_intersection`.
 """
 
 from __future__ import annotations
@@ -12,13 +16,29 @@ from __future__ import annotations
 from functools import lru_cache
 
 from k3mahler.exactalg import Poly
-from k3mahler.mwsections import (O, FunctionFieldCurve, SectionPoint,
-                                 verify_on_curve)
+from k3mahler.mwsections import (FunctionFieldCurve, SectionPoint, VerificationError,
+                                 section_height, verify_on_curve)
+from ratfunc import RatFunc, poly_sqrt
+
+O = SectionPoint(None, None)
+
+
+def rat(P: SectionPoint) -> SectionPoint:
+    """P with RatFunc coordinates in lowest terms (O stays O)."""
+    if P == O:
+        return P
+    return SectionPoint(*(c if isinstance(c, RatFunc) else RatFunc(c.num, c.den)
+                          for c in P))
+
+
+def point(x, y) -> SectionPoint:
+    return SectionPoint(RatFunc.coerce(x), RatFunc.coerce(y))
 
 
 def ec_neg(P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
-    if P.is_zero:
+    if P == O:
         return P
+    P = rat(P)
     return SectionPoint(P.x, -P.y - E.a1 * P.x - E.a3)
 
 
@@ -27,13 +47,13 @@ def ec_add(P: SectionPoint, Q: SectionPoint, E: FunctionFieldCurve,
     """Chord-tangent addition in long Weierstrass form."""
     if check:
         for R in (P, Q):
-            if not verify_on_curve(R, E):
+            if R != O and not verify_on_curve(R, E):
                 raise ValueError("point is not on the curve")
-    if P.is_zero:
-        return Q
-    if Q.is_zero:
-        return P
-    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
+    if P == O:
+        return rat(Q)
+    if Q == O:
+        return rat(P)
+    (x1, y1), (x2, y2) = rat(P), rat(Q)
     if x1 == x2:
         if (y1 + y2 + E.a1 * x2 + E.a3).is_zero():
             return O
@@ -50,7 +70,7 @@ def ec_add(P: SectionPoint, Q: SectionPoint, E: FunctionFieldCurve,
 def ec_mul(n: int, P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     if n < 0:
         return ec_mul(-n, ec_neg(P, E), E)
-    if not verify_on_curve(P, E):
+    if P != O and not verify_on_curve(P, E):
         raise ValueError("point is not on the curve")
     result, base = O, P
     while n:
@@ -62,12 +82,33 @@ def ec_mul(n: int, P: SectionPoint, E: FunctionFieldCurve) -> SectionPoint:
     return result
 
 
+def reduced_zero_intersection(P: SectionPoint) -> int:
+    """(P.O) from x in lowest terms: deg(den)/2, den a perfect square (every
+    pole of a section has even order), plus the pole at infinity read in the
+    other chart via x(s) = s^4 x(1/s), when deg(num) - deg(den) > 4."""
+    x = rat(P).x
+    if poly_sqrt(x.den) is None:
+        raise VerificationError("odd pole order in x at a finite place")
+    total = x.den.degree() // 2
+    inf_order = x.num.degree() - x.den.degree() - 4
+    if inf_order > 0:
+        if inf_order % 2:
+            raise VerificationError("odd pole order in x at infinity")
+        total += inf_order // 2
+    return total
+
+
+def height(k: int, P: SectionPoint):
+    """`mwsections.section_height` with (P.O) from `reduced_zero_intersection`."""
+    return section_height(k, P, reduced_zero_intersection(P))
+
+
 @lru_cache(maxsize=None)
 def torsion_multiples(k: int) -> tuple[SectionPoint, ...]:
     """[rho6, 2*rho6, ..., 5*rho6] on family_curve(k), as displayed."""
     rho = Poly([0, -k, 1])  # sigma (sigma - k)
     s1 = Poly([1, -k, 1])
-    return tuple(SectionPoint.affine(x, y) for x, y in
+    return tuple(point(x, y) for x, y in
                  ((-rho, rho * s1), (1, -s1), (0, 0), (1, 0), (-rho, 0)))
 
 
@@ -75,4 +116,4 @@ def torsion_multiples(k: int) -> tuple[SectionPoint, ...]:
 def infinite_section_k3() -> SectionPoint:
     """The infinite section of the k=3 surface, as displayed."""
     s1, s2, s3 = (Poly([-c, 1]) for c in (1, 2, 3))  # sigma - c
-    return SectionPoint.affine(-(s3 * s1 ** 2), s3 * s2 * s1 * Poly([1, -3, 1]))
+    return point(-(s3 * s1 ** 2), s3 * s2 * s1 * Poly([1, -3, 1]))

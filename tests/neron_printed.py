@@ -11,11 +11,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from k3mahler.exactalg import Place, Poly, RatFunc, valuation
+from k3mahler.exactalg import Place, Poly
 from k3mahler.lattices import SURFACES
-from k3mahler.mwsections import (FunctionFieldCurve, SectionPoint, _reciprocal_chart,
-                                 contribution, family_curve, schart_family_curve,
-                                 section_height, verify_on_curve, zero_intersection)
+from k3mahler.mwsections import (FunctionFieldCurve, SectionPoint, contribution,
+                                 family_curve, schart_family_curve, verify_on_curve)
+from grouplaw import O, height, rat, reduced_zero_intersection
+from ratfunc import RatFunc, valuation
 
 S = Poly.x()  # the parameter of a model's chart: s, or sigma
 AT_ZERO = Place.at_root(0)
@@ -64,6 +65,13 @@ LINE_RULES = {
 }
 
 
+def reciprocal_chart(P: SectionPoint) -> SectionPoint:
+    """P in the chart of schart_family_curve(18), x = s^4 x'(1/s) and
+    y = s^6 y'(1/s), in lowest terms."""
+    return SectionPoint(*(c.substitute_reciprocal() * RatFunc(Poly.x(w))
+                          for c, w in zip(rat(P), (4, 6))))
+
+
 def _v(f, place):
     return math.inf if f.is_zero() else valuation(f, place)
 
@@ -71,9 +79,10 @@ def _v(f, place):
 @lru_cache(maxsize=None)
 def neron_model(place: str) -> FunctionFieldCurve:
     """Neron's model at a node, derived (in the s-chart a_i picks up s^(2i))
-    and checked against its printed form and Neron's pattern for I_m."""
+    and checked against its printed form and Neron's pattern for I_m; the
+    printed form is returned, with polynomial coefficients."""
     reciprocal, change, printed, _ = NODE_RULES[place]
-    E = family_curve(18)
+    E = FunctionFieldCurve(*map(RatFunc, family_curve(18)))
     if reciprocal:
         E = FunctionFieldCurve(*(a.substitute_reciprocal() * RatFunc(Poly.x(2 * i))
                                  for i, a in zip((1, 2, 3, 4, 6), E)))
@@ -84,13 +93,13 @@ def neron_model(place: str) -> FunctionFieldCurve:
     v = lambda f: valuation(f, AT_ZERO)  # noqa: E731
     assert (v(b2), v(E.a6), 3 * v(b2 * b2 - 24 * b4) - v(disc)) == (0, m, -m)
     assert min(v(E.a3), v(E.a4)) > m // 2
-    return E
+    return printed
 
 
 @lru_cache(maxsize=None)
 def beauville_coords(P: SectionPoint) -> tuple[RatFunc, RatFunc, RatFunc]:
     """[X:Y:Z] = [-y - a1 x : y : x + (s^2 - 18s)] on the Beauville cubic."""
-    a1 = family_curve(18).a1
+    a1, P = family_curve(18).a1, rat(P)
     X, Y, Z = -P.y - a1 * P.x, P.y, P.x + RatFunc(Poly([0, -18, 1]))
     assert ((X + Y) * (X + Z) * (Y + Z) + a1 * X * Y * Z).is_zero()
     return X, Y, Z
@@ -99,11 +108,11 @@ def beauville_coords(P: SectionPoint) -> tuple[RatFunc, RatFunc, RatFunc]:
 def neron_component(place: str, P: SectionPoint) -> tuple[int, dict]:
     """(j, the facts read): the component P meets on a fiber of SURFACES[18]."""
     m = FIBER_M[place]
-    if m == 1 or P.is_zero:
+    if m == 1 or P == O:
         return 0, {}
     if place in NODE_RULES:
         reciprocal, change, _, (b, c, d) = NODE_RULES[place]
-        (u, r, s, t), Q = change, _reciprocal_chart(P) if reciprocal else P
+        (u, r, s, t), Q = change, reciprocal_chart(P) if reciprocal else rat(P)
         Q = SectionPoint((Q.x - r) / u ** 2, (Q.y - s * (Q.x - r) - t) / u ** 3)
         assert verify_on_curve(Q, neron_model(place)), f"the section left the {place} model"
         facts = {"v(X)": _v(Q.x, AT_ZERO), "v(Y)": _v(Q.y, AT_ZERO)}
@@ -126,9 +135,9 @@ def compare_with_rule(sections) -> list[Fraction]:
     each the same height, and each component up to j <-> m - j."""
     heights = []
     for P in sections:
-        h, readings = section_height(18, P)
+        h, readings = height(18, P)
         comps = {r.place: neron_component(r.place, P)[0] for r in readings}
-        assert h == 4 + 2 * zero_intersection(P) - sum(
+        assert h == 4 + 2 * reduced_zero_intersection(P) - sum(
             contribution(FIBER_M[p], j) for p, j in comps.items()), (h, comps)
         assert all(comps[r.place] in (r.component, r.m - r.component)
                    for r in readings), (readings, comps)

@@ -310,7 +310,8 @@ class TestSectionReport:
     def test_k18_halving_checks_r_squared(self, capsys, monkeypatch):
         # with 2r for r every q keeps a witness: only x(Q) = r^2 catches it
         hd = fx.halving_data()
-        monkeypatch.setattr(fx, "halving_data", lambda: {**hd, "r": 2 * hd["r"]})
+        r = hd["r"]._replace(num=2 * hd["r"].num)
+        monkeypatch.setattr(fx, "halving_data", lambda: {**hd, "r": r})
         code, out = run(capsys, ["verify", "--k", "18", "--json"])
         sub = {c["name"]: c for c in json.loads(out)["subchecks"]}["halving-obstruction"]
         assert code == 1 and sub["pass"] is False and None not in sub["witness"].values()

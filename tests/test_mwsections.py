@@ -2,6 +2,7 @@
 intersections, Neron components, and the canonical height."""
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,17 +13,20 @@ import pytest
 from k3mahler import fixtures as fx
 from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
-from k3mahler.exactalg import (Place, Poly, QuadElem, RatFunc, is_square_quad,
-                               valuation)
+from k3mahler.exactalg import Place, Poly, QuadElem, is_square_quad
 from k3mahler.lattices import SURFACES, FiberEntry, ns_determinant
 import neron_printed as npr
-from grouplaw import ec_add, ec_mul, ec_neg, infinite_section_k3, torsion_multiples
+from grouplaw import (O, ec_add, ec_mul, ec_neg, height, infinite_section_k3, point, rat,
+                      reduced_zero_intersection, torsion_multiples)
+import ratfunc
+from ratfunc import RatFunc
 
 
 def from_completed_square(P, E):
     """Inverse of mw.to_completed_square."""
-    if P.is_zero:
+    if P == O:
         return P
+    P = rat(P)
     return mw.SectionPoint(P.x, P.y - (E.a1 * P.x + E.a3) * Fraction(1, 2))
 
 
@@ -81,11 +85,11 @@ def twist_push(P, E, tw, root=None):
     """Map E -> twisted curve: x' = d x_cs, Y' = d sqrt(d) Y_cs (cs = completed
     square).  root picks the branch of sqrt(d); the two branches differ by
     composition with [-1]."""
-    if P.is_zero:
+    if P == O:
         return P
     sd = tw._root(root)
     d = tw.d
-    Pc = mw.to_completed_square(P, E)
+    Pc = rat(mw.to_completed_square(P, E))
     xs = d * Pc.x
     Ys = (d * sd) * Pc.y
     return from_completed_square(mw.SectionPoint(xs, Ys), tw.curve)
@@ -93,11 +97,11 @@ def twist_push(P, E, tw, root=None):
 
 def twist_pull(P, E, tw, root=None):
     """Inverse of twist_push (twisted curve -> E)."""
-    if P.is_zero:
+    if P == O:
         return P
     sd = tw._root(root)
     d = tw.d
-    Pc = mw.to_completed_square(P, tw.curve)
+    Pc = rat(mw.to_completed_square(P, tw.curve))
     xs = Pc.x / d
     Ys = Pc.y / (d * sd)
     return from_completed_square(mw.SectionPoint(xs, Ys), E)
@@ -110,7 +114,7 @@ def curves_isomorphic_by_scaling(E1, E2) -> bool:
     b2b, b4b, b6b, _ = E2.invariants()
     if b2a.is_zero():
         raise ValueError("scaling test requires b2 != 0")
-    ratio = b2b / b2a
+    ratio = RatFunc(b2b, b2a)
     if not ratio.is_constant():
         return False
     c = ratio.constant()
@@ -121,7 +125,7 @@ def curves_isomorphic_by_scaling(E1, E2) -> bool:
 
 def y6_torsion_point():
     """The order-6 point (s^2 (6s - 1), 0) of the k=6 model in the s-chart."""
-    return mw.SectionPoint.affine(Poly([0, 0, -1, 6]), Poly([]))
+    return point(Poly([0, 0, -1, 6]), Poly([]))
 
 
 class TestGroupLaw:
@@ -132,7 +136,7 @@ class TestGroupLaw:
         for i in range(1, 6):
             assert P == tor[i - 1], f"[{i}]rho6 mismatch"
             P = ec_add(P, tor[0], E, check=False)
-        assert P.is_zero  # [6]rho6 = O
+        assert P == O  # [6]rho6 = O
 
     def test_printed_torsion_multiples_k3(self):
         E = mw.family_curve(3)
@@ -141,15 +145,15 @@ class TestGroupLaw:
         for i in range(1, 6):
             assert P == tor[i - 1], f"[{i}]rho6 mismatch"
             P = ec_add(P, tor[0], E, check=False)
-        assert P.is_zero
+        assert P == O
 
     def test_ec_mul_matches_table(self):
         E = mw.family_curve(18)
         tor = torsion_multiples(18)
         assert ec_mul(3, tor[0], E) == tor[2]          # (0, 0)
         assert ec_mul(2, tor[0], E) == tor[1]
-        assert tor[2] == mw.SectionPoint.affine(0, 0)
-        assert ec_mul(6, tor[0], E).is_zero
+        assert tor[2] == point(0, 0)
+        assert ec_mul(6, tor[0], E) == O
 
     def test_negative_multiplication(self):
         E = mw.family_curve(18)
@@ -159,7 +163,7 @@ class TestGroupLaw:
 
     def test_associativity_and_commutativity(self):
         E = mw.family_curve(18)
-        tor = [mw.O, *torsion_multiples(18)]
+        tor = [O, *torsion_multiples(18)]
         rng = random.Random(31)
         pts = tor + [fx.infinite_section_k18()]
         for _ in range(12):
@@ -175,7 +179,7 @@ class TestGroupLaw:
 
     def test_off_curve_rejected(self):
         E = mw.family_curve(18)
-        bogus = mw.SectionPoint.affine(1, 1)
+        bogus = point(1, 1)
         with pytest.raises(ValueError, match="not on the curve"):
             ec_add(bogus, bogus, E)
 
@@ -183,12 +187,11 @@ class TestGroupLaw:
         assert mw.verify_on_curve(k18["ps"], k18["E"])
         assert mw.verify_on_curve(k18["pm3"], k18["twist_curve"])
         cubic = mw.FunctionFieldCurve.from_coeffs(0, 0, 0, 0, 1)
-        assert mw.verify_on_curve(mw.SectionPoint.affine(0, 1), cubic)
-        assert mw.verify_on_curve(mw.O, cubic)
+        assert mw.verify_on_curve(point(0, 1), cubic)
         # a model with a non-polynomial coefficient is refused, not checked
-        pole = mw.FunctionFieldCurve.from_coeffs(0, 0, 0, RatFunc(1, Poly.x()), 1)
+        pole = mw.FunctionFieldCurve(Poly(), Poly(), Poly(), RatFunc(1, Poly.x()), Poly([1]))
         with pytest.raises(ValueError, match="not polynomials"):
-            mw.verify_on_curve(mw.SectionPoint.affine(0, 1), pole)
+            mw.verify_on_curve(point(0, 1), pole)
 
     def test_k3_infinite_section(self):
         E = mw.family_curve(3)
@@ -201,11 +204,11 @@ class TestGroupLaw:
         T = y6_torsion_point()
         assert mw.verify_on_curve(T, E)
         multiples = [ec_mul(n, T, E) for n in range(1, 7)]
-        assert all(not P.is_zero for P in multiples[:5])
-        assert multiples[5].is_zero
+        assert all(P != O for P in multiples[:5])
+        assert multiples[5] == O
         two = ec_mul(2, T, E)
-        assert ec_mul(3, T, E) == mw.SectionPoint.affine(0, 0)  # 2-torsion
-        assert not two.is_zero
+        assert ec_mul(3, T, E) == point(0, 0)  # 2-torsion
+        assert two != O
 
 
 def _reduce(c, p, w):
@@ -259,7 +262,7 @@ class TestNontorsion:
         # [n]P != O for n <= 6 from [2]P and [3]P alone: [n]P = O iff
         # [a]P = -[b]P for some a + b = n with a, b in {1, 2, 3}
         E, P = mw.family_curve(3), infinite_section_k3()
-        assert not P.is_zero
+        assert P != O
         P2, P3 = ec_mul(2, P, E), ec_mul(3, P, E)
         for a, b in ((P, P), (P2, P), (P2, P2), (P2, P3), (P3, P3)):
             assert a != ec_neg(b, E)
@@ -267,14 +270,13 @@ class TestNontorsion:
     def test_torsion_points_flagged(self):
         cases = [(T, mw.family_curve(3)) for T in torsion_multiples(3)]
         cases += [(T, mw.family_curve(18)) for T in torsion_multiples(18)]
-        cases += [(y6_torsion_point(), mw.schart_family_curve(6)),
-                  (mw.O, mw.family_curve(18))]
+        cases += [(y6_torsion_point(), mw.schart_family_curve(6))]
         for P, E in cases:
             assert mw.verify_nontorsion(P, E) is None, P
 
     def test_off_curve_rejected(self):
         with pytest.raises(ValueError, match="not on the curve"):
-            mw.verify_nontorsion(mw.SectionPoint.affine(1, 1), mw.family_curve(18))
+            mw.verify_nontorsion(point(1, 1), mw.family_curve(18))
 
 
 class TestTwist:
@@ -306,12 +308,12 @@ class TestTwist:
     def test_transport_of_sections(self, k18):
         E, tw_curve = k18["E"], k18["twist_curve"]
         tw = quadratic_twist(E, -3)
-        ps, pm3 = k18["ps"], k18["pm3"]
+        ps, pm3 = k18["ps"], rat(k18["pm3"])
         # the canonical root lands on -p_sigma; the other branch on p_sigma
         back = twist_pull(pm3, E, tw)
         assert back == ec_neg(ps, E)
         back2 = twist_pull(pm3, E, tw, root=-tw.sqrt_d)
-        assert back2 == ps
+        assert back2 == rat(ps)
         assert twist_push(ps, E, tw, root=-tw.sqrt_d) == pm3
         assert mw.verify_on_curve(back, E)
         # round trip
@@ -346,20 +348,20 @@ class TestCompleteSquare:
         for P in (*torsion_multiples(18), k18["ps"]):
             Pb = mw.to_completed_square(P, E)
             assert mw.verify_on_curve(Pb, Eb)
-            assert from_completed_square(Pb, E) == P
+            assert from_completed_square(Pb, E) == rat(P)
 
     def test_closed_form_translation(self, k18):
         # (x, y) + (0, 0) = (b/x, -b y/x^2) is the chord-tangent sum, for
         # p_sigma and each torsion point with x != 0
         E, Eb = k18["E"], k18["Eb"]
         T2 = mw.to_completed_square(torsion_multiples(18)[2], E)
-        assert T2 == mw.SectionPoint.affine(0, 0)
-        points = [P for P in (k18["ps"], *torsion_multiples(18)) if not P.x.is_zero()]
+        assert rat(T2) == point(0, 0)
+        points = [P for P in (k18["ps"], *torsion_multiples(18)) if not P.x.num.is_zero()]
         assert len(points) == 5
         for P in points:
             Pb = mw.to_completed_square(P, E)
-            assert mw.plus_two_torsion(Pb, Eb.a4) == ec_add(Pb, T2, Eb)
-        assert mw.plus_two_torsion(k18["Pb"], Eb.a4) == k18["Q"]
+            assert rat(mw.plus_two_torsion(Pb, Eb.a4)) == ec_add(Pb, T2, Eb)
+        assert rat(mw.plus_two_torsion(k18["Pb"], Eb.a4)) == k18["Q"]
 
 
 def halving_witnesses(k18, r=None):
@@ -411,39 +413,61 @@ class TestHalving:
     def test_hypothesis_violations(self, k18):
         # y^2 = x(x+1)(x+4): a^2 - 4b = 9 is a square, so the obstruction fails
         bad = mw.FunctionFieldCurve.from_coeffs(0, 5, 0, 4, 0)
-        P = mw.SectionPoint.affine(2, 6)
+        P = point(2, 6)
         assert mw.halving_witnesses(P, RatFunc(1), bad)[1]["a^2-4b"] is None
-        # off the curve, at x = 0 or both; the zero section; (0, 0) itself
-        for P in (mw.SectionPoint.affine(1, 1), mw.SectionPoint.affine(0, 1), mw.O,
-                  torsion_multiples(18)[2]):
+        # off the curve, at x = 0 or both; (0, 0) itself
+        for P in (point(1, 1), point(0, 1), torsion_multiples(18)[2]):
             with pytest.raises(ValueError, match="not an affine point"):
                 mw.halving_witnesses(P, RatFunc(1), k18["E"])
         # y^2 = x^3 + 1 has no 2-torsion point at x = 0
         with pytest.raises(ValueError, match="not in the form"):
-            mw.halving_witnesses(mw.SectionPoint.affine(2, 3), RatFunc(1),
+            mw.halving_witnesses(point(2, 3), RatFunc(1),
                                  mw.FunctionFieldCurve.from_coeffs(0, 0, 0, 0, 1))
 
 
 class TestIntersections:
     def test_psigma(self, k18):
-        assert mw.zero_intersection(k18["ps"]) == 5
+        assert mw.zero_intersection(k18["ps"], fx.pole_places()) == 5
+        assert reduced_zero_intersection(k18["ps"]) == 5
 
     def test_torsion_sections(self):
         for P in torsion_multiples(18):
-            assert mw.zero_intersection(P) == 0
+            assert mw.zero_intersection(P, ()) == 0 == reduced_zero_intersection(P)
 
     def test_low_degree_polynomial_sections(self):
-        P = mw.SectionPoint.affine(Poly([1, 2, 0, 1, 1]), 0)  # deg 4 in x
-        assert mw.zero_intersection(P) == 0
+        P = point(Poly([1, 2, 0, 1, 1]), 0)  # deg 4 in x
+        assert mw.zero_intersection(P, ()) == 0 == reduced_zero_intersection(P)
 
     def test_odd_pole_rejected(self):
         sigma = Poly.x()
+        places = (Place.at_root(0), Place.at_root(1))
         # a simple pole; a double pole next to a simple one; two simple poles
         # under an even-degree monic denominator
         for den in (sigma, sigma ** 2 * (sigma - 1), sigma * (sigma - 1)):
-            P = mw.SectionPoint.affine(RatFunc(1, den), 0)
+            P = point(RatFunc(1, den), 0)
             with pytest.raises(mw.VerificationError, match="odd pole"):
-                mw.zero_intersection(P)
+                mw.zero_intersection(P, places)
+            with pytest.raises(mw.VerificationError, match="odd pole"):
+                reduced_zero_intersection(P)
+        # a double pole at sigma = 2, off the places given
+        with pytest.raises(mw.VerificationError, match="off the given places"):
+            mw.zero_intersection(point(RatFunc(1, (sigma - 2) ** 2), 0), places)
+
+    def test_unreduced_pair(self, k18):
+        # x and y times h/h, for h with roots at sigma = 1 and 9 (9 a pole of
+        # x) and a factor at the I3 place: (P.O) and every fiber reading are
+        # those of the reduced pair
+        ps, places = k18["ps"], fx.pole_places()
+        h = Poly([-1, 1]) * Poly([-9, 1]) * Poly([1, -18, 1])
+        unreduced = mw.SectionPoint(*(mw.PolyRatio(c.num * h, c.den * h) for c in ps))
+        with pytest.raises(TypeError):  # a pair has no arithmetic, not even tuple's
+            2 * ps.x
+        assert mw.zero_intersection(unreduced, places) == 5
+        assert mw.section_height(18, unreduced, 5) == mw.section_height(18, ps, 5)
+        # a third factor sigma - 9 in den(x): a pole of order 3
+        odd = mw.SectionPoint(mw.PolyRatio(ps.x.num * h, ps.x.den * h * Poly([-9, 1])), ps.y)
+        with pytest.raises(mw.VerificationError, match="odd pole"):
+            mw.zero_intersection(odd, places)
 
     def test_contribution(self):
         assert mw.contribution(12, 6) == 3
@@ -451,6 +475,20 @@ class TestIntersections:
         assert mw.contribution(5, 0) == 0
         with pytest.raises(ValueError):
             mw.contribution(3, 3)
+
+
+def ratfunc_readings(k: int, P) -> list:
+    """v(x), v(psi2) and v(dF/dx) at each distinct fiber place of SURFACES[k],
+    in the order `mw.section_height` reads them, from the RatFunc forms: the
+    functions formed by field arithmetic in lowest terms."""
+    out = []
+    for place, schart in dict.fromkeys(mw._fiber_places(k, SURFACES[k].fibers)):
+        E, (u, v) = mw.family_curve(k), rat(P)
+        if schart:
+            E, (u, v) = mw.schart_family_curve(k), npr.reciprocal_chart(P)
+        for f in (u, 2 * v + E.a1 * u + E.a3, 3 * u * u + 2 * E.a2 * u + E.a4 - E.a1 * v):
+            out.append(math.inf if f.is_zero() else ratfunc.valuation(f, place))
+    return out
 
 
 @functools.cache
@@ -493,9 +531,9 @@ class TestNeronComponents:
         # per section and gives both entries that reading
         i3 = Place.finite(Poly([1, -18, 1]))
         mw._fiber_places(18, SURFACES[18].fibers)
-        seen = []
+        seen, valuation = [], mw.valuation
         monkeypatch.setattr(mw, "valuation", lambda f, pl: seen.append(pl) or valuation(f, pl))
-        _, readings = mw.section_height(18, k18["ps"])
+        _, readings = mw.section_height(18, k18["ps"], 5)
         assert seen.count(i3) == 3  # x, psi2 and dF/dx
         a, b = (r for r in readings if r.place in ("alpha1", "beta1"))
         assert a._replace(place="beta1") == b
@@ -521,18 +559,18 @@ class TestFiberRecord:
                        for f in SURFACES[18].fibers if change.get(f.place, f))
         monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(fibers=fibers))
         with pytest.raises(mw.VerificationError, match=match):
-            mw.section_height(18, k18["ps"])
+            mw.section_height(18, k18["ps"], 5)
 
 
 class TestHeight:
     def test_fibers_are_the_surface_record(self, k18):
-        h, readings = mw.section_height(18, k18["ps"])
+        h, readings = height(18, k18["ps"])
         assert [(r.place, r.m, r.component) for r in readings] == \
             [(f.place, f.m, f.j) for f in SURFACES[18].fibers]
         assert h == SURFACES[18].height
 
     def test_psigma_height(self, k18):
-        h, readings = mw.section_height(18, k18["ps"])
+        h, readings = height(18, k18["ps"])
         assert h == 10
         assert {r.place: r.component for r in readings} == {
             "s=0": 6, "s=inf": 1, "s=1/18": 1,
@@ -541,8 +579,8 @@ class TestHeight:
         assert Fraction(26, 3) <= h <= 14
 
     def test_breakdown(self, k18):
-        h, readings = mw.section_height(18, k18["ps"])
-        total = Fraction(2 * 2) + 2 * mw.zero_intersection(k18["ps"])
+        h, readings = height(18, k18["ps"])
+        total = Fraction(2 * 2) + 2 * mw.zero_intersection(k18["ps"], fx.pole_places())
         total -= sum(mw.contribution(r.m, r.component) for r in readings)
         assert total == h == 10
         # the witness: (m, v(psi2), v(dF/dx), M) at the I12 and I2 fibers
@@ -550,37 +588,55 @@ class TestHeight:
                                                         (2, 1, 1, 1)]
 
     def test_multiples_and_torsion_shifts(self, k18):
-        assert mw.section_height(18, ec_mul(2, k18["ps"], k18["E"]))[0] == 40
-        assert [mw.section_height(18, P)[0] for P in multiples_and_shifts(1)] == [10] * 6
+        assert height(18, ec_mul(2, k18["ps"], k18["E"]))[0] == 40
+        assert [height(18, P)[0] for P in multiples_and_shifts(1)] == [10] * 6
+
+    def test_pair_readings_match_ratfunc(self, k18, monkeypatch):
+        # p_sigma, [2]p_sigma and p_sigma + T for the torsion T with x != 0:
+        # every order section_height reads from (num, den) pairs is the
+        # order of the same function in lowest terms
+        E, ps = k18["E"], k18["ps"]
+        sections = [ps, ec_mul(2, ps, E), *(ec_add(ps, T, E) for T in torsion_multiples(18)
+                                            if not T.x.is_zero())]
+        assert len(sections) == 6
+        read, valuation = [], mw.valuation
+
+        def spy(f, place):
+            read.append(valuation(f, place))
+            return read[-1]
+        monkeypatch.setattr(mw, "valuation", spy)
+        for P in sections:
+            read.clear()
+            mw.section_height(18, P, reduced_zero_intersection(P))
+            # x, psi2 and dF/dx at the 5 distinct places of the 7 fibers
+            assert len(read) == 15 and read == ratfunc_readings(18, P), P
 
     def test_torsion_heights_vanish(self):
-        assert [mw.section_height(k, P)[0]
+        assert [height(k, P)[0]
                 for k in (3, 18) for P in torsion_multiples(k)] == [0] * 10
         # (0, 0) = [3]rho6: psi2 and a3 vanish identically, v = +infinity
-        _, readings = mw.section_height(18, mw.SectionPoint.affine(0, 0))
+        _, readings = height(18, point(0, 0))
         assert readings[0] == ("s=0", 12, None, 6, 6)
 
     def test_k3_section(self):
         E, P = mw.family_curve(3), infinite_section_k3()
-        h, readings = mw.section_height(3, P)
+        h, readings = height(3, P)
         assert h == Fraction(5, 4)
         assert {r.place: r.component for r in readings} == {
             "s=0": 1, "s=inf": 0, "s=1/3": 1,
             "alpha1": 1, "beta1": 1, "alpha2": 0, "beta2": 0}
-        assert mw.section_height(3, ec_mul(2, P, E))[0] == 5
+        assert height(3, ec_mul(2, P, E))[0] == 5
         # |det NS| = 432 h / 6^2 = 15 = |det T|: <P, torsion> is all of MW
         assert abs(ns_determinant(1, 432, h, 6)) == 15 == SURFACES[3].level
 
     def test_generator_chain(self, k18):
         # h = 10 plus the two halving obstructions certify a generator
-        h, _ = mw.section_height(18, k18["ps"])
+        h, _ = height(18, k18["ps"])
         assert h == 10
         square, wits = halving_witnesses(k18)
         assert square and None not in wits.values()
         assert k18["halving"]["r"] ** 2 == k18["Q"].x
 
-    def test_zero_section_rejected(self):
-        with pytest.raises(ValueError):
-            mw.section_height(18, mw.O)
+    def test_off_curve_rejected(self):
         with pytest.raises(ValueError, match="not on the curve"):
-            mw.section_height(18, mw.SectionPoint.affine(1, 1))
+            mw.section_height(18, point(1, 1), 0)
