@@ -106,8 +106,8 @@ def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
             mism[p] = (ap, *refs)
     # a scan that reached no prime has checked nothing
     return _subcheck(f"A_p-vs-newform-level-{surf.level}", bool(aps) and not mism,
-                     "fiber point counts vs form-series coefficients and the "
-                     "embedded twisted table",
+                     "torus point counts of the surface vs form-series "
+                     "coefficients and the embedded twisted table",
                      primes=sorted(aps), mismatches=mism,
                      values={str(p): aps[p] for p in sorted(aps)})
 
@@ -296,7 +296,7 @@ def cmd_ap(args) -> int:
     payload = {"input": {"k": args.k, "pmax": args.pmax},
                "value": {str(p): v for p, v in sorted(aps.items())},
                "error_bound": 0,
-               "provenance": "Weierstrass fiber scan over P^1(F_p)"}
+               "provenance": "torus point count of x + 1/x + y + 1/y + z + 1/z = k over F_p"}
     _emit(args, payload, "  ".join(f"A_{p}={v}" for p, v in sorted(aps.items())))
     return 0
 

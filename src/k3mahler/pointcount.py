@@ -1,20 +1,15 @@
-"""Finite-field point counting on the fibers of the K3 pencil and assembly of
-the transcendental L-coefficients A_p.
+"""Finite-field point counts on the paper's K3 surface and the transcendental
+L-coefficients A_p.
 
-A_p is assembled from the Weierstrass fibers over all s in P^1(F_p),
-singular fibers included.  With u = s^2 - ks each fiber's value is
-a_p(s) = -chi(A) H(-u/A^2), A = (u^2+6u-3)/4, read from one table
-H(r) = sum_y chi(y(y^2+y+r)), a cyclic convolution with the Legendre symbol;
-at most two fibers with A = 0 are summed directly, at p = 1 mod 12 only and
-over half of F_p.  u is even in s - k/2, so (p + 3)/2 values, weighted 1, 2,
-..., 2, 1, give all p + 1 fibers of one prime in O(p log p) (`_half_table`):
-below _NUMPY_FROM by one exact big-integer (Kronecker) product and a few list
-passes over the squares mod p in pure Python, from there on by one numpy FFT,
-whose rounding is checked.  _NUMPY_FROM is the break-even prime where the pure
+A_p is read from N_k(p), the number of points of x + 1/x + y + 1/y + z + 1/z
+= k on the torus (F_p^*)^3, in closed form (see `A_p`).  With w(a) =
+#{x in F_p^* : x + 1/x = a} = 1 + chi(a^2 - 4), N_k(p) = sum_c w(c)
+(w * w)(k - c): one cyclic self-convolution and one dot product per prime,
+in O(p log p).  Below _NUMPY_FROM the convolution is one exact big-integer
+(Kronecker) square in pure Python, from there on one numpy FFT, whose
+rounding is checked.  _NUMPY_FROM is the break-even prime where the pure
 kernel's extra time first exceeds numpy's import; scans below it skip numpy.
-
-A_p = -sum_s a_p(s) for rank 0, with an extra -(d/p) p for rank 1 when the
-infinite section lives over Q(sqrt(d)); `A_p` alone tests p for primality."""
+`A_p` alone tests p for primality."""
 
 from __future__ import annotations
 
@@ -22,7 +17,7 @@ import math
 import sys
 from array import array
 from collections.abc import Iterable
-from operator import add
+from operator import itemgetter, mul
 
 from .lattices import SURFACES
 
@@ -68,10 +63,13 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, via the Euler criterion."""
     if p == 2 or not is_prime(p):
         raise ValueError("legendre requires an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+    return _euler(a, p)
+
+
+def _euler(a: int, p: int) -> int:
+    """(a/p) by Euler's criterion, for an odd prime p the caller has checked."""
+    e = pow(a, (p - 1) // 2, p)
+    return e - p if e > 1 else e
 
 
 def _legendre_table(p: int):
@@ -86,158 +84,79 @@ def _legendre_table(p: int):
 
 
 # ---------------------------------------------------------------------------
-# Fiber scan
+# Torus count
 # ---------------------------------------------------------------------------
 
-# Primes below this are scanned in pure Python, the rest by numpy's FFT: the
+# Primes below this are counted in pure Python, the rest by numpy's FFT: the
 # break-even prime, where the pure kernel's extra time over all smaller primes
 # first exceeds numpy's import (measured in CHANGES.md).
-_NUMPY_FROM = 2450
+_NUMPY_FROM = 3315
 
 
-def _fiber_sum(k: int, p: int) -> int:
-    """sum_s a_p(s) over P^1(F_p): the half table weighted 1, 2, ..., 2, 1."""
-    half = _half_table(k, p)
-    total = half.sum() if p >= _NUMPY_FROM else sum(half)
-    return int(2 * total - half[0] - half[-1])
+def _torus_count(k: int, p: int) -> int:
+    """N_k(p) = #{(x, y, z) in (F_p^*)^3 : x + 1/x + y + 1/y + z + 1/z = k}
+    for an odd prime p that the caller has checked; raises where p | k,
+    where the count does not give A_p (see `A_p`).
+
+    With w(a) = #{x in F_p^* : x + 1/x = a} = 1 + chi(a^2 - 4), the roots
+    of x^2 - ax + 1, N_k(p) = sum_{a+b+c=k} w(a) w(b) w(c) = sum_c w(c)
+    (w * w)(k - c): one cyclic self-convolution and one dot product, in
+    O(p log p) time and O(p) memory per prime, in pure Python below
+    _NUMPY_FROM and by numpy from there on."""
+    if k % p == 0:
+        raise ValueError(f"p={p} divides k={k}")
+    return (_torus_count_fft if p >= _NUMPY_FROM else _torus_count_small)(k % p, p)
 
 
-def _half_table(k: int, p: int):
-    """a_p(s) = p + 1 - #(Weierstrass fiber) at s = k/2 + t for t = 0..(p-1)/2,
-    then at s = infinity, for a prime p > 3 that the caller has checked.
+def _torus_count_small(k: int, p: int) -> int:
+    """_torus_count in pure Python, for 0 < k < p < 16384.
 
-    The fibers are y^2 + (s^2-ks+1)xy = x(x-1)(x+s^2-ks) for s in F_p, plus
-    the s = infinity fiber read in the reciprocal chart.  Singular fibers are
-    counted on the (one-component) Weierstrass model; this is the convention
-    that reproduces the published A_p tables.
-
-    With u = s^2 - ks the completed square is (2y + (u+1)x)^2 = f_s(x),
-    f_s(x) = 4x^3 + (u^2+6u-3)x^2 - 4ux, so a_p(s) = -G(u) with
-    G(u) = sum_x chi(x^3 + A x^2 + B x), A = (u^2+6u-3)/4, B = -u.  For
-    A != 0 the substitution x = A y gives G(u) = chi(A) H(B/A^2), where
-    H(r) = sum_y chi(y (y^2 + y + r)) is one table for all fibers (see
-    `_cubic_character_list`).  At the at most two roots of A (they exist
-    when p = +-1 mod 12) G(u) is summed directly (`_cubic_sum`).  The
-    s = infinity fiber, 4x^3 + x^2 = 4(x^3 + x^2/4), is the case A = 1/4,
-    B = 0, so its value is -H(0).  Every step is a bijection of F_p or a
-    factorisation of the same character sum, so the values are exact on
-    singular fibers too.  u = t^2 - k^2/4 is even in t, so s = k/2 +- t
-    share a value.  O(p log p) time and O(p) memory per prime: a list in
-    pure Python below _NUMPY_FROM, an array from numpy from there on."""
-    return (_half_table_fft if p >= _NUMPY_FROM else _half_table_small)(k, p)
-
-
-def _half_table_small(k: int, p: int) -> list[int]:
-    """_half_table in pure Python, for p < 8192 (see `_cubic_character_list`)."""
+    w is even, so it is chi + 1 read at the squares a^2, a = 0..(p-1)/2,
+    shifted by 4, then mirrored.  One exact integer (Kronecker) square of w
+    in 16-bit slots, folded mod p in the integer, gives w * w: a folded slot
+    sums p products of at most 2 * 2, and 4p < 2^16, so none carries."""
+    if p >= 16384:
+        raise ValueError(f"p={p}: w * w overflows 16-bit slots from p = 16384")
     m = p // 2
     sq = [t * t % p for t in range(m + 1)]
     chi1 = bytearray(p)             # chi + 1
     for s in sq:
         chi1[s] = 2
     chi1[0] = 1
-    Hn = _cubic_character_list(p, chi1, sq)     # H + 2p
-    inv = [0, 1] + [0] * (m - 1)    # inv[i] = 1/i mod p for i <= (p-1)/2
-    for i in range(2, m + 1):
-        inv[i] = -(p // i) * inv[p % i] % p
-    isq = [v * v % p for v in inv]  # 1/i^2, even in i
-    isq += isq[:0:-1]
-    c = (k * (m + 1)) ** 2 % p      # (k/2)^2, so u = t^2 - c
-    c6, c16, p2 = 6 - c, 16 * c, 2 * p
-    # 4A = u^2 + 6u - 3: chi(4A) = chi(A), -u/A^2 = 16(c - t^2)/(4A)^2;
-    # at 4A = 0 the factor 1 - chi1[0] is 0
-    a4 = [((s - c) * (s + c6) - 3) % p for s in sq]
-    half = [(1 - chi1[a]) * (Hn[(c16 - 16 * s) * isq[a] % p] - p2) for s, a in zip(sq, a4)]
-    if p % 12 == 1:     # 4A has roots only at p = +-1 mod 12, G = 0 at 11
-        for t, a in enumerate(a4):
-            if not a:   # y^2 = x^3 - ux is smooth: u = 0 would make 4A = -3
-                half[t] = -_cubic_sum((sq[t] - c) % p, p, chi1)
-    return half + [p2 - Hn[0]]
-
-
-def _cubic_sum(u: int, p: int, chi1) -> int:
-    """G(u) = sum_x chi(x^3 - ux), the fiber sum where A = 0, from chi + 1.
-
-    x -> -x gives G = chi(-1) G: G is 0 at p = 3 mod 4, and twice the sum
-    over x = 1..(p-1)/2 at p = 1 mod 4."""
-    if p % 4 == 3:
-        return 0
-    return 2 * sum([chi1[(x * x - u) * x % p] for x in range(1, (p + 1) // 2)]) - (p - 1)
-
-
-def _cubic_character_list(p: int, chi1, sq: list[int]) -> list[int]:
-    """H[r] + 2p, H[r] = sum_y chi(y (y^2 + y + r)), for every r in F_p, from
-    chi1 = chi + 1 and sq[z] = z^2 for z = 0..(p-1)/2; for p < 8192.
-
-    With z = y + 1/2, H(r) = sum_v g(v) chi(v + r - 1/4), where g(z^2) =
-    chi(z - 1/2) + chi(-z - 1/2), g(0) = chi(-1/2) and g = 0 off the squares:
-    the cyclic convolution of g(-v) with chi(x - 1/4).  As -1/2 = (p-1)/2,
-    g + 2 at z^2 is a sum of two slices of chi1.  One exact integer (Kronecker)
-    product of g(-v) + 2 and chi(x - 1/4) + 1 in 16-bit slots, folded mod p in
-    the integer, gives it: a folded slot sums p products of at most
-    4 * 2 < 2^16 / p, so none carries, and as sum g = sum chi = 0 it is H + 2p.
-    """
-    m = p // 2
-    g = bytearray(b"\2") * p
-    for s, v in zip(sq, map(add, chi1[m:], chi1[m::-1])):
-        g[s] = v
-    g[0] = chi1[m] + 1
+    chi1 = chi1[-4 % p:] + chi1[:-4 % p]    # chi(s - 4) + 1 at s
+    w = bytes(itemgetter(*sq)(chi1))
+    w += w[:0:-1]
     slots = bytearray(2 * p)        # little-endian 16-bit slots
-    slots[0], slots[2::2] = g[0], g[:0:-1]
-    a = int.from_bytes(slots, "little")
-    j = pow(4, -1, p)
-    slots[::2] = chi1[-j:] + chi1[:-j]
-    c = a * int.from_bytes(slots, "little")
-    slots = array("H", ((c & ((1 << 16 * p) - 1)) + (c >> 16 * p)).to_bytes(2 * p, "little"))
+    slots[::2] = w
+    c = int.from_bytes(slots, "little") ** 2
+    ww = array("H", ((c & ((1 << 16 * p) - 1)) + (c >> 16 * p)).to_bytes(2 * p, "little"))
     if sys.byteorder == "big":
-        slots.byteswap()
-    return slots.tolist()
+        ww.byteswap()
+    # w * w is even like w: sum_c w(c) ww(k - c) = sum_j w(j + k) ww(j)
+    return sum(map(mul, w[k:] + w[:k], ww))
 
 
-def _half_table_fft(k: int, p: int):
-    """_half_table by numpy, with H from one real FFT."""
-    import numpy as np
+def _torus_count_fft(k: int, p: int) -> int:
+    """_torus_count by numpy, for 0 < k < p: w * w from one real FFT of
+    length a power of two >= 2p - 1, folded mod p.
 
-    chi = _legendre_table(p)
-    H = _cubic_character_table(p, chi)
-    x = np.arange(p, dtype=np.int64)
-    inv4 = pow(4, -1, p)
-    u = (x[:(p + 1) // 2] ** 2 - k * k * inv4 % p) % p
-    A = (u * u + 6 * u - 3) % p * inv4 % p
-    # A^(p-2) mod p elementwise: the inverse of nonzero A, and 0 at A = 0
-    A_inv, base, e = np.ones_like(A), A, p - 2
-    while e:
-        if e & 1:
-            A_inv = A_inv * base % p
-        base = base * base % p
-        e >>= 1
-    G = chi[A] * H[(p - u) * A_inv % p * A_inv % p]
-    for i in np.flatnonzero(A == 0):   # G = sum_x chi(x^3 - ux)
-        G[i] = int(np.sum(chi[(x * x % p - u[i]) * x % p]))
-    return -np.append(G, H[0])
-
-
-def _cubic_character_table(p: int, chi):
-    """H[r] = sum_y chi(y (y^2 + y + r)) for every r in F_p, by numpy.
-
-    The convolution of `_cubic_character_list` is taken as one real FFT of
-    length a power of two >= 2p - 1, folded mod p.  Since |h| <= 2 and
-    |chi| <= 1, the floating-point error of each entry is of order
-    eps * log2(n) * ||h||_2 ||chi||_2 <= eps * log2(n) * 2p, below 1e-8 for
+    Since 0 <= w <= 2, the floating-point error of each entry is of order
+    eps * log2(n) * ||w||_2^2 <= eps * log2(n) * 4p, below 1e-8 for
     p < 10^6; an entry at least 0.1 from an integer raises ArithmeticError
-    instead of being rounded.
-    """
+    instead of being rounded."""
     import numpy as np
 
-    y = np.arange(p, dtype=np.int64)
-    h = np.bincount((p - y * (y + 1) % p) % p, weights=chi, minlength=p)
+    a = np.arange(p, dtype=np.int64)
+    w = 1 + _legendre_table(p)[(a * a - 4) % p]
     n = 1 << (2 * p - 2).bit_length()
-    conv = np.fft.irfft(np.fft.rfft(h, n) * np.fft.rfft(chi, n), n)
-    H = conv[:p]
-    H[:p - 1] += conv[p:2 * p - 1]
-    rounded = np.rint(H)
-    if np.max(np.abs(H - rounded)) >= 0.1:
+    f = np.fft.rfft(w, n)
+    conv = np.fft.irfft(f * f, n)
+    ww = conv[:p]
+    ww[:p - 1] += conv[p:2 * p - 1]
+    rounded = np.rint(ww)
+    if np.max(np.abs(ww - rounded)) >= 0.1:
         raise ArithmeticError(f"FFT convolution at p={p} is not integral")
-    return rounded.astype(np.int64)
+    return int(np.dot(np.roll(w, -k), rounded.astype(np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +164,52 @@ def _cubic_character_table(p: int, chi):
 # ---------------------------------------------------------------------------
 
 def A_p(k: int, p: int) -> int:
-    """Transcendental L-coefficient A_p from fiber counts, for k in {3, 6, 18}
-    with the rank and section field of the k's Surface record.  Raises at bad
-    primes (those dividing the matched newform level, plus 2 and 3).
+    """Transcendental L-coefficient A_p from the torus count N = N_k(p), for
+    k in {3, 6, 18} with the rank and section field of the k's Surface record:
+
+        A_p = N - p^2 + 3p - 5 - 2 chi(k^2 - 4) p,
+
+    minus (d/p) p at rank 1, when the infinite section lives over Q(sqrt(d)).
+    Raises at bad primes (those dividing the matched newform level, plus 2
+    and 3), which include every prime dividing k.
+
+    A_p is minus the sum of a_p(s) = p + 1 - #E(F_p) over the fibers E of the
+    elliptic fibration y^2 + (u+1)xy = x(x-1)(x+u), u = s^2 - ks, over s in
+    P^1(F_p), singular fibers included (the convention that reproduces the
+    published A_p tables; the fiber scan is the tests' oracle).  Write
+    a_p(u) for the fiber over u; a_p(0) = chi(-3), as (2y+x)^2 = x^2 (4x-3),
+    and the fiber at s = infinity, 4x^3 + x^2 completed, has a_p = 1.
+    Proof of N = p^2 - 3p + 5 + 2 chi(k^2 - 4) p - sum_s a_p(s) for p >= 5,
+    p not dividing k, with e1, e2, e3 the elementary symmetric functions of
+    (x, y, z) and of (X, Y, Z):
+
+    1. Fiber the torus points by s = x + y + z = e1.  As 1/x + 1/y + 1/z =
+       e2/e3, the surface is e2 = (k - s) e3.
+    2. s != 0: (x, y, z) = s (X, Y, Z), X + Y + Z = 1, maps the fiber one to
+       one onto the points of C_u : (X+Y+Z)(XY+YZ+ZX) + uXYZ = 0 in P^2(F_p)
+       with XYZ(X+Y+Z) != 0; call their number T(u).
+       - u != 0, -1: (-u(X+Y) : u(u+1)X : X+Y+(u+1)Z) is an isomorphism of
+         C_u onto the projective fiber over u, so #C_u = p + 1 - a_p(u).  C_u
+         has six points with XYZ = 0, (1:0:0), (0:1:0), (0:0:1), (0:1:-1),
+         (1:0:-1), (1:-1:0), and none with X+Y+Z = 0 != XYZ, where it reads
+         uXYZ = 0.  So T(u) = p - 5 - a_p(u).
+       - u = -1: C_u is the triangle (X+Y)(Y+Z)(Z+X), 3p points, the same six
+         off the torus; the fiber y^2 = x(x-1)^2 has a_p = 1.  So T(-1) =
+         3p - 6 = p - 5 - a_p(-1) + 2p.
+       - u = 0: C_u is the line X+Y+Z = 0 and the conic e2 = 0.  The conic's
+         p + 1 points less (1:0:0), (0:1:0), (0:0:1) and the 1 + chi(-3)
+         points (1:w:w^2), w^2 + w + 1 = 0, on the line give T(0) =
+         p - 3 - chi(-3) = p - 5 - a_p(0) + 2.
+    3. s = 0 is a cone: e1 = 0 and e2 = k e3 != 0.  The line X+Y+Z = 0 has
+       p - 2 points with XYZ != 0; all but the 1 + chi(-3) points (1:w:w^2)
+       have e2 != 0, and over each of those lies exactly one point of the
+       fiber, l (X, Y, Z) with l = e2/(k e3).  That makes p - 3 - chi(-3).
+    4. Sum: u = 0 at s = k only and u = -1 at the 1 + chi(k^2 - 4) roots of
+       s^2 - ks + 1, while s = 0 and s = infinity carry a_p = chi(-3) and 1:
+       N = (p-1)(p-5) - (sum_s a_p(s) - chi(-3) - 1) + 2
+           + 2p (1 + chi(k^2 - 4)) + p - 3 - chi(-3),
+       which is the identity.  At p | k the cone has (1 + chi(-3))(p - 1)
+       points and s = k is the cone, so N is off by chi(-3) p.
     """
     surf = SURFACES.get(k)
     if surf is None or surf.rank is None:
@@ -257,10 +219,9 @@ def A_p(k: int, p: int) -> int:
                          f"excluded set {sorted(surf.bad_primes)}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    value = -_fiber_sum(k, p)
-    if surf.rank == 1:  # (d/p) by Euler's criterion: e is 0, 1 or p - 1
-        e = pow(surf.section_disc, (p - 1) // 2, p)
-        value -= (e - p if e > 1 else e) * p
+    value = _torus_count(k, p) - p * p + 3 * p - 5 - 2 * _euler(k * k - 4, p) * p
+    if surf.rank == 1:
+        value -= _euler(surf.section_disc, p) * p
     return value
 
 

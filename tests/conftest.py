@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from k3mahler import fixtures as fx
-from k3mahler import lfunctions, mahler, mwsections as mw
+from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.exactalg import Poly, QuadElem
 from grouplaw import ec_add, torsion_multiples
@@ -115,6 +115,13 @@ def hecke():
         return cache[(disc, N)]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def ap_scan_3000():
+    """A_p at every good prime to 3000 for k = 3, 6 and 18, one scan per k,
+    shared by the A_p oracle tests."""
+    return {k: pointcount.ap_scan(k, 3000) for k in (3, 6, 18)}
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
-"""Finite-field fiber counts and the A_p assembly, checked against brute
-force, the plane-cubic model of the fibers, the Hasse bound, and the
-published coefficient tables."""
+"""The torus count behind A_p and its closed form, checked against brute
+force, the Weierstrass fiber scan (the test oracle in `weierstrass_fibers`),
+the plane-cubic model of the fibers, the Hasse bound, and the published
+coefficient tables."""
 
 import random
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ import pytest
 from k3mahler import lfunctions as lf
 from k3mahler import pointcount as pc
 from k3mahler.lattices import NEWFORM_AP, SURFACES
+import weierstrass_fibers as wf
 
 AP_TABLE_K6 = {5: 2, 7: -10, 11: -10, 13: 0, 17: 0, 19: 0, 23: 0, 29: 50, 31: 38}
 
@@ -109,10 +111,10 @@ def cubic_fiber_ap_values(k, p):
 def weierstrass_fiber_ap_values(k, p):
     """a_p(s) = p + 1 - #(Weierstrass fiber) over every s in P^1(F_p), the
     last entry s = infinity, read per s from the half table (see
-    `pointcount._half_table` for the derivation)."""
+    `weierstrass_fibers._half_table` for the derivation)."""
     if p in (2, 3) or not pc.is_prime(p):
         raise ValueError("p must be a prime not dividing 6")
-    half = pc._half_table(k, p)
+    half = wf._half_table(k, p)
     c = k * ((p + 1) // 2) % p      # k/2
     return [int(half[min(t, p - t)]) for t in ((s - c) % p for s in range(p))] \
         + [int(half[-1])]
@@ -256,20 +258,20 @@ class TestWeierstrassFiberScan:
         cases = [(k, p) for p in [*pc.primes_up_to(400)[2:], 1009, 1499, 1999]
                  for k in (0, 1, 2, 3, 6, 10, 18)]
         for k, p in cases:
-            assert pc._fiber_sum(k, p) == sum(weierstrass_fiber_ap_values(k, p)), (k, p)
+            assert wf._fiber_sum(k, p) == sum(weierstrass_fiber_ap_values(k, p)), (k, p)
 
     def test_kernels_agree_across_the_crossover(self):
         # the pure-Python and the numpy kernel, each forced, fiber by fiber,
         # below 400 and at every prime within 64 of the crossover;
         # p = +-1 mod 12 (11, 13, 23, ...) have fibers with A = 0
         primes = [p for p in pc.primes_up_to(400) if p >= 5]
-        near = [p for p in pc.primes_up_to(pc._NUMPY_FROM + 64)
-                if p >= pc._NUMPY_FROM - 64]
+        near = [p for p in pc.primes_up_to(wf._NUMPY_FROM + 64)
+                if p >= wf._NUMPY_FROM - 64]
         assert sum(p % 12 in (1, 11) for p in primes) > 30
-        assert min(near) < pc._NUMPY_FROM <= max(near)
+        assert min(near) < wf._NUMPY_FROM <= max(near)
         for p in primes + near:
             for k in (3, 6, 18):
-                small, fft = pc._half_table_small(k, p), pc._half_table_fft(k, p)
+                small, fft = wf._half_table_small(k, p), wf._half_table_fft(k, p)
                 assert len(small) == (p + 3) // 2 and small == fft.tolist(), (k, p)
                 assert all(type(v) is int for v in small), (k, p)
 
@@ -280,13 +282,13 @@ class TestWeierstrassFiberScan:
         assert weierstrass_fiber_ap_values(3, 11) \
             == _weierstrass_fiber_ap_values_oracle(3, 11).tolist()
         seen = []
-        direct = pc._cubic_sum
+        direct = wf._cubic_sum
 
         def spy(u, p, chi1):
             seen.append(u)
             return direct(u, p, chi1)
 
-        monkeypatch.setattr(pc, "_cubic_sum", spy)
+        monkeypatch.setattr(wf, "_cubic_sum", spy)
         vals = weierstrass_fiber_ap_values(3, 13)
         assert sorted(seen) == [2, 5]
         assert vals == _weierstrass_fiber_ap_values_oracle(3, 13).tolist()
@@ -300,7 +302,93 @@ class TestWeierstrassFiberScan:
             chi1 = bytes(v + 1 for v in chi)
             for u in range(p):
                 want = sum(chi[(x ** 3 - u * x) % p] for x in range(p))
-                assert pc._cubic_sum(u, p, chi1) == want, (u, p)
+                assert wf._cubic_sum(u, p, chi1) == want, (u, p)
+
+    def test_rounding_guard(self, monkeypatch):
+        # the FFT kernel serves p >= _NUMPY_FROM
+        p = next(q for q in range(wf._NUMPY_FROM, 2 * wf._NUMPY_FROM) if pc.is_prime(q))
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+        with pytest.raises(ArithmeticError):
+            weierstrass_fiber_ap_values(6, p)
+
+
+def _torus_count_brute(k, p):
+    """N_k(p) by enumeration: for each x, y in F_p^*, the number of z with
+    z + 1/z = k - x - 1/x - y - 1/y, from a table of z + 1/z."""
+    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+    h = [0] * p
+    for x in range(1, p):
+        h[(x + inv[x]) % p] += 1
+    return sum(h[(k - x - inv[x] - y - inv[y]) % p]
+               for x in range(1, p) for y in range(1, p))
+
+
+def _conic_torus_counts(p):
+    """T(u) = #{(X, Y, Z) : X + Y + Z = 1, XYZ != 0, e2 + u e3 = 0} for every
+    u in F_p, by enumeration: e3 = XYZ != 0, so each point has one u."""
+    T = [0] * p
+    for X in range(1, p):
+        for Y in range(1, p):
+            Z = (1 - X - Y) % p
+            if Z:
+                T[-(X * Y + Y * Z + Z * X) * pow(X * Y * Z, -1, p) % p] += 1
+    return T
+
+
+def _fiber_identity(k, p):
+    """p^2 - 3p + 5 + 2 chi(k^2 - 4) p - sum_s a_p(s), from the fiber oracle."""
+    return (p * p - 3 * p + 5 + 2 * pc.legendre(k * k - 4, p) * p
+            - wf._fiber_sum(k, p))
+
+
+class TestTorusCount:
+    def test_against_enumeration(self):
+        for p in pc.primes_up_to(40)[1:]:
+            for k in range(1, p):
+                assert pc._torus_count(k, p) == _torus_count_brute(k, p), (k, p)
+
+    def test_conic_fibers_by_brute_force(self):
+        # step 2 of A_p's proof: T(u) = p - 5 - a_p(u), plus 2 at u = 0 and
+        # plus 2p at u = -1; a_p(u) is the fiber over s = 1 at k = 1 - u
+        for p in pc.primes_up_to(60)[2:]:
+            T = _conic_torus_counts(p)
+            for u in range(p):
+                want = p - 5 - weierstrass_fiber_ap_values((1 - u) % p, p)[1]
+                want += {0: 2, p - 1: 2 * p}.get(u, 0)
+                assert T[u] == want, (p, u)
+
+    def test_identity_with_the_fiber_sum(self):
+        # A_p's identity at every k mod p with p not dividing k
+        for p in pc.primes_up_to(200)[2:]:
+            for k in range(1, p):
+                assert pc._torus_count(k, p) == _fiber_identity(k, p), (k, p)
+
+    def test_raises_where_p_divides_k(self):
+        # there the s = 0 cone has (1 + chi(-3))(p - 1) points, and the
+        # identity misses by chi(-3) p
+        for p in pc.primes_up_to(60)[2:]:
+            for k in (0, p, -2 * p):
+                with pytest.raises(ValueError, match="divides"):
+                    pc._torus_count(k, p)
+            off = _torus_count_brute(0, p) - _fiber_identity(0, p)
+            assert off == pc.legendre(-3, p) * p, p
+        for k in (3, 6, 18):
+            for p in (2, 3):
+                with pytest.raises(ValueError, match="bad prime"):
+                    pc.A_p(k, p)
+
+    def test_kernels_agree_across_the_crossover(self):
+        # the pure-Python and the numpy kernel, each forced, below 400 and at
+        # every prime within 64 of the crossover
+        primes = pc.primes_up_to(400)[2:]
+        near = [p for p in pc.primes_up_to(pc._NUMPY_FROM + 64)
+                if p >= pc._NUMPY_FROM - 64]
+        assert min(near) < pc._NUMPY_FROM <= max(near)
+        for p in primes + near:
+            for k in (1, 3, 6 % p, 18 % p, p - 1):
+                small, fft = pc._torus_count_small(k, p), pc._torus_count_fft(k, p)
+                assert type(small) is int and type(fft) is int and small == fft, (k, p)
 
     def test_rounding_guard(self, monkeypatch):
         # the FFT kernel serves p >= _NUMPY_FROM
@@ -308,7 +396,16 @@ class TestWeierstrassFiberScan:
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(ArithmeticError):
-            weierstrass_fiber_ap_values(6, p)
+            pc.A_p(6, p)
+
+    def test_slot_bound(self):
+        # a folded 16-bit slot holds at most 4p: the last prime below 2^14 is
+        # counted exactly, the first above it refused
+        last = pc.primes_up_to(2 ** 14)[-1]
+        first = next(q for q in range(2 ** 14, 2 ** 15) if pc.is_prime(q))
+        assert pc._torus_count_small(3, last) == pc._torus_count_fft(3, last)
+        with pytest.raises(ValueError, match="16-bit"):
+            pc._torus_count_small(3, first)
 
 
 class TestAp:
@@ -348,13 +445,21 @@ class TestAp:
                 if pc.legendre(disc, p) == -1:
                     assert ap == 0, (k, p)
 
-    def test_scan_matches_form_series_to_3000(self):
+    def test_scan_matches_form_series_to_3000(self, ap_scan_3000):
         for k in (3, 6, 18):
             co = lf.form_coefficients(lf.FORM_SERIES[SURFACES[k].disc], 3000)
-            aps = pc.ap_scan(k, 3000)
+            aps = ap_scan_3000[k]
             assert len(aps) > 400
             for p, ap in aps.items():
                 assert ap == co[p], (k, p)
+
+    def test_scan_matches_fiber_oracle_to_1500(self, ap_scan_3000):
+        # CI extends this comparison to pmax 10^4
+        for k in (3, 6, 18):
+            aps = {p: ap for p, ap in ap_scan_3000[k].items() if p <= 1500}
+            assert len(aps) > 200
+            for p, ap in aps.items():
+                assert ap == wf.fiber_A_p(k, p), (k, p)
 
     def test_scan_matches_per_prime_calls(self):
         for k in (3, 6, 18):
