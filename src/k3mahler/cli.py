@@ -10,7 +10,6 @@ emits a structured report with one entry per sub-check.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -25,19 +24,6 @@ VERIFY_KS = tuple(SURFACES)
 L_KS = [k for k, surf in SURFACES.items() if surf.disc is not None]
 
 
-def _prefactor(surf: lattices.Surface, prec: int) -> BigReal:
-    """r sqrt(n) / pi^3 for surf.prefactor = (r, n), rounded to prec bits.
-
-    Its few roundings at prec + 10 bits and the last one to prec stay within
-    the 2^-prec (|v| + 1) that BigReal.exactly allows."""
-    import mpmath as mp
-    from .bigreal import BigReal
-    r, n = surf.prefactor
-    with mp.workprec(prec + 10):
-        v = r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
-    return BigReal.exactly(v, prec)
-
-
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -49,26 +35,21 @@ def _emit(args, payload: dict, human: str) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _stage(timings: dict, name: str):
-    """Record the wall seconds the block takes as timings[name + "_s"]."""
-    t0 = time.monotonic()
-    try:
-        yield
-    finally:
-        timings[f"{name}_s"] = round(time.monotonic() - t0, 4)
-
-
 def _subcheck(name: str, ok: bool, provenance: str, **extra) -> dict:
-    out = {"name": name, "pass": bool(ok), "provenance": provenance}
-    out.update(extra)
-    return out
+    return {"name": name, "pass": bool(ok), "provenance": provenance, **extra}
 
 
-def _lattice_subchecks(surf: lattices.Surface) -> list[dict]:
+def _subchecks(surf: lattices.Surface, prec: int, pmax: int, quad, d3_term):
+    """Yield (stage, its subchecks) in report order, for the stages the record
+    selects: none without an L-value (no disc); lattice, ek and ap with one;
+    epstein where the right-hand side has a d3 term beside it; and the
+    section stages where the record has the infinite section's height."""
+    if surf.disc is None:
+        return
+    from . import lfunctions, mahler
     summary = lattices.transcendental_summary(surf.k)
     rec = summary["tau"]
-    out = [
+    checks = [
         _subcheck("tau-quadratic-relation", rec.residual() == (0, 0),
                   "exact quadratic-irrational arithmetic",
                   relation=f"-6*{rec.p}*tau^2+12*{rec.q}*tau+{rec.r}=0"),
@@ -84,15 +65,20 @@ def _lattice_subchecks(surf: lattices.Surface) -> list[dict]:
     if surf.rank == 0 or surf.height is not None:
         h = surf.height or 1  # the Mordell-Weil lattice of rank 0 has det 1
         ns = lattices.ns_determinant(surf.rank, trivial, h, surf.torsion)
-        out.append(_subcheck("ns-determinant-chain", abs(ns) == surf.level,
-                             f"|det NS| = {trivial} * det(MWL) / {surf.torsion}^2, "
-                             f"det(MWL) = {h}",
-                             value=str(ns)))
-    return out
+        checks.append(_subcheck("ns-determinant-chain", abs(ns) == surf.level,
+                                f"|det NS| = {trivial} * det(MWL) / {surf.torsion}^2, "
+                                f"det(MWL) = {h}",
+                                value=str(ns)))
+    yield "lattice", checks
 
+    bs = mahler.bertin_series_for_k(surf.k)
+    yield "ek", [_subcheck(
+        "eisenstein-kronecker-series", bs.consistent_with(quad),
+        "weighted lattice sums at the CM point",
+        value=float(bs.value), diff=abs(float(bs.value) - float(quad.value)),
+        error_bound=float(bs.error_bound + quad.error_bound))]
 
-def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
-    from . import lfunctions, pointcount
+    from . import pointcount
     table = lattices.NEWFORM_AP[surf.level]
     co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[surf.disc], max(pmax, 2))
     aps = pointcount.ap_scan(surf.k, pmax)
@@ -105,148 +91,119 @@ def _ap_subcheck(surf: lattices.Surface, pmax: int) -> dict:
         if any(r != ap for r in refs):
             mism[p] = (ap, *refs)
     # a scan that reached no prime has checked nothing
-    return _subcheck(f"A_p-vs-newform-level-{surf.level}", bool(aps) and not mism,
-                     "torus point counts of the surface vs form-series "
-                     "coefficients and the embedded twisted table",
-                     primes=sorted(aps), mismatches=mism,
-                     values={str(p): aps[p] for p in sorted(aps)})
+    yield "ap", [_subcheck(f"A_p-vs-newform-level-{surf.level}", bool(aps) and not mism,
+                           "torus point counts of the surface vs form-series "
+                           "coefficients and the embedded twisted table",
+                           primes=sorted(aps), mismatches=mism,
+                           values={str(p): aps[p] for p in sorted(aps)})]
 
+    if d3_term is not None:
+        eps = mahler.epstein_combo(prec)
+        yield "epstein", [_subcheck(
+            "dirichlet-term-epstein", eps.consistent_with(d3_term),
+            "Chowla-Selberg rows of the weight-0 Epstein combination vs (14/5) d3",
+            value=float(eps.value), diff=float(eps.abs_diff(d3_term)),
+            error_bound=float(eps.error_bound + d3_term.error_bound))]
+    if surf.height is None:
+        return
 
-def _section_subchecks(surf: lattices.Surface, timings: dict) -> list[dict]:
-    with _stage(timings, "section_import"):
-        from . import fixtures, mwsections as mw
-    out = []
-    with _stage(timings, "on_curve"):
-        E = mw.family_curve(surf.k)
-        ps = fixtures.infinite_section_k18()
-        out.append(_subcheck("infinite-section-on-curve",
-                             mw.verify_on_curve(ps, E),
-                             "exact Weierstrass identity"))
-    with _stage(timings, "nontorsion"):
-        wit = mw.verify_nontorsion(fixtures.twist_section(),
-                                   fixtures.y18_twist_curve())
-    out.append(_subcheck("twist-section-nontorsion", wit is not None,
-                         "specialization at sigma=t, reduction mod p",
-                         witness=None if wit is None else
-                         {"sigma": wit.t, "p": wit.p, "sqrt_m3_mod_p": wit.w,
-                          "order": wit.order}))
-    with _stage(timings, "halving"):
-        square, wits = mw.halving_witnesses(ps, fixtures.halving_data()["r"], E)
-    out.append(_subcheck("halving-obstruction", square and None not in wits.values(),
-                         "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
-                         "non-residues at sigma=t mod p, p = 1 mod 3",
-                         witness={name: w and {"sigma": w.t, "p": w.p, "sqrt_m3_mod_p": w.w}
-                                  for name, w in wits.items()}))
-    with _stage(timings, "zero_intersection"):
-        po = mw.zero_intersection(ps, fixtures.pole_places())
+    from . import fixtures, mwsections as mw
+    yield "section_import", []
+    E = mw.family_curve(surf.k)
+    ps = fixtures.infinite_section_k18()
+    yield "on_curve", [_subcheck("infinite-section-on-curve", mw.verify_on_curve(ps, E),
+                                 "exact Weierstrass identity")]
+
+    wit = mw.verify_nontorsion(fixtures.twist_section(), fixtures.y18_twist_curve())
+    yield "nontorsion", [_subcheck(
+        "twist-section-nontorsion", wit is not None,
+        "specialization at sigma=t, reduction mod p",
+        witness=None if wit is None else
+        {"sigma": wit.t, "p": wit.p, "sqrt_m3_mod_p": wit.w, "order": wit.order})]
+
+    square, wits = mw.halving_witnesses(ps, fixtures.halving_root(), E)
+    yield "halving", [_subcheck(
+        "halving-obstruction", square and None not in wits.values(),
+        "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
+        "non-residues at sigma=t mod p, p = 1 mod 3",
+        witness={name: w and {"sigma": w.t, "p": w.p, "sqrt_m3_mod_p": w.w}
+                 for name, w in wits.items()})]
+
+    po = mw.zero_intersection(ps, fixtures.pole_places())
     # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)
     local = sum(mw.contribution(f.m, f.j) for f in surf.fibers)
-    out.append(_subcheck("zero-section-intersection",
-                         po == (surf.height - 2 * mw.K3_CHI + local) / 2,
-                         "pole-degree count", value=po))
-    with _stage(timings, "height"):
-        try:
-            h, readings, error = *mw.section_height(surf.k, ps, po), {}
-        except mw.VerificationError as exc:   # the record contradicts the curve
-            h, readings, error = None, [], {"error": str(exc)}
+    yield "zero_intersection", [_subcheck(
+        "zero-section-intersection", po == (surf.height - 2 * mw.K3_CHI + local) / 2,
+        "pole-degree count", value=po)]
+
+    try:
+        h, readings, error = *mw.section_height(surf.k, ps, po), {}
+    except mw.VerificationError as exc:   # the record contradicts the curve
+        h, readings, error = None, [], {"error": str(exc)}
     comps = {r.place: r.component for r in readings}
-    out.append(_subcheck("neron-components",
-                         comps == {f.place: f.j for f in surf.fibers},
-                         "Silverman's multiplicative rule at the record's fibers, "
-                         "v(c4) = 0 and v(disc) = m checked",
-                         components=comps, **error,
-                         witness={r.place: dict(zip(("m", "v_psi2", "v_dfdx", "M"), r[1:]))
-                                  for r in readings}))
     terms = [f"{r.component * (r.m - r.component)}/{r.m}" for r in readings if r.component]
-    out.append(_subcheck("height", h == surf.height,
-                         " - ".join([f"2*{mw.K3_CHI} + 2*{po}", *terms]), value=str(h)))
-    out.append(_subcheck("height-vs-lattice-det",
-                         h is not None and 12 * h == surf.level,
-                         "12 * h(P) = |det T|", value=str(h and 12 * h)))
-    return out
+    yield "height", [
+        _subcheck("neron-components", comps == {f.place: f.j for f in surf.fibers},
+                  "Silverman's multiplicative rule at the record's fibers, "
+                  "v(c4) = 0 and v(disc) = m checked",
+                  components=comps, **error,
+                  witness={r.place: dict(zip(("m", "v_psi2", "v_dfdx", "M"), r[1:]))
+                           for r in readings}),
+        _subcheck("height", h == surf.height,
+                  " - ".join([f"2*{mw.K3_CHI} + 2*{po}", *terms]), value=str(h)),
+        _subcheck("height-vs-lattice-det", h is not None and 12 * h == surf.level,
+                  "12 * h(P) = |det T|", value=str(h and 12 * h)),
+    ]
 
 
 def cmd_verify(args) -> int:
     from . import lfunctions, mahler
-    from .bigreal import BigReal
-    import mpmath as mp
-    k = args.k
-    surf = SURFACES[k]
+    k, surf = args.k, SURFACES[args.k]
     tol = args.tol if args.tol is not None else surf.tol
-    t_start = time.monotonic()
     timings: dict = {}
-    report: dict = {"identity": f"m(P_{k})", "tolerance": tol, "k": k,
-                    "prec": args.prec, "subchecks": []}
-    with _stage(timings, "lhs"):
-        # the identity gate below alone judges the bound; only a NaN raises
-        quad = mahler.mahler_quadrature(k, tol=float("inf"))
-    report["lhs"] = {"value": float(quad.value), "method": "agm-period-quadrature",
-                     "error_bound": float(quad.error_bound),
-                     "bound_kind": quad.bound_kind}
-    parts, terms = [], []
-    with _stage(timings, "rhs"):
-        if surf.disc is not None:
-            lval = lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[surf.disc],
-                                              args.prec)
-            pref = _prefactor(surf, args.prec)
-            parts.append(pref * lval)
-            terms.append(f"({mp.nstr(pref.value, 10)}) * L(phi_{surf.disc}, 3)")
-        if surf.d3_coeff:
-            c = surf.d3_coeff
-            with mp.workprec(args.prec):
-                coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, args.prec)
-            d3_term = coeff * lfunctions.d3(args.prec)
-            parts.append(d3_term)
-            terms.append(f"({surf.d3_coeff}) d3" if terms
-                         else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
-        exact = sum(parts)
+    t_start = t = time.monotonic()
+
+    def lap(stage: str) -> None:
+        """Record the wall seconds since the last lap as timings[stage + "_s"]."""
+        nonlocal t
+        t, t0 = time.monotonic(), t
+        timings[f"{stage}_s"] = round(t - t0, 4)
+
+    # the identity gate below alone judges the bound; only a NaN raises
+    quad = mahler.mahler_quadrature(k, tol=float("inf"))
+    lap("lhs")
+    exact, method, d3_term = lfunctions.identity_rhs(surf, args.prec)
+    lap("rhs")
+    subchecks = []
+    for stage, checks in _subchecks(surf, args.prec, args.pmax, quad, d3_term):
+        lap(stage)
+        subchecks.extend(checks)
+
     rhs, rhs_err = exact.as_float()
-    report["rhs"] = {"value": rhs, "method": " + ".join(terms), "error_bound": rhs_err,
-                     "bound_kind": exact.bound_kind}
     diff = abs(float(quad.value) - rhs)
     # both bounds count against tol: agreement inside a wider bound proves nothing
     identity_ok = diff + float(quad.error_bound) + rhs_err <= tol
-
-    if surf.disc is not None:
-        with _stage(timings, "lattice"):
-            report["subchecks"].extend(_lattice_subchecks(surf))
-        with _stage(timings, "ek"):
-            bs = mahler.bertin_series_for_k(k)
-        report["subchecks"].append(_subcheck(
-            "eisenstein-kronecker-series", bs.consistent_with(quad),
-            "weighted lattice sums at the CM point",
-            value=float(bs.value), diff=abs(float(bs.value) - float(quad.value)),
-            error_bound=float(bs.error_bound + quad.error_bound)))
-        with _stage(timings, "ap"):
-            report["subchecks"].append(_ap_subcheck(surf, args.pmax))
-        if k == 18:
-            with _stage(timings, "epstein"):
-                eps = mahler.epstein_combo(args.prec)
-            report["subchecks"].append(_subcheck(
-                "dirichlet-term-epstein", eps.consistent_with(d3_term),
-                "Chowla-Selberg rows of the weight-0 Epstein combination vs (14/5) d3",
-                value=float(eps.value), diff=float(eps.abs_diff(d3_term)),
-                error_bound=float(eps.error_bound + d3_term.error_bound)))
-            report["subchecks"].extend(_section_subchecks(surf, timings))
-
-    report["abs_diff"] = diff
-    subs_ok = all(c["pass"] for c in report["subchecks"])
-    report["pass"] = bool(identity_ok and subs_ok)
-    # the only field that varies between runs of the same request: the
-    # seconds of each stage that ran, and of the whole request
+    report = {"identity": f"m(P_{k})", "tolerance": tol, "k": k, "prec": args.prec,
+              "lhs": {"value": float(quad.value), "method": "agm-period-quadrature",
+                      "error_bound": float(quad.error_bound), "bound_kind": quad.bound_kind},
+              "rhs": {"value": rhs, "method": method, "error_bound": rhs_err,
+                      "bound_kind": exact.bound_kind},
+              "subchecks": subchecks, "abs_diff": diff, "timings": timings,
+              "pass": bool(identity_ok and all(c["pass"] for c in subchecks))}
+    # timings is the only field that varies between runs of the same request:
+    # the seconds of each stage that ran, and of the whole request
     timings["total_s"] = round(time.monotonic() - t_start, 3)
-    report["timings"] = timings
 
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(f"identity m(P_{k}): lhs={report['lhs']['value']:.10f} "
-              f"rhs={report['rhs']['value']:.10f} |diff|={diff:.3e} "
+              f"rhs={rhs:.10f} |diff|={diff:.3e} "
               f"tol={tol:g} -> {'PASS' if identity_ok else 'FAIL'}")
-        for c in report["subchecks"]:
+        for c in subchecks:
             print(f"  [{'pass' if c['pass'] else 'FAIL'}] {c['name']}")
         print(f"overall: {'PASS' if report['pass'] else 'FAIL'} "
-              f"({report['timings']['total_s']}s)")
+              f"({timings['total_s']}s)")
     return 0 if report["pass"] else 1
 
 

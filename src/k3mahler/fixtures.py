@@ -1,7 +1,7 @@
 """Section fixtures for the k=18 surface.
 
 Every displayed formula this package replays (the k=18 twisted curve, its
-infinite sections, the halving data) is built here from its printed factored
+infinite sections, the halving root r) is built here from its printed factored
 form over Q(sqrt(-3)), and these builders are its only copy.  A section's
 coordinates are `mwsections.PolyRatio` pairs over the printed denominators
 dcore^2 and dcore^3, and `pole_places` are the places of dcore's factors.
@@ -85,8 +85,8 @@ def twist_section() -> SectionPoint:
 
 
 @lru_cache(maxsize=None)
-def halving_data() -> dict[str, PolyRatio]:
+def halving_root() -> PolyRatio:
     """r with x(Q) = r^2 for Q = Pb + (0, 0), Pb the infinite section on the
     completed square y^2 = x(x^2 + a x + b) of family_curve(18)."""
     tp = _lin(-21) * _lin(3)
-    return {"r": PolyRatio(_psigma_denominator_core(), Poly([QuadElem(0, 36)]) * tp)}
+    return PolyRatio(_psigma_denominator_core(), Poly([QuadElem(0, 36)]) * tp)

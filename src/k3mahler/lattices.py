@@ -271,11 +271,10 @@ class Surface(namedtuple("Surface", (
         "prefactor",     # (r, n) as above
         "rank",          # Mordell-Weil rank
         "section_disc",  # d with the infinite section over Q(sqrt(d))
-        "bad_primes",    # excluded from the A_p count
         "fibers",        # one FiberEntry per singular fiber
         "torsion",       # Mordell-Weil torsion order
         "height",        # canonical height of the infinite section, a Fraction
-), defaults=(None,) * 6 + (frozenset({2, 3}), None, None, None))):
+), defaults=(None,) * 9)):
     """What the identity for one k rests on:
 
         m(P_k) = (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3
@@ -285,6 +284,18 @@ class Surface(namedtuple("Surface", (
 
     __slots__ = ()
 
+    @property
+    def bad_primes(self) -> frozenset:
+        """2, 3 and the primes dividing the level: excluded from the A_p count."""
+        bad, n, p = {2, 3}, self.level or 1, 2
+        while n > 1:
+            if n % p:
+                p += 1
+            else:
+                bad.add(p)
+                n //= p
+        return frozenset(bad)
+
 
 # Singular fibers of the double cover are read off from the Beauville
 # fibration (u = (s^2 - k s + 1)/s^2, s = 1/sigma); each comment names the
@@ -293,8 +304,7 @@ class Surface(namedtuple("Surface", (
 SURFACES = {
     0: Surface(0, 1e-6, Fraction(1)),
     3: Surface(3, 1e-5, Fraction(0), disc=-15, level=15,
-               prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1,
-               bad_primes=frozenset({2, 3, 5}), torsion=6,
+               prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1, torsion=6,
                fibers=(
                    FiberEntry("s=0", 12, None),          # double over u=inf
                    FiberEntry("s=inf", 2, (0, 1)),       # over u=1
@@ -305,8 +315,7 @@ SURFACES = {
                    FiberEntry("beta2", 1, (9, -3, 1)),   # over u=-8
                )),
     6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24, ap_twist=-3,
-               prefactor=(Fraction(24), 6), rank=0,
-               bad_primes=frozenset({2, 3}), torsion=6,
+               prefactor=(Fraction(24), 6), rank=0, torsion=6,
                fibers=(
                    FiberEntry("s=0", 12, None),         # double over u=inf
                    FiberEntry("s=inf", 2, (0, 1)),      # over u=1
@@ -317,7 +326,7 @@ SURFACES = {
                )),
     18: Surface(18, 1e-4, Fraction(14, 5), disc=-120, level=120,
                 ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
-                section_disc=-3, bad_primes=frozenset({2, 3, 5}), torsion=6,
+                section_disc=-3, torsion=6,
                 height=Fraction(10),
                 fibers=(
                     FiberEntry("s=0", 12, None, j=6),          # double over u=inf

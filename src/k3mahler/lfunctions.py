@@ -7,8 +7,9 @@ coefficients come from direct lattice-point enumeration, so every value here
 is independent of the quadrature route.  L(phi, 3) is the smoothed sum of the
 functional equation (``smoothed_lvalue``): 64-182 coefficients give it to
 2^-128 with a rigorous bound, after a check that the functional equation
-holds.  The Epstein combination that checks the d3 term lives with the other
-lattice sums in ``mahler``.
+holds.  ``identity_rhs`` sums a `Surface` record's right-hand side from them,
+the only place it is summed.  The Epstein combination that checks the d3
+term lives with the other lattice sums in ``mahler``.
 """
 from __future__ import annotations
 
@@ -228,6 +229,34 @@ def d3(prec: int = 128) -> BigReal:
     with mp.workprec(prec):
         c = 3 * mp.sqrt(3) / (4 * mp.pi)
         return BigReal(+(c * L.value), prec, c * L.error_bound + mp.mpf(2) ** (-(prec - 2)))
+
+
+# ---------------------------------------------------------------------------
+# The right-hand side of an identity
+# ---------------------------------------------------------------------------
+
+def identity_rhs(surf, prec: int) -> tuple[BigReal, str, BigReal | None]:
+    """(value, method, d3 term or None) of the right-hand side
+    (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3 of a `Surface` record,
+    prefactor = (r, n), at prec bits; a term with no disc or d3_coeff 0 is
+    left out.  The prefactor's few roundings at prec + 10 bits and the last
+    one to prec stay within the 2^-prec (|v| + 1) that BigReal.exactly allows."""
+    parts, terms, d3_term = [], [], None
+    if surf.disc is not None:
+        r, n = surf.prefactor
+        with mp.workprec(prec + 10):
+            v = r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
+        pref = BigReal.exactly(v, prec)
+        parts.append(pref * smoothed_lvalue(FORM_SERIES[surf.disc], prec))
+        terms.append(f"({mp.nstr(pref.value, 10)}) * L(phi_{surf.disc}, 3)")
+    if surf.d3_coeff:
+        c = surf.d3_coeff
+        with mp.workprec(prec):
+            coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, prec)
+        d3_term = coeff * d3(prec)
+        parts.append(d3_term)
+        terms.append(f"({c}) d3" if terms else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
+    return sum(parts), " + ".join(terms), d3_term
 
 
 # ---------------------------------------------------------------------------

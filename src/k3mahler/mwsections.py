@@ -93,11 +93,15 @@ def valuation(f, place: Place) -> float:
 def verify_on_curve(P: SectionPoint, E: FunctionFieldCurve) -> bool:
     """Exact identity check of the Weierstrass equation of a model with
     polynomial a_i (ValueError otherwise), multiplied through by dx^3 dy^2:
-    polynomial products only."""
+    polynomial products only, computed once per (P, E) and then recalled."""
     if not all(isinstance(c, Poly) for c in E):
         raise ValueError("the model's coefficients are not polynomials")
+    return _weierstrass_identity(P.x.num, P.x.den, P.y.num, P.y.den, E)
+
+
+@lru_cache(maxsize=32)
+def _weierstrass_identity(nx: Poly, dx: Poly, ny: Poly, dy: Poly, E) -> bool:
     a1, a2, a3, a4, a6 = E
-    nx, dx, ny, dy = P.x.num, P.x.den, P.y.num, P.y.den
     dx2 = dx * dx
     dx3 = dx2 * dx
     dy2 = dy * dy

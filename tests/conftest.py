@@ -118,6 +118,14 @@ def hecke():
 
 
 @pytest.fixture(scope="session")
+def lvalue_256():
+    """L(phi, 3) for each disc of the form series at 256 bits, the shared
+    reference of the tests that hold a coarser L-value to its bound."""
+    return {disc: lfunctions.smoothed_lvalue(series, 256)
+            for disc, series in lfunctions.FORM_SERIES.items()}
+
+
+@pytest.fixture(scope="session")
 def ap_scan_3000():
     """A_p at every good prime to 3000 for k = 3, 6 and 18, one scan per k,
     shared by the A_p oracle tests."""
@@ -141,7 +149,7 @@ def k18():
     tp = Poly([-21, 1]) * Poly([3, 1])
     yprime = (Poly([QuadElem(0, 1)]) * dcore * Poly([1350, -171, -12, 1])
               * Poly([-216, 369, -42, 1]) * Poly([-486, -486, 351, -36, 1]))
-    hd = {"r": RatFunc(*fx.halving_data()["r"]),
+    hd = {"r": RatFunc(*fx.halving_root()),
           "xprime": RatFunc(-(dcore ** 2), 3888 * tp ** 2),
           "yprime": RatFunc(yprime, 419904 * tp ** 3),
           "qplus": RatFunc(-(tp ** 2) * Poly([9, -18, 1]), 972),

@@ -25,6 +25,11 @@ from k3mahler.mwsections import NontorsionWitness
 from test_mwsections import replay_nonsquare, replay_witness
 
 SUBCOMMAND_KEYS = {"input", "value", "error_bound", "provenance"}
+# the timed stages of `verify --k`
+STAGES = {0: ["lhs", "rhs"]}
+STAGES[3] = STAGES[6] = STAGES[0] + ["lattice", "ek", "ap"]
+STAGES[18] = STAGES[3] + ["epstein", "section_import", "on_curve", "nontorsion", "halving",
+                          "zero_intersection", "height"]
 
 
 def run(capsys, argv):
@@ -67,12 +72,22 @@ class TestSchemas:
         doc = json.loads(out)
         assert {"identity", "lhs", "rhs", "abs_diff", "tolerance", "pass",
                 "subchecks", "k", "prec", "timings"} <= set(doc)
-        # k = 0 runs the two identity sides and nothing else
-        assert set(doc["timings"]) == {"lhs_s", "rhs_s", "total_s"}
         assert {"value", "method", "error_bound", "bound_kind"} <= set(doc["lhs"])
         assert doc["lhs"]["bound_kind"] == "estimate"
         assert doc["rhs"]["bound_kind"] == "rigorous"
         assert doc["pass"] is True
+
+    @pytest.mark.parametrize("k", VERIFY_KS)
+    def test_verify_stage_timings(self, capsys, k18_report, k):
+        # the record selects the stages: k = 0 runs the two identity sides
+        # only, a disc adds the lattice, EK and A_p stages, the d3 term beside
+        # the L-value the Epstein stage, and the height the section stages
+        doc = k18_report[1] if k == 18 else \
+            json.loads(run(capsys, ["verify", "--k", str(k), "--json"])[1])
+        assert set(doc["timings"]) == {f"{s}_s" for s in STAGES[k]} | {"total_s"}
+        assert all(t >= 0 for t in doc["timings"].values())
+        assert sum(doc["timings"][f"{s}_s"] for s in STAGES[k]) \
+            <= doc["timings"]["total_s"] + 1e-3
 
     def test_verify_subchecks_schema(self, capsys):
         code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13"])
@@ -87,14 +102,13 @@ class TestSchemas:
 
 
 class TestPrintedBounds:
-    def test_bound_covers_the_float64_rounding(self, capsys):
+    def test_bound_covers_the_float64_rounding(self, capsys, lvalue_256):
         # the printed float64 value is within the printed bound of the
         # 256-bit value
         for k in (3, 6, 18):
             for argv, exact in (
                     (["mahler", "--method", "bertin"], mahler.bertin_series_for_k(k, 256)),
-                    (["lvalue"], lfunctions.smoothed_lvalue(
-                        lfunctions.FORM_SERIES[SURFACES[k].disc], 256))):
+                    (["lvalue"], lvalue_256[SURFACES[k].disc])):
                 code, out = run(capsys, argv + ["--k", str(k), "--json"])
                 assert code == 0
                 doc = json.loads(out)
@@ -309,9 +323,8 @@ class TestSectionReport:
 
     def test_k18_halving_checks_r_squared(self, capsys, monkeypatch):
         # with 2r for r every q keeps a witness: only x(Q) = r^2 catches it
-        hd = fx.halving_data()
-        r = hd["r"]._replace(num=2 * hd["r"].num)
-        monkeypatch.setattr(fx, "halving_data", lambda: {**hd, "r": r})
+        r = fx.halving_root()
+        monkeypatch.setattr(fx, "halving_root", lambda: r._replace(num=2 * r.num))
         code, out = run(capsys, ["verify", "--k", "18", "--json"])
         sub = {c["name"]: c for c in json.loads(out)["subchecks"]}["halving-obstruction"]
         assert code == 1 and sub["pass"] is False and None not in sub["witness"].values()
@@ -325,6 +338,18 @@ class TestSectionReport:
         assert all(c["pass"] for c in doc["subchecks"])
         assert (k18["ps"], k18["E"]) in checked
         assert [P for P, E in checked if E == k18["Eb"]] == []
+
+    def test_k18_on_curve_identity_computed_twice(self, capsys, k18):
+        # the on-curve, halving and height stages all check p_sigma on E, and
+        # the nontorsion stage the twist section on its curve: one request
+        # computes the exact identity once for each of the two pairs
+        identity = mw._weierstrass_identity
+        identity.cache_clear()
+        assert run(capsys, ["verify", "--k", "18", "--json"])[0] == 0
+        assert identity.cache_info().misses == 2 and identity.cache_info().hits == 2
+        assert mw.verify_on_curve(k18["ps"], k18["E"])
+        assert mw.verify_on_curve(k18["pm3"], k18["twist_curve"])
+        assert identity.cache_info().misses == 2
 
     def test_k18_neron_witness(self, k18_report):
         # per place, what the local-height rule read: (m, v(psi2), v(dF/dx), M)
@@ -366,15 +391,6 @@ class TestSectionReport:
         assert eps["pass"] is True
         assert eps["diff"] <= eps["error_bound"] < 1e-35
         assert abs(eps["value"] - 2.8 * lfunctions.d3(128).value) < 1e-15
-
-    def test_k18_stage_timings(self, k18_report):
-        _, doc, _ = k18_report
-        stages = {"lhs", "rhs", "lattice", "ek", "ap", "epstein", "section_import",
-                  "on_curve", "nontorsion", "halving", "zero_intersection", "height"}
-        assert set(doc["timings"]) == {f"{s}_s" for s in stages} | {"total_s"}
-        assert all(t >= 0 for t in doc["timings"].values())
-        assert sum(doc["timings"][f"{s}_s"] for s in stages) \
-            <= doc["timings"]["total_s"] + 1e-3
 
 
 class TestWithoutScipy:

@@ -26,6 +26,12 @@ class TestRecordValidation:
             FiberEntry("s=0", 0)
         assert FiberEntry("s=0", 1).m == 1
 
+    def test_bad_primes_from_the_level(self):
+        # 2, 3 and the primes dividing the levels 15, 24 and 120
+        assert {k: SURFACES[k].bad_primes for k in (3, 6, 18)} == \
+            {3: {2, 3, 5}, 6: {2, 3}, 18: {2, 3, 5}}
+        assert SURFACES[6]._replace(level=7 * 11 ** 2).bad_primes == {2, 3, 7, 11}
+
 
 class TestTauTable:
     def test_tabulated_values(self):

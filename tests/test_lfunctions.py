@@ -110,11 +110,14 @@ class TestFormCoefficients:
 
 
 class TestLValues:
-    def test_truncation_stability(self, hecke):
+    def test_truncation_stability(self, hecke, lvalue_256):
         for disc in PHI_ROWS:
             a = hecke(disc, 250_000)
             b = hecke(disc, 500_000)
             assert abs(float(a.value) - float(b.value)) < float(a.error_bound)
+            # and each truncation lies within its bound of L(phi, 3)
+            assert a.abs_diff(lvalue_256[disc]) <= a.error_bound, disc
+            assert b.abs_diff(lvalue_256[disc]) <= b.error_bound, disc
 
     def test_identity_k3(self, quad, hecke):
         pref = 15 * math.sqrt(15) / (2 * math.pi ** 3)
@@ -140,12 +143,11 @@ class TestSmoothedLValue:
             assert v.bound_kind == "rigorous"
             assert v.abs_diff(hecke(disc)) <= hecke(disc).error_bound, disc
 
-    def test_prec_128_within_its_bound_of_256(self):
+    def test_prec_128_within_its_bound_of_256(self, lvalue_256):
         for disc in PHI_ROWS:
             v128 = lf.smoothed_lvalue(lf.FORM_SERIES[disc], 128)
-            v256 = lf.smoothed_lvalue(lf.FORM_SERIES[disc], 256)
             assert v128.error_bound < mp.mpf(2) ** -120
-            assert v128.abs_diff(v256) <= v128.error_bound, disc
+            assert v128.abs_diff(lvalue_256[disc]) <= v128.error_bound, disc
 
     def test_guard_rejects_wrong_functional_equation(self):
         # the level is |disc|: doubling it breaks the functional equation

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from k3mahler import lfunctions, mahler
-from k3mahler.bigreal import BigReal
-from k3mahler.cli import _prefactor
 from k3mahler.lattices import SURFACES
 from k3mahler.lfunctions import d3
 from k3mahler.mahler import (ToleranceNotReached, _row_sums, bertin_series,
@@ -298,24 +296,10 @@ class TestModularParametrization:
             tau_of_k(3.5, prec=64)
 
 
-def lvalue_side(k, prec):
-    """prefactor * L(phi, 3) + d3_coeff * d3 at prec bits, as verify sums it."""
-    surf = SURFACES[k]
-    parts = []
-    if surf.disc is not None:
-        parts.append(_prefactor(surf, prec)
-                     * lfunctions.smoothed_lvalue(lfunctions.FORM_SERIES[surf.disc], prec))
-    if surf.d3_coeff:
-        c = surf.d3_coeff
-        with mp.workprec(prec):
-            coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, prec)
-        parts.append(coeff * d3(prec))
-    return sum(parts)
-
-
 def ek_vs_lvalue(k, prec):
-    """(|EK - L-value side|, err(EK) + err(L-value side)) at prec bits."""
-    ek, rhs = bertin_series_for_k(k, prec), lvalue_side(k, prec)
+    """(|EK - right-hand side|, err(EK) + err(right-hand side)) at prec bits,
+    the right-hand side summed as verify sums it, by lfunctions.identity_rhs."""
+    ek, (rhs, _, _) = bertin_series_for_k(k, prec), lfunctions.identity_rhs(SURFACES[k], prec)
     assert ek.bound_kind == rhs.bound_kind == "rigorous"
     return ek.abs_diff(rhs), ek.error_bound + rhs.error_bound
 
