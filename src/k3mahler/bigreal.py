@@ -1,91 +1,113 @@
-"""Arbitrary-precision reals carrying an explicit working precision and an
-absolute error bound.
+"""Reals as integer fixed-point values with an error bound, and the integer
+kernels the verifier's numerics are built from.
 
-Thin wrapper over mpmath.  The bound is propagated through the few arithmetic
-operations the verification pipelines actually use.  It is only as strong as
-the bounds it starts from, and `bound_kind` says which it is: a proven tail
-bound (the L-value, d3 and the lattice sums) gives a "rigorous" bound, but the
-quadrature's error estimate is an "estimate", and so is anything computed
-from it.
+A BigReal is man 2^-prec with the bound rad 2^-(prec + 64), every rounding
+taken upward.  Sums are exact; products and moves to fewer bits round to
+nearest and add the rounding and the operands' propagated bounds.
+`bound_kind` is "rigorous" for a proven bound (the L-value, d3, the lattice
+sums) and "estimate" for the quadrature and anything computed from it;
+`terms` is the series length of the kernel that made the value.  A kernel
+returns an int X for X 2^-wp; its docstring bounds its error in units 2^-wp.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-import mpmath as mp
+_RAD = 64       # the bound's dyadic has 64 more bits than the value
 
 
-def _mpf_at(value, prec: int):
-    with mp.workprec(prec):
-        return +mp.mpf(value)
+def _ceil_shift(n: int, s: int) -> int:
+    return -(-n >> s)     # ceil(n / 2^s)
 
 
 class BigReal:
-    __slots__ = ("value", "prec", "error_bound", "bound_kind")
+    __slots__ = ("man", "prec", "rad", "bound_kind", "terms")
 
-    def __init__(self, value: mp.mpf, prec: int, error_bound: mp.mpf,
-                 bound_kind: str = "rigorous"):   # or "estimate"
-        self.value = value
-        self.prec = prec
-        self.error_bound = error_bound
-        self.bound_kind = bound_kind
+    def __init__(self, man: int, prec: int, rad: int, bound_kind: str = "rigorous",
+                 terms: int | None = None):
+        self.man, self.prec, self.rad, self.bound_kind, self.terms = \
+            man, prec, rad, bound_kind, terms
+
+    @staticmethod
+    def fixed(man: int, wp: int, units: int = 0) -> "BigReal":
+        """man 2^-wp, a kernel's result within `units` units."""
+        return BigReal(man, wp, units << _RAD)
 
     @staticmethod
     def exactly(value, prec: int = 53) -> "BigReal":
-        """Wrap a value regarded as exact apart from representation rounding."""
-        v = _mpf_at(value, prec)
-        return BigReal(v, prec, mp.mpf(2) ** (-prec) * (abs(v) + 1))
+        """An int, float or Fraction rounded to prec bits; the bound is the
+        rounding, rounded up."""
+        x = Fraction(value) * (1 << prec)
+        man = round(x)
+        return BigReal(man, prec, math.ceil(abs(man - x) * (1 << _RAD)))
 
     @staticmethod
-    def with_bound(value, error_bound, prec: int = 53,
-                   kind: str = "rigorous") -> "BigReal":
-        return BigReal(_mpf_at(value, prec), prec, mp.mpf(error_bound), kind)
+    def with_bound(value, error_bound, prec: int = 53, kind: str = "rigorous") -> "BigReal":
+        b = BigReal.exactly(value, prec)
+        b.rad += math.ceil(Fraction(error_bound) * (1 << prec + _RAD))
+        b.bound_kind = kind
+        return b
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.man, 1 << self.prec)
+
+    @property
+    def error_bound(self) -> Fraction:
+        return Fraction(self.rad, 1 << self.prec + _RAD)
+
+    def round_to(self, prec: int) -> "BigReal":
+        """The value rounded to prec <= self.prec bits, the rounding in the bound."""
+        s = self.prec - prec
+        if s <= 0:
+            return self
+        man = (self.man + (1 << s - 1)) >> s
+        rad = _ceil_shift(self.rad + (abs((man << s) - self.man) << _RAD), s)
+        return BigReal(man, prec, rad, self.bound_kind, self.terms)
 
     def __float__(self) -> float:
-        return float(self.value)
+        return self.man / (1 << self.prec)     # int true division rounds correctly
 
     def as_float(self) -> tuple[float, float]:
         """(float64 value, bound on its distance from the exact value): the
         error bound plus the rounding to float64, rounded up."""
-        f = float(self.value)
-        with mp.workprec(self.prec + 64):
-            err = self.error_bound + abs(self.value - f)
+        f = float(self)
+        err = self.error_bound + abs(self.value - Fraction(f))
         return f, math.nextafter(float(err), math.inf)
 
-    def _round_err(self, v) -> mp.mpf:
-        return mp.mpf(2) ** (-self.prec) * (abs(v) + 1)
-
-    def _kind(self, other: "BigReal") -> str:
-        return "rigorous" if self.bound_kind == other.bound_kind == "rigorous" \
-            else "estimate"
+    def _pair(self, other):
+        o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
+        prec = min(self.prec, o.prec)
+        kind = "rigorous" if self.bound_kind == o.bound_kind == "rigorous" else "estimate"
+        return self.round_to(prec), o.round_to(prec), prec, kind
 
     def __add__(self, other):
-        o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
-        prec = min(self.prec, o.prec)
-        with mp.workprec(prec):
-            v = self.value + o.value
-        return BigReal(v, prec, self.error_bound + o.error_bound + self._round_err(v),
-                       self._kind(o))
+        a, b, prec, kind = self._pair(other)
+        return BigReal(a.man + b.man, prec, a.rad + b.rad, kind)
+
+    def __neg__(self):
+        return BigReal(-self.man, self.prec, self.rad, self.bound_kind)
 
     def __sub__(self, other):
-        o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
-        return self + BigReal(-o.value, o.prec, o.error_bound, o.bound_kind)
+        return self + -(other if isinstance(other, BigReal) else Fraction(other))
 
     def __mul__(self, other):
-        o = other if isinstance(other, BigReal) else BigReal.exactly(other, self.prec)
-        prec = min(self.prec, o.prec)
-        with mp.workprec(prec):
-            v = self.value * o.value
-        err = (abs(self.value) * o.error_bound + abs(o.value) * self.error_bound
-               + self.error_bound * o.error_bound + self._round_err(v))
-        return BigReal(v, prec, err, self._kind(o))
+        # |xy - x~y~| <= |x~| e_y + |y~| e_x + e_x e_y, plus the rounding of x~y~
+        a, b, p, kind = self._pair(other)
+        prod = a.man * b.man
+        man = (prod + (1 << p - 1)) >> p
+        rad = _ceil_shift(abs(a.man) * b.rad + abs(b.man) * a.rad
+                          + _ceil_shift(a.rad * b.rad, _RAD)
+                          + (abs((man << p) - prod) << _RAD), p)
+        return BigReal(man, p, rad, kind)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def abs_diff(self, other) -> mp.mpf:
-        o = other.value if isinstance(other, BigReal) else mp.mpf(other)
+    def abs_diff(self, other) -> Fraction:
+        o = other.value if isinstance(other, BigReal) else Fraction(other)
         return abs(self.value - o)
 
     def consistent_with(self, other: "BigReal") -> bool:
@@ -93,5 +115,160 @@ class BigReal:
         return self.abs_diff(other) <= self.error_bound + other.error_bound
 
     def __repr__(self):
-        return (f"BigReal({mp.nstr(self.value, 20)}, prec={self.prec}, "
-                f"err<={mp.nstr(mp.mpf(self.error_bound), 3)} {self.bound_kind})")
+        err = float(self.error_bound)
+        return f"BigReal({float(self)!r}, prec={self.prec}, err<={err:.3g} {self.bound_kind})"
+
+
+# ---------------------------------------------------------------------------
+# Kernels
+# ---------------------------------------------------------------------------
+
+def _arctan_inv(k: int, w: int, hyperbolic: bool = False) -> int:
+    """atan(1/k) 2^w, or atanh(1/k) 2^w, within w units for k >= 3, w >= 11:
+    p_i = floor(p_(i-1) / k^2), p_0 = floor(2^w / k), is within 9/8 of
+    2^w / k^(2i+1), so each of the n <= w / 3.17 + 1 terms p_i // (2i + 1) is
+    within 2.13 units, and once p_n = 0 the rest is below 1.27."""
+    p, total, i, kk = (1 << w) // k, 0, 0, k * k
+    while p:
+        t = p // (2 * i + 1)
+        total += t if hyperbolic or i % 2 == 0 else -t
+        p //= kk
+        i += 1
+    return total
+
+
+def pi_reals(wp: int) -> tuple[BigReal, BigReal]:
+    """(pi, 1/pi) at wp bits, by Machin's pi = 16 atan(1/5) - 4 atan(1/239) at
+    g = bitlen(wp) + 6 guard bits: the arctangents' 20 w units are below
+    2^(g-1), so pi is within 1 unit, and 2^(2wp) // (pi 2^wp + e), |e| <= 1,
+    within 1/pi^2 + 1 < 2 units of 2^wp / pi.  (Square roots are
+    math.isqrt(n << 2 wp), within 1 unit.)"""
+    g = wp.bit_length() + 6
+    w = wp + g
+    p = (16 * _arctan_inv(5, w) - 4 * _arctan_inv(239, w) + (1 << g - 1)) >> g
+    return BigReal.fixed(p, wp, 1), BigReal.fixed((1 << 2 * wp) // p, wp, 2)
+
+
+def exp_neg(X: int, wp: int) -> int:
+    """e^-x 2^wp within 1 unit, x = X 2^-wp >= 0.  At w = wp + g bits,
+    y = x / 2^s < 2^-8 is exact (g >= s); the Taylor sum of e^y, K <= w/8 + 1
+    floored terms, is low by relative 2^-w (2K + 1) at most; the s floored
+    squarings each double that and add 2^-w, the floored reciprocal adds a
+    unit: at most 2^(s+1) (2K + 3) units of 2^-w, under 2^(g-1) for
+    g = s + bitlen(wp) + 4, so rounding off the g guard bits leaves 1 unit."""
+    s = (X >> wp).bit_length() + 8
+    g = s + wp.bit_length() + 4
+    w, k = wp + g, 0
+    y, one = X << g - s, 1 << w
+    t = total = one
+    while t:
+        k += 1
+        t = t * y // (k << w)
+        total += t
+    for _ in range(s):
+        total = total * total >> w
+    return ((one << w) // total + (1 << g - 1)) >> g
+
+
+# E1 is summed from its power series below x = _E1_SPLIT and from its
+# continued fraction above: the split measured fastest at 128 and 400 bits
+_E1_SPLIT = 24
+
+
+def _e1_scaled(X: int, wp: int, bits: int) -> int:
+    """e^x E1(x) 2^wp, x = X 2^-wp >= 1, within 2 units plus 2^-bits.  As a
+    Stieltjes function, int_0^inf e^-t dt / (x + t), it lies between any two
+    successive convergents of 1/(x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...)))))
+    (A&S 5.1.22); the loop stops when two are 2^-bits apart.  The recurrence,
+    scaled by 2^wp at each x-step, has positive terms, so the shifts keeping
+    q0 at wp + 80 bits (relative 2^-(wp+70) each) move the convergent by far
+    under a unit in 2^20 steps; the final division adds one."""
+    d, m = 1 << wp, 0
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    while True:
+        m += 1
+        # the steps j = 2m - 1 (b_j = x, a_j = max(1, m - 1)) and j = 2m (1, m)
+        a = d * max(1, m - 1)
+        p0, p1 = p1, X * p1 + a * p0
+        q0, q1 = q1, X * q1 + a * q0
+        a = d * m
+        p0, p1 = p1, p1 + a * p0
+        q0, q1 = q1, q1 + a * q0
+        if abs(p1 * q0 - p0 * q1) << bits <= q1 * q0:
+            return (p1 << wp) // q1
+        s = q0.bit_length() - wp - 80
+        if s > 0:
+            p0, p1, q0, q1 = p0 >> s, p1 >> s, q0 >> s, q1 >> s
+
+
+def _ein(X: int, w: int) -> int:
+    """sum_k>=1 (-1)^(k+1) x^k / (k k!) 2^w, x = X 2^-w, within e^x (ln K + 3)
+    + K units for K terms: the floored x^k/k! are within e^x, the tail 2 e^x."""
+    t, total, k = X, 0, 1
+    while t:
+        total += t // k if k % 2 else -(t // k)
+        k += 1
+        t = t * X // (k << w)
+    return total
+
+
+def e1_values(U: int, wp: int, need: list) -> tuple[list[int], int]:
+    """([E1(n u) 2^wp for n = 0..M], bound), u = U 2^-wp, M = len(need) - 1:
+    each n with need[n] true within `bound` units, the others 0.
+
+    With n0 u the first multiple of u >= _E1_SPLIT, E1(nu) for n >= n0 is
+    q^n, floored powers of q = exp_neg(U) (within 2n units), times
+    _e1_scaled to 2^-wp e^x: within 2n + 5 units.  Below n0 Euler's constant
+    cancels from E1(nu) = E1(n0 u) + ln(n0/n) + Ein(nu) - Ein(n0 u), where
+    ln(n0/n) = 2 sum_{n<i<=n0} atanh(1/(2i-1)); at gs guard bits the atanh
+    terms' w units and Ein's e^x (ln K + 3) + K, x < _E1_SPLIT + u, stay
+    below 2^(gs-1), so these entries are within 2 n0 + 7 units."""
+    M = len(need) - 1
+    n0 = max(1, -(-(_E1_SPLIT << wp) // U))
+    top = max(M, n0)
+    q, qn = exp_neg(U, wp), 1 << wp
+    out = [0] * (top + 1)
+    for n in range(1, top + 1):
+        qn = qn * q >> wp
+        if n == n0 or n > n0 and need[n]:
+            x = n * U
+            bits = max(1, wp - int(1.4426 * (x >> wp)))
+            out[n] = qn * _e1_scaled(x, wp, bits) >> wp
+    gs = int(1.45 * _E1_SPLIT) + (n0 * wp).bit_length() + 20
+    w = wp + gs
+    e0, log = (out[n0] << gs) - _ein(n0 * U << gs, w), 0
+    for n in range(n0 - 1, 0, -1):
+        log += 2 * _arctan_inv(2 * n + 1, w, hyperbolic=True)
+        if n <= M and need[n]:
+            out[n] = (e0 + log + _ein(n * U << gs, w) + (1 << gs - 1)) >> gs
+    return out[:M + 1], 2 * top + 7
+
+
+def bernoulli_even(K: int) -> list[Fraction]:
+    """[B_2, B_4, ..., B_2K] exactly, from the tangent numbers T_k (Knuth and
+    Buckholtz, Math. Comp. 21 (1967)): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    T = [0, 1] + [0] * (K - 1)
+    for k in range(2, K + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    return [Fraction((-1) ** (k - 1) * 2 * k * T[k], 4 ** k * (4 ** k - 1))
+            for k in range(1, K + 1)]
+
+
+def n2_tail_log2(alpha: float, M: int) -> float:
+    """log2 of a bound on sum_{n>M} n^2 e^(-alpha n), with 2^-20 to spare for
+    float64's logarithms.  The ratio of consecutive terms, (1 + 1/n)^2
+    e^-alpha, falls with n, so the tail is below the geometric series from
+    n = M + 1 with the ratio there, < 1 once M + 1 > 2/alpha."""
+    ratio = ((M + 2) / (M + 1)) ** 2 * math.exp(-alpha)
+    if ratio >= 1:
+        raise ValueError(f"M = {M} is too small for a geometric tail")
+    return (2 * math.log2(M + 1) - alpha * (M + 1) / math.log(2)
+            - math.log2(1 - ratio) + 2 ** -20)
+
+
+def bound_units(log2_bound: float, wp: int) -> int:
+    """A bound given by its log2 (at most 900 - wp) in units 2^-wp, rounded up."""
+    return math.ceil(2.0 ** (log2_bound + wp)) + 1

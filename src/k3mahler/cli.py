@@ -14,8 +14,7 @@ import json
 import sys
 import time
 
-# the other layers, and mpmath with them, are imported by the subcommands
-# that run them: `ap` and `lattice` never load mpmath
+# the other layers are imported by the subcommands that run them
 from . import lattices
 from .lattices import SURFACES
 
@@ -76,7 +75,7 @@ def _subchecks(surf: lattices.Surface, prec: int, pmax: int, quad, d3_term):
         "eisenstein-kronecker-series", bs.consistent_with(quad),
         "weighted lattice sums at the CM point",
         value=float(bs.value), diff=abs(float(bs.value) - float(quad.value)),
-        error_bound=float(bs.error_bound + quad.error_bound))]
+        error_bound=float(bs.error_bound + quad.error_bound), prec=bs.prec, terms=bs.terms)]
 
     from . import pointcount
     table = lattices.NEWFORM_AP[surf.level]
@@ -103,7 +102,8 @@ def _subchecks(surf: lattices.Surface, prec: int, pmax: int, quad, d3_term):
             "dirichlet-term-epstein", eps.consistent_with(d3_term),
             "Chowla-Selberg rows of the weight-0 Epstein combination vs (14/5) d3",
             value=float(eps.value), diff=float(eps.abs_diff(d3_term)),
-            error_bound=float(eps.error_bound + d3_term.error_bound))]
+            error_bound=float(eps.error_bound + d3_term.error_bound),
+            prec=eps.prec, terms=eps.terms)]
     if surf.height is None:
         return
 
@@ -187,7 +187,7 @@ def cmd_verify(args) -> int:
               "lhs": {"value": float(quad.value), "method": "agm-period-quadrature",
                       "error_bound": float(quad.error_bound), "bound_kind": quad.bound_kind},
               "rhs": {"value": rhs, "method": method, "error_bound": rhs_err,
-                      "bound_kind": exact.bound_kind},
+                      "bound_kind": exact.bound_kind, "prec": args.prec, "terms": exact.terms},
               "subchecks": subchecks, "abs_diff": diff, "timings": timings,
               "pass": bool(identity_ok and all(c["pass"] for c in subchecks))}
     # timings is the only field that varies between runs of the same request:

@@ -17,9 +17,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-import mpmath as mp
-
-from .bigreal import BigReal
+from .bigreal import (BigReal, bernoulli_even, bound_units, e1_values, exp_neg,
+                      n2_tail_log2, pi_reals)
 
 
 # ---------------------------------------------------------------------------
@@ -115,82 +114,73 @@ def form_coefficients(series: QuadFormSeries, N: int) -> list[int]:
     return [v * num // den for v in acc]
 
 
-def _n2_tail(alpha, M: int):
-    """Upper bound for sum_{n>M} n^2 e^(-alpha n), as an mpf.
-
-    The ratio of consecutive terms, (1 + 1/n)^2 e^-alpha, falls with n, so the
-    tail is below the geometric series started at n = M + 1 with the ratio at
-    n = M + 1; that ratio is < 1 once M + 1 > 2/alpha.
-    """
-    ratio = (mp.mpf(M + 2) / (M + 1)) ** 2 * mp.exp(-alpha)
-    if ratio >= 1:
-        raise ValueError(f"M = {M} is too small for a geometric tail")
-    return (M + 1) ** 2 * mp.exp(-alpha * (M + 1)) / (1 - ratio)
+def _s(x: float, k: int) -> float:
+    """sum_{n>=1} n^k x^n for k = 1, 2, 3 and 0 <= x < 1."""
+    return x * (1, 1 + x, 1 + 4 * x + x * x)[k - 1] / (1 - x) ** (k + 1)
 
 
 def smoothed_lvalue(series: QuadFormSeries, prec: int = 128) -> BigReal:
     """L(phi, 3) for the form series by the smoothed sum of its functional
     equation (Dokchitser, Exp. Math. 13 (2004)), with a rigorous bound.
 
-    With level N = |disc| and A = sqrt(N) / 2 pi, the completed L-function
-    Lambda(s) = A^s Gamma(s) L(s) satisfies Lambda(s) = Lambda(3 - s) for the
-    three series.  Splitting the Mellin integral of
-    theta(y) = sum a_n e^(-2 pi n y / sqrt(N)) at y = 1 gives
-
-        L(3) = sum_n a_n [(A/n)^3 Gamma(3, n/A) + E_1(n/A)] / (2 A^3),
-
-    with Gamma(3, x) = e^-x (x^2 + 2x + 2).  The terms fall like e^(-n/A), so
-    M = O(A prec) coefficients from form_coefficients suffice.  The tail bound
-    uses |a_n| <= C n^2 (QuadFormSeries.coeff_bound) and, for x = n/A >= 1,
-    |term| <= 6 |a_n| e^-x; the rounding term allows 32 roundings of every
-    summand and one per addition, at the working precision.
-
-    Before the sum is trusted, theta(1/y) = y^3 theta(y) is checked at
-    y = 5/4 within the same tail and rounding bounds; a series whose
-    functional equation does not fit raises ArithmeticError.
+    With level N = |disc|, u = 2 pi / sqrt(N) and A = 1/u, Lambda(s) =
+    A^s Gamma(s) L(s) = Lambda(3 - s) for the three series, and splitting the
+    Mellin integral of theta(y) = sum a_n e^(-n u y) at y = 1 gives
+        L(3) = sum_n a_n [e^-nu (u^2/n + 2u/n^2 + 2/n^3) + u^3 E_1(nu)] / 2.
+    The tail past M is below 6 C sum_{n>M} n^2 e^-nu u^3/2 (|a_n| <= C n^2 by
+    QuadFormSeries.coeff_bound; the bracket is below 6 e^-x for x >= 1),
+    which picks M.  On integers at wp bits u is within 2 units, e^-nu (powers
+    of exp_neg(u)) within 2n and E_1 within e1_values' bound, so with one
+    floor per product the n-th bracket is within 2n (u^2 + 2u + 2) + u^3 e1
+    + 4 units, counted times |a_n|; the rounded u~ costs 2 units times
+    |dL/du| <= C u^2 sum n^2 e^-nu (1 + 1.5/nu).  Before the sum is trusted,
+    theta(1/y) = y^3 theta(y) is checked at y = 5/4 within the same kind of
+    tail, rounding and u~ bounds, or ArithmeticError is raised.
     """
-    N = abs(series.disc)
-    C = series.coeff_bound()
-    wp = prec + 20
-    with mp.workprec(wp):
-        A = mp.sqrt(N) / (2 * mp.pi)
-        y = mp.mpf(5) / 4
-        y3 = y ** 3
-        scale = 1 / (2 * A ** 3)
-        # the smallest M whose tail bound is below 2^-(prec + 4), searched
-        # upward from where e^(-M/A) alone reaches it (M + 1 > 2.5 A keeps
-        # both geometric ratios below 1)
-        M = max(math.ceil(2.5 * A), int(A * (prec + 4) * math.log(2)))
-        while 6 * C * _n2_tail(1 / A, M) * scale > mp.mpf(2) ** -(prec + 4):
-            M += 1
-        co = form_coefficients(series, M)
-        theta_inv = theta_y = abs_theta = mp.mpf(0)    # theta(1/y), theta(y)
-        total = abs_total = mp.mpf(0)
-        for n in range(1, M + 1):
-            a_n = co[n]
-            if a_n == 0:
-                continue
-            x = n / A
-            ex = mp.exp(-x)
-            term = a_n * (ex * (1 / x + 2 / x ** 2 + 2 / x ** 3) + mp.e1(x))
-            total += term
-            abs_total += abs(term)
-            at_inv, at_y = a_n * mp.exp(-x / y), a_n * mp.exp(-x * y)
-            theta_inv += at_inv
-            theta_y += at_y
-            abs_theta += abs(at_inv) + y3 * abs(at_y)
-        unit = (M + 32) * mp.mpf(2) ** -wp
-        slack = (C * (_n2_tail(1 / (A * y), M) + y3 * _n2_tail(y / A, M))
-                 + unit * abs_theta)
-        if abs(theta_inv - y3 * theta_y) > slack:
-            raise ArithmeticError(
-                f"theta(1/y) != y^3 theta(y) at level {N}: the functional "
-                "equation does not hold, so the smoothed sum does not give L(3)")
-        value = total * scale
-        err = (6 * C * _n2_tail(1 / A, M) + unit * abs_total) * scale
-    with mp.workprec(prec):
-        rounded = +value
-    return BigReal(rounded, prec, err + abs(rounded - value))
+    N, C = abs(series.disc), series.coeff_bound()
+    A = math.sqrt(N) / (2 * math.pi)
+    # the least M with the tail below 2^-(prec + 4); M + 1 > 2.5 A keeps the
+    # geometric ratios of the theta tails below 1
+    scale = math.log2(3 * C / A ** 3)
+    M = max(math.ceil(2.5 * A), int(A * (prec + 4) * math.log(2)))
+    while n2_tail_log2(1 / A, M) + scale > -(prec + 4):
+        M += 1
+    wp = prec + 64
+    U = (pi_reals(wp)[0].man << wp + 1) // math.isqrt(N << 2 * wp)
+    co = form_coefficients(series, M)
+    e1, e1_err = e1_values(U, wp, co)
+    q, q_inv, q_y = exp_neg(U, wp), exp_neg(4 * U // 5, wp), exp_neg(5 * U >> 2, wp)
+    U2, U3 = U * U, U ** 3 >> 2 * wp
+    cm, u3m = (U2 >> 2 * wp) + 2 * (U >> wp) + 5, (U3 >> wp) + 1
+    qn = qn_inv = qn_y = 1 << wp
+    total = err = theta_inv = theta_y = theta_err = 0
+    for n in range(1, M + 1):
+        qn, qn_inv, qn_y = qn * q >> wp, qn_inv * q_inv >> wp, qn_y * q_y >> wp
+        a_n = co[n]
+        if a_n == 0:
+            continue
+        w = (U2 * n + (U << wp + 1)) * n + (1 << 2 * wp + 1)
+        total += a_n * (qn * w // (n ** 3 << 2 * wp) + (U3 * e1[n] >> wp))
+        err += abs(a_n) * (2 * n * cm + u3m * e1_err + 4)
+        # 4u/5 and 5u/4 are floored, so their powers are within 3n units
+        theta_inv += a_n * qn_inv
+        theta_y += a_n * qn_y
+        theta_err += abs(a_n) * 9 * n
+    u = U / (1 << wp)
+    slack = (bound_units(math.log2(C) + n2_tail_log2(0.8 * u, M), wp)
+             + bound_units(math.log2(C * 125 / 64) + n2_tail_log2(1.25 * u, M), wp)
+             + theta_err + math.ceil(2.02 * C * (0.8 * _s(math.exp(-0.8 * u), 3)
+                                                 + 1.25 ** 4 * _s(math.exp(-1.25 * u), 3))))
+    if abs(64 * theta_inv - 125 * theta_y) > 64 * slack:
+        raise ArithmeticError(
+            f"theta(1/y) != y^3 theta(y) at level {N}: the functional "
+            "equation does not hold, so the smoothed sum does not give L(3)")
+    # the value is total / 2, at wp + 1 bits; 2 units of u~ are 4 there
+    err += (bound_units(n2_tail_log2(1 / A, M) + scale, wp + 1)
+            + math.ceil(4.04 * C * u * (u * _s(math.exp(-u), 2) + 1.5 * _s(math.exp(-u), 1))))
+    value = BigReal.fixed(total, wp + 1, err).round_to(prec)
+    value.terms = M
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -199,36 +189,32 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int = 128) -> BigReal:
 
 def dirichlet_lvalue(prec: int = 128) -> BigReal:
     """L(chi_-3, 2) = sum chi(n)/n^2 by paired summation with an
-    Euler-Maclaurin tail on f(j) = (3j+1)^-2 - (3j+2)^-2."""
-    with mp.workprec(prec + 24):
-        J = max(64, prec // 2)
-        head = mp.fsum(mp.mpf(3 * j + 1) ** -2 - mp.mpf(3 * j + 2) ** -2
-                       for j in range(J))
-        # tail: sum_{j>=J} f(j) = int_J^inf f + f(J)/2 - sum B_2k/(2k)! f^(2k-1)(J)
-        x1, x2 = mp.mpf(3 * J + 1), mp.mpf(3 * J + 2)
-        tail = (1 / x1 - 1 / x2) / 3
-        tail += (x1 ** -2 - x2 ** -2) / 2
-        target = mp.mpf(2) ** (-(prec + 16))
-        kterm = None
-        for kk in range(1, 200):
-            n = 2 * kk - 1
-            # f^(n)(x) = (-3)^n (n+1)! [x1^-(n+2) - x2^-(n+2)]
-            deriv = mp.mpf(-3) ** n * mp.factorial(n + 1) * (x1 ** -(n + 2) - x2 ** -(n + 2))
-            kterm = -mp.bernoulli(2 * kk) / mp.factorial(2 * kk) * deriv
-            tail += kterm
-            if abs(kterm) < target:
-                break
-        value = head + tail
-    with mp.workprec(prec):
-        return BigReal(+value, prec, mp.mpf(2) ** (-(prec - 2)) + 2 * abs(kterm))
+    Euler-Maclaurin tail on f(j) = (3j+1)^-2 - (3j+2)^-2, each of the J head
+    blocks and tail terms floored once at prec + 24 bits.  The k-th tail term
+    is 3^(2k-1) B_2k (x1^-(2k+1) - x2^-(2k+1)), x1 = 3J + 1, x2 = 3J + 2; as
+    (-1)^n f^(n) > 0 falls (f is g(x) - g(x + 1/3), g completely monotone),
+    the remainder is below the last term, counted twice."""
+    wp = prec + 24
+    J = max(64, prec // 2)
+    head = sum(((6 * j + 3) << wp) // ((3 * j + 1) * (3 * j + 2)) ** 2 for j in range(J))
+    x1, x2 = 3 * J + 1, 3 * J + 2
+    # int_J^inf f + f(J)/2
+    tail = (1 << wp) // (3 * x1 * x2) + ((x1 + x2) << wp) // (2 * (x1 * x2) ** 2)
+    for k, b in enumerate(bernoulli_even(prec // 8 + 16), 1):
+        e = 2 * k + 1
+        t = ((3 ** (2 * k - 1) * b.numerator * (x2 ** e - x1 ** e)) << wp) \
+            // (b.denominator * (x1 * x2) ** e)
+        tail += t
+        if abs(t) << prec + 16 < 1 << wp:
+            break
+    return BigReal.fixed(head + tail, wp, J + k + 2 + 2 * abs(t)).round_to(prec)
 
 
 def d3(prec: int = 128) -> BigReal:
     """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1)."""
-    L = dirichlet_lvalue(prec)
-    with mp.workprec(prec):
-        c = 3 * mp.sqrt(3) / (4 * mp.pi)
-        return BigReal(+(c * L.value), prec, c * L.error_bound + mp.mpf(2) ** (-(prec - 2)))
+    wp = prec + 8
+    c = BigReal.fixed(math.isqrt(3 << 2 * wp), wp, 1) * pi_reals(wp)[1] * Fraction(3, 4)
+    return (c * dirichlet_lvalue(wp)).round_to(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +225,26 @@ def identity_rhs(surf, prec: int) -> tuple[BigReal, str, BigReal | None]:
     """(value, method, d3 term or None) of the right-hand side
     (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3 of a `Surface` record,
     prefactor = (r, n), at prec bits; a term with no disc or d3_coeff 0 is
-    left out.  The prefactor's few roundings at prec + 10 bits and the last
-    one to prec stay within the 2^-prec (|v| + 1) that BigReal.exactly allows."""
-    parts, terms, d3_term = [], [], None
+    left out.  The prefactor is a BigReal product at prec + 10 bits, its
+    roundings in its bound; the value carries the smoothed sum's `terms`."""
+    parts, terms, d3_term, M = [], [], None, None
     if surf.disc is not None:
         r, n = surf.prefactor
-        with mp.workprec(prec + 10):
-            v = r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
-        pref = BigReal.exactly(v, prec)
-        parts.append(pref * smoothed_lvalue(FORM_SERIES[surf.disc], prec))
-        terms.append(f"({mp.nstr(pref.value, 10)}) * L(phi_{surf.disc}, 3)")
+        wp, inv_pi = prec + 10, pi_reals(prec + 10)[1]
+        pref = (inv_pi * inv_pi * inv_pi * BigReal.fixed(math.isqrt(n << 2 * wp), wp, 1)
+                * r).round_to(prec)
+        lv = smoothed_lvalue(FORM_SERIES[surf.disc], prec)
+        parts.append(pref * lv)
+        terms.append(f"({float(pref):.10g}) * L(phi_{surf.disc}, 3)")
+        M = lv.terms
     if surf.d3_coeff:
         c = surf.d3_coeff
-        with mp.workprec(prec):
-            coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, prec)
-        d3_term = coeff * d3(prec)
+        d3_term = BigReal.exactly(c, prec) * d3(prec)
         parts.append(d3_term)
         terms.append(f"({c}) d3" if terms else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
-    return sum(parts), " + ".join(terms), d3_term
+    value = sum(parts)
+    value.terms = M
+    return value, " + ".join(terms), d3_term
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ coefficients regained from the form series by twisting.
 
 No program path needs them: `verify` reads the CM point from the tau table
 (`mahler.exact_tau_value`) and the L-value from the form series.  They run in
-mpmath at a caller-chosen precision.
+mpmath at a caller-chosen precision, and take the tabulated CM points from
+the mpmath oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from k3mahler.lattices import NEWFORM_AP, SURFACES
 from k3mahler.lfunctions import FORM_SERIES, QuadFormSeries
-from k3mahler.mahler import exact_tau_value
+from mp_oracle import exact_tau_value
 
 
 class NewtonNonConvergence(RuntimeError):

@@ -224,7 +224,7 @@ class TestExitCodes:
 
         def wide(series, prec):
             v = smoothed(series, prec)
-            return BigReal(v.value, v.prec, mp.mpf("4.9e-3"))
+            return BigReal.with_bound(v.value, Fraction("4.9e-3"), v.prec)
         monkeypatch.setattr(lfunctions, "smoothed_lvalue", wide)
         code, out = run(capsys, ["verify", "--k", "6", "--pmax", "13"])
         assert code == 1
@@ -436,15 +436,18 @@ class TestWithoutNumpy:
         ([], []),
         (["ap", "--k", "18", "--json"], []),
         (["lattice", "--k", "18", "--json"], []),
-        *((["verify", "--k", k, "--json"], ["mpmath"]) for k in ("0", "3", "6", "18")),
-        (["mahler", "--k", "6", "--json"], ["mpmath"]),
-        (["mahler", "--k", "6", "--method", "bertin", "--json"], ["mpmath"]),
+        *((["verify", "--k", k, "--json"], []) for k in ("0", "3", "6", "18")),
+        (["mahler", "--k", "6", "--json"], []),
+        (["mahler", "--k", "6", "--method", "bertin", "--json"], []),
+        (["lvalue", "--k", "18", "--json"], []),
+        (["coeffs", "--k", "6", "--json"], []),
         # every prime below _NUMPY_FROM is scanned in pure Python; the control,
         # the first prime from there on, is scanned by numpy
         (["ap", "--k", "3", "--pmax", str(LAST_PURE_PRIME)], []),
         (["ap", "--k", "3", "--pmax", str(FIRST_NUMPY_PRIME)], ["numpy"]),
     ], ids=["import", "ap-k18", "lattice-k18", "verify-k0", "verify-k3", "verify-k6",
-            "verify-k18", "mahler-k6", "mahler-bertin-k6", "ap-below-crossover",
+            "verify-k18", "mahler-k6", "mahler-bertin-k6", "lvalue-k18", "coeffs-k6",
+            "ap-below-crossover",
             "ap-control"])
     def test_numpy_stays_unloaded(self, argv, loads):
         env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))

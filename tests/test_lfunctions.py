@@ -2,6 +2,7 @@
 machinery, d3, the Epstein combination, and twisting utilities."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from k3mahler.lattices import NEWFORM_AP, SURFACES
 from k3mahler.mahler import epstein_combo
 from conftest import lvalue_from_coeffs, tail_scale
 from modular import form_coefficients_numpy, newform_coefficients
+from mp_oracle import fraction
 
 # the printed phi-rows (coefficients of the three Hecke series at p <= 31)
 PHI_ROWS = {
@@ -146,7 +148,7 @@ class TestSmoothedLValue:
     def test_prec_128_within_its_bound_of_256(self, lvalue_256):
         for disc in PHI_ROWS:
             v128 = lf.smoothed_lvalue(lf.FORM_SERIES[disc], 128)
-            assert v128.error_bound < mp.mpf(2) ** -120
+            assert v128.error_bound < Fraction(1, 2 ** 120)
             assert v128.abs_diff(lvalue_256[disc]) <= v128.error_bound, disc
 
     def test_guard_rejects_wrong_functional_equation(self):
@@ -169,8 +171,7 @@ class TestEpstein:
         v = epstein_combo()
         assert abs(float(v.value) - 2.8 * float(d3_value.value)) < 1e-5
         # at 128 bits, inside both rigorous bounds
-        with mp.workprec(128):
-            d3_term = BigReal.exactly(mp.mpf(14) / 5, 128) * d3_value
+        d3_term = BigReal.exactly(Fraction(14, 5), 128) * d3_value
         assert v.bound_kind == d3_term.bound_kind == "rigorous"
         assert v.consistent_with(d3_term)
 
@@ -187,7 +188,7 @@ class TestDirichletAndD3:
             ref = (mp.polygamma(1, mp.mpf(1) / 3)
                    - mp.polygamma(1, mp.mpf(2) / 3)) / 9
         v = lf.dirichlet_lvalue(prec=160)
-        assert abs(v.value - ref) < mp.mpf(2) ** -150
+        assert v.abs_diff(fraction(ref)) < Fraction(1, 2 ** 150)
 
     def test_partial_sums_bracket(self):
         # blocks of (1/(3j+1)^2 - 1/(3j+2)^2) are positive and decreasing,

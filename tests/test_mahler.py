@@ -4,18 +4,22 @@ Eisenstein-Kronecker series."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from k3mahler import lfunctions, mahler
+from k3mahler.bigreal import BigReal
 from k3mahler.lattices import SURFACES
 from k3mahler.lfunctions import d3
-from k3mahler.mahler import (ToleranceNotReached, _row_sums, bertin_series,
-                             bertin_series_for_k, exact_tau_value, mahler_quadrature)
+from k3mahler.mahler import (ToleranceNotReached, bertin_series, bertin_series_for_k,
+                             mahler_quadrature)
 from conftest import mahler_mc
 from modular import eta, fit_w_expansion, k_of_tau, tau_of_k, w_of_tau
+import mp_oracle
+from mp_oracle import _row_sums, exact_tau_value, fraction
 
 # the kinks of the inner integrand move with k; 1.999 ... 6.0001 sit next to
 # the k where outer breakpoints appear, merge or leave [0, pi]
@@ -169,14 +173,14 @@ class TestQuadrature:
         assert mahler_quadrature(0).abs_diff(d3(250).value) <= 1e-16
 
     def test_k18_constant_term_series(self):
-        assert mahler_quadrature(18).abs_diff(constant_term_series(18)) <= 1e-15
+        assert mahler_quadrature(18).abs_diff(fraction(constant_term_series(18))) <= 1e-15
 
     @pytest.mark.parametrize("k", [1e10, 1e12, 1e18, 1e100, 1e200, 1e300])
     def test_large_k_within_bound(self, k):
         # [4, k - 2] spans up to 300 decades of g ~ 1/t, and past t ~ 1e154
         # t^2 overflows float64; the value must still lie within its bound
         v = mahler_quadrature(k, tol=1e-5)
-        assert v.abs_diff(constant_term_series(k)) <= v.error_bound, k
+        assert v.abs_diff(fraction(constant_term_series(k))) <= v.error_bound, k
         assert float(v.error_bound) <= 1e-12, k
 
     def test_plus_minus_symmetry(self, quad):
@@ -337,7 +341,8 @@ class TestBertinSeries:
         # end-to-end: numeric inversion of the modular parametrization feeds
         # the lattice sums, which must land on the quadrature value
         cm = tau_of_k(100, prec=80)
-        b = bertin_series(cm.tau)
+        assert mp.re(cm.tau) == 0
+        b = bertin_series((0, BigReal.exactly(fraction(mp.im(cm.tau)), 112)))
         assert abs(float(b.value) - float(quad(100, 1e-9).value)) < 1e-7
 
     def test_precision_doubling_within_bound(self):
@@ -355,4 +360,60 @@ class TestBertinSeries:
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
-            bertin_series(-0.5j)
+            bertin_series((0, BigReal.exactly(-0.5)))
+
+
+def oracle_gaps(prec, oracle_prec, ks=(0, 2, 3, 6, 10, 18)):
+    """[(name, |value - oracle|, err(value), err(oracle))] for the smoothed
+    L-values of the three discs, d3, the Epstein combination and the
+    Eisenstein-Kronecker series at the tabulated CM point of each k, at prec
+    bits, against the mpmath routes at oracle_prec bits."""
+    rows = [(f"L(phi_{disc}, 3)", lfunctions.smoothed_lvalue(series, prec),
+             mp_oracle.smoothed_lvalue(series, oracle_prec))
+            for disc, series in lfunctions.FORM_SERIES.items()]
+    rows += [("d3", d3(prec), mp_oracle.d3(oracle_prec)),
+             ("epstein", mahler.epstein_combo(prec), mp_oracle.epstein_combo(oracle_prec))]
+    rows += [(f"EK k={k}", bertin_series_for_k(k, prec), mp_oracle.bertin_series_for_k(k, oracle_prec))
+             for k in ks]
+    with mp.workprec(2 * max(prec, oracle_prec)):
+        return [(name, abs(mp.mpf(v.value.numerator) / v.value.denominator - ref.value),
+                 mp.mpf(v.error_bound.numerator) / v.error_bound.denominator, ref.error_bound)
+                for name, v, ref in rows]
+
+
+class TestAgainstTheMpmathRoutes:
+    def test_routes_at_256_bits(self):
+        for name, gap, err, ref_err in oracle_gaps(256, 256):
+            assert gap <= err + ref_err, name
+            assert err < mp.mpf(2) ** -250, name
+
+    def test_zeta3_within_its_bound(self):
+        for prec in (53, 128, 200, 400):
+            z = mahler._zeta3(prec)
+            with mp.workprec(2 * prec):
+                assert z.abs_diff(fraction(mp.zeta(3))) <= z.error_bound, prec
+
+    def test_exact_tau_value(self):
+        for k in (0, 2, 3, 6, 10, 18):
+            re, im = mahler.exact_tau_value(k, 128)
+            with mp.workprec(256):
+                ref = mp_oracle.exact_tau_value(k, 256)
+                assert abs(re - fraction(mp.re(ref))) < Fraction(1, 2 ** 250), k
+                assert im.abs_diff(fraction(mp.im(ref))) <= im.error_bound, k
+
+    def test_root_of_unity_refuses_other_real_parts(self):
+        # only a tau with 12 Re tau an integer has 12th roots of unity
+        for re in (Fraction(1, 5), Fraction(1, 24), 0.1):
+            with pytest.raises(ValueError, match="not an integer"):
+                bertin_series((re, BigReal.exactly(1)))
+
+    def test_every_twelfth_against_the_row_sums(self):
+        # Re tau = t/12 for every t mod 12, against the cot row kernel of the
+        # mpmath route; Im tau = 1/2 keeps the rows fast
+        for t in range(-6, 7):
+            tau = (Fraction(t, 12), BigReal.exactly(0.5))
+            got = bertin_series(tau, 96)
+            with mp.workprec(160):
+                ref = mp_oracle.bertin_series(mp.mpc(mp.mpf(t) / 12, 0.5), 96)
+                gap = abs(mp.mpf(got.value.numerator) / got.value.denominator - ref.value)
+                assert gap <= got.error_bound + ref.error_bound, t
