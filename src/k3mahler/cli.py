@@ -15,8 +15,8 @@ import sys
 import time
 
 # the other layers are imported by the subcommands that run them
-from . import lattices
-from .lattices import SURFACES
+from . import surfaces
+from .surfaces import SURFACES
 
 VERIFY_KS = tuple(SURFACES)
 # the k whose identity has an L-value term
@@ -38,14 +38,14 @@ def _subcheck(name: str, ok: bool, provenance: str, **extra) -> dict:
     return {"name": name, "pass": bool(ok), "provenance": provenance, **extra}
 
 
-def _subchecks(surf: lattices.Surface, prec: int, pmax: int, quad, d3_term):
+def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, quad, d3_term):
     """Yield (stage, its subchecks) in report order, for the stages the record
     selects: none without an L-value (no disc); lattice, ek and ap with one;
     epstein where the right-hand side has a d3 term beside it; and the
     section stages where the record has the infinite section's height."""
     if surf.disc is None:
         return
-    from . import lfunctions, mahler
+    from . import lattices, lfunctions, mahler
     summary = lattices.transcendental_summary(surf.k)
     rec = summary["tau"]
     checks = [
@@ -78,7 +78,7 @@ def _subchecks(surf: lattices.Surface, prec: int, pmax: int, quad, d3_term):
         error_bound=float(bs.error_bound + quad.error_bound), prec=bs.prec, terms=bs.terms)]
 
     from . import pointcount
-    table = lattices.NEWFORM_AP[surf.level]
+    table = surfaces.NEWFORM_AP[surf.level]
     co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[surf.disc], max(pmax, 2))
     aps = pointcount.ap_scan(surf.k, pmax)
     mism = {}
@@ -224,7 +224,7 @@ def cmd_mahler(args) -> int:
                              f"(+- {float(v.error_bound):.2e}, quadrature)")
     else:
         try:
-            lattices.tau_table(k)
+            surfaces.tau_table(k)
         except ValueError as exc:
             raise UsageError(f"bertin method: {exc}") from None
         value, err = mahler.bertin_series_for_k(k, prec=args.prec).as_float()
@@ -259,6 +259,7 @@ def cmd_ap(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    from . import lattices
     summary = lattices.transcendental_summary(args.k)
     comp = summary["orthocomplement"]
     payload = {"input": {"k": args.k},

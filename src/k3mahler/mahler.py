@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from .bigreal import BigReal, bound_units, exp_neg, n2_tail_log2, pi_reals
-from .lattices import tau_table
+from .surfaces import tau_table
 
 
 class ToleranceNotReached(RuntimeError):

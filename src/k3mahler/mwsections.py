@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .exactalg import (Place, Poly, QuadElem, is_square_quad, poly_valuation,
                        reduce_mod_p)
-from .lattices import SURFACES
+from .surfaces import SURFACES
 from .pointcount import legendre, point_order, primes_up_to, weierstrass_invariants
 
 

@@ -9,7 +9,9 @@ in O(p log p).  Below _NUMPY_FROM the convolution is one exact big-integer
 (Kronecker) square in pure Python, from there on one numpy FFT, whose
 rounding is checked.  _NUMPY_FROM is the break-even prime where the pure
 kernel's extra time first exceeds numpy's import; scans below it skip numpy.
-`A_p` alone tests p for primality."""
+`A_p` checks its record and tests p for primality on every call; `ap_scan`
+checks the record once and takes its primes from the sieve, so it runs no
+primality test."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from array import array
 from collections.abc import Iterable
 from operator import itemgetter, mul
 
-from .lattices import SURFACES
+from .surfaces import SURFACES
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -111,10 +113,16 @@ def _torus_count(k: int, p: int) -> int:
 def _torus_count_small(k: int, p: int) -> int:
     """_torus_count in pure Python, for 0 < k < p < 16384.
 
-    w is even, so it is chi + 1 read at the squares a^2, a = 0..(p-1)/2,
-    shifted by 4, then mirrored.  One exact integer (Kronecker) square of w
-    in 16-bit slots, folded mod p in the integer, gives w * w: a folded slot
-    sums p products of at most 2 * 2, and 4p < 2^16, so none carries."""
+    w is even, so it is chi + 1 read at the squares a^2, a = 0..m, m =
+    (p-1)/2, shifted by 4, then mirrored.  One exact integer (Kronecker)
+    square of w in 16-bit slots, folded mod p in the integer, gives w * w: a
+    folded slot sums p products of at most 2 * 2, and 4p < 2^16, so none
+    carries.  w * w is even like w, so only its slots 0..m are folded, and
+
+        N = ww(0) w(k) + sum_{j=1..m} ww(j) (w(k + j) + w(k - j)),
+
+    half the multiply-adds of the full dot product; the pair sums come from
+    one integer addition of two byte strings, each slot at most 4."""
     if p >= 16384:
         raise ValueError(f"p={p}: w * w overflows 16-bit slots from p = 16384")
     m = p // 2
@@ -129,11 +137,15 @@ def _torus_count_small(k: int, p: int) -> int:
     slots = bytearray(2 * p)        # little-endian 16-bit slots
     slots[::2] = w
     c = int.from_bytes(slots, "little") ** 2
-    ww = array("H", ((c & ((1 << 16 * p) - 1)) + (c >> 16 * p)).to_bytes(2 * p, "little"))
+    half = (1 << 16 * (m + 1)) - 1
+    ww = array("H", ((c & half) + (c >> 16 * p & half)).to_bytes(2 * m + 2, "little"))
     if sys.byteorder == "big":
         ww.byteswap()
-    # w * w is even like w: sum_c w(c) ww(k - c) = sum_j w(j + k) ww(j)
-    return sum(map(mul, w[k:] + w[:k], ww))
+    # sum_c w(c) ww(k - c) = sum_j w(k + j) ww(j), and ww(j) = ww(p - j):
+    # slot j of `pair` is w(k + j) + w(k - j) for j = 1..m, slot 0 is w(k)
+    w = w[k:] + w[:k]
+    pair = int.from_bytes(w[:m + 1], "little") + (int.from_bytes(w[:m:-1], "little") << 8)
+    return sum(map(mul, pair.to_bytes(m + 1, "little"), ww))
 
 
 def _torus_count_fft(k: int, p: int) -> int:
@@ -211,24 +223,37 @@ def A_p(k: int, p: int) -> int:
        which is the identity.  At p | k the cone has (1 + chi(-3))(p - 1)
        points and s = k is the cone, so N is off by chi(-3) p.
     """
-    surf = SURFACES.get(k)
-    if surf is None or surf.rank is None:
-        raise ValueError(f"k={k} has no tabulated surface")
+    surf = _surface(k)
     if p in surf.bad_primes:
         raise ValueError(f"p={p} is a bad prime for k={k}: "
                          f"excluded set {sorted(surf.bad_primes)}")
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
-    value = _torus_count(k, p) - p * p + 3 * p - 5 - 2 * _euler(k * k - 4, p) * p
-    if surf.rank == 1:
-        value -= _euler(surf.section_disc, p) * p
-    return value
+    return _ap(surf, p)
 
 
 def ap_scan(k: int, pmax: int) -> dict[int, int]:
     """A_p for all good primes p <= pmax, in increasing order."""
-    bad = SURFACES[k].bad_primes
-    return {p: A_p(k, p) for p in primes_up_to(pmax) if p not in bad}
+    surf = _surface(k)
+    bad = surf.bad_primes
+    return {p: _ap(surf, p) for p in primes_up_to(pmax) if p not in bad}
+
+
+def _surface(k: int):
+    """The Surface record of k, which must carry the rank A_p reads."""
+    surf = SURFACES.get(k)
+    if surf is None or surf.rank is None:
+        raise ValueError(f"k={k} has no tabulated surface")
+    return surf
+
+
+def _ap(surf, p: int) -> int:
+    """A_p from N_k(p) (see `A_p`), for a good prime p the caller has checked."""
+    k = surf.k
+    value = _torus_count(k, p) - p * p + 3 * p - 5 - 2 * _euler(k * k - 4, p) * p
+    if surf.rank == 1:
+        value -= _euler(surf.section_disc, p) * p
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,154 @@
+"""The per-k records of the K3 family, defined once.
+
+``SURFACES`` holds one ``Surface`` record per k = 0, 3, 6, 18: every per-k
+fact the other modules use; ``NEWFORM_AP`` holds the a_p table of the newform
+of each surface's level; ``tau_table`` gives the CM point of each tabulated
+k.  Plain data only: the lattice algebra that checks these records lives in
+`lattices`, so a request that only reads them does not compile it.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from fractions import Fraction
+
+
+class TauRecord(namedtuple("TauRecord", "k A B C p q r")):
+    """CM point data: tau = (A + sqrt(B))/C with B < 0, and the primitive
+    (p, q, r) solving -6 p tau^2 + 12 q tau + r = 0."""
+
+    __slots__ = ()
+
+    def residual(self) -> tuple[Fraction, Fraction]:
+        """(rational, sqrt(B)-coefficient) parts of -6p tau^2 + 12q tau + r."""
+        A, B, C = self.A, self.B, self.C
+        rat = Fraction(-6 * self.p * (A * A + B), C * C) \
+            + Fraction(12 * self.q * A, C) + self.r
+        irr = Fraction(-12 * self.p * A, C * C) + Fraction(12 * self.q, C)
+        return rat, irr
+
+    def period_relation_vector(self) -> tuple[int, int, int]:
+        """The class p*g1 + q*g2 + r*g3 that becomes algebraic."""
+        return (self.p, self.q, self.r)
+
+
+_TAU_TABLE = {
+    0: TauRecord(0, -3, -3, 6, 2, -1, -4),
+    2: TauRecord(2, -2, -2, 6, 3, -1, -3),
+    3: TauRecord(3, -3, -15, 12, 4, -1, -4),
+    6: TauRecord(6, 0, -6, 6, 1, 0, -1),
+    10: TauRecord(10, 0, -2, 2, 1, 0, -3),
+    18: TauRecord(18, 0, -30, 6, 1, 0, -5),
+}
+
+
+def tau_table(k: int) -> TauRecord:
+    """Exact CM point and quadratic-relation data for the tabulated k."""
+    try:
+        return _TAU_TABLE[k]
+    except KeyError:
+        raise ValueError(f"k={k} is not a tabulated singular value") from None
+
+
+class FiberEntry(namedtuple("FiberEntry", (
+        "place",
+        "m",            # component count of the I_m fiber
+        "sigma",        # its polynomial in sigma, constant term first; None: sigma = inf
+        "j",            # the component the surface's infinite section meets
+))):
+    __slots__ = ()
+
+    def __new__(cls, place, m, sigma=None, j=None):
+        if m < 1:
+            raise ValueError("I_m fiber needs m >= 1")
+        return super().__new__(cls, place, m, sigma, j)
+
+
+class Surface(namedtuple("Surface", (
+        "k",
+        "tol",           # default identity tolerance of `verify`
+        "d3_coeff",      # a Fraction
+        "disc",          # CM discriminant of the weight-3 form phi
+        "level",         # newform level, equal to |det T|
+        "ap_twist",      # d with A_p = (d/p) a_p of that newform
+        "prefactor",     # (r, n) as above
+        "rank",          # Mordell-Weil rank
+        "section_disc",  # d with the infinite section over Q(sqrt(d))
+        "fibers",        # one FiberEntry per singular fiber
+        "torsion",       # Mordell-Weil torsion order
+        "height",        # canonical height of the infinite section, a Fraction
+), defaults=(None,) * 9)):
+    """What the identity for one k rests on:
+
+        m(P_k) = (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3
+
+    with prefactor = (r, n).  k = 0 is the bare identity m(P_0) = d3; its
+    surface fields stay unset (None)."""
+
+    __slots__ = ()
+
+    @property
+    def bad_primes(self) -> frozenset:
+        """2, 3 and the primes dividing the level: excluded from the A_p count."""
+        bad, n, p = {2, 3}, self.level or 1, 2
+        while n > 1:
+            if n % p:
+                p += 1
+            else:
+                bad.add(p)
+                n //= p
+        return frozenset(bad)
+
+
+# Singular fibers of the double cover are read off from the Beauville
+# fibration (u = (s^2 - k s + 1)/s^2, s = 1/sigma); each comment names the
+# fiber of u below.  `mwsections.section_height` checks them against
+# `mwsections.family_curve(k)` and takes one local height per entry.
+SURFACES = {
+    0: Surface(0, 1e-6, Fraction(1)),
+    3: Surface(3, 1e-5, Fraction(0), disc=-15, level=15,
+               prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1, torsion=6,
+               fibers=(
+                   FiberEntry("s=0", 12, None),          # double over u=inf
+                   FiberEntry("s=inf", 2, (0, 1)),       # over u=1
+                   FiberEntry("s=1/3", 2, (-3, 1)),      # over u=1
+                   FiberEntry("alpha1", 3, (1, -3, 1)),  # over u=0
+                   FiberEntry("beta1", 3, (1, -3, 1)),   # over u=0
+                   FiberEntry("alpha2", 1, (9, -3, 1)),  # over u=-8
+                   FiberEntry("beta2", 1, (9, -3, 1)),   # over u=-8
+               )),
+    6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24, ap_twist=-3,
+               prefactor=(Fraction(24), 6), rank=0, torsion=6,
+               fibers=(
+                   FiberEntry("s=0", 12, None),         # double over u=inf
+                   FiberEntry("s=inf", 2, (0, 1)),      # over u=1
+                   FiberEntry("s=1/6", 2, (-6, 1)),     # over u=1
+                   FiberEntry("alpha", 3, (1, -6, 1)),  # over u=0
+                   FiberEntry("beta", 3, (1, -6, 1)),   # over u=0
+                   FiberEntry("s=1/3", 2, (-3, 1)),     # double over u=-8
+               )),
+    18: Surface(18, 1e-4, Fraction(14, 5), disc=-120, level=120,
+                ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
+                section_disc=-3, torsion=6,
+                height=Fraction(10),
+                fibers=(
+                    FiberEntry("s=0", 12, None, j=6),          # double over u=inf
+                    FiberEntry("s=inf", 2, (0, 1), j=1),       # over u=1
+                    FiberEntry("s=1/18", 2, (-18, 1), j=1),    # over u=1
+                    FiberEntry("alpha1", 3, (1, -18, 1), j=0),  # over u=0
+                    FiberEntry("beta1", 3, (1, -18, 1), j=0),   # over u=0
+                    FiberEntry("alpha2", 1, (9, -18, 1), j=0),  # over u=-8
+                    FiberEntry("beta2", 1, (9, -18, 1), j=0),   # over u=-8
+                )),
+}
+
+# a_p (p <= 31) of the weight-3 CM newform of each surface's level, the
+# second reference for the A_p scan where it has the prime
+NEWFORM_AP = {
+    15: {2: -1, 3: 3, 5: -5, 7: 0, 11: 0, 13: 0, 17: 14, 19: -22, 23: -34,
+         29: 0, 31: 2},
+    24: {2: 2, 3: -3, 5: -2, 7: -10, 11: 10, 13: 0, 17: 0, 19: 0, 23: 0,
+         29: -50, 31: 38},
+    120: {2: 2, 3: 3, 5: -5, 7: 0, 11: 2, 13: -14, 17: -26, 19: 0, 23: -14,
+          29: 38, 31: -58},
+}

@@ -18,7 +18,7 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from k3mahler.lattices import NEWFORM_AP, SURFACES
+from k3mahler.surfaces import NEWFORM_AP, SURFACES
 from k3mahler.lfunctions import FORM_SERIES, QuadFormSeries
 from mp_oracle import exact_tau_value
 

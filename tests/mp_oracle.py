@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from k3mahler.lattices import tau_table
+from k3mahler.surfaces import tau_table
 from k3mahler.lfunctions import FORM_SERIES, form_coefficients
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from k3mahler.exactalg import Place, Poly
-from k3mahler.lattices import SURFACES
+from k3mahler.surfaces import SURFACES
 from k3mahler.mwsections import (FunctionFieldCurve, SectionPoint, contribution,
                                  family_curve, schart_family_curve, verify_on_curve)
 from grouplaw import O, height, rat, reduced_zero_intersection

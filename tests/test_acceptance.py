@@ -14,6 +14,7 @@ from k3mahler import lfunctions as lf
 from k3mahler import mahler as mh
 from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
+from k3mahler import surfaces
 from k3mahler.exactalg import ONE, Place, Poly, QuadElem
 from conftest import mahler_mc
 from grouplaw import O, ec_add, torsion_multiples
@@ -48,7 +49,7 @@ def _identity_check(k, quad, hecke, d3_value, tol, runtime_cap):
         if k == 18:
             rhs += 2.8 * float(d3_value.value)
     # the literals above are the reference the surface record must match
-    surf = lattices.SURFACES[k]
+    surf = surfaces.SURFACES[k]
     assert (surf.disc, surf.level, surf.tol) == (disc, -disc, tol)
     assert surf.prefactor == {3: (Fraction(15, 2), 15), 6: (24, 6), 18: (6, 120)}[k]
     assert surf.d3_coeff == (Fraction(14, 5) if k == 18 else 0)
@@ -80,7 +81,7 @@ def test_criterion_3_identity_k18(quad, hecke, d3_value):
 
 
 def test_criterion_4_regression_k0(quad, d3_value):
-    assert (lattices.SURFACES[0].tol, lattices.SURFACES[0].d3_coeff) == (1e-6, 1)
+    assert (surfaces.SURFACES[0].tol, surfaces.SURFACES[0].d3_coeff) == (1e-6, 1)
     diff = abs(float(quad(0).value) - float(d3_value.value))
     report(4, diff < 1e-6, f"|m(P_0) - d3| = {diff:.2e} < 1e-6")
 
@@ -118,8 +119,8 @@ def test_criterion_8_point_count_tables():
     t0 = time.monotonic()
     ok = True
     for k in (3, 6, 18):
-        surf = lattices.SURFACES[k]
-        table = lattices.NEWFORM_AP[surf.level]
+        surf = surfaces.SURFACES[k]
+        table = surfaces.NEWFORM_AP[surf.level]
         for p in pc.primes_up_to(31):
             if p in surf.bad_primes:
                 continue
@@ -132,7 +133,7 @@ def test_criterion_8_point_count_tables():
     t_small = time.monotonic() - t0
     t0 = time.monotonic()
     for k, disc in ((3, -15), (6, -24), (18, -120)):
-        surf = lattices.SURFACES[k]
+        surf = surfaces.SURFACES[k]
         for p in pc.primes_up_to(200):
             if p in surf.bad_primes:
                 continue

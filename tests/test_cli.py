@@ -19,7 +19,7 @@ from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import VERIFY_KS, main
-from k3mahler.lattices import SURFACES
+from k3mahler.surfaces import SURFACES
 from k3mahler.mwsections import NontorsionWitness
 
 from test_mwsections import replay_nonsquare, replay_witness
@@ -418,8 +418,20 @@ if argv:
 print(json.dumps({"loaded": [m for m in ("mpmath", "numpy") if m in sys.modules],
                   "startup": [m for m in ("dataclasses", "csv", "hashlib")
                               if m in sys.modules],
+                  "ours": sorted(m.partition(".")[2] for m in sys.modules
+                                 if m.startswith("k3mahler.")),
                   "stdout": out.getvalue()}))
 """
+
+# the package's own modules each request loads: every request reads the
+# records in `surfaces`, and only those that run the lattice algebra load
+# `lattices`
+IMPORT = ["cli", "surfaces"]
+AP = sorted(IMPORT + ["pointcount"])
+LFUNCTIONS = sorted(IMPORT + ["bigreal", "lfunctions"])
+MAHLER = sorted(IMPORT + ["bigreal", "mahler"])
+SECTIONS = ["exactalg", "fixtures", "mwsections"]
+VERIFY_L = sorted(set(LFUNCTIONS + MAHLER + AP + ["lattices"]))
 
 
 # the last prime that `ap` scans in pure Python and the first it scans by numpy
@@ -430,32 +442,37 @@ FIRST_NUMPY_PRIME = next(p for p in pointcount.primes_up_to(2 * pointcount._NUMP
 
 class TestWithoutNumpy:
     # one fresh interpreter per request, in which `import scipy` fails,
-    # reports which of mpmath and numpy the request loaded, and which of the
-    # modules that would only cost start-up time (no layer needs them)
-    @pytest.mark.parametrize("argv, loads", [
-        ([], []),
-        (["ap", "--k", "18", "--json"], []),
-        (["lattice", "--k", "18", "--json"], []),
-        *((["verify", "--k", k, "--json"], []) for k in ("0", "3", "6", "18")),
-        (["mahler", "--k", "6", "--json"], []),
-        (["mahler", "--k", "6", "--method", "bertin", "--json"], []),
-        (["lvalue", "--k", "18", "--json"], []),
-        (["coeffs", "--k", "6", "--json"], []),
+    # reports which of mpmath and numpy the request loaded, which of the
+    # modules that would only cost start-up time (no layer needs them), and
+    # which of the package's own modules
+    @pytest.mark.parametrize("argv, loads, ours", [
+        ([], [], IMPORT),
+        (["ap", "--k", "18", "--json"], [], AP),
+        (["lattice", "--k", "18", "--json"], [], sorted(IMPORT + ["lattices"])),
+        (["verify", "--k", "0", "--json"], [], sorted(set(LFUNCTIONS + MAHLER))),
+        *((["verify", "--k", k, "--json"], [], VERIFY_L) for k in ("3", "6")),
+        (["verify", "--k", "18", "--json"], [], sorted(VERIFY_L + SECTIONS)),
+        (["mahler", "--k", "6", "--json"], [], MAHLER),
+        (["mahler", "--k", "6", "--method", "bertin", "--json"], [], MAHLER),
+        (["lvalue", "--k", "18", "--json"], [], LFUNCTIONS),
+        (["coeffs", "--k", "6", "--json"], [], LFUNCTIONS),
         # every prime below _NUMPY_FROM is scanned in pure Python; the control,
         # the first prime from there on, is scanned by numpy
-        (["ap", "--k", "3", "--pmax", str(LAST_PURE_PRIME)], []),
-        (["ap", "--k", "3", "--pmax", str(FIRST_NUMPY_PRIME)], ["numpy"]),
+        (["ap", "--k", "3", "--pmax", str(LAST_PURE_PRIME)], [], AP),
+        (["ap", "--k", "3", "--pmax", str(FIRST_NUMPY_PRIME)], ["numpy"], AP),
+        (["height", "--json"], [], sorted(AP + SECTIONS)),
     ], ids=["import", "ap-k18", "lattice-k18", "verify-k0", "verify-k3", "verify-k6",
             "verify-k18", "mahler-k6", "mahler-bertin-k6", "lvalue-k18", "coeffs-k6",
             "ap-below-crossover",
-            "ap-control"])
-    def test_numpy_stays_unloaded(self, argv, loads):
+            "ap-control", "height"])
+    def test_numpy_stays_unloaded(self, argv, loads, ours):
         env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", LOADS_PROBE, json.dumps(argv)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr[-500:]
         probe = json.loads(proc.stdout)
         assert probe["loaded"] == loads
+        assert probe["ours"] == ours
         if "numpy" not in loads:    # what numpy itself imports is not ours
             assert probe["startup"] == [], probe["startup"]
         if argv[:1] == ["verify"]:

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from k3mahler.lattices import (SURFACES, FiberEntry, GramLattice, ambient_lattice,
-                               ns_determinant, orthocomplement, shioda_rank,
-                               tau_table, transcendental_summary,
+from k3mahler.lattices import (GramLattice, ambient_lattice, ns_determinant,
+                               orthocomplement, shioda_rank, transcendental_summary,
                                trivial_lattice_det)
+from k3mahler.surfaces import SURFACES, FiberEntry, tau_table
 
 
 class TestRecordValidation:

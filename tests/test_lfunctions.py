@@ -12,7 +12,7 @@ from scipy import integrate
 from k3mahler import lfunctions as lf
 from k3mahler import pointcount as pc
 from k3mahler.bigreal import BigReal
-from k3mahler.lattices import NEWFORM_AP, SURFACES
+from k3mahler.surfaces import NEWFORM_AP, SURFACES
 from k3mahler.mahler import epstein_combo
 from conftest import lvalue_from_coeffs, tail_scale
 from modular import form_coefficients_numpy, newform_coefficients

@@ -12,7 +12,7 @@ import pytest
 
 from k3mahler import lfunctions, mahler
 from k3mahler.bigreal import BigReal
-from k3mahler.lattices import SURFACES
+from k3mahler.surfaces import SURFACES
 from k3mahler.lfunctions import d3
 from k3mahler.mahler import (ToleranceNotReached, bertin_series, bertin_series_for_k,
                              mahler_quadrature)

@@ -14,7 +14,8 @@ from k3mahler import fixtures as fx
 from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.exactalg import Place, Poly, QuadElem, is_square_quad
-from k3mahler.lattices import SURFACES, FiberEntry, ns_determinant
+from k3mahler.lattices import ns_determinant
+from k3mahler.surfaces import SURFACES, FiberEntry
 import neron_printed as npr
 from grouplaw import (O, ec_add, ec_mul, ec_neg, height, infinite_section_k3, point, rat,
                       reduced_zero_intersection, torsion_multiples)

@@ -11,7 +11,7 @@ import pytest
 
 from k3mahler import lfunctions as lf
 from k3mahler import pointcount as pc
-from k3mahler.lattices import NEWFORM_AP, SURFACES
+from k3mahler.surfaces import NEWFORM_AP, SURFACES
 import weierstrass_fibers as wf
 
 AP_TABLE_K6 = {5: 2, 7: -10, 11: -10, 13: 0, 17: 0, 19: 0, 23: 0, 29: 50, 31: 38}
@@ -386,9 +386,21 @@ class TestTorusCount:
                 if p >= pc._NUMPY_FROM - 64]
         assert min(near) < pc._NUMPY_FROM <= max(near)
         for p in primes + near:
-            for k in (1, 3, 6 % p, 18 % p, p - 1):
+            # (p - 1)/2 and (p + 1)/2: where the two rotated halves of the
+            # pure kernel's half-length dot product meet
+            for k in (1, 3, 6 % p, 18 % p, p // 2, p // 2 + 1, p - 1):
                 small, fft = pc._torus_count_small(k, p), pc._torus_count_fft(k, p)
                 assert type(small) is int and type(fft) is int and small == fft, (k, p)
+
+    def test_half_length_dot_against_the_full_one(self):
+        # the pure kernel folds w * w to slots 0..(p-1)/2 and pairs w(k + j)
+        # with w(k - j); here the full fold and the full dot, at every k
+        for p in pc.primes_up_to(100)[2:]:
+            w = [1 + pc.legendre(a * a - 4, p) for a in range(p)]
+            ww = [sum(w[a] * w[(c - a) % p] for a in range(p)) for c in range(p)]
+            for k in range(1, p):
+                full = sum(w[c] * ww[(k - c) % p] for c in range(p))
+                assert pc._torus_count_small(k, p) == full, (k, p)
 
     def test_rounding_guard(self, monkeypatch):
         # the FFT kernel serves p >= _NUMPY_FROM
@@ -467,8 +479,8 @@ class TestAp:
             want = {p: pc.A_p(k, p) for p in pc.primes_up_to(400) if p not in bad}
             assert pc.ap_scan(k, 400) == want, k
 
-    def test_scan_tests_each_prime_once(self, monkeypatch):
-        # A_p's check is the only primality test a scanned prime passes
+    def test_scan_runs_no_primality_test(self, monkeypatch):
+        # the scan takes its primes from the sieve, which has proven them
         tested = []
         is_prime = pc.is_prime
 
@@ -478,9 +490,22 @@ class TestAp:
 
         monkeypatch.setattr(pc, "is_prime", spy)
         for k in (3, 6, 18):
-            tested.clear()
             aps = pc.ap_scan(k, 400)
-            assert tested == list(aps), k
+            assert tested == [], k
+            bad = SURFACES[k].bad_primes
+            assert list(aps) == [p for p in pc.primes_up_to(400) if p not in bad], k
+
+    def test_scan_checks_the_record_first(self):
+        # k = 0 has no surface: refused even where no prime is good
+        for pmax in (3, 400):
+            with pytest.raises(ValueError, match="no tabulated surface"):
+                pc.ap_scan(0, pmax)
+
+    def test_A_p_refuses_a_composite(self):
+        # A_p, unlike the scan, tests its p: 49 is no bad prime of k = 18
+        assert 7 not in SURFACES[18].bad_primes
+        with pytest.raises(ValueError, match="not prime"):
+            pc.A_p(18, 49)
 
     def test_multiplicativity_cross_check(self):
         co = lf.form_coefficients(lf.FORM_SERIES[-24], 500)

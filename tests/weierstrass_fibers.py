@@ -17,7 +17,7 @@ import sys
 from array import array
 from operator import add
 
-from k3mahler.lattices import SURFACES
+from k3mahler.surfaces import SURFACES
 from k3mahler.pointcount import _legendre_table, legendre
 
 
