@@ -42,7 +42,8 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, quad, d3_term):
     """Yield (stage, its subchecks) in report order, for the stages the record
     selects: none without an L-value (no disc); lattice, ek and ap with one;
     epstein where the right-hand side has a d3 term beside it; and the
-    section stages where the record has the infinite section's height."""
+    section stages where the record has its infinite section, halving only
+    where it has a halving root."""
     if surf.disc is None:
         return
     from . import lattices, lfunctions, mahler
@@ -104,32 +105,36 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, quad, d3_term):
             value=float(eps.value), diff=float(eps.abs_diff(d3_term)),
             error_bound=float(eps.error_bound + d3_term.error_bound),
             prec=eps.prec, terms=eps.terms)]
-    if surf.height is None:
+    if surf.section is None:
         return
 
-    from . import fixtures, mwsections as mw
+    from . import mwsections as mw
     yield "section_import", []
     E = mw.family_curve(surf.k)
-    ps = fixtures.infinite_section_k18()
-    yield "on_curve", [_subcheck("infinite-section-on-curve", mw.verify_on_curve(ps, E),
+    ps, places, r = mw.record_section(surf)
+    on_curve = mw.verify_on_curve(ps, E)
+    yield "on_curve", [_subcheck("infinite-section-on-curve", on_curve,
                                  "exact Weierstrass identity")]
+    if not on_curve:  # every later stage reads the section as a point of E
+        return
 
-    wit = mw.verify_nontorsion(fixtures.twist_section(), fixtures.y18_twist_curve())
+    wit = mw.verify_nontorsion(ps, E)
     yield "nontorsion", [_subcheck(
-        "twist-section-nontorsion", wit is not None,
+        "section-nontorsion", wit is not None,
         "specialization at sigma=t, reduction mod p",
         witness=None if wit is None else
         {"sigma": wit.t, "p": wit.p, "sqrt_m3_mod_p": wit.w, "order": wit.order})]
 
-    square, wits = mw.halving_witnesses(ps, fixtures.halving_root(), E)
-    yield "halving", [_subcheck(
-        "halving-obstruction", square and None not in wits.values(),
-        "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
-        "non-residues at sigma=t mod p, p = 1 mod 3",
-        witness={name: w and {"sigma": w.t, "p": w.p, "sqrt_m3_mod_p": w.w}
-                 for name, w in wits.items()})]
+    if r is not None:
+        square, wits = mw.halving_witnesses(ps, r, E)
+        yield "halving", [_subcheck(
+            "halving-obstruction", square and None not in wits.values(),
+            "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
+            "non-residues at sigma=t mod p, p = 1 mod 3",
+            witness={name: w and {"sigma": w.t, "p": w.p, "sqrt_m3_mod_p": w.w}
+                     for name, w in wits.items()})]
 
-    po = mw.zero_intersection(ps, fixtures.pole_places())
+    po = mw.zero_intersection(ps, places)
     # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)
     local = sum(mw.contribution(f.m, f.j) for f in surf.fibers)
     yield "zero_intersection", [_subcheck(
@@ -275,11 +280,13 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_height(args) -> int:
-    from . import fixtures, mwsections as mw
-    ps = fixtures.infinite_section_k18()
-    po = mw.zero_intersection(ps, fixtures.pole_places())
-    h, fibers = mw.section_height(18, ps, po)
-    payload = {"input": {"k": 18, "section": "infinite section over Q(sqrt(-3))"},
+    from . import mwsections as mw
+    surf = next(s for s in SURFACES.values() if s.section is not None)
+    ps, places, _ = mw.record_section(surf)
+    po = mw.zero_intersection(ps, places)
+    h, fibers = mw.section_height(surf.k, ps, po)
+    payload = {"input": {"k": surf.k,
+                         "section": f"infinite section over Q(sqrt({surf.section_disc}))"},
                "value": {"height": str(h),
                          "components": {f.place: f.component for f in fibers},
                          "zero_intersection": po},

@@ -192,8 +192,6 @@ class QuadElem:
 
 
 ZERO = QuadElem(0)
-ONE = QuadElem(1)
-SQRT_M3 = QuadElem(0, 1)  # sqrt(-3)
 
 
 def is_square_quad(c) -> tuple[bool, QuadElem | None]:
@@ -286,9 +284,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return len(self._re) <= 1
-
-    def lc(self) -> QuadElem:
-        return self[len(self._re) - 1]
 
     def constant(self) -> QuadElem:
         """Value as a field constant (degree <= 0 required)."""

@@ -1,13 +1,16 @@
-"""Elliptic curves over Q(sqrt(-3))(sigma) and the k=18 section suite.
+"""Elliptic curves over Q(sqrt(-3))(sigma) and the section suite of the
+`Surface` records.
 
 Provides the family's Weierstrass models in the sigma and s = 1/sigma charts
-(polynomial coefficients), the exact on-curve check of a section, certificates
-by specialization at a fiber and reduction mod p (nontorsion, and the
-non-squares of the two-descent halving obstruction on the completed square
-y^2 = x(x^2 + a x + b), where adding the 2-torsion point (0, 0) has a closed
-form), section/zero-section intersection numbers, and the canonical height
-h(P) = 2*chi + 2*(P.O) - sum of local terms M(m - M)/m, one per singular
-fiber of the `Surface` record by Silverman's rule for multiplicative fibers.
+(polynomial coefficients), a record's infinite section, pole places and
+halving root built from its factored tuples (`record_section`), the exact
+on-curve check of a section, certificates by specialization at a fiber and
+reduction mod p (nontorsion, and the non-squares of the two-descent halving
+obstruction on the completed square y^2 = x(x^2 + a x + b), where adding the
+2-torsion point (0, 0) has a closed form), section/zero-section
+intersection numbers, and the canonical height h(P) = 2*chi + 2*(P.O) - sum
+of local terms M(m - M)/m, one per singular fiber of the `Surface` record by
+Silverman's rule for multiplicative fibers.
 No general group law is needed.
 
 A coordinate of a section is a `PolyRatio` num/den of two Polys, never
@@ -79,6 +82,34 @@ class PolyRatio(namedtuple("PolyRatio", "num den")):
 # an affine section (x, y): coordinates with Poly num and den, as PolyRatio
 SectionPoint = namedtuple("SectionPoint", "x y")
 
+# a record's section, the places of its pole factors, and its halving root r
+# (None where the record has none)
+RecordSection = namedtuple("RecordSection", "point places r")
+
+
+def _factor(coeffs) -> Poly:
+    """A record factor: coefficients constant term first, each an int or
+    (re, im) for re + im sqrt(-3)."""
+    return Poly(QuadElem(*c) if isinstance(c, tuple) else c for c in coeffs)
+
+
+def _factored(const, *factors) -> Poly:
+    return math.prod(map(_factor, factors), start=_factor((const,)))
+
+
+@lru_cache(maxsize=None)
+def record_section(surf) -> RecordSection:
+    """The section of a `Surface` record, x = X/dcore^2 and y = Y/dcore^3
+    with dcore the product of its pole factors, each factor's place checked
+    irreducible, and r.  Cached on the record, so one changed by `_replace`
+    is built anew."""
+    dcore = _factored(1, *surf.pole_factors)
+    x, y = (_factored(*f) for f in surf.section)
+    return RecordSection(
+        SectionPoint(PolyRatio(x, dcore ** 2), PolyRatio(y, dcore ** 3)),
+        tuple(Place.finite(_factor(f)) for f in surf.pole_factors),
+        surf.halving_root and PolyRatio(*(_factored(*f) for f in surf.halving_root)))
+
 
 def valuation(f, place: Place) -> float:
     """Order of f = num/den at a place, +inf for f = 0: v(num) - v(den), and
@@ -120,8 +151,10 @@ NontorsionWitness = namedtuple("NontorsionWitness", "t p w order")
 NonsquareWitness = namedtuple("NonsquareWitness", "t p w")
 
 
-# the torsion exponent bound of this family, and the fixed, deterministic
-# search order of the certificates by specialization and reduction
+# the torsion exponent bound claimed for family_curve(k), the curve that
+# `verify` certifies the record's section on (Surface.torsion = 6; the bound
+# is recorded, not yet certified here), and the fixed, deterministic search
+# order of the certificates by specialization and reduction
 NONTORSION_BOUND = 6
 NONTORSION_SIGMAS = range(1, 13)
 NONTORSION_PRIMES = tuple(p for p in primes_up_to(300) if p >= 5)

@@ -77,13 +77,24 @@ class Surface(namedtuple("Surface", (
         "fibers",        # one FiberEntry per singular fiber
         "torsion",       # Mordell-Weil torsion order
         "height",        # canonical height of the infinite section, a Fraction
-), defaults=(None,) * 9)):
+        "section",       # (x, y) numerators of that section, each factored
+        "pole_factors",  # the factors of dcore; () for a polynomial section
+        "halving_root",  # (num, den) of r, each factored
+), defaults=(None,) * 12)):
     """What the identity for one k rests on:
 
         m(P_k) = (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3
 
     with prefactor = (r, n).  k = 0 is the bare identity m(P_0) = d3; its
-    surface fields stay unset (None)."""
+    surface fields stay unset (None).
+
+    A record with a `height` may give its infinite section as printed: x =
+    X/dcore^2 and y = Y/dcore^3, dcore the product of `pole_factors`, and
+    `halving_root` r with x(Q) = r^2 for Q the section plus (0, 0) on the
+    completed square.  A factored polynomial is a constant followed by its
+    factors, each a coefficient tuple with the constant term first; a
+    coefficient is an int, or (re, im) for re + im sqrt(-3).
+    `mwsections.record_section` builds them."""
 
     __slots__ = ()
 
@@ -131,6 +142,21 @@ SURFACES = {
                 ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
                 section_disc=-3, torsion=6,
                 height=Fraction(10),
+                section=(
+                    # 3888 sigma (sigma - 18)(sigma - 21)^2 (sigma + 3)^2
+                    (3888, (0, 1), (-18, 1), (-21, 1), (-21, 1), (3, 1), (3, 1)),
+                    # 36 sqrt(-3) sigma (sigma - 21)(sigma - 18)(sigma + 3) f2 f3 f5
+                    ((0, 36), (0, 1), (-21, 1), (-18, 1), (3, 1),
+                     ((45, -27), (-18, 3), 1),
+                     ((-81, 99), (171, -54), (-27, 3), 1),
+                     ((5832, -5832), (-22518, -5832), (729, 4212), (513, -432),
+                      (-45, 12), 1)),
+                ),
+                # sigma - 9, sigma^2 - 21 sigma + 72, sigma^2 - 15 sigma + 18
+                pole_factors=((-9, 1), (72, -21, 1), (18, -15, 1)),
+                # dcore / (36 sqrt(-3) (sigma - 21)(sigma + 3))
+                halving_root=((1, (-9, 1), (72, -21, 1), (18, -15, 1)),
+                              ((0, 36), (-21, 1), (3, 1))),
                 fibers=(
                     FiberEntry("s=0", 12, None, j=6),          # double over u=inf
                     FiberEntry("s=inf", 2, (0, 1), j=1),       # over u=1

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.exactalg import Poly, QuadElem
-from grouplaw import ec_add, torsion_multiples
+from k3mahler.surfaces import SURFACES
+from grouplaw import DCORE, ec_add, torsion_multiples, twist_section, y18_twist_curve
 from ratfunc import RatFunc
 from modular import form_coefficients_numpy
 
@@ -139,18 +139,18 @@ def d3_value():
 
 @pytest.fixture(scope="session")
 def k18():
-    """The k=18 exact-section bundle: curve, sections, b-form, halving sum,
-    and the printed halving data: x and y of Q (y up to sign), q+ and q-
-    (q- up to a factor 4), and the b-form's a and b.  r and Q are RatFuncs
+    """The k=18 exact-section bundle: curve, the record's section and its
+    pole places, the printed twist and its section, b-form, halving sum, and
+    the printed halving data: x and y of Q (y up to sign), q+ and q- (q- up
+    to a factor 4), and the b-form's a and b.  r and Q are RatFuncs
     in lowest terms; ps and Pb are the package's (num, den) pairs."""
     E = mw.family_curve(18)
-    ps = fx.infinite_section_k18()
-    dcore = Poly([-9, 1]) * Poly([72, -21, 1]) * Poly([18, -15, 1])
+    ps, places, r = mw.record_section(SURFACES[18])
     tp = Poly([-21, 1]) * Poly([3, 1])
-    yprime = (Poly([QuadElem(0, 1)]) * dcore * Poly([1350, -171, -12, 1])
+    yprime = (Poly([QuadElem(0, 1)]) * DCORE * Poly([1350, -171, -12, 1])
               * Poly([-216, 369, -42, 1]) * Poly([-486, -486, 351, -36, 1]))
-    hd = {"r": RatFunc(*fx.halving_root()),
-          "xprime": RatFunc(-(dcore ** 2), 3888 * tp ** 2),
+    hd = {"r": RatFunc(*r),
+          "xprime": RatFunc(-(DCORE ** 2), 3888 * tp ** 2),
           "yprime": RatFunc(yprime, 419904 * tp ** 3),
           "qplus": RatFunc(-(tp ** 2) * Poly([9, -18, 1]), 972),
           "qminus": RatFunc(-243 * Poly([1, -18, 1]) ** 3, tp ** 2),
@@ -161,8 +161,8 @@ def k18():
     Pb = mw.to_completed_square(ps, E)
     Q = ec_add(Pb, mw.to_completed_square(torsion_multiples(18)[2], E), Eb)
     assert mw.verify_on_curve(Q, Eb)
-    return {"E": E, "ps": ps, "halving": hd, "Eb": Eb, "Pb": Pb, "Q": Q,
-            "twist_curve": fx.y18_twist_curve(), "pm3": fx.twist_section()}
+    return {"E": E, "ps": ps, "places": places, "halving": hd, "Eb": Eb, "Pb": Pb, "Q": Q,
+            "twist_curve": y18_twist_curve(), "pm3": twist_section()}
 
 
 @pytest.fixture(scope="session")

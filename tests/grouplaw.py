@@ -1,5 +1,6 @@
-"""The chord-tangent group law in long Weierstrass form, and the displayed
-torsion multiples and k=3 infinite section it is checked on.
+"""The chord-tangent group law in long Weierstrass form, the displayed
+torsion multiples and k=3 infinite section it is checked on, and the printed
+quadratic twist of the k=18 curve by -3 with its rational section.
 
 The package needs no general group law: its only sum, P + (0, 0) on the
 completed square, has the closed form `mwsections.plus_two_torsion`.  This
@@ -16,8 +17,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from k3mahler.exactalg import Poly
-from k3mahler.mwsections import (FunctionFieldCurve, SectionPoint, VerificationError,
-                                 section_height, verify_on_curve)
+from k3mahler.mwsections import (FunctionFieldCurve, PolyRatio, SectionPoint,
+                                 VerificationError, record_section, section_height,
+                                 verify_on_curve)
+from k3mahler.surfaces import SURFACES
 from ratfunc import RatFunc, poly_sqrt
 
 O = SectionPoint(None, None)
@@ -117,3 +120,33 @@ def infinite_section_k3() -> SectionPoint:
     """The infinite section of the k=3 surface, as displayed."""
     s1, s2, s3 = (Poly([-c, 1]) for c in (1, 2, 3))  # sigma - c
     return point(-(s3 * s1 ** 2), s3 * s2 * s1 * Poly([1, -3, 1]))
+
+
+def psigma() -> SectionPoint:
+    """p_sigma, the infinite section of the k=18 record, as the package
+    builds it from `SURFACES[18]`."""
+    return record_section(SURFACES[18]).point
+
+
+# the printed factors of p_sigma: x = 3888 PSIGMA_X_NUMERATOR / DCORE^2, and
+# the twist section's x is -11664 PSIGMA_X_NUMERATOR / DCORE^2
+DCORE = Poly([-9, 1]) * Poly([72, -21, 1]) * Poly([18, -15, 1])
+PSIGMA_X_NUMERATOR = Poly.x() * Poly([-18, 1]) * Poly([-21, 1]) ** 2 * Poly([3, 1]) ** 2
+
+
+@lru_cache(maxsize=None)
+def y18_twist_curve() -> FunctionFieldCurve:
+    """The printed quadratic twist of family_curve(18) by -3, over which the
+    infinite section descends to a rational one."""
+    return FunctionFieldCurve.from_coeffs(Poly([1, -18, 1]), Poly([2, 90, -329, 36, -1]),
+                                          0, Poly([0, 162, -9]), 0)
+
+
+@lru_cache(maxsize=None)
+def twist_section() -> SectionPoint:
+    """The printed rational section of y18_twist_curve(), as a (num, den) pair."""
+    big = Poly([128490624, 132322248, -545848956, 281168010, -44001711,
+                -294840, 771363, -87822, 4455, -108, 1])
+    y_num = -324 * Poly.x() * Poly([-18, 1]) * Poly([-21, 1]) * Poly([3, 1]) * big
+    return SectionPoint(PolyRatio(-11664 * PSIGMA_X_NUMERATOR, DCORE ** 2),
+                        PolyRatio(y_num, DCORE ** 3))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from k3mahler.exactalg import (ONE, ZERO, Place, Poly, QuadElem, _poly,
+from k3mahler.exactalg import (ZERO, Place, Poly, QuadElem, _poly,
                                _pseudo_divide, _scale, is_square_quad,
                                poly_valuation)
 from k3mahler.pointcount import is_prime
@@ -142,8 +142,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     a, b = _integerize_primitive(f), _integerize_primitive(g)
     if a.degree() < b.degree():
         a, b = b, a
-    gg: QuadElem = ONE
-    hh: QuadElem = ONE
+    gg: QuadElem = QuadElem(1)
+    hh: QuadElem = QuadElem(1)
     while True:
         delta = a.degree() - b.degree()
         r = _pseudo_rem(a, b)
@@ -152,7 +152,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         if r.is_constant():
             return Poly([1])
         a, b = b, r * (gg * hh ** delta).inv()
-        gg = a.lc()
+        gg = a[a.degree()]
         hh = hh * (gg / hh) ** delta if delta else hh
 
 
@@ -169,7 +169,7 @@ def poly_sqrt(f: Poly) -> Poly | None:
         return Poly()
     if f.degree() % 2:
         return None
-    ok, w = is_square_quad(f.lc())
+    ok, w = is_square_quad(f[f.degree()])
     if not ok:
         return None
     n = f.degree() // 2
@@ -200,7 +200,7 @@ class RatFunc:
             g = poly_gcd(n, d)
             if g.degree() > 0:
                 n, d = n // g, d // g
-            n, d = n * d.lc().inv(), d.monic()
+            n, d = n * d[d.degree()].inv(), d.monic()
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -213,8 +213,8 @@ class RatFunc:
         obj = object.__new__(RatFunc)
         if n.is_zero():
             n, d = Poly(), Poly([1])
-        elif d.lc() != ONE:
-            n, d = n * d.lc().inv(), d.monic()
+        elif d[d.degree()] != 1:
+            n, d = n * d[d.degree()].inv(), d.monic()
         object.__setattr__(obj, "num", n)
         object.__setattr__(obj, "den", d)
         return obj

@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from k3mahler import fixtures as fx
 from k3mahler import lattices
 from k3mahler import lfunctions as lf
 from k3mahler import mahler as mh
 from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler import surfaces
-from k3mahler.exactalg import ONE, Place, Poly, QuadElem
+from k3mahler.exactalg import Place, Poly, QuadElem
 from conftest import mahler_mc
 from grouplaw import O, ec_add, torsion_multiples
 from ratfunc import RatFunc, valuation
@@ -165,7 +164,7 @@ def test_criterion_9_lattice_invariants():
 def test_criterion_10_section_suite(k18, pm3_nontorsion):
     E, ps, r = k18["E"], k18["ps"], k18["halving"]["r"]
     square, wits = mw.halving_witnesses(ps, r, E)
-    po = mw.zero_intersection(ps, fx.pole_places())
+    po = mw.zero_intersection(ps, k18["places"])
     checks = {
         "on-curve": mw.verify_on_curve(ps, E),
         "[n]p_-3 != O, n <= 6": pm3_nontorsion is not None,
@@ -223,7 +222,7 @@ def test_criterion_13_property_suites(quad):
         z = QuadElem(rng.randint(-9, 9), rng.randint(-9, 9))
         ok &= (x * y) * z == x * (y * z) and x * (y + z) == x * y + x * z
         if not x.is_zero():
-            ok &= x * x.inv() == ONE
+            ok &= x * x.inv() == QuadElem(1)
     # valuation additivity
     places = [Place.at_root(0), Place.at_root(9), Place.infinity()]
     for _ in range(25):

@@ -15,13 +15,13 @@ import mpmath as mp
 import pytest
 
 import k3mahler
-from k3mahler import fixtures as fx
 from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import VERIFY_KS, main
 from k3mahler.surfaces import SURFACES
 from k3mahler.mwsections import NontorsionWitness
 
+from grouplaw import psigma
 from test_mwsections import replay_nonsquare, replay_witness
 
 SUBCOMMAND_KEYS = {"input", "value", "error_bound", "provenance"}
@@ -292,14 +292,16 @@ class TestSectionReport:
         code, doc, _ = k18_report
         assert code == 0
         sub = {c["name"]: c for c in doc["subchecks"]}
-        nt = sub["twist-section-nontorsion"]
+        nt = sub["section-nontorsion"]
         assert nt["pass"] is True
         assert nt["provenance"] == "specialization at sigma=t, reduction mod p"
         w = nt["witness"]
-        assert w == {"sigma": 1, "p": 29, "sqrt_m3_mod_p": None, "order": 10}
+        assert w == {"sigma": 1, "p": 37, "sqrt_m3_mod_p": 16, "order": 14}
         wit = NontorsionWitness(w["sigma"], w["p"], w["sqrt_m3_mod_p"], w["order"])
-        assert wit.order > 6
-        order = replay_witness(fx.twist_section(), fx.y18_twist_curve(), wit)
+        # p_sigma needs sqrt(-3): a split prime, at which it maps to w
+        assert wit.order > 6 and wit.p % 3 == 1 and (wit.w ** 2 + 3) % wit.p == 0
+        # p_sigma itself, on the family's own curve
+        order = replay_witness(psigma(), mw.family_curve(18), wit)
         assert order == wit.order
 
     def test_k18_halving_witnesses_replay(self, k18_report, k18):
@@ -321,10 +323,27 @@ class TestSectionReport:
         sub = {c["name"]: c for c in json.loads(out)["subchecks"]}["halving-obstruction"]
         assert code == 1 and sub["pass"] is False and sub["witness"]["a^2-4b"] is None
 
+    def test_k18_changed_section_coefficient_fails(self, capsys, monkeypatch):
+        # 45 - 27 sqrt(-3) -> 45 - 26 sqrt(-3) in a factor of y: the record's
+        # section is rebuilt, leaves the curve, and no later section stage runs
+        x, (const, *factors) = SURFACES[18].section
+        f2 = factors[4]
+        assert f2[0] == (45, -27)
+        factors[4] = ((45, -26), *f2[1:])
+        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(
+            section=(x, (const, *factors))))
+        code, out = run(capsys, ["verify", "--k", "18", "--json"])
+        doc = json.loads(out)
+        assert code == 1 and doc["pass"] is False
+        assert doc["subchecks"][-1]["name"] == "infinite-section-on-curve"
+        assert doc["subchecks"][-1]["pass"] is False
+        assert set(doc["timings"]) == {f"{st}_s" for st in STAGES[18][:-4]} | {"total_s"}
+
     def test_k18_halving_checks_r_squared(self, capsys, monkeypatch):
         # with 2r for r every q keeps a witness: only x(Q) = r^2 catches it
-        r = fx.halving_root()
-        monkeypatch.setattr(fx, "halving_root", lambda: r._replace(num=2 * r.num))
+        (const, *factors), den = SURFACES[18].halving_root
+        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(
+            halving_root=((2 * const, *factors), den)))
         code, out = run(capsys, ["verify", "--k", "18", "--json"])
         sub = {c["name"]: c for c in json.loads(out)["subchecks"]}["halving-obstruction"]
         assert code == 1 and sub["pass"] is False and None not in sub["witness"].values()
@@ -339,17 +358,16 @@ class TestSectionReport:
         assert (k18["ps"], k18["E"]) in checked
         assert [P for P, E in checked if E == k18["Eb"]] == []
 
-    def test_k18_on_curve_identity_computed_twice(self, capsys, k18):
-        # the on-curve, halving and height stages all check p_sigma on E, and
-        # the nontorsion stage the twist section on its curve: one request
-        # computes the exact identity once for each of the two pairs
+    def test_k18_on_curve_identity_computed_once(self, capsys, k18):
+        # the on-curve, nontorsion, halving and height stages all check
+        # p_sigma on E, and no other pair: one request computes the exact
+        # identity once
         identity = mw._weierstrass_identity
         identity.cache_clear()
         assert run(capsys, ["verify", "--k", "18", "--json"])[0] == 0
-        assert identity.cache_info().misses == 2 and identity.cache_info().hits == 2
+        assert identity.cache_info().misses == 1 and identity.cache_info().hits == 3
         assert mw.verify_on_curve(k18["ps"], k18["E"])
-        assert mw.verify_on_curve(k18["pm3"], k18["twist_curve"])
-        assert identity.cache_info().misses == 2
+        assert identity.cache_info().misses == 1
 
     def test_k18_neron_witness(self, k18_report):
         # per place, what the local-height rule read: (m, v(psi2), v(dF/dx), M)
@@ -430,7 +448,7 @@ IMPORT = ["cli", "surfaces"]
 AP = sorted(IMPORT + ["pointcount"])
 LFUNCTIONS = sorted(IMPORT + ["bigreal", "lfunctions"])
 MAHLER = sorted(IMPORT + ["bigreal", "mahler"])
-SECTIONS = ["exactalg", "fixtures", "mwsections"]
+SECTIONS = ["exactalg", "mwsections"]
 VERIFY_L = sorted(set(LFUNCTIONS + MAHLER + AP + ["lattices"]))
 
 

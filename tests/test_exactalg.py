@@ -10,10 +10,13 @@ import pytest
 
 import ratfunc
 from k3mahler import exactalg
-from k3mahler import fixtures as fx
-from k3mahler.exactalg import ONE, ZERO, Place, Poly, QuadElem, SQRT_M3, is_square_quad
+from k3mahler.exactalg import ZERO, Place, Poly, QuadElem, is_square_quad
+from grouplaw import psigma
 from ratfunc import RatFunc, poly_gcd, poly_sqrt, valuation
 from test_mwsections import nonsquare_witness, replay_nonsquare
+
+ONE = QuadElem(1)
+SQRT_M3 = QuadElem(0, 1)  # sqrt(-3)
 
 
 def rand_quad(rng, span=9):
@@ -53,7 +56,7 @@ def frac_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     dq = len(rem) - len(g.coeffs)
     if dq < 0:
         return Poly(), f
-    inv_lc = g.lc().inv()
+    inv_lc = g[g.degree()].inv()
     quot = [ZERO] * (dq + 1)
     for i in range(dq, -1, -1):
         c = rem[i + g.degree()] * inv_lc
@@ -67,12 +70,12 @@ def frac_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 def frac_pseudo_rem(a: Poly, b: Poly) -> Poly:
     """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, division-free."""
     db = b.degree()
-    lcb = b.lc()
+    lcb = b[b.degree()]
     r = a
     n = a.degree() - db + 1
     while not r.is_zero() and r.degree() >= db:
         shift = r.degree() - db
-        lcr = r.lc()
+        lcr = r[r.degree()]
         r = Poly([lcb * c for c in r.coeffs]) \
             - Poly([ZERO] * shift + [lcr * c for c in b.coeffs])
         n -= 1
@@ -88,7 +91,7 @@ def frac_gcd(f: Poly, g: Poly) -> Poly:
         f, g = g, frac_divmod(f, g)[1]
     if f.is_zero():
         return f
-    inv_lc = f.lc().inv()
+    inv_lc = f[f.degree()].inv()
     return Poly([c * inv_lc for c in f.coeffs])
 
 
@@ -209,7 +212,7 @@ def odd_multiplicity_part(f: Poly) -> Poly:
 
 def yun_sqrt(f: Poly):
     """The square root of f read off its Yun decomposition, or None."""
-    ok, w = is_square_quad(f.lc())
+    ok, w = is_square_quad(f[f.degree()])
     if not ok:
         return None
     g = Poly([w])
@@ -297,7 +300,7 @@ class TestPoly:
     def test_gcd_of_reversed_section_coordinates(self):
         # regression: coprime degree-15 pairs with algebraic-integer content
         # blew up the naive remainder sequence; must stay cheap and return 1
-        y = fx.infinite_section_k18().y
+        y = psigma().y
         m = max(y.num.degree(), y.den.degree())
         assert poly_gcd(y.num.reverse(m), y.den.reverse(m)) == Poly([1])
 
@@ -458,7 +461,7 @@ class TestPlacesAndValuation:
             Place.finite(cubic)
 
     def test_printed_section_valuations(self):
-        x = RatFunc(*fx.infinite_section_k18().x)
+        x = RatFunc(*psigma().x)
         assert valuation(x, Place.at_root(9)) == -2
         assert valuation(x, Place.infinity()) == 4
         assert valuation(RatFunc(1), Place.at_root(9)) == 0

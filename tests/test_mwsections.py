@@ -1,5 +1,6 @@
 """The k=18 section suite: group law, torsion fixtures, twisting, halving,
-intersections, Neron components, and the canonical height."""
+intersections, Neron components, the sections the records give, and the
+canonical height."""
 
 import functools
 import math
@@ -10,15 +11,15 @@ from typing import Optional
 
 import pytest
 
-from k3mahler import fixtures as fx
 from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.exactalg import Place, Poly, QuadElem, is_square_quad
 from k3mahler.lattices import ns_determinant
 from k3mahler.surfaces import SURFACES, FiberEntry
 import neron_printed as npr
-from grouplaw import (O, ec_add, ec_mul, ec_neg, height, infinite_section_k3, point, rat,
-                      reduced_zero_intersection, torsion_multiples)
+from grouplaw import (DCORE, O, PSIGMA_X_NUMERATOR, ec_add, ec_mul, ec_neg, height,
+                      infinite_section_k3, point, psigma, rat, reduced_zero_intersection,
+                      torsion_multiples, y18_twist_curve)
 import ratfunc
 from ratfunc import RatFunc
 
@@ -166,7 +167,7 @@ class TestGroupLaw:
         E = mw.family_curve(18)
         tor = [O, *torsion_multiples(18)]
         rng = random.Random(31)
-        pts = tor + [fx.infinite_section_k18()]
+        pts = tor + [psigma()]
         for _ in range(12):
             P, Q, R = (rng.choice(tor) for _ in range(3))
             assert ec_add(ec_add(P, Q, E, False), R, E, False) == \
@@ -250,7 +251,7 @@ class TestNontorsion:
     @pytest.mark.parametrize("section,k", [
         pytest.param(infinite_section_k3, 3, id="infinite_section_k3-y3_curve"),
         # coordinates need sqrt(-3)
-        pytest.param(fx.infinite_section_k18, 18, id="infinite_section_k18-y18_curve"),
+        pytest.param(psigma, 18, id="infinite_section_k18-y18_curve"),
     ])
     def test_infinite_sections_certified(self, section, k):
         P, E = section(), mw.family_curve(k)
@@ -284,7 +285,7 @@ class TestTwist:
     def test_matches_printed_curve(self):
         E = mw.family_curve(18)
         tw = quadratic_twist(E, -3)
-        assert tw.curve == fx.y18_twist_curve()
+        assert tw.curve == y18_twist_curve()
         assert tw.sqrt_d == QuadElem(0, 1)
 
     def test_twist_by_one_is_identity(self):
@@ -428,7 +429,7 @@ class TestHalving:
 
 class TestIntersections:
     def test_psigma(self, k18):
-        assert mw.zero_intersection(k18["ps"], fx.pole_places()) == 5
+        assert mw.zero_intersection(k18["ps"], k18["places"]) == 5
         assert reduced_zero_intersection(k18["ps"]) == 5
 
     def test_torsion_sections(self):
@@ -458,7 +459,7 @@ class TestIntersections:
         # x and y times h/h, for h with roots at sigma = 1 and 9 (9 a pole of
         # x) and a factor at the I3 place: (P.O) and every fiber reading are
         # those of the reduced pair
-        ps, places = k18["ps"], fx.pole_places()
+        ps, places = k18["ps"], k18["places"]
         h = Poly([-1, 1]) * Poly([-9, 1]) * Poly([1, -18, 1])
         unreduced = mw.SectionPoint(*(mw.PolyRatio(c.num * h, c.den * h) for c in ps))
         with pytest.raises(TypeError):  # a pair has no arithmetic, not even tuple's
@@ -496,7 +497,7 @@ def ratfunc_readings(k: int, P) -> list:
 def multiples_and_shifts(n: int) -> tuple:
     """[n]p_sigma and the five [n]p_sigma + T over the torsion T."""
     E = mw.family_curve(18)
-    P = ec_mul(n, fx.infinite_section_k18(), E)
+    P = ec_mul(n, psigma(), E)
     return (P, *(ec_add(P, T, E, check=False) for T in torsion_multiples(18)))
 
 
@@ -515,7 +516,7 @@ class TestNeronComponents:
 
     def test_printed_quadric_value(self, k18):
         X, Y, Z = npr.beauville_coords(k18["ps"])
-        printed = RatFunc(-3888 * fx._psigma_x_numerator(), fx._psigma_denominator_core() ** 2)
+        printed = RatFunc(-3888 * PSIGMA_X_NUMERATOR, DCORE ** 2)
         assert (X * Y + X * Z + Y * Z) / (Z * Z) == printed
 
     def test_printed_models_match_derivation(self):
@@ -563,6 +564,24 @@ class TestFiberRecord:
             mw.section_height(18, k18["ps"], 5)
 
 
+class TestSectionRecord:
+    # every record that gives its infinite section as factored tuples
+    @pytest.mark.parametrize("k", [k for k, s in SURFACES.items() if s.section is not None])
+    def test_record_section(self, k):
+        surf = SURFACES[k]
+        assert surf.height is not None  # the section stages check it
+        ps, places, r = mw.record_section(surf)
+        assert mw.verify_on_curve(ps, mw.family_curve(k))
+        # one irreducible place per pole factor: no root in Q(sqrt(-3))
+        assert len(places) == len(surf.pole_factors)
+        for pl, f in zip(places, surf.pole_factors):
+            assert pl.poly.degree() == len(f) - 1 >= 1
+            assert pl.poly.degree() == 1 or not is_square_quad(pl.poly[1] ** 2 - 4 * pl.poly[0])[0]
+        # (P.O) read at those places is the count from x in lowest terms
+        assert mw.zero_intersection(ps, places) == reduced_zero_intersection(ps)
+        assert (r is None) == (surf.halving_root is None)
+
+
 class TestHeight:
     def test_fibers_are_the_surface_record(self, k18):
         h, readings = height(18, k18["ps"])
@@ -581,7 +600,7 @@ class TestHeight:
 
     def test_breakdown(self, k18):
         h, readings = height(18, k18["ps"])
-        total = Fraction(2 * 2) + 2 * mw.zero_intersection(k18["ps"], fx.pole_places())
+        total = Fraction(2 * 2) + 2 * mw.zero_intersection(k18["ps"], k18["places"])
         total -= sum(mw.contribution(r.m, r.component) for r in readings)
         assert total == h == 10
         # the witness: (m, v(psi2), v(dF/dx), M) at the I12 and I2 fibers
