@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -38,12 +39,13 @@ def _subcheck(name: str, ok: bool, provenance: str, **extra) -> dict:
     return {"name": name, "pass": bool(ok), "provenance": provenance, **extra}
 
 
-def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, quad, d3_term):
+def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, exact, d3_term):
     """Yield (stage, its subchecks) in report order, for the stages the record
     selects: none without an L-value (no disc); lattice, ek and ap with one;
     epstein where the right-hand side has a d3 term beside it; and the
     section stages where the record has its infinite section, halving only
-    where it has a halving root."""
+    where it has a halving root.  The EK and Epstein checks run at prec and
+    face the right-hand side `exact` and its d3 term."""
     if surf.disc is None:
         return
     from . import lattices, lfunctions, mahler
@@ -71,12 +73,12 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, quad, d3_term):
                                 value=str(ns)))
     yield "lattice", checks
 
-    bs = mahler.bertin_series_for_k(surf.k)
+    bs = mahler.bertin_series_for_k(surf.k, prec)
     yield "ek", [_subcheck(
-        "eisenstein-kronecker-series", bs.consistent_with(quad),
+        "eisenstein-kronecker-series", bs.consistent_with(exact),
         "weighted lattice sums at the CM point",
-        value=float(bs.value), diff=abs(float(bs.value) - float(quad.value)),
-        error_bound=float(bs.error_bound + quad.error_bound), prec=bs.prec, terms=bs.terms)]
+        value=float(bs.value), diff=float(bs.abs_diff(exact)),
+        error_bound=float(bs.error_bound + exact.error_bound), prec=bs.prec, terms=bs.terms)]
 
     from . import pointcount
     table = surfaces.NEWFORM_AP[surf.level]
@@ -142,7 +144,7 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, quad, d3_term):
         "pole-degree count", value=po)]
 
     try:
-        h, readings, error = *mw.section_height(surf.k, ps, po), {}
+        h, readings, error = *mw.section_height(surf, ps, po), {}
     except mw.VerificationError as exc:   # the record contradicts the curve
         h, readings, error = None, [], {"error": str(exc)}
     comps = {r.place: r.component for r in readings}
@@ -163,8 +165,7 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, quad, d3_term):
 
 def cmd_verify(args) -> int:
     from . import lfunctions, mahler
-    k, surf = args.k, SURFACES[args.k]
-    tol = args.tol if args.tol is not None else surf.tol
+    k, surf, tol = args.k, SURFACES[args.k], args.tol
     timings: dict = {}
     t_start = t = time.monotonic()
 
@@ -174,20 +175,21 @@ def cmd_verify(args) -> int:
         t, t0 = time.monotonic(), t
         timings[f"{stage}_s"] = round(t - t0, 4)
 
-    # the identity gate below alone judges the bound; only a NaN raises
-    quad = mahler.mahler_quadrature(k, tol=float("inf"))
+    quad = mahler.mahler_quadrature(k)
     lap("lhs")
     exact, method, d3_term = lfunctions.identity_rhs(surf, args.prec)
     lap("rhs")
     subchecks = []
-    for stage, checks in _subchecks(surf, args.prec, args.pmax, quad, d3_term):
+    for stage, checks in _subchecks(surf, args.prec, args.pmax, exact, d3_term):
         lap(stage)
         subchecks.extend(checks)
 
     rhs, rhs_err = exact.as_float()
-    diff = abs(float(quad.value) - rhs)
-    # both bounds count against tol: agreement inside a wider bound proves nothing
-    identity_ok = diff + float(quad.error_bound) + rhs_err <= tol
+    # Fractions, compared with tol exactly: both bounds count against tol (agreement
+    # inside a wider bound proves nothing); the report's diff is the gap rounded up
+    gap, bounds = quad.abs_diff(exact), quad.error_bound + exact.error_bound
+    identity_ok = quad.consistent_with(exact) and gap + bounds <= tol
+    diff = float(gap) if float(gap) >= gap else math.nextafter(float(gap), math.inf)
     report = {"identity": f"m(P_{k})", "tolerance": tol, "k": k, "prec": args.prec,
               "lhs": {"value": float(quad.value), "method": "agm-period-quadrature",
                       "error_bound": float(quad.error_bound), "bound_kind": quad.bound_kind},
@@ -199,16 +201,11 @@ def cmd_verify(args) -> int:
     # the seconds of each stage that ran, and of the whole request
     timings["total_s"] = round(time.monotonic() - t_start, 3)
 
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(f"identity m(P_{k}): lhs={report['lhs']['value']:.10f} "
-              f"rhs={rhs:.10f} |diff|={diff:.3e} "
-              f"tol={tol:g} -> {'PASS' if identity_ok else 'FAIL'}")
-        for c in subchecks:
-            print(f"  [{'pass' if c['pass'] else 'FAIL'}] {c['name']}")
-        print(f"overall: {'PASS' if report['pass'] else 'FAIL'} "
-              f"({timings['total_s']}s)")
+    lines = [f"identity m(P_{k}): lhs={float(quad.value):.10f} rhs={rhs:.10f} "
+             f"|diff|={diff:.3e} tol={tol:g} -> {'PASS' if identity_ok else 'FAIL'}",
+             *(f"  [{'pass' if c['pass'] else 'FAIL'}] {c['name']}" for c in subchecks),
+             f"overall: {'PASS' if report['pass'] else 'FAIL'} ({timings['total_s']}s)"]
+    _emit(args, report, "\n".join(lines))
     return 0 if report["pass"] else 1
 
 
@@ -221,12 +218,14 @@ def cmd_mahler(args) -> int:
     # an integral k prints as an int only where float64 holds it exactly
     k = int(args.k) if args.k.is_integer() and abs(args.k) < 2 ** 53 else args.k
     if args.method == "quadrature":
-        v = mahler.mahler_quadrature(k, tol=args.tol)
+        v = mahler.mahler_quadrature(k)
+        value, err = float(v.value), float(v.error_bound)
+        if not v.error_bound <= args.tol:    # the one place a quadrature bound meets --tol
+            raise RuntimeError(f"requested abs tol {args.tol:g}, achieved {err:g}")
         payload = {"input": {"k": k, "method": "quadrature", "tol": args.tol},
-                   "value": float(v.value), "error_bound": float(v.error_bound),
+                   "value": value, "error_bound": err,
                    "provenance": "tanh-sinh quadrature of the AGM period"}
-        _emit(args, payload, f"m(P_{k}) = {float(v.value):.12f} "
-                             f"(+- {float(v.error_bound):.2e}, quadrature)")
+        _emit(args, payload, f"m(P_{k}) = {value:.12f} (+- {err:.2e}, quadrature)")
     else:
         try:
             surfaces.tau_table(k)
@@ -284,7 +283,7 @@ def cmd_height(args) -> int:
     surf = next(s for s in SURFACES.values() if s.section is not None)
     ps, places, _ = mw.record_section(surf)
     po = mw.zero_intersection(ps, places)
-    h, fibers = mw.section_height(surf.k, ps, po)
+    h, fibers = mw.section_height(surf, ps, po)
     payload = {"input": {"k": surf.k,
                          "section": f"infinite section over Q(sqrt({surf.section_disc}))"},
                "value": {"height": str(h),
@@ -351,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(v, k_choices=VERIFY_KS)
     v.add_argument("--prec", type=_at_least(53), default=128, help="bits")
     v.add_argument("--pmax", type=_at_least(0), default=31)
-    v.add_argument("--tol", type=_positive, default=None)
+    # one tolerance for every k: >= 500 times the largest gap + bounds (1.9e-15, k = 18)
+    v.add_argument("--tol", type=_positive, default=1e-12)
     v.set_defaults(func=cmd_verify)
 
     m = sub.add_parser("mahler", help="Mahler measure by one method")

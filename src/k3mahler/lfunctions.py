@@ -119,7 +119,7 @@ def _s(x: float, k: int) -> float:
     return x * (1, 1 + x, 1 + 4 * x + x * x)[k - 1] / (1 - x) ** (k + 1)
 
 
-def smoothed_lvalue(series: QuadFormSeries, prec: int = 128) -> BigReal:
+def smoothed_lvalue(series: QuadFormSeries, prec: int) -> BigReal:
     """L(phi, 3) for the form series by the smoothed sum of its functional
     equation (Dokchitser, Exp. Math. 13 (2004)), with a rigorous bound.
 
@@ -187,7 +187,7 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int = 128) -> BigReal:
 # Dirichlet L(chi_-3, 2) and d3
 # ---------------------------------------------------------------------------
 
-def dirichlet_lvalue(prec: int = 128) -> BigReal:
+def dirichlet_lvalue(prec: int) -> BigReal:
     """L(chi_-3, 2) = sum chi(n)/n^2 by paired summation with an
     Euler-Maclaurin tail on f(j) = (3j+1)^-2 - (3j+2)^-2, each of the J head
     blocks and tail terms floored once at prec + 24 bits.  The k-th tail term
@@ -210,7 +210,7 @@ def dirichlet_lvalue(prec: int = 128) -> BigReal:
     return BigReal.fixed(head + tail, wp, J + k + 2 + 2 * abs(t)).round_to(prec)
 
 
-def d3(prec: int = 128) -> BigReal:
+def d3(prec: int) -> BigReal:
     """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1)."""
     wp = prec + 8
     c = BigReal.fixed(math.isqrt(3 << 2 * wp), wp, 1) * pi_reals(wp)[1] * Fraction(3, 4)

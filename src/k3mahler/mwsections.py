@@ -32,7 +32,6 @@ from functools import lru_cache
 
 from .exactalg import (Place, Poly, QuadElem, is_square_quad, poly_valuation,
                        reduce_mod_p)
-from .surfaces import SURFACES
 from .pointcount import legendre, point_order, primes_up_to, weierstrass_invariants
 
 
@@ -408,20 +407,20 @@ def _fiber_places(k: int, fibers: tuple) -> tuple:
     return tuple(out[f.place] for f in fibers)
 
 
-def section_height(k: int, P: SectionPoint,
+def section_height(surf, P: SectionPoint,
                    po: int) -> tuple[Fraction, list[FiberReading]]:
     """Canonical height 2 chi + 2 (P.O) - sum M(m - M)/m of a section of
-    family_curve(k) that meets the zero section po = (P.O) times, with one
-    reading per entry of SURFACES[k].fibers.
+    family_curve(k), k = surf.k, that meets the zero section po = (P.O)
+    times, with one reading per entry of the `Surface` record's fibers.
 
     M is the component of the I_m fiber that P meets, by Silverman,
     "Computing heights on elliptic curves", Math. Comp. 51 (1988), Thm 5.2,
     multiplicative case: M = min(v(psi2), m // 2) if v(x) >= 0, v(psi2) > 0
     and v(dF/dx) > 0, else 0.  The model is schart_family_curve(k) at sigma =
     inf and family_curve(k) elsewhere; x, psi2 and dF/dx are read as pairs."""
+    k, fibers = surf.k, surf.fibers
     if not verify_on_curve(P, family_curve(k)):
         raise ValueError("point is not on the curve")
-    fibers = SURFACES[k].fibers
     charts, vals, readings = {}, {}, []
     for f, (place, schart) in zip(fibers, _fiber_places(k, fibers)):
         if schart not in charts:

@@ -257,7 +257,8 @@ def _ap(surf, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Weierstrass curves over F_p (used for the twisted-curve reductions)
+# Weierstrass curves: the invariants and the point orders over F_p behind
+# `mwsections`' certificates on `family_curve(k)`
 # ---------------------------------------------------------------------------
 
 def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:

@@ -66,7 +66,6 @@ class FiberEntry(namedtuple("FiberEntry", (
 
 class Surface(namedtuple("Surface", (
         "k",
-        "tol",           # default identity tolerance of `verify`
         "d3_coeff",      # a Fraction
         "disc",          # CM discriminant of the weight-3 form phi
         "level",         # newform level, equal to |det T|
@@ -116,8 +115,8 @@ class Surface(namedtuple("Surface", (
 # fiber of u below.  `mwsections.section_height` checks them against
 # `mwsections.family_curve(k)` and takes one local height per entry.
 SURFACES = {
-    0: Surface(0, 1e-6, Fraction(1)),
-    3: Surface(3, 1e-5, Fraction(0), disc=-15, level=15,
+    0: Surface(0, Fraction(1)),
+    3: Surface(3, Fraction(0), disc=-15, level=15,
                prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1, torsion=6,
                fibers=(
                    FiberEntry("s=0", 12, None),          # double over u=inf
@@ -128,7 +127,7 @@ SURFACES = {
                    FiberEntry("alpha2", 1, (9, -3, 1)),  # over u=-8
                    FiberEntry("beta2", 1, (9, -3, 1)),   # over u=-8
                )),
-    6: Surface(6, 1e-5, Fraction(0), disc=-24, level=24, ap_twist=-3,
+    6: Surface(6, Fraction(0), disc=-24, level=24, ap_twist=-3,
                prefactor=(Fraction(24), 6), rank=0, torsion=6,
                fibers=(
                    FiberEntry("s=0", 12, None),         # double over u=inf
@@ -138,7 +137,7 @@ SURFACES = {
                    FiberEntry("beta", 3, (1, -6, 1)),   # over u=0
                    FiberEntry("s=1/3", 2, (-3, 1)),     # double over u=-8
                )),
-    18: Surface(18, 1e-4, Fraction(14, 5), disc=-120, level=120,
+    18: Surface(18, Fraction(14, 5), disc=-120, level=120,
                 ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
                 section_disc=-3, torsion=6,
                 height=Fraction(10),

@@ -93,14 +93,15 @@ def hecke_lvalue(series, s=3, N=2_000_000) -> BigReal:
 
 @pytest.fixture(scope="session")
 def quad():
-    """Memoized Jensen-quadrature values keyed by (k, tol)."""
+    """Memoized Jensen-quadrature values keyed by k, each checked to be
+    within tol."""
     cache = {}
 
     def get(k, tol=1e-8):
-        key = (float(k), tol)
-        if key not in cache:
-            cache[key] = mahler.mahler_quadrature(k, tol=tol)
-        return cache[key]
+        if float(k) not in cache:
+            cache[float(k)] = mahler.mahler_quadrature(k)
+        assert cache[float(k)].error_bound <= tol, (k, tol)
+        return cache[float(k)]
 
     return get
 

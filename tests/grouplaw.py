@@ -102,8 +102,9 @@ def reduced_zero_intersection(P: SectionPoint) -> int:
 
 
 def height(k: int, P: SectionPoint):
-    """`mwsections.section_height` with (P.O) from `reduced_zero_intersection`."""
-    return section_height(k, P, reduced_zero_intersection(P))
+    """`mwsections.section_height` on the record of k, with (P.O) from
+    `reduced_zero_intersection`."""
+    return section_height(SURFACES[k], P, reduced_zero_intersection(P))
 
 
 @lru_cache(maxsize=None)

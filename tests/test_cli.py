@@ -17,7 +17,7 @@ import pytest
 import k3mahler
 from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
-from k3mahler.cli import VERIFY_KS, main
+from k3mahler.cli import VERIFY_KS, _subchecks, main
 from k3mahler.surfaces import SURFACES
 from k3mahler.mwsections import NontorsionWitness
 
@@ -233,11 +233,12 @@ class TestExitCodes:
     def test_ek_gate_uses_its_bound(self, capsys, monkeypatch):
         # a series value 5e-5 off with a claimed bound of 1e-9 must fail,
         # although 5e-5 is far below the identity tolerance
-        def off_by_5e5(k):
+        def off_by_5e5(k, prec):
             m6 = 1.6733893029701967  # m(P_6), as the EK series gives it
             return BigReal.with_bound(m6 + 5e-5, 1e-9)
         monkeypatch.setattr(mahler, "bertin_series_for_k", off_by_5e5)
-        code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13"])
+        code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13",
+                                 "--tol", "1e-4"])
         assert code == 1
         ek = {c["name"]: c for c in json.loads(out)["subchecks"]}[
             "eisenstein-kronecker-series"]
@@ -391,6 +392,19 @@ class TestSectionReport:
         assert sub["neron-components"]["error"].startswith("s=1/18: ")
         assert sub["height"]["pass"] is False
 
+    def test_k18_wrong_fiber_record_passed_directly(self):
+        # the fibers read are those of the record handed to the subchecks,
+        # with no SURFACES entry patched
+        fibers = tuple(f._replace(m=3) if f.place == "s=1/18" else f
+                       for f in SURFACES[18].fibers)
+        surf = SURFACES[18]._replace(fibers=fibers)
+        exact, _, d3_term = lfunctions.identity_rhs(surf, 128)
+        sub = {c["name"]: c for _, checks in _subchecks(surf, 128, 31, exact, d3_term)
+               for c in checks}
+        assert sub["neron-components"]["pass"] is False
+        assert sub["neron-components"]["error"].startswith("s=1/18: ")
+        assert sub["height"]["pass"] is False
+
     def test_k18_wrong_height_record_fails(self, capsys, monkeypatch):
         # h = 12 recorded: the curve gives h = 10, and (P.O) = 5 is not the
         # (12 - 2*2 + 4)/2 = 6 that the record and its components imply
@@ -409,6 +423,52 @@ class TestSectionReport:
         assert eps["pass"] is True
         assert eps["diff"] <= eps["error_bound"] < 1e-35
         assert abs(eps["value"] - 2.8 * lfunctions.d3(128).value) < 1e-15
+
+
+class TestAgreementRule:
+    # every verify comparison is decided exactly on the carriers, and the
+    # one default tolerance lives in the parser
+    @pytest.mark.parametrize("k", VERIFY_KS)
+    def test_identity_needs_the_gap_inside_the_bounds(self, capsys, monkeypatch, k):
+        # a quadrature 1e-9 off that claims a bound of 1e-15: the gap plus
+        # both bounds is far under --tol 1e-6, but the gap is not inside the
+        # bounds; the EK series faces the right-hand side, so only the
+        # identity fails
+        quadrature = mahler.mahler_quadrature
+
+        def off_by_1e9(k, **kwargs):
+            v = quadrature(k, **kwargs)
+            return BigReal.with_bound(v.value + Fraction(1, 10 ** 9), Fraction(1, 10 ** 15),
+                                      64, "estimate")
+        monkeypatch.setattr(mahler, "mahler_quadrature", off_by_1e9)
+        code, out = run(capsys, ["verify", "--k", str(k), "--tol", "1e-6", "--json"])
+        doc = json.loads(out)
+        assert code == 1 and doc["pass"] is False and doc["tolerance"] == 1e-6
+        assert 0.99e-9 < doc["abs_diff"] < 1.01e-9 and doc["lhs"]["error_bound"] < 1e-14
+        assert all(c["pass"] for c in doc["subchecks"])
+
+    def test_ek_runs_at_prec(self, capsys):
+        # the EK series runs at --prec against the right-hand side, so its
+        # bound follows the precision, not the float64 quadrature
+        code, out = run(capsys, ["verify", "--k", "18", "--prec", "200", "--json"])
+        ek = {c["name"]: c for c in json.loads(out)["subchecks"]}[
+            "eisenstein-kronecker-series"]
+        assert code == 0 and ek["pass"] is True
+        assert ek["prec"] == 200 and ek["diff"] <= ek["error_bound"] <= 1e-55
+
+    def test_one_default_tolerance(self, capsys, k18_report):
+        # one tolerance for every k, which each identity meets with the
+        # exact gap (never the float64 subtraction's 0) and both bounds
+        tols = set()
+        for k in VERIFY_KS:
+            doc = k18_report[1] if k == 18 else \
+                json.loads(run(capsys, ["verify", "--k", str(k), "--json"])[1])
+            assert doc["pass"] is True, k
+            assert 0 < doc["abs_diff"] <= doc["lhs"]["error_bound"] + doc["rhs"]["error_bound"]
+            assert doc["abs_diff"] + doc["lhs"]["error_bound"] + doc["rhs"]["error_bound"] \
+                <= doc["tolerance"], k
+            tols.add(doc["tolerance"])
+        assert len(tols) == 1 and tols.pop() <= 1e-12
 
 
 class TestWithoutScipy:

@@ -141,7 +141,7 @@ class TestLValues:
 class TestSmoothedLValue:
     def test_inside_direct_sum_bound(self, hecke):
         for disc in PHI_ROWS:
-            v = lf.smoothed_lvalue(lf.FORM_SERIES[disc])
+            v = lf.smoothed_lvalue(lf.FORM_SERIES[disc], 128)
             assert v.bound_kind == "rigorous"
             assert v.abs_diff(hecke(disc)) <= hecke(disc).error_bound, disc
 
@@ -156,7 +156,7 @@ class TestSmoothedLValue:
         for disc in PHI_ROWS:
             series = lf.FORM_SERIES[disc]
             with pytest.raises(ArithmeticError):
-                lf.smoothed_lvalue(series._replace(disc=2 * disc))
+                lf.smoothed_lvalue(series._replace(disc=2 * disc), 128)
 
     def test_coefficient_bound(self):
         n = np.arange(1, 10 ** 4 + 1)
@@ -168,7 +168,7 @@ class TestSmoothedLValue:
 
 class TestEpstein:
     def test_matches_d3_combination(self, d3_value):
-        v = epstein_combo()
+        v = epstein_combo(128)
         assert abs(float(v.value) - 2.8 * float(d3_value.value)) < 1e-5
         # at 128 bits, inside both rigorous bounds
         d3_term = BigReal.exactly(Fraction(14, 5), 128) * d3_value

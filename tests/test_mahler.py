@@ -14,8 +14,8 @@ from k3mahler import lfunctions, mahler
 from k3mahler.bigreal import BigReal
 from k3mahler.surfaces import SURFACES
 from k3mahler.lfunctions import d3
-from k3mahler.mahler import (ToleranceNotReached, bertin_series, bertin_series_for_k,
-                             mahler_quadrature)
+from k3mahler.cli import main
+from k3mahler.mahler import bertin_series, bertin_series_for_k, mahler_quadrature
 from conftest import mahler_mc
 from modular import eta, fit_w_expansion, k_of_tau, tau_of_k, w_of_tau
 import mp_oracle
@@ -147,7 +147,7 @@ def constant_term_series(k, terms=120):
 class TestQuadrature:
     def test_matches_quadpack_oracle(self):
         for k in K_GRID:
-            v = mahler_quadrature(k, tol=1e-10)
+            v = mahler_quadrature(k)
             ref, ref_err = quadpack_quadrature(k, tol=1e-10)
             assert ref_err <= 1e-10, k
             assert abs(float(v.value) - ref) <= 1e-13, k
@@ -158,7 +158,8 @@ class TestQuadrature:
         # the two routes share nothing past Jensen's formula: one integrates
         # acosh over the 2-torus, the other K times an arccosine
         for k in K_GRID:
-            v = mahler_quadrature(k, tol=1e-10)
+            v = mahler_quadrature(k)
+            assert v.error_bound <= 1e-10, k
             ref, ref_err = jensen_2d_quadrature(float(k))
             assert abs(float(v.value) - ref) <= float(v.error_bound) + ref_err, k
 
@@ -166,7 +167,7 @@ class TestQuadrature:
         # four ulps of the value plus |I_h - I_{h/2}|: 0, or one ulp at k = 18
         pinned = {0: 2.2205e-16, 3: 4.4409e-16, 6: 8.8818e-16, 18: 2.2205e-15}
         for k, bound in pinned.items():
-            v = mahler_quadrature(k, tol=1e-10)
+            v = mahler_quadrature(k)
             assert float(v.error_bound) <= bound, (k, float(v.error_bound))
 
     def test_k0_is_d3(self):
@@ -179,43 +180,53 @@ class TestQuadrature:
     def test_large_k_within_bound(self, k):
         # [4, k - 2] spans up to 300 decades of g ~ 1/t, and past t ~ 1e154
         # t^2 overflows float64; the value must still lie within its bound
-        v = mahler_quadrature(k, tol=1e-5)
+        v = mahler_quadrature(k)
         assert v.abs_diff(fraction(constant_term_series(k))) <= v.error_bound, k
         assert float(v.error_bound) <= 1e-12, k
 
     def test_plus_minus_symmetry(self, quad):
         for k in (3.0, 7.5):
-            a = mahler_quadrature(k, tol=1e-9)
-            b = mahler_quadrature(-k, tol=1e-9)
+            a, b = mahler_quadrature(k), mahler_quadrature(-k)
+            assert a.error_bound <= 1e-9 and b.error_bound <= 1e-9, k
             assert abs(float(a.value) - float(b.value)) < 2e-9
 
     def test_monotone_for_large_k(self):
-        vals = [float(mahler_quadrature(k, tol=1e-9).value)
-                for k in (6, 7, 9, 12, 18, 30, 100)]
+        quads = [mahler_quadrature(k) for k in (6, 7, 9, 12, 18, 30, 100)]
+        assert all(v.error_bound <= 1e-9 for v in quads)
+        vals = [float(v.value) for v in quads]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_tolerance_error_carries_estimate(self):
-        with pytest.raises(ToleranceNotReached) as exc:
-            mahler_quadrature(3, tol=1e-18)
-        err = exc.value
-        assert 0.8 < err.estimate < 0.9      # best estimate is still sane
-        assert err.achieved > err.requested
+    def test_tolerance_error_carries_estimate(self, capsys):
+        # the kernel returns its estimate whatever its bound; `mahler` alone
+        # holds that bound to --tol and refuses a tol below it
+        v = mahler_quadrature(3)
+        assert 0.8 < v.value < 0.9 and v.error_bound > 1e-18
+        assert main(["mahler", "--k", "3", "--tol", "1e-18"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requested abs tol 1e-18" in captured.err and "achieved" in captured.err
 
-    def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            mahler_quadrature(3, tol=0.0)
+    def test_invalid_tol(self, capsys):
+        # the kernel takes no tol: `mahler` refuses one that is not > 0
+        for tol in ("0", "-1e-8"):
+            with pytest.raises(SystemExit) as exc:
+                main(["mahler", "--k", "3", "--tol", tol])
+            assert exc.value.code == 2, tol
+        assert "must be > 0" in capsys.readouterr().err
 
     def test_non_finite_k_rejected(self):
         for k in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 mahler_quadrature(k)
 
-    def test_nan_bound_reaches_no_tolerance(self, monkeypatch):
-        # a NaN integrand gives a NaN bound, which certifies no tolerance,
-        # not even an infinite one
+    def test_nan_bound_reaches_no_tolerance(self, monkeypatch, capsys):
+        # a NaN integrand gives a NaN bound, which the kernel refuses, so it
+        # certifies no tolerance, not even the loosest
         monkeypatch.setattr(mahler, "_period_integrand", lambda *args: math.nan)
-        with pytest.raises(ToleranceNotReached):
-            mahler_quadrature(3, tol=math.inf)
+        with pytest.raises(RuntimeError, match="achieved nan"):
+            mahler_quadrature(3)
+        assert main(["mahler", "--k", "3", "--tol", "1e300"]) == 1
+        assert "achieved nan" in capsys.readouterr().err
 
 
 class TestMonteCarlo:
@@ -333,7 +344,7 @@ class TestRowSums:
 class TestBertinSeries:
     def test_matches_quadrature(self, quad):
         for k in (0, 2, 3, 6, 10, 18):
-            b = bertin_series_for_k(k)
+            b = bertin_series_for_k(k, 64)
             assert b.bound_kind == "rigorous"
             assert b.consistent_with(quad(k)), k
 
@@ -342,7 +353,7 @@ class TestBertinSeries:
         # the lattice sums, which must land on the quadrature value
         cm = tau_of_k(100, prec=80)
         assert mp.re(cm.tau) == 0
-        b = bertin_series((0, BigReal.exactly(fraction(mp.im(cm.tau)), 112)))
+        b = bertin_series((0, BigReal.exactly(fraction(mp.im(cm.tau)), 112)), 64)
         assert abs(float(b.value) - float(quad(100, 1e-9).value)) < 1e-7
 
     def test_precision_doubling_within_bound(self):
@@ -360,7 +371,7 @@ class TestBertinSeries:
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
-            bertin_series((0, BigReal.exactly(-0.5)))
+            bertin_series((0, BigReal.exactly(-0.5)), 64)
 
 
 def oracle_gaps(prec, oracle_prec, ks=(0, 2, 3, 6, 10, 18)):
@@ -405,7 +416,7 @@ class TestAgainstTheMpmathRoutes:
         # only a tau with 12 Re tau an integer has 12th roots of unity
         for re in (Fraction(1, 5), Fraction(1, 24), 0.1):
             with pytest.raises(ValueError, match="not an integer"):
-                bertin_series((re, BigReal.exactly(1)))
+                bertin_series((re, BigReal.exactly(1)), 64)
 
     def test_every_twelfth_against_the_row_sums(self):
         # Re tau = t/12 for every t mod 12, against the cot row kernel of the

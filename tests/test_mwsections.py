@@ -465,7 +465,7 @@ class TestIntersections:
         with pytest.raises(TypeError):  # a pair has no arithmetic, not even tuple's
             2 * ps.x
         assert mw.zero_intersection(unreduced, places) == 5
-        assert mw.section_height(18, unreduced, 5) == mw.section_height(18, ps, 5)
+        assert mw.section_height(SURFACES[18], unreduced, 5) == mw.section_height(SURFACES[18], ps, 5)
         # a third factor sigma - 9 in den(x): a pole of order 3
         odd = mw.SectionPoint(mw.PolyRatio(ps.x.num * h, ps.x.den * h * Poly([-9, 1])), ps.y)
         with pytest.raises(mw.VerificationError, match="odd pole"):
@@ -535,7 +535,7 @@ class TestNeronComponents:
         mw._fiber_places(18, SURFACES[18].fibers)
         seen, valuation = [], mw.valuation
         monkeypatch.setattr(mw, "valuation", lambda f, pl: seen.append(pl) or valuation(f, pl))
-        _, readings = mw.section_height(18, k18["ps"], 5)
+        _, readings = mw.section_height(SURFACES[18], k18["ps"], 5)
         assert seen.count(i3) == 3  # x, psi2 and dF/dx
         a, b = (r for r in readings if r.place in ("alpha1", "beta1"))
         assert a._replace(place="beta1") == b
@@ -556,12 +556,11 @@ class TestFiberRecord:
         ({"s=inf": None}, "sum to 22"),
         ({"beta1": ("beta1", 3, (-2, 1))}, r"\['alpha1'\] do not match"),
     ], ids=["wrong-m", "smooth-fiber", "wrong-m-sum-24", "missing", "lone-conjugate"])
-    def test_wrong_record_raises(self, k18, monkeypatch, change, match):
+    def test_wrong_record_raises(self, k18, change, match):
         fibers = tuple(FiberEntry(*change[f.place]) if f.place in change else f
                        for f in SURFACES[18].fibers if change.get(f.place, f))
-        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(fibers=fibers))
         with pytest.raises(mw.VerificationError, match=match):
-            mw.section_height(18, k18["ps"], 5)
+            mw.section_height(SURFACES[18]._replace(fibers=fibers), k18["ps"], 5)
 
 
 class TestSectionRecord:
@@ -627,7 +626,7 @@ class TestHeight:
         monkeypatch.setattr(mw, "valuation", spy)
         for P in sections:
             read.clear()
-            mw.section_height(18, P, reduced_zero_intersection(P))
+            mw.section_height(SURFACES[18], P, reduced_zero_intersection(P))
             # x, psi2 and dF/dx at the 5 distinct places of the 7 fibers
             assert len(read) == 15 and read == ratfunc_readings(18, P), P
 
@@ -659,4 +658,4 @@ class TestHeight:
 
     def test_off_curve_rejected(self):
         with pytest.raises(ValueError, match="not on the curve"):
-            mw.section_height(18, point(1, 1), 0)
+            mw.section_height(SURFACES[18], point(1, 1), 0)
