@@ -120,12 +120,11 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, exact, d3_term):
     if not on_curve:  # every later stage reads the section as a point of E
         return
 
-    wit = mw.verify_nontorsion(ps, E)
+    wit = mw.verify_nontorsion(ps, E, surf.torsion)
     yield "nontorsion", [_subcheck(
         "section-nontorsion", wit is not None,
         "specialization at sigma=t, reduction mod p",
-        witness=None if wit is None else
-        {"sigma": wit.t, "p": wit.p, "sqrt_m3_mod_p": wit.w, "order": wit.order})]
+        witness=wit and dict(zip(("sigma", "p", "sqrt_m3_mod_p", "order"), wit)))]
 
     if r is not None:
         square, wits = mw.halving_witnesses(ps, r, E)
@@ -220,22 +219,23 @@ def cmd_mahler(args) -> int:
     if args.method == "quadrature":
         v = mahler.mahler_quadrature(k)
         value, err = float(v.value), float(v.error_bound)
-        if not v.error_bound <= args.tol:    # the one place a quadrature bound meets --tol
-            raise RuntimeError(f"requested abs tol {args.tol:g}, achieved {err:g}")
         payload = {"input": {"k": k, "method": "quadrature", "tol": args.tol},
                    "value": value, "error_bound": err,
                    "provenance": "tanh-sinh quadrature of the AGM period"}
-        _emit(args, payload, f"m(P_{k}) = {value:.12f} (+- {err:.2e}, quadrature)")
+        human = f"m(P_{k}) = {value:.12f} (+- {err:.2e}, quadrature)"
     else:
         try:
             surfaces.tau_table(k)
         except ValueError as exc:
             raise UsageError(f"bertin method: {exc}") from None
-        value, err = mahler.bertin_series_for_k(k, prec=args.prec).as_float()
+        value, err = (v := mahler.bertin_series_for_k(k, prec=args.prec)).as_float()
         payload = {"input": {"k": k, "method": "bertin", "prec": args.prec},
                    "value": value, "error_bound": err,
                    "provenance": "Eisenstein-Kronecker lattice sums"}
-        _emit(args, payload, f"m(P_{k}) = {value:.10f} (+- {err:.2e}, series)")
+        human = f"m(P_{k}) = {value:.10f} (+- {err:.2e}, series)"
+    if not v.error_bound <= args.tol:    # the one place a method's bound meets --tol
+        raise RuntimeError(f"requested abs tol {args.tol:g}, achieved {err:g}")
+    _emit(args, payload, human)
     return 0
 
 
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -156,9 +156,6 @@ class QuadElem:
             n >>= 1
         return result
 
-    def conj(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b)
-
     def norm(self) -> Fraction:
         """x * conj(x) = a^2 + 3 b^2 (nonnegative, zero iff x = 0)."""
         return self.a * self.a + 3 * self.b * self.b
@@ -166,9 +163,6 @@ class QuadElem:
     # -- predicates / dunders ----------------------------------------------
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __eq__(self, other):
         try:
@@ -271,10 +265,6 @@ class Poly:
             return Poly([v])
         raise TypeError(f"cannot coerce {type(v).__name__} to Poly")
 
-    @staticmethod
-    def x(power: int = 1) -> "Poly":
-        return _poly([0] * power + [1], [0] * (power + 1))
-
     # -- basic queries -------------------------------------------------------
     def degree(self) -> int:
         return len(self._re) - 1
@@ -284,12 +274,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return len(self._re) <= 1
-
-    def constant(self) -> QuadElem:
-        """Value as a field constant (degree <= 0 required)."""
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self[0]
 
     def __getitem__(self, i: int) -> QuadElem:
         if 0 <= i < len(self._re):
@@ -405,17 +389,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * p + c
         return acc
-
-    def reverse(self, n: int | None = None) -> "Poly":
-        """sigma^n * f(1/sigma) as a polynomial; n defaults to deg f."""
-        if self.is_zero():
-            return self
-        if n is None:
-            n = self.degree()
-        if n < self.degree():
-            raise ValueError("reversal order below degree")
-        pad = (0,) * (n - self.degree())
-        return _poly(pad + self._re[::-1], pad + self._im[::-1], self._den)
 
     def __repr__(self):
         if self.is_zero():

@@ -1,16 +1,17 @@
 """Elliptic curves over Q(sqrt(-3))(sigma) and the section suite of the
 `Surface` records.
 
-Provides the family's Weierstrass models in the sigma and s = 1/sigma charts
-(polynomial coefficients), a record's infinite section, pole places and
-halving root built from its factored tuples (`record_section`), the exact
-on-curve check of a section, certificates by specialization at a fiber and
-reduction mod p (nontorsion, and the non-squares of the two-descent halving
-obstruction on the completed square y^2 = x(x^2 + a x + b), where adding the
-2-torsion point (0, 0) has a closed form), section/zero-section
-intersection numbers, and the canonical height h(P) = 2*chi + 2*(P.O) - sum
-of local terms M(m - M)/m, one per singular fiber of the `Surface` record by
-Silverman's rule for multiplicative fibers.
+Provides the family's Weierstrass model over the sigma-line (polynomial
+coefficients), read at sigma = inf by the weights of its functions
+(`valuation`), a record's infinite section, pole places and halving root
+built from its factored tuples (`record_section`), the exact on-curve check
+of a section, certificates by specialization at a fiber and reduction mod a
+split prime p (nontorsion against the record's torsion order, and the
+non-squares of the two-descent halving obstruction on the completed square
+y^2 = x(x^2 + a x + b), where adding the 2-torsion point (0, 0) has a closed
+form), section/zero-section intersection numbers, and the canonical height
+h(P) = 2*chi + 2*(P.O) - sum of local terms M(m - M)/m, one per singular
+fiber of the `Surface` record by Silverman's rule for multiplicative fibers.
 No general group law is needed.
 
 A coordinate of a section is a `PolyRatio` num/den of two Polys, never
@@ -72,11 +73,6 @@ class PolyRatio(namedtuple("PolyRatio", "num den")):
             raise ZeroDivisionError("pole at evaluation point")
         return self.num.eval(t) / d
 
-    def reciprocal(self, weight: int) -> "PolyRatio":
-        """s^weight f(1/s), the s = 1/sigma chart of a coordinate of that weight."""
-        n = max(self.num.degree(), self.den.degree())
-        return PolyRatio(self.num.reverse(n) * Poly.x(weight), self.den.reverse(n))
-
 
 # an affine section (x, y): coordinates with Poly num and den, as PolyRatio
 SectionPoint = namedtuple("SectionPoint", "x y")
@@ -110,13 +106,21 @@ def record_section(surf) -> RecordSection:
         surf.halving_root and PolyRatio(*(_factored(*f) for f in surf.halving_root)))
 
 
-def valuation(f, place: Place) -> float:
-    """Order of f = num/den at a place, +inf for f = 0: v(num) - v(den), and
-    deg den - deg num at infinity, which a common factor leaves unchanged."""
+def valuation(f, place: Place, weight: int) -> float:
+    """Order of f = num/den at a place, +inf for f = 0, which a common factor
+    leaves unchanged: v(num) - v(den) at a finite place.
+
+    At infinity f is read in the chart s = 1/sigma around the fiber sigma =
+    inf, x = s^4 x'(1/s) and y = s^6 y'(1/s), where a function of `weight` w
+    (2 for x, 3 for psi2, 4 for dF/dx and c4, 12 for disc) is s^(chi w)
+    f(1/s): its order at s = 0 is chi w + deg den - deg num.  That chart is a
+    Weierstrass model with polynomial a_i, integral at s = 0, because deg a_i
+    <= chi i for family_curve(k), chi = K3_CHI = 2 (Miranda, The Basic Theory
+    of Elliptic Surfaces, 1989)."""
     if f.num.is_zero():
         return math.inf
     if place.is_infinite:
-        return f.den.degree() - f.num.degree()
+        return K3_CHI * weight + f.den.degree() - f.num.degree()
     return poly_valuation(f.num, place.poly) - poly_valuation(f.den, place.poly)
 
 
@@ -142,7 +146,7 @@ def _weierstrass_identity(nx: Poly, dx: Poly, ny: Poly, dy: Poly, E) -> bool:
 
 
 # P reduces to a point of order `order` on the fiber sigma = t modulo p, with
-# sqrt(-3) -> w (None when every coordinate is rational)
+# sqrt(-3) -> w
 NontorsionWitness = namedtuple("NontorsionWitness", "t p w order")
 
 # a claimed non-square reduces, at the fiber sigma = t modulo p with
@@ -150,26 +154,23 @@ NontorsionWitness = namedtuple("NontorsionWitness", "t p w order")
 NonsquareWitness = namedtuple("NonsquareWitness", "t p w")
 
 
-# the torsion exponent bound claimed for family_curve(k), the curve that
-# `verify` certifies the record's section on (Surface.torsion = 6; the bound
-# is recorded, not yet certified here), and the fixed, deterministic search
-# order of the certificates by specialization and reduction
-NONTORSION_BOUND = 6
+# the fixed, deterministic search order of the certificates by specialization
+# and reduction
 NONTORSION_SIGMAS = range(1, 13)
-NONTORSION_PRIMES = tuple(p for p in primes_up_to(300) if p >= 5)
 
 
 def _split_primes() -> list[tuple[int, int]]:
-    """(p, w) for the p = 1 mod 3 of NONTORSION_PRIMES, with w^2 = -3 mod p:
-    the primes at which sqrt(-3) -> w maps Q(sqrt(-3)) into F_p."""
+    """(p, w) for the primes p = 1 mod 3 below 300, with w^2 = -3 mod p: the
+    primes at which sqrt(-3) -> w maps Q(sqrt(-3)) into F_p."""
     return [(p, next(r for r in range(1, p) if r * r % p == p - 3))
-            for p in NONTORSION_PRIMES if p % 3 == 1]
+            for p in primes_up_to(300) if p % 3 == 1]
 
 
-def _specializations(fns, primes):
+def _specializations(fns):
     """(t, p, w, images of fns in F_p) for t in NONTORSION_SIGMAS, then (p, w)
-    in primes, each function evaluated once per t.  A t at a pole of one of
-    them is skipped; an image is None where p divides a denominator."""
+    in `_split_primes`, each function evaluated once per t.  A t at a pole of
+    one of them is skipped; an image is None where p divides a denominator."""
+    primes = _split_primes()
     for t in NONTORSION_SIGMAS:
         try:
             vals = [f.eval(t) for f in fns]
@@ -179,40 +180,36 @@ def _specializations(fns, primes):
             yield t, p, w, [reduce_mod_p(v, p, w) for v in vals]
 
 
-def verify_nontorsion(P: SectionPoint,
-                      E: FunctionFieldCurve) -> NontorsionWitness | None:
-    """A witness that [n]P != O for every n = 1..NONTORSION_BOUND, or None
-    when the search certifies nothing.
+def verify_nontorsion(P: SectionPoint, E: FunctionFieldCurve,
+                      torsion: int) -> NontorsionWitness | None:
+    """A witness that [n]P != O for every n = 1..torsion, or None when the
+    search certifies nothing; `torsion` bounds the order of every torsion
+    section of E (`verify` passes the record's Mordell-Weil torsion order).
 
     Specializing at a smooth fiber sigma = t and reducing modulo a prime p of
     good reduction at which P_t is integral are group homomorphisms, so an
-    image of order > NONTORSION_BOUND shows that no such [n]P vanishes.  The
-    search is `_specializations` over NONTORSION_PRIMES (only p = 1 mod 3 when
-    a coordinate involves sqrt(-3)).  It skips a pair at which a coefficient
-    or coordinate does not reduce, or disc(E)(t) = 0 mod p, which covers
-    disc(E)(t) = 0.
+    image of order > torsion shows that no such [n]P vanishes.  The search is
+    `_specializations` over the split primes, where a rational point reduces
+    like any other.  It skips a pair at which a coefficient or coordinate
+    does not reduce, or disc(E)(t) = 0 mod p, which covers disc(E)(t) = 0.
     """
     if not verify_on_curve(P, E):
         raise ValueError("point is not on the curve")
-    fns = (*E, P.x, P.y)
-    rational = all(c.is_rational() for f in (*E, P.x.num, P.x.den, P.y.num, P.y.den)
-                   for c in f.coeffs)
-    primes = [(p, None) for p in NONTORSION_PRIMES] if rational else _split_primes()
-    for t, p, w, red in _specializations(fns, primes):
+    for t, p, w, red in _specializations((*E, P.x, P.y)):
         if None in red or weierstrass_invariants(*red[:5])[3] % p == 0:
             continue
         # Hasse: #E(F_p) <= p + 1 + 2 sqrt(p) bounds every point's order
         order = point_order(red[:5], (red[5], red[6]), p,
                             bound=p + 2 + 2 * math.isqrt(p))
-        if order > NONTORSION_BOUND:
+        if order > torsion:
             return NontorsionWitness(t, p, w, order)
     return None
 
 
 def nonsquare_witnesses(fns, claims: dict) -> dict:
     """Per claim (indices into fns, image), the first NonsquareWitness of
-    `_specializations(fns)` over the split primes at which image(p, *the
-    images of those fns) is a quadratic non-residue, or None.
+    `_specializations(fns)` at which image(p, *the images of those fns) is a
+    quadratic non-residue, or None.
 
     A square g^2 of Q(sqrt(-3))(sigma), finite at t and integral at p,
     reduces to g(t)^2, so a non-residue proves the claim no square.  A split
@@ -220,7 +217,7 @@ def nonsquare_witnesses(fns, claims: dict) -> dict:
     field is F_(p^2), and the square -3 sigma^2 reduces to a non-residue.
     """
     found = {}
-    for t, p, w, red in _specializations(fns, _split_primes()):
+    for t, p, w, red in _specializations(fns):
         for name, (idx, image) in claims.items():
             args = [red[i] for i in idx]
             if name not in found and None not in args \
@@ -310,17 +307,16 @@ def zero_intersection(P: SectionPoint, places) -> int:
 
     The finite poles are read at the given places (each of degree deg, a pole
     of order 2e counts e deg).  Off them den must divide num, which leaves x
-    no pole there.  The place at infinity is read in the other Weierstrass
-    chart, x(s) = s^4 x(1/s): a pole of order -(v_inf(x) + 4) when positive.
+    no pole there.  The place at infinity is read at the weight 2 of x.
     Every pole of a section has even order.
     """
     x, rest, orders = P.x, P.x.den, []
     for pl in places:
-        orders.append((valuation(x, pl), pl.degree()))
+        orders.append((valuation(x, pl, 2), pl.degree()))
         rest = rest // pl.poly ** poly_valuation(rest, pl.poly)
     if not (x.num % rest).is_zero():
         raise VerificationError("x may have a pole off the given places")
-    orders.append((valuation(x, Place.infinity()) + 4, 1))
+    orders.append((valuation(x, Place.infinity(), 2), 1))
     if any(v < 0 and v % 2 for v, _ in orders):
         raise VerificationError("odd pole order in x at a place")
     return sum(-v // 2 * deg for v, deg in orders if v < 0)
@@ -353,26 +349,11 @@ def family_curve(k: int) -> FunctionFieldCurve:
                                           Poly([0, k, -1]), 0)
 
 
-@lru_cache(maxsize=None)
-def schart_family_curve(k: int) -> FunctionFieldCurve:
-    """y^2 + (s^2 - k s + 1) xy = x (x - s^4)(x + s^2 - k s^3): family_curve(k)
-    in the chart x = s^4 x'(1/s), y = s^6 y'(1/s) around s = 0."""
-    return FunctionFieldCurve.from_coeffs(Poly([1, -k, 1]), Poly([0, 0, 1, -k, -1]), 0,
-                                          Poly([0, 0, 0, 0, 0, 0, -1, k]), 0)
-
-
-def _reciprocal_chart(P: SectionPoint) -> SectionPoint:
-    """A section of family_curve(k) in the chart of schart_family_curve(k):
-    x = s^4 x'(1/s), y = s^6 y'(1/s)."""
-    return SectionPoint(*(PolyRatio(c.num, c.den).reciprocal(w)
-                          for c, w in zip(P, (4, 6))))
-
-
 def _places(sigma) -> list[Place]:
     """The places over a record's sigma-polynomial (constant term first), one
-    per root where it splits over Q(sqrt(-3)); s = 0 for sigma = inf (None)."""
+    per root where it splits over Q(sqrt(-3)); infinity for sigma = inf (None)."""
     if sigma is None:
-        return [Place.at_root(0)]
+        return [Place.infinity()]
     f = Poly(list(sigma)).monic()
     if f.degree() == 2:
         ok, w = is_square_quad(f[1] * f[1] - 4 * f[0])
@@ -383,25 +364,25 @@ def _places(sigma) -> list[Place]:
 
 @lru_cache(maxsize=None)
 def _fiber_places(k: int, fibers: tuple) -> tuple:
-    """(place, whether in the s-chart) per entry of a fiber record, after
-    checking Silverman's hypothesis there: v(c4) = 0 and v(disc) = m on the
-    integral model, so the fiber is I_m.  Conjugate entries share one place
-    of their degree, or take one root each; the m must sum to 12 chi."""
-    out = {}
+    """The place of each entry of a fiber record, after checking Silverman's
+    hypothesis there: v(c4) = 0 and v(disc) = m on family_curve(k), so the
+    fiber is I_m.  Conjugate entries share one place of their degree, or
+    take one root each; the m must sum to 12 chi."""
+    b2, b4, _, disc = family_curve(k).invariants()
+    one, out = Poly([1]), {}
+    c4, disc = PolyRatio(b2 * b2 - 24 * b4, one), PolyRatio(disc, one)
     for sigma in dict.fromkeys(f.sigma for f in fibers):
         entries = [f for f in fibers if f.sigma == sigma]
         places = _places(sigma)
         if sum(pl.degree() for pl in places) != len(entries):
             raise VerificationError(f"{[f.place for f in entries]} do not match "
                                     f"the places over {places}")
-        E = schart_family_curve(k) if sigma is None else family_curve(k)
-        b2, b4, _, disc = E.invariants()
         for f, pl in zip(entries, places * (len(entries) // len(places))):
-            v_c4, v_disc = (poly_valuation(g, pl.poly) for g in (b2 * b2 - 24 * b4, disc))
+            v_c4, v_disc = valuation(c4, pl, 4), valuation(disc, pl, 12)
             if v_c4 != 0 or v_disc != f.m:
                 raise VerificationError(f"{f.place}: v(c4) = {v_c4}, v(disc) = {v_disc}; "
                                         f"not a multiplicative fiber I_{f.m}")
-            out[f.place] = (pl, sigma is None)
+            out[f.place] = pl
     if sum(f.m for f in fibers) != 12 * K3_CHI:
         raise VerificationError(f"the fibers' m sum to {sum(f.m for f in fibers)}")
     return tuple(out[f.place] for f in fibers)
@@ -416,20 +397,16 @@ def section_height(surf, P: SectionPoint,
     M is the component of the I_m fiber that P meets, by Silverman,
     "Computing heights on elliptic curves", Math. Comp. 51 (1988), Thm 5.2,
     multiplicative case: M = min(v(psi2), m // 2) if v(x) >= 0, v(psi2) > 0
-    and v(dF/dx) > 0, else 0.  The model is schart_family_curve(k) at sigma =
-    inf and family_curve(k) elsewhere; x, psi2 and dF/dx are read as pairs."""
-    k, fibers = surf.k, surf.fibers
-    if not verify_on_curve(P, family_curve(k)):
+    and v(dF/dx) > 0, else 0.  x, psi2 and dF/dx are formed once on
+    family_curve(k), as pairs, and read by `valuation` at their weights."""
+    k, fibers, E = surf.k, surf.fibers, family_curve(surf.k)
+    if not verify_on_curve(P, E):
         raise ValueError("point is not on the curve")
-    charts, vals, readings = {}, {}, []
-    for f, (place, schart) in zip(fibers, _fiber_places(k, fibers)):
-        if schart not in charts:
-            E, Q = ((schart_family_curve(k), _reciprocal_chart(P)) if schart
-                    else (family_curve(k), P))
-            charts[schart] = (Q.x, _psi2(Q, E), _dfdx(Q, E))
-        if (place, schart) not in vals:  # conjugate entries share a reading
-            vals[place, schart] = [valuation(g, place) for g in charts[schart]]
-        v_x, v_psi2, v_dfdx = vals[place, schart]
+    fns, vals, readings = ((P.x, 2), (_psi2(P, E), 3), (_dfdx(P, E), 4)), {}, []
+    for f, place in zip(fibers, _fiber_places(k, fibers)):
+        if place not in vals:  # conjugate entries share a reading
+            vals[place] = [valuation(g, place, w) for g, w in fns]
+        v_x, v_psi2, v_dfdx = vals[place]
         M = min(v_psi2, f.m // 2) if v_x >= 0 and v_psi2 > 0 and v_dfdx > 0 else 0
         readings.append(FiberReading(f.place, f.m, *(
             None if v == math.inf else v for v in (v_psi2, v_dfdx)), M))

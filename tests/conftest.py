@@ -169,4 +169,4 @@ def k18():
 @pytest.fixture(scope="session")
 def pm3_nontorsion(k18):
     """The specialization/reduction witness that [n]p_-3 != O for n <= 6."""
-    return mw.verify_nontorsion(k18["pm3"], k18["twist_curve"])
+    return mw.verify_nontorsion(k18["pm3"], k18["twist_curve"], 6)

@@ -1,6 +1,7 @@
 """The chord-tangent group law in long Weierstrass form, the displayed
-torsion multiples and k=3 infinite section it is checked on, and the printed
-quadratic twist of the k=18 curve by -3 with its rational section.
+torsion multiples and k=3 infinite section it is checked on, the printed
+quadratic twist of the k=18 curve by -3 with its rational section, and the
+family's printed model in the chart s = 1/sigma.
 
 The package needs no general group law: its only sum, P + (0, 0) on the
 completed square, has the closed form `mwsections.plus_two_torsion`.  This
@@ -9,7 +10,9 @@ P + T.  Points here have RatFunc coordinates in lowest terms (`rat` converts
 the package's (num, den) pairs), and the zero section O is (None, None).
 Since lowest terms make den(x) exactly the finite pole part of x,
 `reduced_zero_intersection` counts (P.O) from its degree, the reference for
-`mwsections.zero_intersection`.
+`mwsections.zero_intersection`.  The s-chart model is the reference for
+`mwsections.valuation` at sigma = inf, which reads a function of
+`mwsections.family_curve(k)` there by its weight instead.
 """
 
 from __future__ import annotations
@@ -117,6 +120,14 @@ def torsion_multiples(k: int) -> tuple[SectionPoint, ...]:
 
 
 @lru_cache(maxsize=None)
+def schart_family_curve(k: int) -> FunctionFieldCurve:
+    """y^2 + (s^2 - k s + 1) xy = x (x - s^4)(x + s^2 - k s^3): family_curve(k)
+    in the chart x = s^4 x'(1/s), y = s^6 y'(1/s) around s = 0, as printed."""
+    return FunctionFieldCurve.from_coeffs(Poly([1, -k, 1]), Poly([0, 0, 1, -k, -1]), 0,
+                                          Poly([0, 0, 0, 0, 0, 0, -1, k]), 0)
+
+
+@lru_cache(maxsize=None)
 def infinite_section_k3() -> SectionPoint:
     """The infinite section of the k=3 surface, as displayed."""
     s1, s2, s3 = (Poly([-c, 1]) for c in (1, 2, 3))  # sigma - c
@@ -132,7 +143,7 @@ def psigma() -> SectionPoint:
 # the printed factors of p_sigma: x = 3888 PSIGMA_X_NUMERATOR / DCORE^2, and
 # the twist section's x is -11664 PSIGMA_X_NUMERATOR / DCORE^2
 DCORE = Poly([-9, 1]) * Poly([72, -21, 1]) * Poly([18, -15, 1])
-PSIGMA_X_NUMERATOR = Poly.x() * Poly([-18, 1]) * Poly([-21, 1]) ** 2 * Poly([3, 1]) ** 2
+PSIGMA_X_NUMERATOR = Poly([0, 1]) * Poly([-18, 1]) * Poly([-21, 1]) ** 2 * Poly([3, 1]) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -148,6 +159,6 @@ def twist_section() -> SectionPoint:
     """The printed rational section of y18_twist_curve(), as a (num, den) pair."""
     big = Poly([128490624, 132322248, -545848956, 281168010, -44001711,
                 -294840, 771363, -87822, 4455, -108, 1])
-    y_num = -324 * Poly.x() * Poly([-18, 1]) * Poly([-21, 1]) * Poly([3, 1]) * big
+    y_num = -324 * Poly([0, 1]) * Poly([-18, 1]) * Poly([-21, 1]) * Poly([3, 1]) * big
     return SectionPoint(PolyRatio(-11664 * PSIGMA_X_NUMERATOR, DCORE ** 2),
                         PolyRatio(y_num, DCORE ** 3))

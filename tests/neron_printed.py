@@ -14,11 +14,11 @@ from functools import lru_cache
 from k3mahler.exactalg import Place, Poly
 from k3mahler.surfaces import SURFACES
 from k3mahler.mwsections import (FunctionFieldCurve, SectionPoint, contribution,
-                                 family_curve, schart_family_curve, verify_on_curve)
-from grouplaw import O, height, rat, reduced_zero_intersection
+                                 family_curve, verify_on_curve)
+from grouplaw import O, height, rat, reduced_zero_intersection, schart_family_curve
 from ratfunc import RatFunc, valuation
 
-S = Poly.x()  # the parameter of a model's chart: s, or sigma
+S = Poly([0, 1])  # the parameter of a model's chart: s, or sigma
 AT_ZERO = Place.at_root(0)
 FIBER_M = {f.place: f.m for f in SURFACES[18].fibers}
 
@@ -68,7 +68,7 @@ LINE_RULES = {
 def reciprocal_chart(P: SectionPoint) -> SectionPoint:
     """P in the chart of schart_family_curve(18), x = s^4 x'(1/s) and
     y = s^6 y'(1/s), in lowest terms."""
-    return SectionPoint(*(c.substitute_reciprocal() * RatFunc(Poly.x(w))
+    return SectionPoint(*(c.substitute_reciprocal() * RatFunc(S ** w)
                           for c, w in zip(rat(P), (4, 6))))
 
 
@@ -84,7 +84,7 @@ def neron_model(place: str) -> FunctionFieldCurve:
     reciprocal, change, printed, _ = NODE_RULES[place]
     E = FunctionFieldCurve(*map(RatFunc, family_curve(18)))
     if reciprocal:
-        E = FunctionFieldCurve(*(a.substitute_reciprocal() * RatFunc(Poly.x(2 * i))
+        E = FunctionFieldCurve(*(a.substitute_reciprocal() * RatFunc(S ** (2 * i))
                                  for i, a in zip((1, 2, 3, 4, 6), E)))
         assert E == schart_family_curve(18), "s-chart model mismatch"
     E = transform_curve(E, *change)
@@ -119,7 +119,7 @@ def neron_component(place: str, P: SectionPoint) -> tuple[int, dict]:
         j = max(0, min(facts.values()))
         assert j <= m // 2, facts
         if j == m // 2:  # the limit point must lie on the fiber's conic
-            x0, y0 = facts["limit"] = tuple((f / RatFunc(Poly.x(j))).eval(0) for f in Q)
+            x0, y0 = facts["limit"] = tuple((f / RatFunc(S ** j)).eval(0) for f in Q)
             assert (y0 * y0 + b * x0 * y0 + c * x0 * x0 + d).is_zero(), facts
         return j, facts
     pl, factors = LINE_RULES[place]

@@ -9,8 +9,8 @@ subresultant remainder sequence on the integer pseudo-division kernel of
 (num, den) pairs and never takes a gcd; the printed Neron-model route
 (`neron_printed`), the chord-tangent group law (`grouplaw`) and the
 Fraction-oracle kernel checks divide by rational functions and need one.
-``poly_sqrt`` decides squares of polynomials, and ``valuation`` reads the
-order of a RatFunc at a place.
+``poly_sqrt`` decides squares of polynomials, ``valuation`` reads the
+order of a RatFunc at a place, and ``reverse`` forms sigma^n f(1/sigma).
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return g.monic()
     if g.is_zero():
         return f.monic()
-    if f.is_constant() or g.is_constant():
+    if f.degree() <= 0 or g.degree() <= 0:
         return Poly([1])
     if _definitely_coprime(f, g):
         return Poly([1])
@@ -149,7 +149,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         r = _pseudo_rem(a, b)
         if r.is_zero():
             return b.monic()
-        if r.is_constant():
+        if r.degree() <= 0:
             return Poly([1])
         a, b = b, r * (gg * hh ** delta).inv()
         gg = a[a.degree()]
@@ -229,7 +229,7 @@ class RatFunc:
 
     @staticmethod
     def x() -> "RatFunc":
-        return RatFunc(Poly.x())
+        return RatFunc(Poly([0, 1]))
 
     # -- arithmetic ------------------------------------------------------------
     # Operands are always in lowest terms, so cancellations are arranged so
@@ -318,12 +318,12 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
+        return self.num.degree() <= 0 and self.den.degree() <= 0
 
     def constant(self) -> QuadElem:
         if not self.is_constant():
             raise ValueError("rational function is not constant")
-        return self.num.constant()
+        return self.num[0]
 
     def eval(self, point) -> QuadElem:
         p = QuadElem.coerce(point)
@@ -339,10 +339,17 @@ class RatFunc:
             return self
         m = max(dn, dd)
         # reversal of a coprime pair stays coprime (x cannot divide both)
-        return RatFunc._raw(self.num.reverse(m), self.den.reverse(m))
+        return RatFunc._raw(reverse(self.num, m), reverse(self.den, m))
 
     def __repr__(self):
         return f"RatFunc({self.num!r} / {self.den!r})"
+
+
+def reverse(f: Poly, n: int) -> Poly:
+    """sigma^n f(1/sigma), for n >= deg f."""
+    if n < f.degree():
+        raise ValueError("reversal order below degree")
+    return Poly([0] * (n - f.degree()) + list(f.coeffs[::-1]))
 
 
 def valuation(f: RatFunc, place: Place) -> int:

@@ -209,6 +209,24 @@ class TestExitCodes:
         assert code == 1 and doc["pass"] is False and doc["tolerance"] == 1e-300
         assert all(c["pass"] for c in doc["subchecks"])  # only the identity gate fails
 
+    def test_bertin_held_to_tol(self, capsys):
+        # the series' exact bound, 8.8e-18 at 53 bits, meets --tol as the
+        # quadrature's does
+        code = main(["mahler", "--k", "6", "--method", "bertin", "--tol", "1e-300",
+                     "--prec", "53"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "requested abs tol 1e-300" in captured.err
+
+    def test_arithmetic_error_is_one(self, capsys, monkeypatch):
+        # the disc -24 series read as level 48 fails the functional-equation
+        # guard with an ArithmeticError: exit 1 and the message, no traceback
+        monkeypatch.setitem(lfunctions.FORM_SERIES, -24,
+                            lfunctions.FORM_SERIES[-24]._replace(disc=-48))
+        code = main(["lvalue", "--k", "6"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err.startswith("error: ")
+
     def test_nan_bound_fails(self, capsys, monkeypatch):
         # a NaN integrand gives a NaN bound, which no tolerance accepts
         monkeypatch.setattr(mahler, "_period_integrand", lambda *args: float("nan"))
@@ -300,10 +318,25 @@ class TestSectionReport:
         assert w == {"sigma": 1, "p": 37, "sqrt_m3_mod_p": 16, "order": 14}
         wit = NontorsionWitness(w["sigma"], w["p"], w["sqrt_m3_mod_p"], w["order"])
         # p_sigma needs sqrt(-3): a split prime, at which it maps to w
-        assert wit.order > 6 and wit.p % 3 == 1 and (wit.w ** 2 + 3) % wit.p == 0
+        assert wit.order > SURFACES[18].torsion
+        assert wit.p % 3 == 1 and (wit.w ** 2 + 3) % wit.p == 0
         # p_sigma itself, on the family's own curve
         order = replay_witness(psigma(), mw.family_curve(18), wit)
         assert order == wit.order
+
+    def test_k18_nontorsion_bound_is_the_records_torsion(self):
+        # the image must beat the record's torsion order: with 14 recorded,
+        # p_sigma's order-14 image at p = 37 proves nothing, and the search
+        # goes on to a larger order
+        surf = SURFACES[18]._replace(torsion=14)
+        exact, _, d3_term = lfunctions.identity_rhs(surf, 128)
+        sub = {c["name"]: c for _, checks in _subchecks(surf, 128, 31, exact, d3_term)
+               for c in checks}
+        nt = sub["section-nontorsion"]
+        assert nt["pass"] is True and nt["witness"]["order"] > 14
+        wit = NontorsionWitness(*(nt["witness"][key] for key in
+                                  ("sigma", "p", "sqrt_m3_mod_p", "order")))
+        assert replay_witness(psigma(), mw.family_curve(18), wit) == wit.order
 
     def test_k18_halving_witnesses_replay(self, k18_report, k18):
         # Euler's criterion at each (t, p, w), on functions built without the
@@ -403,6 +436,19 @@ class TestSectionReport:
                for c in checks}
         assert sub["neron-components"]["pass"] is False
         assert sub["neron-components"]["error"].startswith("s=1/18: ")
+        assert sub["height"]["pass"] is False
+
+    def test_k18_wrong_fiber_at_infinity_fails(self):
+        # the I12 at sigma = inf recorded as I10 and the I2 at sigma = 0 as
+        # I4 (the m still sum to 24): the weight rule reads v(disc) = 12 there
+        fibers = tuple(f._replace(m={"s=0": 10, "s=inf": 4}.get(f.place, f.m))
+                       for f in SURFACES[18].fibers)
+        surf = SURFACES[18]._replace(fibers=fibers)
+        exact, _, d3_term = lfunctions.identity_rhs(surf, 128)
+        sub = {c["name"]: c for _, checks in _subchecks(surf, 128, 31, exact, d3_term)
+               for c in checks}
+        assert sub["neron-components"]["pass"] is False
+        assert sub["neron-components"]["error"].startswith("s=0: v(c4) = 0, v(disc) = 12; ")
         assert sub["height"]["pass"] is False
 
     def test_k18_wrong_height_record_fails(self, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from k3mahler.surfaces import SURFACES, FiberEntry
 import neron_printed as npr
 from grouplaw import (DCORE, O, PSIGMA_X_NUMERATOR, ec_add, ec_mul, ec_neg, height,
                       infinite_section_k3, point, psigma, rat, reduced_zero_intersection,
-                      torsion_multiples, y18_twist_curve)
+                      schart_family_curve, torsion_multiples, y18_twist_curve)
 import ratfunc
 from ratfunc import RatFunc
 
@@ -191,7 +191,7 @@ class TestGroupLaw:
         cubic = mw.FunctionFieldCurve.from_coeffs(0, 0, 0, 0, 1)
         assert mw.verify_on_curve(point(0, 1), cubic)
         # a model with a non-polynomial coefficient is refused, not checked
-        pole = mw.FunctionFieldCurve(Poly(), Poly(), Poly(), RatFunc(1, Poly.x()), Poly([1]))
+        pole = mw.FunctionFieldCurve(Poly(), Poly(), Poly(), RatFunc(1, Poly([0, 1])), Poly([1]))
         with pytest.raises(ValueError, match="not polynomials"):
             mw.verify_on_curve(point(0, 1), pole)
 
@@ -199,10 +199,10 @@ class TestGroupLaw:
         E = mw.family_curve(3)
         P = infinite_section_k3()
         assert mw.verify_on_curve(P, E)
-        assert mw.verify_nontorsion(P, E)
+        assert mw.verify_nontorsion(P, E, SURFACES[3].torsion)
 
     def test_y6_torsion_point_order_six(self):
-        E = mw.schart_family_curve(6)
+        E = schart_family_curve(6)
         T = y6_torsion_point()
         assert mw.verify_on_curve(T, E)
         multiples = [ec_mul(n, T, E) for n in range(1, 7)]
@@ -255,9 +255,10 @@ class TestNontorsion:
     ])
     def test_infinite_sections_certified(self, section, k):
         P, E = section(), mw.family_curve(k)
-        wit = mw.verify_nontorsion(P, E)
-        assert wit is not None and wit.order > 6
-        assert (wit.w is None) == (k == 3)
+        wit = mw.verify_nontorsion(P, E, SURFACES[k].torsion)
+        assert wit is not None and wit.order > SURFACES[k].torsion
+        # a split prime for every section, the rational k=3 one included
+        assert wit.p % 3 == 1 and (wit.w ** 2 + 3) % wit.p == 0
         assert replay_witness(P, E, wit) == wit.order
 
     def test_exact_cross_check_k3(self):
@@ -272,13 +273,13 @@ class TestNontorsion:
     def test_torsion_points_flagged(self):
         cases = [(T, mw.family_curve(3)) for T in torsion_multiples(3)]
         cases += [(T, mw.family_curve(18)) for T in torsion_multiples(18)]
-        cases += [(y6_torsion_point(), mw.schart_family_curve(6))]
+        cases += [(y6_torsion_point(), schart_family_curve(6))]
         for P, E in cases:
-            assert mw.verify_nontorsion(P, E) is None, P
+            assert mw.verify_nontorsion(P, E, 6) is None, P
 
     def test_off_curve_rejected(self):
         with pytest.raises(ValueError, match="not on the curve"):
-            mw.verify_nontorsion(point(1, 1), mw.family_curve(18))
+            mw.verify_nontorsion(point(1, 1), mw.family_curve(18), 6)
 
 
 class TestTwist:
@@ -441,7 +442,7 @@ class TestIntersections:
         assert mw.zero_intersection(P, ()) == 0 == reduced_zero_intersection(P)
 
     def test_odd_pole_rejected(self):
-        sigma = Poly.x()
+        sigma = Poly([0, 1])
         places = (Place.at_root(0), Place.at_root(1))
         # a simple pole; a double pole next to a simple one; two simple poles
         # under an even-degree monic denominator
@@ -482,12 +483,14 @@ class TestIntersections:
 def ratfunc_readings(k: int, P) -> list:
     """v(x), v(psi2) and v(dF/dx) at each distinct fiber place of SURFACES[k],
     in the order `mw.section_height` reads them, from the RatFunc forms: the
-    functions formed by field arithmetic in lowest terms."""
+    functions formed by field arithmetic in lowest terms.  At sigma = inf
+    they are formed on the printed s-chart model and read at s = 0, where
+    `mw.valuation` reads those of family_curve(k) by their weights."""
     out = []
-    for place, schart in dict.fromkeys(mw._fiber_places(k, SURFACES[k].fibers)):
+    for place in dict.fromkeys(mw._fiber_places(k, SURFACES[k].fibers)):
         E, (u, v) = mw.family_curve(k), rat(P)
-        if schart:
-            E, (u, v) = mw.schart_family_curve(k), npr.reciprocal_chart(P)
+        if place.is_infinite:
+            E, (u, v), place = schart_family_curve(k), npr.reciprocal_chart(P), Place.at_root(0)
         for f in (u, 2 * v + E.a1 * u + E.a3, 3 * u * u + 2 * E.a2 * u + E.a4 - E.a1 * v):
             out.append(math.inf if f.is_zero() else ratfunc.valuation(f, place))
     return out
@@ -534,7 +537,8 @@ class TestNeronComponents:
         i3 = Place.finite(Poly([1, -18, 1]))
         mw._fiber_places(18, SURFACES[18].fibers)
         seen, valuation = [], mw.valuation
-        monkeypatch.setattr(mw, "valuation", lambda f, pl: seen.append(pl) or valuation(f, pl))
+        monkeypatch.setattr(mw, "valuation",
+                            lambda f, pl, w: seen.append(pl) or valuation(f, pl, w))
         _, readings = mw.section_height(SURFACES[18], k18["ps"], 5)
         assert seen.count(i3) == 3  # x, psi2 and dF/dx
         a, b = (r for r in readings if r.place in ("alpha1", "beta1"))
@@ -547,6 +551,19 @@ class TestFiberRecord:
         # sum m = 24 = 12 chi, and each entry is an I_m fiber of family_curve(k)
         assert sum(f.m for f in SURFACES[k].fibers) == 24 == 12 * mw.K3_CHI
         assert len(mw._fiber_places(k, SURFACES[k].fibers)) == len(SURFACES[k].fibers)
+
+    @pytest.mark.parametrize("k", [3, 6, 18])
+    def test_weights_read_the_schart_model(self, k):
+        # deg a_i <= 2i, so s^(2i) a_i(1/s) are the printed s-chart model's
+        # coefficients; c4 and disc of family_curve(k), read at infinity by
+        # their weights, have the orders of the s-chart model's at s = 0
+        E, Es = mw.family_curve(k), schart_family_curve(k)
+        for i, a, b in zip((1, 2, 3, 4, 6), E, Es):
+            assert a.degree() <= 2 * i and b == ratfunc.reverse(a, 2 * i)
+        (b2, b4, _, d), (sb2, sb4, _, sd) = E.invariants(), Es.invariants()
+        for f, g, w in ((b2 * b2 - 24 * b4, sb2 * sb2 - 24 * sb4, 4), (d, sd, 12)):
+            assert mw.valuation(mw.PolyRatio(f, Poly([1])), Place.infinity(), w) == \
+                ratfunc.valuation(RatFunc(g), Place.at_root(0))
 
     @pytest.mark.parametrize("change, match", [
         ({"s=1/18": ("s=1/18", 3, (-18, 1))}, r"s=1/18: .* v\(disc\) = 2; .* I_3"),
@@ -619,9 +636,10 @@ class TestHeight:
                                             if not T.x.is_zero())]
         assert len(sections) == 6
         read, valuation = [], mw.valuation
+        mw._fiber_places(18, SURFACES[18].fibers)  # its c4 and disc readings are cached
 
-        def spy(f, place):
-            read.append(valuation(f, place))
+        def spy(f, place, weight):
+            read.append(valuation(f, place, weight))
             return read[-1]
         monkeypatch.setattr(mw, "valuation", spy)
         for P in sections:
