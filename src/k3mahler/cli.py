@@ -49,7 +49,7 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, exact, d3_term):
     if surf.disc is None:
         return
     from . import lattices, lfunctions, mahler
-    summary = lattices.transcendental_summary(surf.k)
+    summary = lattices.transcendental_summary(surf)
     rec = summary["tau"]
     checks = [
         _subcheck("tau-quadratic-relation", rec.residual() == (0, 0),
@@ -217,6 +217,8 @@ def cmd_mahler(args) -> int:
     # an integral k prints as an int only where float64 holds it exactly
     k = int(args.k) if args.k.is_integer() and abs(args.k) < 2 ** 53 else args.k
     if args.method == "quadrature":
+        if args.prec is not None:  # the quadrature runs in float64
+            raise UsageError("--prec applies to --method bertin only")
         v = mahler.mahler_quadrature(k)
         value, err = float(v.value), float(v.error_bound)
         payload = {"input": {"k": k, "method": "quadrature", "tol": args.tol},
@@ -228,8 +230,9 @@ def cmd_mahler(args) -> int:
             surfaces.tau_table(k)
         except ValueError as exc:
             raise UsageError(f"bertin method: {exc}") from None
-        value, err = (v := mahler.bertin_series_for_k(k, prec=args.prec)).as_float()
-        payload = {"input": {"k": k, "method": "bertin", "prec": args.prec},
+        prec = 128 if args.prec is None else args.prec
+        value, err = (v := mahler.bertin_series_for_k(k, prec=prec)).as_float()
+        payload = {"input": {"k": k, "method": "bertin", "prec": prec},
                    "value": value, "error_bound": err,
                    "provenance": "Eisenstein-Kronecker lattice sums"}
         human = f"m(P_{k}) = {value:.10f} (+- {err:.2e}, series)"
@@ -264,7 +267,7 @@ def cmd_ap(args) -> int:
 
 def cmd_lattice(args) -> int:
     from . import lattices
-    summary = lattices.transcendental_summary(args.k)
+    summary = lattices.transcendental_summary(SURFACES[args.k])
     comp = summary["orthocomplement"]
     payload = {"input": {"k": args.k},
                "value": {"det": comp.det, "rank": summary["rank"],
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mahler", help="Mahler measure by one method")
     m.add_argument("--k", type=_finite, required=True)
-    m.add_argument("--prec", type=_at_least(53), default=128)
+    m.add_argument("--prec", type=_at_least(53), help="bits, bertin only (default 128)")
     m.add_argument("--json", action="store_true")
     m.add_argument("--method", choices=["quadrature", "bertin"], default="quadrature")
     m.add_argument("--tol", type=_positive, default=1e-5)

@@ -1,16 +1,16 @@
-"""Exact arithmetic over Q(sqrt(-3)) and its polynomial ring Q(sqrt(-3))[sigma].
+"""Exact arithmetic in Q(sqrt(-3))[sigma], on integers.
 
-Elements of the quadratic field are ``QuadElem`` values a + b*sqrt(-3) with
-rational a, b.  Everything here is immutable and exact; no floating point
-enters this module, and nothing here takes a gcd of polynomials: a quotient
-of polynomials is kept by its users as an unreduced (num, den) pair, whose
+Everything here is immutable and exact; no floating point enters this
+module, and nothing here takes a gcd of polynomials: a quotient of
+polynomials is kept by its users as an unreduced (num, den) pair, whose
 value at a point and order at a place need none.
 
 A ``Poly`` in sigma (lowest degree first) is stored as integers: the rational
 parts and the sqrt(-3) parts of its coefficients as two integer lists over
 one common denominator den > 0, with gcd(den, all numerators) = 1, so that
-equal polynomials are stored alike.  All polynomial arithmetic runs on those
-integers (w = sqrt(-3), w^2 = -3):
+equal polynomials are stored alike.  An element of Q(sqrt(-3)), such as a
+value ``f.at(t)`` at sigma = t, is a constant Poly; ``reduce_mod_p`` reads its
+image in F_p.  All arithmetic runs on those integers (w = sqrt(-3), w^2 = -3):
 
 * Products use Kronecker substitution: a coefficient list c becomes the
   integer sum c_i 2^(s i), one big-integer product multiplies two such
@@ -27,14 +27,15 @@ integers (w = sqrt(-3), w^2 = -3):
   multiplied by the conjugate of its leading coefficient, which makes that
   coefficient a rational integer N; the remainder is scaled only as far as N
   needs to divide its next leading coefficient.  divmod, exact division and
-  valuations all go through it.
-* ``coeffs`` and ``f[i]`` give the coefficients as QuadElems, built on demand.
+  valuations all go through it; so does the quotient of two constants.
+* Squares of Q(sqrt(-3)) are decided in Z[w] by ``_is_square``.
 
 Places of the function field are monic irreducible polynomials plus the place
-at infinity.  Irreducibility is decided for degrees <= 2 (via the square test
-on the discriminant); higher-degree polynomials are rejected.  The
-rational-function arithmetic in lowest terms, with its subresultant gcd, is
-the tests' reference (tests/ratfunc.py).
+at infinity.  ``Place.over`` gives the places over a polynomial of degree 1 or
+2, one square test on the discriminant splitting a quadratic; higher degrees
+are rejected.  The tests check these integers against two references: the
+field arithmetic on Fractions (tests/quadfield.py) and the rational-function
+arithmetic in lowest terms with its subresultant gcd (tests/ratfunc.py).
 """
 
 from __future__ import annotations
@@ -44,182 +45,6 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import zip_longest
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected rational, got {type(v).__name__}")
-
-
-def sqrt_fraction(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if not a square."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-class QuadElem:
-    """An element a + b*sqrt(-3) of Q(sqrt(-3)), with exact rational a, b."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0):
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-
-    def __setattr__(self, *_):
-        raise AttributeError("QuadElem is immutable")
-
-    # -- coercion helpers -------------------------------------------------
-    @staticmethod
-    def coerce(v) -> "QuadElem":
-        if isinstance(v, QuadElem):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return QuadElem(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to QuadElem")
-
-    # -- ring/field operations --------------------------------------------
-    @staticmethod
-    def _try_coerce(v):
-        if isinstance(v, QuadElem):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return QuadElem(v)
-        return None
-
-    def __add__(self, other):
-        o = QuadElem._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadElem(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElem(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = QuadElem._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = QuadElem._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = QuadElem._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        # (a + b w)(c + d w) with w^2 = -3
-        return QuadElem(self.a * o.a - 3 * self.b * o.b,
-                        self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "QuadElem":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(sqrt(-3))")
-        return QuadElem(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = QuadElem._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = QuadElem._try_coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        result, base = QuadElem(1), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def norm(self) -> Fraction:
-        """x * conj(x) = a^2 + 3 b^2 (nonnegative, zero iff x = 0)."""
-        return self.a * self.a + 3 * self.b * self.b
-
-    # -- predicates / dunders ----------------------------------------------
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __eq__(self, other):
-        try:
-            o = QuadElem.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        if self.a == 0:
-            return f"{self.b}*w"
-        return f"({self.a} + {self.b}*w)"
-
-
-ZERO = QuadElem(0)
-
-
-def is_square_quad(c) -> tuple[bool, QuadElem | None]:
-    """Decide whether c is a square in Q(sqrt(-3)); return (flag, witness).
-
-    Solves w^2 = c for w = u + v*sqrt(-3): u^2 - 3 v^2 = Re(c), 2uv = Im(c).
-    The witness (when it exists) is canonicalized so that its first nonzero
-    component is positive.
-    """
-    c = QuadElem.coerce(c)
-    if c.is_zero():
-        return True, QuadElem(0)
-    if c.b == 0:
-        u = sqrt_fraction(c.a)
-        if u is not None:
-            return True, QuadElem(u)
-        v = sqrt_fraction(c.a / -3)
-        if v is not None:
-            return True, QuadElem(0, v)
-        return False, None
-    # b != 0: need norm(c) = t^2 with t rational, then u^2 = (a + t)/2
-    t = sqrt_fraction(c.norm())
-    if t is None:
-        return False, None
-    for tt in (t, -t):
-        u2 = (c.a + tt) / 2
-        u = sqrt_fraction(u2)
-        if u is not None and u != 0:
-            v = c.b / (2 * u)
-            w = QuadElem(u, v)
-            if w.a < 0 or (w.a == 0 and w.b < 0):
-                w = -w
-            return True, w
-    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -232,36 +57,29 @@ class Poly:
     Stored as (re + im*sqrt(-3)) / den: two integer coefficient tuples of
     one length and a common denominator den > 0 with gcd(den, re, im) = 1, so
     equal polynomials have equal fields.  The zero polynomial has empty
-    tuples, den 1 and degree -1.  ``coeffs`` is derived from them.
+    tuples, den 1 and degree -1.  The constants are the elements of
+    Q(sqrt(-3)).
     """
 
-    __slots__ = ("_re", "_im", "_den", "_coeffs")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [QuadElem.coerce(c) for c in coeffs]
-        den = math.lcm(1, *(q.denominator for c in cs for q in (c.a, c.b)))
-        _init(self, [c.a.numerator * (den // c.a.denominator) for c in cs],
-              [c.b.numerator * (den // c.b.denominator) for c in cs], den)
+        """Coefficients are ints, Fractions, or (re, im) pairs of them for
+        re + im sqrt(-3), the records' convention."""
+        pairs = [c if isinstance(c, tuple) else (c, 0) for c in coeffs]
+        den = math.lcm(1, *(v.denominator for c in pairs for v in c))
+        _init(self, [a.numerator * (den // a.denominator) for a, _ in pairs],
+              [b.numerator * (den // b.denominator) for _, b in pairs], den)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients as QuadElems (built on first use, then cached)."""
-        if self._coeffs is None:
-            d = self._den
-            object.__setattr__(self, "_coeffs", tuple(
-                QuadElem(Fraction(a, d), Fraction(b, d))
-                for a, b in zip(self._re, self._im)))
-        return self._coeffs
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def coerce(v) -> "Poly":
         if isinstance(v, Poly):
             return v
-        if isinstance(v, (int, Fraction, QuadElem)):
+        if isinstance(v, (int, Fraction)):
             return Poly([v])
         raise TypeError(f"cannot coerce {type(v).__name__} to Poly")
 
@@ -272,21 +90,12 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._re
 
-    def is_constant(self) -> bool:
-        return len(self._re) <= 1
-
-    def __getitem__(self, i: int) -> QuadElem:
-        if 0 <= i < len(self._re):
-            return QuadElem(Fraction(self._re[i], self._den),
-                            Fraction(self._im[i], self._den))
-        return ZERO
-
     # -- arithmetic -----------------------------------------------------------
     @staticmethod
     def _try_coerce(v):
         if isinstance(v, Poly):
             return v
-        if isinstance(v, (int, Fraction, QuadElem)):
+        if isinstance(v, (int, Fraction)):
             return Poly([v])
         return None
 
@@ -383,21 +192,18 @@ class Poly:
         re, im = _scale(self._re, self._im, cr, -ci)
         return _poly(re, im, cr * cr + 3 * ci * ci)
 
-    def eval(self, point) -> QuadElem:
-        p = QuadElem.coerce(point)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
+    def at(self, t: int) -> "Poly":
+        """The value at sigma = t, an integer, as a constant, by Horner's rule
+        on the integer parts."""
+        re = im = 0
+        for a, b in zip(reversed(self._re), reversed(self._im)):
+            re, im = re * t + a, im * t + b
+        return _poly([re], [im], self._den)
 
     def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                terms.append(f"({c!r})*s^{i}" if i else f"({c!r})")
-        return "Poly[" + " + ".join(terms) + "]"
+        terms = [f"({a} + {b}*w)*s^{i}" for i, (a, b) in enumerate(zip(self._re, self._im))
+                 if a or b]
+        return f"Poly[({' + '.join(terms) or '0'}) / {self._den}]"
 
 
 def _init(obj: Poly, re: list, im: list, den: int) -> None:
@@ -422,7 +228,6 @@ def _init(obj: Poly, re: list, im: list, den: int) -> None:
     object.__setattr__(obj, "_re", re)
     object.__setattr__(obj, "_im", im)
     object.__setattr__(obj, "_den", den)
-    object.__setattr__(obj, "_coeffs", None)
 
 
 def _poly(re, im, den: int = 1) -> Poly:
@@ -563,15 +368,32 @@ def _pseudo_divide(fr, fi, gr, gi) -> tuple[list, list, list, list, int]:
     return qr, qi, rr[:m], ri[:m], s
 
 
-def reduce_mod_p(c: QuadElem, p: int, w: int | None) -> int | None:
-    """Image of c in F_p under sqrt(-3) -> w (w * w = -3 mod p; None when c
-    is rational); None if p divides a denominator of c."""
-    if c.a.denominator % p == 0 or c.b.denominator % p == 0:
+def reduce_mod_p(c: Poly, p: int, w: int | None) -> int | None:
+    """Image in F_p of the constant c = (re + im sqrt(-3)) / den under
+    sqrt(-3) -> w (w * w = -3 mod p; None when c is rational); None iff p
+    divides den, which, as gcd(den, re, im) = 1, is iff p divides the
+    denominator of either part."""
+    if c._den % p == 0:
         return None
-    v = c.a.numerator * pow(c.a.denominator, -1, p)
-    if c.b:
-        v += c.b.numerator * pow(c.b.denominator, -1, p) * w
-    return v % p
+    (re,), (im,) = c._re or (0,), c._im or (0,)
+    return (re + im * w if im else re) * pow(c._den, -1, p) % p
+
+
+def _is_square(A: int, B: int) -> tuple[int, int] | None:
+    """(U, V) with ((U + V w)/2)^2 = A + B w, w = sqrt(-3), and the first
+    nonzero of U, V positive; None if A + B w is no square in Q(w).
+
+    A square root of the algebraic integer A + B w is one, so it lies in
+    Z[(1 + w)/2]: (U + V w)/2 with integers U, V, U^2 - 3V^2 = 4A and UV = 2B.
+    Its norm T = (U^2 + 3V^2)/4 has T^2 = A^2 + 3B^2, so U^2 = 2(A + T) and
+    3V^2 = 2(T - A), with V of the sign of B where U != 0.  The candidate read
+    off those is squared back, which decides.
+    """
+    T = math.isqrt(A * A + 3 * B * B)
+    U, V = math.isqrt(2 * (A + T)), math.isqrt(2 * (T - A) // 3)
+    if B < 0:
+        V = -V
+    return (U, V) if U * U - 3 * V * V == 4 * A and U * V == 2 * B else None
 
 
 # ---------------------------------------------------------------------------
@@ -585,26 +407,27 @@ class Place(namedtuple("Place", "poly")):
     __slots__ = ()
 
     @staticmethod
-    def finite(poly) -> "Place":
-        p = Poly.coerce(poly).monic()
-        if p.degree() < 1:
-            raise ValueError("finite place needs a nonconstant polynomial")
-        if p.degree() == 1:
-            return Place(p)
-        if p.degree() == 2:
-            # reducible iff the discriminant is a square in Q(sqrt(-3))
-            b, c = p[1], p[0]
-            disc = b * b - 4 * c
-            ok, _ = is_square_quad(disc)
-            if ok:
-                raise ValueError("degree-2 polynomial is reducible over Q(sqrt(-3))")
-            return Place(p)
-        raise ValueError("irreducibility undecided for degree > 2")
-
-    @staticmethod
-    def at_root(r) -> "Place":
-        """The degree-1 place sigma - r."""
-        return Place.finite(Poly([-QuadElem.coerce(r), 1]))
+    def over(f: Poly) -> list["Place"]:
+        """The places over f of degree 1 or 2: the place of monic f, or, where
+        a quadratic splits over Q(sqrt(-3)), one per root, the root
+        (-b + sqrt(disc))/2 first.  One square test on the discriminant decides:
+        for monic f = (F0 + F1 sigma + den sigma^2) / den, D = F1^2 - 4 den F0 =
+        den^2 disc lies in Z[w], and its root (U + V w)/2 gives the roots
+        (-2 F1 +- (U + V w)) / (4 den)."""
+        f = f.monic()
+        if f.degree() == 1:
+            return [Place(f)]
+        if f.degree() != 2:
+            raise ValueError(f"places over a polynomial of degree {f.degree()}: "
+                             "only degrees 1 and 2 are decided")
+        (r0, r1, _), (i0, i1, _), den = f._re, f._im, f._den
+        root = _is_square(r1 * r1 - 3 * i1 * i1 - 4 * den * r0,
+                          2 * r1 * i1 - 4 * den * i0)
+        if root is None:
+            return [Place(f)]
+        U, V = root
+        return [Place(_poly([2 * r1 - s * U, 4 * den], [2 * i1 - s * V, 0], 4 * den))
+                for s in (1, -1)]
 
     @staticmethod
     def infinity() -> "Place":

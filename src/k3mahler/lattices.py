@@ -13,7 +13,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .surfaces import SURFACES, tau_table
+from .surfaces import tau_table
 
 # Ambient pairing on the transcendental periods (gamma_1, gamma_2, gamma_3).
 AMBIENT_GRAM = ((0, 0, 1), (0, 12, 0), (1, 0, 0))
@@ -209,17 +209,16 @@ def ns_determinant(rank: int, trivial_det: int, mwl_det, torsion_order: int):
     return Fraction(sign * trivial_det, torsion_order ** 2) * Fraction(mwl_det)
 
 
-def transcendental_summary(k: int) -> dict:
-    """Full exact chain for one tabulated k: tau data, orthocomplement,
-    Shioda rank, trivial-lattice determinant."""
-    rec = tau_table(k)
-    fibers = SURFACES[k].fibers if k in SURFACES else None
-    if fibers is None:
-        raise ValueError(f"no fiber table for k={k}")
+def transcendental_summary(surf) -> dict:
+    """Full exact chain for one `Surface` record: tau data, orthocomplement,
+    and the Shioda rank and trivial-lattice determinant of its fibers."""
+    rec = tau_table(surf.k)
+    if surf.fibers is None:
+        raise ValueError(f"no fiber table for k={surf.k}")
     comp = orthocomplement(ambient_lattice(), rec.period_relation_vector())
-    ms = [f.m for f in fibers]
+    ms = [f.m for f in surf.fibers]
     return {
-        "k": k,
+        "k": surf.k,
         "tau": rec,
         "orthocomplement": comp,
         "rank": shioda_rank(20, ms),

@@ -18,7 +18,7 @@ A coordinate of a section is a `PolyRatio` num/den of two Polys, never
 brought to lowest terms: every quantity read here (the on-curve identity,
 values at sigma = t, orders at places, x(Q) = r^2) is read by clearing
 denominators, so no gcd is taken.  Any object with Poly ``num`` and ``den``
-(and ``eval``) serves as a coordinate.
+(and ``at``) serves as a coordinate.
 
 Every check that mirrors a printed computation is verified exactly; a
 mismatch raises VerificationError rather than returning a wrong index.
@@ -31,8 +31,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import (Place, Poly, QuadElem, is_square_quad, poly_valuation,
-                       reduce_mod_p)
+from .exactalg import Place, Poly, poly_valuation, reduce_mod_p
 from .pointcount import legendre, point_order, primes_up_to, weierstrass_invariants
 
 
@@ -67,11 +66,9 @@ class PolyRatio(namedtuple("PolyRatio", "num den")):
     # tuple concatenation and repetition would pass for arithmetic: 2 * f
     __add__ = __mul__ = __rmul__ = None
 
-    def eval(self, t) -> QuadElem:
-        d = self.den.eval(t)
-        if d.is_zero():
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval(t) / d
+    def at(self, t: int) -> Poly:
+        """The value at sigma = t, a constant; ZeroDivisionError at a pole."""
+        return self.num.at(t) // self.den.at(t)
 
 
 # an affine section (x, y): coordinates with Poly num and den, as PolyRatio
@@ -82,14 +79,17 @@ SectionPoint = namedtuple("SectionPoint", "x y")
 RecordSection = namedtuple("RecordSection", "point places r")
 
 
-def _factor(coeffs) -> Poly:
-    """A record factor: coefficients constant term first, each an int or
-    (re, im) for re + im sqrt(-3)."""
-    return Poly(QuadElem(*c) if isinstance(c, tuple) else c for c in coeffs)
-
-
 def _factored(const, *factors) -> Poly:
-    return math.prod(map(_factor, factors), start=_factor((const,)))
+    return math.prod(map(Poly, factors), start=Poly((const,)))
+
+
+def _pole_place(factor) -> Place:
+    """The place of a record's pole factor, which must be irreducible over
+    Q(sqrt(-3))."""
+    places = Place.over(Poly(factor))
+    if len(places) != 1:
+        raise ValueError(f"pole factor {factor} is reducible over Q(sqrt(-3))")
+    return places[0]
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +102,7 @@ def record_section(surf) -> RecordSection:
     x, y = (_factored(*f) for f in surf.section)
     return RecordSection(
         SectionPoint(PolyRatio(x, dcore ** 2), PolyRatio(y, dcore ** 3)),
-        tuple(Place.finite(_factor(f)) for f in surf.pole_factors),
+        tuple(map(_pole_place, surf.pole_factors)),
         surf.halving_root and PolyRatio(*(_factored(*f) for f in surf.halving_root)))
 
 
@@ -173,7 +173,7 @@ def _specializations(fns):
     primes = _split_primes()
     for t in NONTORSION_SIGMAS:
         try:
-            vals = [f.eval(t) for f in fns]
+            vals = [f.at(t) for f in fns]
         except ZeroDivisionError:
             continue
         for p, w in primes:
@@ -349,31 +349,19 @@ def family_curve(k: int) -> FunctionFieldCurve:
                                           Poly([0, k, -1]), 0)
 
 
-def _places(sigma) -> list[Place]:
-    """The places over a record's sigma-polynomial (constant term first), one
-    per root where it splits over Q(sqrt(-3)); infinity for sigma = inf (None)."""
-    if sigma is None:
-        return [Place.infinity()]
-    f = Poly(list(sigma)).monic()
-    if f.degree() == 2:
-        ok, w = is_square_quad(f[1] * f[1] - 4 * f[0])
-        if ok:
-            return [Place.at_root((w - f[1]) / 2), Place.at_root((-w - f[1]) / 2)]
-    return [Place.finite(f)]
-
-
 @lru_cache(maxsize=None)
 def _fiber_places(k: int, fibers: tuple) -> tuple:
     """The place of each entry of a fiber record, after checking Silverman's
     hypothesis there: v(c4) = 0 and v(disc) = m on family_curve(k), so the
-    fiber is I_m.  Conjugate entries share one place of their degree, or
-    take one root each; the m must sum to 12 chi."""
+    fiber is I_m.  The places over an entry's sigma-polynomial are those of
+    `Place.over` (infinity for sigma None): conjugate entries share one place
+    of their degree, or take one root each.  The m must sum to 12 chi."""
     b2, b4, _, disc = family_curve(k).invariants()
     one, out = Poly([1]), {}
     c4, disc = PolyRatio(b2 * b2 - 24 * b4, one), PolyRatio(disc, one)
     for sigma in dict.fromkeys(f.sigma for f in fibers):
         entries = [f for f in fibers if f.sigma == sigma]
-        places = _places(sigma)
+        places = [Place.infinity()] if sigma is None else Place.over(Poly(sigma))
         if sum(pl.degree() for pl in places) != len(entries):
             raise VerificationError(f"{[f.place for f in entries]} do not match "
                                     f"the places over {places}")

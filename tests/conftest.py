@@ -10,7 +10,7 @@ import pytest
 
 from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
-from k3mahler.exactalg import Poly, QuadElem
+from k3mahler.exactalg import Poly
 from k3mahler.surfaces import SURFACES
 from grouplaw import DCORE, ec_add, torsion_multiples, twist_section, y18_twist_curve
 from ratfunc import RatFunc
@@ -148,7 +148,7 @@ def k18():
     E = mw.family_curve(18)
     ps, places, r = mw.record_section(SURFACES[18])
     tp = Poly([-21, 1]) * Poly([3, 1])
-    yprime = (Poly([QuadElem(0, 1)]) * DCORE * Poly([1350, -171, -12, 1])
+    yprime = (Poly([(0, 1)]) * DCORE * Poly([1350, -171, -12, 1])
               * Poly([-216, 369, -42, 1]) * Poly([-486, -486, 351, -36, 1]))
     hd = {"r": RatFunc(*r),
           "xprime": RatFunc(-(DCORE ** 2), 3888 * tp ** 2),

@@ -19,7 +19,7 @@ from grouplaw import O, height, rat, reduced_zero_intersection, schart_family_cu
 from ratfunc import RatFunc, valuation
 
 S = Poly([0, 1])  # the parameter of a model's chart: s, or sigma
-AT_ZERO = Place.at_root(0)
+AT_ZERO = Place(S)
 FIBER_M = {f.place: f.m for f in SURFACES[18].fibers}
 
 
@@ -55,10 +55,10 @@ NODE_RULES = {
 # The line rules: the place, and the factors of the fiber in Beauville
 # coordinates as (form, degree), listed by component; the zero section meets
 # the first.  alpha1 and beta1 share their degree-2 place.
-_I3_RULE = (Place.finite(Poly([1, -18, 1])),
+_I3_RULE = (*Place.over(Poly([1, -18, 1])),  # irreducible: one place
             lambda X, Y, Z: ((X + Y, 1), (X + Z, 1), (Y + Z, 1)))
 LINE_RULES = {
-    "s=1/18": (Place.at_root(18),
+    "s=1/18": (Place(Poly([-18, 1])),
                lambda X, Y, Z: ((X + Y + Z, 1), (X * Y + X * Z + Y * Z, 2))),
     "alpha1": _I3_RULE,
     "beta1": _I3_RULE,
@@ -119,7 +119,7 @@ def neron_component(place: str, P: SectionPoint) -> tuple[int, dict]:
         j = max(0, min(facts.values()))
         assert j <= m // 2, facts
         if j == m // 2:  # the limit point must lie on the fiber's conic
-            x0, y0 = facts["limit"] = tuple((f / RatFunc(S ** j)).eval(0) for f in Q)
+            x0, y0 = facts["limit"] = tuple((f / RatFunc(S ** j)).at(0) for f in Q)
             assert (y0 * y0 + b * x0 * y0 + c * x0 * x0 + d).is_zero(), facts
         return j, facts
     pl, factors = LINE_RULES[place]

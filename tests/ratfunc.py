@@ -11,6 +11,8 @@ subresultant remainder sequence on the integer pseudo-division kernel of
 Fraction-oracle kernel checks divide by rational functions and need one.
 ``poly_sqrt`` decides squares of polynomials, ``valuation`` reads the
 order of a RatFunc at a place, and ``reverse`` forms sigma^n f(1/sigma).
+``RatFunc.at`` reads a value at sigma = t as the package reads one, a
+constant Poly, so a RatFunc serves as a coordinate of a section.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from k3mahler.exactalg import (ZERO, Place, Poly, QuadElem, _poly,
-                               _pseudo_divide, _scale, is_square_quad,
-                               poly_valuation)
+from k3mahler.exactalg import Place, Poly, _poly, _pseudo_divide, _scale, poly_valuation
 from k3mahler.pointcount import is_prime
+from quadfield import ZERO, QuadElem, coeffs, is_square_quad, poly
 
 
 def _integerize_primitive(f: Poly) -> Poly:
@@ -151,8 +152,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
             return b.monic()
         if r.degree() <= 0:
             return Poly([1])
-        a, b = b, r * (gg * hh ** delta).inv()
-        gg = a[a.degree()]
+        a, b = b, r * poly([(gg * hh ** delta).inv()])
+        gg = coeffs(a)[-1]
         hh = hh * (gg / hh) ** delta if delta else hh
 
 
@@ -169,20 +170,25 @@ def poly_sqrt(f: Poly) -> Poly | None:
         return Poly()
     if f.degree() % 2:
         return None
-    ok, w = is_square_quad(f[f.degree()])
+    fs = coeffs(f)
+    ok, w = is_square_quad(fs[-1])
     if not ok:
         return None
     n = f.degree() // 2
     g = [ZERO] * n + [w]
     inv_2w = (2 * w).inv()
     for i in range(n - 1, -1, -1):
-        s = f[n + i]
+        s = fs[n + i]
         for j in range(i + 1, n):
             s = s - g[j] * g[n + i - j]
         g[i] = s * inv_2w
-    root = Poly(g)
+    root = poly(g)
     return root if root * root == f else None
 
+
+
+def _as_poly(v) -> Poly:
+    return poly([v]) if isinstance(v, QuadElem) else Poly.coerce(v)
 
 
 class RatFunc:
@@ -191,7 +197,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
-        n, d = Poly.coerce(num), Poly.coerce(den)
+        n, d = _as_poly(num), _as_poly(den)
         if d.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if n.is_zero():
@@ -200,7 +206,7 @@ class RatFunc:
             g = poly_gcd(n, d)
             if g.degree() > 0:
                 n, d = n // g, d // g
-            n, d = n * d[d.degree()].inv(), d.monic()
+            n, d = n * poly([coeffs(d)[-1].inv()]), d.monic()
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -213,8 +219,8 @@ class RatFunc:
         obj = object.__new__(RatFunc)
         if n.is_zero():
             n, d = Poly(), Poly([1])
-        elif d[d.degree()] != 1:
-            n, d = n * d[d.degree()].inv(), d.monic()
+        elif (lc := coeffs(d)[-1]) != 1:
+            n, d = n * poly([lc.inv()]), d.monic()
         object.__setattr__(obj, "num", n)
         object.__setattr__(obj, "den", d)
         return obj
@@ -224,7 +230,7 @@ class RatFunc:
         if isinstance(v, RatFunc):
             return v
         if isinstance(v, (Poly, QuadElem, int, Fraction)):
-            return RatFunc(Poly.coerce(v))
+            return RatFunc(v)
         raise TypeError(f"cannot coerce {type(v).__name__} to RatFunc")
 
     @staticmethod
@@ -323,14 +329,12 @@ class RatFunc:
     def constant(self) -> QuadElem:
         if not self.is_constant():
             raise ValueError("rational function is not constant")
-        return self.num[0]
+        return (coeffs(self.num) or (ZERO,))[0]
 
-    def eval(self, point) -> QuadElem:
-        p = QuadElem.coerce(point)
-        d = self.den.eval(p)
-        if d.is_zero():
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval(p) / d
+    def at(self, t: int) -> Poly:
+        """The value at sigma = t, a constant, as `mwsections.PolyRatio.at`
+        reads a coordinate; ZeroDivisionError at a pole."""
+        return self.num.at(t) // self.den.at(t)
 
     def substitute_reciprocal(self) -> "RatFunc":
         """f(1/sigma) as a rational function of sigma."""
@@ -349,7 +353,7 @@ def reverse(f: Poly, n: int) -> Poly:
     """sigma^n f(1/sigma), for n >= deg f."""
     if n < f.degree():
         raise ValueError("reversal order below degree")
-    return Poly([0] * (n - f.degree()) + list(f.coeffs[::-1]))
+    return poly([0] * (n - f.degree()) + list(coeffs(f)[::-1]))
 
 
 def valuation(f: RatFunc, place: Place) -> int:

@@ -159,7 +159,9 @@ class TestExitCodes:
                      # the L-value and d3 run at --prec bits; below float64's
                      # 53 they cannot give a float64 result
                      ["lvalue", "--k", "3", "--prec", "0"],
-                     # only verify, lvalue and mahler run at a precision
+                     # only verify, lvalue and mahler's series run at a
+                     # precision; the quadrature runs in float64
+                     ["mahler", "--k", "6", "--prec", "200"],
                      ["ap", "--k", "6", "--prec", "64"],
                      ["lattice", "--k", "6", "--prec", "64"],
                      ["coeffs", "--k", "6", "--prec", "64"],
@@ -437,6 +439,17 @@ class TestSectionReport:
         assert sub["neron-components"]["pass"] is False
         assert sub["neron-components"]["error"].startswith("s=1/18: ")
         assert sub["height"]["pass"] is False
+
+    def test_k18_lattice_reads_the_record(self):
+        # the s=0 entry as I11: Picard number 20 and the record's fibers give
+        # Shioda rank 2 against the record's rank 1, whatever SURFACES holds
+        fibers = tuple(f._replace(m=11) if f.place == "s=0" else f
+                       for f in SURFACES[18].fibers)
+        stage, checks = next(_subchecks(SURFACES[18]._replace(fibers=fibers),
+                                        128, 31, None, None))
+        sub = {c["name"]: c for c in checks}
+        assert stage == "lattice"
+        assert sub["shioda-rank"]["pass"] is False and sub["shioda-rank"]["rank"] == 2
 
     def test_k18_wrong_fiber_at_infinity_fails(self):
         # the I12 at sigma = inf recorded as I10 and the I2 at sigma = 0 as

@@ -1,5 +1,7 @@
 """Exact-arithmetic foundation: field axioms, polynomial structure, places,
-valuations, square tests, and sound mod-p witnesses for non-squares; and the
+valuations, square tests, and sound mod-p witnesses for non-squares; the
+constants of the integer carrier (square roots, values, images mod p, the
+places over a quadratic) against the Fraction field of quadfield.py; and the
 tests' reference arithmetic in lowest terms (ratfunc.py): its gcd, square
 roots and rational functions."""
 
@@ -10,14 +12,19 @@ import pytest
 
 import ratfunc
 from k3mahler import exactalg
-from k3mahler.exactalg import ZERO, Place, Poly, QuadElem, is_square_quad
+from k3mahler import mwsections as mw
+from k3mahler.exactalg import Place, Poly, reduce_mod_p
+from k3mahler.surfaces import SURFACES
 from grouplaw import psigma
+from quadfield import (ZERO, QuadElem, coeffs, horner, is_square_quad, poly, reduce_fraction,
+                       split_rule)
 from ratfunc import RatFunc, poly_gcd, poly_sqrt, reverse, valuation
 from test_mwsections import nonsquare_witness, replay_nonsquare
 
 ONE = QuadElem(1)
 SQRT_M3 = QuadElem(0, 1)  # sqrt(-3)
 SIGMA = Poly([0, 1])
+NINE = Place(Poly([-9, 1]))  # the place sigma = 9
 
 
 def conj(x: QuadElem) -> QuadElem:
@@ -32,7 +39,7 @@ def rand_quad(rng, span=9):
 
 def rand_poly(rng, deg, span=6):
     while True:
-        p = Poly([rand_quad(rng, span) for _ in range(deg + 1)])
+        p = poly([rand_quad(rng, span) for _ in range(deg + 1)])
         if not p.is_zero():
             return p
 
@@ -45,49 +52,51 @@ def frac_mul(f: Poly, g: Poly) -> Poly:
     """Schoolbook product on QuadElem coefficients."""
     if f.is_zero() or g.is_zero():
         return Poly()
-    out = [ZERO] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, ci in enumerate(f.coeffs):
+    fs, gs = coeffs(f), coeffs(g)
+    out = [ZERO] * (len(fs) + len(gs) - 1)
+    for i, ci in enumerate(fs):
         if ci.is_zero():
             continue
-        for j, cj in enumerate(g.coeffs):
+        for j, cj in enumerate(gs):
             out[i + j] = out[i + j] + ci * cj
-    return Poly(out)
+    return poly(out)
 
 
 def frac_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Long division by the inverse of lc(g) in the field."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f.coeffs)
-    dq = len(rem) - len(g.coeffs)
+    rem, gs = list(coeffs(f)), coeffs(g)
+    dq = len(rem) - len(gs)
     if dq < 0:
         return Poly(), f
-    inv_lc = g[g.degree()].inv()
+    inv_lc = gs[-1].inv()
     quot = [ZERO] * (dq + 1)
     for i in range(dq, -1, -1):
         c = rem[i + g.degree()] * inv_lc
         quot[i] = c
         if not c.is_zero():
-            for j, gc in enumerate(g.coeffs):
+            for j, gc in enumerate(gs):
                 rem[i + j] = rem[i + j] - c * gc
-    return Poly(quot), Poly(rem)
+    return poly(quot), poly(rem)
 
 
 def frac_pseudo_rem(a: Poly, b: Poly) -> Poly:
     """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, division-free."""
     db = b.degree()
-    lcb = b[b.degree()]
+    lcb = coeffs(b)[-1]
     r = a
     n = a.degree() - db + 1
     while not r.is_zero() and r.degree() >= db:
         shift = r.degree() - db
-        lcr = r[r.degree()]
-        r = Poly([lcb * c for c in r.coeffs]) \
-            - Poly([ZERO] * shift + [lcr * c for c in b.coeffs])
+        rs = coeffs(r)
+        lcr = rs[-1]
+        r = poly([lcb * c for c in rs]) \
+            - poly([ZERO] * shift + [lcr * c for c in coeffs(b)])
         n -= 1
     if n > 0:
         s = lcb ** n
-        r = Poly([s * c for c in r.coeffs])
+        r = poly([s * c for c in coeffs(r)])
     return r
 
 
@@ -97,8 +106,8 @@ def frac_gcd(f: Poly, g: Poly) -> Poly:
         f, g = g, frac_divmod(f, g)[1]
     if f.is_zero():
         return f
-    inv_lc = f[f.degree()].inv()
-    return Poly([c * inv_lc for c in f.coeffs])
+    inv_lc = coeffs(f)[-1].inv()
+    return poly([c * inv_lc for c in coeffs(f)])
 
 
 # denominators: units, small primes and prime powers, a 61-bit prime
@@ -133,7 +142,7 @@ def rand_kernel_poly(rng, deg, bits):
     lead = ZERO
     while lead.is_zero():
         lead = rand_kernel_coeff(rng, bits, rng.choice(kinds))
-    return Poly(cs + [lead])
+    return poly(cs + [lead])
 
 
 def check_kernels(cases: int, max_deg: int, bits: int, seed: int,
@@ -144,12 +153,15 @@ def check_kernels(cases: int, max_deg: int, bits: int, seed: int,
     f * g, divmod(f, g) and the pseudo-remainder of the higher by the lower
     degree; then the gcd of h u and h v with h, u, v of degree up to gcd_deg.
     The remainder sequences of a gcd grow by about the input size per step,
-    for the oracle as well, which is why gcd_deg is separate.  Returns counts
-    of what was compared."""
+    for the oracle as well, which is why gcd_deg is separate.  Each case also
+    runs `check_scalar_case` on a stream of its own.  Returns counts of what
+    was compared."""
     rng = random.Random(seed)
     seen = {"products": 0, "divmods": 0, "prems": 0, "gcds": 0,
-            "nontrivial_gcds": 0}
+            "nontrivial_gcds": 0, **dict.fromkeys(SCALAR_COUNTS, 0)}
+    srng = random.Random(f"scalars {seed}")
     for _ in range(cases):
+        check_scalar_case(srng, bits, seen)
         f, g = (rand_kernel_poly(rng, rng.randint(-1, rng.choice(
             (2, max_deg // 4, max_deg))), bits) for _ in range(2))
         assert f * g == frac_mul(f, g), (f, g)
@@ -171,8 +183,99 @@ def check_kernels(cases: int, max_deg: int, bits: int, seed: int,
     return seen
 
 
+# -- the constants of the integer carrier against quadfield.py ---------------
+
+# (p, w) with w^2 = -3 mod p: p = 3 ramifies (w = 0), the others split
+SCALAR_PRIMES = ((3, 0), (7, 2), (13, 6), (19, 4))
+# denominators that the primes above divide, and a 61-bit prime
+SCALAR_DENS = (1, 1, 2, 3, 7, 13, 19, 21, 2 ** 61 - 1)
+SCALAR_COUNTS = ("square_tests", "squares", "places", "split_quadratics",
+                 "values", "quotients", "none_images", "poles")
+
+
+def rand_scalar(rng, bits) -> QuadElem:
+    """Zero, rational, pure sqrt(-3) or mixed, numerators of up to bits bits."""
+    def q():
+        return Fraction(rng.choice((1, -1)) * rng.getrandbits(rng.choice((1, 4, bits))),
+                        rng.choice(SCALAR_DENS))
+    kind = rng.randrange(8)
+    return ZERO if kind == 0 else QuadElem(q()) if kind < 3 \
+        else QuadElem(0, q()) if kind < 5 else QuadElem(q(), q())
+
+
+def square_root(x: QuadElem):
+    """The root exactalg._is_square gives for x, as a QuadElem, or None: x den^2
+    = (re + im w) den is the algebraic integer it is handed, so its root
+    (U + V w)/2 is den times that of x."""
+    c = poly([x])
+    (re,), (im,) = c._re or (0,), c._im or (0,)
+    root = exactalg._is_square(re * c._den, im * c._den)
+    return root and QuadElem(Fraction(root[0], 2 * c._den), Fraction(root[1], 2 * c._den))
+
+
+def check_scalar_case(rng, bits: int, seen: dict) -> None:
+    """One seeded case of each scalar job of the integer carrier, against the
+    Fraction field of quadfield.py, counted into seen:
+
+    * `_is_square` on x, x^2 and -3 x^2 for a random x: the same verdict and
+      canonical root (first nonzero part positive) as `is_square_quad`;
+    * `Place.over` on a line, a split quadratic, a square, or a random
+      quadratic, times a random nonzero constant: the places of `split_rule`,
+      in its order;
+    * `Poly.at`, `reduce_mod_p` and the quotient `PolyRatio.at` at an integer t
+      and one of SCALAR_PRIMES: Horner's rule on QuadElems, the Fraction
+      reduction (None images included) and their quotient; a denominator with
+      the factor sigma - t a quarter of the time, so that some t are poles.
+    """
+    x = rand_scalar(rng, bits)
+    for c in (x, x * x, -3 * x * x):
+        ok, w = is_square_quad(c)
+        assert square_root(c) == w, c
+        seen["square_tests"] += 1
+        seen["squares"] += ok
+
+    r1, r2, u = (rand_scalar(rng, bits) for _ in range(3))
+    kind = rng.randrange(4)
+    f = poly([-r1, 1]) if kind == 0 else poly([r1 * r2, -r1 - r2, 1]) if kind == 1 \
+        else poly([r1 * r1, -2 * r1, 1]) if kind == 2 else poly([r1, r2, 1])
+    f = f * poly([u if u else ONE])
+    places = Place.over(f)
+    assert [pl.poly for pl in places] == split_rule(f), f
+    seen["places"] += 1
+    seen["split_quadratics"] += len(places) == 2
+
+    f, g = (poly([rand_scalar(rng, bits) for _ in range(rng.randint(0, 4))]) for _ in range(2))
+    t = rng.randint(-9, 9)
+    if rng.random() < 0.25 or g.is_zero():
+        g = (g + poly([rand_scalar(rng, bits)])) * Poly([-t, 1])
+    p, w = rng.choice(SCALAR_PRIMES)
+    fv, gv = horner(f, t), horner(g, t)
+    assert f.at(t) == poly([fv]) and g.at(t) == poly([gv]), (f, g, t)
+    assert reduce_mod_p(f.at(t), p, w) == reduce_fraction(fv, p, w), (f, t, p)
+    seen["values"] += 1
+    try:
+        q = mw.PolyRatio(f, g).at(t)
+    except ZeroDivisionError:
+        assert gv.is_zero(), (f, g, t)
+        seen["poles"] += 1
+        return
+    assert not gv.is_zero() and q == poly([fv / gv]), (f, g, t)
+    image = reduce_mod_p(q, p, w)
+    assert image == reduce_fraction(fv / gv, p, w), (f, g, t, p)
+    seen["quotients"] += 1
+    seen["none_images"] += image is None
+
+
+def check_scalars(cases: int, bits: int, seed: int) -> dict:
+    """`check_scalar_case` on `cases` seeded cases; the counts."""
+    rng, seen = random.Random(seed), dict.fromkeys(SCALAR_COUNTS, 0)
+    for _ in range(cases):
+        check_scalar_case(rng, bits, seen)
+    return seen
+
+
 def derivative(f: Poly) -> Poly:
-    return Poly([i * c for i, c in enumerate(f.coeffs)][1:])
+    return poly([i * c for i, c in enumerate(coeffs(f))][1:])
 
 
 def yun_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -218,10 +321,10 @@ def odd_multiplicity_part(f: Poly) -> Poly:
 
 def yun_sqrt(f: Poly):
     """The square root of f read off its Yun decomposition, or None."""
-    ok, w = is_square_quad(f[f.degree()])
+    ok, w = is_square_quad(coeffs(f)[-1])
     if not ok:
         return None
-    g = Poly([w])
+    g = poly([w])
     for a_i, i in yun_decomposition(f):
         if i % 2 == 1:
             return None
@@ -341,6 +444,7 @@ class TestIntegerKernels:
     def test_against_fraction_oracles(self):
         seen = check_kernels(300, 12, 256, seed=2026)
         assert seen["products"] == 300
+        assert min(seen[c] for c in SCALAR_COUNTS) > 20, seen
         assert min(seen["divmods"], seen["prems"], seen["gcds"]) > 200
         # both branches of poly_gcd: a common factor, and the mod-p certificate
         assert 100 < seen["nontrivial_gcds"] < seen["gcds"] - 20, seen
@@ -364,17 +468,19 @@ class TestIntegerKernels:
         w = SQRT_M3
         for j in (4, 5, 12, 13, 60, 61, 252, 253):
             K = (1 << j) - 1
-            f = Poly([-1, K * (1 + w)])
-            g = Poly([1, 1 - w])
-            assert f * g == frac_mul(f, g) == Poly([-1, K - 1 + (K + 1) * w, 4 * K])
-            assert (-f) * g == Poly([1, -(K - 1) - (K + 1) * w, -4 * K])
+            f = poly([-1, K * (1 + w)])
+            g = poly([1, 1 - w])
+            assert f * g == frac_mul(f, g) == poly([-1, K - 1 + (K + 1) * w, 4 * K])
+            assert (-f) * g == poly([1, -(K - 1) - (K + 1) * w, -4 * K])
 
     def test_canonical_form(self):
         half = Poly([Fraction(1, 2)])
-        same = [Poly([Fraction(2, 4)]), Poly([QuadElem(Fraction(1, 2))]),
+        same = [Poly([Fraction(2, 4)]), poly([QuadElem(Fraction(1, 2))]),
+                Poly([(Fraction(1, 2), 0)]), Poly([(Fraction(3, 6), Fraction(0, 5))]),
                 Poly([Fraction(3, 4)]) * Poly([Fraction(2, 3)]),
-                Poly([QuadElem(Fraction(1, 6), 1)]) * Poly([3])
-                - Poly([QuadElem(0, 3)]),
+                poly([QuadElem(Fraction(1, 6), 1)]) * Poly([3])
+                - poly([QuadElem(0, 3)]),
+                Poly([(Fraction(1, 6), 1)]) * Poly([3]) - Poly([(0, 3)]),
                 Poly([Fraction(1, 2), 5]) - Poly([0, 5])]
         for p in same:
             assert p == half and hash(p) == hash(half), p
@@ -384,9 +490,51 @@ class TestIntegerKernels:
         assert q == want and hash(q) == hash(want)
         assert q * 2 == Poly([1, 0, -1])
         # zero has one form, whatever it came from
-        zero = Poly([Fraction(1, 3), QuadElem(0, Fraction(2, 9))])
+        zero = poly([Fraction(1, 3), QuadElem(0, Fraction(2, 9))])
         for z in (zero - zero, Poly([0, 0]), Poly([Fraction(0, 7)]), zero * 0):
             assert z == Poly() and hash(z) == hash(Poly()) and z.degree() == -1
+
+
+class TestScalars:
+    """The constants of the integer carrier against the Fraction field."""
+
+    def test_square_roots(self):
+        w = SQRT_M3
+        for x, root in ((QuadElem(Fraction(-1, 3)), w / 3), (QuadElem(-3), w),
+                        (QuadElem(4), QuadElem(2)), ((1 + w) ** 2, 1 + w),
+                        ((1 - w) ** 2, 1 - w), ((1 - w) ** 2 / 4, (1 - w) / 2),
+                        (ZERO, ZERO)):
+            assert square_root(x) == root and root * root == x, x
+            assert is_square_quad(x) == (True, root), x
+        for x in (QuadElem(2), QuadElem(-1), w, 1 + w, QuadElem(Fraction(1, 3))):
+            assert square_root(x) is None and not is_square_quad(x)[0], x
+
+    def test_k3_split_places(self):
+        # sigma^2 - 3 sigma + 9 splits at sigma = (3 +- 3 sqrt(-3))/2, the
+        # +sqrt(disc) root first: the places of k = 3's alpha2 and beta2
+        half = Fraction(3, 2)
+        want = [Place(Poly([(-half, -half), 1])), Place(Poly([(-half, half), 1]))]
+        assert Place.over(Poly([9, -3, 1])) == want
+        assert [pl.poly for pl in want] == split_rule(Poly([9, -3, 1]))
+        alpha2, beta2 = mw._fiber_places(3, SURFACES[3].fibers)[-2:]
+        assert [alpha2, beta2] == want
+
+    def test_at_and_quotient_poles(self):
+        f, g = Poly([1, (0, 1)]), Poly([-2, 1]) * Poly([Fraction(1, 7)])
+        assert f.at(2) == poly([1 + 2 * SQRT_M3]) and g.at(9) == Poly([1])
+        assert mw.PolyRatio(f, g).at(9) == poly([1 + 9 * SQRT_M3])
+        assert Poly().at(5) == Poly() and mw.PolyRatio(Poly(), g).at(0) == Poly()
+        with pytest.raises(ZeroDivisionError):
+            mw.PolyRatio(f, g).at(2)
+        # 1/7 has no image mod 7; (1 + sqrt(-3))/2 reduces with sqrt(-3) -> 2
+        assert reduce_mod_p(Poly([Fraction(1, 7)]), 7, 2) is None
+        assert reduce_mod_p(poly([(1 + SQRT_M3) / 2]), 7, 2) == 5
+        assert reduce_mod_p(Poly(), 7, 2) == 0
+
+    def test_against_quadfield_oracle(self):
+        seen = check_scalars(400, 128, seed=30)
+        assert seen["square_tests"] == 1200 and seen["places"] == seen["values"] == 400
+        assert min(seen[c] for c in SCALAR_COUNTS) > 40, seen
 
 
 class TestPolySqrt:
@@ -399,13 +547,13 @@ class TestPolySqrt:
         sigma2 = SIGMA ** 2
         assert poly_sqrt(sigma2 * 2) is None
         g = poly_sqrt(sigma2 * -3)   # -3 = sqrt(-3)^2 in the field
-        assert g == SIGMA * SQRT_M3 and g * g == sigma2 * -3
+        assert g == SIGMA * poly([SQRT_M3]) and g * g == sigma2 * -3
 
     def test_top_half_alone_is_no_proof(self):
         # the top half is that of (sigma^2 + sigma + 1)^2, the constant is not
         h = Poly([1, 1, 1])
         f = h * h + 1
-        assert f.degree() == 4 and all(f[i] == (h * h)[i] for i in (2, 3, 4))
+        assert f.degree() == 4 and coeffs(f)[2:] == coeffs(h * h)[2:]
         assert poly_sqrt(f) is None
         assert poly_sqrt(h * h) == h
 
@@ -458,21 +606,26 @@ class TestRatFunc:
 
 class TestPlacesAndValuation:
     def test_reducible_quadratic_rejected(self):
-        # sigma^2 + 3 = (sigma - sqrt(-3))(sigma + sqrt(-3)) over the field
-        with pytest.raises(ValueError):
-            Place.finite(Poly([3, 0, 1]))
-        Place.finite(Poly([72, -21, 1]))  # disc 153 is not a square
+        # sigma^2 + 3 = (sigma - sqrt(-3))(sigma + sqrt(-3)) over the field:
+        # two places, one per root, and no place of a pole factor
+        assert Place.over(Poly([3, 0, 1])) == [Place(Poly([(0, -1), 1])),
+                                               Place(Poly([(0, 1), 1]))]
+        with pytest.raises(ValueError, match="reducible"):
+            mw._pole_place((3, 0, 1))
+        # disc 153 is not a square: the place of the monic polynomial itself
+        assert Place.over(Poly([144, -42, 2])) == [Place(Poly([72, -21, 1]))]
+        assert mw._pole_place((72, -21, 1)) == Place(Poly([72, -21, 1]))
 
     def test_high_degree_needs_flag(self):
-        cubic = Poly([1, 0, 0, 1])
-        with pytest.raises(ValueError):
-            Place.finite(cubic)
+        for f in (Poly([1, 0, 0, 1]), Poly([5]), Poly()):
+            with pytest.raises(ValueError):
+                Place.over(f)
 
     def test_printed_section_valuations(self):
         x = RatFunc(*psigma().x)
-        assert valuation(x, Place.at_root(9)) == -2
+        assert valuation(x, NINE) == -2
         assert valuation(x, Place.infinity()) == 4
-        assert valuation(RatFunc(1), Place.at_root(9)) == 0
+        assert valuation(RatFunc(1), NINE) == 0
         assert valuation(RatFunc(1), Place.infinity()) == 0
 
     def test_valuation_zero_raises(self):
@@ -481,8 +634,8 @@ class TestPlacesAndValuation:
 
     def test_valuation_additive(self):
         rng = random.Random(19)
-        places = [Place.at_root(0), Place.at_root(9), Place.at_root(-2),
-                  Place.finite(Poly([72, -21, 1])), Place.infinity()]
+        places = [Place(SIGMA), NINE, Place(Poly([2, 1])),
+                  *Place.over(Poly([72, -21, 1])), Place.infinity()]
         for _ in range(20):
             f = RatFunc(rand_poly(rng, 3), rand_poly(rng, 2))
             g = RatFunc(rand_poly(rng, 2), rand_poly(rng, 3))

@@ -151,7 +151,7 @@ class TestSummary:
     def test_full_chain(self):
         expected = {6: (24, 0, 864), 3: (15, 1, 432), 18: (120, 1, 432)}
         for k, (det, rank, triv) in expected.items():
-            s = transcendental_summary(k)
+            s = transcendental_summary(SURFACES[k])
             assert s["orthocomplement"].det == det
             assert s["rank"] == rank
             assert s["trivial_det"] == triv
