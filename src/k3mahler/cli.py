@@ -124,7 +124,7 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, exact, d3_term):
     yield "nontorsion", [_subcheck(
         "section-nontorsion", wit is not None,
         "specialization at sigma=t, reduction mod p",
-        witness=wit and dict(zip(("sigma", "p", "sqrt_m3_mod_p", "order"), wit)))]
+        witness=wit and wit._asdict())]
 
     if r is not None:
         square, wits = mw.halving_witnesses(ps, r, E)
@@ -132,8 +132,7 @@ def _subchecks(surf: surfaces.Surface, prec: int, pmax: int, exact, d3_term):
             "halving-obstruction", square and None not in wits.values(),
             "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
             "non-residues at sigma=t mod p, p = 1 mod 3",
-            witness={name: w and {"sigma": w.t, "p": w.p, "sqrt_m3_mod_p": w.w}
-                     for name, w in wits.items()})]
+            witness={name: w and w._asdict() for name, w in wits.items()})]
 
     po = mw.zero_intersection(ps, places)
     # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)

@@ -18,11 +18,12 @@ image in F_p.  All arithmetic runs on those integers (w = sqrt(-3), w^2 = -3):
   Every coefficient of (a + b w)(c + d w) is a sum of at most
   n = min(len a, len c) terms, so it is at most 4 n M1 M2 in size (M1, M2 the
   largest |coefficient| of the factors); a slot of bitlen(4 n M1 M2) + 1 bits,
-  the extra bit for the sign, holds it.  The slots are signed: read in two's
-  complement, a negative slot borrows one from the slot above, so the unpack
-  carries that borrow upward.  Three integer products (Karatsuba on the two
-  parts) give both parts.  Harvey, "Faster polynomial multiplication via
-  multipoint Kronecker substitution", J. Symb. Comput. 44 (2009).
+  the extra bit for the sign, holds it.  The slots are signed: the pack
+  offsets each slot by half its range and takes the offsets back, and the
+  unpack adds them again, so every slot is read unsigned from its bytes.
+  Three integer products (Karatsuba on the two parts) give both parts.
+  Harvey, "Faster polynomial multiplication via multipoint Kronecker
+  substitution", J. Symb. Comput. 44 (2009).
 * Division runs one integer pseudo-division kernel.  The divisor is first
   multiplied by the conjugate of its leading coefficient, which makes that
   coefficient a rational integer N; the remainder is scaled only as far as N
@@ -64,9 +65,8 @@ class Poly:
     __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
-        """Coefficients are ints, Fractions, or (re, im) pairs of them for
-        re + im sqrt(-3), the records' convention."""
-        pairs = [c if isinstance(c, tuple) else (c, 0) for c in coeffs]
+        """Coefficients as `_parts` reads them."""
+        pairs = list(map(_parts, coeffs))
         den = math.lcm(1, *(v.denominator for c in pairs for v in c))
         _init(self, [a.numerator * (den // a.denominator) for a, _ in pairs],
               [b.numerator * (den // b.denominator) for _, b in pairs], den)
@@ -77,11 +77,8 @@ class Poly:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def coerce(v) -> "Poly":
-        if isinstance(v, Poly):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Poly([v])
-        raise TypeError(f"cannot coerce {type(v).__name__} to Poly")
+        """v itself, or the constant v; TypeError where v is no coefficient."""
+        return v if isinstance(v, Poly) else Poly((v,))
 
     # -- basic queries -------------------------------------------------------
     def degree(self) -> int:
@@ -93,11 +90,10 @@ class Poly:
     # -- arithmetic -----------------------------------------------------------
     @staticmethod
     def _try_coerce(v):
-        if isinstance(v, Poly):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return Poly([v])
-        return None
+        try:
+            return Poly.coerce(v)
+        except TypeError:
+            return None
 
     def __add__(self, other):
         o = Poly._try_coerce(other)
@@ -206,6 +202,17 @@ class Poly:
         return f"Poly[({' + '.join(terms) or '0'}) / {self._den}]"
 
 
+def _parts(c) -> tuple:
+    """(re, im) of a Poly coefficient re + im sqrt(-3): an int or a Fraction
+    c is (c, 0), and an (re, im) pair of them, the records' convention, is
+    itself.  Anything else, a float among them, raises TypeError."""
+    pair = c if isinstance(c, tuple) else (c, 0)
+    if len(pair) != 2 or not all(isinstance(v, (int, Fraction)) for v in pair):
+        raise TypeError(f"a Poly coefficient is an int, a Fraction or an (re, im) "
+                        f"pair of them, not {c!r}")
+    return pair
+
+
 def _init(obj: Poly, re: list, im: list, den: int) -> None:
     """Set obj to (re + im*sqrt(-3)) / den in canonical form (den != 0)."""
     n = len(re)
@@ -253,34 +260,26 @@ def _scale(re, im, cr: int, ci: int) -> tuple[list, list]:
             [a * ci + b * cr for a, b in zip(re, im)])
 
 
+def _offset(n: int, nb: int) -> int:
+    """sum 2^(8 nb - 1) 2^(8 nb i) over the n slots i: half the range of
+    each slot, which makes a signed slot |c| < 2^(8 nb - 1) unsigned."""
+    return int.from_bytes((1 << (8 * nb - 1)).to_bytes(nb, "little") * n, "little")
+
+
 def _pack(cs, nb: int) -> int:
-    """sum cs[i] 2^(8 nb i) for signed |cs[i]| < 2^(8 nb - 1): offset every
-    slot by 2^(8 nb - 1) to make it unsigned, then take the offsets back."""
+    """sum cs[i] 2^(8 nb i) for signed |cs[i]| < 2^(8 nb - 1): each slot
+    offset to be unsigned, then the offsets taken back."""
     half = 1 << (8 * nb - 1)
     raw = b"".join((c + half).to_bytes(nb, "little") for c in cs)
-    off = half.to_bytes(nb, "little") * len(cs)
-    return int.from_bytes(raw, "little") - int.from_bytes(off, "little")
+    return int.from_bytes(raw, "little") - _offset(len(cs), nb)
 
 
 def _unpack(h: int, n: int, nb: int) -> list[int]:
-    """The n signed slots of h = sum c_i 2^(8 nb i), |c_i| < 2^(8 nb - 1).
-
-    The two's complement bytes of h give each slot mod 2^(8 nb) less a borrow
-    from every negative slot below it, so the borrow is carried upward."""
-    full = 1 << (8 * nb)
-    half = full >> 1
-    raw = h.to_bytes(n * nb, "little", signed=True)
-    out = []
-    carry = 0
-    for k in range(0, n * nb, nb):
-        u = int.from_bytes(raw[k:k + nb], "little") + carry
-        if u >= half:
-            out.append(u - full)
-            carry = 1
-        else:
-            out.append(u)
-            carry = 0
-    return out
+    """The n signed slots of h = sum c_i 2^(8 nb i), |c_i| < 2^(8 nb - 1):
+    with `_pack`'s offset added back each slot's bytes hold c_i + 2^(8 nb - 1)."""
+    half = 1 << (8 * nb - 1)
+    raw = (h + _offset(n, nb)).to_bytes(n * nb, "little")
+    return [int.from_bytes(raw[k:k + nb], "little") - half for k in range(0, n * nb, nb)]
 
 
 def _kronecker_mul(a, b, c, d) -> tuple[list, list]:

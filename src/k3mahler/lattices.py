@@ -84,28 +84,14 @@ def _kernel_basis(u: Sequence[int]) -> list[list[int]]:
     g12 = math.gcd(u1, u2)
     v1 = [u2 // g12, -u1 // g12, 0]
     g = math.gcd(g12, u3)
-    # a*u1 + b*u2 = g12
+    # a*u1 + b*u2 = g12: a inverts u1/g12 modulo u2/g12
     if u2 == 0:
         a, b = (1 if u1 > 0 else -1), 0
     else:
-        a, b = _bezout(u1, u2)
+        a = pow(u1 // g12, -1, abs(u2 // g12))
+        b = (g12 - a * u1) // u2
     v2 = [-a * (u3 // g), -b * (u3 // g), g12 // g]
     return [v1, v2]
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(a, b) with a*x + b*y = gcd(x, y)."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
 
 
 def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:

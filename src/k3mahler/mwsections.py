@@ -12,7 +12,7 @@ y^2 = x(x^2 + a x + b), where adding the 2-torsion point (0, 0) has a closed
 form), section/zero-section intersection numbers, and the canonical height
 h(P) = 2*chi + 2*(P.O) - sum of local terms M(m - M)/m, one per singular
 fiber of the `Surface` record by Silverman's rule for multiplicative fibers.
-No general group law is needed.
+The only group law is the chord-tangent one over F_p in `point_order`.
 
 A coordinate of a section is a `PolyRatio` num/den of two Polys, never
 brought to lowest terms: every quantity read here (the on-curve identity,
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactalg import Place, Poly, poly_valuation, reduce_mod_p
-from .pointcount import legendre, point_order, primes_up_to, weierstrass_invariants
+from .pointcount import legendre, primes_up_to
 
 
 class VerificationError(RuntimeError):
@@ -42,6 +42,18 @@ class VerificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Curves and points
 # ---------------------------------------------------------------------------
+
+def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, discriminant) of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
+
+    Ring-generic: the same formulas serve polynomials and integers (reduce
+    the results mod p for the curve over F_p)."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    return b2, b4, b6, -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
 
 class FunctionFieldCurve(namedtuple("FunctionFieldCurve", "a1 a2 a3 a4 a6")):
     """Long Weierstrass form with Poly coefficients, a model over
@@ -54,7 +66,7 @@ class FunctionFieldCurve(namedtuple("FunctionFieldCurve", "a1 a2 a3 a4 a6")):
         return FunctionFieldCurve(*(Poly.coerce(v) for v in (a1, a2, a3, a4, a6)))
 
     def invariants(self) -> tuple:
-        """(b2, b4, b6, discriminant), by `pointcount.weierstrass_invariants`."""
+        """(b2, b4, b6, discriminant), by `weierstrass_invariants`."""
         return weierstrass_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
@@ -145,13 +157,55 @@ def _weierstrass_identity(nx: Poly, dx: Poly, ny: Poly, dy: Poly, E) -> bool:
     return lhs == rhs
 
 
-# P reduces to a point of order `order` on the fiber sigma = t modulo p, with
-# sqrt(-3) -> w
-NontorsionWitness = namedtuple("NontorsionWitness", "t p w order")
+def point_order(coeffs, pt: tuple[int, int], p: int, bound: int = 24) -> int:
+    """Order of an affine point on the curve with integer coefficients a1..a6
+    reduced mod p, up to bound.
 
-# a claimed non-square reduces, at the fiber sigma = t modulo p with
-# sqrt(-3) -> w, to a quadratic non-residue of F_p
-NonsquareWitness = namedtuple("NonsquareWitness", "t p w")
+    Raises on singular reduction, where the chord-tangent law is not a group
+    law on all points."""
+    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
+    if weierstrass_invariants(a1, a2, a3, a4, a6)[3] % p == 0:
+        raise ValueError("singular curve mod p")
+
+    def add(P, Q):
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        x1, y1 = P
+        x2, y2 = Q
+        if x1 == x2 and (y1 + y2 + a1 * x2 + a3) % p == 0:
+            return None
+        if P == Q:
+            num = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) % p
+            den = (2 * y1 + a1 * x1 + a3) % p
+        else:
+            num, den = (y2 - y1) % p, (x2 - x1) % p
+        lam = num * pow(den, -1, p) % p
+        nu = (y1 - lam * x1) % p
+        x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
+        y3 = (-(lam + a1) * x3 - nu - a3) % p
+        return (x3, y3)
+
+    x, y = pt
+    if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p != 0:
+        raise ValueError("point is not on the curve mod p")
+    acc, n = pt, 1  # acc = [n]P at the top of each iteration
+    while acc is not None:
+        if n > bound:
+            raise ValueError(f"order exceeds bound {bound}")
+        acc = add(acc, pt)
+        n += 1
+    return n
+
+
+# The witnesses carry the report's field names.  P reduces to a point of
+# order `order` on the fiber sigma modulo p, with sqrt(-3) -> sqrt_m3_mod_p
+NontorsionWitness = namedtuple("NontorsionWitness", "sigma p sqrt_m3_mod_p order")
+
+# a claimed non-square reduces, at the fiber sigma modulo p with sqrt(-3) ->
+# sqrt_m3_mod_p, to a quadratic non-residue of F_p
+NonsquareWitness = namedtuple("NonsquareWitness", "sigma p sqrt_m3_mod_p")
 
 
 # the fixed, deterministic search order of the certificates by specialization

@@ -18,36 +18,15 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections.abc import Iterable
 from operator import itemgetter, mul
 
 from .surfaces import SURFACES
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for anything this artifact will ever see."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division to isqrt(n): the guard of `legendre` and
+    `A_p`, whose primes stay far below 10^7."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -254,62 +233,3 @@ def _ap(surf, p: int) -> int:
     if surf.rank == 1:
         value -= _euler(surf.section_disc, p) * p
     return value
-
-
-# ---------------------------------------------------------------------------
-# Weierstrass curves: the invariants and the point orders over F_p behind
-# `mwsections`' certificates on `family_curve(k)`
-# ---------------------------------------------------------------------------
-
-def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
-    """(b2, b4, b6, discriminant) of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6.
-
-    Ring-generic: the same formulas serve rational functions and integers
-    (reduce the results mod p for the curve over F_p)."""
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    return b2, b4, b6, -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-
-def point_order(coeffs: Iterable[int], pt: tuple[int, int], p: int,
-                bound: int = 24) -> int:
-    """Order of an affine point on the reduced curve, up to bound.
-
-    Raises on singular reduction, where the chord-tangent law is not a group
-    law on all points."""
-    a1, a2, a3, a4, a6 = (v % p for v in coeffs)
-    if weierstrass_invariants(a1, a2, a3, a4, a6)[3] % p == 0:
-        raise ValueError("singular curve mod p")
-
-    def add(P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        x1, y1 = P
-        x2, y2 = Q
-        if x1 == x2 and (y1 + y2 + a1 * x2 + a3) % p == 0:
-            return None
-        if P == Q:
-            num = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) % p
-            den = (2 * y1 + a1 * x1 + a3) % p
-        else:
-            num, den = (y2 - y1) % p, (x2 - x1) % p
-        lam = num * pow(den, -1, p) % p
-        nu = (y1 - lam * x1) % p
-        x3 = (lam * lam + a1 * lam - a2 - x1 - x2) % p
-        y3 = (-(lam + a1) * x3 - nu - a3) % p
-        return (x3, y3)
-
-    x, y = pt
-    if (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p != 0:
-        raise ValueError("point is not on the curve mod p")
-    acc, n = pt, 1  # acc = [n]P at the top of each iteration
-    while acc is not None:
-        if n > bound:
-            raise ValueError(f"order exceeds bound {bound}")
-        acc = add(acc, pt)
-        n += 1
-    return n

@@ -19,7 +19,7 @@ from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import VERIFY_KS, _subchecks, main
 from k3mahler.surfaces import SURFACES
-from k3mahler.mwsections import NontorsionWitness
+from k3mahler.mwsections import NonsquareWitness, NontorsionWitness
 
 from grouplaw import psigma
 from test_mwsections import replay_nonsquare, replay_witness
@@ -318,13 +318,24 @@ class TestSectionReport:
         assert nt["provenance"] == "specialization at sigma=t, reduction mod p"
         w = nt["witness"]
         assert w == {"sigma": 1, "p": 37, "sqrt_m3_mod_p": 16, "order": 14}
-        wit = NontorsionWitness(w["sigma"], w["p"], w["sqrt_m3_mod_p"], w["order"])
+        wit = NontorsionWitness(**w)
         # p_sigma needs sqrt(-3): a split prime, at which it maps to w
         assert wit.order > SURFACES[18].torsion
-        assert wit.p % 3 == 1 and (wit.w ** 2 + 3) % wit.p == 0
+        assert wit.p % 3 == 1 and (wit.sqrt_m3_mod_p ** 2 + 3) % wit.p == 0
         # p_sigma itself, on the family's own curve
         order = replay_witness(psigma(), mw.family_curve(18), wit)
         assert order == wit.order
+
+    def test_k18_witnesses_are_the_certificates_records(self, k18_report):
+        # the report's witness fields are the namedtuples' own, so each
+        # witness rebuilds from its report entry with **w and back
+        assert NontorsionWitness._fields == ("sigma", "p", "sqrt_m3_mod_p", "order")
+        assert NonsquareWitness._fields == ("sigma", "p", "sqrt_m3_mod_p")
+        sub = {c["name"]: c for c in k18_report[1]["subchecks"]}
+        nt = sub["section-nontorsion"]["witness"]
+        assert NontorsionWitness(**nt)._asdict() == nt
+        wits = sub["halving-obstruction"]["witness"].values()
+        assert len(wits) == 4 and all(NonsquareWitness(**w)._asdict() == w for w in wits)
 
     def test_k18_nontorsion_bound_is_the_records_torsion(self):
         # the image must beat the record's torsion order: with 14 recorded,
@@ -336,8 +347,7 @@ class TestSectionReport:
                for c in checks}
         nt = sub["section-nontorsion"]
         assert nt["pass"] is True and nt["witness"]["order"] > 14
-        wit = NontorsionWitness(*(nt["witness"][key] for key in
-                                  ("sigma", "p", "sqrt_m3_mod_p", "order")))
+        wit = NontorsionWitness(**nt["witness"])
         assert replay_witness(psigma(), mw.family_curve(18), wit) == wit.order
 
     def test_k18_halving_witnesses_replay(self, k18_report, k18):
@@ -349,7 +359,7 @@ class TestSectionReport:
                   "q+": hd["qplus"], "q-": hd["qminus"]}
         assert sub["pass"] is True and set(sub["witness"]) == set(claims)
         for name, w in sub["witness"].items():
-            assert replay_nonsquare(claims[name], w["sigma"], w["p"], w["sqrt_m3_mod_p"])
+            assert replay_nonsquare(claims[name], **w)
 
     def test_k18_halving_fails_without_a_witness(self, capsys, monkeypatch):
         # cut to sigma = 1, p = 7, the search finds none for a^2 - 4b: no fallback

@@ -82,22 +82,24 @@ def frac_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
 
 
 def frac_pseudo_rem(a: Poly, b: Poly) -> Poly:
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, division-free."""
-    db = b.degree()
-    lcb = coeffs(b)[-1]
-    r = a
-    n = a.degree() - db + 1
-    while not r.is_zero() and r.degree() >= db:
-        shift = r.degree() - db
-        rs = coeffs(r)
-        lcr = rs[-1]
-        r = poly([lcb * c for c in rs]) \
-            - poly([ZERO] * shift + [lcr * c for c in coeffs(b)])
+    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a mod b, division-free, on
+    QuadElem lists; the one Poly is built from the result."""
+    bs = coeffs(b)
+    db, lcb = len(bs) - 1, bs[-1]
+    rs = list(coeffs(a))
+    n = len(rs) - db
+    while len(rs) > db:
+        shift, lcr = len(rs) - 1 - db, rs[-1]
+        rs = [lcb * c for c in rs]
+        for j, c in enumerate(bs):
+            rs[shift + j] = rs[shift + j] - lcr * c
+        while rs and rs[-1].is_zero():
+            rs.pop()
         n -= 1
     if n > 0:
         s = lcb ** n
-        r = poly([s * c for c in coeffs(r)])
-    return r
+        rs = [s * c for c in rs]
+    return poly(rs)
 
 
 def frac_gcd(f: Poly, g: Poly) -> Poly:
@@ -389,6 +391,19 @@ class TestSquarenessInField:
 
 
 class TestPoly:
+    def test_coefficients_are_ints_fractions_or_pairs(self):
+        half = Fraction(1, 2)
+        assert Poly([(1, half), half, 2]) == Poly([1, 0, 0]) + Poly([(0, half), half, 2])
+        assert Poly.coerce((3, -1)) == Poly([(3, -1)]) and Poly.coerce(half) == Poly([half])
+        # a float or a QuadElem is refused by the one rule, in each entry point
+        for bad in (1.5, (1, 0.5), (1, 2, 3), ONE):
+            for make in (lambda v: Poly([v]), Poly.coerce):
+                with pytest.raises(TypeError, match="Poly coefficient"):
+                    make(bad)
+        assert SIGMA.__add__(1.5) is NotImplemented and SIGMA.__mul__(ONE) is NotImplemented
+        with pytest.raises(TypeError):
+            SIGMA * 1.5
+
     def test_divmod_roundtrip(self):
         rng = random.Random(5)
         for _ in range(40):

@@ -12,7 +12,6 @@ from typing import Optional
 import pytest
 
 from k3mahler import mwsections as mw
-from k3mahler import pointcount as pc
 from k3mahler.exactalg import Place, Poly
 from k3mahler.lattices import ns_determinant
 from k3mahler.surfaces import SURFACES, FiberEntry
@@ -224,14 +223,15 @@ def value_at(f, t) -> QuadElem:
 
 
 def replay_witness(P, E, wit):
-    """Order of P at sigma = t mod p (sqrt(-3) -> w), recomputed from the
-    coordinates without the certificate's search or skip rules."""
-    p = wit.p
-    if wit.w is not None:
-        assert wit.w * wit.w % p == p - 3
-    vals = [reduce_fraction(value_at(f, wit.t), p, wit.w)
+    """Order of P at the witness's sigma mod p (sqrt(-3) -> sqrt_m3_mod_p),
+    recomputed from the coordinates without the certificate's search or skip
+    rules."""
+    p, w = wit.p, wit.sqrt_m3_mod_p
+    if w is not None:
+        assert w * w % p == p - 3
+    vals = [reduce_fraction(value_at(f, wit.sigma), p, w)
             for f in (E.a1, E.a2, E.a3, E.a4, E.a6, P.x, P.y)]
-    return pc.point_order(vals[:5], (vals[5], vals[6]), p, bound=2 * p + 2)
+    return mw.point_order(vals[:5], (vals[5], vals[6]), p, bound=2 * p + 2)
 
 
 def nonsquare_witness(f):
@@ -239,11 +239,12 @@ def nonsquare_witness(f):
     return mw.nonsquare_witnesses([f], {"f": ((0,), lambda p, v: v)})["f"]
 
 
-def replay_nonsquare(f, t, p, w):
-    """Euler's criterion, without the search: f at sigma = t, sqrt(-3) -> w,
-    is a non-residue mod a prime p = 1 mod 3."""
+def replay_nonsquare(f, sigma, p, sqrt_m3_mod_p):
+    """Euler's criterion, without the search: f at sigma, sqrt(-3) ->
+    sqrt_m3_mod_p, is a non-residue mod a prime p = 1 mod 3."""
+    w = sqrt_m3_mod_p
     assert p % 3 == 1 and w * w % p == p - 3
-    return pow(reduce_fraction(value_at(f, t), p, w), (p - 1) // 2, p) == p - 1
+    return pow(reduce_fraction(value_at(f, sigma), p, w), (p - 1) // 2, p) == p - 1
 
 
 class TestNontorsion:
@@ -262,7 +263,7 @@ class TestNontorsion:
         wit = mw.verify_nontorsion(P, E, SURFACES[k].torsion)
         assert wit is not None and wit.order > SURFACES[k].torsion
         # a split prime for every section, the rational k=3 one included
-        assert wit.p % 3 == 1 and (wit.w ** 2 + 3) % wit.p == 0
+        assert wit.p % 3 == 1 and (wit.sqrt_m3_mod_p ** 2 + 3) % wit.p == 0
         assert replay_witness(P, E, wit) == wit.order
 
     def test_exact_cross_check_k3(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from k3mahler import lfunctions as lf
+from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.surfaces import NEWFORM_AP, SURFACES
 import weierstrass_fibers as wf
@@ -148,7 +149,7 @@ class TestPrimes:
         assert [pc.primes_up_to(n) for n in range(4)] == [[], [], [2], [2, 3]]
         assert pc.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
-    def test_primes_up_to_matches_miller_rabin(self):
+    def test_primes_up_to_matches_trial_division(self):
         primes = pc.primes_up_to(10 ** 4)
         assert len(primes) == 1229
         assert primes == [n for n in range(10 ** 4 + 1) if pc.is_prime(n)]
@@ -524,7 +525,7 @@ def count_weierstrass(coeffs, p):
     if p == 2 or not pc.is_prime(p):
         raise ValueError("p must be an odd prime")
     a1, a2, a3, a4, a6 = (v % p for v in coeffs)
-    b2, b4, b6, disc = (b % p for b in pc.weierstrass_invariants(a1, a2, a3, a4, a6))
+    b2, b4, b6, disc = (b % p for b in mw.weierstrass_invariants(a1, a2, a3, a4, a6))
     if disc == 0:
         raise ValueError("singular curve mod p")
     chi = _legendre_list(p)
@@ -542,7 +543,7 @@ class TestWeierstrassCounts:
         for sigma in (1, 2):
             coeffs = self._twist_coeffs(sigma)
             assert count_weierstrass(coeffs, 5) == 6
-        assert pc.point_order(self._twist_coeffs(1), (3, 1), 5) == 6
+        assert mw.point_order(self._twist_coeffs(1), (3, 1), 5) == 6
 
     def test_bad_reduction_raises(self):
         # sigma = 0 reduces to a singular curve
@@ -551,9 +552,9 @@ class TestWeierstrassCounts:
 
     def test_point_order_rejects_singular_reduction(self):
         # (0, 0) lies on the sigma = 0 curve y^2 + xy = x^3 + 2x^2 mod 5
-        assert pc.weierstrass_invariants(*self._twist_coeffs(0))[3] % 5 == 0
+        assert mw.weierstrass_invariants(*self._twist_coeffs(0))[3] % 5 == 0
         with pytest.raises(ValueError, match="singular"):
-            pc.point_order(self._twist_coeffs(0), (0, 0), 5)
+            mw.point_order(self._twist_coeffs(0), (0, 0), 5)
 
     def test_against_enumeration(self):
         cnt = count_weierstrass((0, 0, 0, 1, 0), 5)  # y^2 = x^3 + x
@@ -570,7 +571,7 @@ class TestWeierstrassCounts:
 
     def test_point_order_checks_membership(self):
         with pytest.raises(ValueError, match="not on the curve"):
-            pc.point_order((0, 0, 0, 1, 0), (1, 1), 5)
+            mw.point_order((0, 0, 0, 1, 0), (1, 1), 5)
 
 
 def _raw_weierstrass_count(coeffs, p):
