@@ -9,11 +9,11 @@ emits a structured report with one entry per sub-check.  Exit codes: 0 pass,
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 # the other layers are imported by the subcommands that run them
 from . import surfaces
@@ -24,11 +24,10 @@ VERIFY_KS = tuple(SURFACES)
 L_KS = [k for k, surf in SURFACES.items() if surf.disc is not None]
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(human)
+def _emit(args, payload: dict, human: str) -> int:
+    """Print the payload as JSON under --json, else the human line; exit 0."""
+    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else human)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +236,7 @@ def cmd_mahler(args) -> int:
         human = f"m(P_{k}) = {value:.10f} (+- {err:.2e}, series)"
     if not v.error_bound <= args.tol:    # the one place a method's bound meets --tol
         raise RuntimeError(f"requested abs tol {args.tol:g}, achieved {err:g}")
-    _emit(args, payload, human)
-    return 0
+    return _emit(args, payload, human)
 
 
 def cmd_lvalue(args) -> int:
@@ -249,8 +247,7 @@ def cmd_lvalue(args) -> int:
     payload = {"input": {"k": args.k, "disc": disc, "s": 3, "prec": args.prec},
                "value": value, "error_bound": err,
                "provenance": f"smoothed sum of the binary-quadratic-form series, disc {disc}"}
-    _emit(args, payload, f"L(phi_{disc}, 3) = {value:.12f} (+- {err:.2e})")
-    return 0
+    return _emit(args, payload, f"L(phi_{disc}, 3) = {value:.12f} (+- {err:.2e})")
 
 
 def cmd_ap(args) -> int:
@@ -260,8 +257,7 @@ def cmd_ap(args) -> int:
                "value": {str(p): v for p, v in sorted(aps.items())},
                "error_bound": 0,
                "provenance": "torus point count of x + 1/x + y + 1/y + z + 1/z = k over F_p"}
-    _emit(args, payload, "  ".join(f"A_{p}={v}" for p, v in sorted(aps.items())))
-    return 0
+    return _emit(args, payload, "  ".join(f"A_{p}={v}" for p, v in sorted(aps.items())))
 
 
 def cmd_lattice(args) -> int:
@@ -274,10 +270,8 @@ def cmd_lattice(args) -> int:
                          "basis": [list(b) for b in comp.basis],
                          "gram": [list(r) for r in comp.sublattice.gram]},
                "error_bound": 0, "provenance": "exact integer lattice arithmetic"}
-    _emit(args, payload,
-          f"k={args.k}: |det T| = {comp.det}, rank = {summary['rank']}, "
-          f"basis = {comp.sublattice.labels}")
-    return 0
+    return _emit(args, payload, f"k={args.k}: |det T| = {comp.det}, rank = {summary['rank']}, "
+                                f"basis = {comp.sublattice.labels}")
 
 
 def cmd_height(args) -> int:
@@ -293,9 +287,8 @@ def cmd_height(args) -> int:
                          "zero_intersection": po},
                "error_bound": 0,
                "provenance": "Shioda's formula, Silverman's local heights"}
-    _emit(args, payload, f"h(p_sigma) = {h} "
-                         f"(components {[(f.place, f.component) for f in fibers]})")
-    return 0
+    return _emit(args, payload, f"h(p_sigma) = {h} "
+                                f"(components {[(f.place, f.component) for f in fibers]})")
 
 
 def cmd_coeffs(args) -> int:
@@ -306,100 +299,107 @@ def cmd_coeffs(args) -> int:
                "value": {str(n): co[n] for n in range(1, args.nmax + 1)},
                "error_bound": 0,
                "provenance": "lattice-point enumeration of the form series"}
-    _emit(args, payload,
-          " ".join(f"A_{n}={co[n]}" for n in range(1, args.nmax + 1)))
-    return 0
+    return _emit(args, payload, " ".join(f"A_{n}={co[n]}" for n in range(1, args.nmax + 1)))
 
 
 # ---------------------------------------------------------------------------
 
-def _at_least(lo: int):
-    """argparse type: an int >= lo."""
-    def parse(text: str) -> int:
-        n = int(text)
-        if n < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
-        return n
+class UsageError(Exception):
+    """An argv the option table rejects, or a request no route can serve; exits 2."""
+
+
+def _checked(convert, ok, must: str):
+    """The type function convert(text), refusing a value that fails ok."""
+    def parse(text: str):
+        if not ok(x := convert(text)):
+            raise ValueError(f"must be {must}, got {text}")
+        return x
+    parse.__doc__ = f"must be {must}"
     return parse
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float (no nan or inf)."""
-    x = float(text)
-    if not abs(x) < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return x
+def _at_least(lo: int):
+    return _checked(int, lambda n: n >= lo, f">= {lo}")
 
 
-def _positive(text: str) -> float:
-    """argparse type: a finite float > 0."""
-    x = _finite(text)
-    if not x > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return x
+def _one_of(*choices):
+    return _checked(type(choices[0]), choices.__contains__,
+                    f"one of {', '.join(map(str, choices))}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="k3mahler",
-                                 description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, k_choices=L_KS):
-        p.add_argument("--k", type=int, required=True, choices=k_choices)
-        p.add_argument("--json", action="store_true")
-
-    v = sub.add_parser("verify", help="full identity verification for one k")
-    common(v, k_choices=VERIFY_KS)
-    v.add_argument("--prec", type=_at_least(53), default=128, help="bits")
-    v.add_argument("--pmax", type=_at_least(0), default=31)
+_finite = _checked(float, math.isfinite, "finite")
+_positive = _checked(float, lambda x: 0 < x < math.inf, "> 0 and finite")
+# command -> (handler, help, {option: (type, default)}); a flag has no type
+# and a required option the default ...
+_K = {"--k": (_one_of(*L_KS), ...), "--json": (None, False)}
+_PREC, _PMAX = {"--prec": (_at_least(53), 128)}, {"--pmax": (_at_least(0), 31)}
+COMMANDS = {
     # one tolerance for every k: >= 500 times the largest gap + bounds (1.9e-15, k = 18)
-    v.add_argument("--tol", type=_positive, default=1e-12)
-    v.set_defaults(func=cmd_verify)
-
-    m = sub.add_parser("mahler", help="Mahler measure by one method")
-    m.add_argument("--k", type=_finite, required=True)
-    m.add_argument("--prec", type=_at_least(53), help="bits, bertin only (default 128)")
-    m.add_argument("--json", action="store_true")
-    m.add_argument("--method", choices=["quadrature", "bertin"], default="quadrature")
-    m.add_argument("--tol", type=_positive, default=1e-5)
-    m.set_defaults(func=cmd_mahler)
-
-    lv = sub.add_parser("lvalue", help="Hecke L-value from the form series")
-    common(lv)
-    lv.add_argument("--prec", type=_at_least(53), default=128, help="bits")
-    lv.set_defaults(func=cmd_lvalue)
-
-    app = sub.add_parser("ap", help="transcendental coefficients A_p")
-    common(app)
-    app.add_argument("--pmax", type=_at_least(0), default=31)
-    app.set_defaults(func=cmd_ap)
-
-    lat = sub.add_parser("lattice", help="transcendental-lattice invariants")
-    common(lat)
-    lat.set_defaults(func=cmd_lattice)
-
-    h = sub.add_parser("height", help="canonical height of the k=18 section")
-    h.add_argument("--json", action="store_true")
-    h.set_defaults(func=cmd_height)
-
-    c = sub.add_parser("coeffs", help="form-series Dirichlet coefficients")
-    common(c)
-    c.add_argument("--nmax", type=_at_least(2), default=40)
-    c.set_defaults(func=cmd_coeffs)
-    return ap
+    "verify": (cmd_verify, "full identity verification for one k", {
+        **_K, "--k": (_one_of(*VERIFY_KS), ...), **_PREC, **_PMAX, "--tol": (_positive, 1e-12)}),
+    # --prec is bertin's only, and its default 128 is cmd_mahler's
+    "mahler": (cmd_mahler, "Mahler measure by one method", {
+        "--k": (_finite, ...), "--prec": (_at_least(53), None), "--json": (None, False),
+        "--method": (_one_of("quadrature", "bertin"), "quadrature"), "--tol": (_positive, 1e-5)}),
+    "lvalue": (cmd_lvalue, "Hecke L-value from the form series", {**_K, **_PREC}),
+    "ap": (cmd_ap, "transcendental coefficients A_p", {**_K, **_PMAX}),
+    "lattice": (cmd_lattice, "transcendental-lattice invariants", _K),
+    "height": (cmd_height, "canonical height of the k=18 section", {"--json": (None, False)}),
+    "coeffs": (cmd_coeffs, "form-series Dirichlet coefficients",
+               {**_K, "--nmax": (_at_least(2), 40)}),
+}
+_USAGE = f"usage: k3mahler {{{','.join(COMMANDS)}}} [-h] [--option value ...]"
 
 
-class UsageError(Exception):
-    """A request the parser accepts but no route can serve; exits 2."""
+def _parse(argv: list) -> SimpleNamespace:
+    """The handler's args for argv: the command, then its options from the
+    table as `--opt value` or `--opt=value`, named exactly, the last
+    occurrence winning.  A value may start with any character."""
+    cmd, *rest = argv or [None]
+    if cmd in ("-h", "--help"):
+        return SimpleNamespace(command=None, func=_print_help)
+    if cmd not in COMMANDS:
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}; got {cmd or 'none'}")
+    func, _, options = COMMANDS[cmd]
+    given, words = {}, iter(rest)
+    for word in words:
+        if word in ("-h", "--help"):
+            return SimpleNamespace(command=cmd, func=_print_help)
+        name, eq, text = word.partition("=")
+        if name not in options or (eq and options[name][0] is None):
+            raise UsageError(f"unrecognized argument: {word}")
+        if (parse := options[name][0]) and not eq and (text := next(words, None)) is None:
+            raise UsageError(f"argument {name}: expected a value")
+        try:
+            given[name] = parse(text) if parse else True
+        except ValueError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+    if missing := [name for name, (_, d) in options.items() if d is ... and name not in given]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=cmd, func=func,
+                           **{name[2:]: given.get(name, d) for name, (_, d) in options.items()})
+
+
+def _print_help(args) -> int:
+    """Print the options of args.command, or the commands, from the table."""
+    about, rows = __doc__, {cmd: text for cmd, (_, text, _) in COMMANDS.items()}
+    if args.command:
+        _, about, options = COMMANDS[args.command]
+        rows = {name: "required, " * (d is ...) + (parse.__doc__ if parse else "a flag")
+                + (f" (default {d})" if parse and d not in (..., None) else "")
+                for name, (parse, d) in options.items()}
+    print(_USAGE, "", about.strip(), "", "  -h, --help  show this help and exit",
+          *(f"  {key:<10}  {text}" for key, text in rows.items()), sep="\n")
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except UsageError as exc:
-        parser.error(str(exc))
+        print(_USAGE, f"k3mahler: error: {exc}", sep="\n", file=sys.stderr)
+        raise SystemExit(2) from None
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

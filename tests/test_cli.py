@@ -17,10 +17,11 @@ import pytest
 import k3mahler
 from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
-from k3mahler.cli import VERIFY_KS, _subchecks, main
+from k3mahler.cli import COMMANDS, VERIFY_KS, UsageError, _parse, _subchecks, main
 from k3mahler.surfaces import SURFACES
 from k3mahler.mwsections import NonsquareWitness, NontorsionWitness
 
+from argparse_oracle import build_parser
 from grouplaw import psigma
 from test_mwsections import replay_nonsquare, replay_witness
 
@@ -140,51 +141,82 @@ class TestDeterminism:
         assert first == report(["verify", "--k", "18", "--json"])
 
 
+# argv lists that exit 2: the parser rejects them, or no route serves them
+REJECTED = [
+    ["mahler", "--method", "nosuch", "--k", "6"],
+    ["verify"],  # --k missing
+    ["lvalue", "--k", "3", "--n-terms", "10"],
+    # the Monte Carlo route is gone, with its options
+    ["mahler", "--k", "6", "--method", "mc"],
+    ["mahler", "--k", "6", "--samples", "1000"],
+    ["mahler", "--k", "6", "--seed", "1"],
+    ["verify", "--k", "6", "--box", "8"],
+    # no box size: the EK series sums rows to a working precision
+    ["verify", "--k", "6", "--box", "256"],
+    ["mahler", "--k", "6", "--method", "bertin", "--box", "256"],
+    ["verify", "--k", "6", "--tol", "0"],
+    ["coeffs", "--k", "6", "--nmax", "1"],
+    ["ap", "--k", "6", "--pmax", "-5"],
+    # the L-value and d3 run at --prec bits; below float64's 53 they cannot
+    # give a float64 result
+    ["lvalue", "--k", "3", "--prec", "0"],
+    # only verify, lvalue and mahler's series run at a precision; the
+    # quadrature runs in float64
+    ["mahler", "--k", "6", "--prec", "200"],
+    ["ap", "--k", "6", "--prec", "64"],
+    ["lattice", "--k", "6", "--prec", "64"],
+    ["coeffs", "--k", "6", "--prec", "64"],
+    # no cache, worker or config options
+    ["ap", "--k", "6", "--cache-dir", ""],
+    ["ap", "--k", "6", "--workers", "2"],
+    ["--config", "k3mahler.cfg", "ap", "--k", "6"],
+    # the direct L-value sum and its term count are gone
+    ["verify", "--k", "6", "--n-terms", "1000"],
+    # no tabulated CM point, integral or not
+    ["mahler", "--k", "5", "--method", "bertin"],
+    ["mahler", "--k", "5.5", "--method", "bertin"],
+    # a non-finite k or tol would print nan or pass vacuously
+    ["mahler", "--k", "nan"],
+    ["mahler", "--k", "inf"],
+    ["mahler", "--k", "-inf", "--json"],
+    ["verify", "--k", "6", "--tol", "inf"],
+    ["verify", "--k", "3", "--tol", "nan", "--json"],
+    ["mahler", "--k", "6", "--tol", "inf"],
+]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
-        for argv in (["mahler", "--method", "nosuch", "--k", "6"],
-                     ["verify"],  # --k missing
-                     ["lvalue", "--k", "3", "--n-terms", "10"],
-                     # the Monte Carlo route is gone, with its options
-                     ["mahler", "--k", "6", "--method", "mc"],
-                     ["mahler", "--k", "6", "--samples", "1000"],
-                     ["mahler", "--k", "6", "--seed", "1"],
-                     ["verify", "--k", "6", "--box", "8"],
-                     # no box size: the EK series sums rows to a working precision
-                     ["verify", "--k", "6", "--box", "256"],
-                     ["mahler", "--k", "6", "--method", "bertin", "--box", "256"],
-                     ["verify", "--k", "6", "--tol", "0"],
-                     ["coeffs", "--k", "6", "--nmax", "1"],
-                     ["ap", "--k", "6", "--pmax", "-5"],
-                     # the L-value and d3 run at --prec bits; below float64's
-                     # 53 they cannot give a float64 result
-                     ["lvalue", "--k", "3", "--prec", "0"],
-                     # only verify, lvalue and mahler's series run at a
-                     # precision; the quadrature runs in float64
-                     ["mahler", "--k", "6", "--prec", "200"],
-                     ["ap", "--k", "6", "--prec", "64"],
-                     ["lattice", "--k", "6", "--prec", "64"],
-                     ["coeffs", "--k", "6", "--prec", "64"],
-                     # no cache, worker or config options
-                     ["ap", "--k", "6", "--cache-dir", ""],
-                     ["ap", "--k", "6", "--workers", "2"],
-                     ["--config", "k3mahler.cfg", "ap", "--k", "6"],
-                     # the direct L-value sum and its term count are gone
-                     ["verify", "--k", "6", "--n-terms", "1000"],
-                     # no tabulated CM point, integral or not
-                     ["mahler", "--k", "5", "--method", "bertin"],
-                     ["mahler", "--k", "5.5", "--method", "bertin"],
-                     # a non-finite k or tol would print nan or pass vacuously
-                     ["mahler", "--k", "nan"],
-                     ["mahler", "--k", "inf"],
-                     ["mahler", "--k", "-inf", "--json"],
-                     ["verify", "--k", "6", "--tol", "inf"],
-                     ["verify", "--k", "3", "--tol", "nan", "--json"],
-                     ["mahler", "--k", "6", "--tol", "inf"]):
+        for argv in REJECTED:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
         capsys.readouterr()
+
+    def test_negative_values_in_exponent_notation(self, capsys):
+        # a value is read whatever its first character: m(P_-k) = m(P_k)
+        code, out = run(capsys, ["mahler", "--k", "-1.5e1", "--json"])
+        assert code == 0 and json.loads(out)["input"]["k"] == -15
+        assert json.loads(out)["value"] == json.loads(run(capsys, ["mahler", "--k", "15",
+                                                                   "--json"])[1])["value"]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--k", "6", "--tol", "-1e-8"])
+        assert exc.value.code == 2 and "must be > 0" in capsys.readouterr().err
+
+    def test_usage_error_output(self, capsys):
+        # usage and the error on stderr, nothing on stdout
+        with pytest.raises(SystemExit) as exc:
+            main(["ap", "--k", "6", "--pm", "13"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: k3mahler ")
+        assert captured.err.splitlines()[-1] == "k3mahler: error: unrecognized argument: --pm"
+
+    def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
+        argv = ["ap", "--k", "6", "--pmax", "13", "--json"]
+        monkeypatch.setattr(sys, "argv", ["k3mahler", *argv])
+        code = main()
+        assert code == 0 and capsys.readouterr().out == run(capsys, argv)[1]
 
     def test_pass_is_zero(self, capsys):
         code, _ = run(capsys, ["verify", "--k", "0"])
@@ -289,6 +321,62 @@ class TestExitCodes:
         sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
         ap = sub["A_p-vs-newform-level-15"]
         assert ap["primes"] == [] and ap["pass"] is False
+
+
+# the CLI's traffic: the README's examples, the benchmark's request kinds
+# (perfbench/run.py), the rejected argv lists and the grammar's corners
+README_EXAMPLES = [line.partition("#")[0].split()[1:] for line in
+                   (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+                   if line.startswith("k3mahler ")]
+BENCH_KINDS = [*(["verify", "--k", k, "--json"] for k in ("0", "3", "6", "18")),
+               *(["ap", "--k", k, "--pmax", "1500", "--json"] for k in ("3", "6", "18"))]
+GRAMMAR = [["verify", "--k=0"], ["mahler", "--k=-2", "--method=bertin", "--tol=1e-3"],
+           ["ap", "--k", "6", "--pmax", "13", "--k", "3"], ["--json", "verify", "--k", "3"],
+           ["verify", "--k"], ["verify", "--k", "abc"], ["verify", "--k", "3.0"], [],
+           ["nosuch", "--k", "3"], ["verify", "--k", "3", "extra"], ["height", "--json=1"],
+           ["mahler", "--k", "-15", "--json"], ["mahler", "--method", "bertin", "--k", "18"]]
+
+
+def parsed(parse, argv):
+    """The option values parse(argv) gives, or the exit code 2 of a rejection."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except (SystemExit, UsageError) as exc:
+            return getattr(exc, "code", 2)
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("argv", README_EXAMPLES + BENCH_KINDS + REJECTED + GRAMMAR,
+                             ids=lambda argv: " ".join(argv) or "no-command")
+    def test_agrees_with_the_argparse_oracle(self, argv):
+        # both accept with equal option values and handler, or both exit 2
+        assert parsed(_parse, argv) == parsed(build_parser().parse_args, argv)
+
+    def test_examples_and_kinds_are_accepted(self):
+        # so the oracle's agreement on them is not two rejections
+        assert len(README_EXAMPLES) >= 9
+        assert all(isinstance(parsed(_parse, argv), dict) for argv in README_EXAMPLES + BENCH_KINDS)
+
+    def test_the_intended_differences(self):
+        # argparse takes an option's unique prefix; the table takes exact names
+        argv = ["ap", "--k", "6", "--pm", "13"]
+        assert parsed(build_parser().parse_args, argv)["pmax"] == 13 and parsed(_parse, argv) == 2
+        # argparse reads a negative value in exponent notation as an option;
+        # the table reads a value whatever its first character
+        for argv in (["mahler", "--k", "-1.5e1", "--json"], ["mahler", "--k", "-1e3"]):
+            assert parsed(build_parser().parse_args, argv) == 2
+            assert parsed(_parse, argv)["k"] == float(argv[2])
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_lists_the_table(self, capsys, command):
+        names = COMMANDS[command][2] if command else COMMANDS
+        for flag in ("-h", "--help"):
+            assert main([command, flag] if command else [flag]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: k3mahler ")
+            listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+            assert set(names) <= listed, set(names) - listed
 
 
 @pytest.fixture(scope="module")
@@ -563,8 +651,8 @@ if argv:
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
 print(json.dumps({"loaded": [m for m in ("mpmath", "numpy") if m in sys.modules],
-                  "startup": [m for m in ("dataclasses", "csv", "hashlib")
-                              if m in sys.modules],
+                  "startup": [m for m in ("dataclasses", "csv", "hashlib", "argparse",
+                                          "gettext", "locale") if m in sys.modules],
                   "ours": sorted(m.partition(".")[2] for m in sys.modules
                                  if m.startswith("k3mahler.")),
                   "stdout": out.getvalue()}))
