@@ -4,11 +4,13 @@ subcommands (mahler | lvalue | ap | lattice | height | coeffs | verify).
 Every subcommand can emit a JSON document with the stable schema
 {"input": ..., "value": ..., "error_bound": ..., "provenance": ...}; `verify`
 emits a structured report with one entry per sub-check.  Exit codes: 0 pass,
-1 verification failure, 2 usage error.
+1 verification failure or stdout closed by its reader, 2 usage error.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import math
 import sys
@@ -393,10 +395,33 @@ def _print_help(args) -> int:
     return 0
 
 
+# whether main has registered gc.freeze with atexit in this process
+_freeze_at_exit = False
+
+
 def main(argv=None) -> int:
+    # Once per process: freeze every object at exit, so that finalization's
+    # full collection skips what the ending process holds (no finalizer of
+    # ours is in a cycle).  Registered here, not at import, so a library
+    # import leaves its host's exit alone, and in-process callers keep
+    # collecting while main runs.
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left to flush at exit goes to
+        # devnull, and the request ends quietly, with no SIGPIPE handler
+        import os
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(_USAGE, f"k3mahler: error: {exc}", sep="\n", file=sys.stderr)
         raise SystemExit(2) from None

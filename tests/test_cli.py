@@ -1,7 +1,9 @@
 """CLI surface: subcommand output schema, determinism, exit codes, and no
 files read or written outside the package."""
 
+import atexit
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,7 +17,7 @@ import mpmath as mp
 import pytest
 
 import k3mahler
-from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
+from k3mahler import cli, lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.cli import COMMANDS, VERIFY_KS, UsageError, _parse, _subchecks, main
 from k3mahler.surfaces import SURFACES
@@ -641,6 +643,11 @@ class TestWithoutScipy:
         assert importers == ["pointcount.py"]
 
 
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports k3mahler from here."""
+    return dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent), **extra)
+
+
 LOADS_PROBE = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
@@ -701,9 +708,8 @@ class TestWithoutNumpy:
             "ap-below-crossover",
             "ap-control", "height"])
     def test_numpy_stays_unloaded(self, argv, loads, ours):
-        env = dict(os.environ, PYTHONPATH=str(Path(k3mahler.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", LOADS_PROBE, json.dumps(argv)],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=fresh_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr[-500:]
         probe = json.loads(proc.stdout)
         assert probe["loaded"] == loads
@@ -713,6 +719,74 @@ class TestWithoutNumpy:
         if argv[:1] == ["verify"]:
             doc = json.loads(probe["stdout"])
             assert abs(doc["lhs"]["value"] - doc["rhs"]["value"]) <= 1e-14
+
+
+# the `k3mahler` console script, run in a fresh interpreter
+CONSOLE_SCRIPT = "import sys; from k3mahler.cli import main; sys.exit(main())"
+
+EXIT_PROBE = """
+import atexit, gc, json, sys
+argv = json.loads(sys.argv[1])
+report = lambda: print(json.dumps({"frozen_at_exit": gc.get_freeze_count()}))
+if not argv:    # before the import: a hook the import registered would run first
+    atexit.register(report)
+from k3mahler.cli import main
+if argv:        # after the import and before main: a hook main registers runs first
+    atexit.register(report)
+    code = main(argv)
+    print(json.dumps({"code": code, "frozen": gc.get_freeze_count()}))
+"""
+
+
+class TestProcessExit:
+    def test_main_registers_the_exit_freeze_once(self, capsys, monkeypatch):
+        # as in a process where main has not run yet; the hook an earlier call
+        # registered is dropped, and main registers it again
+        monkeypatch.setattr(cli, "_freeze_at_exit", False)
+        atexit.unregister(gc.freeze)
+        before = atexit._ncallbacks()
+        assert run(capsys, ["ap", "--k", "6", "--pmax", "13"])[0] == 0
+        assert atexit._ncallbacks() == before + 1
+        for argv in (["verify", "--k", "0"], ["lattice", "--k", "18"]):
+            assert run(capsys, argv)[0] == 0
+        assert atexit._ncallbacks() == before + 1
+        # the hook runs only at exit: in-process callers keep collecting cycles
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_frozen_at_exit_of_a_request_only(self):
+        def probe(argv):
+            proc = subprocess.run([sys.executable, "-c", EXIT_PROBE, json.dumps(argv)],
+                                  capture_output=True, text=True, env=fresh_env(), timeout=120)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-500:]
+            return [json.loads(line) for line in proc.stdout.splitlines()[-2:]]
+
+        ran, at_exit = probe(["ap", "--k", "6", "--pmax", "13", "--json"])
+        assert ran == {"code": 0, "frozen": 0} and at_exit["frozen_at_exit"] > 0
+        # importing the CLI as a library leaves the host's exit alone
+        assert probe([])[-1] == {"frozen_at_exit": 0}
+
+
+class TestClosedPipe:
+    # the read end is closed before the child starts, so every write meets
+    # EPIPE whatever the timing
+    @pytest.mark.parametrize("argv, buffering", [
+        # written straight through: the error is raised inside print
+        (["verify", "--k", "18", "--json"], {"PYTHONUNBUFFERED": "1"}),
+        # one short line held in the buffer: the error is raised at the flush
+        (["ap", "--k", "6", "--pmax", "13"], {}),
+    ], ids=["print", "flush"])
+    def test_ends_quietly(self, argv, buffering):
+        env = fresh_env(**buffering)
+        if not buffering:
+            env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-c", CONSOLE_SCRIPT, *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestNoFiles:
