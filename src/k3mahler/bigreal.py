@@ -8,6 +8,7 @@ nearest and add the rounding and the operands' propagated bounds.
 sums) and "estimate" for the quadrature and anything computed from it;
 `terms` is the series length of the kernel that made the value.  A kernel
 returns an int X for X 2^-wp; its docstring bounds its error in units 2^-wp.
+E1(nu) for n = 1..M, the smoothed L-value's kernel, is one downward chain.
 """
 
 from __future__ import annotations
@@ -170,11 +171,6 @@ def exp_neg(X: int, wp: int) -> int:
     return ((one << w) // total + (1 << g - 1)) >> g
 
 
-# E1 is summed from its power series below x = _E1_SPLIT and from its
-# continued fraction above: the split measured fastest at 128 and 400 bits
-_E1_SPLIT = 24
-
-
 def _e1_scaled(X: int, wp: int, bits: int) -> int:
     """e^x E1(x) 2^wp, x = X 2^-wp >= 1, within 2 units plus 2^-bits.  As a
     Stieltjes function, int_0^inf e^-t dt / (x + t), it lies between any two
@@ -212,36 +208,45 @@ def _ein(X: int, w: int) -> int:
     return total
 
 
-def e1_values(U: int, wp: int, need: list) -> tuple[list[int], int]:
-    """([E1(n u) 2^wp for n = 0..M], bound), u = U 2^-wp, M = len(need) - 1:
-    each n with need[n] true within `bound` units, the others 0.
-
-    With n0 u the first multiple of u >= _E1_SPLIT, E1(nu) for n >= n0 is
-    q^n, floored powers of q = exp_neg(U) (within 2n units), times
-    _e1_scaled to 2^-wp e^x: within 2n + 5 units.  Below n0 Euler's constant
-    cancels from E1(nu) = E1(n0 u) + ln(n0/n) + Ein(nu) - Ein(n0 u), where
-    ln(n0/n) = 2 sum_{n<i<=n0} atanh(1/(2i-1)); at gs guard bits the atanh
-    terms' w units and Ein's e^x (ln K + 3) + K, x < _E1_SPLIT + u, stay
-    below 2^(gs-1), so these entries are within 2 n0 + 7 units."""
-    M = len(need) - 1
-    n0 = max(1, -(-(_E1_SPLIT << wp) // U))
-    top = max(M, n0)
-    q, qn = exp_neg(U, wp), 1 << wp
-    out = [0] * (top + 1)
-    for n in range(1, top + 1):
-        qn = qn * q >> wp
-        if n == n0 or n > n0 and need[n]:
-            x = n * U
-            bits = max(1, wp - int(1.4426 * (x >> wp)))
-            out[n] = qn * _e1_scaled(x, wp, bits) >> wp
-    gs = int(1.45 * _E1_SPLIT) + (n0 * wp).bit_length() + 20
-    w = wp + gs
-    e0, log = (out[n0] << gs) - _ein(n0 * U << gs, w), 0
-    for n in range(n0 - 1, 0, -1):
-        log += 2 * _arctan_inv(2 * n + 1, w, hyperbolic=True)
-        if n <= M and need[n]:
-            out[n] = (e0 + log + _ein(n * U << gs, w) + (1 << gs - 1)) >> gs
-    return out[:M + 1], 2 * top + 7
+def e1_values(U: int, wp: int, M: int) -> tuple[list[int], int]:
+    """([E1(n u) 2^wp for n = 0..M], 1), u = U 2^-wp <= 4, M >= 2, M u >= 1:
+    entries 1..M within 1 unit.  As E1(nu) - E1((n+1)u) = e^-(n+1)u int_0^1
+    e^(u(1-t)) dt / (n + t) and 1/(n + t) = sum_i (-1)^i t^i / n^(i+1), one
+    chain runs down from E1(Mu) = q^M _e1_scaled(Mu):
+        E1(nu) = E1((n+1)u) + e^-(n+1)u sum_i>=0 (-1)^i H_i / n^(i+1),
+    H_i = int_0^1 t^i e^(u(1-t)) dt = (1 + u H_(i+1)) / (i + 1) <= e^u/(i+1)
+    falls, so for n >= 2 the terms alternate and fall; it closes at E1(u) =
+    E1(2u) + ln 2 + Ein(u) - Ein(2u), ln 2 = 2 atanh(1/3).  In units 2^-w,
+    w = wp + g, E >= e^u: P_n = q^n, floored powers of q = exp_neg(u), are
+    within 2n.  H_i, from H_I = 0, errs by 2 + u eps_(i+1)/(i+1), so by
+    2 e^u + 1: the start's error, below e^u 2^w, reaches H_i times at most
+    e^u (u/(K+1))^(I-K) <= e^u 2^-w / E^2, K = max(w, E) - 2.  Horner in 1/n
+    over k + 1 <= K + 1 terms with k + 2 >= E and n^(k+2) > P_(n+1) + 2n + 2
+    >= e^-(n+1)u 2^w is within (2 e^u + 2)/(n - 1) + 1, and the cut, below
+    the first omitted term e^u / (k+2) n^(k+2), within e^(n+1)u.  A link adds
+    2 (n+1) E/n + e^-3u (2 e^u + 3) + 2 <= 3E + 7, the start 2M + 3, the
+    close ln 2's 2w and Ein's e^2u (ln(w + 1) + 3) + w + 1 twice: under
+    2^(g-1) for the g below (g <= wp), so one rounding leaves 1 unit."""
+    E = math.ceil(math.exp(U / (1 << wp))) + 1
+    g = (M * (3 * E + 9) + 8 * wp + 2 * E * E * ((2 * wp).bit_length() + 3)).bit_length() + 1
+    w, V = wp + g, U << g
+    q, P = exp_neg(V, w), [1 << w]
+    for n in range(M):
+        P.append(P[-1] * q >> w)
+    K = max(w, E) - 2
+    I = K - (-(w + 2 * E.bit_length()) // (((K + 1 << w) // V).bit_length() - 1))
+    H = [0] * (I + 1)
+    for i in range(I - 1, -1, -1):
+        H[i] = ((1 << w) + (V * H[i + 1] >> w)) // (i + 1)
+    e, x = [0] * (M + 1), M * V
+    e[M] = P[M] * _e1_scaled(x, w, max(1, w - int(1.4426 * (x >> w)))) >> w
+    for n in range(M - 1, 1, -1):
+        t, s = 0, (n ** 16).bit_length() - 1      # n^16 >= 2^s
+        for h in H[max(E, -(-16 * (P[n + 1] + 2 * n + 2).bit_length() // s)) - 2::-1]:
+            t = h - t // n
+        e[n] = e[n + 1] + (P[n + 1] * (t // n) >> w)
+    e[1] = e[2] + 2 * _arctan_inv(3, w, hyperbolic=True) + _ein(V, w) - _ein(2 * V, w)
+    return [0] + [(v + (1 << g - 1)) >> g for v in e[1:]], 1
 
 
 def bernoulli_even(K: int) -> list[Fraction]:
@@ -270,5 +275,9 @@ def n2_tail_log2(alpha: float, M: int) -> float:
 
 
 def bound_units(log2_bound: float, wp: int) -> int:
-    """A bound given by its log2 (at most 900 - wp) in units 2^-wp, rounded up."""
-    return math.ceil(2.0 ** (log2_bound + wp)) + 1
+    """A bound given by its log2 in units 2^-wp, rounded up.  The float power
+    is taken below 2^53, where the + 1 covers its rounding, and shifted on
+    ints: never past float64's range, nor below 2^(log2_bound + wp)."""
+    e = log2_bound + wp
+    k = max(0, math.floor(e) - 52)
+    return math.ceil(2.0 ** (e - k)) + 1 << k
