@@ -1,5 +1,5 @@
-"""Hecke L-series from explicit binary-quadratic-form sums, Dirichlet L-values,
-the constant d3, and twisting.
+"""The Hecke L-series from explicit binary-quadratic-form sums, their value
+at s = 3, and twisting.
 
 The three Hecke series are encoded exactly as signed lists of positive
 definite binary quadratic forms with degree-2 numerators; their Dirichlet
@@ -8,9 +8,8 @@ is independent of the quadrature route.  L(phi, 3) is the smoothed sum of the
 functional equation (``smoothed_lvalue``): 64-182 coefficients give it to
 2^-128 with a rigorous bound, after a check that the functional equation
 holds: about 1 ms (3-6 ms at 400 bits), every E1(nu) from one downward
-recurrence.  ``identity_rhs`` sums a `Surface` record's right-hand side from
-them, the only place it is summed.  The Epstein combination that checks the d3
-term lives with the other lattice sums in ``mahler``.
+recurrence (``e1_values``).  `verify.identity_rhs` sums a `Surface` record's
+right-hand side from it; the d3 term and its Epstein check are `dirichlet`.
 """
 from __future__ import annotations
 
@@ -18,8 +17,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bigreal import (BigReal, bernoulli_even, bound_units, e1_values, exp_neg,
-                      n2_tail_log2, pi_reals)
+from .bigreal import BigReal, arctan_inv, bound_units, exp_neg, n2_tail_log2, pi_reals
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +113,84 @@ def form_coefficients(series: QuadFormSeries, N: int) -> list[int]:
     return [v * num // den for v in acc]
 
 
+def _e1_scaled(X: int, wp: int, bits: int) -> int:
+    """e^x E1(x) 2^wp, x = X 2^-wp >= 1, within 2 units plus 2^-bits.  As a
+    Stieltjes function, int_0^inf e^-t dt / (x + t), it lies between any two
+    successive convergents of 1/(x + 1/(1 + 1/(x + 2/(1 + 2/(x + ...)))))
+    (A&S 5.1.22); the loop stops when two are 2^-bits apart.  The recurrence,
+    scaled by 2^wp at each x-step, has positive terms, so the shifts keeping
+    q0 at wp + 80 bits (relative 2^-(wp+70) each) move the convergent by far
+    under a unit in 2^20 steps; the final division adds one."""
+    d, m = 1 << wp, 0
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    while True:
+        m += 1
+        # the steps j = 2m - 1 (b_j = x, a_j = max(1, m - 1)) and j = 2m (1, m)
+        a = d * max(1, m - 1)
+        p0, p1 = p1, X * p1 + a * p0
+        q0, q1 = q1, X * q1 + a * q0
+        a = d * m
+        p0, p1 = p1, p1 + a * p0
+        q0, q1 = q1, q1 + a * q0
+        if abs(p1 * q0 - p0 * q1) << bits <= q1 * q0:
+            return (p1 << wp) // q1
+        s = q0.bit_length() - wp - 80
+        if s > 0:
+            p0, p1, q0, q1 = p0 >> s, p1 >> s, q0 >> s, q1 >> s
+
+
+def _ein(X: int, w: int) -> int:
+    """sum_k>=1 (-1)^(k+1) x^k / (k k!) 2^w, x = X 2^-w, within e^x (ln K + 3)
+    + K units for K terms: the floored x^k/k! are within e^x, the tail 2 e^x."""
+    t, total, k = X, 0, 1
+    while t:
+        total += t // k if k % 2 else -(t // k)
+        k += 1
+        t = t * X // (k << w)
+    return total
+
+
+def e1_values(U: int, wp: int, M: int) -> tuple[list[int], int]:
+    """([E1(n u) 2^wp for n = 0..M], 1), u = U 2^-wp <= 4, M >= 2, M u >= 1:
+    entries 1..M within 1 unit.  As E1(nu) - E1((n+1)u) = e^-(n+1)u int_0^1
+    e^(u(1-t)) dt / (n + t) and 1/(n + t) = sum_i (-1)^i t^i / n^(i+1), one
+    chain runs down from E1(Mu) = q^M _e1_scaled(Mu):
+        E1(nu) = E1((n+1)u) + e^-(n+1)u sum_i>=0 (-1)^i H_i / n^(i+1),
+    H_i = int_0^1 t^i e^(u(1-t)) dt = (1 + u H_(i+1)) / (i + 1) <= e^u/(i+1)
+    falls, so for n >= 2 the terms alternate and fall; it closes at E1(u) =
+    E1(2u) + ln 2 + Ein(u) - Ein(2u), ln 2 = 2 atanh(1/3).  In units 2^-w,
+    w = wp + g, E >= e^u: P_n = q^n, floored powers of q = exp_neg(u), are
+    within 2n.  H_i, from H_I = 0, errs by 2 + u eps_(i+1)/(i+1), so by
+    2 e^u + 1: the start's error, below e^u 2^w, reaches H_i times at most
+    e^u (u/(K+1))^(I-K) <= e^u 2^-w / E^2, K = max(w, E) - 2.  Horner in 1/n
+    over k + 1 <= K + 1 terms with k + 2 >= E and n^(k+2) > P_(n+1) + 2n + 2
+    >= e^-(n+1)u 2^w is within (2 e^u + 2)/(n - 1) + 1, and the cut, below
+    the first omitted term e^u / (k+2) n^(k+2), within e^(n+1)u.  A link adds
+    2 (n+1) E/n + e^-3u (2 e^u + 3) + 2 <= 3E + 7, the start 2M + 3, the
+    close ln 2's 2w and Ein's e^2u (ln(w + 1) + 3) + w + 1 twice: under
+    2^(g-1) for the g below (g <= wp), so one rounding leaves 1 unit."""
+    E = math.ceil(math.exp(U / (1 << wp))) + 1
+    g = (M * (3 * E + 9) + 8 * wp + 2 * E * E * ((2 * wp).bit_length() + 3)).bit_length() + 1
+    w, V = wp + g, U << g
+    q, P = exp_neg(V, w), [1 << w]
+    for n in range(M):
+        P.append(P[-1] * q >> w)
+    K = max(w, E) - 2
+    I = K - (-(w + 2 * E.bit_length()) // (((K + 1 << w) // V).bit_length() - 1))
+    H = [0] * (I + 1)
+    for i in range(I - 1, -1, -1):
+        H[i] = ((1 << w) + (V * H[i + 1] >> w)) // (i + 1)
+    e, x = [0] * (M + 1), M * V
+    e[M] = P[M] * _e1_scaled(x, w, max(1, w - int(1.4426 * (x >> w)))) >> w
+    for n in range(M - 1, 1, -1):
+        t, s = 0, (n ** 16).bit_length() - 1      # n^16 >= 2^s
+        for h in H[max(E, -(-16 * (P[n + 1] + 2 * n + 2).bit_length() // s)) - 2::-1]:
+            t = h - t // n
+        e[n] = e[n + 1] + (P[n + 1] * (t // n) >> w)
+    e[1] = e[2] + 2 * arctan_inv(3, w, hyperbolic=True) + _ein(V, w) - _ein(2 * V, w)
+    return [0] + [(v + (1 << g - 1)) >> g for v in e[1:]], 1
+
+
 def _s(x: float, k: int) -> float:
     """sum_{n>=1} n^k x^n for k = 1, 2, 3 and 0 <= x < 1."""
     return x * (1, 1 + x, 1 + 4 * x + x * x)[k - 1] / (1 - x) ** (k + 1)
@@ -182,70 +258,6 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int) -> BigReal:
     value = BigReal.fixed(total, wp + 1, err).round_to(prec)
     value.terms = M
     return value
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet L(chi_-3, 2) and d3
-# ---------------------------------------------------------------------------
-
-def dirichlet_lvalue(prec: int) -> BigReal:
-    """L(chi_-3, 2) = sum chi(n)/n^2 by paired summation with an
-    Euler-Maclaurin tail on f(j) = (3j+1)^-2 - (3j+2)^-2, each of the J head
-    blocks and tail terms floored once at prec + 24 bits.  The k-th tail term
-    is 3^(2k-1) B_2k (x1^-(2k+1) - x2^-(2k+1)), x1 = 3J + 1, x2 = 3J + 2; as
-    (-1)^n f^(n) > 0 falls (f is g(x) - g(x + 1/3), g completely monotone),
-    the remainder is below the last term, counted twice."""
-    wp = prec + 24
-    J = max(64, prec // 2)
-    head = sum(((6 * j + 3) << wp) // ((3 * j + 1) * (3 * j + 2)) ** 2 for j in range(J))
-    x1, x2 = 3 * J + 1, 3 * J + 2
-    # int_J^inf f + f(J)/2
-    tail = (1 << wp) // (3 * x1 * x2) + ((x1 + x2) << wp) // (2 * (x1 * x2) ** 2)
-    for k, b in enumerate(bernoulli_even(prec // 8 + 16), 1):
-        e = 2 * k + 1
-        t = ((3 ** (2 * k - 1) * b.numerator * (x2 ** e - x1 ** e)) << wp) \
-            // (b.denominator * (x1 * x2) ** e)
-        tail += t
-        if abs(t) << prec + 16 < 1 << wp:
-            break
-    return BigReal.fixed(head + tail, wp, J + k + 2 + 2 * abs(t)).round_to(prec)
-
-
-def d3(prec: int) -> BigReal:
-    """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1)."""
-    wp = prec + 8
-    c = BigReal.fixed(math.isqrt(3 << 2 * wp), wp, 1) * pi_reals(wp)[1] * Fraction(3, 4)
-    return (c * dirichlet_lvalue(wp)).round_to(prec)
-
-
-# ---------------------------------------------------------------------------
-# The right-hand side of an identity
-# ---------------------------------------------------------------------------
-
-def identity_rhs(surf, prec: int) -> tuple[BigReal, str, BigReal | None]:
-    """(value, method, d3 term or None) of the right-hand side
-    (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3 of a `Surface` record,
-    prefactor = (r, n), at prec bits; a term with no disc or d3_coeff 0 is
-    left out.  The prefactor is a BigReal product at prec + 10 bits, its
-    roundings in its bound; the value carries the smoothed sum's `terms`."""
-    parts, terms, d3_term, M = [], [], None, None
-    if surf.disc is not None:
-        r, n = surf.prefactor
-        wp, inv_pi = prec + 10, pi_reals(prec + 10)[1]
-        pref = (inv_pi * inv_pi * inv_pi * BigReal.fixed(math.isqrt(n << 2 * wp), wp, 1)
-                * r).round_to(prec)
-        lv = smoothed_lvalue(FORM_SERIES[surf.disc], prec)
-        parts.append(pref * lv)
-        terms.append(f"({float(pref):.10g}) * L(phi_{surf.disc}, 3)")
-        M = lv.terms
-    if surf.d3_coeff:
-        c = surf.d3_coeff
-        d3_term = BigReal.exactly(c, prec) * d3(prec)
-        parts.append(d3_term)
-        terms.append(f"({c}) d3" if terms else "(3*sqrt(3)/4pi) L(chi_-3, 2)")
-    value = sum(parts)
-    value.terms = M
-    return value, " + ".join(terms), d3_term
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,19 @@
-"""Numerical Mahler-measure evaluators for P_k = x + 1/x + y + 1/y + z + 1/z - k.
+"""m(P_k), P_k = x + 1/x + y + 1/y + z + 1/z - k, by quadrature of one AGM period.
 
-Two independent routes:
-
-* ``mahler_quadrature`` -- Jensen's formula in z and the AGM period of
-  m(x + 1/x + y + 1/y - c) leave a one-dimensional integral of K times an
-  arccosine; tanh-sinh quadrature (Takahasi and Mori, Publ. RIMS 9 (1974)),
-  split at the integrand's three singular points, reaches the float64 floor
-  in 1-6 ms, in pure Python.
-* ``bertin_series`` -- the weighted Eisenstein-Kronecker double sums over the
-  four sublattices j*m*tau + n (j = 1, 2, 3, 6; weights -4, 16, -36, 144) at
-  the tabulated CM point, on integers at a caller-chosen precision.
-
-The lattice sums here, the Eisenstein-Kronecker series and the weight-0
-Epstein combination behind the d3 term of m(P_18) (``epstein_combo``), share
-one kernel: each row of either sum is a sum over n of 1/(u^3 v) and
-1/(u^2 v^2), u = n + z, v = n + conj z, which partial fractions and
-cot(pi z) give in closed form in q = e^(2 pi i z); summed by divisors, the
-rows of the four sublattices become one q-series (``_lattice_sum``) whose
-q^P are 12th roots of unity times powers e^(-2 pi P Im tau), as every
-Re(j tau) is a multiple of 1/12, so both sums come with a rigorous bound.
+``mahler_quadrature`` -- Jensen's formula in z and the AGM period of
+m(x + 1/x + y + 1/y - c) leave a one-dimensional integral of K times an
+arccosine; tanh-sinh quadrature (Takahasi and Mori, Publ. RIMS 9 (1974)),
+split at the integrand's three singular points, reaches the float64 floor in
+1-6 ms, in pure Python.  The independent route, the Eisenstein-Kronecker
+lattice sums at the CM point, is `eisenstein`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .bigreal import BigReal, bound_units, exp_neg, n2_tail_log2, pi_reals
-from .surfaces import tau_table
+from .bigreal import BigReal
 
-
-# ---------------------------------------------------------------------------
-# One-dimensional AGM quadrature
-# ---------------------------------------------------------------------------
 
 # Tanh-sinh abscissae t = j h run over |t| <= _TS_TMAX: at t = 3.5 the weight
 # is below 1e-20, and every integrand here is at most logarithmic at its ends.
@@ -154,127 +135,3 @@ def mahler_quadrature(k: float) -> BigReal:
         raise RuntimeError(f"quadrature of m(P_{k:g}): achieved {bound:g}")
     # 64 bits hold every float64 from 2^-11 up exactly
     return BigReal.with_bound(value, bound, prec=64, kind="estimate")
-
-
-def exact_tau_value(k: int, prec: int) -> tuple[Fraction, BigReal]:
-    """The tabulated CM point (A + sqrt(B))/C as (Re tau, Im tau): a Fraction
-    and sqrt(-B)/C at prec bits (the floored root, floored again by C)."""
-    rec = tau_table(k)
-    return Fraction(rec.A, rec.C), BigReal.fixed(
-        math.isqrt(-rec.B << 2 * prec) // rec.C, prec, 2)
-
-
-# ---------------------------------------------------------------------------
-# Lattice sums: the Eisenstein-Kronecker series and the Epstein combination
-# ---------------------------------------------------------------------------
-
-EK_WEIGHTS = ((1, -4), (2, 16), (3, -36), (6, 144))
-# 2 cos(2 pi t / 12) = a + b sqrt(3) for t = 0..11, as (a, b)
-_COS_TWELFTHS = ((2, 0), (0, 1), (1, 0), (0, 0), (-1, 0), (0, -1),
-                 (-2, 0), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1))
-
-
-def _lattice_sum(x: BigReal, prec: int, t: int, e: int) -> BigReal:
-    """sum_P beta(P) 2 cos(2 pi P t/12) r^P / P^e, r = e^-x, at x's bits wp,
-    with `terms` M the least for which the tail, below 2 * 2.41 sum_{P>M}
-    P^2 r^P, is under 2^-(prec + 8).  r is within x's bound plus a unit, its
-    floored powers r^P within P times one more; each term is floored once
-    into the rational or the sqrt(3) part, and the latter is multiplied by
-    sqrt(3) (within a unit) once: all counted, term by term."""
-    wp, alpha = x.prec, float(x)
-    M = int(2 / alpha) + 1
-    while (tail := n2_tail_log2(alpha, M) + math.log2(4.82)) > -(prec + 8):
-        M += 1
-    # beta(P) = sum_{j | (P, 6)} (w_j / 4) sigma_3(P / j), the q-expansion
-    # coefficients of the weighted sublattices; |beta(P)| <= zeta(3) P^3
-    # (1 + 4/8 + 9/27 + 36/216) < 2.41 P^3
-    s3 = [0] * (M + 1)
-    for d in range(1, M + 1):
-        for m in range(d, M + 1, d):
-            s3[m] += d ** 3
-    beta = [sum(w // 4 * s3[P // j] for j, w in EK_WEIGHTS if P % j == 0)
-            for P in range(M + 1)]
-    R, r_err = exp_neg(x.man, wp), math.ceil(x.error_bound * (1 << wp)) + 2
-    rp, rat, irr, err = 1 << wp, 0, 0, bound_units(tail, wp)
-    for P in range(1, M + 1):
-        rp = rp * R >> wp
-        a, b = _COS_TWELFTHS[t * P % 12]
-        y, d = beta[P] * rp, P ** e
-        rat += a * y // d
-        irr += b * y // d
-        err += -(-2 * abs(beta[P]) * P * r_err // d) + 3
-    value = BigReal.fixed(rat + (irr * math.isqrt(3 << 2 * wp) >> wp), wp,
-                          err + (abs(irr) >> wp) + 2)
-    value.terms = M
-    return value
-
-
-def bertin_series(tau, prec: int) -> BigReal:
-    """m(P_k) = (Im tau / 8 pi^3) sum_j w_j sum' 2 Re(1/(l^3 conj l)) + 1/|l|^4,
-    l = j m tau + n, at the CM point tau = (Re tau, Im tau) (Bertin): a
-    rational with 12 Re tau an integer, so that every e^(2 pi i P Re tau) is
-    a 12th root of unity, and a BigReal.
-
-    Row m of sublattice j is pi^3 Re(w - w^3) / y at z = j m tau, y = Im z,
-    w = (1 + q)/(1 - q), q = e^(2 pi i z), by partial fractions and
-    pi cot(pi z) = -i pi w; with w - w^3 = -4 sum n^2 q^n, summing the rows
-    by divisors leaves (row 0 is 6 zeta(4), and sum_j w_j = 120)
-        m(P_k) = pi Im tau - 2 sum_P beta(P) 2 cos(2 pi P Re tau) r^P / P,
-    r = e^(-2 pi Im tau).  Im tau's own bound costs it times
-    |dm / d Im tau| <= pi (1 + 8 * 2.41 sum P^3 r^P)."""
-    t, im = 12 * Fraction(tau[0]), tau[1]
-    if t.denominator != 1:
-        raise ValueError(f"12 Re(tau) = {t} is not an integer")
-    if im.man <= 0:
-        raise ValueError("Im(tau) > 0 required")
-    wp = max(prec + 60, im.prec)
-    y, pi = BigReal.fixed(im.man << wp - im.prec, wp), pi_reals(wp)[0]   # y = Im tau~
-    rows = _lattice_sum(2 * pi * y, prec, int(t), 1)
-    r = math.exp(-2 * math.pi * float(im))
-    sens = Fraction(math.pi * (1 + 19.3 * r * (1 + 4 * r + r * r) / (1 - r) ** 4) * 1.01)
-    value = pi * y - 2 * rows + BigReal.with_bound(0, sens * im.error_bound, wp)
-    value = value.round_to(prec)
-    value.terms = rows.terms
-    return value
-
-
-def bertin_series_for_k(k: int, prec: int) -> BigReal:
-    """bertin_series at the tabulated CM point of k."""
-    return bertin_series(exact_tau_value(k, prec + 32), prec)
-
-
-def _zeta3(wp: int) -> BigReal:
-    """zeta(3) = (5/2) sum_{k>=1} (-1)^(k+1) / (k^3 C(2k, k)) at wp bits: K floored
-    terms and the alternating tail past the first zero, 5/2 (K + 1) units, and a floor."""
-    total, c, k = 0, 1, 0
-    while True:
-        k += 1
-        c = c * 2 * (2 * k - 1) // k
-        t = (1 << wp) // (k ** 3 * c)
-        if not t:
-            break
-        total += t if k % 2 else -t
-    return BigReal.fixed(5 * total >> 1, wp, 5 * k // 2 + 2)
-
-
-def epstein_combo(prec: int) -> BigReal:
-    """(3 sqrt(30)/pi^3) sum sign Z(a, c) over the forms (a, c, sign) =
-    (5, 6, -1), (10, 3, 1), (15, 2, -1), (30, 1, 1), Z(a, c) = sum'
-    (a m^2 + c n^2)^-2.  Row m of Z(a, c) is c^-2 sum_n |n + z|^-4 at
-    z = i m sqrt(a/c) (Chowla and Selberg, J. reine angew. Math. 227 (1967)),
-    closed in q = e^(2 pi i z) as for bertin_series.  The forms are the
-    sublattices j = 6/c of tau = i sqrt(30)/6, with sign j^2 = w_j / 4, so
-    summing the rows by divisors gives, with r = e^(-pi sqrt(30)/3),
-        sqrt(30) pi/18 - 2 zeta(3)/(5 pi^2)
-            + sum_P beta(P) r^P (2 sqrt(30)/(5 pi P^2) + 6/(5 pi^2 P^3))."""
-    wp = prec + 60
-    pi, inv_pi = pi_reals(wp)
-    s30 = BigReal.fixed(math.isqrt(30 << 2 * wp), wp, 1)
-    x = pi * s30 * Fraction(1, 3)
-    # the sums carry 2 cos = 2
-    v2, v3 = (_lattice_sum(x, prec, 0, e) for e in (2, 3))
-    value = (s30 * pi * Fraction(1, 18) - _zeta3(wp) * inv_pi * inv_pi * Fraction(2, 5)
-             + v2 * s30 * inv_pi * Fraction(1, 5)
-             + v3 * inv_pi * inv_pi * Fraction(3, 5)).round_to(prec)
-    value.terms = v2.terms
-    return value

@@ -3,14 +3,14 @@
 ``SURFACES`` holds one ``Surface`` record per k = 0, 3, 6, 18: every per-k
 fact the other modules use; ``NEWFORM_AP`` holds the a_p table of the newform
 of each surface's level; ``tau_table`` gives the CM point of each tabulated
-k.  Plain data only: the lattice algebra that checks these records lives in
-`lattices`, so a request that only reads them does not compile it.
+k.  Data only, on ints: a rational is a (num, den) pair, so a request that
+only reads the records imports no `fractions`, and the lattice algebra that
+checks them lives in `lattices`, so such a request does not compile it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 
 class TauRecord(namedtuple("TauRecord", "k A B C p q r")):
@@ -19,13 +19,11 @@ class TauRecord(namedtuple("TauRecord", "k A B C p q r")):
 
     __slots__ = ()
 
-    def residual(self) -> tuple[Fraction, Fraction]:
-        """(rational, sqrt(B)-coefficient) parts of -6p tau^2 + 12q tau + r."""
+    def residual(self) -> tuple[int, int]:
+        """(rational, sqrt(B)-coefficient) parts of C^2 (-6p tau^2 + 12q tau + r)."""
         A, B, C = self.A, self.B, self.C
-        rat = Fraction(-6 * self.p * (A * A + B), C * C) \
-            + Fraction(12 * self.q * A, C) + self.r
-        irr = Fraction(-12 * self.p * A, C * C) + Fraction(12 * self.q, C)
-        return rat, irr
+        rat = -6 * self.p * (A * A + B) + 12 * self.q * A * C + self.r * C * C
+        return rat, 12 * (self.q * C - self.p * A)
 
     def period_relation_vector(self) -> tuple[int, int, int]:
         """The class p*g1 + q*g2 + r*g3 that becomes algebraic."""
@@ -66,7 +64,7 @@ class FiberEntry(namedtuple("FiberEntry", (
 
 class Surface(namedtuple("Surface", (
         "k",
-        "d3_coeff",      # a Fraction
+        "d3_coeff",      # a rational, as (num, den)
         "disc",          # CM discriminant of the weight-3 form phi
         "level",         # newform level, equal to |det T|
         "ap_twist",      # d with A_p = (d/p) a_p of that newform
@@ -75,7 +73,7 @@ class Surface(namedtuple("Surface", (
         "section_disc",  # d with the infinite section over Q(sqrt(d))
         "fibers",        # one FiberEntry per singular fiber
         "torsion",       # Mordell-Weil torsion order
-        "height",        # canonical height of the infinite section, a Fraction
+        "height",        # canonical height of the infinite section, (num, den)
         "section",       # (x, y) numerators of that section, each factored
         "pole_factors",  # the factors of dcore; () for a polynomial section
         "halving_root",  # (num, den) of r, each factored
@@ -84,8 +82,8 @@ class Surface(namedtuple("Surface", (
 
         m(P_k) = (r sqrt(n) / pi^3) L(phi_disc, 3) + d3_coeff * d3
 
-    with prefactor = (r, n).  k = 0 is the bare identity m(P_0) = d3; its
-    surface fields stay unset (None).
+    with prefactor = (r, n), r as (num, den).  k = 0 is the bare identity
+    m(P_0) = d3; its surface fields stay unset (None).
 
     A record with a `height` may give its infinite section as printed: x =
     X/dcore^2 and y = Y/dcore^3, dcore the product of `pole_factors`, and
@@ -115,9 +113,9 @@ class Surface(namedtuple("Surface", (
 # fiber of u below.  `mwsections.section_height` checks them against
 # `mwsections.family_curve(k)` and takes one local height per entry.
 SURFACES = {
-    0: Surface(0, Fraction(1)),
-    3: Surface(3, Fraction(0), disc=-15, level=15,
-               prefactor=(Fraction(15, 2), 15), rank=1, section_disc=1, torsion=6,
+    0: Surface(0, (1, 1)),
+    3: Surface(3, (0, 1), disc=-15, level=15,
+               prefactor=((15, 2), 15), rank=1, section_disc=1, torsion=6,
                fibers=(
                    FiberEntry("s=0", 12, None),          # double over u=inf
                    FiberEntry("s=inf", 2, (0, 1)),       # over u=1
@@ -127,8 +125,8 @@ SURFACES = {
                    FiberEntry("alpha2", 1, (9, -3, 1)),  # over u=-8
                    FiberEntry("beta2", 1, (9, -3, 1)),   # over u=-8
                )),
-    6: Surface(6, Fraction(0), disc=-24, level=24, ap_twist=-3,
-               prefactor=(Fraction(24), 6), rank=0, torsion=6,
+    6: Surface(6, (0, 1), disc=-24, level=24, ap_twist=-3,
+               prefactor=((24, 1), 6), rank=0, torsion=6,
                fibers=(
                    FiberEntry("s=0", 12, None),         # double over u=inf
                    FiberEntry("s=inf", 2, (0, 1)),      # over u=1
@@ -137,10 +135,10 @@ SURFACES = {
                    FiberEntry("beta", 3, (1, -6, 1)),   # over u=0
                    FiberEntry("s=1/3", 2, (-3, 1)),     # double over u=-8
                )),
-    18: Surface(18, Fraction(14, 5), disc=-120, level=120,
-                ap_twist=-3, prefactor=(Fraction(6), 120), rank=1,
+    18: Surface(18, (14, 5), disc=-120, level=120,
+                ap_twist=-3, prefactor=((6, 1), 120), rank=1,
                 section_disc=-3, torsion=6,
-                height=Fraction(10),
+                height=(10, 1),
                 section=(
                     # 3888 sigma (sigma - 18)(sigma - 21)^2 (sigma + 3)^2
                     (3888, (0, 1), (-18, 1), (-21, 1), (-21, 1), (3, 1), (3, 1)),

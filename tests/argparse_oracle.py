@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 
 from k3mahler import cli
-from k3mahler.cli import (L_KS, VERIFY_KS, cmd_ap, cmd_coeffs, cmd_height, cmd_lattice,
-                          cmd_lvalue, cmd_mahler, cmd_verify)
+from k3mahler.cli import L_KS, VERIFY_KS
+from k3mahler.commands import cmd_ap, cmd_coeffs, cmd_height, cmd_lattice, cmd_lvalue, cmd_mahler
+from k3mahler.verify import cmd_verify
 
 
 def _at_least(lo: int):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from k3mahler import lfunctions, mahler, mwsections as mw, pointcount
+from k3mahler import dirichlet, lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
 from k3mahler.exactalg import Poly
 from k3mahler.surfaces import SURFACES
@@ -135,7 +135,7 @@ def ap_scan_3000():
 
 @pytest.fixture(scope="session")
 def d3_value():
-    return lfunctions.d3(prec=128)
+    return dirichlet.d3(prec=128)
 
 
 @pytest.fixture(scope="session")

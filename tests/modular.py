@@ -4,7 +4,7 @@ the form-series coefficients enumerated in numpy, and the newform
 coefficients regained from the form series by twisting.
 
 No program path needs them: `verify` reads the CM point from the tau table
-(`mahler.exact_tau_value`) and the L-value from the form series.  They run in
+(`eisenstein.exact_tau_value`) and the L-value from the form series.  They run in
 mpmath at a caller-chosen precision, and take the tabulated CM points from
 the mpmath oracle.
 """

@@ -5,7 +5,8 @@ These are the routes `verify` ran before its numerics moved onto integers:
 the mpmath-backed value-and-bound carrier, the smoothed L-value, L(chi_-3, 2)
 and d3, the right-hand side of an identity, and the Eisenstein-Kronecker and
 Epstein lattice sums by the pi cot(pi z) row kernel.  They are kept as they
-were; only their imports changed.  The tests compare the package with them.
+were; only their imports and their reading of the records changed.  The
+tests compare the package with them.
 """
 
 from __future__ import annotations
@@ -237,14 +238,13 @@ def identity_rhs(surf, prec: int) -> tuple[BigReal, str, BigReal | None]:
     one to prec stay within the 2^-prec (|v| + 1) that BigReal.exactly allows."""
     parts, terms, d3_term = [], [], None
     if surf.disc is not None:
-        r, n = surf.prefactor
+        (num, den), n = surf.prefactor
         with mp.workprec(prec + 10):
-            v = r.numerator * mp.sqrt(n) / (r.denominator * mp.pi ** 3)
+            v = num * mp.sqrt(n) / (den * mp.pi ** 3)
         pref = BigReal.exactly(v, prec)
         parts.append(pref * smoothed_lvalue(FORM_SERIES[surf.disc], prec))
         terms.append(f"({mp.nstr(pref.value, 10)}) * L(phi_{surf.disc}, 3)")
-    if surf.d3_coeff:
-        c = surf.d3_coeff
+    if c := Fraction(*surf.d3_coeff):
         with mp.workprec(prec):
             coeff = BigReal.exactly(mp.mpf(c.numerator) / c.denominator, prec)
         d3_term = coeff * d3(prec)

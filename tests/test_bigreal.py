@@ -10,6 +10,7 @@ import pytest
 from k3mahler import bigreal as br
 from k3mahler import lfunctions as lf
 from k3mahler.bigreal import BigReal
+from k3mahler.dirichlet import bernoulli_even
 
 
 def agrees_with(x, other, tol):
@@ -98,7 +99,7 @@ def test_exp_and_e1_over_the_smoothed_sums(prec):
     for disc in (-15,) if prec == 1000 else (-15, -24, -120):
         M = lf.smoothed_lvalue(lf.FORM_SERIES[disc], prec).terms
         U = (br.pi_reals(wp)[0].man << wp + 1) // math.isqrt(abs(disc) << 2 * wp)
-        e1, bound = br.e1_values(U, wp, M)
+        e1, bound = lf.e1_values(U, wp, M)
         assert len(e1) == M + 1 and bound <= 2
         ns = sorted({*range(1, M + 1, max(1, M // 40)), 1, 2, 3, M - 1, M})
         with mp.workprec(2 * wp):
@@ -115,7 +116,7 @@ def test_e1_bound_is_not_vacuous():
     # the bound of e1_values is at most 2 units, not a free pass
     wp = 152
     U = (br.pi_reals(wp)[0].man << wp + 1) // math.isqrt(120 << 2 * wp)
-    e1, bound = br.e1_values(U, wp, 182)
+    e1, bound = lf.e1_values(U, wp, 182)
     assert bound <= 2 and e1[1] > 0 and min(e1[1:]) >= 0
 
 
@@ -124,7 +125,7 @@ def test_e1_chain_longer_than_its_precision():
     # n where e^-nu leaves the precision, keep every sampled E1 in its bound
     wp, M = 64, 3000
     U = (br.pi_reals(wp)[0].man << wp + 1) // math.isqrt(15 << 2 * wp)
-    e1, bound = br.e1_values(U, wp, M)
+    e1, bound = lf.e1_values(U, wp, M)
     with mp.workprec(2 * wp):
         u = mp.mpf(U) / mp.mpf(2) ** wp
         for n in (1, 2, 3, 10, 30, 100, M - 1, M):
@@ -152,4 +153,4 @@ def test_bound_units_on_ints():
 
 
 def test_bernoulli_numbers_exact():
-    assert br.bernoulli_even(40) == [Fraction(*mp.bernfrac(2 * k)) for k in range(1, 41)]
+    assert bernoulli_even(40) == [Fraction(*mp.bernfrac(2 * k)) for k in range(1, 41)]

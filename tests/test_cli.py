@@ -17,11 +17,12 @@ import mpmath as mp
 import pytest
 
 import k3mahler
-from k3mahler import cli, lfunctions, mahler, mwsections as mw, pointcount
+from k3mahler import cli, dirichlet, eisenstein, lfunctions, mahler, mwsections as mw, pointcount
 from k3mahler.bigreal import BigReal
-from k3mahler.cli import COMMANDS, VERIFY_KS, UsageError, _parse, _subchecks, main
+from k3mahler.cli import COMMANDS, VERIFY_KS, UsageError, _parse, main
 from k3mahler.surfaces import SURFACES
 from k3mahler.mwsections import NonsquareWitness, NontorsionWitness
+from k3mahler.verify import _subchecks, identity_rhs
 
 from argparse_oracle import build_parser
 from grouplaw import psigma
@@ -110,7 +111,7 @@ class TestPrintedBounds:
         # 256-bit value
         for k in (3, 6, 18):
             for argv, exact in (
-                    (["mahler", "--method", "bertin"], mahler.bertin_series_for_k(k, 256)),
+                    (["mahler", "--method", "bertin"], eisenstein.bertin_series_for_k(k, 256)),
                     (["lvalue"], lvalue_256[SURFACES[k].disc])):
                 code, out = run(capsys, argv + ["--k", str(k), "--json"])
                 assert code == 0
@@ -290,7 +291,7 @@ class TestExitCodes:
         def off_by_5e5(k, prec):
             m6 = 1.6733893029701967  # m(P_6), as the EK series gives it
             return BigReal.with_bound(m6 + 5e-5, 1e-9)
-        monkeypatch.setattr(mahler, "bertin_series_for_k", off_by_5e5)
+        monkeypatch.setattr(eisenstein, "bertin_series_for_k", off_by_5e5)
         code, out = run(capsys, ["verify", "--k", "6", "--json", "--pmax", "13",
                                  "--tol", "1e-4"])
         assert code == 1
@@ -372,7 +373,7 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("command", [None, *COMMANDS])
     def test_help_lists_the_table(self, capsys, command):
-        names = COMMANDS[command][2] if command else COMMANDS
+        names = COMMANDS[command][1] if command else COMMANDS
         for flag in ("-h", "--help"):
             assert main([command, flag] if command else [flag]) == 0
             out = capsys.readouterr().out
@@ -432,7 +433,7 @@ class TestSectionReport:
         # p_sigma's order-14 image at p = 37 proves nothing, and the search
         # goes on to a larger order
         surf = SURFACES[18]._replace(torsion=14)
-        exact, _, d3_term = lfunctions.identity_rhs(surf, 128)
+        exact, _, d3_term = identity_rhs(surf, 128)
         sub = {c["name"]: c for _, checks in _subchecks(surf, 128, 31, exact, d3_term)
                for c in checks}
         nt = sub["section-nontorsion"]
@@ -533,7 +534,7 @@ class TestSectionReport:
         fibers = tuple(f._replace(m=3) if f.place == "s=1/18" else f
                        for f in SURFACES[18].fibers)
         surf = SURFACES[18]._replace(fibers=fibers)
-        exact, _, d3_term = lfunctions.identity_rhs(surf, 128)
+        exact, _, d3_term = identity_rhs(surf, 128)
         sub = {c["name"]: c for _, checks in _subchecks(surf, 128, 31, exact, d3_term)
                for c in checks}
         assert sub["neron-components"]["pass"] is False
@@ -557,7 +558,7 @@ class TestSectionReport:
         fibers = tuple(f._replace(m={"s=0": 10, "s=inf": 4}.get(f.place, f.m))
                        for f in SURFACES[18].fibers)
         surf = SURFACES[18]._replace(fibers=fibers)
-        exact, _, d3_term = lfunctions.identity_rhs(surf, 128)
+        exact, _, d3_term = identity_rhs(surf, 128)
         sub = {c["name"]: c for _, checks in _subchecks(surf, 128, 31, exact, d3_term)
                for c in checks}
         assert sub["neron-components"]["pass"] is False
@@ -567,7 +568,7 @@ class TestSectionReport:
     def test_k18_wrong_height_record_fails(self, capsys, monkeypatch):
         # h = 12 recorded: the curve gives h = 10, and (P.O) = 5 is not the
         # (12 - 2*2 + 4)/2 = 6 that the record and its components imply
-        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(height=Fraction(12)))
+        monkeypatch.setitem(SURFACES, 18, SURFACES[18]._replace(height=(12, 1)))
         code, out = run(capsys, ["verify", "--k", "18", "--json"])
         assert code == 1
         sub = {c["name"]: c for c in json.loads(out)["subchecks"]}
@@ -581,7 +582,7 @@ class TestSectionReport:
         eps = {c["name"]: c for c in doc["subchecks"]}["dirichlet-term-epstein"]
         assert eps["pass"] is True
         assert eps["diff"] <= eps["error_bound"] < 1e-35
-        assert abs(eps["value"] - 2.8 * lfunctions.d3(128).value) < 1e-15
+        assert abs(eps["value"] - 2.8 * dirichlet.d3(128).value) < 1e-15
 
 
 class TestAgreementRule:
@@ -657,7 +658,8 @@ out = io.StringIO()
 if argv:
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-print(json.dumps({"loaded": [m for m in ("mpmath", "numpy") if m in sys.modules],
+print(json.dumps({"loaded": [m for m in ("decimal", "fractions", "mpmath", "numpy")
+                             if m in sys.modules],
                   "startup": [m for m in ("dataclasses", "csv", "hashlib", "argparse",
                                           "gettext", "locale") if m in sys.modules],
                   "ours": sorted(m.partition(".")[2] for m in sys.modules
@@ -666,14 +668,20 @@ print(json.dumps({"loaded": [m for m in ("mpmath", "numpy") if m in sys.modules]
 """
 
 # the package's own modules each request loads: every request reads the
-# records in `surfaces`, and only those that run the lattice algebra load
-# `lattices`
+# records in `surfaces` and imports its handler's module, `verify` or
+# `commands`, and then only the layers its route runs: `verify --k 0` no
+# L-value (`lfunctions`) and no lattice sums (`eisenstein`), and only the
+# identities with a d3 term `dirichlet`
 IMPORT = ["cli", "surfaces"]
-AP = sorted(IMPORT + ["pointcount"])
-LFUNCTIONS = sorted(IMPORT + ["bigreal", "lfunctions"])
-MAHLER = sorted(IMPORT + ["bigreal", "mahler"])
+ONE_LAYER = IMPORT + ["commands"]
+AP = sorted(ONE_LAYER + ["pointcount"])
+LFUNCTIONS = sorted(ONE_LAYER + ["bigreal", "lfunctions"])
+MAHLER = sorted(ONE_LAYER + ["bigreal", "mahler"])
+VERIFY = IMPORT + ["bigreal", "mahler", "verify"]
+VERIFY_L = sorted(VERIFY + ["eisenstein", "lattices", "lfunctions", "pointcount"])
 SECTIONS = ["exactalg", "mwsections"]
-VERIFY_L = sorted(set(LFUNCTIONS + MAHLER + AP + ["lattices"]))
+# what `import` and `ap` never load, and every layer with rationals does
+FRACTIONS = ["decimal", "fractions"]
 
 
 # the last prime that `ap` scans in pure Python and the first it scans by numpy
@@ -684,25 +692,27 @@ FIRST_NUMPY_PRIME = next(p for p in pointcount.primes_up_to(2 * pointcount._NUMP
 
 class TestWithoutNumpy:
     # one fresh interpreter per request, in which `import scipy` fails,
-    # reports which of mpmath and numpy the request loaded, which of the
-    # modules that would only cost start-up time (no layer needs them), and
-    # which of the package's own modules
+    # reports which of decimal, fractions, mpmath and numpy the request
+    # loaded, which of the modules that would only cost start-up time (no
+    # layer needs them), and which of the package's own modules
     @pytest.mark.parametrize("argv, loads, ours", [
         ([], [], IMPORT),
         (["ap", "--k", "18", "--json"], [], AP),
-        (["lattice", "--k", "18", "--json"], [], sorted(IMPORT + ["lattices"])),
-        (["verify", "--k", "0", "--json"], [], sorted(set(LFUNCTIONS + MAHLER))),
-        *((["verify", "--k", k, "--json"], [], VERIFY_L) for k in ("3", "6")),
-        (["verify", "--k", "18", "--json"], [], sorted(VERIFY_L + SECTIONS)),
-        (["mahler", "--k", "6", "--json"], [], MAHLER),
-        (["mahler", "--k", "6", "--method", "bertin", "--json"], [], MAHLER),
-        (["lvalue", "--k", "18", "--json"], [], LFUNCTIONS),
-        (["coeffs", "--k", "6", "--json"], [], LFUNCTIONS),
+        (["lattice", "--k", "18", "--json"], FRACTIONS, sorted(ONE_LAYER + ["lattices"])),
+        (["verify", "--k", "0", "--json"], FRACTIONS, sorted(VERIFY + ["dirichlet"])),
+        *((["verify", "--k", k, "--json"], FRACTIONS, VERIFY_L) for k in ("3", "6")),
+        (["verify", "--k", "18", "--json"], FRACTIONS,
+         sorted(VERIFY_L + ["dirichlet"] + SECTIONS)),
+        (["mahler", "--k", "6", "--json"], FRACTIONS, MAHLER),
+        (["mahler", "--k", "6", "--method", "bertin", "--json"], FRACTIONS,
+         sorted(ONE_LAYER + ["bigreal", "eisenstein"])),
+        (["lvalue", "--k", "18", "--json"], FRACTIONS, LFUNCTIONS),
+        (["coeffs", "--k", "6", "--json"], FRACTIONS, LFUNCTIONS),
         # every prime below _NUMPY_FROM is scanned in pure Python; the control,
         # the first prime from there on, is scanned by numpy
         (["ap", "--k", "3", "--pmax", str(LAST_PURE_PRIME)], [], AP),
         (["ap", "--k", "3", "--pmax", str(FIRST_NUMPY_PRIME)], ["numpy"], AP),
-        (["height", "--json"], [], sorted(AP + SECTIONS)),
+        (["height", "--json"], FRACTIONS, sorted(AP + SECTIONS)),
     ], ids=["import", "ap-k18", "lattice-k18", "verify-k0", "verify-k3", "verify-k6",
             "verify-k18", "mahler-k6", "mahler-bertin-k6", "lvalue-k18", "coeffs-k6",
             "ap-below-crossover",

@@ -13,7 +13,7 @@ from k3mahler import lfunctions as lf
 from k3mahler import pointcount as pc
 from k3mahler.bigreal import BigReal
 from k3mahler.surfaces import NEWFORM_AP, SURFACES
-from k3mahler.mahler import epstein_combo
+from k3mahler.dirichlet import dirichlet_lvalue, epstein_combo
 from conftest import lvalue_from_coeffs, tail_scale
 from modular import form_coefficients_numpy, newform_coefficients
 from mp_oracle import fraction
@@ -187,13 +187,13 @@ class TestDirichletAndD3:
         with mp.workprec(200):
             ref = (mp.polygamma(1, mp.mpf(1) / 3)
                    - mp.polygamma(1, mp.mpf(2) / 3)) / 9
-        v = lf.dirichlet_lvalue(prec=160)
+        v = dirichlet_lvalue(prec=160)
         assert v.abs_diff(fraction(ref)) < Fraction(1, 2 ** 150)
 
     def test_partial_sums_bracket(self):
         # blocks of (1/(3j+1)^2 - 1/(3j+2)^2) are positive and decreasing,
         # so the partial sums increase toward the limit from below
-        L = float(lf.dirichlet_lvalue(prec=80).value)
+        L = float(dirichlet_lvalue(prec=80).value)
         partial = 0.0
         prev_block = float("inf")
         for j in range(200):

@@ -10,12 +10,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from k3mahler import lfunctions, mahler
+from k3mahler import dirichlet, eisenstein, lfunctions, mahler
 from k3mahler.bigreal import BigReal
 from k3mahler.surfaces import SURFACES
-from k3mahler.lfunctions import d3
+from k3mahler.dirichlet import d3
 from k3mahler.cli import main
-from k3mahler.mahler import bertin_series, bertin_series_for_k, mahler_quadrature
+from k3mahler.eisenstein import bertin_series, bertin_series_for_k
+from k3mahler.mahler import mahler_quadrature
+from k3mahler.verify import identity_rhs
 from conftest import mahler_mc
 from modular import eta, fit_w_expansion, k_of_tau, tau_of_k, w_of_tau
 import mp_oracle
@@ -313,8 +315,8 @@ class TestModularParametrization:
 
 def ek_vs_lvalue(k, prec):
     """(|EK - right-hand side|, err(EK) + err(right-hand side)) at prec bits,
-    the right-hand side summed as verify sums it, by lfunctions.identity_rhs."""
-    ek, (rhs, _, _) = bertin_series_for_k(k, prec), lfunctions.identity_rhs(SURFACES[k], prec)
+    the right-hand side summed as verify sums it, by verify.identity_rhs."""
+    ek, (rhs, _, _) = bertin_series_for_k(k, prec), identity_rhs(SURFACES[k], prec)
     assert ek.bound_kind == rhs.bound_kind == "rigorous"
     return ek.abs_diff(rhs), ek.error_bound + rhs.error_bound
 
@@ -383,7 +385,7 @@ def oracle_gaps(prec, oracle_prec, ks=(0, 2, 3, 6, 10, 18)):
              mp_oracle.smoothed_lvalue(series, oracle_prec))
             for disc, series in lfunctions.FORM_SERIES.items()]
     rows += [("d3", d3(prec), mp_oracle.d3(oracle_prec)),
-             ("epstein", mahler.epstein_combo(prec), mp_oracle.epstein_combo(oracle_prec))]
+             ("epstein", dirichlet.epstein_combo(prec), mp_oracle.epstein_combo(oracle_prec))]
     rows += [(f"EK k={k}", bertin_series_for_k(k, prec), mp_oracle.bertin_series_for_k(k, oracle_prec))
              for k in ks]
     with mp.workprec(2 * max(prec, oracle_prec)):
@@ -400,13 +402,13 @@ class TestAgainstTheMpmathRoutes:
 
     def test_zeta3_within_its_bound(self):
         for prec in (53, 128, 200, 400):
-            z = mahler._zeta3(prec)
+            z = dirichlet._zeta3(prec)
             with mp.workprec(2 * prec):
                 assert z.abs_diff(fraction(mp.zeta(3))) <= z.error_bound, prec
 
     def test_exact_tau_value(self):
         for k in (0, 2, 3, 6, 10, 18):
-            re, im = mahler.exact_tau_value(k, 128)
+            re, im = eisenstein.exact_tau_value(k, 128)
             with mp.workprec(256):
                 ref = mp_oracle.exact_tau_value(k, 256)
                 assert abs(re - fraction(mp.re(ref))) < Fraction(1, 2 ** 250), k

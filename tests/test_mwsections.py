@@ -609,7 +609,7 @@ class TestHeight:
         h, readings = height(18, k18["ps"])
         assert [(r.place, r.m, r.component) for r in readings] == \
             [(f.place, f.m, f.j) for f in SURFACES[18].fibers]
-        assert h == SURFACES[18].height
+        assert h == Fraction(*SURFACES[18].height)
 
     def test_psigma_height(self, k18):
         h, readings = height(18, k18["ps"])
