@@ -5,10 +5,8 @@ A_p is read from N_k(p), the number of points of x + 1/x + y + 1/y + z + 1/z
 = k on the torus (F_p^*)^3, in closed form (see `A_p`).  With w(a) =
 #{x in F_p^* : x + 1/x = a} = 1 + chi(a^2 - 4), N_k(p) = sum_c w(c)
 (w * w)(k - c): one cyclic self-convolution and one dot product per prime,
-in O(p log p).  Below _NUMPY_FROM the convolution is one exact big-integer
-(Kronecker) square in pure Python, from there on one numpy FFT, whose
-rounding is checked.  _NUMPY_FROM is the break-even prime where the pure
-kernel's extra time first exceeds numpy's import; scans below it skip numpy.
+in O(p^1.585): the convolution is one exact big-integer (Kronecker) square
+in pure Python, which CPython multiplies by Karatsuba.
 `A_p` checks its record and tests p for primality on every call; `ap_scan`
 checks the record once and takes its primes from the sieve, so it runs no
 primality test."""
@@ -53,71 +51,53 @@ def _euler(a: int, p: int) -> int:
     return e - p if e > 1 else e
 
 
-def _legendre_table(p: int):
-    """chi[t] = (t/p) for t in 0..p-1, as a numpy array."""
-    import numpy as np
-
-    chi = -np.ones(p, dtype=np.int64)
-    chi[0] = 0
-    sq = (np.arange(1, p, dtype=np.int64) ** 2) % p
-    chi[sq] = 1
-    return chi
-
-
 # ---------------------------------------------------------------------------
 # Torus count
 # ---------------------------------------------------------------------------
 
-# Primes below this are counted in pure Python, the rest by numpy's FFT: the
-# break-even prime, where the pure kernel's extra time over all smaller primes
-# first exceeds numpy's import (measured in CHANGES.md).
-_NUMPY_FROM = 3315
-
-
 def _torus_count(k: int, p: int) -> int:
     """N_k(p) = #{(x, y, z) in (F_p^*)^3 : x + 1/x + y + 1/y + z + 1/z = k}
-    for an odd prime p that the caller has checked; raises where p | k,
-    where the count does not give A_p (see `A_p`).
+    for an odd prime p < 2^30 that the caller has checked; raises where p | k,
+    where the count does not give A_p (see `A_p`), and from p = 2^30.
 
     With w(a) = #{x in F_p^* : x + 1/x = a} = 1 + chi(a^2 - 4), the roots
     of x^2 - ax + 1, N_k(p) = sum_{a+b+c=k} w(a) w(b) w(c) = sum_c w(c)
     (w * w)(k - c): one cyclic self-convolution and one dot product, in
-    O(p log p) time and O(p) memory per prime, in pure Python below
-    _NUMPY_FROM and by numpy from there on."""
-    if k % p == 0:
-        raise ValueError(f"p={p} divides k={k}")
-    return (_torus_count_fft if p >= _NUMPY_FROM else _torus_count_small)(k % p, p)
-
-
-def _torus_count_small(k: int, p: int) -> int:
-    """_torus_count in pure Python, for 0 < k < p < 16384.
+    O(p^1.585) time (CPython squares big ints by Karatsuba) and O(p) memory
+    per prime.
 
     w is even, so it is chi + 1 read at the squares a^2, a = 0..m, m =
     (p-1)/2, shifted by 4, then mirrored.  One exact integer (Kronecker)
-    square of w in 16-bit slots, folded mod p in the integer, gives w * w: a
-    folded slot sums p products of at most 2 * 2, and 4p < 2^16, so none
-    carries.  w * w is even like w, so only its slots 0..m are folded, and
+    square of w in b-byte slots, folded mod p in the integer, gives w * w: a
+    folded slot sums p products of at most 2 * 2, so none carries while
+    4p < 2^(8b), which b = 2 meets below 2^14 and b = 4 below 2^30.  w * w is
+    even like w, so only its slots 0..m are folded, and
 
         N = ww(0) w(k) + sum_{j=1..m} ww(j) (w(k + j) + w(k - j)),
 
     half the multiply-adds of the full dot product; the pair sums come from
     one integer addition of two byte strings, each slot at most 4."""
-    if p >= 16384:
-        raise ValueError(f"p={p}: w * w overflows 16-bit slots from p = 16384")
+    if k % p == 0:
+        raise ValueError(f"p={p} divides k={k}")
+    if p >= 1 << 30:
+        raise ValueError(f"p={p}: w * w overflows 32-bit slots from p = 2^30")
+    k %= p
+    b = 2 if p < 1 << 14 else 4
     m = p // 2
-    sq = [t * t % p for t in range(m + 1)]
     chi1 = bytearray(p)             # chi + 1
+    sq = [t * t % p for t in range(m + 1)]
     for s in sq:
         chi1[s] = 2
     chi1[0] = 1
     chi1 = chi1[-4 % p:] + chi1[:-4 % p]    # chi(s - 4) + 1 at s
     w = bytes(itemgetter(*sq)(chi1))
     w += w[:0:-1]
-    slots = bytearray(2 * p)        # little-endian 16-bit slots
-    slots[::2] = w
+    slots = bytearray(b * p)        # little-endian b-byte slots
+    slots[::b] = w
     c = int.from_bytes(slots, "little") ** 2
-    half = (1 << 16 * (m + 1)) - 1
-    ww = array("H", ((c & half) + (c >> 16 * p & half)).to_bytes(2 * m + 2, "little"))
+    half = (1 << 8 * b * (m + 1)) - 1
+    ww = array("H" if b == 2 else "I",
+               ((c & half) + (c >> 8 * b * p & half)).to_bytes(b * (m + 1), "little"))
     if sys.byteorder == "big":
         ww.byteswap()
     # sum_c w(c) ww(k - c) = sum_j w(k + j) ww(j), and ww(j) = ww(p - j):
@@ -125,29 +105,6 @@ def _torus_count_small(k: int, p: int) -> int:
     w = w[k:] + w[:k]
     pair = int.from_bytes(w[:m + 1], "little") + (int.from_bytes(w[:m:-1], "little") << 8)
     return sum(map(mul, pair.to_bytes(m + 1, "little"), ww))
-
-
-def _torus_count_fft(k: int, p: int) -> int:
-    """_torus_count by numpy, for 0 < k < p: w * w from one real FFT of
-    length a power of two >= 2p - 1, folded mod p.
-
-    Since 0 <= w <= 2, the floating-point error of each entry is of order
-    eps * log2(n) * ||w||_2^2 <= eps * log2(n) * 4p, below 1e-8 for
-    p < 10^6; an entry at least 0.1 from an integer raises ArithmeticError
-    instead of being rounded."""
-    import numpy as np
-
-    a = np.arange(p, dtype=np.int64)
-    w = 1 + _legendre_table(p)[(a * a - 4) % p]
-    n = 1 << (2 * p - 2).bit_length()
-    f = np.fft.rfft(w, n)
-    conv = np.fft.irfft(f * f, n)
-    ww = conv[:p]
-    ww[:p - 1] += conv[p:2 * p - 1]
-    rounded = np.rint(ww)
-    if np.max(np.abs(ww - rounded)) >= 0.1:
-        raise ArithmeticError(f"FFT convolution at p={p} is not integral")
-    return int(np.dot(np.roll(w, -k), rounded.astype(np.int64)))
 
 
 # ---------------------------------------------------------------------------

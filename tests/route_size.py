@@ -28,12 +28,12 @@ print(json.dumps({m: sys.modules[m].__file__ for m in sorted(sys.modules)
 # request -> ceiling on the AST nodes of the modules it loads
 REQUESTS = {
     "import": ([], 3300),
-    **{f"ap --k {k} --pmax 1500": (["ap", "--k", k, "--pmax", "1500", "--json"], 4600)
+    **{f"ap --k {k} --pmax 1500": (["ap", "--k", k, "--pmax", "1500", "--json"], 4200)
        for k in ("3", "6", "18")},
     "verify --k 0": (["verify", "--k", "0", "--json"], 8500),
-    "verify --k 3": (["verify", "--k", "3", "--json"], 13500),
-    "verify --k 6": (["verify", "--k", "6", "--json"], 13500),
-    "verify --k 18": (["verify", "--k", "18", "--json"], 21969),
+    "verify --k 3": (["verify", "--k", "3", "--json"], 13000),
+    "verify --k 6": (["verify", "--k", "6", "--json"], 13000),
+    "verify --k 18": (["verify", "--k", "18", "--json"], 20900),
 }
 
 

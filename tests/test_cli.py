@@ -637,11 +637,10 @@ class TestWithoutScipy:
             text = path.read_text()
             assert "import scipy" not in text and "from scipy" not in text, path.name
 
-    def test_only_pointcount_imports_numpy(self):
-        # numpy serves only the FFT kernel of the A_p scan
+    def test_no_module_imports_numpy(self):
         importers = [path.name for path in Path(k3mahler.__file__).parent.glob("*.py")
                      if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)]
-        assert importers == ["pointcount.py"]
+        assert importers == []
 
 
 def fresh_env(**extra) -> dict:
@@ -684,12 +683,6 @@ SECTIONS = ["exactalg", "mwsections"]
 FRACTIONS = ["decimal", "fractions"]
 
 
-# the last prime that `ap` scans in pure Python and the first it scans by numpy
-LAST_PURE_PRIME = pointcount.primes_up_to(pointcount._NUMPY_FROM - 1)[-1]
-FIRST_NUMPY_PRIME = next(p for p in pointcount.primes_up_to(2 * pointcount._NUMPY_FROM)
-                         if p >= pointcount._NUMPY_FROM)
-
-
 class TestWithoutNumpy:
     # one fresh interpreter per request, in which `import scipy` fails,
     # reports which of decimal, fractions, mpmath and numpy the request
@@ -708,14 +701,11 @@ class TestWithoutNumpy:
          sorted(ONE_LAYER + ["bigreal", "eisenstein"])),
         (["lvalue", "--k", "18", "--json"], FRACTIONS, LFUNCTIONS),
         (["coeffs", "--k", "6", "--json"], FRACTIONS, LFUNCTIONS),
-        # every prime below _NUMPY_FROM is scanned in pure Python; the control,
-        # the first prime from there on, is scanned by numpy
-        (["ap", "--k", "3", "--pmax", str(LAST_PURE_PRIME)], [], AP),
-        (["ap", "--k", "3", "--pmax", str(FIRST_NUMPY_PRIME)], ["numpy"], AP),
+        # 3319, the first prime past 3315, from which `ap` once scanned by numpy
+        (["ap", "--k", "3", "--pmax", "3319"], [], AP),
         (["height", "--json"], FRACTIONS, sorted(AP + SECTIONS)),
     ], ids=["import", "ap-k18", "lattice-k18", "verify-k0", "verify-k3", "verify-k6",
             "verify-k18", "mahler-k6", "mahler-bertin-k6", "lvalue-k18", "coeffs-k6",
-            "ap-below-crossover",
             "ap-control", "height"])
     def test_numpy_stays_unloaded(self, argv, loads, ours):
         proc = subprocess.run([sys.executable, "-c", LOADS_PROBE, json.dumps(argv)],
@@ -724,8 +714,7 @@ class TestWithoutNumpy:
         probe = json.loads(proc.stdout)
         assert probe["loaded"] == loads
         assert probe["ours"] == ours
-        if "numpy" not in loads:    # what numpy itself imports is not ours
-            assert probe["startup"] == [], probe["startup"]
+        assert probe["startup"] == [], probe["startup"]
         if argv[:1] == ["verify"]:
             doc = json.loads(probe["stdout"])
             assert abs(doc["lhs"]["value"] - doc["rhs"]["value"]) <= 1e-14

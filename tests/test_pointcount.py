@@ -1,9 +1,10 @@
 """The torus count behind A_p and its closed form, checked against brute
-force, the Weierstrass fiber scan (the test oracle in `weierstrass_fibers`),
-the plane-cubic model of the fibers, the Hasse bound, and the published
-coefficient tables."""
+force, the FFT count (the test oracle in `fft_oracle`), the Weierstrass
+fiber scan (the test oracle in `weierstrass_fibers`), the plane-cubic model
+of the fibers, the Hasse bound, and the published coefficient tables."""
 
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from k3mahler import lfunctions as lf
 from k3mahler import mwsections as mw
 from k3mahler import pointcount as pc
 from k3mahler.surfaces import NEWFORM_AP, SURFACES
+from fft_oracle import legendre_table, torus_count_fft
 import weierstrass_fibers as wf
 
 AP_TABLE_K6 = {5: 2, 7: -10, 11: -10, 13: 0, 17: 0, 19: 0, 23: 0, 29: 50, 31: 38}
@@ -46,7 +48,7 @@ def count_fiber_points(k, s, p, method="legendre"):
     if method != "legendre":
         raise ValueError(f"unknown method {method!r}")
     s2, c = _fiber_params(k, s, p)
-    return _count_one_fiber(s2, c, p, pc._legendre_table(p))
+    return _count_one_fiber(s2, c, p, legendre_table(p))
 
 
 def _count_one_fiber(s2, c, p, chi):
@@ -91,7 +93,7 @@ def cubic_fiber_ap_values(k, p):
     (last entry is s = infinity), all fibers at once."""
     if p in (2, 3) or not pc.is_prime(p):
         raise ValueError("p must be a prime not dividing 6")
-    chi = pc._legendre_table(p)
+    chi = legendre_table(p)
     s = np.arange(p, dtype=np.int64)
     s2 = (s * s) % p
     c = (s2 - k * s + 1) % p
@@ -380,18 +382,22 @@ class TestTorusCount:
                     pc.A_p(k, p)
 
     def test_kernels_agree_across_the_crossover(self):
-        # the pure-Python and the numpy kernel, each forced, below 400 and at
-        # every prime within 64 of the crossover
-        primes = pc.primes_up_to(400)[2:]
-        near = [p for p in pc.primes_up_to(pc._NUMPY_FROM + 64)
-                if p >= pc._NUMPY_FROM - 64]
-        assert min(near) < pc._NUMPY_FROM <= max(near)
-        for p in primes + near:
-            # (p - 1)/2 and (p + 1)/2: where the two rotated halves of the
-            # pure kernel's half-length dot product meet
-            for k in (1, 3, 6 % p, 18 % p, p // 2, p // 2 + 1, p - 1):
-                small, fft = pc._torus_count_small(k, p), pc._torus_count_fft(k, p)
-                assert type(small) is int and type(fft) is int and small == fft, (k, p)
+        # the pure kernel against the FFT oracle at every prime below 400, at
+        # the two primes on each side of 2^14, where the slots widen from 16
+        # to 32 bits, at one k at 19997, and at 32771, the first prime where
+        # ww(0) = sum w^2 = 65538 would carry out of a 16-bit slot
+        below = pc.primes_up_to(2 ** 14)[-2:]
+        above = [p for p in range(2 ** 14, 2 ** 14 + 40) if pc.is_prime(p)][:2]
+        assert below == [16369, 16381] and above == [16411, 16417]
+        # (p - 1)/2 and (p + 1)/2: where the two rotated halves of the
+        # half-length dot product meet
+        cases = [(k, p) for p in pc.primes_up_to(400)[2:]
+                 for k in (1, 3, 6 % p, 18 % p, p // 2, p // 2 + 1, p - 1)]
+        cases += [(k, p) for p in below + above for k in (1, 18 % p, p - 1)]
+        cases += [(6, 19997), (1, 32771)]
+        for k, p in cases:
+            count, fft = pc._torus_count(k, p), torus_count_fft(k, p)
+            assert type(count) is int and count == fft, (k, p)
 
     def test_half_length_dot_against_the_full_one(self):
         # the pure kernel folds w * w to slots 0..(p-1)/2 and pairs w(k + j)
@@ -401,24 +407,31 @@ class TestTorusCount:
             ww = [sum(w[a] * w[(c - a) % p] for a in range(p)) for c in range(p)]
             for k in range(1, p):
                 full = sum(w[c] * ww[(k - c) % p] for c in range(p))
-                assert pc._torus_count_small(k, p) == full, (k, p)
+                assert pc._torus_count(k, p) == full, (k, p)
 
     def test_rounding_guard(self, monkeypatch):
-        # the FFT kernel serves p >= _NUMPY_FROM
-        p = next(q for q in range(pc._NUMPY_FROM, 2 * pc._NUMPY_FROM) if pc.is_prime(q))
+        # the FFT oracle refuses a convolution entry 0.3 from an integer
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(ArithmeticError):
-            pc.A_p(6, p)
+            torus_count_fft(6, 1009)
 
-    def test_slot_bound(self):
-        # a folded 16-bit slot holds at most 4p: the last prime below 2^14 is
-        # counted exactly, the first above it refused
-        last = pc.primes_up_to(2 ** 14)[-1]
-        first = next(q for q in range(2 ** 14, 2 ** 15) if pc.is_prime(q))
-        assert pc._torus_count_small(3, last) == pc._torus_count_fft(3, last)
-        with pytest.raises(ValueError, match="16-bit"):
-            pc._torus_count_small(3, first)
+    def test_slot_bound(self, monkeypatch):
+        # a folded slot holds at most 4p < 2^32 below 2^30; from there on the
+        # count is refused before its first allocation, the p bytes of chi + 1
+        def no_table(n):
+            raise AssertionError(f"allocated {n} bytes")
+
+        monkeypatch.setattr(pc, "bytearray", no_table, raising=False)
+        p = next(q for q in range(2 ** 30, 2 ** 30 + 100) if pc.is_prime(q))
+        with pytest.raises(ValueError, match="32-bit"):
+            pc._torus_count(3, p)
+
+    def test_runs_without_numpy(self, monkeypatch):
+        # a prime past 2^14, in 32-bit slots, with numpy blocked
+        want = torus_count_fft(3, 16411)
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert pc._torus_count(3, 16411) == want
 
 
 class TestAp:
@@ -588,7 +601,7 @@ def _raw_weierstrass_count(coeffs, p):
 def _weierstrass_fiber_ap_values_oracle(k, p):
     """The O(p^2) broadcasting scan: a_p(s) = -sum_x chi(f_s(x)) for the
     completed square f_s of every fiber, then the s = infinity fiber."""
-    chi = pc._legendre_table(p)
+    chi = legendre_table(p)
     s = np.arange(p, dtype=np.int64)
     a1 = (s * s - k * s + 1) % p
     a2 = (s * s - k * s - 1) % p

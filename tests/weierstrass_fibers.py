@@ -18,7 +18,7 @@ from array import array
 from operator import add
 
 from k3mahler.surfaces import SURFACES
-from k3mahler.pointcount import _legendre_table, legendre
+from k3mahler.pointcount import legendre
 
 
 def fiber_A_p(k: int, p: int) -> int:
@@ -138,8 +138,9 @@ def _cubic_character_list(p: int, chi1, sq: list[int]) -> list[int]:
 def _half_table_fft(k: int, p: int):
     """_half_table by numpy, with H from one real FFT."""
     import numpy as np
+    from fft_oracle import legendre_table
 
-    chi = _legendre_table(p)
+    chi = legendre_table(p)
     H = _cubic_character_table(p, chi)
     x = np.arange(p, dtype=np.int64)
     inv4 = pow(4, -1, p)
