@@ -94,3 +94,14 @@ def epstein_combo(prec: int) -> BigReal:
              + v3 * inv_pi * inv_pi * Fraction(3, 5)).round_to(prec)
     value.terms = v2.terms
     return value
+
+
+def subchecks(prec: int, d3_term: BigReal) -> list[dict]:
+    """`verify`'s Epstein stage: the combination at prec bits against `d3_term`."""
+    eps = epstein_combo(prec)
+    return [{"name": "dirichlet-term-epstein", "pass": eps.consistent_with(d3_term),
+             "provenance": "Chowla-Selberg rows of the weight-0 Epstein combination "
+                           "vs (14/5) d3",
+             "value": float(eps.value), "diff": float(eps.abs_diff(d3_term)),
+             "error_bound": float(eps.error_bound + d3_term.error_bound),
+             "prec": eps.prec, "terms": eps.terms}]

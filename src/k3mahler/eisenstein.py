@@ -101,3 +101,13 @@ def bertin_series(tau, prec: int) -> BigReal:
 def bertin_series_for_k(k: int, prec: int) -> BigReal:
     """bertin_series at the tabulated CM point of k."""
     return bertin_series(exact_tau_value(k, prec + 32), prec)
+
+
+def subchecks(k: int, prec: int, exact: BigReal) -> list[dict]:
+    """`verify`'s EK stage: the series of k at prec bits against `exact`."""
+    bs = bertin_series_for_k(k, prec)
+    return [{"name": "eisenstein-kronecker-series", "pass": bs.consistent_with(exact),
+             "provenance": "weighted lattice sums at the CM point",
+             "value": float(bs.value), "diff": float(bs.abs_diff(exact)),
+             "error_bound": float(bs.error_bound + exact.error_bound),
+             "prec": bs.prec, "terms": bs.terms}]

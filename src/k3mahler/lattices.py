@@ -25,14 +25,10 @@ class GramLattice(namedtuple("GramLattice", "gram labels")):
     __slots__ = ()
 
     def __new__(cls, gram, labels):
-        n = len(gram)
-        for row in gram:
-            if len(row) != n:
-                raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if any(len(row) != len(gram) for row in gram):
+            raise ValueError("Gram matrix must be square")
+        if any(gram[i][j] != gram[j][i] for i in range(len(gram)) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
         return super().__new__(cls, gram, labels)
 
     @property
@@ -201,12 +197,36 @@ def transcendental_summary(surf) -> dict:
     rec = tau_table(surf.k)
     if surf.fibers is None:
         raise ValueError(f"no fiber table for k={surf.k}")
-    comp = orthocomplement(ambient_lattice(), rec.period_relation_vector())
+    comp = orthocomplement(ambient_lattice(), (rec.p, rec.q, rec.r))
     ms = [f.m for f in surf.fibers]
     return {
-        "k": surf.k,
         "tau": rec,
         "orthocomplement": comp,
         "rank": shioda_rank(20, ms),
         "trivial_det": trivial_lattice_det(ms),
     }
+
+
+def subchecks(surf) -> list[dict]:
+    """`verify`'s lattice stage of a `Surface` record: its CM point, |det T|,
+    Shioda rank and, where det(MWL) is known, the Neron-Severi chain."""
+    summary = transcendental_summary(surf)
+    rec, det, rank = summary["tau"], summary["orthocomplement"].det, summary["rank"]
+    checks = [
+        {"name": "tau-quadratic-relation", "pass": rec.residual() == (0, 0),
+         "provenance": "exact quadratic-irrational arithmetic",
+         "relation": f"-6*{rec.p}*tau^2+12*{rec.q}*tau+{rec.r}=0"},
+        {"name": "orthocomplement-determinant", "pass": det == surf.level,
+         "provenance": "integer kernel + restricted Gram form", "det": det},
+        {"name": "shioda-rank", "pass": rank == surf.rank,
+         "provenance": "rank from Picard number 20 and fiber components", "rank": rank},
+    ]
+    trivial, height = summary["trivial_det"], surf.height and Fraction(*surf.height)
+    if surf.rank == 0 or height is not None:
+        h = height or 1  # the Mordell-Weil lattice of rank 0 has det 1
+        ns = ns_determinant(surf.rank, trivial, h, surf.torsion)
+        checks.append({"name": "ns-determinant-chain", "pass": abs(ns) == surf.level,
+                       "provenance": f"|det NS| = {trivial} * det(MWL) / {surf.torsion}^2, "
+                                     f"det(MWL) = {h}",
+                       "value": str(ns)})
+    return checks

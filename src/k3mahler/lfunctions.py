@@ -9,7 +9,7 @@ functional equation (``smoothed_lvalue``): 64-182 coefficients give it to
 2^-128 with a rigorous bound, after a check that the functional equation
 holds: about 1 ms (3-6 ms at 400 bits), every E1(nu) from one downward
 recurrence (``e1_values``).  `verify.identity_rhs` sums a `Surface` record's
-right-hand side from it; the d3 term and its Epstein check are `dirichlet`.
+right-hand side from it, and ``ap_subchecks`` checks the record's A_p.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bigreal import BigReal, arctan_inv, bound_units, exp_neg, n2_tail_log2, pi_reals
+from .surfaces import NEWFORM_AP
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +272,26 @@ def twist_coeff(a_p: int, d: int, p: int) -> int:
         raise ValueError(f"p={p} divides the twisting discriminant {d}; "
                          "the twisted coefficient is not (d/p) a_p there")
     return legendre(d, p) * a_p
+
+
+def ap_subchecks(surf, pmax: int) -> list[dict]:
+    """`verify`'s A_p stage of a `Surface` record: the torus counts to pmax
+    against the form series and, where it has p, the twisted newform table."""
+    from . import pointcount
+    table = NEWFORM_AP[surf.level]
+    co = form_coefficients(FORM_SERIES[surf.disc], max(pmax, 2))
+    aps = pointcount.ap_scan(surf.k, pmax)
+    mism = {}
+    for p, ap in aps.items():
+        refs = [co[p]]
+        if p in table:  # the embedded table is a second reference where it has p
+            refs.append(table[p] if surf.ap_twist is None
+                        else twist_coeff(table[p], surf.ap_twist, p))
+        if any(r != ap for r in refs):
+            mism[p] = (ap, *refs)
+    # a scan that reached no prime has checked nothing
+    return [{"name": f"A_p-vs-newform-level-{surf.level}", "pass": bool(aps) and not mism,
+             "provenance": "torus point counts of the surface vs form-series "
+                           "coefficients and the embedded twisted table",
+             "primes": sorted(aps), "mismatches": mism,
+             "values": {str(p): aps[p] for p in sorted(aps)}}]

@@ -238,7 +238,7 @@ def verify_nontorsion(P: SectionPoint, E: FunctionFieldCurve,
                       torsion: int) -> NontorsionWitness | None:
     """A witness that [n]P != O for every n = 1..torsion, or None when the
     search certifies nothing; `torsion` bounds the order of every torsion
-    section of E (`verify` passes the record's Mordell-Weil torsion order).
+    section of E (`subchecks` passes the record's Mordell-Weil torsion order).
 
     Specializing at a smooth fiber sigma = t and reducing modulo a prime p of
     good reduction at which P_t is integral are group homomorphisms, so an
@@ -454,3 +454,54 @@ def section_height(surf, P: SectionPoint,
             None if v == math.inf else v for v in (v_psi2, v_dfdx)), M))
     return 2 * K3_CHI + 2 * po - sum(
         contribution(r.m, r.component) for r in readings), readings
+
+
+def subchecks(surf):
+    """Yield `verify`'s section stages of a `Surface` record, as (stage, its subchecks)."""
+    E = family_curve(surf.k)
+    ps, places, r = record_section(surf)
+    on_curve = verify_on_curve(ps, E)
+    yield "on_curve", [{"name": "infinite-section-on-curve", "pass": on_curve,
+                        "provenance": "exact Weierstrass identity"}]
+    if not on_curve:  # every later stage reads the section as a point of E
+        return
+
+    wit = verify_nontorsion(ps, E, surf.torsion)
+    yield "nontorsion", [{"name": "section-nontorsion", "pass": wit is not None,
+                          "provenance": "specialization at sigma=t, reduction mod p",
+                          "witness": wit and wit._asdict()}]
+
+    if r is not None:
+        square, wits = halving_witnesses(ps, r, E)
+        yield "halving", [{
+            "name": "halving-obstruction", "pass": square and None not in wits.values(),
+            "provenance": "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
+                          "non-residues at sigma=t mod p, p = 1 mod 3",
+            "witness": {name: w and w._asdict() for name, w in wits.items()}}]
+
+    po = zero_intersection(ps, places)
+    height = Fraction(*surf.height)
+    # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)
+    local = sum(contribution(f.m, f.j) for f in surf.fibers)
+    yield "zero_intersection", [{
+        "name": "zero-section-intersection", "pass": po == (height - 2 * K3_CHI + local) / 2,
+        "provenance": "pole-degree count", "value": po}]
+
+    try:
+        h, readings, error = *section_height(surf, ps, po), {}
+    except VerificationError as exc:   # the record contradicts the curve
+        h, readings, error = None, [], {"error": str(exc)}
+    comps = {r.place: r.component for r in readings}
+    terms = [f"{r.component * (r.m - r.component)}/{r.m}" for r in readings if r.component]
+    yield "height", [
+        {"name": "neron-components", "pass": comps == {f.place: f.j for f in surf.fibers},
+         "provenance": "Silverman's multiplicative rule at the record's fibers, "
+                       "v(c4) = 0 and v(disc) = m checked",
+         "components": comps, **error,
+         "witness": {r.place: dict(zip(("m", "v_psi2", "v_dfdx", "M"), r[1:]))
+                     for r in readings}},
+        {"name": "height", "pass": h == height,
+         "provenance": " - ".join([f"2*{K3_CHI} + 2*{po}", *terms]), "value": str(h)},
+        {"name": "height-vs-lattice-det", "pass": h is not None and 12 * h == surf.level,
+         "provenance": "12 * h(P) = |det T|", "value": str(h and 12 * h)},
+    ]

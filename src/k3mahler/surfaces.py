@@ -25,10 +25,6 @@ class TauRecord(namedtuple("TauRecord", "k A B C p q r")):
         rat = -6 * self.p * (A * A + B) + 12 * self.q * A * C + self.r * C * C
         return rat, 12 * (self.q * C - self.p * A)
 
-    def period_relation_vector(self) -> tuple[int, int, int]:
-        """The class p*g1 + q*g2 + r*g3 that becomes algebraic."""
-        return (self.p, self.q, self.r)
-
 
 _TAU_TABLE = {
     0: TauRecord(0, -3, -3, 6, 2, -1, -4),

@@ -1,11 +1,7 @@
-"""`verify`: both sides of one identity and every sub-check behind it, in one
-timed pass over the stages the `Surface` record selects.
-
-The left-hand side is the quadrature of `mahler`; the right-hand side is
-summed here (``identity_rhs``) from the L-value of `lfunctions` and the d3
-term of `dirichlet`, each imported only by the identities that have it, as
-are the lattice sums of `eisenstein` and the layers of the sub-checks.
-"""
+"""`verify`: both sides of one identity and the subchecks behind it.  The
+left-hand side is the quadrature of `mahler`, the right-hand side is summed
+here (``identity_rhs``), and each layer makes its own stage of subchecks:
+`verify` selects and orders the stages, times them and writes the report."""
 
 from __future__ import annotations
 
@@ -16,134 +12,26 @@ from fractions import Fraction
 from . import mahler
 from .bigreal import BigReal, pi_reals
 from .cli import _emit
-from .surfaces import NEWFORM_AP, SURFACES
-
-
-def _subcheck(name: str, ok: bool, provenance: str, **extra) -> dict:
-    return {"name": name, "pass": bool(ok), "provenance": provenance, **extra}
+from .surfaces import SURFACES
 
 
 def _subchecks(surf, prec: int, pmax: int, exact, d3_term):
-    """Yield (stage, its subchecks) in report order, for the stages the record
-    selects: none without an L-value (no disc); lattice, ek and ap with one;
-    epstein where the right-hand side has a d3 term beside it; and the
-    section stages where the record has its infinite section, halving only
-    where it has a halving root.  The EK and Epstein checks run at prec and
-    face the right-hand side `exact` and its d3 term."""
+    """Yield (stage, its subchecks from its layer) in report order; EK and
+    Epstein run at prec against the right-hand side `exact` and its d3 term."""
     if surf.disc is None:
         return
     from . import eisenstein, lattices, lfunctions
-    summary = lattices.transcendental_summary(surf)
-    rec = summary["tau"]
-    checks = [
-        _subcheck("tau-quadratic-relation", rec.residual() == (0, 0),
-                  "exact quadratic-irrational arithmetic",
-                  relation=f"-6*{rec.p}*tau^2+12*{rec.q}*tau+{rec.r}=0"),
-        _subcheck("orthocomplement-determinant",
-                  summary["orthocomplement"].det == surf.level,
-                  "integer kernel + restricted Gram form",
-                  det=summary["orthocomplement"].det),
-        _subcheck("shioda-rank", summary["rank"] == surf.rank,
-                  "rank from Picard number 20 and fiber components",
-                  rank=summary["rank"]),
-    ]
-    trivial, height = summary["trivial_det"], surf.height and Fraction(*surf.height)
-    if surf.rank == 0 or height is not None:
-        h = height or 1  # the Mordell-Weil lattice of rank 0 has det 1
-        ns = lattices.ns_determinant(surf.rank, trivial, h, surf.torsion)
-        checks.append(_subcheck("ns-determinant-chain", abs(ns) == surf.level,
-                                f"|det NS| = {trivial} * det(MWL) / {surf.torsion}^2, "
-                                f"det(MWL) = {h}",
-                                value=str(ns)))
-    yield "lattice", checks
-
-    bs = eisenstein.bertin_series_for_k(surf.k, prec)
-    yield "ek", [_subcheck(
-        "eisenstein-kronecker-series", bs.consistent_with(exact),
-        "weighted lattice sums at the CM point",
-        value=float(bs.value), diff=float(bs.abs_diff(exact)),
-        error_bound=float(bs.error_bound + exact.error_bound), prec=bs.prec, terms=bs.terms)]
-
-    from . import pointcount
-    table = NEWFORM_AP[surf.level]
-    co = lfunctions.form_coefficients(lfunctions.FORM_SERIES[surf.disc], max(pmax, 2))
-    aps = pointcount.ap_scan(surf.k, pmax)
-    mism = {}
-    for p, ap in aps.items():
-        refs = [co[p]]
-        if p in table:  # the embedded table is a second reference where it has p
-            refs.append(table[p] if surf.ap_twist is None
-                        else lfunctions.twist_coeff(table[p], surf.ap_twist, p))
-        if any(r != ap for r in refs):
-            mism[p] = (ap, *refs)
-    # a scan that reached no prime has checked nothing
-    yield "ap", [_subcheck(f"A_p-vs-newform-level-{surf.level}", bool(aps) and not mism,
-                           "torus point counts of the surface vs form-series "
-                           "coefficients and the embedded twisted table",
-                           primes=sorted(aps), mismatches=mism,
-                           values={str(p): aps[p] for p in sorted(aps)})]
-
+    yield "lattice", lattices.subchecks(surf)
+    yield "ek", eisenstein.subchecks(surf.k, prec, exact)
+    yield "ap", lfunctions.ap_subchecks(surf, pmax)
     if d3_term is not None:
         from . import dirichlet
-        eps = dirichlet.epstein_combo(prec)
-        yield "epstein", [_subcheck(
-            "dirichlet-term-epstein", eps.consistent_with(d3_term),
-            "Chowla-Selberg rows of the weight-0 Epstein combination vs (14/5) d3",
-            value=float(eps.value), diff=float(eps.abs_diff(d3_term)),
-            error_bound=float(eps.error_bound + d3_term.error_bound),
-            prec=eps.prec, terms=eps.terms)]
+        yield "epstein", dirichlet.subchecks(prec, d3_term)
     if surf.section is None:
         return
-
-    from . import mwsections as mw
+    from . import mwsections
     yield "section_import", []
-    E = mw.family_curve(surf.k)
-    ps, places, r = mw.record_section(surf)
-    on_curve = mw.verify_on_curve(ps, E)
-    yield "on_curve", [_subcheck("infinite-section-on-curve", on_curve,
-                                 "exact Weierstrass identity")]
-    if not on_curve:  # every later stage reads the section as a point of E
-        return
-
-    wit = mw.verify_nontorsion(ps, E, surf.torsion)
-    yield "nontorsion", [_subcheck(
-        "section-nontorsion", wit is not None,
-        "specialization at sigma=t, reduction mod p",
-        witness=wit and wit._asdict())]
-
-    if r is not None:
-        square, wits = mw.halving_witnesses(ps, r, E)
-        yield "halving", [_subcheck(
-            "halving-obstruction", square and None not in wits.values(),
-            "x(Q) = r^2 exactly; a^2 - 4b, x(Pb), q+ and q- are "
-            "non-residues at sigma=t mod p, p = 1 mod 3",
-            witness={name: w and w._asdict() for name, w in wits.items()})]
-
-    po = mw.zero_intersection(ps, places)
-    # Shioda's h = 2 chi + 2 (P.O) - sum j(m - j)/m, solved for (P.O)
-    local = sum(mw.contribution(f.m, f.j) for f in surf.fibers)
-    yield "zero_intersection", [_subcheck(
-        "zero-section-intersection", po == (height - 2 * mw.K3_CHI + local) / 2,
-        "pole-degree count", value=po)]
-
-    try:
-        h, readings, error = *mw.section_height(surf, ps, po), {}
-    except mw.VerificationError as exc:   # the record contradicts the curve
-        h, readings, error = None, [], {"error": str(exc)}
-    comps = {r.place: r.component for r in readings}
-    terms = [f"{r.component * (r.m - r.component)}/{r.m}" for r in readings if r.component]
-    yield "height", [
-        _subcheck("neron-components", comps == {f.place: f.j for f in surf.fibers},
-                  "Silverman's multiplicative rule at the record's fibers, "
-                  "v(c4) = 0 and v(disc) = m checked",
-                  components=comps, **error,
-                  witness={r.place: dict(zip(("m", "v_psi2", "v_dfdx", "M"), r[1:]))
-                           for r in readings}),
-        _subcheck("height", h == height,
-                  " - ".join([f"2*{mw.K3_CHI} + 2*{po}", *terms]), value=str(h)),
-        _subcheck("height-vs-lattice-det", h is not None and 12 * h == surf.level,
-                  "12 * h(P) = |det T|", value=str(h and 12 * h)),
-    ]
+    yield from mwsections.subchecks(surf)
 
 
 def identity_rhs(surf, prec: int) -> tuple[BigReal, str, BigReal | None]:
