@@ -1,10 +1,11 @@
-"""Rewrite the golden `verify` reports in this directory.
+"""Rewrite the golden reports in this directory.
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Each request in REQUESTS runs in-process through `cli.main`, and its
-`--json` report goes to <name>.json with `timings`, the one field that varies
-between runs of the same request, cut down to its list of keys.
+Each request in REQUESTS (`verify`) and EXAMPLES (the README's examples)
+runs in-process through `cli.main`.  A `--json` report goes to <name>.json,
+with `timings`, the one field that varies between runs of the same request,
+cut down to its list of keys; a text line goes to <name>.txt as printed.
 `tests/test_golden.py` reruns the requests against these files; a change that
 alters a report regenerates them and names the changed fields.
 """
@@ -21,26 +22,49 @@ HERE = Path(__file__).resolve().parent
 REQUESTS = {f"verify-k{k}{suffix}": ["verify", "--k", k, *extra, "--json"]
             for k in ("0", "3", "6", "18")
             for suffix, extra in (("", []), ("-prec200", ["--prec", "200"]))}
+# file name -> argv: the README's examples; the lattice text lines carry the
+# basis labels, which the JSON does not
+EXAMPLES = {
+    **{f"lattice-k{k}{suffix}": ["lattice", "--k", k, *extra]
+       for k in ("3", "6", "18") for suffix, extra in (("", ["--json"]), ("-text", []))},
+    "ap-k6-pmax31": ["ap", "--k", "6", "--pmax", "31", "--json"],
+    "height": ["height", "--json"],
+    "coeffs-k6-nmax40": ["coeffs", "--k", "6", "--nmax", "40", "--json"],
+    "lvalue-k3": ["lvalue", "--k", "3", "--json"],
+    "mahler-k18-bertin": ["mahler", "--k", "18", "--method", "bertin", "--json"],
+    "mahler-k6": ["mahler", "--k", "6", "--json"],
+}
 
 
-def report(argv: list) -> dict:
-    """The --json report of argv, run in-process, with timings as its keys."""
+def path(name: str, argv: list) -> Path:
+    """The golden file of a request: <name>.json under --json, else <name>.txt."""
+    return HERE / f"{name}.{'json' if '--json' in argv else 'txt'}"
+
+
+def report(argv: list) -> tuple:
+    """(exit code, output) of argv, run in-process: under --json the report
+    with timings as its keys, else the printed text."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(argv)
+        code = main(argv)
+    if "--json" not in argv:
+        return code, out.getvalue()
     doc = json.loads(out.getvalue())
-    doc["timings"] = list(doc["timings"])
-    return doc
+    if "timings" in doc:
+        doc["timings"] = list(doc["timings"])
+    return code, doc
 
 
 def regen() -> None:
-    """Write every golden report; a request that does not pass writes none."""
-    docs = {name: report(argv) for name, argv in REQUESTS.items()}
-    if failed := [name for name, doc in docs.items() if not doc["pass"]]:
+    """Write every golden report; a request that does not exit 0 writes none."""
+    argvs = {**REQUESTS, **EXAMPLES}
+    outs = {name: report(argv) for name, argv in argvs.items()}
+    if failed := [name for name, (code, _) in outs.items() if code]:
         raise SystemExit(f"not passing, nothing written: {', '.join(failed)}")
-    for name, doc in docs.items():
-        (HERE / f"{name}.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        print(f"wrote {name}.json")
+    for name, (_, doc) in outs.items():
+        text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        path(name, argvs[name]).write_text(text)
+        print(f"wrote {path(name, argvs[name]).name}")
 
 
 if __name__ == "__main__":

@@ -1,24 +1,27 @@
-"""`verify` reports against the golden files in tests/golden/: each request
-reruns in-process, and a difference names the JSON path of its first field.
+"""`verify` reports and the README's examples against the golden files in
+tests/golden/: each request reruns in-process, and a difference names the
+JSON path of its first field.
 
-The left-hand side's value and bound, and the gap `abs_diff`, come from the
-float64 quadrature, so they depend on libm and are compared within the
-golden `lhs.error_bound`; every other field, and the key list that stands in
-for `timings`, is compared exactly."""
+The float64 quadrature's fields come from libm: `verify`'s left-hand side
+(value and bound) and the gap `abs_diff` are compared within the golden
+`lhs.error_bound`, and `mahler`'s quadrature value and bound within the
+golden `error_bound`.  Every other field, the key list that stands in for
+`timings`, and the text lines are compared exactly."""
 
 import json
 
 import pytest
 
-from golden.regen import HERE, REQUESTS, report
+from golden.regen import EXAMPLES, REQUESTS, path, report
 
 FLOAT64_FIELDS = {"$.lhs.value", "$.lhs.error_bound", "$.abs_diff"}
+QUADRATURE_FIELDS = {"$.value", "$.error_bound"}
 
 
-def first_difference(got, want, tol: float, path: str = "$"):
+def first_difference(got, want, tol: float, path: str = "$", fields=FLOAT64_FIELDS):
     """The JSON path of the first field where got differs from want, or None;
-    the paths in FLOAT64_FIELDS may differ by up to tol."""
-    if path in FLOAT64_FIELDS:
+    the paths in fields may differ by up to tol."""
+    if path in fields:
         return None if abs(got - want) <= tol else path
     if isinstance(want, dict) and isinstance(got, dict):
         if list(got) != list(want):
@@ -30,14 +33,30 @@ def first_difference(got, want, tol: float, path: str = "$"):
         pairs = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
     else:
         return None if type(got) is type(want) and got == want else path
-    return next((d for p, g, w in pairs if (d := first_difference(g, w, tol, p))), None)
+    return next((d for p, g, w in pairs
+                 if (d := first_difference(g, w, tol, p, fields))), None)
 
 
 @pytest.mark.parametrize("name", REQUESTS)
 def test_verify_report_matches_golden(name):
-    want = json.loads((HERE / f"{name}.json").read_text())
-    got = report(REQUESTS[name])
+    want = json.loads(path(name, REQUESTS[name]).read_text())
+    _, got = report(REQUESTS[name])
     diff = first_difference(got, want, want["lhs"]["error_bound"])
+    assert diff is None, f"{name}: first difference at {diff}"
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_matches_golden(name):
+    argv = EXAMPLES[name]
+    code, got = report(argv)
+    assert code == 0
+    if "--json" not in argv:
+        assert got == path(name, argv).read_text()
+        return
+    want = json.loads(path(name, argv).read_text())
+    quadrature = want["input"].get("method") == "quadrature"
+    diff = first_difference(got, want, want["error_bound"] if quadrature else 0,
+                            fields=QUADRATURE_FIELDS if quadrature else ())
     assert diff is None, f"{name}: first difference at {diff}"
 
 
@@ -50,3 +69,6 @@ def test_first_difference_names_the_path():
     assert first_difference({"lhs": {"value": 1.0}, "a": [1, {"b": "x"}]}, want, 0.0) == "$ keys"
     assert first_difference({"a": [1, {"b": "x"}], "lhs": {"value": 1.5}}, want, 0.5) is None
     assert first_difference({"a": [1, {"b": "x"}], "lhs": {"value": 1.5}}, want, 0.4) == "$.lhs.value"
+    # outside its fields a float is compared exactly
+    assert first_difference({"value": 1.5}, {"value": 1.0}, 0.5) == "$.value"
+    assert first_difference({"value": 1.5}, {"value": 1.0}, 0.5, fields=QUADRATURE_FIELDS) is None
