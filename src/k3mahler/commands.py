@@ -67,10 +67,10 @@ def cmd_lattice(args) -> int:
                "value": {"det": comp.det, "rank": summary["rank"],
                          "trivial_det": summary["trivial_det"],
                          "basis": [list(b) for b in comp.basis],
-                         "gram": [list(r) for r in comp.sublattice.gram]},
+                         "gram": [list(r) for r in comp.gram]},
                "error_bound": 0, "provenance": "exact integer lattice arithmetic"}
     return _emit(args, payload, f"k={args.k}: |det T| = {comp.det}, rank = {summary['rank']}, "
-                                f"basis = {comp.sublattice.labels}")
+                                f"basis = {comp.labels}")
 
 
 def cmd_height(args) -> int:

@@ -1,26 +1,19 @@
 """Transcendental-lattice bookkeeping: CM point table, orthogonal complements,
 Shioda rank and the Neron-Severi determinant chain."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from k3mahler.lattices import (GramLattice, ambient_lattice, ns_determinant,
-                               orthocomplement, shioda_rank, transcendental_summary,
-                               trivial_lattice_det)
+from k3mahler.lattices import (_complement_hnf, ns_determinant, orthocomplement, pairing,
+                               shioda_rank, transcendental_summary, trivial_lattice_det)
 from k3mahler.surfaces import SURFACES, FiberEntry, tau_table
 
 
 class TestRecordValidation:
-    def test_gram_must_be_square(self):
-        with pytest.raises(ValueError, match="square"):
-            GramLattice(((1, 0), (0, 1, 0)), ("a", "b"))
-
-    def test_gram_must_be_symmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            GramLattice(((1, 2), (0, 1)), ("a", "b"))
-
     def test_fiber_needs_a_component(self):
         with pytest.raises(ValueError, match="m >= 1"):
             FiberEntry("s=0", 0)
@@ -59,30 +52,29 @@ class TestTauTable:
 
 class TestOrthocomplement:
     def test_k6(self):
-        out = orthocomplement(ambient_lattice(), (1, 0, -1))
+        out = orthocomplement((1, 0, -1))
         assert out.det == 24
         assert set(out.basis) == {(0, 1, 0), (1, 0, 1)}
 
     def test_k3(self):
-        out = orthocomplement(ambient_lattice(), (4, -1, -4))
+        out = orthocomplement((4, -1, -4))
         assert out.det == 15
         assert set(out.basis) == {(1, 0, 1), (0, 1, 3)}
-        assert out.sublattice.gram in (((2, 3), (3, 12)), ((12, 3), (3, 2)))
+        assert out.gram in (((2, 3), (3, 12)), ((12, 3), (3, 2)))
 
     def test_k18(self):
-        out = orthocomplement(ambient_lattice(), (1, 0, -5))
+        out = orthocomplement((1, 0, -5))
         assert out.det == 120
         assert set(out.basis) == {(0, 1, 0), (1, 0, 5)}
-        assert sorted(out.sublattice.gram[i][i] for i in range(2)) == [10, 12]
+        assert sorted(out.gram[i][i] for i in range(2)) == [10, 12]
 
     def test_orthogonality_and_saturation(self):
-        amb = ambient_lattice()
-        # the last two need a*u1 + b*u2 = gcd(u1, u2) with a no inverse of
-        # itself modulo u2 / gcd, for u = Gram v
+        # the three surfaces' relations, and three v with no zero entry in
+        # u = Gram v
         for v in ((1, 0, -1), (4, -1, -4), (1, 0, -5), (2, 1, -3), (1, 5, 7), (2, 7, -9)):
-            out = orthocomplement(amb, v)
+            out = orthocomplement(v)
             for b in out.basis:
-                assert amb.pairing(b, v) == 0
+                assert pairing(b, v) == 0
             # saturation: every small integer vector orthogonal to v lies in
             # the Z-span of the basis (solve the 2x3 system by brute force)
             b1, b2 = out.basis
@@ -92,14 +84,14 @@ class TestOrthocomplement:
                 for w2 in range(-3, 4):
                     for w3 in range(-3, 4):
                         w = (w1, w2, w3)
-                        if amb.pairing(w, v) == 0:
+                        if pairing(w, v) == 0:
                             assert w in span
 
     def test_determinant_class(self):
         # square-free or 4 * square-free, consistent with the up-to-a-square
         # classification of the discriminant
         for v, det in (((1, 0, -1), 24), ((4, -1, -4), 15), ((1, 0, -5), 120)):
-            out = orthocomplement(ambient_lattice(), v)
+            out = orthocomplement(v)
             assert out.det == det
             reduced = det
             while reduced % 4 == 0:
@@ -107,9 +99,28 @@ class TestOrthocomplement:
             for q in range(2, 12):
                 assert reduced % (q * q) != 0
 
+    def test_complement_hnf_properties(self):
+        # 10^5 seeded u in [-60, 60]^3 and every pattern of zeros: orthogonal
+        # rows whose cross product is +-u/gcd(u) (index 1, so saturated), in
+        # row Hermite normal form
+        rng = random.Random(38)
+        us = [tuple(rng.randint(-60, 60) for _ in range(3)) for _ in range(10 ** 5)]
+        us += list(itertools.product((-6, -1, 0, 1, 4), repeat=3))
+        for u in filter(any, us):
+            r1, r2 = _complement_hnf(u)
+            assert all(sum(x * y for x, y in zip(row, u)) == 0 for row in (r1, r2)), u
+            cross = (r1[1] * r2[2] - r1[2] * r2[1], r1[2] * r2[0] - r1[0] * r2[2],
+                     r1[0] * r2[1] - r1[1] * r2[0])
+            g = math.gcd(*u)
+            assert cross in (tuple(x // g for x in u), tuple(-x // g for x in u)), u
+            p1 = next(i for i, x in enumerate(r1) if x)
+            p2 = next(i for i, x in enumerate(r2) if x)
+            assert p1 < p2 and r1[p1] > 0 and r2[p2] > 0, u
+            assert 0 <= r1[p2] < r2[p2], u
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            orthocomplement(ambient_lattice(), (0, 0, 0))
+            orthocomplement((0, 0, 0))
 
 
 class TestShioda:

@@ -165,6 +165,23 @@ class TestSmoothedLValue:
             co = lf.form_coefficients(series, 10 ** 4)
             assert np.all(np.abs(co[1:]) <= series.coeff_bound() * n * n)
 
+    def test_numerator_bounds_exact(self):
+        # |N| <= L Q on the real plane iff L Q2 + N2 and L Q2 - N2 are positive
+        # semidefinite, for the doubled Gram matrices Q2 and N2 of the forms
+        def dominates(term, bound):
+            (a, b, c), (p, q, r) = term.form, term.numerator
+            for s in (1, -1):
+                m11, m12, m22 = bound * 2 * a + s * 2 * p, bound * b + s * q, bound * 2 * c + s * 2 * r
+                if m11 < 0 or m22 < 0 or m11 * m22 < m12 * m12:
+                    return False
+            return True
+
+        terms = [t for series in lf.FORM_SERIES.values() for t in series.terms]
+        assert len(terms) == 8
+        for t in terms:
+            assert dominates(t, t.numerator_bound), t
+            assert not dominates(t, t.numerator_bound - 1), t  # and the bound is tight
+
 
 class TestEpstein:
     def test_matches_d3_combination(self, d3_value):
