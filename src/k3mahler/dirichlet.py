@@ -1,10 +1,10 @@
 """The Dirichlet term d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1), and
 the Epstein combination that checks it.
 
-``d3`` is the whole right-hand side of m(P_0) and the second term of
-m(P_18); ``dirichlet_lvalue`` sums L(chi_-3, 2) with an Euler-Maclaurin tail
-on exact Bernoulli numbers (``bernoulli_even``), and ``epstein_combo``
-reaches (14/5) d3 another way, by the lattice sums of `eisenstein`.
+``d3``, the whole right-hand side of m(P_0) and the second term of m(P_18),
+and the zeta(3) of ``epstein_combo`` come from one central-binomial sum,
+``_binomial_sums``; ``epstein_combo`` reaches (14/5) d3 another way, by the
+lattice sums of `eisenstein`.
 """
 
 from __future__ import annotations
@@ -15,61 +15,44 @@ from fractions import Fraction
 from .bigreal import BigReal, pi_reals
 
 
-def bernoulli_even(K: int) -> list[Fraction]:
-    """[B_2, B_4, ..., B_2K] exactly, from the tangent numbers T_k (Knuth and
-    Buckholtz, Math. Comp. 21 (1967)): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
-    T = [0, 1] + [0] * (K - 1)
-    for k in range(2, K + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, K + 1):
-        for j in range(k, K + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    return [Fraction((-1) ** (k - 1) * 2 * k * T[k], 4 ** k * (4 ** k - 1))
-            for k in range(1, K + 1)]
-
-
-def dirichlet_lvalue(prec: int) -> BigReal:
-    """L(chi_-3, 2) = sum chi(n)/n^2 by paired summation with an
-    Euler-Maclaurin tail on f(j) = (3j+1)^-2 - (3j+2)^-2, each of the J head
-    blocks and tail terms floored once at prec + 24 bits.  The k-th tail term
-    is 3^(2k-1) B_2k (x1^-(2k+1) - x2^-(2k+1)), x1 = 3J + 1, x2 = 3J + 2; as
-    (-1)^n f^(n) > 0 falls (f is g(x) - g(x + 1/3), g completely monotone),
-    the remainder is below the last term, counted twice."""
-    wp = prec + 24
-    J = max(64, prec // 2)
-    head = sum(((6 * j + 3) << wp) // ((3 * j + 1) * (3 * j + 2)) ** 2 for j in range(J))
-    x1, x2 = 3 * J + 1, 3 * J + 2
-    # int_J^inf f + f(J)/2
-    tail = (1 << wp) // (3 * x1 * x2) + ((x1 + x2) << wp) // (2 * (x1 * x2) ** 2)
-    for k, b in enumerate(bernoulli_even(prec // 8 + 16), 1):
-        e = 2 * k + 1
-        t = ((3 ** (2 * k - 1) * b.numerator * (x2 ** e - x1 ** e)) << wp) \
-            // (b.denominator * (x1 * x2) ** e)
-        tail += t
-        if abs(t) << prec + 16 < 1 << wp:
-            break
-    return BigReal.fixed(head + tail, wp, J + k + 2 + 2 * abs(t)).round_to(prec)
+def _binomial_sums(wp: int) -> tuple[int, int, int]:
+    """(S+, S-, K): S+- = sum_{n<K} (+-1)^(n+1) floor(x_n), x_n = 2^wp /
+    (n^3 C(2n, n)), K the first n with floor(x_n) = 0.  As x_(n+1)/x_n =
+    n^3 / (2 (n+1)^2 (2n+1)) < 1/4, the tail sum_{n>=K} x_n is below 4/3 unit
+    (the alternating one below x_K < 1)."""
+    splus, sminus, c, n = 0, 0, 1, 0
+    while True:
+        n += 1
+        c = c * 2 * (2 * n - 1) // n
+        t = (1 << wp) // (n ** 3 * c)
+        if not t:
+            return splus, sminus, n
+        splus += t
+        sminus += t if n % 2 else -t
 
 
 def d3(prec: int) -> BigReal:
-    """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1)."""
-    wp = prec + 8
-    c = BigReal.fixed(math.isqrt(3 << 2 * wp), wp, 1) * pi_reals(wp)[1] * Fraction(3, 4)
-    return (c * dirichlet_lvalue(wp)).round_to(prec)
+    """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) = m(x + y + 1) = (3 S+ + 10 S-) / (2 pi^2),
+    by Zucker's S+ = (pi sqrt(3)/2) L(chi_-3, 2) - (4/3) zeta(3) (J. Number
+    Theory 20 (1985)) and zeta(3) = (5/2) S-.  3 S+ + 10 S- weighs odd n by 13
+    and even n by -7, so its K - 1 floors and its tail leave it within
+    13 (K - 1) + 13 (4/3) < 13 K + 18 units of `_binomial_sums`.  The products
+    by 1/pi (within 2 units) and 1/2 take that below 2K/3 + 6 units, K < wp/2,
+    which the prec.bit_length() + 8 guard bits put under 2^-(prec+1): with the
+    final rounding, d3 is within 2^-prec."""
+    wp = prec + prec.bit_length() + 8
+    splus, sminus, K = _binomial_sums(wp)
+    inv_pi = pi_reals(wp)[1]
+    return (BigReal.fixed(3 * splus + 10 * sminus, wp, 13 * K + 18)
+            * inv_pi * inv_pi * Fraction(1, 2)).round_to(prec)
 
 
 def _zeta3(wp: int) -> BigReal:
-    """zeta(3) = (5/2) sum_{k>=1} (-1)^(k+1) / (k^3 C(2k, k)) at wp bits: K floored
-    terms and the alternating tail past the first zero, 5/2 (K + 1) units, and a floor."""
-    total, c, k = 0, 1, 0
-    while True:
-        k += 1
-        c = c * 2 * (2 * k - 1) // k
-        t = (1 << wp) // (k ** 3 * c)
-        if not t:
-            break
-        total += t if k % 2 else -t
-    return BigReal.fixed(5 * total >> 1, wp, 5 * k // 2 + 2)
+    """zeta(3) = (5/2) S- at wp bits: S- of `_binomial_sums` is within its
+    K - 1 floors and its alternating tail, under K units, so 5 S- / 2 with its
+    floor is within 5K/2 + 1/2 <= 5K//2 + 2."""
+    _, sminus, K = _binomial_sums(wp)
+    return BigReal.fixed(5 * sminus >> 1, wp, 5 * K // 2 + 2)
 
 
 def epstein_combo(prec: int) -> BigReal:

@@ -151,8 +151,8 @@ def _ein(X: int, w: int) -> int:
     return total
 
 
-def e1_values(U: int, wp: int, M: int) -> tuple[list[int], int]:
-    """([E1(n u) 2^wp for n = 0..M], 1), u = U 2^-wp <= 4, M >= 2, M u >= 1:
+def e1_values(U: int, wp: int, M: int) -> list[int]:
+    """[E1(n u) 2^wp for n = 0..M], u = U 2^-wp <= 4, M >= 2, M u >= 1:
     entries 1..M within 1 unit.  As E1(nu) - E1((n+1)u) = e^-(n+1)u int_0^1
     e^(u(1-t)) dt / (n + t) and 1/(n + t) = sum_i (-1)^i t^i / n^(i+1), one
     chain runs down from E1(Mu) = q^M _e1_scaled(Mu):
@@ -189,7 +189,7 @@ def e1_values(U: int, wp: int, M: int) -> tuple[list[int], int]:
             t = h - t // n
         e[n] = e[n + 1] + (P[n + 1] * (t // n) >> w)
     e[1] = e[2] + 2 * arctan_inv(3, w, hyperbolic=True) + _ein(V, w) - _ein(2 * V, w)
-    return [0] + [(v + (1 << g - 1)) >> g for v in e[1:]], 1
+    return [0] + [(v + (1 << g - 1)) >> g for v in e[1:]]
 
 
 def _s(x: float, k: int) -> float:
@@ -208,8 +208,8 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int) -> BigReal:
     The tail past M is below 6 C sum_{n>M} n^2 e^-nu u^3/2 (|a_n| <= C n^2 by
     QuadFormSeries.coeff_bound; the bracket is below 6 e^-x for x >= 1),
     which picks M.  On integers at wp bits u is within 2 units, e^-nu (powers
-    of exp_neg(u)) within 2n and E_1 within e1_values' bound, so with one
-    floor per product the n-th bracket is within 2n (u^2 + 2u + 2) + u^3 e1
+    of exp_neg(u)) within 2n and E_1 (e1_values) within 1, so with one
+    floor per product the n-th bracket is within 2n (u^2 + 2u + 2) + u^3
     + 4 units, counted times |a_n|; the rounded u~ costs 2 units times
     |dL/du| <= C u^2 sum n^2 e^-nu (1 + 1.5/nu).  Before the sum is trusted,
     theta(1/y) = y^3 theta(y) is checked at y = 5/4 within the same kind of
@@ -226,7 +226,7 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int) -> BigReal:
     wp = prec + 64
     U = (pi_reals(wp)[0].man << wp + 1) // math.isqrt(N << 2 * wp)
     co = form_coefficients(series, M)
-    e1, e1_err = e1_values(U, wp, M)
+    e1 = e1_values(U, wp, M)
     q, q_inv, q_y = exp_neg(U, wp), exp_neg(4 * U // 5, wp), exp_neg(5 * U >> 2, wp)
     U2, U3 = U * U, U ** 3 >> 2 * wp
     cm, u3m = (U2 >> 2 * wp) + 2 * (U >> wp) + 5, (U3 >> wp) + 1
@@ -239,7 +239,7 @@ def smoothed_lvalue(series: QuadFormSeries, prec: int) -> BigReal:
             continue
         w = (U2 * n + (U << wp + 1)) * n + (1 << 2 * wp + 1)
         total += a_n * (qn * w // (n ** 3 << 2 * wp) + (U3 * e1[n] >> wp))
-        err += abs(a_n) * (2 * n * cm + u3m * e1_err + 4)
+        err += abs(a_n) * (2 * n * cm + u3m + 4)
         # 4u/5 and 5u/4 are floored, so their powers are within 3n units
         theta_inv += a_n * qn_inv
         theta_y += a_n * qn_y

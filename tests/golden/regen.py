@@ -7,7 +7,9 @@ runs in-process through `cli.main`.  A `--json` report goes to <name>.json,
 with `timings`, the one field that varies between runs of the same request,
 cut down to its list of keys; a text line goes to <name>.txt as printed.
 `tests/test_golden.py` reruns the requests against these files; a change that
-alters a report regenerates them and names the changed fields.
+alters a report regenerates them and names the changed fields, which this
+script prints per file as `path: old -> new` (a text file's paths index its
+lines), or "unchanged".
 """
 
 import contextlib
@@ -55,16 +57,51 @@ def report(argv: list) -> tuple:
     return code, doc
 
 
+class Missing:
+    """The side of a `changes` pair that has no such key or list item."""
+
+    def __repr__(self):
+        return "(absent)"
+
+
+MISSING = Missing()
+
+
+def changes(old, new, at: str = "$"):
+    """(path, old, new) of each JSON field where new differs from old; a key or
+    list item on one side only is paired with MISSING."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in {**old, **new}:
+            yield from changes(old.get(key, MISSING), new.get(key, MISSING), f"{at}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i in range(max(len(old), len(new))):
+            yield from changes(old[i] if i < len(old) else MISSING,
+                               new[i] if i < len(new) else MISSING, f"{at}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield at, old, new
+
+
+def parse(text: str, name: str):
+    """A golden file's content as `changes` compares it: JSON, or a list of lines."""
+    return json.loads(text) if name.endswith(".json") else text.splitlines()
+
+
 def regen() -> None:
-    """Write every golden report; a request that does not exit 0 writes none."""
+    """Write every golden report, printing what changed in each; a request that
+    does not exit 0 writes none."""
     argvs = {**REQUESTS, **EXAMPLES}
     outs = {name: report(argv) for name, argv in argvs.items()}
     if failed := [name for name, (code, _) in outs.items() if code]:
         raise SystemExit(f"not passing, nothing written: {', '.join(failed)}")
     for name, (_, doc) in outs.items():
         text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        path(name, argvs[name]).write_text(text)
-        print(f"wrote {path(name, argvs[name]).name}")
+        file = path(name, argvs[name])
+        old = parse(file.read_text(), file.name) if file.exists() else MISSING
+        diffs = list(changes(old, parse(text, file.name)))
+        file.write_text(text)
+        print(f"{file.name}: {'unchanged' if not diffs else f'{len(diffs)} changed'}")
+        for at, was, now in diffs:
+            print(f"  {at}: {was!r} -> {now!r}")
 
 
 if __name__ == "__main__":

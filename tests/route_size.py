@@ -30,10 +30,10 @@ REQUESTS = {
     "import": ([], 3300),
     **{f"ap --k {k} --pmax 1500": (["ap", "--k", k, "--pmax", "1500", "--json"], 4200)
        for k in ("3", "6", "18")},
-    "verify --k 0": (["verify", "--k", "0", "--json"], 6700),
+    "verify --k 0": (["verify", "--k", "0", "--json"], 6250),
     "verify --k 3": (["verify", "--k", "3", "--json"], 11700),
     "verify --k 6": (["verify", "--k", "6", "--json"], 11700),
-    "verify --k 18": (["verify", "--k", "18", "--json"], 20150),
+    "verify --k 18": (["verify", "--k", "18", "--json"], 19700),
 }
 
 

@@ -10,7 +10,6 @@ import pytest
 from k3mahler import bigreal as br
 from k3mahler import lfunctions as lf
 from k3mahler.bigreal import BigReal
-from k3mahler.dirichlet import bernoulli_even
 
 
 def agrees_with(x, other, tol):
@@ -99,8 +98,8 @@ def test_exp_and_e1_over_the_smoothed_sums(prec):
     for disc in (-15,) if prec == 1000 else (-15, -24, -120):
         M = lf.smoothed_lvalue(lf.FORM_SERIES[disc], prec).terms
         U = (br.pi_reals(wp)[0].man << wp + 1) // math.isqrt(abs(disc) << 2 * wp)
-        e1, bound = lf.e1_values(U, wp, M)
-        assert len(e1) == M + 1 and bound <= 2
+        e1 = lf.e1_values(U, wp, M)
+        assert len(e1) == M + 1
         ns = sorted({*range(1, M + 1, max(1, M // 40)), 1, 2, 3, M - 1, M})
         with mp.workprec(2 * wp):
             u = mp.mpf(U) / mp.mpf(2) ** wp
@@ -109,15 +108,18 @@ def test_exp_and_e1_over_the_smoothed_sums(prec):
             # references with 64 bits more are within 2^-64 units
             with mp.workprec(max(64, wp + 64 - int(1.44 * (n * U >> wp)))):
                 assert units_off(br.exp_neg(n * U, wp), wp, mp.exp(-n * u)) <= 1, (disc, n)
-                assert units_off(e1[n], wp, mp.e1(n * u)) <= bound, (disc, n)
+                assert units_off(e1[n], wp, mp.e1(n * u)) <= 1, (disc, n)
 
 
 def test_e1_bound_is_not_vacuous():
-    # the bound of e1_values is at most 2 units, not a free pass
+    # e1_values' bound is 1 unit at every entry, not a free pass
     wp = 152
     U = (br.pi_reals(wp)[0].man << wp + 1) // math.isqrt(120 << 2 * wp)
-    e1, bound = lf.e1_values(U, wp, 182)
-    assert bound <= 2 and e1[1] > 0 and min(e1[1:]) >= 0
+    e1 = lf.e1_values(U, wp, 182)
+    assert e1[1] > 0 and min(e1[1:]) >= 0
+    with mp.workprec(2 * wp):
+        u = mp.mpf(U) / mp.mpf(2) ** wp
+        assert all(units_off(e1[n], wp, mp.e1(n * u)) <= 1 for n in range(1, 183))
 
 
 def test_e1_chain_longer_than_its_precision():
@@ -125,11 +127,11 @@ def test_e1_chain_longer_than_its_precision():
     # n where e^-nu leaves the precision, keep every sampled E1 in its bound
     wp, M = 64, 3000
     U = (br.pi_reals(wp)[0].man << wp + 1) // math.isqrt(15 << 2 * wp)
-    e1, bound = lf.e1_values(U, wp, M)
+    e1 = lf.e1_values(U, wp, M)
     with mp.workprec(2 * wp):
         u = mp.mpf(U) / mp.mpf(2) ** wp
         for n in (1, 2, 3, 10, 30, 100, M - 1, M):
-            assert units_off(e1[n], wp, mp.e1(n * u)) <= bound, n
+            assert units_off(e1[n], wp, mp.e1(n * u)) <= 1, n
 
 
 def test_bound_units_on_ints():
@@ -152,5 +154,3 @@ def test_bound_units_on_ints():
             assert max(r - 2, 0) ** 4 << 200 <= (1 << max(4 * j + a, 0)) * (2 ** 50 + 1) ** 4, (j, a)
 
 
-def test_bernoulli_numbers_exact():
-    assert bernoulli_even(40) == [Fraction(*mp.bernfrac(2 * k)) for k in range(1, 41)]

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from golden.regen import EXAMPLES, REQUESTS, path, report
+from golden.regen import EXAMPLES, MISSING, REQUESTS, changes, path, report
 
 FLOAT64_FIELDS = {"$.lhs.value", "$.lhs.error_bound", "$.abs_diff"}
 QUADRATURE_FIELDS = {"$.value", "$.error_bound"}
@@ -72,3 +72,15 @@ def test_first_difference_names_the_path():
     # outside its fields a float is compared exactly
     assert first_difference({"value": 1.5}, {"value": 1.0}, 0.5) == "$.value"
     assert first_difference({"value": 1.5}, {"value": 1.0}, 0.5, fields=QUADRATURE_FIELDS) is None
+
+
+def test_changes_names_each_field():
+    old = {"a": [1, {"b": "x"}], "c": 1.5}
+    assert list(changes(old, old)) == []
+    assert list(changes(old, {"a": [2, {"b": "y"}], "c": 1.5})) == [("$.a[0]", 1, 2),
+                                                                  ("$.a[1].b", "x", "y")]
+    assert list(changes(old, {"a": [1], "d": None})) == [
+        ("$.a[1]", {"b": "x"}, MISSING), ("$.c", 1.5, MISSING), ("$.d", MISSING, None)]
+    # an int for a float, or True for 1, is a change
+    assert list(changes(old, {"a": [True, {"b": "x"}], "c": 1.5})) == [("$.a[0]", 1, True)]
+    assert list(changes(["x", "y"], ["x", "z"])) == [("$[1]", "y", "z")]

@@ -1,6 +1,7 @@
 """Hecke form-series coefficients against the printed tables, L-value
 machinery, d3, the Epstein combination, and twisting utilities."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from k3mahler import lfunctions as lf
 from k3mahler import pointcount as pc
 from k3mahler.bigreal import BigReal
 from k3mahler.surfaces import NEWFORM_AP, SURFACES
-from k3mahler.dirichlet import dirichlet_lvalue, epstein_combo
+from k3mahler.dirichlet import d3, epstein_combo
 from conftest import lvalue_from_coeffs, tail_scale
 from modular import form_coefficients_numpy, newform_coefficients
 from mp_oracle import fraction
@@ -199,18 +200,31 @@ class TestEpstein:
         assert a.abs_diff(b) <= a.error_bound
 
 
+@functools.cache
+def d3_reference(prec: int) -> Fraction:
+    """d3 = (3 sqrt(3) / 4 pi) L(chi_-3, 2) by the trigamma values
+    L(chi_-3, 2) = (psi'(1/3) - psi'(2/3)) / 9, at prec bits."""
+    with mp.workprec(prec):
+        return fraction(3 * mp.sqrt(3) / (4 * mp.pi)
+                        * (mp.polygamma(1, mp.mpf(1) / 3) - mp.polygamma(1, mp.mpf(2) / 3)) / 9)
+
+
 class TestDirichletAndD3:
     def test_against_trigamma(self):
-        with mp.workprec(200):
-            ref = (mp.polygamma(1, mp.mpf(1) / 3)
-                   - mp.polygamma(1, mp.mpf(2) / 3)) / 9
-        v = dirichlet_lvalue(prec=160)
-        assert v.abs_diff(fraction(ref)) < Fraction(1, 2 ** 150)
+        v = d3(prec=160)
+        assert v.abs_diff(d3_reference(200)) < Fraction(1, 2 ** 150)
+
+    @pytest.mark.parametrize("prec", (53, 64, 128, 200, 256, 400, 1000, 2000, 5000))
+    def test_within_its_bound(self, prec):
+        # one reference at 5064 bits, within 2^-5050, serves every prec
+        v = d3(prec)
+        assert v.bound_kind == "rigorous" and v.error_bound <= Fraction(1, 2 ** prec)
+        assert v.abs_diff(d3_reference(5064)) <= v.error_bound + Fraction(1, 2 ** 5050)
 
     def test_partial_sums_bracket(self):
         # blocks of (1/(3j+1)^2 - 1/(3j+2)^2) are positive and decreasing,
-        # so the partial sums increase toward the limit from below
-        L = float(dirichlet_lvalue(prec=80).value)
+        # so the partial sums increase toward the limit L(chi_-3, 2) from below
+        L = float(d3(prec=80).value) * 4 * math.pi / (3 * math.sqrt(3))
         partial = 0.0
         prev_block = float("inf")
         for j in range(200):
